@@ -29,7 +29,7 @@ use state_slice_core::{CostConfig, JoinQuery, QueryWorkload};
 use streamkit::error::{Result, StreamError};
 use streamkit::{JoinCondition, TimeDelta, Tuple};
 
-use crate::report::{executor_config, RunPerf};
+use crate::runner::{executor_config, perf_of, RunPerf};
 
 /// Join selectivity of the high-selectivity phases (1 and 3).
 pub const SEL_HI: f64 = 0.1;
@@ -338,7 +338,6 @@ fn run_variant(
         }
     }
     let outcome = live.finish()?;
-    let report = &outcome.report;
     let mut sink_counts: Vec<(String, u64)> = outcome
         .queries
         .iter()
@@ -347,17 +346,7 @@ fn run_variant(
     sink_counts.sort();
     Ok(AdaptiveRun {
         name: String::new(),
-        perf: RunPerf {
-            service_rate: report.service_rate(),
-            elapsed_secs: report.elapsed_secs,
-            probe_comparisons: report.totals.probe_comparisons,
-            total_comparisons: report.totals.total_comparisons(),
-            total_outputs: report.total_output(),
-            peak_state_tuples: report.memory.peak_state_tuples,
-            peak_state_bytes: report.memory.peak_state_bytes,
-            avg_state_bytes: report.memory.avg_state_bytes,
-            peak_capacity_bytes: report.memory.peak_capacity_bytes,
-        },
+        perf: perf_of(&outcome.report),
         replans: outcome.migrations.len(),
         // `.max(0.0)`: an empty migration list sums to f64's additive
         // identity -0.0, which would serialize as "-0.000".

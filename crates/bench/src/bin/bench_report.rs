@@ -1,34 +1,18 @@
-//! Persistent perf harness: hash-indexed join probes, sharded scaling,
-//! batch-at-a-time execution and live query churn.
+//! Persistent harness for the three behaviours the `benchmark/` package does
+//! not measure yet: live query churn, adaptive re-optimization and crash
+//! recovery.  (Engine throughput, latency and state memory — the subject of
+//! the retired join/shard/batch/columnar/skew/band modes — are measured by
+//! `benchmark/`, see `BENCHMARK.json`.)
 //!
-//! Four modes:
+//! Three modes:
 //!
-//! * **default** — runs the equi-join-heavy fig18-style workload under the
-//!   state-slice chain and the selection pull-up baseline (each with and
-//!   without the `JoinState` hash index), plus an operator microbench over
-//!   state size × key cardinality, and writes `BENCH_join.json`.
-//! * **`--shards N`** — runs the same fig18-style workload on the sharded
-//!   parallel chain for every power-of-two shard count up to `N` (so
-//!   `--shards 8` sweeps 1/2/4/8; a comma list like `--shards 1,2,4,8`
-//!   selects explicit counts) and writes `BENCH_shard.json` with the
-//!   service-rate scaling curve.
-//! * **`--batch N`** — runs the same fig18-style workload once on the
-//!   item-at-a-time executor path and once per batch size on the vectorized
-//!   path, sweeping the 1/16/64/256 ladder up to `N` (a comma list selects
-//!   explicit sizes), and writes `BENCH_batch.json` with the service-rate
-//!   curve vs batch size.
-//! * **`--churn I`** — runs the same fig18-style workload on a live
+//! * **`--churn I`** — runs the fig18-style equi workload on a live
 //!   reslicing executor while queries enter/leave by a Poisson process with
 //!   mean interval `I` seconds (a comma list sweeps explicit intervals,
 //!   0 = no churn; a single value sweeps `0,I`), checks every query
 //!   instance's results against a statically-planned oracle, and writes
 //!   `BENCH_churn.json` with service rate and migration pause time vs churn
 //!   rate.
-//! * **`--skew E`** — runs the fig18-style workload with Zipf(`E`)-skewed
-//!   join keys on one shard (the correctness oracle), on N shards with plain
-//!   hash routing, and on N shards with skew-aware hot-key replication
-//!   (`SS_SKEW_SHARDS`, default 4), and writes `BENCH_skew.json` with the
-//!   busiest-shard load shares.
 //! * **`--adaptive`** — runs an equi workload whose join selectivity
 //!   collapses and recovers mid-stream under two statically-planned chains
 //!   (Mem-Opt, and the chain CPU-Opt picks for the collapsed phase), under
@@ -36,12 +20,6 @@
 //!   under a stationary control (whose adaptation log must stay empty), and
 //!   writes `BENCH_adaptive.json` (`SS_BENCH_REPS` repetitions, default 3,
 //!   best service rate kept per variant).
-//! * **`--band W`** — runs a band-join workload (`|a.key − b.key| ≤ W`, no
-//!   equi component, so no hash index applies) at three arrival rates, each
-//!   point once with the value-ordered band index and once with linear-scan
-//!   probes on identical input, checks per-sink results and drained final
-//!   states for equality, and writes `BENCH_band.json` with the
-//!   probe-comparison ratios.
 //! * **`--recovery`** — runs the fig18-style equi workload (punctuated every
 //!   stream second) under a crash-recovery supervisor twice: uninterrupted,
 //!   and with a deterministic worker panic injected at a mid-stream
@@ -51,71 +29,18 @@
 //!   volume and the result-equivalence check (`SS_RECOVERY_SHARDS`,
 //!   default 4).
 //!
-//! Usage: `cargo run --release -p ss_bench --bin bench_report
-//! [-- --shards 8 | --batch 256 | --churn 10,30 | --skew 1.2 | --adaptive |
-//! --recovery]`.  Set
-//! `SS_DURATION_SECS` to scale the stream length (default 30 s),
-//! `SS_BENCH_RATE` to change the per-stream arrival rate (default 100 t/s)
-//! and `SS_BENCH_OUT` to override the output path.
+//! Usage: `cargo run --release -p ss_bench --bin bench_report --
+//! (--churn 10,30 | --adaptive | --recovery)`; anything else prints the usage
+//! line and exits 2.  Set `SS_DURATION_SECS` to scale the stream length
+//! (default 30 s), `SS_BENCH_RATE` to change the per-stream arrival rate
+//! (default 100 t/s) and `SS_BENCH_OUT` to override the output path.
 
 use ss_bench::adaptive::run_adaptive_bench;
 use ss_bench::churn::run_churn_bench;
 use ss_bench::default_duration_secs;
 use ss_bench::recovery::run_recovery_bench;
-use ss_bench::report::{
-    run_band_bench, run_batch_bench, run_columnar_bench, run_join_bench, run_shard_bench,
-    run_skew_bench,
-};
 
-/// Parse a `--shards` value: a comma list of counts, or a single maximum
-/// swept in powers of two starting at 1.  Unparsable or zero values are an
-/// error — silently substituting a default would overwrite the committed
-/// report with a sweep the operator did not ask for.
-fn shard_counts(arg: &str) -> Result<Vec<usize>, String> {
-    let parse = |part: &str| {
-        part.trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("invalid --shards value '{part}' (need a positive integer)"))
-    };
-    if arg.contains(',') {
-        arg.split(',').map(parse).collect()
-    } else {
-        let max = parse(arg)?;
-        let mut counts = Vec::new();
-        let mut n = 1;
-        while n <= max {
-            counts.push(n);
-            n *= 2;
-        }
-        Ok(counts)
-    }
-}
-
-/// Parse a `--batch` value: a comma list of batch sizes, or a single maximum
-/// swept over the 1/16/64/256 ladder (capped at the maximum, which is always
-/// included).
-fn batch_sizes(arg: &str) -> Result<Vec<usize>, String> {
-    let parse = |part: &str| {
-        part.trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("invalid --batch value '{part}' (need a positive integer)"))
-    };
-    if arg.contains(',') {
-        arg.split(',').map(parse).collect()
-    } else {
-        let max = parse(arg)?;
-        let mut sizes: Vec<usize> = [1usize, 16, 64, 256]
-            .into_iter()
-            .filter(|&n| n < max)
-            .collect();
-        sizes.push(max);
-        Ok(sizes)
-    }
-}
+const USAGE: &str = "usage: bench_report (--churn <secs>[,<secs>...] | --adaptive | --recovery)";
 
 /// Parse a `--churn` value: a comma list of mean churn-event intervals in
 /// seconds (0 = no churn), or a single positive interval which is swept
@@ -142,416 +67,170 @@ fn churn_intervals(arg: &str) -> Result<Vec<f64>, String> {
     }
 }
 
-fn main() {
-    let duration = default_duration_secs();
-    let rate = std::env::var("SS_BENCH_RATE")
+/// Per-stream arrival rate (`SS_BENCH_RATE`, default 100 t/s).
+fn bench_rate() -> f64 {
+    std::env::var("SS_BENCH_RATE")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|v: &f64| *v > 0.0)
-        .unwrap_or(100.0);
+        .unwrap_or(100.0)
+}
 
-    let args: Vec<String> = std::env::args().collect();
-    // A flag with a missing value is an error, not a silent fall-through to
-    // the default join bench (which would run for minutes and overwrite the
-    // wrong report).
-    let flag_value = |flag: &str| {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("bench_report: {flag} requires a value");
-                std::process::exit(2);
-            })
-        })
-    };
-    let shards_arg = flag_value("--shards");
-    let batch_arg = flag_value("--batch");
-    let churn_arg = flag_value("--churn");
-    let skew_arg = flag_value("--skew");
-    let band_arg = flag_value("--band");
-    let columnar = args.iter().any(|a| a == "--columnar");
-    let adaptive = args.iter().any(|a| a == "--adaptive");
-    let recovery = args.iter().any(|a| a == "--recovery");
-
-    if recovery {
-        let shards = std::env::var("SS_RECOVERY_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n: &usize| n >= 1)
-            .unwrap_or(4);
-        let out_path =
-            std::env::var("SS_BENCH_OUT").unwrap_or_else(|_| "BENCH_recovery.json".to_string());
+fn run_recovery() {
+    let (duration, rate) = (default_duration_secs(), bench_rate());
+    let shards = std::env::var("SS_RECOVERY_SHARDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n: &usize| n >= 1)
+        .unwrap_or(4);
+    let out_path =
+        std::env::var("SS_BENCH_OUT").unwrap_or_else(|_| "BENCH_recovery.json".to_string());
+    eprintln!(
+        "# bench_report: crash recovery on the fig18-style equi workload ({duration} s, {rate} t/s, {shards} shard(s))"
+    );
+    let report = run_recovery_bench(duration, rate, shards).expect("recovery bench harness");
+    for run in &report.runs {
         eprintln!(
-            "# bench_report: crash recovery on the fig18-style equi workload ({duration} s, {rate} t/s, {shards} shard(s))"
-        );
-        let report = run_recovery_bench(duration, rate, shards).expect("recovery bench harness");
-        for run in &report.runs {
-            eprintln!(
-                "{:<14} service rate {:>12.1} t/s, outputs {}, checkpoints {}, recoveries {}",
-                run.name,
-                run.perf.service_rate,
-                run.perf.total_outputs,
-                run.checkpoints,
-                run.recoveries,
-            );
-        }
-        for rec in report.log.recoveries() {
-            eprintln!(
-                "recovered from checkpoint #{} (epoch {}): replayed {} items, dropped {} in-flight, {:.2} ms total ({:.2} ms restore) [{}]",
-                rec.checkpoint_seq,
-                rec.checkpoint_epoch,
-                rec.replayed,
-                rec.dropped_inflight,
-                1e3 * rec.recovery_secs,
-                1e3 * rec.restore_secs,
-                rec.trigger,
-            );
-        }
-        assert!(
-            report.results_match,
-            "crash-recovered results diverged from the uninterrupted session"
-        );
-        assert_eq!(
-            report.log.recoveries().len(),
-            1,
-            "the armed panic must fire exactly one recovery"
-        );
-        let json = report.to_json();
-        std::fs::write(&out_path, &json).expect("write BENCH_recovery.json");
-        eprintln!("# wrote {out_path}");
-        print!("{json}");
-        return;
-    }
-
-    if adaptive {
-        let reps = std::env::var("SS_BENCH_REPS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n: &usize| n >= 1)
-            .unwrap_or(3);
-        let out_path =
-            std::env::var("SS_BENCH_OUT").unwrap_or_else(|_| "BENCH_adaptive.json".to_string());
-        eprintln!(
-            "# bench_report: adaptive re-optimization on a drifting equi workload ({duration} s, {rate} t/s, {reps} rep(s))"
-        );
-        let (report, log) =
-            run_adaptive_bench(duration, rate, reps).expect("adaptive bench harness");
-        for run in &report.runs {
-            eprintln!(
-                "{:<16} service rate {:>12.1} t/s, comparisons {}, outputs {}, replans {}, pause {:.2} ms",
-                run.name,
-                run.perf.service_rate,
-                run.perf.total_comparisons,
-                run.perf.total_outputs,
-                run.replans,
-                run.total_pause_ms,
-            );
-        }
-        for record in log.records() {
-            eprintln!(
-                "t={:>6.1}s {:<12} S⋈={:.5} win {:>10.0} / pause {:>8.0} -> {:?}",
-                record.stream_secs,
-                record.trigger.name(),
-                record.measured.sel_join,
-                record.modeled_win,
-                record.modeled_pause,
-                record.action,
-            );
-        }
-        eprintln!(
-            "adaptive vs oracle-best static: {:.3}x; vs worse static: {:.3}x; control decisions: {}",
-            report.adaptive_vs_oracle(),
-            report.adaptive_vs_worst(),
-            report.control_log_len,
-        );
-        assert!(
-            report.results_match,
-            "adaptive / static runs diverged in per-query results"
-        );
-        assert!(
-            !log.is_empty(),
-            "the drifting run confirmed no drift at all"
-        );
-        assert_eq!(
-            report.control_log_len, 0,
-            "the stationary control confirmed phantom drift"
-        );
-        let json = report.to_json();
-        std::fs::write(&out_path, &json).expect("write BENCH_adaptive.json");
-        eprintln!("# wrote {out_path}");
-        print!("{json}");
-        return;
-    }
-
-    if columnar {
-        let out_path =
-            std::env::var("SS_BENCH_OUT").unwrap_or_else(|_| "BENCH_columnar.json".to_string());
-        eprintln!(
-            "# bench_report: columnar fig18-style equi workload ({duration} s, {rate} t/s), row vs columnar result transport"
-        );
-        let report = run_columnar_bench(duration, rate).expect("columnar bench harness");
-        for run in [
-            &report.row,
-            &report.columnar,
-            &report.mem_opt,
-            &report.cpu_opt,
-        ] {
-            eprintln!(
-                "{:<18} service rate {:>12.1} t/s, probes {}, outputs {}, peak state {} tuples / {} live bytes (capacity {})",
-                run.label,
-                run.perf.service_rate,
-                run.perf.probe_comparisons,
-                run.perf.total_outputs,
-                run.perf.peak_state_tuples,
-                run.perf.peak_state_bytes,
-                run.perf.peak_capacity_bytes,
-            );
-        }
-        eprintln!(
-            "columnar/row service-rate ratio: {:.2}x; Mem-Opt < CPU-Opt live bytes: {}",
-            report.service_rate_ratio(),
-            report.mem_opt_shrinks_state(),
-        );
-        assert!(
-            report.results_match,
-            "per-sink results diverged between columnar and row result transport"
-        );
-        assert!(
-            report.probes_match,
-            "probe comparisons diverged between columnar and row result transport"
-        );
-        let json = report.to_json();
-        std::fs::write(&out_path, &json).expect("write BENCH_columnar.json");
-        eprintln!("# wrote {out_path}");
-        print!("{json}");
-        return;
-    }
-
-    if let Some(arg) = band_arg {
-        let width = arg
-            .trim()
-            .parse::<i64>()
-            .ok()
-            .filter(|w| *w >= 0)
-            .unwrap_or_else(|| {
-                eprintln!(
-                    "bench_report: invalid --band value '{arg}' (need a non-negative half-width)"
-                );
-                std::process::exit(2);
-            });
-        let out_path =
-            std::env::var("SS_BENCH_OUT").unwrap_or_else(|_| "BENCH_band.json".to_string());
-        eprintln!(
-            "# bench_report: band-join workload |a.key - b.key| <= {width} ({duration} s, up to {rate} t/s), band index vs linear scan"
-        );
-        let report = run_band_bench(duration, rate, width).expect("band bench harness");
-        for row in &report.rows {
-            eprintln!(
-                "rate {:>6.1} t/s: probes {} indexed vs {} scan ({:.1}x fewer), service rate {:>12.1} vs {:>12.1} t/s, outputs {}, results_match={}, states_match={}",
-                row.rate,
-                row.indexed.probe_comparisons,
-                row.scan.probe_comparisons,
-                row.probe_comparison_ratio(),
-                row.indexed.service_rate,
-                row.scan.service_rate,
-                row.indexed.total_outputs,
-                row.results_match,
-                row.states_match,
-            );
-        }
-        assert!(
-            report.results_match,
-            "band-indexed results diverged from linear scans"
-        );
-        assert!(
-            report.states_match,
-            "band-indexed final states diverged from linear scans"
-        );
-        assert!(
-            report.peak_probe_ratio() >= 5.0,
-            "band probe-comparison ratio {:.2} below the 5x acceptance bar",
-            report.peak_probe_ratio()
-        );
-        let json = report.to_json();
-        std::fs::write(&out_path, &json).expect("write BENCH_band.json");
-        eprintln!("# wrote {out_path}");
-        print!("{json}");
-        return;
-    }
-
-    if let Some(arg) = skew_arg {
-        let exponent = arg
-            .trim()
-            .parse::<f64>()
-            .ok()
-            .filter(|e| e.is_finite() && *e > 0.0)
-            .unwrap_or_else(|| {
-                eprintln!("bench_report: invalid --skew value '{arg}' (need a positive exponent)");
-                std::process::exit(2);
-            });
-        let shards = std::env::var("SS_SKEW_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n: &usize| n >= 2)
-            .unwrap_or(4);
-        let out_path =
-            std::env::var("SS_BENCH_OUT").unwrap_or_else(|_| "BENCH_skew.json".to_string());
-        eprintln!(
-            "# bench_report: Zipf({exponent})-skewed fig18-style equi workload ({duration} s, {rate} t/s), {shards} shards"
-        );
-        let report = run_skew_bench(duration, rate, exponent, shards).expect("skew bench harness");
-        for run in [&report.oracle, &report.hash_only, &report.skew_aware] {
-            eprintln!(
-                "{:<15} {} shard(s): busiest share {:.3}, hot keys {}, broadcast {}, service rate {:>12.1} t/s, probes {}, outputs {}",
-                run.label,
-                run.shards,
-                run.busiest_share,
-                run.hot_keys,
-                run.hot_broadcast,
-                run.perf.service_rate,
-                run.perf.probe_comparisons,
-                run.perf.total_outputs,
-            );
-        }
-        assert!(
-            report.results_match,
-            "skew-routed results diverged from the 1-shard oracle"
-        );
-        assert!(
-            report.skew_aware.busiest_share < report.hash_only.busiest_share,
-            "hot-key replication did not reduce the busiest shard's load share"
-        );
-        let json = report.to_json();
-        std::fs::write(&out_path, &json).expect("write BENCH_skew.json");
-        eprintln!("# wrote {out_path}");
-        print!("{json}");
-        return;
-    }
-
-    if let Some(arg) = churn_arg {
-        let intervals = churn_intervals(&arg).unwrap_or_else(|msg| {
-            eprintln!("bench_report: {msg}");
-            std::process::exit(2);
-        });
-        let out_path =
-            std::env::var("SS_BENCH_OUT").unwrap_or_else(|_| "BENCH_churn.json".to_string());
-        eprintln!(
-            "# bench_report: live query churn on the fig18-style equi workload ({duration} s, {rate} t/s), mean churn intervals {intervals:?} s"
-        );
-        let report = run_churn_bench(duration, rate, &intervals).expect("churn bench harness");
-        for row in &report.rows {
-            eprintln!(
-                "churn every {:>5.1}s: {:>2} events, service rate {:>12.1} t/s ({:.3}x), pause avg {:.2} ms / max {:.2} ms, moved {} tuples, results_match={}",
-                row.mean_interval_secs,
-                row.events,
-                row.perf.service_rate,
-                report.relative_service_rate(row),
-                row.avg_pause_ms,
-                row.max_pause_ms,
-                row.tuples_moved,
-                row.results_match,
-            );
-        }
-        assert!(
-            report.results_match,
-            "live-migrated chains diverged from the statically-planned oracle"
-        );
-        let json = report.to_json();
-        std::fs::write(&out_path, &json).expect("write BENCH_churn.json");
-        eprintln!("# wrote {out_path}");
-        print!("{json}");
-        return;
-    }
-
-    if let Some(arg) = batch_arg {
-        let sizes = batch_sizes(&arg).unwrap_or_else(|msg| {
-            eprintln!("bench_report: {msg}");
-            std::process::exit(2);
-        });
-        let out_path =
-            std::env::var("SS_BENCH_OUT").unwrap_or_else(|_| "BENCH_batch.json".to_string());
-        eprintln!(
-            "# bench_report: batched fig18-style equi workload ({duration} s, {rate} t/s), batch sizes {sizes:?}"
-        );
-        let report = run_batch_bench(duration, rate, &sizes).expect("batch bench harness");
-        eprintln!(
-            "item-at-a-time: service rate {:>12.1} t/s, probes {}, outputs {}",
-            report.item.perf.service_rate,
-            report.item.perf.probe_comparisons,
-            report.item.perf.total_outputs,
-        );
-        for row in &report.rows {
-            eprintln!(
-                "batch {:>4}: service rate {:>12.1} t/s ({:.2}x), probes {}, outputs {}",
-                row.batch,
-                row.perf.service_rate,
-                report.speedup(row),
-                row.perf.probe_comparisons,
-                row.perf.total_outputs,
-            );
-        }
-        assert!(
-            report.results_match,
-            "per-sink results diverged between batch sizes and the item-at-a-time path"
-        );
-        assert!(
-            report.probes_match,
-            "probe comparisons diverged between batch sizes and the item-at-a-time path"
-        );
-        let json = report.to_json();
-        std::fs::write(&out_path, &json).expect("write BENCH_batch.json");
-        eprintln!("# wrote {out_path}");
-        print!("{json}");
-        return;
-    }
-
-    if let Some(arg) = shards_arg {
-        let counts = shard_counts(&arg).unwrap_or_else(|msg| {
-            eprintln!("bench_report: {msg}");
-            std::process::exit(2);
-        });
-        let out_path =
-            std::env::var("SS_BENCH_OUT").unwrap_or_else(|_| "BENCH_shard.json".to_string());
-        eprintln!(
-            "# bench_report: sharded fig18-style equi workload ({duration} s, {rate} t/s), shard counts {counts:?}"
-        );
-        let report = run_shard_bench(duration, rate, &counts).expect("shard bench harness");
-        for row in &report.rows {
-            eprintln!(
-                "{:>2} shard(s): service rate {:>12.1} t/s ({:.2}x), probes {}, outputs {}",
-                row.shards,
-                row.perf.service_rate,
-                report.speedup(row),
-                row.perf.probe_comparisons,
-                row.perf.total_outputs,
-            );
-        }
-        assert!(
-            report.results_match,
-            "per-sink results diverged across shard counts"
-        );
-        let json = report.to_json();
-        std::fs::write(&out_path, &json).expect("write BENCH_shard.json");
-        eprintln!("# wrote {out_path}");
-        print!("{json}");
-        return;
-    }
-
-    let out_path = std::env::var("SS_BENCH_OUT").unwrap_or_else(|_| "BENCH_join.json".to_string());
-    eprintln!("# bench_report: fig18-style equi workload ({duration} s, {rate} t/s) + microbench");
-    let report = run_join_bench(duration, rate).expect("bench harness");
-    for s in &report.strategies {
-        eprintln!(
-            "{:<22} service rate {:>12.1} t/s indexed vs {:>12.1} t/s scan  ({:.2}x), probe comparisons {} vs {} ({:.1}x fewer)",
-            s.strategy,
-            s.indexed.service_rate,
-            s.scan.service_rate,
-            s.service_rate_speedup(),
-            s.indexed.probe_comparisons,
-            s.scan.probe_comparisons,
-            s.probe_comparison_ratio(),
+            "{:<14} service rate {:>12.1} t/s, outputs {}, checkpoints {}, recoveries {}",
+            run.name,
+            run.perf.service_rate,
+            run.perf.total_outputs,
+            run.checkpoints,
+            run.recoveries,
         );
     }
+    for rec in report.log.recoveries() {
+        eprintln!(
+            "recovered from checkpoint #{} (epoch {}): replayed {} items, dropped {} in-flight, {:.2} ms total ({:.2} ms restore) [{}]",
+            rec.checkpoint_seq,
+            rec.checkpoint_epoch,
+            rec.replayed,
+            rec.dropped_inflight,
+            1e3 * rec.recovery_secs,
+            1e3 * rec.restore_secs,
+            rec.trigger,
+        );
+    }
+    assert!(
+        report.results_match,
+        "crash-recovered results diverged from the uninterrupted session"
+    );
+    assert_eq!(
+        report.log.recoveries().len(),
+        1,
+        "the armed panic must fire exactly one recovery"
+    );
     let json = report.to_json();
-    std::fs::write(&out_path, &json).expect("write BENCH_join.json");
+    std::fs::write(&out_path, &json).expect("write BENCH_recovery.json");
     eprintln!("# wrote {out_path}");
     print!("{json}");
+}
+
+fn run_adaptive() {
+    let (duration, rate) = (default_duration_secs(), bench_rate());
+    let reps = std::env::var("SS_BENCH_REPS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n: &usize| n >= 1)
+        .unwrap_or(3);
+    let out_path =
+        std::env::var("SS_BENCH_OUT").unwrap_or_else(|_| "BENCH_adaptive.json".to_string());
+    eprintln!(
+        "# bench_report: adaptive re-optimization on a drifting equi workload ({duration} s, {rate} t/s, {reps} rep(s))"
+    );
+    let (report, log) = run_adaptive_bench(duration, rate, reps).expect("adaptive bench harness");
+    for run in &report.runs {
+        eprintln!(
+            "{:<16} service rate {:>12.1} t/s, comparisons {}, outputs {}, replans {}, pause {:.2} ms",
+            run.name,
+            run.perf.service_rate,
+            run.perf.total_comparisons,
+            run.perf.total_outputs,
+            run.replans,
+            run.total_pause_ms,
+        );
+    }
+    for record in log.records() {
+        eprintln!(
+            "t={:>6.1}s {:<12} S⋈={:.5} win {:>10.0} / pause {:>8.0} -> {:?}",
+            record.stream_secs,
+            record.trigger.name(),
+            record.measured.sel_join,
+            record.modeled_win,
+            record.modeled_pause,
+            record.action,
+        );
+    }
+    eprintln!(
+        "adaptive vs oracle-best static: {:.3}x; vs worse static: {:.3}x; control decisions: {}",
+        report.adaptive_vs_oracle(),
+        report.adaptive_vs_worst(),
+        report.control_log_len,
+    );
+    assert!(
+        report.results_match,
+        "adaptive / static runs diverged in per-query results"
+    );
+    assert!(
+        !log.is_empty(),
+        "the drifting run confirmed no drift at all"
+    );
+    assert_eq!(
+        report.control_log_len, 0,
+        "the stationary control confirmed phantom drift"
+    );
+    let json = report.to_json();
+    std::fs::write(&out_path, &json).expect("write BENCH_adaptive.json");
+    eprintln!("# wrote {out_path}");
+    print!("{json}");
+}
+
+fn run_churn(arg: &str) {
+    let (duration, rate) = (default_duration_secs(), bench_rate());
+    let intervals = churn_intervals(arg).unwrap_or_else(|msg| {
+        eprintln!("bench_report: {msg}");
+        std::process::exit(2);
+    });
+    let out_path = std::env::var("SS_BENCH_OUT").unwrap_or_else(|_| "BENCH_churn.json".to_string());
+    eprintln!(
+        "# bench_report: live query churn on the fig18-style equi workload ({duration} s, {rate} t/s), mean churn intervals {intervals:?} s"
+    );
+    let report = run_churn_bench(duration, rate, &intervals).expect("churn bench harness");
+    for row in &report.rows {
+        eprintln!(
+            "churn every {:>5.1}s: {:>2} events, service rate {:>12.1} t/s ({:.3}x), pause avg {:.2} ms / max {:.2} ms, moved {} tuples, results_match={}",
+            row.mean_interval_secs,
+            row.events,
+            row.perf.service_rate,
+            report.relative_service_rate(row),
+            row.avg_pause_ms,
+            row.max_pause_ms,
+            row.tuples_moved,
+            row.results_match,
+        );
+    }
+    assert!(
+        report.results_match,
+        "live-migrated chains diverged from the statically-planned oracle"
+    );
+    let json = report.to_json();
+    std::fs::write(&out_path, &json).expect("write BENCH_churn.json");
+    eprintln!("# wrote {out_path}");
+    print!("{json}");
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    // Anything but exactly one known mode is an error, not a silent
+    // fall-through to some default run that overwrites a committed report.
+    match args.as_slice() {
+        ["--churn", intervals] => run_churn(intervals),
+        ["--adaptive"] => run_adaptive(),
+        ["--recovery"] => run_recovery(),
+        _ => {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
+    }
 }

@@ -19,7 +19,7 @@ use state_slice_core::{ChainBuilder, JoinQuery, QueryWorkload, SharedChainPlan};
 use streamkit::error::{Result, StreamError};
 use streamkit::{Executor, TimeDelta, Tuple};
 
-use crate::report::{equi_heavy_scenario, executor_config, RunPerf};
+use crate::runner::{equi_heavy_scenario, executor_config, perf_of, RunPerf};
 
 /// Pool of windows (whole seconds) churned queries draw from: pairwise
 /// distinct, distinct from the base 10/20/30 s windows, and all below the
@@ -294,21 +294,10 @@ pub fn run_churn_row(
         1e3 * pauses.iter().sum::<f64>() / pauses.len() as f64
     };
     let max_pause_ms = 1e3 * pauses.iter().cloned().fold(0.0, f64::max);
-    let report = &outcome.report;
     Ok(ChurnRun {
         mean_interval_secs,
         events: events.len(),
-        perf: RunPerf {
-            service_rate: report.service_rate(),
-            elapsed_secs: report.elapsed_secs,
-            probe_comparisons: report.totals.probe_comparisons,
-            total_comparisons: report.totals.total_comparisons(),
-            total_outputs: report.total_output(),
-            peak_state_tuples: report.memory.peak_state_tuples,
-            peak_state_bytes: report.memory.peak_state_bytes,
-            avg_state_bytes: report.memory.avg_state_bytes,
-            peak_capacity_bytes: report.memory.peak_capacity_bytes,
-        },
+        perf: perf_of(&outcome.report),
         avg_pause_ms,
         max_pause_ms,
         tuples_moved: outcome.migrations.iter().map(|m| m.tuples_moved).sum(),

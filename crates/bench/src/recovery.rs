@@ -26,8 +26,7 @@ use streamkit::punctuation::Punctuation;
 use streamkit::queue::StreamItem;
 use streamkit::{Timestamp, Tuple};
 
-use crate::report::{equi_heavy_scenario, executor_config, perf_of, RunPerf};
-use crate::runner::build_workload;
+use crate::runner::{build_workload, equi_heavy_scenario, executor_config, perf_of, RunPerf};
 
 /// Per-query collected results, sorted for order-insensitive comparison.
 type SinkResults = Vec<(String, Vec<Tuple>)>;

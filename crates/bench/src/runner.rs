@@ -1,15 +1,13 @@
 //! Experiment runner: execute one scenario under one sharing strategy and
 //! report the metrics the paper's figures plot.
 
-use ss_workload::{Scenario, JOIN_KEY_FIELD};
+use ss_workload::{Scenario, WindowDistribution, JOIN_KEY_FIELD};
 use state_slice_core::planner::CHAIN_ENTRY;
 use state_slice_core::{
     ChainBuilder, ChainSpec, CostConfig, JoinQuery, PlannerOptions, QueryWorkload, SharedChainPlan,
 };
 use streamkit::error::Result;
-use streamkit::{Executor, JoinCondition};
-
-use crate::report::executor_config;
+use streamkit::{Executor, ExecutorConfig, JoinCondition};
 
 use ss_baselines::{PullUpPlanBuilder, PushDownPlanBuilder, UnsharedPlanBuilder, ENTRY_A, ENTRY_B};
 
@@ -65,6 +63,75 @@ pub struct RunMetrics {
     pub elapsed_secs: f64,
     /// Number of operators in the executed plan.
     pub num_operators: usize,
+}
+
+/// Performance counters of one end-to-end run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunPerf {
+    /// Service rate (tuples/second), the paper's Figure 18 metric.
+    pub service_rate: f64,
+    /// Wall-clock running time in seconds.
+    pub elapsed_secs: f64,
+    /// Join probe comparisons performed.
+    pub probe_comparisons: u64,
+    /// Total comparisons (the analytical CPU metric).
+    pub total_comparisons: u64,
+    /// Result tuples delivered to all query sinks.
+    pub total_outputs: u64,
+    /// Peak join-state size in tuples.
+    pub peak_state_tuples: usize,
+    /// Peak live join-state bytes (arena bookkeeping).
+    pub peak_state_bytes: usize,
+    /// Time-averaged live join-state bytes.
+    pub avg_state_bytes: f64,
+    /// Peak arena-capacity bytes (live bytes plus purged-but-unreleased and
+    /// unfilled arena slots — what the allocator actually holds).
+    pub peak_capacity_bytes: usize,
+}
+
+pub(crate) fn perf_of(report: &streamkit::ExecutionReport) -> RunPerf {
+    RunPerf {
+        service_rate: report.service_rate(),
+        elapsed_secs: report.elapsed_secs,
+        probe_comparisons: report.totals.probe_comparisons,
+        total_comparisons: report.totals.total_comparisons(),
+        total_outputs: report.total_output(),
+        peak_state_tuples: report.memory.peak_state_tuples,
+        peak_state_bytes: report.memory.peak_state_bytes,
+        avg_state_bytes: report.memory.avg_state_bytes,
+        peak_capacity_bytes: report.memory.peak_capacity_bytes,
+    }
+}
+
+/// The executor configuration shared by every measured run of this crate
+/// (figures, churn/adaptive/recovery benches), so the rows of different
+/// reports stay comparable.
+pub(crate) fn executor_config() -> ExecutorConfig {
+    ExecutorConfig {
+        batch_per_visit: 64,
+        memory_sample_every: 64,
+        ..ExecutorConfig::default()
+    }
+}
+
+/// The equi-join-heavy fig18-style scenario: Uniform windows (10/20/30 s),
+/// no selections, S⋈ = 0.002 (500-key domain), window ≫ inter-arrival gap.
+///
+/// The key domain is sparser than the paper's densest panels so that the
+/// measured service rate isolates *probe* cost: the linear-scan probe cost
+/// is independent of S⋈ while the result-handling overhead shrinks with it,
+/// which is exactly the regime (many keys, selective equi joins) where an
+/// index matters in practice.
+pub fn equi_heavy_scenario(duration_secs: f64, rate: f64) -> Scenario {
+    Scenario {
+        rate,
+        duration_secs,
+        num_queries: 3,
+        distribution: WindowDistribution::Uniform,
+        sel_filter: 1.0,
+        sel_join: 0.002,
+        seed: 7,
+    }
 }
 
 /// Build the query workload a scenario registers: windows from the scenario's
@@ -214,7 +281,6 @@ pub fn results_agree(scenario: &Scenario, strategies: &[Strategy]) -> Result<boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_workload::WindowDistribution;
 
     fn quick_scenario() -> Scenario {
         Scenario {
@@ -274,6 +340,16 @@ mod tests {
         assert!(slice.avg_state_tuples <= pullup.avg_state_tuples);
         assert!(slice.avg_state_tuples <= pushdown.avg_state_tuples);
         assert!(slice.total_comparisons <= pullup.total_comparisons);
+        // Figure 19's memory ordering: a join selective enough that CPU-Opt
+        // merges slices makes the merged chain hold what the gates dropped.
+        let sparse = Scenario {
+            sel_join: 0.002,
+            ..scenario
+        };
+        let mem_opt = run_strategy(&sparse, Strategy::StateSliceMemOpt).unwrap();
+        let cpu_opt = run_strategy(&sparse, Strategy::StateSliceCpuOpt).unwrap();
+        assert!(cpu_opt.num_operators < mem_opt.num_operators);
+        assert!(mem_opt.avg_state_tuples < cpu_opt.avg_state_tuples);
     }
 
     #[test]

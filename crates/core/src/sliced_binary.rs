@@ -315,13 +315,12 @@ impl SlicedBinaryJoinOp {
 
     /// Process a male tuple: purge + probe the opposite state, emit results,
     /// then propagate the male to the next slice.  Equi probes touch only the
-    /// male's key bucket of the opposite state (O(1 + matches)).  When
-    /// `punctuate` is false the caller takes over punctuation emission (the
-    /// batch path coalesces them to one per run).
+    /// male's key bucket of the opposite state (O(1 + matches)).  The union
+    /// punctuation the male stands for (Section 4.3) is emitted by
+    /// [`SlicedBinaryJoinOp::run`], coalesced to one per run.
     fn process_male(
         &mut self,
         male: Tuple,
-        punctuate: bool,
         pending: &mut Option<ColumnBatch>,
         ctx: &mut OpContext,
     ) {
@@ -349,11 +348,6 @@ impl SlicedBinaryJoinOp {
                     Self::emit_result(columnar, pending, stored, &male, ctx);
                 }
             }
-        }
-        // The male tuple acts as a punctuation for the union (Section 4.3).
-        if punctuate {
-            Self::flush_results(pending, ctx);
-            ctx.emit(PORT_RESULTS, Punctuation::from_stream(male.ts, male.stream));
         }
         if self.has_next {
             ctx.emit(PORT_NEXT_SLICE, male);
@@ -384,77 +378,100 @@ impl SlicedBinaryJoinOp {
         }
     }
 
-    /// Process one item of a run (shared by `process` and `process_batch`).
+    /// Process one tuple of a run.
     ///
     /// `memoize` is true at the chain head, where each arrival's canonical
     /// equi-key hash is computed once; the male/female reference copies share
     /// the memo, so every downstream slice's probe and insert — and the
     /// shard router before the chain — reuse it instead of rehashing.
     ///
-    /// `punctuate` controls per-male punctuation emission; when false (the
-    /// batch path) the last processed male is recorded in `last_male` and the
-    /// caller emits one coalesced punctuation for the whole run.
-    fn process_item(
+    /// The last processed male is recorded in `last_male`; the caller emits
+    /// one coalesced punctuation for the whole run.
+    fn process_tuple(
         &mut self,
-        item: StreamItem,
+        mut t: Tuple,
         memoize: bool,
-        punctuate: bool,
         last_male: &mut Option<(streamkit::Timestamp, StreamId)>,
         pending: &mut Option<ColumnBatch>,
         ctx: &mut OpContext,
     ) {
-        match item {
-            StreamItem::Tuple(mut t) => {
-                ctx.counters.tuples_processed += 1;
-                match t.role {
-                    TupleRole::Regular => {
-                        // Split into reference copies: the male purges and
-                        // probes first, then the female fills the state —
-                        // this matches Fig. 9, where an arriving tuple never
-                        // joins with itself.  At the chain head this is the
-                        // paper's split; mid-chain slices should only ever
-                        // see tagged copies, but treating a stray untagged
-                        // tuple the same way keeps standalone use working.
-                        if memoize {
-                            if let Some(field) = self.key_field_of(t.stream) {
-                                memoize_key(&mut t, field);
-                            }
-                        }
-                        *last_male = Some((t.ts, t.stream));
-                        let male = t.with_role(TupleRole::Male);
-                        t.role = TupleRole::Female;
-                        self.process_male(male, punctuate, pending, ctx);
-                        self.process_female(t);
+        ctx.counters.tuples_processed += 1;
+        match t.role {
+            TupleRole::Regular => {
+                // Split into reference copies: the male purges and probes
+                // first, then the female fills the state — this matches
+                // Fig. 9, where an arriving tuple never joins with itself.
+                // At the chain head this is the paper's split; mid-chain
+                // slices should only ever see tagged copies, but treating a
+                // stray untagged tuple the same way keeps standalone use
+                // working.
+                if memoize {
+                    if let Some(field) = self.key_field_of(t.stream) {
+                        memoize_key(&mut t, field);
                     }
-                    TupleRole::Male => {
-                        *last_male = Some((t.ts, t.stream));
-                        self.process_male(t, punctuate, pending, ctx);
+                }
+                *last_male = Some((t.ts, t.stream));
+                let male = t.with_role(TupleRole::Male);
+                t.role = TupleRole::Female;
+                self.process_male(male, pending, ctx);
+                self.process_female(t);
+            }
+            TupleRole::Male => {
+                *last_male = Some((t.ts, t.stream));
+                self.process_male(t, pending, ctx);
+            }
+            TupleRole::Female => self.process_female(t),
+        }
+    }
+
+    /// Process one run: a statically dispatched tight loop, with the chain
+    /// head memoising each arrival's canonical equi-key hash once for the
+    /// whole chain, and the per-male union punctuations coalesced into **one
+    /// punctuation per run** (a punctuation is a monotone progress promise,
+    /// so the run's last male promises everything the per-male punctuations
+    /// would — the same coarsening the order-preserving union's own
+    /// forwarding mode applies).
+    ///
+    /// Unlike the terminal window joins, the cross-purge stays interleaved
+    /// per male rather than running once at the run-maximum timestamp: a
+    /// purged female must enter the next slice's logical queue *before* the
+    /// male whose arrival expired it (Fig. 9's emission order), otherwise
+    /// results shift between slices and per-query slice attribution — which
+    /// query unions tap which slices — changes.  The purge is already O(1)
+    /// per male when nothing expires, so what a longer run saves is dispatch,
+    /// hashing and punctuation traffic, not purge arithmetic; equality of
+    /// results and final states across run lengths is pinned by
+    /// `tests/batch_equivalence.rs`.
+    fn run(&mut self, items: impl Iterator<Item = StreamItem>, ctx: &mut OpContext) {
+        let memoize = self.chain_head;
+        let mut last_male = None;
+        let mut pending = None;
+        for item in items {
+            match item {
+                StreamItem::Tuple(t) => {
+                    self.process_tuple(t, memoize, &mut last_male, &mut pending, ctx)
+                }
+                StreamItem::Batch(b) => {
+                    // Input batches are not part of the chain's logical-queue
+                    // protocol (roles travel per row); process rows
+                    // individually.
+                    for t in b.materialize() {
+                        self.process_tuple(t, memoize, &mut last_male, &mut pending, ctx);
                     }
-                    TupleRole::Female => self.process_female(t),
+                }
+                StreamItem::Punctuation(p) => {
+                    // Keep result rows ordered relative to the progress marker.
+                    Self::flush_results(&mut pending, ctx);
+                    ctx.emit(PORT_RESULTS, p);
+                    if self.has_next {
+                        ctx.emit(PORT_NEXT_SLICE, p);
+                    }
                 }
             }
-            StreamItem::Batch(b) => {
-                // Input batches are not part of the chain's logical-queue
-                // protocol (roles travel per row); process rows individually.
-                for t in b.materialize() {
-                    self.process_item(
-                        StreamItem::Tuple(t),
-                        memoize,
-                        punctuate,
-                        last_male,
-                        pending,
-                        ctx,
-                    );
-                }
-            }
-            StreamItem::Punctuation(p) => {
-                // Keep result rows ordered relative to the progress marker.
-                Self::flush_results(pending, ctx);
-                ctx.emit(PORT_RESULTS, p);
-                if self.has_next {
-                    ctx.emit(PORT_NEXT_SLICE, p);
-                }
-            }
+        }
+        Self::flush_results(&mut pending, ctx);
+        if let Some((ts, stream)) = last_male {
+            ctx.emit(PORT_RESULTS, Punctuation::from_stream(ts, stream));
         }
     }
 }
@@ -473,64 +490,11 @@ impl Operator for SlicedBinaryJoinOp {
     }
 
     fn process(&mut self, _port: PortId, item: StreamItem, ctx: &mut OpContext) {
-        let mut last_male = None;
-        let mut pending = None;
-        if self.columnar_results {
-            // Mirror the batch path: results first (as one batch), then the
-            // punctuation for this single-item run.
-            self.process_item(
-                item,
-                self.chain_head,
-                false,
-                &mut last_male,
-                &mut pending,
-                ctx,
-            );
-            Self::flush_results(&mut pending, ctx);
-            if let Some((ts, stream)) = last_male {
-                ctx.emit(PORT_RESULTS, Punctuation::from_stream(ts, stream));
-            }
-        } else {
-            self.process_item(
-                item,
-                self.chain_head,
-                true,
-                &mut last_male,
-                &mut pending,
-                ctx,
-            );
-        }
+        self.run(std::iter::once(item), ctx);
     }
 
-    /// Batch path: a statically dispatched tight loop over the run, with the
-    /// chain head memoising each arrival's canonical equi-key hash once for
-    /// the whole chain, and the per-male union punctuations coalesced into
-    /// **one punctuation per run** (a punctuation is a monotone progress
-    /// promise, so the run's last male promises everything the per-male
-    /// punctuations did — the same coarsening the order-preserving union's
-    /// own forwarding mode applies).
-    ///
-    /// Unlike the terminal window joins, the cross-purge stays interleaved
-    /// per male rather than running once at the run-maximum timestamp: a
-    /// purged female must enter the next slice's logical queue *before* the
-    /// male whose arrival expired it (Fig. 9's emission order), otherwise
-    /// results shift between slices and per-query slice attribution — which
-    /// query unions tap which slices — changes.  The purge is already O(1)
-    /// per male when nothing expires, so the batch win here is dispatch,
-    /// hashing and punctuation traffic, not purge arithmetic; equality of
-    /// results and final states between the two paths is pinned by
-    /// `tests/batch_equivalence.rs`.
     fn process_batch(&mut self, _port: PortId, items: &mut Vec<StreamItem>, ctx: &mut OpContext) {
-        let memoize = self.chain_head;
-        let mut last_male = None;
-        let mut pending = None;
-        for item in items.drain(..) {
-            self.process_item(item, memoize, false, &mut last_male, &mut pending, ctx);
-        }
-        Self::flush_results(&mut pending, ctx);
-        if let Some((ts, stream)) = last_male {
-            ctx.emit(PORT_RESULTS, Punctuation::from_stream(ts, stream));
-        }
+        self.run(items.drain(..), ctx);
     }
 
     fn state_size(&self) -> usize {

@@ -13,7 +13,6 @@
 
 use std::any::Any;
 
-use streamkit::columnar::ColumnBatch;
 use streamkit::join_state::{equi_key_fields, memoize_key, JoinState};
 use streamkit::operator::{OpContext, Operator, PortId};
 use streamkit::punctuation::Punctuation;
@@ -43,8 +42,6 @@ pub struct SlicedOneWayJoinOp {
     has_next: bool,
     /// Emit a punctuation on the result port after each probe.
     emit_punctuations: bool,
-    /// Emit joined results as [`ColumnBatch`] runs instead of row tuples.
-    columnar_results: bool,
 }
 
 impl SlicedOneWayJoinOp {
@@ -69,7 +66,6 @@ impl SlicedOneWayJoinOp {
             results: 0,
             has_next: true,
             emit_punctuations: false,
-            columnar_results: false,
         }
     }
 
@@ -83,27 +79,6 @@ impl SlicedOneWayJoinOp {
     /// Emit punctuations (the probing tuple's timestamp) on the result port.
     pub fn with_punctuations(mut self) -> Self {
         self.emit_punctuations = true;
-        self
-    }
-
-    /// Emit joined results as columnar run batches (one [`ColumnBatch`] per
-    /// probe run on [`PORT_RESULTS`], built with [`ColumnBatch::push_join`]).
-    /// Result rows, order and counters are identical to row emission.
-    pub fn columnar_results(mut self) -> Self {
-        self.columnar_results = true;
-        self
-    }
-
-    /// `true` if joined results leave as columnar run batches.
-    pub fn emits_columnar_results(&self) -> bool {
-        self.columnar_results
-    }
-
-    /// Disable the equi-join hash index (linear-scan probes); benchmark and
-    /// testing aid, call before processing any tuples.
-    pub fn without_index(mut self) -> Self {
-        debug_assert!(self.state.is_empty());
-        self.state = JoinState::linear();
         self
     }
 
@@ -139,21 +114,7 @@ impl SlicedOneWayJoinOp {
         self.peak_state = self.peak_state.max(self.state.len());
     }
 
-    /// Flush the run's pending columnar results, if any.
-    fn flush_results(pending: &mut Option<ColumnBatch>, ctx: &mut OpContext) {
-        if let Some(batch) = pending.take() {
-            if !batch.is_empty() {
-                ctx.emit(PORT_RESULTS, batch);
-            }
-        }
-    }
-
-    fn process_probe_tuple(
-        &mut self,
-        tuple: Tuple,
-        pending: &mut Option<ColumnBatch>,
-        ctx: &mut OpContext,
-    ) {
+    fn process_probe_tuple(&mut self, tuple: Tuple, ctx: &mut OpContext) {
         // Fig. 6, arrival on stream B.
         // 1. Cross-purge: move expired A tuples to the next slice (or drop).
         let window = self.window;
@@ -171,31 +132,16 @@ impl SlicedOneWayJoinOp {
         //    (purging enforced it); the lower bound is enforced by the chain
         //    pipeline (Lemma 1), so probing is a pure value comparison — and
         //    for equi conditions only the probe key's bucket is touched.
-        let columnar = self.columnar_results;
         for stored in self.state.probe_candidates(&tuple) {
             if self
                 .condition
                 .eval_counted(stored, &tuple, &mut ctx.counters.probe_comparisons)
             {
                 self.results += 1;
-                if columnar {
-                    let batch = pending.get_or_insert_with(ColumnBatch::new);
-                    if !batch.push_join(stored, &tuple, StreamId(100)) {
-                        let full = pending.take().expect("just inserted");
-                        if !full.is_empty() {
-                            ctx.emit(PORT_RESULTS, full);
-                        }
-                        let batch = pending.get_or_insert_with(ColumnBatch::new);
-                        let ok = batch.push_join(stored, &tuple, StreamId(100));
-                        debug_assert!(ok, "a fresh batch accepts any arity");
-                    }
-                } else {
-                    ctx.emit(PORT_RESULTS, Tuple::join(stored, &tuple, StreamId(100)));
-                }
+                ctx.emit(PORT_RESULTS, Tuple::join(stored, &tuple, StreamId(100)));
             }
         }
         if self.emit_punctuations {
-            Self::flush_results(pending, ctx);
             ctx.emit(
                 PORT_RESULTS,
                 Punctuation::from_stream(tuple.ts, tuple.stream),
@@ -204,6 +150,56 @@ impl SlicedOneWayJoinOp {
         // 3. Propagate: forward the probe tuple to the next slice (or drop).
         if self.has_next {
             ctx.emit(PORT_NEXT_SLICE, tuple);
+        }
+    }
+
+    /// Process one tuple of a run, memoising its canonical equi-key hash once
+    /// (stored key for A tuples, probe key for B tuples) so every downstream
+    /// slice reuses it.
+    fn process_tuple(
+        &mut self,
+        mut t: Tuple,
+        key_fields: Option<(usize, usize)>,
+        ctx: &mut OpContext,
+    ) {
+        ctx.counters.tuples_processed += 1;
+        if t.stream == self.state_stream {
+            if let Some((stored_field, _)) = key_fields {
+                memoize_key(&mut t, stored_field);
+            }
+            self.process_state_tuple(t);
+        } else {
+            if let Some((_, probe_field)) = key_fields {
+                memoize_key(&mut t, probe_field);
+            }
+            self.process_probe_tuple(t, ctx);
+        }
+    }
+
+    /// Process one run: a statically dispatched tight loop.  The cross-purge
+    /// stays interleaved per probe tuple: the sliced probe has no window
+    /// check (purge exactness stands in for it, see
+    /// [`SlicedOneWayJoinOp::process_probe_tuple`]) and purged tuples must
+    /// reach the next slice's queue ahead of the probe that expired them, so
+    /// a single run-maximum purge would shift results between slices.
+    fn run(&mut self, items: impl Iterator<Item = StreamItem>, ctx: &mut OpContext) {
+        let key_fields = equi_key_fields(&self.condition, true);
+        for item in items {
+            match item {
+                StreamItem::Tuple(t) => self.process_tuple(t, key_fields, ctx),
+                StreamItem::Batch(b) => {
+                    // Row fallback: the chain's logical queue travels as rows.
+                    for t in b.materialize() {
+                        self.process_tuple(t, key_fields, ctx);
+                    }
+                }
+                StreamItem::Punctuation(p) => {
+                    ctx.emit(PORT_RESULTS, p);
+                    if self.has_next {
+                        ctx.emit(PORT_NEXT_SLICE, p);
+                    }
+                }
+            }
         }
     }
 }
@@ -222,76 +218,11 @@ impl Operator for SlicedOneWayJoinOp {
     }
 
     fn process(&mut self, _port: PortId, item: StreamItem, ctx: &mut OpContext) {
-        match item {
-            StreamItem::Tuple(t) => {
-                ctx.counters.tuples_processed += 1;
-                if t.stream == self.state_stream {
-                    self.process_state_tuple(t);
-                } else {
-                    let mut pending = None;
-                    self.process_probe_tuple(t, &mut pending, ctx);
-                    Self::flush_results(&mut pending, ctx);
-                }
-            }
-            StreamItem::Batch(b) => {
-                // Row fallback: the chain's logical queue travels as rows.
-                for t in b.materialize() {
-                    self.process(0, StreamItem::Tuple(t), ctx);
-                }
-            }
-            StreamItem::Punctuation(p) => {
-                ctx.emit(PORT_RESULTS, p);
-                if self.has_next {
-                    ctx.emit(PORT_NEXT_SLICE, p);
-                }
-            }
-        }
+        self.run(std::iter::once(item), ctx);
     }
 
-    /// Batch path: a statically dispatched tight loop that memoises each
-    /// tuple's canonical equi-key hash once (stored key for A tuples, probe
-    /// key for B tuples) so every downstream slice reuses it.  The
-    /// cross-purge stays interleaved per probe tuple: the sliced probe has no
-    /// window check (purge exactness stands in for it, see
-    /// [`SlicedOneWayJoinOp::process_probe_tuple`]) and purged tuples must
-    /// reach the next slice's queue ahead of the probe that expired them, so
-    /// a single run-maximum purge would shift results between slices.
-    fn process_batch(&mut self, port: PortId, items: &mut Vec<StreamItem>, ctx: &mut OpContext) {
-        let key_fields = equi_key_fields(&self.condition, true);
-        let mut pending = None;
-        for item in items.drain(..) {
-            match item {
-                StreamItem::Tuple(mut t) => {
-                    ctx.counters.tuples_processed += 1;
-                    if t.stream == self.state_stream {
-                        if let Some((stored_field, _)) = key_fields {
-                            memoize_key(&mut t, stored_field);
-                        }
-                        self.process_state_tuple(t);
-                    } else {
-                        if let Some((_, probe_field)) = key_fields {
-                            memoize_key(&mut t, probe_field);
-                        }
-                        self.process_probe_tuple(t, &mut pending, ctx);
-                    }
-                }
-                StreamItem::Batch(b) => {
-                    // Keep result rows ordered relative to the fallback rows.
-                    Self::flush_results(&mut pending, ctx);
-                    for t in b.materialize() {
-                        self.process(port, StreamItem::Tuple(t), ctx);
-                    }
-                }
-                StreamItem::Punctuation(p) => {
-                    Self::flush_results(&mut pending, ctx);
-                    ctx.emit(PORT_RESULTS, p);
-                    if self.has_next {
-                        ctx.emit(PORT_NEXT_SLICE, p);
-                    }
-                }
-            }
-        }
-        Self::flush_results(&mut pending, ctx);
+    fn process_batch(&mut self, _port: PortId, items: &mut Vec<StreamItem>, ctx: &mut OpContext) {
+        self.run(items.drain(..), ctx);
     }
 
     fn state_size(&self) -> usize {

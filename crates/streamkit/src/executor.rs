@@ -29,14 +29,6 @@ pub struct ExecutorConfig {
     pub memory_sample_every: u64,
     /// Safety bound on scheduler rounds (guards against runaway plans).
     pub max_rounds: u64,
-    /// Batch-at-a-time execution (default): each visit pops whole
-    /// timestamp-contiguous runs from one port and hands them to
-    /// [`Operator::process_batch`](crate::operator::Operator), amortising
-    /// dispatch, queue and output-staging costs over the run.  Disable for
-    /// the strict item-at-a-time path — results and output-scaling counters
-    /// are identical either way (pinned by `tests/batch_equivalence.rs`);
-    /// the toggle exists so the speedup stays measurable.
-    pub vectorized: bool,
     /// Deterministic fault to inject (crash-recovery testing only; `None`
     /// in production).  See [`crate::fault`].
     pub fault: Option<FaultPlan>,
@@ -52,7 +44,6 @@ impl Default for ExecutorConfig {
             batch_per_visit: 64,
             memory_sample_every: 256,
             max_rounds: u64::MAX,
-            vectorized: true,
             fault: None,
         }
     }
@@ -219,7 +210,7 @@ pub struct Executor {
     scratch_ctx: OpContext,
     /// Reusable output staging buffer.
     scratch_out: Vec<(PortId, StreamItem)>,
-    /// Reusable run buffer for the vectorized path.
+    /// Reusable run buffer.
     scratch_run: Vec<StreamItem>,
     /// Reusable fan-out grouping buffer for output dispatch.
     scratch_group: Vec<StreamItem>,
@@ -613,27 +604,12 @@ impl Executor {
         }
     }
 
-    /// Pop the next item for a node: the oldest head across its input ports,
-    /// preserving the global timestamp order the paper assumes.
-    fn pop_oldest(queues: &mut [Queue]) -> Option<(PortId, StreamItem)> {
-        let mut best: Option<(PortId, crate::time::Timestamp)> = None;
-        for (port, q) in queues.iter().enumerate() {
-            if let Some(ts) = q.peek_timestamp() {
-                match best {
-                    Some((_, best_ts)) if best_ts <= ts => {}
-                    _ => best = Some((port, ts)),
-                }
-            }
-        }
-        let (port, _) = best?;
-        queues[port].pop().map(|item| (port, item))
-    }
-
     /// Pick the port the next run comes from and the run's inclusive
-    /// timestamp bound, replicating [`Executor::pop_oldest`]'s choice exactly:
-    /// the first port with the minimal head timestamp wins, and the run may
-    /// not overtake any other port's head — strictly for lower-indexed ports
-    /// (they win timestamp ties), inclusively for higher-indexed ones.
+    /// timestamp bound, preserving the global timestamp order the paper
+    /// assumes: the first port with the minimal head timestamp wins, and the
+    /// run may not overtake any other port's head — strictly for
+    /// lower-indexed ports (they win timestamp ties), inclusively for
+    /// higher-indexed ones.
     fn choose_run(queues: &[Queue]) -> Option<(PortId, Option<crate::time::Timestamp>)> {
         use crate::time::Timestamp;
         let mut best: Option<(PortId, Timestamp)> = None;
@@ -732,11 +708,10 @@ impl Executor {
     /// Run one visit of the given node, consuming at most `batch` items.
     /// Returns the number of items consumed.
     ///
-    /// In vectorized mode ([`ExecutorConfig::vectorized`]) each iteration
-    /// pops a whole timestamp-contiguous run from one port and hands it to
-    /// [`Operator::process_batch`](crate::operator::Operator); single-input
-    /// operators — every node of a sliced chain — consume the entire visit
-    /// budget in one call.  Item mode pops and processes one item at a time.
+    /// Each iteration pops a whole timestamp-contiguous run from one port and
+    /// hands it to [`Operator::process_batch`](crate::operator::Operator);
+    /// single-input operators — every node of a sliced chain — consume the
+    /// entire visit budget in one call.
     fn visit_node(&mut self, idx: usize, batch: usize) -> usize {
         if self.node_backlog[idx] == 0 {
             // Nothing queued: skip the context churn a no-op visit would pay.
@@ -744,56 +719,32 @@ impl Executor {
         }
         let mut consumed = 0;
         self.scratch_ctx.reset_counters();
-        if self.config.vectorized {
-            while consumed < batch {
-                let Some((port, bound)) = Self::choose_run(&self.queues[idx]) else {
-                    break;
-                };
-                let popped = self.queues[idx][port].pop_run_into(
-                    batch - consumed,
-                    bound,
-                    &mut self.scratch_run,
-                );
-                debug_assert!(popped > 0, "a chosen run is never empty");
-                let node = &mut self.plan.nodes_mut_internal()[idx];
-                node.operator
-                    .process_batch(port, &mut self.scratch_run, &mut self.scratch_ctx);
-                debug_assert!(
-                    self.scratch_run.is_empty(),
-                    "process_batch drains its input"
-                );
-                self.scratch_run.clear();
-                consumed += popped;
-                self.scratch_ctx.swap_outputs(&mut self.scratch_out);
-                Self::dispatch_outputs(
-                    &self.routing,
-                    &mut self.queues,
-                    &mut self.node_backlog,
-                    &mut self.total_backlog,
-                    idx,
-                    &mut self.scratch_out,
-                    &mut self.scratch_group,
-                );
-            }
-        } else {
-            while consumed < batch {
-                let Some((port, item)) = Self::pop_oldest(&mut self.queues[idx]) else {
-                    break;
-                };
-                let node = &mut self.plan.nodes_mut_internal()[idx];
-                node.operator.process(port, item, &mut self.scratch_ctx);
-                consumed += 1;
-                self.scratch_ctx.swap_outputs(&mut self.scratch_out);
-                Self::dispatch_outputs(
-                    &self.routing,
-                    &mut self.queues,
-                    &mut self.node_backlog,
-                    &mut self.total_backlog,
-                    idx,
-                    &mut self.scratch_out,
-                    &mut self.scratch_group,
-                );
-            }
+        while consumed < batch {
+            let Some((port, bound)) = Self::choose_run(&self.queues[idx]) else {
+                break;
+            };
+            let popped =
+                self.queues[idx][port].pop_run_into(batch - consumed, bound, &mut self.scratch_run);
+            debug_assert!(popped > 0, "a chosen run is never empty");
+            let node = &mut self.plan.nodes_mut_internal()[idx];
+            node.operator
+                .process_batch(port, &mut self.scratch_run, &mut self.scratch_ctx);
+            debug_assert!(
+                self.scratch_run.is_empty(),
+                "process_batch drains its input"
+            );
+            self.scratch_run.clear();
+            consumed += popped;
+            self.scratch_ctx.swap_outputs(&mut self.scratch_out);
+            Self::dispatch_outputs(
+                &self.routing,
+                &mut self.queues,
+                &mut self.node_backlog,
+                &mut self.total_backlog,
+                idx,
+                &mut self.scratch_out,
+                &mut self.scratch_group,
+            );
         }
         self.node_backlog[idx] -= consumed;
         self.total_backlog -= consumed;

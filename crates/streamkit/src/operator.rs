@@ -81,7 +81,7 @@ pub trait Operator: Send {
     fn process(&mut self, port: PortId, item: StreamItem, ctx: &mut OpContext);
 
     /// Process a timestamp-ordered run of items arriving on `port`, draining
-    /// `items`.  The executor's vectorized path feeds whole queue runs here
+    /// `items`.  The executor feeds whole queue runs here
     /// (see [`Queue::pop_run_into`](crate::queue::Queue::pop_run_into)) so
     /// stateful operators can amortise per-run work (purges, watermark
     /// merges, key hashing) over the batch.

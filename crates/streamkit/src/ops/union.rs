@@ -159,6 +159,91 @@ impl UnionOp {
         }
     }
 
+    /// Bulk reorder-buffer insert: append the whole run (one port, timestamp
+    /// order) and advance the port watermark to the run maximum, then do a
+    /// single release pass — one watermark merge and one release scan per
+    /// run instead of one per item.  The released multiset depends only on
+    /// the final buffer contents and merged watermark, and the release order
+    /// is globally timestamp-sorted whatever the run length, but when a run
+    /// tuple ties with a tuple already buffered from another port, the
+    /// single release pass may order the tie differently than shorter runs
+    /// would (both orders are valid timestamp orders; downstream ordering
+    /// guarantees are by timestamp only).  In punctuation-forwarding mode,
+    /// one merged punctuation summarises the run's progress (progress
+    /// promises are monotone, so coarser is safe).
+    fn absorb(
+        &mut self,
+        port: PortId,
+        items: impl ExactSizeIterator<Item = StreamItem>,
+        ctx: &mut OpContext,
+    ) {
+        if port >= self.inputs {
+            // A mis-wired plan is feeding a foreign stream into this union.
+            // The old behaviour clamped to the last port, which silently
+            // merged the stream and corrupted that port's watermark; instead
+            // drop the items and surface the event through the counters.
+            // (Plan validation rejects such edges, so this can only happen
+            // when an operator is driven directly.)
+            let dropped = items.len() as u64;
+            self.foreign_port_drops += dropped;
+            ctx.counters.items_dropped += dropped;
+            return;
+        }
+        let mut port_wm = self.watermarks[port];
+        let buffer = &mut self.buffers[port];
+        let mut inserted = 0usize;
+        for item in items {
+            match item {
+                StreamItem::Tuple(t) => {
+                    ctx.counters.tuples_processed += 1;
+                    // A tuple on an in-order channel is itself a progress
+                    // promise.
+                    if t.ts > port_wm {
+                        port_wm = t.ts;
+                    }
+                    buffer.push_back(Slot::Row(t));
+                    inserted += 1;
+                }
+                StreamItem::Batch(b) => {
+                    let rows = b.len();
+                    ctx.counters.tuples_processed += rows as u64;
+                    let shared = Arc::new(b);
+                    for row in 0..rows {
+                        let ts = shared.ts_at(row);
+                        if ts > port_wm {
+                            port_wm = ts;
+                        }
+                        buffer.push_back(Slot::Batch {
+                            batch: Arc::clone(&shared),
+                            row: row as u32,
+                        });
+                    }
+                    inserted += rows;
+                }
+                StreamItem::Punctuation(p) => {
+                    if p.watermark > port_wm {
+                        port_wm = p.watermark;
+                    }
+                }
+            }
+        }
+        self.buffered += inserted;
+        self.watermarks[port] = port_wm;
+        let wm = self.merged_watermark();
+        if wm > self.emitted_watermark {
+            self.emitted_watermark = wm;
+            self.release_up_to(wm, ctx);
+            if self.forward_punctuations {
+                ctx.emit(0, Punctuation::new(wm));
+            }
+        } else if self.buffered > 0 {
+            // Even without watermark progress, tuples at or below the current
+            // merged watermark (e.g. arriving late on a lagging port) can be
+            // released immediately.
+            self.release_up_to(self.emitted_watermark, ctx);
+        }
+    }
+
     /// Number of tuples currently buffered (waiting for watermarks).
     pub fn buffered_len(&self) -> usize {
         self.buffered
@@ -210,135 +295,11 @@ impl Operator for UnionOp {
     }
 
     fn process(&mut self, port: PortId, item: StreamItem, ctx: &mut OpContext) {
-        if port >= self.inputs {
-            // A mis-wired plan is feeding a foreign stream into this union.
-            // The old behaviour clamped to the last port, which silently
-            // merged the stream and corrupted that port's watermark; instead
-            // drop the item and surface the event through the counters.
-            // (Plan validation rejects such edges, so this can only happen
-            // when an operator is driven directly.)
-            self.foreign_port_drops += 1;
-            ctx.counters.items_dropped += 1;
-            return;
-        }
-        match item {
-            StreamItem::Tuple(t) => {
-                ctx.counters.tuples_processed += 1;
-                // A tuple on an in-order channel is itself a progress promise.
-                if t.ts > self.watermarks[port] {
-                    self.watermarks[port] = t.ts;
-                }
-                self.buffers[port].push_back(Slot::Row(t));
-                self.buffered += 1;
-            }
-            StreamItem::Batch(b) => {
-                let rows = b.len();
-                ctx.counters.tuples_processed += rows as u64;
-                let shared = Arc::new(b);
-                for row in 0..rows {
-                    let ts = shared.ts_at(row);
-                    if ts > self.watermarks[port] {
-                        self.watermarks[port] = ts;
-                    }
-                    self.buffers[port].push_back(Slot::Batch {
-                        batch: Arc::clone(&shared),
-                        row: row as u32,
-                    });
-                }
-                self.buffered += rows;
-            }
-            StreamItem::Punctuation(p) => {
-                if p.watermark > self.watermarks[port] {
-                    self.watermarks[port] = p.watermark;
-                }
-            }
-        }
-        let wm = self.merged_watermark();
-        if wm > self.emitted_watermark {
-            self.emitted_watermark = wm;
-            self.release_up_to(wm, ctx);
-            if self.forward_punctuations {
-                ctx.emit(0, Punctuation::new(wm));
-            }
-        } else if self.buffered > 0 {
-            // Even without watermark progress, tuples at or below the current
-            // merged watermark (e.g. arriving late on a lagging port) can be
-            // released immediately.
-            self.release_up_to(self.emitted_watermark, ctx);
-        }
+        self.absorb(port, std::iter::once(item), ctx);
     }
 
-    /// Bulk reorder-buffer insert: append the whole run (one port, timestamp
-    /// order) and advance the port watermark to the run maximum, then do a
-    /// single release pass — one watermark merge and one release scan per
-    /// run instead of one per item.  Equivalent to item-at-a-time processing
-    /// up to equal-timestamp ties: the released multiset depends only on the
-    /// final buffer contents and merged watermark, and the release order is
-    /// globally timestamp-sorted either way, but when a run tuple ties with
-    /// a tuple already buffered from another port, the single release pass
-    /// may order the tie differently than interleaved per-item releases
-    /// would (both orders are valid timestamp orders; downstream ordering
-    /// guarantees are by timestamp only).  In punctuation-forwarding mode,
-    /// one merged punctuation summarises the run's progress (progress
-    /// promises are monotone, so coarser is safe).
     fn process_batch(&mut self, port: PortId, items: &mut Vec<StreamItem>, ctx: &mut OpContext) {
-        if port >= self.inputs {
-            let dropped = items.len() as u64;
-            items.clear();
-            self.foreign_port_drops += dropped;
-            ctx.counters.items_dropped += dropped;
-            return;
-        }
-        let mut port_wm = self.watermarks[port];
-        let buffer = &mut self.buffers[port];
-        let mut inserted = 0usize;
-        for item in items.drain(..) {
-            match item {
-                StreamItem::Tuple(t) => {
-                    ctx.counters.tuples_processed += 1;
-                    if t.ts > port_wm {
-                        port_wm = t.ts;
-                    }
-                    buffer.push_back(Slot::Row(t));
-                    inserted += 1;
-                }
-                StreamItem::Batch(b) => {
-                    let rows = b.len();
-                    ctx.counters.tuples_processed += rows as u64;
-                    let shared = Arc::new(b);
-                    for row in 0..rows {
-                        let ts = shared.ts_at(row);
-                        if ts > port_wm {
-                            port_wm = ts;
-                        }
-                        buffer.push_back(Slot::Batch {
-                            batch: Arc::clone(&shared),
-                            row: row as u32,
-                        });
-                    }
-                    inserted += rows;
-                }
-                StreamItem::Punctuation(p) => {
-                    if p.watermark > port_wm {
-                        port_wm = p.watermark;
-                    }
-                }
-            }
-        }
-        self.buffered += inserted;
-        self.watermarks[port] = port_wm;
-        let wm = self.merged_watermark();
-        if wm > self.emitted_watermark {
-            self.emitted_watermark = wm;
-            self.release_up_to(wm, ctx);
-            if self.forward_punctuations {
-                ctx.emit(0, Punctuation::new(wm));
-            }
-        } else if self.buffered > 0 {
-            // Late items at or below the already-emitted watermark are
-            // releasable immediately (see `process`).
-            self.release_up_to(self.emitted_watermark, ctx);
-        }
+        self.absorb(port, items.drain(..), ctx);
     }
 
     fn flush(&mut self, ctx: &mut OpContext) {

@@ -120,15 +120,11 @@ impl WindowJoinOp {
         }
     }
 
-    /// Purge expired tuples from the opposite state; each scanned tuple
-    /// costs one timestamp comparison (see [`JoinState::purge_expired`]).
-    fn cross_purge(
-        state: &mut JoinState,
-        window: WindowSpec,
-        arrival: &Tuple,
-        ctx: &mut OpContext,
-    ) {
-        let comparisons = state.purge_expired(|front| window.expired(arrival.ts, front.ts), |_| {});
+    /// Purge tuples expired at `ts` from the opposite state; each scanned
+    /// tuple costs one timestamp comparison (see
+    /// [`JoinState::purge_expired`]).
+    fn cross_purge(state: &mut JoinState, window: WindowSpec, ts: Timestamp, ctx: &mut OpContext) {
+        let comparisons = state.purge_expired(|front| window.expired(ts, front.ts), |_| {});
         ctx.counters.purge_comparisons += comparisons;
     }
 
@@ -199,6 +195,94 @@ impl WindowJoinOp {
             }
         }
     }
+
+    /// Probe the opposite state with one arrival on `port`, emit the joined
+    /// results (and the per-probe punctuation when enabled) and insert the
+    /// arrival into its own state.  Purging is [`WindowJoinOp::run`]'s job.
+    fn join_arrival(
+        &mut self,
+        port: PortId,
+        mut tuple: Tuple,
+        key_field: Option<usize>,
+        out: &mut Vec<Tuple>,
+        ctx: &mut OpContext,
+    ) {
+        ctx.counters.tuples_processed += 1;
+        // One canonical key hash per tuple, shared by the probe below and
+        // the insert into this side's state.
+        if let Some(field) = key_field {
+            memoize_key(&mut tuple, field);
+        }
+        let (opposite, own, arrival_is_left) = if port == 0 {
+            (&self.state_b, &mut self.state_a, true)
+        } else {
+            (&self.state_a, &mut self.state_b, false)
+        };
+        Self::probe(
+            opposite,
+            &tuple,
+            &self.condition,
+            arrival_is_left,
+            self.window_a,
+            self.window_b,
+            ctx,
+            &mut self.results,
+            out,
+        );
+        let (ts, stream) = (tuple.ts, tuple.stream);
+        own.push(tuple);
+        for joined in out.drain(..) {
+            ctx.emit(0, joined);
+        }
+        if self.emit_punctuations {
+            ctx.emit(0, Punctuation::from_stream(ts, stream));
+        }
+    }
+
+    /// Process one run (one port, timestamp order): per-tuple probes against
+    /// the opposite state, then **one cross-purge per run** at the
+    /// run-maximum timestamp instead of one per tuple.
+    ///
+    /// Deferring the purge is result-identical because every probe re-checks
+    /// window validity per candidate ([`WindowJoinOp::pair_in_window`]) —
+    /// expired-but-unpurged candidates are filtered before the condition is
+    /// evaluated, so `probe_comparisons` does not depend on the run length
+    /// either — and purging is monotone in the probe timestamp, so one purge
+    /// at the run maximum leaves exactly the state that per-tuple purging
+    /// would.  (Transient `peak_state` may read slightly higher on longer
+    /// runs: expired tuples linger until the end of the run.)
+    fn run(&mut self, port: PortId, items: impl Iterator<Item = StreamItem>, ctx: &mut OpContext) {
+        let mut max_ts: Option<Timestamp> = None;
+        let key_field = self.key_field(port);
+        let mut out = Vec::new();
+        for item in items {
+            match item {
+                StreamItem::Tuple(t) => {
+                    max_ts = Some(t.ts); // runs are timestamp-ordered
+                    self.join_arrival(port, t, key_field, &mut out, ctx);
+                }
+                StreamItem::Batch(b) => {
+                    // Row fallback: terminal joins are not on the columnar
+                    // path.
+                    for t in b.materialize() {
+                        max_ts = Some(t.ts);
+                        self.join_arrival(port, t, key_field, &mut out, ctx);
+                    }
+                }
+                // Progress markers just pass through to the result port.
+                StreamItem::Punctuation(p) => ctx.emit(0, p),
+            }
+        }
+        self.track_peak();
+        if let Some(ts) = max_ts {
+            let (opposite, window) = if port == 0 {
+                (&mut self.state_b, self.window_b)
+            } else {
+                (&mut self.state_a, self.window_a)
+            };
+            Self::cross_purge(opposite, window, ts, ctx);
+        }
+    }
 }
 
 impl Operator for WindowJoinOp {
@@ -211,137 +295,11 @@ impl Operator for WindowJoinOp {
     }
 
     fn process(&mut self, port: PortId, item: StreamItem, ctx: &mut OpContext) {
-        let tuple = match item {
-            StreamItem::Tuple(t) => t,
-            StreamItem::Batch(b) => {
-                // Row fallback: terminal joins are not on the columnar path.
-                for t in b.materialize() {
-                    self.process(port, StreamItem::Tuple(t), ctx);
-                }
-                return;
-            }
-            StreamItem::Punctuation(p) => {
-                // Progress markers just pass through to the result port.
-                ctx.emit(0, p);
-                return;
-            }
-        };
-        ctx.counters.tuples_processed += 1;
-        let mut out = Vec::new();
-        if port == 0 {
-            // New A tuple: purge + probe B state, then insert into A state.
-            Self::cross_purge(&mut self.state_b, self.window_b, &tuple, ctx);
-            Self::probe(
-                &self.state_b,
-                &tuple,
-                &self.condition,
-                true,
-                self.window_a,
-                self.window_b,
-                ctx,
-                &mut self.results,
-                &mut out,
-            );
-            self.state_a.push(tuple.clone());
-        } else {
-            // New B tuple: purge + probe A state, then insert into B state.
-            Self::cross_purge(&mut self.state_a, self.window_a, &tuple, ctx);
-            Self::probe(
-                &self.state_a,
-                &tuple,
-                &self.condition,
-                false,
-                self.window_a,
-                self.window_b,
-                ctx,
-                &mut self.results,
-                &mut out,
-            );
-            self.state_b.push(tuple.clone());
-        }
-        self.track_peak();
-        for joined in out {
-            ctx.emit(0, joined);
-        }
-        if self.emit_punctuations {
-            ctx.emit(0, Punctuation::from_stream(tuple.ts, tuple.stream));
-        }
+        self.run(port, std::iter::once(item), ctx);
     }
 
-    /// Batch path: per-tuple probes against the opposite state, then **one
-    /// cross-purge per run** at the run-maximum timestamp instead of one per
-    /// tuple.
-    ///
-    /// Deferring the purge is result-identical because every probe re-checks
-    /// window validity per candidate ([`WindowJoinOp::pair_in_window`]) —
-    /// expired-but-unpurged candidates are filtered before the condition is
-    /// evaluated, so `probe_comparisons` is unchanged too — and purging is
-    /// monotone in the probe timestamp, so one purge at the run maximum
-    /// leaves exactly the state that per-tuple purging would.  (Transient
-    /// `peak_state` may read slightly higher: expired tuples linger until the
-    /// end of the run.)
     fn process_batch(&mut self, port: PortId, items: &mut Vec<StreamItem>, ctx: &mut OpContext) {
-        let mut max_ts: Option<Timestamp> = None;
-        let key_field = self.key_field(port);
-        let mut out = Vec::new();
-        for item in items.drain(..) {
-            let mut tuple = match item {
-                StreamItem::Tuple(t) => t,
-                StreamItem::Batch(b) => {
-                    // Row fallback (see `process`); purges per row, which is
-                    // the row path's own (equivalent) schedule.
-                    for t in b.materialize() {
-                        self.process(port, StreamItem::Tuple(t), ctx);
-                    }
-                    continue;
-                }
-                StreamItem::Punctuation(p) => {
-                    ctx.emit(0, p);
-                    continue;
-                }
-            };
-            ctx.counters.tuples_processed += 1;
-            // One canonical key hash per tuple, shared by the probe below and
-            // the insert into this side's state.
-            if let Some(field) = key_field {
-                memoize_key(&mut tuple, field);
-            }
-            max_ts = Some(tuple.ts); // runs are timestamp-ordered
-            let (opposite, own, arrival_is_left) = if port == 0 {
-                (&self.state_b, &mut self.state_a, true)
-            } else {
-                (&self.state_a, &mut self.state_b, false)
-            };
-            Self::probe(
-                opposite,
-                &tuple,
-                &self.condition,
-                arrival_is_left,
-                self.window_a,
-                self.window_b,
-                ctx,
-                &mut self.results,
-                &mut out,
-            );
-            let (ts, stream) = (tuple.ts, tuple.stream);
-            own.push(tuple);
-            for joined in out.drain(..) {
-                ctx.emit(0, joined);
-            }
-            if self.emit_punctuations {
-                ctx.emit(0, Punctuation::from_stream(ts, stream));
-            }
-        }
-        self.track_peak();
-        if let Some(ts) = max_ts {
-            let (opposite, window) = if port == 0 {
-                (&mut self.state_b, self.window_b)
-            } else {
-                (&mut self.state_a, self.window_a)
-            };
-            let comparisons = opposite.purge_expired(|front| window.expired(ts, front.ts), |_| {});
-            ctx.counters.purge_comparisons += comparisons;
-        }
+        self.run(port, items.drain(..), ctx);
     }
 
     fn state_size(&self) -> usize {
@@ -406,14 +364,6 @@ impl OneWayWindowJoinOp {
         }
     }
 
-    /// Disable the equi-join hash index (linear-scan probes); benchmark and
-    /// testing aid, call before processing any tuples.
-    pub fn without_index(mut self) -> Self {
-        debug_assert!(self.state_a.is_empty());
-        self.state_a = JoinState::linear();
-        self
-    }
-
     /// Number of joined results produced so far.
     pub fn results(&self) -> u64 {
         self.results
@@ -428,45 +378,23 @@ impl OneWayWindowJoinOp {
     pub fn peak_state(&self) -> usize {
         self.peak_state
     }
-}
 
-impl Operator for OneWayWindowJoinOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn num_input_ports(&self) -> usize {
-        2
-    }
-
-    fn process(&mut self, port: PortId, item: StreamItem, ctx: &mut OpContext) {
-        let tuple = match item {
-            StreamItem::Tuple(t) => t,
-            StreamItem::Batch(b) => {
-                // Row fallback: terminal joins are not on the columnar path.
-                for t in b.materialize() {
-                    self.process(port, StreamItem::Tuple(t), ctx);
-                }
-                return;
-            }
-            StreamItem::Punctuation(p) => {
-                ctx.emit(0, p);
-                return;
-            }
-        };
+    /// Stream A: insert only.
+    fn insert_a(&mut self, mut tuple: Tuple, stored_field: Option<usize>, ctx: &mut OpContext) {
         ctx.counters.tuples_processed += 1;
-        if port == 0 {
-            // Stream A: insert only.
-            self.state_a.push(tuple);
-            self.peak_state = self.peak_state.max(self.state_a.len());
-            return;
+        if let Some(field) = stored_field {
+            memoize_key(&mut tuple, field);
         }
-        // Stream B: cross-purge then probe.
-        let window = self.window;
-        let comparisons = self
-            .state_a
-            .purge_expired(|front| window.expired(tuple.ts, front.ts), |_| {});
-        ctx.counters.purge_comparisons += comparisons;
+        self.state_a.push(tuple);
+    }
+
+    /// Stream B: probe the A state.  Purging is [`OneWayWindowJoinOp::run`]'s
+    /// job.
+    fn probe_b(&mut self, mut tuple: Tuple, probe_field: Option<usize>, ctx: &mut OpContext) {
+        ctx.counters.tuples_processed += 1;
+        if let Some(field) = probe_field {
+            memoize_key(&mut tuple, field);
+        }
         for stored in self.state_a.probe_candidates(&tuple) {
             // One-way semantics: only pairs where the stored A tuple is not
             // newer than the probing B tuple and still inside the window —
@@ -484,27 +412,25 @@ impl Operator for OneWayWindowJoinOp {
         }
     }
 
-    /// Batch path: stream-A runs are a tight insert loop; stream-B runs probe
-    /// per tuple and cross-purge **once per run** at the run-maximum
-    /// timestamp.  Identical results and probe counts for the same reason as
-    /// [`WindowJoinOp::process_batch`]: the probe's `contains` check filters
-    /// expired candidates before the condition is evaluated, and purging is
-    /// monotone in the probe timestamp.
-    fn process_batch(&mut self, port: PortId, items: &mut Vec<StreamItem>, ctx: &mut OpContext) {
+    /// Process one run (one port, timestamp order): stream-A runs are a tight
+    /// insert loop; stream-B runs probe per tuple and cross-purge **once per
+    /// run** at the run-maximum timestamp.  Results and probe counts do not
+    /// depend on the run length for the same reason as in
+    /// [`WindowJoinOp`]: the probe's `contains` check filters expired
+    /// candidates before the condition is evaluated, and purging is monotone
+    /// in the probe timestamp.
+    fn run(&mut self, port: PortId, items: impl Iterator<Item = StreamItem>, ctx: &mut OpContext) {
         let key_fields = equi_key_fields(&self.condition, true);
         if port == 0 {
-            for item in items.drain(..) {
+            let stored_field = key_fields.map(|(stored, _)| stored);
+            for item in items {
                 match item {
-                    StreamItem::Tuple(mut t) => {
-                        ctx.counters.tuples_processed += 1;
-                        if let Some((stored_field, _)) = key_fields {
-                            memoize_key(&mut t, stored_field);
-                        }
-                        self.state_a.push(t);
-                    }
+                    StreamItem::Tuple(t) => self.insert_a(t, stored_field, ctx),
+                    // Row fallback: terminal joins are not on the columnar
+                    // path.
                     StreamItem::Batch(b) => {
                         for t in b.materialize() {
-                            self.process(port, StreamItem::Tuple(t), ctx);
+                            self.insert_a(t, stored_field, ctx);
                         }
                     }
                     StreamItem::Punctuation(p) => ctx.emit(0, p),
@@ -513,46 +439,44 @@ impl Operator for OneWayWindowJoinOp {
             self.peak_state = self.peak_state.max(self.state_a.len());
             return;
         }
+        let probe_field = key_fields.map(|(_, probe)| probe);
         let mut max_ts: Option<Timestamp> = None;
-        for item in items.drain(..) {
-            let mut tuple = match item {
-                StreamItem::Tuple(t) => t,
+        for item in items {
+            match item {
+                StreamItem::Tuple(t) => {
+                    max_ts = Some(t.ts); // runs are timestamp-ordered
+                    self.probe_b(t, probe_field, ctx);
+                }
                 StreamItem::Batch(b) => {
                     for t in b.materialize() {
-                        self.process(port, StreamItem::Tuple(t), ctx);
+                        max_ts = Some(t.ts);
+                        self.probe_b(t, probe_field, ctx);
                     }
-                    continue;
                 }
-                StreamItem::Punctuation(p) => {
-                    ctx.emit(0, p);
-                    continue;
-                }
-            };
-            ctx.counters.tuples_processed += 1;
-            if let Some((_, probe_field)) = key_fields {
-                memoize_key(&mut tuple, probe_field);
-            }
-            max_ts = Some(tuple.ts); // runs are timestamp-ordered
-            for stored in self.state_a.probe_candidates(&tuple) {
-                if !self.window.contains(tuple.ts, stored.ts) {
-                    continue;
-                }
-                if self
-                    .condition
-                    .eval_counted(stored, &tuple, &mut ctx.counters.probe_comparisons)
-                {
-                    self.results += 1;
-                    ctx.emit(0, Tuple::join(stored, &tuple, JOINED_STREAM));
-                }
+                StreamItem::Punctuation(p) => ctx.emit(0, p),
             }
         }
         if let Some(ts) = max_ts {
-            let window = self.window;
-            let comparisons = self
-                .state_a
-                .purge_expired(|front| window.expired(ts, front.ts), |_| {});
-            ctx.counters.purge_comparisons += comparisons;
+            WindowJoinOp::cross_purge(&mut self.state_a, self.window, ts, ctx);
         }
+    }
+}
+
+impl Operator for OneWayWindowJoinOp {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn num_input_ports(&self) -> usize {
+        2
+    }
+
+    fn process(&mut self, port: PortId, item: StreamItem, ctx: &mut OpContext) {
+        self.run(port, std::iter::once(item), ctx);
+    }
+
+    fn process_batch(&mut self, port: PortId, items: &mut Vec<StreamItem>, ctx: &mut OpContext) {
+        self.run(port, items.drain(..), ctx);
     }
 
     fn state_size(&self) -> usize {

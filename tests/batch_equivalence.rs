@@ -1,12 +1,14 @@
-//! Property test for batch-at-a-time execution: the vectorized executor path
-//! (`ExecutorConfig::vectorized`, whole timestamp-contiguous runs handed to
-//! `Operator::process_batch`) is indistinguishable from strict item-at-a-time
-//! execution.  For random sliced-chain workloads and batch sizes, the two
-//! paths must produce:
+//! Property test for batch-at-a-time execution: the executor hands whole
+//! timestamp-contiguous runs of up to `ExecutorConfig::batch_per_visit` items
+//! to `Operator::process_batch`, and the run length must be invisible.  The
+//! reference is `batch_per_visit: 1` — a run of one *is* strict
+//! item-at-a-time execution (the oldest head across a node's input ports,
+//! lowest port first on ties, one item per visit).  For random sliced-chain
+//! workloads and batch sizes, a batched run and the reference must produce:
 //!
 //! * identical per-sink result multisets,
 //! * identical output-scaling comparison counters (`probe`, `route`,
-//!   `filter`, `split`, `union`) and `tuples_processed` — the batch joins
+//!   `filter`, `split`, `union`) and `tuples_processed` — the window joins
 //!   defer cross-purging to one pass per run, but probes window-check every
 //!   candidate *before* evaluating the condition, so deferred purges never
 //!   change probe work,
@@ -14,11 +16,11 @@
 //!   exactly the purge-monotonicity claim: one purge at the run-maximum
 //!   timestamp leaves the same state as purging once per tuple.
 //!
-//! `purge_comparisons` is the one counter allowed to differ: the batched
-//! window joins pay one purge scan per run instead of one per tuple (the test
-//! pins `vectorized <= item`).  `items_emitted` may also differ — the batch
-//! path coalesces the per-male union punctuations into one per run, which is
-//! a coarser but equally valid progress promise.
+//! `purge_comparisons` is the one counter allowed to differ: the window joins
+//! pay one purge scan per run instead of one per tuple (the test pins
+//! `batched <= reference`).  `items_emitted` may also differ — a run
+//! coalesces the per-male union punctuations into one, which is a coarser
+//! but equally valid progress promise.
 
 use proptest::prelude::*;
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
@@ -50,7 +52,6 @@ fn run_mode(
     workload: &QueryWorkload,
     spec: &ChainSpec,
     input: &[Tuple],
-    vectorized: bool,
     batch_per_visit: usize,
 ) -> Outcome {
     let shared = SharedChainPlan::build(
@@ -65,7 +66,6 @@ fn run_mode(
     let mut exec = Executor::with_config(
         shared.plan,
         ExecutorConfig {
-            vectorized,
             batch_per_visit,
             ..ExecutorConfig::default()
         },
@@ -103,23 +103,23 @@ fn run_mode(
     (results, report.totals, states)
 }
 
-fn assert_batch_invariant(item: &Outcome, vectorized: &Outcome) {
+fn assert_batch_invariant(item: &Outcome, batched: &Outcome) {
     // Identical per-sink result multisets.
-    assert_eq!(item.0, vectorized.0);
+    assert_eq!(item.0, batched.0);
     // Output-scaling comparison counters match exactly.
-    assert_eq!(item.1.probe_comparisons, vectorized.1.probe_comparisons);
-    assert_eq!(item.1.route_comparisons, vectorized.1.route_comparisons);
-    assert_eq!(item.1.filter_comparisons, vectorized.1.filter_comparisons);
-    assert_eq!(item.1.split_comparisons, vectorized.1.split_comparisons);
-    assert_eq!(item.1.union_comparisons, vectorized.1.union_comparisons);
-    assert_eq!(item.1.tuples_processed, vectorized.1.tuples_processed);
+    assert_eq!(item.1.probe_comparisons, batched.1.probe_comparisons);
+    assert_eq!(item.1.route_comparisons, batched.1.route_comparisons);
+    assert_eq!(item.1.filter_comparisons, batched.1.filter_comparisons);
+    assert_eq!(item.1.split_comparisons, batched.1.split_comparisons);
+    assert_eq!(item.1.union_comparisons, batched.1.union_comparisons);
+    assert_eq!(item.1.tuples_processed, batched.1.tuples_processed);
     assert_eq!(item.1.items_dropped, 0);
-    assert_eq!(vectorized.1.items_dropped, 0);
+    assert_eq!(batched.1.items_dropped, 0);
     // One purge per run can only do less front-checking (monotone purging).
-    assert!(vectorized.1.purge_comparisons <= item.1.purge_comparisons);
+    assert!(batched.1.purge_comparisons <= item.1.purge_comparisons);
     // Identical final join state per slice: the batch purge at the
     // run-maximum timestamp leaves exactly the per-tuple-purge state.
-    assert_eq!(item.2, vectorized.2);
+    assert_eq!(item.2, batched.2);
 }
 
 #[test]
@@ -140,10 +140,10 @@ fn vectorized_matches_item_at_a_time_on_a_fixed_stream() {
     }
     let input = merge_streams(a, b);
     let spec = ChainSpec::memory_optimal(&workload);
-    let item = run_mode(&workload, &spec, &input, false, 64);
-    for batch in [1usize, 7, 64, 256] {
-        let vectorized = run_mode(&workload, &spec, &input, true, batch);
-        assert_batch_invariant(&item, &vectorized);
+    let item = run_mode(&workload, &spec, &input, 1);
+    for batch in [7usize, 64, 256] {
+        let batched = run_mode(&workload, &spec, &input, batch);
+        assert_batch_invariant(&item, &batched);
     }
     assert!(item.0.iter().any(|(_, r)| !r.is_empty()));
     assert!(item.1.probe_comparisons > 0);
@@ -154,10 +154,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Property: for random streams, random window sets, optional selections,
-    /// both Mem-Opt and fully merged slicings and a random batch size, the
-    /// vectorized executor path is indistinguishable from item-at-a-time
-    /// execution (per-sink multisets, output-scaling counters, final slice
-    /// states).
+    /// both Mem-Opt and fully merged slicings and a random batch size, a
+    /// batched run is indistinguishable from item-at-a-time execution
+    /// (per-sink multisets, output-scaling counters, final slice states).
     #[test]
     fn batch_size_is_invisible(
         a_arrivals in prop::collection::vec((0u64..300, 0i64..8, 0i64..8), 1..60),
@@ -196,9 +195,9 @@ proptest! {
         } else {
             ChainSpec::memory_optimal(&workload)
         };
-        let item = run_mode(&workload, &spec, &input, false, 64);
-        let vectorized = run_mode(&workload, &spec, &input, true, batch);
-        assert_batch_invariant(&item, &vectorized);
+        let item = run_mode(&workload, &spec, &input, 1);
+        let batched = run_mode(&workload, &spec, &input, batch);
+        assert_batch_invariant(&item, &batched);
     }
 
     /// Purge monotonicity in isolation: feeding a window join a run and

@@ -30,7 +30,7 @@ fn run_chain(
     spec: &ChainSpec,
     input: &[Tuple],
     indexed: bool,
-) -> ChainOutcome {
+) -> (ChainOutcome, u64) {
     let shared = SharedChainPlan::build(
         workload,
         spec,
@@ -44,7 +44,7 @@ fn run_chain(
     let mut exec = Executor::new(shared.plan);
     exec.ingest_all(CHAIN_ENTRY, input.to_vec())
         .expect("ingest");
-    exec.run().expect("run");
+    let report = exec.run().expect("run");
     let results = workload
         .queries()
         .iter()
@@ -66,7 +66,7 @@ fn run_chain(
         .filter_map(|n| n.operator.as_any().downcast_ref::<SlicedBinaryJoinOp>())
         .map(|op| op.state_timestamps())
         .collect();
-    (results, states)
+    ((results, states), report.totals.probe_comparisons)
 }
 
 #[test]
@@ -79,22 +79,31 @@ fn indexed_chain_matches_linear_reference_on_a_fixed_stream() {
         JoinCondition::equi(0),
     )
     .unwrap();
-    let mut a = Vec::new();
-    let mut b = Vec::new();
-    for i in 0..200u64 {
-        a.push(tuple(StreamId::A, i * 3, (i % 5) as i64));
-        b.push(tuple(StreamId::B, i * 3 + 1, (i * 7 % 5) as i64));
-    }
-    let input = merge_streams(a, b);
     let spec = ChainSpec::memory_optimal(&workload);
-    let indexed = run_chain(&workload, &spec, &input, true);
-    let linear = run_chain(&workload, &spec, &input, false);
-    assert_eq!(indexed, linear);
-    assert!(!indexed.1.is_empty(), "chain has sliced joins");
-    assert!(
-        indexed.0.iter().any(|(_, r)| !r.is_empty()),
-        "workload produces results"
-    );
+    // (distinct keys, probe-comparison ratio the index must reach): indexed
+    // probes scale with the matches, linear scans with the state, so the
+    // sparser the keys the wider the gap.
+    for (keys, min_ratio) in [(5u64, 2), (97, 10)] {
+        let mut a = Vec::new();
+        let mut b = Vec::new();
+        for i in 0..200u64 {
+            a.push(tuple(StreamId::A, i * 3, (i % keys) as i64));
+            b.push(tuple(StreamId::B, i * 3 + 1, (i * 7 % keys) as i64));
+        }
+        let input = merge_streams(a, b);
+        let (indexed, indexed_probes) = run_chain(&workload, &spec, &input, true);
+        let (linear, linear_probes) = run_chain(&workload, &spec, &input, false);
+        assert_eq!(indexed, linear);
+        assert!(!indexed.1.is_empty(), "chain has sliced joins");
+        assert!(
+            indexed.0.iter().any(|(_, r)| !r.is_empty()),
+            "workload produces results"
+        );
+        assert!(
+            linear_probes >= min_ratio * indexed_probes,
+            "hash index did not engage on {keys} keys: {indexed_probes} indexed vs {linear_probes} linear"
+        );
+    }
 }
 
 proptest! {
@@ -134,8 +143,8 @@ proptest! {
         } else {
             ChainSpec::memory_optimal(&workload)
         };
-        let indexed = run_chain(&workload, &spec, &input, true);
-        let linear = run_chain(&workload, &spec, &input, false);
+        let (indexed, _) = run_chain(&workload, &spec, &input, true);
+        let (linear, _) = run_chain(&workload, &spec, &input, false);
         prop_assert_eq!(indexed, linear);
     }
 }
