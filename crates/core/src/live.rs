@@ -374,7 +374,6 @@ fn lift_slice_op(op: &mut SlicedBinaryJoinOp) -> SlicedBinaryJoinOp {
     }
     lifted.set_chain_head(op.is_chain_head());
     lifted.set_has_next(op.has_next());
-    lifted.set_columnar_results(op.emits_columnar_results());
     let (a, b) = op.drain_states();
     lifted.load_states(a, b);
     lifted

@@ -128,7 +128,6 @@ pub fn merge_slice_operators(
     }
     merged.set_chain_head(left.is_chain_head());
     merged.set_has_next(right.has_next());
-    merged.set_columnar_results(left.emits_columnar_results());
     // Oldest tuples first: the right (older) slice's state precedes the left's.
     let mut state_a = right_a;
     state_a.extend(left_a);
@@ -171,7 +170,6 @@ pub fn split_slice_operator(
     }
     right.set_has_next(left.has_next());
     right.set_chain_head(false);
-    right.set_columnar_results(left.emits_columnar_results());
     left.set_window(left_window);
     left.set_has_next(true);
     let _ = left_name; // the left operator keeps its identity (and state)
@@ -298,7 +296,6 @@ pub fn rehash_shard_states(
     let has_next = template.has_next();
     let indexed = template.is_indexed();
     let band_indexed = template.is_band_indexed();
-    let columnar = template.emits_columnar_results();
     let name = template.name().to_string();
     for op in &shards {
         if op.window() != window
@@ -339,7 +336,6 @@ pub fn rehash_shard_states(
         }
         op.set_chain_head(chain_head);
         op.set_has_next(has_next);
-        op.set_columnar_results(columnar);
         op.load_states(state_a, state_b);
         out.push(op);
     }

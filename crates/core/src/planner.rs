@@ -54,12 +54,6 @@ pub struct PlannerOptions {
     /// plan *generation* is identical for every shard; only execution
     /// parallelism changes.
     pub shards: usize,
-    /// Emit joined results as columnar run batches
-    /// ([`streamkit::ColumnBatch`]) from every sliced join, carried through
-    /// the per-query unions to the sinks without materializing row tuples.
-    /// Off by default (row-tuple results); result rows, order and all
-    /// output-scaling counters are identical either way.
-    pub columnar_results: bool,
 }
 
 impl Default for PlannerOptions {
@@ -68,7 +62,6 @@ impl Default for PlannerOptions {
             retain_results: false,
             index_join_state: true,
             shards: 1,
-            columnar_results: false,
         }
     }
 }
@@ -77,12 +70,6 @@ impl PlannerOptions {
     /// A copy with the given shard count (builder-style convenience).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// A copy with columnar result transport enabled (builder-style).
-    pub fn with_columnar_results(mut self) -> Self {
-        self.columnar_results = true;
         self
     }
 }
@@ -140,9 +127,6 @@ impl SharedChainPlan {
             }
             if !options.index_join_state {
                 op = op.without_index();
-            }
-            if options.columnar_results {
-                op = op.columnar_results();
             }
             let node = b.add_op(op);
             if k == 0 {

@@ -38,6 +38,16 @@ pub const PORT_NEXT_SLICE: PortId = 1;
 /// Stream id of joined result tuples produced by sliced binary joins.
 pub const SLICED_JOIN_OUTPUT: StreamId = StreamId(101);
 
+/// Result density at which a run's results travel as one [`ColumnBatch`]
+/// instead of one row [`Tuple`] each: a run goes columnar iff this
+/// operator's *previous* run produced at least this many results.
+///
+/// A batch is one queue item, one fan-out hop and one union slot whatever
+/// its row count, and [`ColumnBatch::push_join`] allocates nothing per
+/// match — but an empty batch costs 6 + arity `Vec`s before its first row,
+/// so a run of one or two results is cheaper as row tuples.
+const COLUMNAR_MIN_RUN_RESULTS: u64 = 16;
+
 /// One state-sliced binary window join.
 #[derive(Debug)]
 pub struct SlicedBinaryJoinOp {
@@ -54,9 +64,12 @@ pub struct SlicedBinaryJoinOp {
     chain_head: bool,
     /// Last join of a chain: discards instead of forwarding to a next slice.
     has_next: bool,
-    /// Emit joined results as [`ColumnBatch`] runs (one per input run)
-    /// instead of one row [`Tuple`] per match.
-    columnar_results: bool,
+    /// Results produced by the previous run — the observed result density
+    /// the next run's transport is chosen from (a fresh or rebuilt operator
+    /// has no history and starts on rows).
+    prev_run_results: u64,
+    /// Results that left as rows of a [`ColumnBatch`].
+    batch_results: u64,
 }
 
 impl SlicedBinaryJoinOp {
@@ -85,7 +98,8 @@ impl SlicedBinaryJoinOp {
             results: 0,
             chain_head: false,
             has_next: true,
-            columnar_results: false,
+            prev_run_results: 0,
+            batch_results: 0,
         }
     }
 
@@ -105,28 +119,6 @@ impl SlicedBinaryJoinOp {
     pub fn last_in_chain(mut self) -> Self {
         self.has_next = false;
         self
-    }
-
-    /// Emit joined results as columnar run batches: each input run's matches
-    /// are transposed into one [`ColumnBatch`] on [`PORT_RESULTS`] (built
-    /// with [`ColumnBatch::push_join`], no per-match payload allocation),
-    /// flushed before the run's coalesced punctuation.  The result rows,
-    /// their order, and every probe/purge counter are identical to row
-    /// emission; only the transport representation changes.
-    pub fn columnar_results(mut self) -> Self {
-        self.columnar_results = true;
-        self
-    }
-
-    /// `true` if joined results leave as columnar run batches.
-    pub fn emits_columnar_results(&self) -> bool {
-        self.columnar_results
-    }
-
-    /// Change the result transport (used by migration/re-slicing when
-    /// rebuilding operators from an existing chain).
-    pub fn set_columnar_results(&mut self, columnar: bool) {
-        self.columnar_results = columnar;
     }
 
     /// Disable the equi-join hash index and probe by linear scan, the
@@ -196,6 +188,12 @@ impl SlicedBinaryJoinOp {
     /// Number of joined results produced so far.
     pub fn results(&self) -> u64 {
         self.results
+    }
+
+    /// How many of [`SlicedBinaryJoinOp::results`] left as rows of a
+    /// [`ColumnBatch`]; the rest left as row tuples.
+    pub fn batch_results(&self) -> u64 {
+        self.batch_results
     }
 
     /// Current state size (both streams), in tuples.
@@ -277,38 +275,37 @@ impl SlicedBinaryJoinOp {
         ctx.counters.purge_comparisons += comparisons;
     }
 
-    /// Emit one joined result: a row [`Tuple::join`] in row mode, or an
-    /// append into the run's pending [`ColumnBatch`] in columnar mode (no
-    /// per-match payload allocation).
+    /// Emit one joined result.  `pending` is the run's open [`ColumnBatch`]
+    /// when the run is columnar (the match is appended with
+    /// [`ColumnBatch::push_join`], no per-match payload allocation) and
+    /// `None` when it is not (the match leaves as a row [`Tuple::join`]).
+    /// The result rows, their order and every counter are identical either
+    /// way; only the transport representation differs.
     fn emit_result(
-        columnar: bool,
         pending: &mut Option<ColumnBatch>,
         left: &Tuple,
         right: &Tuple,
         ctx: &mut OpContext,
     ) {
-        if !columnar {
+        let Some(batch) = pending else {
             ctx.emit(PORT_RESULTS, Tuple::join(left, right, SLICED_JOIN_OUTPUT));
             return;
-        }
-        let batch = pending.get_or_insert_with(ColumnBatch::new);
+        };
         if !batch.push_join(left, right, SLICED_JOIN_OUTPUT) {
             // Result arity changed mid-run: flush and start a fresh batch.
-            let full = pending.take().expect("just inserted");
-            if !full.is_empty() {
-                ctx.emit(PORT_RESULTS, full);
-            }
-            let batch = pending.get_or_insert_with(ColumnBatch::new);
+            Self::flush_results(pending, ctx);
+            let batch = pending.as_mut().expect("flushing keeps the run columnar");
             let ok = batch.push_join(left, right, SLICED_JOIN_OUTPUT);
             debug_assert!(ok, "a fresh batch accepts any arity");
         }
     }
 
-    /// Flush the run's pending columnar results, if any.
+    /// Emit a columnar run's open batch, if it holds any rows, leaving a
+    /// fresh one open.
     fn flush_results(pending: &mut Option<ColumnBatch>, ctx: &mut OpContext) {
-        if let Some(batch) = pending.take() {
+        if let Some(batch) = pending {
             if !batch.is_empty() {
-                ctx.emit(PORT_RESULTS, batch);
+                ctx.emit(PORT_RESULTS, std::mem::take(batch));
             }
         }
     }
@@ -331,7 +328,6 @@ impl SlicedBinaryJoinOp {
             &mut self.state_a
         };
         Self::purge_state(opposite, self.window, male.ts, self.has_next, ctx);
-        let columnar = self.columnar_results;
         for stored in opposite.probe_candidates(&male) {
             let matched = if male_is_a {
                 self.condition
@@ -343,9 +339,9 @@ impl SlicedBinaryJoinOp {
             if matched {
                 self.results += 1;
                 if male_is_a {
-                    Self::emit_result(columnar, pending, &male, stored, ctx);
+                    Self::emit_result(pending, &male, stored, ctx);
                 } else {
-                    Self::emit_result(columnar, pending, stored, &male, ctx);
+                    Self::emit_result(pending, stored, &male, ctx);
                 }
             }
         }
@@ -432,6 +428,11 @@ impl SlicedBinaryJoinOp {
     /// would — the same coarsening the order-preserving union's own
     /// forwarding mode applies).
     ///
+    /// The run's results leave as row tuples or as one [`ColumnBatch`]
+    /// (flushed before any interleaved punctuation and before the run's
+    /// coalesced one), chosen from the previous run's result count — see
+    /// [`COLUMNAR_MIN_RUN_RESULTS`].
+    ///
     /// Unlike the terminal window joins, the cross-purge stays interleaved
     /// per male rather than running once at the run-maximum timestamp: a
     /// purged female must enter the next slice's logical queue *before* the
@@ -445,7 +446,9 @@ impl SlicedBinaryJoinOp {
     fn run(&mut self, items: impl Iterator<Item = StreamItem>, ctx: &mut OpContext) {
         let memoize = self.chain_head;
         let mut last_male = None;
-        let mut pending = None;
+        let columnar = self.prev_run_results >= COLUMNAR_MIN_RUN_RESULTS;
+        let mut pending = columnar.then(ColumnBatch::new);
+        let results_before = self.results;
         for item in items {
             match item {
                 StreamItem::Tuple(t) => {
@@ -472,6 +475,10 @@ impl SlicedBinaryJoinOp {
         Self::flush_results(&mut pending, ctx);
         if let Some((ts, stream)) = last_male {
             ctx.emit(PORT_RESULTS, Punctuation::from_stream(ts, stream));
+        }
+        self.prev_run_results = self.results - results_before;
+        if columnar {
+            self.batch_results += self.prev_run_results;
         }
     }
 }
@@ -693,6 +700,125 @@ mod tests {
         // …and a propagated male from the previous slice probes it.
         op.process(0, b(4, 0).with_role(TupleRole::Male).into(), &mut ctx);
         assert_eq!(results_of(&mut ctx), vec![(4, 3)]);
+    }
+
+    /// A cross-join slice whose A state holds `stored` tuples, left with the
+    /// result history of the run that stored them plus `probes` B probes.
+    fn slice_after_run(stored: Vec<Tuple>, probes: u64) -> (SlicedBinaryJoinOp, OpContext) {
+        let mut op =
+            SlicedBinaryJoinOp::for_ab("J1", SliceWindow::from_secs(0, 100), JoinCondition::Cross)
+                .chain_head()
+                .last_in_chain();
+        let mut ctx = OpContext::new();
+        let mut run: Vec<StreamItem> = stored.into_iter().map(StreamItem::from).collect();
+        run.extend((0..probes).map(|i| StreamItem::from(b(10 + i, 0))));
+        op.process_batch(0, &mut run, &mut ctx);
+        (op, ctx)
+    }
+
+    /// What a columnar run put on [`PORT_RESULTS`]: `Ok(rows)` per batch,
+    /// `Err(())` per punctuation.
+    fn batches_and_punctuations(ctx: &mut OpContext) -> Vec<Result<Vec<Tuple>, ()>> {
+        ctx.take_outputs()
+            .into_iter()
+            .filter(|(port, _)| *port == PORT_RESULTS)
+            .map(|(_, item)| match item {
+                StreamItem::Batch(batch) => Ok(batch.materialize()),
+                StreamItem::Punctuation(_) => Err(()),
+                StreamItem::Tuple(t) => panic!("row result {t:?} in a columnar run"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_sparse_run_emits_only_row_tuples() {
+        // Runs of fewer than COLUMNAR_MIN_RUN_RESULTS results never turn the
+        // next run columnar, however many of them follow each other.
+        let (mut op, mut ctx) = slice_after_run((1..=3).map(|s| a(s, 0)).collect(), 2);
+        for _ in 0..4 {
+            let outputs = ctx.take_outputs();
+            let rows = outputs
+                .iter()
+                .filter(|(_, item)| item.as_tuple().is_some())
+                .count();
+            let puncts = outputs.iter().filter(|(_, i)| i.is_punctuation()).count();
+            assert_eq!(rows, 6, "two probes of three stored tuples, as rows");
+            assert_eq!(rows + puncts, outputs.len(), "no batch in a sparse run");
+            // (Each probe also stores a B female; B probes never see those.)
+            let mut run = vec![b(20, 0).into(), b(21, 0).into()];
+            op.process_batch(0, &mut run, &mut ctx);
+        }
+        assert_eq!(op.results(), 30);
+        assert_eq!(op.batch_results(), 0);
+    }
+
+    #[test]
+    fn the_run_after_a_dense_one_emits_batches_flushed_before_punctuations() {
+        // Run 1: 4 stored × 4 probes = 16 results, as rows (no history yet).
+        let (mut op, mut ctx) = slice_after_run((1..=4).map(|s| a(s, 0)).collect(), 4);
+        let first = ctx.take_outputs();
+        assert_eq!(
+            first.iter().filter(|(_, i)| i.as_tuple().is_some()).count(),
+            16
+        );
+        assert_eq!(op.batch_results(), 0);
+        // Run 2 is columnar: one batch per stretch between punctuations,
+        // each flushed before the punctuation that follows it — the
+        // interleaved one and the run's coalesced one.
+        let mut run = vec![
+            b(20, 0).into(),
+            b(21, 0).into(),
+            Punctuation::new(Timestamp::from_secs(21)).into(),
+            b(22, 0).into(),
+        ];
+        op.process_batch(0, &mut run, &mut ctx);
+        let got = batches_and_punctuations(&mut ctx);
+        let joined = |probe: &Tuple| -> Vec<Tuple> {
+            (1..=4)
+                .map(|s| Tuple::join(&a(s, 0), probe, SLICED_JOIN_OUTPUT))
+                .collect()
+        };
+        let mut before = joined(&b(20, 0));
+        before.extend(joined(&b(21, 0)));
+        assert_eq!(
+            got,
+            vec![Ok(before), Err(()), Ok(joined(&b(22, 0))), Err(())]
+        );
+        assert_eq!(op.results(), 28);
+        assert_eq!(op.batch_results(), 12);
+        // 12 < 16: run 3 is back on rows.
+        op.process(0, b(23, 0).into(), &mut ctx);
+        assert_eq!(
+            ctx.take_outputs()
+                .iter()
+                .filter(|(_, i)| i.as_tuple().is_some())
+                .count(),
+            4
+        );
+        assert_eq!(op.batch_results(), 12);
+    }
+
+    #[test]
+    fn an_arity_change_mid_run_splits_the_batch() {
+        // Stored A tuples of arity 1, 1, 2, 1: every probe's results change
+        // arity twice, so a columnar run cuts its batch at each change.
+        let wide = Tuple::of_ints(Timestamp::from_secs(3), StreamId::A, &[0, 9]);
+        let stored = vec![a(1, 0), a(2, 0), wide, a(4, 0)];
+        let (mut op, mut ctx) = slice_after_run(stored.clone(), 4);
+        let _ = ctx.take_outputs();
+        op.process(0, b(20, 0).into(), &mut ctx);
+        let got = batches_and_punctuations(&mut ctx);
+        let row = |i: usize| Tuple::join(&stored[i], &b(20, 0), SLICED_JOIN_OUTPUT);
+        assert_eq!(
+            got,
+            vec![
+                Ok(vec![row(0), row(1)]),
+                Ok(vec![row(2)]),
+                Ok(vec![row(3)]),
+                Err(())
+            ]
+        );
+        assert_eq!(op.batch_results(), 4);
     }
 
     #[test]
