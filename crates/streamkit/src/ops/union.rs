@@ -207,14 +207,13 @@ impl UnionOp {
                 StreamItem::Batch(b) => {
                     let rows = b.len();
                     ctx.counters.tuples_processed += rows as u64;
-                    let shared = Arc::new(b);
                     for row in 0..rows {
-                        let ts = shared.ts_at(row);
+                        let ts = b.ts_at(row);
                         if ts > port_wm {
                             port_wm = ts;
                         }
                         buffer.push_back(Slot::Batch {
-                            batch: Arc::clone(&shared),
+                            batch: Arc::clone(&b),
                             row: row as u32,
                         });
                     }
@@ -479,7 +478,7 @@ mod tests {
         // Port 0 delivers a 3-row batch; port 1 delivers plain rows that
         // interleave with the batch rows by timestamp.
         let batch = ColumnBatch::from_tuples(&[tup(1, 10), tup(3, 30), tup(5, 50)]).unwrap();
-        op.process(0, StreamItem::Batch(batch), &mut ctx);
+        op.process(0, batch.into(), &mut ctx);
         assert!(collect_ts(ctx.take_outputs()).is_empty());
         assert_eq!(op.buffered_len(), 3);
         op.process(1, tup(2, 20).into(), &mut ctx);

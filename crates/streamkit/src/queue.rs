@@ -1,6 +1,7 @@
 //! Inter-operator queues and the items they carry.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::columnar::ColumnBatch;
 use crate::punctuation::Punctuation;
@@ -19,7 +20,10 @@ pub enum StreamItem {
     /// port's head — safe, because every order-sensitive consumer reorders
     /// by per-row timestamp: the union buffers rows behind its watermark and
     /// sinks/fallbacks look at row timestamps, never at item granularity).
-    Batch(ColumnBatch),
+    /// Shared: fanning a batch out to several consumers, buffering it in a
+    /// union and forwarding it unchanged all bump a reference count instead
+    /// of copying columns.
+    Batch(Arc<ColumnBatch>),
     /// A progress marker.
     Punctuation(Punctuation),
 }
@@ -66,6 +70,12 @@ impl From<Tuple> for StreamItem {
 
 impl From<ColumnBatch> for StreamItem {
     fn from(b: ColumnBatch) -> Self {
+        StreamItem::Batch(Arc::new(b))
+    }
+}
+
+impl From<Arc<ColumnBatch>> for StreamItem {
+    fn from(b: Arc<ColumnBatch>) -> Self {
         StreamItem::Batch(b)
     }
 }
