@@ -34,6 +34,7 @@
 //!   class into [`Tuple::key_hash`], so the one-hash-per-tuple path of
 //!   [`crate::join_state`] is fed unchanged.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::join_state::{band_key_bits, canonical_key_hash, monotone_band_bits};
@@ -135,6 +136,47 @@ impl TypedColumn {
                 .push(false);
         } else if let Some(mask) = &mut self.validity {
             mask.push(true);
+        }
+    }
+
+    /// Append rows `range` of `src` — exactly what pushing
+    /// `src.value_at(i)` for each `i` would leave behind, mask and `Mixed`
+    /// degradation included, but one `extend_from_slice` per column when
+    /// both sides store the same type.
+    fn extend_from(&mut self, src: &TypedColumn, range: Range<usize>) {
+        let old_len = self.len();
+        match (&mut self.data, &src.data) {
+            (ColumnData::Int(dst), ColumnData::Int(xs)) => {
+                dst.extend_from_slice(&xs[range.clone()])
+            }
+            (ColumnData::Float(dst), ColumnData::Float(xs)) => {
+                dst.extend_from_slice(&xs[range.clone()])
+            }
+            (ColumnData::Str(dst), ColumnData::Str(xs)) => {
+                dst.extend_from_slice(&xs[range.clone()])
+            }
+            (ColumnData::Bool(dst), ColumnData::Bool(xs)) => {
+                dst.extend_from_slice(&xs[range.clone()])
+            }
+            (ColumnData::Mixed(dst), ColumnData::Mixed(xs)) => {
+                dst.extend_from_slice(&xs[range]);
+                return; // `Mixed` stores its nulls inline
+            }
+            _ => {
+                // Different types: row by row, degrading where a row forces it.
+                for i in range {
+                    self.push(&src.value_at(i));
+                }
+                return;
+            }
+        }
+        match (&src.validity, &mut self.validity) {
+            (Some(src_mask), _) if src_mask[range.clone()].contains(&false) => self
+                .validity
+                .get_or_insert_with(|| vec![true; old_len])
+                .extend_from_slice(&src_mask[range]),
+            (_, Some(mask)) => mask.resize(old_len + range.len(), true),
+            _ => {}
         }
     }
 
@@ -271,6 +313,11 @@ impl ColumnBatch {
         self.ts[i]
     }
 
+    /// The rows' timestamps, in row order.
+    pub fn timestamps(&self) -> &[Timestamp] {
+        &self.ts
+    }
+
     /// The payload columns.
     pub fn columns(&self) -> &[TypedColumn] {
         &self.columns
@@ -328,6 +375,40 @@ impl ColumnBatch {
         self.origin_span.push(src.origin_span[i]);
         self.role.push(src.role[i]);
         self.lineage.push(src.lineage[i]);
+        true
+    }
+
+    /// Append rows `range` of another batch column-wise: the same rows, masks
+    /// and column types repeated [`ColumnBatch::push_row_from`] would leave,
+    /// at one `extend_from_slice` per column where the types agree.  Returns
+    /// `false` (appending nothing) on arity mismatch; an empty range appends
+    /// nothing and succeeds.
+    pub fn push_rows_from(&mut self, src: &ColumnBatch, range: Range<usize>) -> bool {
+        if range.is_empty() {
+            return true;
+        }
+        let mut rest = range.clone();
+        if self.ts.is_empty() {
+            // The first row picks the column types, as a row append would.
+            self.columns = src
+                .columns
+                .iter()
+                .map(|c| TypedColumn::with_first(&c.value_at(range.start)))
+                .collect();
+            rest.start += 1;
+        } else if src.columns.len() != self.columns.len() {
+            return false;
+        }
+        self.key_hash = None;
+        for (dst, sc) in self.columns.iter_mut().zip(&src.columns) {
+            dst.extend_from(sc, rest.clone());
+        }
+        self.ts.extend_from_slice(&src.ts[range.clone()]);
+        self.stream.extend_from_slice(&src.stream[range.clone()]);
+        self.origin_span
+            .extend_from_slice(&src.origin_span[range.clone()]);
+        self.role.extend_from_slice(&src.role[range.clone()]);
+        self.lineage.extend_from_slice(&src.lineage[range]);
         true
     }
 
@@ -846,6 +927,101 @@ mod tests {
         assert_eq!(dst.materialize(), vec![rows[2].clone(), rows[0].clone()]);
         let other_arity = ColumnBatch::from_tuples(&[t(9, &[1])]).unwrap();
         assert!(!dst.push_row_from(&other_arity, 0));
+    }
+
+    #[test]
+    fn push_rows_from_equals_repeated_push_row_from() {
+        // Typed Int/Float/Str/Bool columns, a masked column, and a column
+        // that is `Mixed` in the source.
+        let typed: Vec<Tuple> = (0..6)
+            .map(|i| {
+                tv(
+                    i,
+                    vec![
+                        Value::Int(i as i64),
+                        Value::Float(i as f64 / 2.0),
+                        Value::str(if i % 2 == 0 { "even" } else { "odd" }),
+                        Value::Bool(i % 3 == 0),
+                        if i == 2 || i == 3 {
+                            Value::Null
+                        } else {
+                            Value::Int(10 * i as i64)
+                        },
+                    ],
+                )
+            })
+            .collect();
+        let typed = ColumnBatch::from_tuples(&typed).unwrap();
+        assert!(typed.columns()[4].validity.is_some(), "column 4 is masked");
+        // Same arity, but column 0 turns to `Str` at row 2: appending rows
+        // 1..4 of it to `typed`'s Int column degrades that column mid-range.
+        let degrading: Vec<Tuple> = (0..5)
+            .map(|i| {
+                let first = if i < 2 {
+                    Value::Int(100 + i as i64)
+                } else {
+                    Value::str("late")
+                };
+                tv(
+                    10 + i,
+                    vec![
+                        first,
+                        Value::Float(0.5),
+                        Value::str("s"),
+                        Value::Bool(true),
+                        Value::Null,
+                    ],
+                )
+            })
+            .collect();
+        let degrading = ColumnBatch::from_tuples(&degrading).unwrap();
+        assert!(matches!(
+            degrading.columns()[0].data(),
+            ColumnData::Mixed(_)
+        ));
+
+        // Every sequence of appends must leave the same batch either way —
+        // rows, column types and masks (`ColumnBatch: PartialEq` sees all).
+        let sequences: [&[(&ColumnBatch, Range<usize>)]; 6] = [
+            &[(&typed, 0..6)],
+            &[(&typed, 0..2), (&typed, 2..6)], // the mask starts mid-append
+            &[(&typed, 2..4), (&typed, 0..2)], // leading Null: starts `Mixed`
+            &[(&typed, 4..6), (&typed, 3..3), (&typed, 0..1)], // empty range
+            &[(&typed, 0..3), (&degrading, 1..4), (&typed, 3..5)],
+            &[(&degrading, 0..2), (&typed, 1..4)], // typed rows onto `Mixed`
+        ];
+        for appends in sequences {
+            let mut by_range = ColumnBatch::new();
+            let mut by_row = ColumnBatch::new();
+            for (src, range) in appends {
+                assert!(by_range.push_rows_from(src, range.clone()));
+                for i in range.clone() {
+                    assert!(by_row.push_row_from(src, i));
+                }
+            }
+            assert_eq!(by_range, by_row, "appends {appends:?}");
+            assert_eq!(by_range.materialize(), by_row.materialize());
+        }
+
+        // After the degrading append column 0 is `Mixed`, the rest typed.
+        let mut dst = ColumnBatch::new();
+        assert!(dst.push_rows_from(&typed, 0..3));
+        assert!(matches!(dst.columns()[0].data(), ColumnData::Int(_)));
+        assert!(dst.push_rows_from(&degrading, 1..4));
+        assert!(matches!(dst.columns()[0].data(), ColumnData::Mixed(_)));
+        assert!(matches!(dst.columns()[1].data(), ColumnData::Float(_)));
+
+        // Arity mismatch: rejected, nothing appended, the memo kept.
+        dst.hash_key_column(1);
+        let before = dst.clone();
+        let narrow = ColumnBatch::from_tuples(&[t(9, &[1])]).unwrap();
+        assert!(!dst.push_rows_from(&narrow, 0..1));
+        assert_eq!(dst, before);
+        assert!(dst.key_classes(1).is_some());
+        // An append drops the memo, as every payload mutation does.
+        assert!(dst.push_rows_from(&typed, 5..6));
+        assert_eq!(dst.key_classes(1), None);
+        assert_eq!(dst.len(), before.len() + 1);
     }
 
     #[test]

@@ -29,21 +29,26 @@ use crate::queue::StreamItem;
 use crate::time::Timestamp;
 use crate::tuple::Tuple;
 
-/// One buffered result row: a row tuple, or a shared reference to one row of
-/// a column batch.  Batch rows stay columnar through the reorder buffer —
-/// buffering costs one `(Arc, index)` slot per row instead of a materialized
-/// [`Tuple`], and released runs leave as column batches again.
+/// One buffered arrival: a row tuple, or the not-yet-released rows of a
+/// shared column batch.  A batch stays columnar — and stays the allocation
+/// it arrived as — through the reorder buffer: buffering costs one slot per
+/// batch, and its rows leave as column batches again.
 #[derive(Debug)]
 enum Slot {
     Row(Tuple),
-    Batch { batch: Arc<ColumnBatch>, row: u32 },
+    /// Rows `next..` of `batch` (never empty).
+    Batch {
+        batch: Arc<ColumnBatch>,
+        next: usize,
+    },
 }
 
 impl Slot {
+    /// Timestamp of the oldest buffered row.
     fn ts(&self) -> Timestamp {
         match self {
             Slot::Row(t) => t.ts,
-            Slot::Batch { batch, row } => batch.ts_at(*row as usize),
+            Slot::Batch { batch, next } => batch.ts_at(*next),
         }
     }
 }
@@ -107,55 +112,79 @@ impl UnionOp {
     /// Release every buffered tuple whose timestamp is covered by
     /// `watermark`, in global timestamp order (ties: lowest port first).
     ///
-    /// Consecutively released batch rows are coalesced into one outgoing
-    /// [`ColumnBatch`]; the open output batch is flushed before any
+    /// Each step takes the port with the oldest front and releases its front
+    /// slot as far as the other ports' fronts and the watermark allow — a
+    /// row tuple, or in one go the whole row range of a batch that would win
+    /// the next row-at-a-time comparisons anyway.  Ranges are appended
+    /// column-wise to one outgoing [`ColumnBatch`], flushed before any
     /// interleaved row tuple, so the emitted *row* order is exactly the
-    /// release order either way.
+    /// row-at-a-time release order; a batch released whole with nothing to
+    /// coalesce it with is forwarded as the allocation it arrived in.
     fn release_up_to(&mut self, watermark: Timestamp, ctx: &mut OpContext) {
-        let mut pending: Option<ColumnBatch> = None;
+        let mut pending = ColumnBatch::new();
         loop {
+            // The oldest front, and the newest timestamp its port may
+            // release before another port's front comes first: a
+            // lower-indexed port wins timestamp ties, so its front bounds
+            // strictly (the tick before it), a higher-indexed one inclusively.
             let mut best: Option<(usize, Timestamp)> = None;
+            let mut bound = watermark;
             for (port, buf) in self.buffers.iter().enumerate() {
-                if let Some(front) = buf.front() {
-                    let front_ts = front.ts();
-                    match best {
-                        Some((_, best_ts)) if best_ts <= front_ts => {}
-                        _ => best = Some((port, front_ts)),
+                let Some(front) = buf.front() else { continue };
+                let front_ts = front.ts();
+                match best {
+                    Some((_, best_ts)) if best_ts <= front_ts => bound = bound.min(front_ts),
+                    Some((_, best_ts)) => {
+                        // `best_ts` > `front_ts` ≥ 0, so the tick before exists.
+                        bound = bound.min(Timestamp::from_micros(best_ts.as_micros() - 1));
+                        best = Some((port, front_ts));
                     }
+                    None => best = Some((port, front_ts)),
                 }
             }
             let Some((port, ts)) = best else { break };
-            if ts > watermark {
+            if ts > bound {
+                // Only the watermark can bound below the oldest front.
                 break;
             }
-            let slot = self.buffers[port].pop_front().expect("front exists");
-            self.buffered -= 1;
-            // One merge comparison per released tuple (one-time merge sort on
-            // timestamps, as in the paper's union cost model).
-            ctx.counters.union_comparisons += 1;
-            match slot {
+            let buffer = &mut self.buffers[port];
+            let released = match buffer.pop_front().expect("front exists") {
                 Slot::Row(tuple) => {
-                    if let Some(full) = pending.take() {
-                        ctx.emit(0, full);
+                    if !pending.is_empty() {
+                        ctx.emit(0, std::mem::take(&mut pending));
                     }
                     ctx.emit(0, tuple);
+                    1
                 }
-                Slot::Batch { batch, row } => {
-                    let row = row as usize;
-                    let out = pending.get_or_insert_with(ColumnBatch::new);
-                    if !out.push_row_from(&batch, row) {
-                        // Arity changed between sources: flush and restart.
-                        let full = pending.take().expect("just inserted");
-                        ctx.emit(0, full);
-                        let out = pending.get_or_insert_with(ColumnBatch::new);
-                        let ok = out.push_row_from(&batch, row);
-                        debug_assert!(ok, "a fresh batch accepts any arity");
+                Slot::Batch { batch, next } => {
+                    let run = batch.timestamps()[next..]
+                        .iter()
+                        .take_while(|&&row_ts| row_ts <= bound)
+                        .count();
+                    let end = next + run;
+                    if run == batch.len() && pending.is_empty() {
+                        ctx.emit(0, batch);
+                    } else {
+                        if !pending.push_rows_from(&batch, next..end) {
+                            // Arity changed between sources: flush and restart.
+                            ctx.emit(0, std::mem::take(&mut pending));
+                            let ok = pending.push_rows_from(&batch, next..end);
+                            debug_assert!(ok, "a fresh batch accepts any arity");
+                        }
+                        if end < batch.len() {
+                            buffer.push_front(Slot::Batch { batch, next: end });
+                        }
                     }
+                    run
                 }
-            }
+            };
+            self.buffered -= released;
+            // One merge comparison per released tuple (one-time merge sort on
+            // timestamps, as in the paper's union cost model).
+            ctx.counters.union_comparisons += released as u64;
         }
-        if let Some(full) = pending.take() {
-            ctx.emit(0, full);
+        if !pending.is_empty() {
+            ctx.emit(0, pending);
         }
     }
 
@@ -204,20 +233,18 @@ impl UnionOp {
                     buffer.push_back(Slot::Row(t));
                     inserted += 1;
                 }
-                StreamItem::Batch(b) => {
-                    let rows = b.len();
-                    ctx.counters.tuples_processed += rows as u64;
-                    for row in 0..rows {
-                        let ts = b.ts_at(row);
-                        if ts > port_wm {
-                            port_wm = ts;
-                        }
-                        buffer.push_back(Slot::Batch {
-                            batch: Arc::clone(&b),
-                            row: row as u32,
-                        });
+                StreamItem::Batch(batch) => {
+                    // Rows are in timestamp order: the last one is the
+                    // batch's progress promise.
+                    let Some(last_ts) = batch.last_ts() else {
+                        continue;
+                    };
+                    ctx.counters.tuples_processed += batch.len() as u64;
+                    if last_ts > port_wm {
+                        port_wm = last_ts;
                     }
-                    inserted += rows;
+                    inserted += batch.len();
+                    buffer.push_back(Slot::Batch { batch, next: 0 });
                 }
                 StreamItem::Punctuation(p) => {
                     if p.watermark > port_wm {
@@ -512,6 +539,138 @@ mod tests {
         // One merge comparison per released row, batch rows included.
         assert_eq!(ctx.counters.union_comparisons, 5);
         assert_eq!(op.buffered_len(), 0);
+    }
+
+    /// `(seconds, tag)` rows as one batch.
+    fn batch_of(rows: &[(u64, i64)]) -> StreamItem {
+        let rows: Vec<Tuple> = rows.iter().map(|&(s, v)| tup(s, v)).collect();
+        ColumnBatch::from_tuples(&rows).unwrap().into()
+    }
+
+    /// The tags of the rows an output carries, batches flattened in place.
+    fn tags(out: &[(PortId, StreamItem)]) -> Vec<i64> {
+        let tag = |t: &Tuple| t.value(0).unwrap().as_int().unwrap();
+        let mut tags = Vec::new();
+        for (_, item) in out {
+            match item {
+                StreamItem::Tuple(t) => tags.push(tag(t)),
+                StreamItem::Batch(b) => tags.extend(b.materialize().iter().map(tag)),
+                StreamItem::Punctuation(_) => {}
+            }
+        }
+        tags
+    }
+
+    /// Row-at-a-time release, as the union did it before ranges: repeatedly
+    /// the oldest front across the ports, lowest port first on ties, while
+    /// it is covered by the watermark.
+    fn row_at_a_time(ports: &[Vec<(u64, i64)>], watermark: u64) -> Vec<i64> {
+        let mut fronts = vec![0usize; ports.len()];
+        let mut released = Vec::new();
+        loop {
+            let mut best: Option<(usize, u64)> = None;
+            for (port, rows) in ports.iter().enumerate() {
+                if let Some(&(ts, _)) = rows.get(fronts[port]) {
+                    if best.is_none_or(|(_, best_ts)| ts < best_ts) {
+                        best = Some((port, ts));
+                    }
+                }
+            }
+            match best {
+                Some((port, ts)) if ts <= watermark => {
+                    released.push(ports[port][fronts[port]].1);
+                    fronts[port] += 1;
+                }
+                _ => return released,
+            }
+        }
+    }
+
+    #[test]
+    fn range_release_matches_row_at_a_time_release() {
+        // Three ports with timestamp ties within and across them; tags name
+        // the port and position.  Port 0 arrives as two batches, port 1 as
+        // row tuples, port 2 as a batch followed by row tuples.  A fourth,
+        // silent port holds the merged watermark wherever the test puts it.
+        let ports: Vec<Vec<(u64, i64)>> = vec![
+            vec![(1, 0), (2, 1), (2, 2), (5, 3), (5, 4), (7, 5), (9, 6)],
+            vec![(2, 10), (3, 11), (5, 12), (5, 13), (8, 14)],
+            vec![(1, 20), (2, 21), (5, 22), (6, 23), (7, 24), (9, 25)],
+        ];
+        let total: usize = ports.iter().map(Vec::len).sum();
+        let mut op = UnionOp::new("union", 4);
+        let mut ctx = OpContext::new();
+        op.process(0, batch_of(&ports[0][..4]), &mut ctx);
+        op.process(0, batch_of(&ports[0][4..]), &mut ctx);
+        for &(s, v) in &ports[1] {
+            op.process(1, tup(s, v).into(), &mut ctx);
+        }
+        op.process(2, batch_of(&ports[2][..3]), &mut ctx);
+        for &(s, v) in &ports[2][3..] {
+            op.process(2, tup(s, v).into(), &mut ctx);
+        }
+        assert!(ctx.take_outputs().is_empty());
+        assert_eq!(op.buffered_len(), total);
+        // Raise the watermark through the ties (2 and 5), the ticks between
+        // them, and past port 1's last row: after every step the rows
+        // released so far are the row-at-a-time release up to that
+        // watermark — same rows, same order, one comparison each.
+        let mut released = Vec::new();
+        for watermark in [1u64, 2, 4, 5, 6, 8] {
+            op.process(
+                3,
+                Punctuation::new(Timestamp::from_secs(watermark)).into(),
+                &mut ctx,
+            );
+            released.extend(tags(&ctx.take_outputs()));
+            assert_eq!(
+                released,
+                row_at_a_time(&ports, watermark),
+                "watermark {watermark}"
+            );
+            assert_eq!(ctx.counters.union_comparisons, released.len() as u64);
+            assert_eq!(op.buffered_len(), total - released.len());
+        }
+        op.flush(&mut ctx);
+        released.extend(tags(&ctx.take_outputs()));
+        assert_eq!(released, row_at_a_time(&ports, u64::MAX));
+        assert_eq!(ctx.counters.union_comparisons, total as u64);
+        assert_eq!(op.buffered_len(), 0);
+    }
+
+    #[test]
+    fn a_batch_released_whole_is_forwarded_not_copied() {
+        let mut op = UnionOp::new("union", 2);
+        let mut ctx = OpContext::new();
+        let StreamItem::Batch(sent) = batch_of(&[(1, 10), (2, 20), (3, 30)]) else {
+            unreachable!("batch_of builds a batch");
+        };
+        op.process(0, Arc::clone(&sent).into(), &mut ctx);
+        assert_eq!(op.buffered_len(), 3);
+        // Port 1 promises nothing older than 5: the batch leaves whole.
+        op.process(
+            1,
+            Punctuation::new(Timestamp::from_secs(5)).into(),
+            &mut ctx,
+        );
+        let out = ctx.take_outputs();
+        assert_eq!(out.len(), 1);
+        match &out[0].1 {
+            StreamItem::Batch(got) => assert!(Arc::ptr_eq(got, &sent), "same allocation"),
+            other => panic!("expected the batch, got {other:?}"),
+        }
+        assert_eq!(ctx.counters.union_comparisons, 3);
+        assert_eq!(op.buffered_len(), 0);
+        // Released in two parts, its rows are copied out range by range.
+        let mut op = UnionOp::new("union", 2);
+        op.process(0, Arc::clone(&sent).into(), &mut ctx);
+        op.process(1, tup(2, 99).into(), &mut ctx);
+        op.flush(&mut ctx);
+        let out = ctx.take_outputs();
+        assert_eq!(tags(&out), vec![10, 20, 99, 30]);
+        assert!(out
+            .iter()
+            .all(|(_, item)| !matches!(item, StreamItem::Batch(b) if Arc::ptr_eq(b, &sent))));
     }
 
     #[test]
