@@ -318,6 +318,11 @@ impl ColumnBatch {
         &self.ts
     }
 
+    /// The rows' origin spans (`|Ta - Tb|` of joined rows), in row order.
+    pub fn origin_spans(&self) -> &[TimeDelta] {
+        &self.origin_span
+    }
+
     /// The payload columns.
     pub fn columns(&self) -> &[TypedColumn] {
         &self.columns

@@ -25,7 +25,8 @@ use crate::tuple::StreamId;
 pub struct ExecutorConfig {
     /// Maximum items an operator consumes per scheduler visit.
     pub batch_per_visit: usize,
-    /// Sample the total state size every this many processed items.
+    /// Sample the total state size every this many processed tuples (rows
+    /// of a column batch count one each, punctuations do not count).
     pub memory_sample_every: u64,
     /// Safety bound on scheduler rounds (guards against runaway plans).
     pub max_rounds: u64,
@@ -749,7 +750,9 @@ impl Executor {
         self.node_backlog[idx] -= consumed;
         self.total_backlog -= consumed;
         self.node_counters[idx].add(&self.scratch_ctx.counters);
-        self.processed_since_sample += consumed as u64;
+        // Tuples, not queue items: a several-hundred-row batch is one item,
+        // and must not make the samples that much sparser.
+        self.processed_since_sample += self.scratch_ctx.counters.tuples_processed;
         if self.processed_since_sample >= self.config.memory_sample_every {
             self.processed_since_sample = 0;
             self.sample_memory();
@@ -1294,6 +1297,39 @@ mod tests {
         assert_eq!(empty.total_output(), 0);
         let zero = ExecutionReport::merge(vec![synthetic_report(5, 5, 0.0, 0.0)]);
         assert_eq!(zero.service_rate(), 0.0, "zero elapsed must not divide");
+    }
+
+    #[test]
+    fn memory_sampling_counts_batch_rows_not_queue_items() {
+        // `memory_sample_every` means tuples under either transport: one
+        // 512-row batch is one queue item, but must trigger the sample 512
+        // row tuples trigger.
+        let sink_plan = || {
+            let mut builder = Plan::builder();
+            let sink = builder.add_op(SinkOp::new("q"));
+            builder.entry("in", sink, 0);
+            builder.build().unwrap()
+        };
+        let config = ExecutorConfig {
+            memory_sample_every: 512,
+            ..ExecutorConfig::default()
+        };
+        let rows: Vec<Tuple> = (0..512).map(|i| a(i, 0)).collect();
+
+        let mut by_row = Executor::with_config(sink_plan(), config.clone());
+        by_row.ingest_all("in", rows.clone()).unwrap();
+        let by_row = by_row.run().unwrap();
+
+        let mut by_batch = Executor::with_config(sink_plan(), config);
+        let batch = crate::columnar::ColumnBatch::from_tuples(&rows).unwrap();
+        by_batch.ingest("in", batch).unwrap();
+        let by_batch = by_batch.run().unwrap();
+
+        assert_eq!(by_batch.sink_count("q"), 512);
+        // One sample when the run starts, one when it ends, and one from
+        // the visit that brings the processed tuples to 512.
+        assert_eq!(by_row.memory.samples, 3);
+        assert_eq!(by_batch.memory.samples, by_row.memory.samples);
     }
 
     #[test]

@@ -148,36 +148,6 @@ impl Queue {
         popped
     }
 
-    /// Columnar variant of [`Queue::pop_run_into`]: pop the leading run of
-    /// *tuples* (same `max` / `min_other_ts` bound) directly into a
-    /// [`ColumnBatch`], without materializing intermediate `Vec<StreamItem>`.
-    ///
-    /// Stops early at the first punctuation, pre-built batch, or tuple whose
-    /// arity does not fit `batch` — those stay queued for the row path.
-    /// Returns the number of tuples transposed into `batch`.
-    pub fn pop_run_columnar(
-        &mut self,
-        max: usize,
-        min_other_ts: Option<Timestamp>,
-        batch: &mut ColumnBatch,
-    ) -> usize {
-        let mut popped = 0;
-        while popped < max {
-            let fits = match self.items.front() {
-                Some(StreamItem::Tuple(t)) if min_other_ts.is_none_or(|bound| t.ts <= bound) => {
-                    batch.push_tuple(t)
-                }
-                _ => false,
-            };
-            if !fits {
-                break;
-            }
-            self.items.pop_front();
-            popped += 1;
-        }
-        popped
-    }
-
     /// Allocating convenience wrapper around [`Queue::pop_run_into`].
     pub fn pop_run(&mut self, max: usize, min_other_ts: Option<Timestamp>) -> Vec<StreamItem> {
         let mut out = Vec::new();
@@ -241,6 +211,17 @@ mod tests {
         assert!(p.is_punctuation());
         assert_eq!(p.as_tuple(), None);
         assert_eq!(p.into_tuple(), None);
+
+        // A batch item sits at its first row's timestamp and is opaque to
+        // the tuple accessors.
+        let rows = [
+            Tuple::of_ints(Timestamp::from_secs(6), StreamId::A, &[1]),
+            Tuple::of_ints(Timestamp::from_secs(8), StreamId::A, &[2]),
+        ];
+        let batch = StreamItem::from(ColumnBatch::from_tuples(&rows).unwrap());
+        assert_eq!(batch.timestamp(), Timestamp::from_secs(6));
+        assert_eq!(batch.as_tuple(), None);
+        assert_eq!(batch.into_tuple(), None);
     }
 
     fn at(secs: u64) -> StreamItem {
@@ -307,48 +288,6 @@ mod tests {
         let run = q.pop_run(10, Some(Timestamp::from_secs(2)));
         assert_eq!(run.len(), 2);
         assert!(run[1].is_punctuation());
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn pop_run_columnar_transposes_the_leading_tuple_run() {
-        let mut q = Queue::new();
-        for s in [1u64, 2, 4] {
-            q.push(at(s));
-        }
-        q.push(Punctuation::new(Timestamp::from_secs(5)).into());
-        q.push(at(6));
-
-        // Bound 4 (inclusive) with a punctuation behind: only tuples join the
-        // batch, the punctuation stays queued for the row path.
-        let mut batch = ColumnBatch::new();
-        let popped = q.pop_run_columnar(10, Some(Timestamp::from_secs(4)), &mut batch);
-        assert_eq!(popped, 3);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch.first_ts(), Some(Timestamp::from_secs(1)));
-        assert_eq!(batch.last_ts(), Some(Timestamp::from_secs(4)));
-        assert!(q.pop().unwrap().is_punctuation());
-
-        // Arity mismatch leaves the tuple queued (caller flushes and retries).
-        let mut narrow = ColumnBatch::new();
-        assert!(narrow.push_tuple(&Tuple::of_ints(
-            Timestamp::from_secs(5),
-            StreamId::A,
-            &[1, 2, 3]
-        )));
-        assert_eq!(q.pop_run_columnar(10, None, &mut narrow), 0);
-        assert_eq!(q.len(), 1);
-
-        // A queued batch item carries the first row's timestamp and is opaque
-        // to the tuple-run pop.
-        let mut tail = ColumnBatch::new();
-        assert_eq!(q.pop_run_columnar(10, None, &mut tail), 1);
-        let item = StreamItem::from(tail);
-        assert_eq!(item.timestamp(), Timestamp::from_secs(6));
-        assert_eq!(item.as_tuple(), None);
-        q.push(item);
-        let mut other = ColumnBatch::new();
-        assert_eq!(q.pop_run_columnar(10, None, &mut other), 0);
         assert_eq!(q.len(), 1);
     }
 

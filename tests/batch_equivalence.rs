@@ -20,7 +20,11 @@
 //! pay one purge scan per run instead of one per tuple (the test pins
 //! `batched <= reference`).  `items_emitted` may also differ — a run
 //! coalesces the per-male union punctuations into one, which is a coarser
-//! but equally valid progress promise.
+//! but equally valid progress promise.  So may the results' transport: a
+//! sliced join whose previous run produced enough results emits the next
+//! run's as one column batch, which longer runs reach and a run of one
+//! usually does not; the fixed-stream test feeds a dense input to make sure
+//! the sweep crosses that threshold.
 
 use proptest::prelude::*;
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
@@ -39,13 +43,15 @@ fn tuple(stream: StreamId, tenths: u64, key: i64, value: i64) -> Tuple {
     Tuple::of_ints(Timestamp::from_millis(tenths * 100), stream, &[key, value])
 }
 
-/// Per-query sorted result fingerprints, merged cost counters, and the final
+/// Per-query sorted result fingerprints, merged cost counters, the final
 /// per-slice join states (A side, B side — `Tuple` equality ignores the key
-/// memo, so hash-memoisation differences are invisible here by design).
+/// memo, so hash-memoisation differences are invisible here by design), and
+/// how many results the slices emitted as column-batch rows.
 type Outcome = (
     Vec<(String, Vec<(Timestamp, TimeDelta)>)>,
     CostCounters,
     Vec<(Vec<Tuple>, Vec<Tuple>)>,
+    u64,
 );
 
 fn run_mode(
@@ -90,6 +96,7 @@ fn run_mode(
         })
         .collect();
     let mut states = Vec::new();
+    let mut batch_results = 0;
     for idx in 0..exec.plan().num_nodes() {
         let node = exec.plan_mut().node_mut(NodeId(idx)).expect("node exists");
         if let Some(slice) = node
@@ -97,10 +104,11 @@ fn run_mode(
             .as_any_mut()
             .downcast_mut::<state_slice_repro::core::SlicedBinaryJoinOp>()
         {
+            batch_results += slice.batch_results();
             states.push(slice.drain_states());
         }
     }
-    (results, report.totals, states)
+    (results, report.totals, states, batch_results)
 }
 
 fn assert_batch_invariant(item: &Outcome, batched: &Outcome) {
@@ -132,22 +140,31 @@ fn vectorized_matches_item_at_a_time_on_a_fixed_stream() {
         JoinCondition::equi(0),
     )
     .unwrap();
-    let mut a = Vec::new();
-    let mut b = Vec::new();
-    for i in 0..300u64 {
-        a.push(tuple(StreamId::A, i * 2, (i % 9) as i64, (i % 8) as i64));
-        b.push(tuple(StreamId::B, i * 2 + 1, (i * 5 % 9) as i64, 0));
-    }
-    let input = merge_streams(a, b);
     let spec = ChainSpec::memory_optimal(&workload);
-    let item = run_mode(&workload, &spec, &input, 1);
-    for batch in [7usize, 64, 256] {
-        let batched = run_mode(&workload, &spec, &input, batch);
-        assert_batch_invariant(&item, &batched);
+    // Nine keys: a 64-item run yields a few dozen results.  Two keys: it
+    // yields over a hundred in the first slice alone, so runs of 64 and 256
+    // carry their results as column batches.
+    for keys in [9u64, 2] {
+        let mut a = Vec::new();
+        let mut b = Vec::new();
+        for i in 0..300u64 {
+            a.push(tuple(StreamId::A, i * 2, (i % keys) as i64, (i % 8) as i64));
+            b.push(tuple(StreamId::B, i * 2 + 1, (i * 5 % keys) as i64, 0));
+        }
+        let input = merge_streams(a, b);
+        let item = run_mode(&workload, &spec, &input, 1);
+        for batch in [7usize, 64, 256] {
+            let batched = run_mode(&workload, &spec, &input, batch);
+            assert_batch_invariant(&item, &batched);
+            if keys == 2 && batch >= 64 {
+                let runs = (input.len() / batch) as u64;
+                assert!(batched.3 >= 100 * (runs - 1), "dense runs stayed on rows");
+            }
+        }
+        assert!(item.0.iter().any(|(_, r)| !r.is_empty()));
+        assert!(item.1.probe_comparisons > 0);
+        assert!(!item.2.is_empty(), "chain plans expose their slices");
     }
-    assert!(item.0.iter().any(|(_, r)| !r.is_empty()));
-    assert!(item.1.probe_comparisons > 0);
-    assert!(!item.2.is_empty(), "chain plans expose their slices");
 }
 
 proptest! {
