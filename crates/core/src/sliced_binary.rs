@@ -44,8 +44,21 @@ pub const SLICED_JOIN_OUTPUT: StreamId = StreamId(101);
 ///
 /// A batch is one queue item, one fan-out hop and one union slot whatever
 /// its row count, and [`ColumnBatch::push_join`] allocates nothing per
-/// match — but an empty batch costs 6 + arity `Vec`s before its first row,
+/// match — but a batch costs 6 + arity `Vec`s before its first row and a
+/// column-wise copy in every union that interleaves it with another port,
 /// so a run of one or two results is cheaper as row tuples.
+///
+/// Measured with the repository benchmark (2 vCPUs, `--seed 7 --seconds 6`,
+/// four alternating runs per value, median capacity in k tuples/s) at
+/// 4 / 8 / 16 / 32 / 64: `selective-fanout`, whose 64-item runs yield ≈ 8
+/// results in the first slice and 1–2 in each of the other eleven,
+/// 271 / 272 / 283 / 274 / 279; `equi-chain`, 65–130 results per run and
+/// slice, 493 / 493 / 472 / 464 / 354.  The break-even lies between 8 and
+/// 16 results per run: below it the sparse workload's first slice flips to
+/// batches of a handful of rows and loses 4 %; from 32 up the dense
+/// workload's short tail runs fall back to rows, and at 64 a quarter of its
+/// capacity is gone.  16 keeps every `selective-fanout` run on rows and
+/// every `equi-chain` run on batches.
 const COLUMNAR_MIN_RUN_RESULTS: u64 = 16;
 
 /// One state-sliced binary window join.
