@@ -39,7 +39,11 @@ use crate::sliced_binary::{SlicedBinaryJoinOp, PORT_NEXT_SLICE, PORT_RESULTS};
 /// timestamp-ordered A+B stream).
 pub const CHAIN_ENTRY: &str = "AB";
 
-/// Options controlling plan generation.
+/// Options controlling plan generation: three fields — `retain_results`,
+/// `index_join_state` and `shards`.  How joined results travel (row tuples
+/// or column batches) is not among them: every sliced join picks that per
+/// run from its own result density (see
+/// [`SlicedBinaryJoinOp`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerOptions {
     /// Build retaining sinks so tests can inspect full result sets.

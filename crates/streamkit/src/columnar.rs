@@ -15,7 +15,7 @@
 //! reference-counted handles, never deep copies
 //! ([`ColumnBatch::push_tuple`], [`ColumnBatch::materialize`]).
 //!
-//! Three operator kernels run as tight per-column loops:
+//! Four operator kernels run as tight per-column loops:
 //!
 //! * **predicate evaluation** ([`eval_predicate`]) produces a *selection
 //!   vector* of passing row indices.  Counting is exactly per-row
@@ -28,6 +28,11 @@
 //!   of rebuilding every row, padding out-of-range fields with `Null`
 //!   columns (the row semantics of `ProjectOp`), and drops the key memo —
 //!   the projected layout is new.
+//! * **row-range append** ([`ColumnBatch::push_rows_from`]) copies a
+//!   contiguous row range of one batch onto another with one
+//!   `extend_from_slice` per column — how the order-preserving union
+//!   re-coalesces what it releases — leaving exactly the columns, masks and
+//!   `Mixed` degradations appending the rows one by one would.
 //! * **canonical key hashing** ([`ColumnBatch::hash_key_column`]) computes
 //!   the [`canonical_key_hash`] class of one field for all rows in one loop,
 //!   memoised as a `key_hash` column.  Materializing a row forwards its
@@ -360,6 +365,8 @@ impl ColumnBatch {
     }
 
     /// Append row `i` of another batch.  Returns `false` on arity mismatch.
+    /// The row-at-a-time reference [`ColumnBatch::push_rows_from`] is tested
+    /// and benchmarked against.
     pub fn push_row_from(&mut self, src: &ColumnBatch, i: usize) -> bool {
         self.key_hash = None;
         if self.ts.is_empty() {
