@@ -16,7 +16,7 @@
 
 use state_slice_core::QueryWorkload;
 use streamkit::error::{Result, StreamError};
-use streamkit::ops::{RouteTarget, RouterOp, SinkOp, SplitOp, UnionOp, WindowJoinOp};
+use streamkit::ops::{RouteTarget, RouterOp, SinkOp, SliceJoinOp, SplitOp, UnionOp};
 use streamkit::{Plan, Predicate, WindowSpec};
 
 use crate::{BaselinePlan, ENTRY_A, ENTRY_B};
@@ -72,7 +72,12 @@ impl PushDownPlanBuilder {
         let Some(filter) = filter else {
             // Without selections stream partitioning degenerates to the
             // pull-up plan; build that instead of duplicating streams.
-            return crate::PullUpPlanBuilder::new().build(workload);
+            let pullup = crate::PullUpPlanBuilder::new();
+            return if self.options.retain_results {
+                pullup.retaining_results().build(workload)
+            } else {
+                pullup.build(workload)
+            };
         };
 
         let unfiltered: Vec<usize> = (0..workload.len())
@@ -95,10 +100,11 @@ impl PushDownPlanBuilder {
         // The join for filter-passing A tuples must serve every query (even
         // unfiltered ones need those pairs), so its window is the overall max.
         let big_window = WindowSpec::new(workload.max_window());
-        let join_big = b.add_op(
-            WindowJoinOp::symmetric("join_filtered", big_window, condition.clone())
-                .with_punctuations(),
-        );
+        let join_big = b.add_op(SliceJoinOp::window_join(
+            "join_filtered",
+            big_window,
+            condition.clone(),
+        ));
         b.connect(split, 1, join_big, 0);
 
         // The join for filter-failing A tuples only serves unfiltered queries.
@@ -110,10 +116,11 @@ impl PushDownPlanBuilder {
                 .map(|&i| workload.query(i).window)
                 .max()
                 .expect("non-empty");
-            let node = b.add_op(
-                WindowJoinOp::symmetric("join_unfiltered", WindowSpec::new(w), condition.clone())
-                    .with_punctuations(),
-            );
+            let node = b.add_op(SliceJoinOp::window_join(
+                "join_unfiltered",
+                WindowSpec::new(w),
+                condition.clone(),
+            ));
             b.connect(split, 0, node, 0);
             Some(node)
         };

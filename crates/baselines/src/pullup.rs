@@ -7,7 +7,7 @@
 
 use state_slice_core::QueryWorkload;
 use streamkit::error::Result;
-use streamkit::ops::{RouteTarget, RouterOp, SinkOp, WindowJoinOp};
+use streamkit::ops::{RouteTarget, RouterOp, SinkOp, SliceJoinOp};
 use streamkit::{Plan, WindowSpec};
 
 use crate::{BaselinePlan, ENTRY_A, ENTRY_B};
@@ -17,9 +17,6 @@ use crate::{BaselinePlan, ENTRY_A, ENTRY_B};
 pub struct PullUpOptions {
     /// Build retaining sinks for result inspection in tests.
     pub retain_results: bool,
-    /// Probe the shared join by linear scan instead of through the equi-key
-    /// hash index (A/B benchmarking aid).
-    pub linear_scan: bool,
 }
 
 /// Builds the selection pull-up shared plan.
@@ -40,23 +37,15 @@ impl PullUpPlanBuilder {
         self
     }
 
-    /// Probe by linear scan (disable the equi-key hash index).
-    pub fn without_index(mut self) -> Self {
-        self.options.linear_scan = true;
-        self
-    }
-
     /// Build the shared plan for the given workload.
     pub fn build(&self, workload: &QueryWorkload) -> Result<BaselinePlan> {
         let mut b = Plan::builder();
         let max_window = WindowSpec::new(workload.max_window());
-        let mut join_op =
-            WindowJoinOp::symmetric("shared_join", max_window, workload.join_condition().clone())
-                .with_punctuations();
-        if self.options.linear_scan {
-            join_op = join_op.without_index();
-        }
-        let join = b.add_op(join_op);
+        let join = b.add_op(SliceJoinOp::window_join(
+            "shared_join",
+            max_window,
+            workload.join_condition().clone(),
+        ));
         b.entry(ENTRY_A, join, 0);
         b.entry(ENTRY_B, join, 1);
 

@@ -7,7 +7,7 @@
 
 use state_slice_core::QueryWorkload;
 use streamkit::error::Result;
-use streamkit::ops::{SelectOp, SinkOp, WindowJoinOp};
+use streamkit::ops::{SelectOp, SinkOp, SliceJoinOp};
 use streamkit::{Plan, WindowSpec};
 
 use crate::{BaselinePlan, BroadcastOp, ENTRY_A, ENTRY_B};
@@ -48,7 +48,7 @@ impl UnsharedPlanBuilder {
 
         let mut sink_names = Vec::with_capacity(n);
         for (idx, q) in workload.queries().iter().enumerate() {
-            let join = b.add_op(WindowJoinOp::symmetric(
+            let join = b.add_op(SliceJoinOp::window_join(
                 format!("join_{}", q.name),
                 WindowSpec::new(q.window),
                 workload.join_condition().clone(),

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use state_slice_core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
 use state_slice_core::{ChainBuilder, CostConfig, JoinQuery, QueryWorkload, SharedChainPlan};
-use streamkit::ops::{RouteTarget, RouterOp, SinkOp, WindowJoinOp};
+use streamkit::ops::{RouteTarget, RouterOp, SinkOp, SliceJoinOp};
 use streamkit::tuple::{StreamId, Tuple};
 use streamkit::{Executor, JoinCondition, Plan, Predicate, TimeDelta, Timestamp, WindowSpec};
 
@@ -50,7 +50,7 @@ fn bench_regular_join(c: &mut Criterion) {
             let (a, b) = streams(n);
             bench.iter(|| {
                 let mut builder = Plan::builder();
-                let join = builder.add_op(WindowJoinOp::symmetric(
+                let join = builder.add_op(SliceJoinOp::window_join(
                     "join",
                     WindowSpec::from_secs(10),
                     JoinCondition::equi(0),

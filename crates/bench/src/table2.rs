@@ -1,8 +1,8 @@
 //! Reproduction of Table 2: the step-by-step execution trace of a two-slice
 //! one-way chain (Section 4.1).
 
-use state_slice_core::sliced_one_way::{SlicedOneWayJoinOp, PORT_NEXT_SLICE, PORT_RESULTS};
 use streamkit::operator::{OpContext, Operator};
+use streamkit::ops::slice_join::{SliceJoinOp, PORT_NEXT_SLICE, PORT_RESULTS};
 use streamkit::queue::StreamItem;
 use streamkit::tuple::{StreamId, Tuple};
 use streamkit::window::SliceWindow;
@@ -36,19 +36,12 @@ fn secs(ts: Timestamp) -> u64 {
 /// arrivals a1 a2 a3 b1 b2 at seconds 1–5, then the queue is drained) and
 /// return the per-step trace.
 pub fn table2_trace() -> Vec<TraceRow> {
-    let mut j1 = SlicedOneWayJoinOp::new(
-        "J1",
-        SliceWindow::from_secs(0, 2),
-        JoinCondition::Cross,
-        StreamId::A,
-    );
-    let mut j2 = SlicedOneWayJoinOp::new(
-        "J2",
-        SliceWindow::from_secs(2, 4),
-        JoinCondition::Cross,
-        StreamId::A,
-    )
-    .last_in_chain();
+    let mut j1 = SliceJoinOp::for_ab("J1", SliceWindow::from_secs(0, 2), JoinCondition::Cross)
+        .one_way()
+        .chain_head();
+    let mut j2 = SliceJoinOp::for_ab("J2", SliceWindow::from_secs(2, 4), JoinCondition::Cross)
+        .one_way()
+        .last_in_chain();
     let mut queue: Vec<Tuple> = Vec::new();
     let mut rows = Vec::new();
 
@@ -94,9 +87,9 @@ pub fn table2_trace() -> Vec<TraceRow> {
             time,
             arrival: Some(name.to_string()),
             operator: "J1".to_string(),
-            j1_state: j1.state_timestamps().iter().map(|&t| secs(t)).collect(),
+            j1_state: j1.state_timestamps().0.into_iter().map(secs).collect(),
             queue: queue.iter().map(|t| secs(t.ts)).collect(),
-            j2_state: j2.state_timestamps().iter().map(|&t| secs(t)).collect(),
+            j2_state: j2.state_timestamps().0.into_iter().map(secs).collect(),
             outputs,
         });
     }
@@ -118,9 +111,9 @@ pub fn table2_trace() -> Vec<TraceRow> {
             time,
             arrival: None,
             operator: "J2".to_string(),
-            j1_state: j1.state_timestamps().iter().map(|&t| secs(t)).collect(),
+            j1_state: j1.state_timestamps().0.into_iter().map(secs).collect(),
             queue: queue.iter().map(|t| secs(t.ts)).collect(),
-            j2_state: j2.state_timestamps().iter().map(|&t| secs(t)).collect(),
+            j2_state: j2.state_timestamps().0.into_iter().map(secs).collect(),
             outputs,
         });
     }

@@ -11,8 +11,9 @@
 //!
 //! Crate layout:
 //!
-//! * [`sliced_one_way`] / [`sliced_binary`] — the sliced join operators
-//!   (Definitions 1–3, Figures 5–9),
+//! * [`sliced_binary`] — the sliced window join of the chain (Definitions
+//!   1–3, Figures 5–9), which is [`streamkit::ops::SliceJoinOp`]: one
+//!   operator for one- and two-way slices and for the regular `[0, W)` join,
 //! * [`query`] — registered queries and workloads,
 //! * [`chain`] — chain specifications (how the window is sliced),
 //! * [`builder`] — Mem-Opt (Section 5.1) and CPU-Opt (Section 5.2) chain
@@ -73,7 +74,8 @@ pub mod planner;
 pub mod query;
 pub mod recovery;
 pub mod sliced_binary;
-pub mod sliced_one_way;
+#[cfg(test)]
+mod sliced_one_way;
 pub mod verify;
 
 pub use adaptive::{
@@ -98,5 +100,4 @@ pub use recovery::{
     RecoverySupervisor,
 };
 pub use sliced_binary::SlicedBinaryJoinOp;
-pub use sliced_one_way::SlicedOneWayJoinOp;
 pub use verify::{collected_fingerprints, expected_fingerprints, expected_results};

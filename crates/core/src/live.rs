@@ -16,8 +16,8 @@
 //!    executor to quiescence — the queues between slices must be empty before
 //!    states may be concatenated, Section 5.3),
 //! 2. migrate each slice's state through
-//!    [`drain_states`](crate::sliced_binary::SlicedBinaryJoinOp::drain_states) /
-//!    [`load_states`](crate::sliced_binary::SlicedBinaryJoinOp::load_states):
+//!    [`drain_states`](SliceJoinOp::drain_states) /
+//!    [`load_states`](SliceJoinOp::load_states):
 //!    merges concatenate adjacent states
 //!    ([`merge_slice_operators`]); splits either re-cut the state eagerly by
 //!    tuple age ([`split_slice_operator_eager`], the default) or follow the
@@ -55,6 +55,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use streamkit::error::{Result, StreamError};
+use streamkit::ops::SliceJoinOp;
 use streamkit::queue::StreamItem;
 use streamkit::shard::ShardedExecutor;
 use streamkit::tuple::Tuple;
@@ -68,7 +69,6 @@ use crate::migration::{
 };
 use crate::planner::{PlannerOptions, CHAIN_ENTRY};
 use crate::query::{JoinQuery, QueryWorkload};
-use crate::sliced_binary::SlicedBinaryJoinOp;
 
 /// How a split migrates the affected state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -233,11 +233,11 @@ impl ChainEditStats {
 /// each side's age is measured against the opposite stream's last male,
 /// because purging is cross-purging.
 pub fn apply_chain_edits(
-    mut ops: Vec<SlicedBinaryJoinOp>,
+    mut ops: Vec<SliceJoinOp>,
     plan: &ChainEditPlan,
     watermarks: PurgeWatermarks,
     mode: MigrationMode,
-) -> Result<(Vec<SlicedBinaryJoinOp>, ChainEditStats)> {
+) -> Result<(Vec<SliceJoinOp>, ChainEditStats)> {
     use streamkit::Operator as _;
     let mut stats = ChainEditStats::default();
     for edit in &plan.edits {
@@ -355,43 +355,18 @@ pub fn apply_chain_edits(
     Ok((ops, stats))
 }
 
-/// Reconstruct an owned copy of a sliced join (window, condition, flags,
-/// index mode) holding the original's drained state.  Used to lift slice
-/// operators out of a retired plan so the migration primitives — which take
-/// operators by value — can be applied to them.
-fn lift_slice_op(op: &mut SlicedBinaryJoinOp) -> SlicedBinaryJoinOp {
-    use streamkit::Operator as _;
-    let (stream_a, stream_b) = op.streams();
-    let mut lifted = SlicedBinaryJoinOp::new(
-        op.name().to_string(),
-        op.window(),
-        op.condition().clone(),
-        stream_a,
-        stream_b,
-    );
-    if !op.is_indexed() {
-        lifted = lifted.without_index();
-    }
-    lifted.set_chain_head(op.is_chain_head());
-    lifted.set_has_next(op.has_next());
-    let (a, b) = op.drain_states();
-    lifted.load_states(a, b);
-    lifted
-}
-
-/// Lift every sliced join out of a retired plan, in chain order.
-fn lift_slice_ops(plan: &mut Plan) -> Vec<SlicedBinaryJoinOp> {
+/// Lift every sliced join out of a retired plan, in chain order, leaving an
+/// empty operator of the same shape behind, so the migration primitives —
+/// which take operators by value — can be applied to them.  The state moves
+/// with the operator; nothing is drained or re-indexed.
+fn lift_slice_ops(plan: &mut Plan) -> Vec<SliceJoinOp> {
     let mut ops = Vec::new();
     for idx in 0..plan.num_nodes() {
         let Ok(node) = plan.node_mut(streamkit::NodeId(idx)) else {
             continue;
         };
-        if let Some(op) = node
-            .operator
-            .as_any_mut()
-            .downcast_mut::<SlicedBinaryJoinOp>()
-        {
-            ops.push(lift_slice_op(op));
+        if let Some(op) = node.operator.as_any_mut().downcast_mut::<SliceJoinOp>() {
+            ops.push(std::mem::replace(op, op.empty_like()));
         }
     }
     ops
@@ -399,15 +374,11 @@ fn lift_slice_ops(plan: &mut Plan) -> Vec<SlicedBinaryJoinOp> {
 
 /// Load migrated slice states into a freshly built plan, verifying the
 /// migrated windows line up with the plan's slices.
-fn load_slice_states(plan: &mut Plan, migrated: Vec<SlicedBinaryJoinOp>) -> Result<()> {
+fn load_slice_states(plan: &mut Plan, migrated: Vec<SliceJoinOp>) -> Result<()> {
     let mut migrated = migrated.into_iter();
     for idx in 0..plan.num_nodes() {
         let node = plan.node_mut(streamkit::NodeId(idx))?;
-        if let Some(op) = node
-            .operator
-            .as_any_mut()
-            .downcast_mut::<SlicedBinaryJoinOp>()
-        {
+        if let Some(op) = node.operator.as_any_mut().downcast_mut::<SliceJoinOp>() {
             let mut source = migrated.next().ok_or_else(|| {
                 StreamError::Execution(
                     "migrated chain has fewer slices than the new plan".to_string(),
@@ -808,14 +779,13 @@ impl LiveReslicer {
         // and lift each shard's slice instances out of it.
         let old = std::mem::replace(&mut self.exec, fresh);
         let (mut old_executors, _) = old.into_parts();
-        let per_shard_ops: Vec<Vec<SlicedBinaryJoinOp>> = old_executors
+        let per_shard_ops: Vec<Vec<SliceJoinOp>> = old_executors
             .iter_mut()
             .map(|e| lift_slice_ops(e.plan_mut()))
             .collect();
         let num_slices = per_shard_ops.first().map(|ops| ops.len()).unwrap_or(0);
         // Transpose to per-slice columns of per-shard instances.
-        let mut columns: Vec<Vec<SlicedBinaryJoinOp>> =
-            (0..num_slices).map(|_| Vec::new()).collect();
+        let mut columns: Vec<Vec<SliceJoinOp>> = (0..num_slices).map(|_| Vec::new()).collect();
         for shard_ops in per_shard_ops {
             if shard_ops.len() != num_slices {
                 return Err(StreamError::Execution(
@@ -829,7 +799,7 @@ impl LiveReslicer {
         // Re-hash every slice's states onto the new shard count and load
         // them into the fresh instances.
         let mut tuples_moved = 0;
-        let mut per_new_shard: Vec<Vec<SlicedBinaryJoinOp>> =
+        let mut per_new_shard: Vec<Vec<SliceJoinOp>> =
             (0..new_shards).map(|_| Vec::new()).collect();
         for instances in columns {
             tuples_moved += instances.iter().map(|o| o.state_len()).sum::<usize>();
@@ -1162,14 +1132,14 @@ mod tests {
         assert!(q16.count > 20, "warm state was dropped: {}", q16.count);
     }
 
-    fn chain_ops(windows: &[(u64, u64)]) -> Vec<SlicedBinaryJoinOp> {
+    fn chain_ops(windows: &[(u64, u64)]) -> Vec<SliceJoinOp> {
         use streamkit::window::SliceWindow;
         let last = windows.len() - 1;
         windows
             .iter()
             .enumerate()
             .map(|(k, &(s, e))| {
-                let mut op = SlicedBinaryJoinOp::for_ab(
+                let mut op = SliceJoinOp::for_ab(
                     format!("slice_{k}"),
                     SliceWindow::from_secs(s, e),
                     JoinCondition::equi(0),
@@ -1222,6 +1192,38 @@ mod tests {
         assert_eq!(migrated[1].state_a_len(), 0);
         assert_eq!(stats.tuples_dropped, 1);
         assert!(stats.tuples_moved >= 2);
+    }
+
+    #[test]
+    fn a_band_slice_keeps_its_band_index_through_lift_merge_split_and_rehash() {
+        use streamkit::predicate::CmpOp;
+        let theta = |op, right_field| JoinCondition::Theta {
+            left_field: 0,
+            op,
+            right_field,
+        };
+        let band = JoinCondition::And(Box::new(theta(CmpOp::Ge, 1)), Box::new(theta(CmpOp::Le, 2)));
+        let queries = vec![
+            JoinQuery::new("Q5", secs(5)),
+            JoinQuery::new("Q10", secs(10)),
+        ];
+        let wl = QueryWorkload::new(queries, band).unwrap();
+        let spec = ChainSpec::memory_optimal(&wl);
+        let mut plan = ChainPlanFactory::new(wl, spec, PlannerOptions::default())
+            .instantiate()
+            .unwrap()
+            .plan;
+        let mut lifted = lift_slice_ops(&mut plan);
+        assert_eq!(lifted.len(), 2);
+        assert!(lifted.iter().all(SliceJoinOp::is_band_indexed), "lift");
+        let right = lifted.pop().unwrap();
+        let merged = merge_slice_operators("J", lifted.pop().unwrap(), right).unwrap();
+        assert!(merged.is_band_indexed(), "merge");
+        let (left, right) = split_slice_operator(merged, secs(5), "l", "r").unwrap();
+        assert!(left.is_band_indexed() && right.is_band_indexed(), "split");
+        let spec = streamkit::shard::ShardSpec::symmetric(0);
+        let rehashed = rehash_shard_states(vec![right], 1, &spec).unwrap();
+        assert!(rehashed[0].is_band_indexed(), "rehash");
     }
 
     fn test_options() -> LiveOptions {

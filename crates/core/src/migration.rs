@@ -14,27 +14,26 @@
 //!   J'_i correctly").
 //!
 //! Both primitives are exposed at two levels: on [`ChainSpec`]s (planning
-//! level) and on [`SlicedBinaryJoinOp`] operators (runtime level).
+//! level) and on [`SliceJoinOp`] operators (runtime level).
 //!
 //! A third runtime primitive serves **sharded parallel execution**
 //! ([`streamkit::shard`]): [`rehash_shard_states`] redistributes the window
 //! states of the per-shard instances of one sliced join across a new shard
-//! count by draining every instance ([`SlicedBinaryJoinOp::drain_states`]),
+//! count by draining every instance ([`SliceJoinOp::drain_states`]),
 //! re-hashing each tuple's canonical join key, and loading the merged
 //! timestamp-ordered runs into fresh instances
-//! ([`SlicedBinaryJoinOp::load_states`]).  Scale-up (split a shard's state)
+//! ([`SliceJoinOp::load_states`]).  Scale-up (split a shard's state)
 //! and scale-down (merge shards) are the same operation with different
 //! target counts.
 
 use streamkit::error::{Result, StreamError};
-use streamkit::operator::Operator;
+use streamkit::ops::SliceJoinOp;
 use streamkit::shard::ShardSpec;
 use streamkit::tuple::Tuple;
 use streamkit::{TimeDelta, Timestamp};
 
 use crate::chain::ChainSpec;
 use crate::query::QueryWorkload;
-use crate::sliced_binary::SlicedBinaryJoinOp;
 
 /// Merge slices `slice_idx` and `slice_idx + 1` of a chain spec.
 pub fn merge_spec_slices(
@@ -87,9 +86,9 @@ pub fn split_spec_slice(
 /// this, which the caller asserts by passing both operators by value.
 pub fn merge_slice_operators(
     name: impl Into<String>,
-    mut left: SlicedBinaryJoinOp,
-    mut right: SlicedBinaryJoinOp,
-) -> Result<SlicedBinaryJoinOp> {
+    mut left: SliceJoinOp,
+    mut right: SliceJoinOp,
+) -> Result<SliceJoinOp> {
     if left.window().end != right.window().start {
         return Err(StreamError::InvalidConfig(format!(
             "slices {} and {} are not adjacent",
@@ -97,36 +96,17 @@ pub fn merge_slice_operators(
             right.window()
         )));
     }
-    if left.condition() != right.condition() || left.streams() != right.streams() {
+    if !left.joins_like(&right) {
         return Err(StreamError::InvalidConfig(
-            "cannot merge sliced joins with different conditions or streams".to_string(),
+            "cannot merge sliced joins with different conditions, streams, directions or index \
+             modes"
+                .to_string(),
         ));
     }
-    if left.is_indexed() != right.is_indexed() || left.is_band_indexed() != right.is_band_indexed()
-    {
-        return Err(StreamError::InvalidConfig(
-            "cannot merge sliced joins with different index modes".to_string(),
-        ));
-    }
-    let merged_window = left.window().merge(&right.window());
     let (left_a, left_b) = left.drain_states();
     let (right_a, right_b) = right.drain_states();
-    let (stream_a, stream_b) = left.streams();
-    let mut merged = SlicedBinaryJoinOp::new(
-        name,
-        merged_window,
-        left.condition().clone(),
-        stream_a,
-        stream_b,
-    );
-    if !left.is_indexed() && !left.is_band_indexed() {
-        // Preserve forced linear-scan mode (A/B reference runs) across
-        // migration.  A fresh op re-derives its natural mode — hash- or
-        // band-indexed — from the shared condition, so only the explicit
-        // `without_index` override needs carrying over.
-        merged = merged.without_index();
-    }
-    merged.set_chain_head(left.is_chain_head());
+    let mut merged = left.empty_like().renamed(name);
+    merged.set_window(left.window().merge(&right.window()));
     merged.set_has_next(right.has_next());
     // Oldest tuples first: the right (older) slice's state precedes the left's.
     let mut state_a = right_a;
@@ -143,11 +123,11 @@ pub fn merge_slice_operators(
 /// and simply shrinks its end window; the right half starts empty and is
 /// filled by subsequent cross-purging.  Returns `(left, right)`.
 pub fn split_slice_operator(
-    op: SlicedBinaryJoinOp,
+    op: SliceJoinOp,
     at: TimeDelta,
     left_name: impl Into<String>,
     right_name: impl Into<String>,
-) -> Result<(SlicedBinaryJoinOp, SlicedBinaryJoinOp)> {
+) -> Result<(SliceJoinOp, SliceJoinOp)> {
     let window = op.window();
     let Some((left_window, right_window)) = window.split_at(at) else {
         return Err(StreamError::InvalidConfig(format!(
@@ -155,20 +135,8 @@ pub fn split_slice_operator(
         )));
     };
     let mut left = op;
-    let (stream_a, stream_b) = left.streams();
-    let mut right = SlicedBinaryJoinOp::new(
-        right_name,
-        right_window,
-        left.condition().clone(),
-        stream_a,
-        stream_b,
-    );
-    if !left.is_indexed() && !left.is_band_indexed() {
-        // Preserve forced linear-scan mode (A/B reference runs) across
-        // migration; indexed modes re-derive from the shared condition.
-        right = right.without_index();
-    }
-    right.set_has_next(left.has_next());
+    let mut right = left.empty_like().renamed(right_name);
+    right.set_window(right_window);
     right.set_chain_head(false);
     left.set_window(left_window);
     left.set_has_next(true);
@@ -230,12 +198,12 @@ impl PurgeWatermarks {
 /// quiescent point, which is what makes differential
 /// (live-migrated ≡ freshly-planned) testing exact.
 pub fn split_slice_operator_eager(
-    op: SlicedBinaryJoinOp,
+    op: SliceJoinOp,
     at: TimeDelta,
     watermarks: PurgeWatermarks,
     left_name: impl Into<String>,
     right_name: impl Into<String>,
-) -> Result<(SlicedBinaryJoinOp, SlicedBinaryJoinOp)> {
+) -> Result<(SliceJoinOp, SliceJoinOp)> {
     let (mut left, mut right) = split_slice_operator(op, at, left_name, right_name)?;
     // States drain oldest-first, and "expired out of [start, at)" is monotone
     // in the timestamp, so each side's state splits at one cut point: the
@@ -275,10 +243,10 @@ fn merge_ordered_runs(runs: Vec<Vec<Tuple>>) -> Vec<Tuple> {
 /// Scale-down to one shard (`new_shards == 1`) is the "merge" direction;
 /// scale-up from one shard is the "split by re-hashing keys" direction.
 pub fn rehash_shard_states(
-    mut shards: Vec<SlicedBinaryJoinOp>,
+    mut shards: Vec<SliceJoinOp>,
     new_shards: usize,
     spec: &ShardSpec,
-) -> Result<Vec<SlicedBinaryJoinOp>> {
+) -> Result<Vec<SliceJoinOp>> {
     let Some(template) = shards.first() else {
         return Err(StreamError::InvalidConfig(
             "rehash needs at least one current shard instance".to_string(),
@@ -289,22 +257,12 @@ pub fn rehash_shard_states(
             "cannot rescale to zero shards".to_string(),
         ));
     }
-    let window = template.window();
-    let condition = template.condition().clone();
-    let (stream_a, stream_b) = template.streams();
-    let chain_head = template.is_chain_head();
-    let has_next = template.has_next();
-    let indexed = template.is_indexed();
-    let band_indexed = template.is_band_indexed();
-    let name = template.name().to_string();
+    let template = template.empty_like();
     for op in &shards {
-        if op.window() != window
-            || op.condition() != &condition
-            || op.streams() != (stream_a, stream_b)
-            || op.is_chain_head() != chain_head
-            || op.has_next() != has_next
-            || op.is_indexed() != indexed
-            || op.is_band_indexed() != band_indexed
+        if op.window() != template.window()
+            || !op.joins_like(&template)
+            || op.is_chain_head() != template.is_chain_head()
+            || op.has_next() != template.has_next()
         {
             return Err(StreamError::InvalidConfig(
                 "cannot rehash shard instances of different sliced joins".to_string(),
@@ -329,13 +287,7 @@ pub fn rehash_shard_states(
     }
     let mut out = Vec::with_capacity(new_shards);
     for (state_a, state_b) in new_a.into_iter().zip(new_b) {
-        let mut op =
-            SlicedBinaryJoinOp::new(name.clone(), window, condition.clone(), stream_a, stream_b);
-        if !indexed && !band_indexed {
-            op = op.without_index();
-        }
-        op.set_chain_head(chain_head);
-        op.set_has_next(has_next);
+        let mut op = template.empty_like();
         op.load_states(state_a, state_b);
         out.push(op);
     }
@@ -346,8 +298,8 @@ pub fn rehash_shard_states(
 mod tests {
     use super::*;
     use crate::query::JoinQuery;
-    use crate::sliced_binary::{PORT_NEXT_SLICE, PORT_RESULTS};
     use streamkit::operator::{OpContext, Operator};
+    use streamkit::ops::slice_join::{PORT_NEXT_SLICE, PORT_RESULTS};
     use streamkit::tuple::{StreamId, Tuple, TupleRole};
     use streamkit::window::SliceWindow;
     use streamkit::{JoinCondition, Timestamp};
@@ -395,9 +347,8 @@ mod tests {
     #[test]
     fn operator_merge_concatenates_states_oldest_first() {
         let cond = JoinCondition::Cross;
-        let mut left = SlicedBinaryJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone());
-        let mut right =
-            SlicedBinaryJoinOp::for_ab("J2", SliceWindow::from_secs(5, 10), cond.clone());
+        let mut left = SliceJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone());
+        let mut right = SliceJoinOp::for_ab("J2", SliceWindow::from_secs(5, 10), cond.clone());
         // Young female in the left slice, old female in the right slice.
         left.load_states(vec![a(8)], vec![]);
         right.load_states(vec![a(2)], vec![b(3)]);
@@ -408,21 +359,28 @@ mod tests {
         assert_eq!(merged.state_len(), 3);
     }
 
+    /// Adjacent slices `[0, 5)` and `[5, 10)`, forced to linear scans or not.
+    fn adjacent(cond: &JoinCondition, linear: bool) -> (SliceJoinOp, SliceJoinOp) {
+        let slice = |s, e| SliceJoinOp::for_ab("J", SliceWindow::from_secs(s, e), cond.clone());
+        let (left, right) = (slice(0, 5), slice(5, 10));
+        if linear {
+            (left.without_index(), right.without_index())
+        } else {
+            (left, right)
+        }
+    }
+
     #[test]
     fn merge_and_split_preserve_the_index_mode() {
         let cond = JoinCondition::equi(0);
         // Indexed chain stays indexed through a merge…
-        let left = SlicedBinaryJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone());
-        let right = SlicedBinaryJoinOp::for_ab("J2", SliceWindow::from_secs(5, 10), cond.clone());
+        let (left, right) = adjacent(&cond, false);
         assert!(merge_slice_operators("J12", left, right)
             .unwrap()
             .is_indexed());
         // …and a linear-scan A/B reference chain stays linear through both
         // merge and split.
-        let left = SlicedBinaryJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone())
-            .without_index();
-        let right = SlicedBinaryJoinOp::for_ab("J2", SliceWindow::from_secs(5, 10), cond.clone())
-            .without_index();
+        let (left, right) = adjacent(&cond, true);
         let merged = merge_slice_operators("J12", left, right).unwrap();
         assert!(!merged.is_indexed());
         let (split_left, split_right) =
@@ -430,9 +388,7 @@ mod tests {
         assert!(!split_left.is_indexed());
         assert!(!split_right.is_indexed());
         // Mixed-mode merges are rejected rather than silently coerced.
-        let indexed = SlicedBinaryJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone());
-        let linear =
-            SlicedBinaryJoinOp::for_ab("J2", SliceWindow::from_secs(5, 10), cond).without_index();
+        let ((indexed, _), (_, linear)) = (adjacent(&cond, false), adjacent(&cond, true));
         assert!(merge_slice_operators("bad", indexed, linear).is_err());
     }
 
@@ -443,20 +399,13 @@ mod tests {
         // migration primitive must keep them that way instead of coercing
         // to linear (is_indexed() is false for band mode, so a hash-only
         // check would force-linearize).
-        let cond = JoinCondition::And(
-            Box::new(JoinCondition::Theta {
-                left_field: 0,
-                op: CmpOp::Ge,
-                right_field: 1,
-            }),
-            Box::new(JoinCondition::Theta {
-                left_field: 0,
-                op: CmpOp::Le,
-                right_field: 2,
-            }),
-        );
-        let left = SlicedBinaryJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone());
-        let right = SlicedBinaryJoinOp::for_ab("J2", SliceWindow::from_secs(5, 10), cond.clone());
+        let theta = |op, right_field| JoinCondition::Theta {
+            left_field: 0,
+            op,
+            right_field,
+        };
+        let cond = JoinCondition::And(Box::new(theta(CmpOp::Ge, 1)), Box::new(theta(CmpOp::Le, 2)));
+        let (left, right) = adjacent(&cond, false);
         assert!(left.is_band_indexed() && !left.is_indexed());
         let merged = merge_slice_operators("J12", left, right).unwrap();
         assert!(merged.is_band_indexed(), "merge dropped the band index");
@@ -476,26 +425,19 @@ mod tests {
             "rehash dropped the band index"
         );
         // Forced-linear band chains stay linear.
-        let linear_left =
-            SlicedBinaryJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone())
-                .without_index();
-        let linear_right =
-            SlicedBinaryJoinOp::for_ab("J2", SliceWindow::from_secs(5, 10), cond.clone())
-                .without_index();
+        let (linear_left, linear_right) = adjacent(&cond, true);
         let merged = merge_slice_operators("J12", linear_left, linear_right).unwrap();
         assert!(!merged.is_band_indexed() && !merged.is_indexed());
         // Mixed band/linear merges are rejected.
-        let banded = SlicedBinaryJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone());
-        let linear =
-            SlicedBinaryJoinOp::for_ab("J2", SliceWindow::from_secs(5, 10), cond).without_index();
+        let ((banded, _), (_, linear)) = (adjacent(&cond, false), adjacent(&cond, true));
         assert!(merge_slice_operators("bad", banded, linear).is_err());
     }
 
     #[test]
     fn operator_merge_rejects_non_adjacent_slices() {
         let cond = JoinCondition::Cross;
-        let left = SlicedBinaryJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone());
-        let right = SlicedBinaryJoinOp::for_ab("J3", SliceWindow::from_secs(10, 20), cond);
+        let left = SliceJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone());
+        let right = SliceJoinOp::for_ab("J3", SliceWindow::from_secs(10, 20), cond);
         assert!(merge_slice_operators("bad", left, right).is_err());
     }
 
@@ -504,10 +446,10 @@ mod tests {
         // Results after merging equal the results the two slices would have
         // produced together: probe a merged join and compare counts.
         let cond = JoinCondition::Cross;
-        let mut left = SlicedBinaryJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone())
-            .chain_head();
+        let mut left =
+            SliceJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone()).chain_head();
         let mut right =
-            SlicedBinaryJoinOp::for_ab("J2", SliceWindow::from_secs(5, 10), cond).last_in_chain();
+            SliceJoinOp::for_ab("J2", SliceWindow::from_secs(5, 10), cond).last_in_chain();
         // Prime the two-slice chain with A females at ts 1 and 7.
         let mut ctx = OpContext::new();
         left.process(0, a(1).into(), &mut ctx);
@@ -540,7 +482,7 @@ mod tests {
     #[test]
     fn operator_split_is_lazy_and_correct() {
         let cond = JoinCondition::Cross;
-        let mut op = SlicedBinaryJoinOp::for_ab("J", SliceWindow::from_secs(0, 10), cond)
+        let mut op = SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 10), cond)
             .chain_head()
             .last_in_chain();
         let mut ctx = OpContext::new();
@@ -588,7 +530,7 @@ mod tests {
     #[test]
     fn eager_split_recuts_state_by_age_against_the_watermark() {
         let cond = JoinCondition::Cross;
-        let mut op = SlicedBinaryJoinOp::for_ab("J", SliceWindow::from_secs(0, 10), cond)
+        let mut op = SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 10), cond)
             .chain_head()
             .last_in_chain();
         // A-side ages are measured against the last B male (20s): a@16 → 4
@@ -624,8 +566,7 @@ mod tests {
 
     #[test]
     fn operator_split_rejects_out_of_range_points() {
-        let op =
-            SlicedBinaryJoinOp::for_ab("J", SliceWindow::from_secs(0, 10), JoinCondition::Cross);
+        let op = SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 10), JoinCondition::Cross);
         assert!(split_slice_operator(op, TimeDelta::from_secs(10), "l", "r").is_err());
     }
 
@@ -637,8 +578,8 @@ mod tests {
     fn rehash_round_trips_state_through_scale_up_and_down() {
         let cond = JoinCondition::equi(0);
         let spec = ShardSpec::from_condition(&cond, StreamId::A, StreamId::B).unwrap();
-        let mut op = SlicedBinaryJoinOp::for_ab("J", SliceWindow::from_secs(0, 50), cond.clone())
-            .chain_head();
+        let mut op =
+            SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 50), cond.clone()).chain_head();
         let state_a: Vec<Tuple> = (1..=20)
             .map(|s| keyed(s, StreamId::A, (s % 6) as i64))
             .collect();
@@ -679,11 +620,11 @@ mod tests {
         let cond = JoinCondition::equi(0);
         let spec = ShardSpec::from_condition(&cond, StreamId::A, StreamId::B).unwrap();
         assert!(rehash_shard_states(Vec::new(), 2, &spec).is_err());
-        let one = SlicedBinaryJoinOp::for_ab("J", SliceWindow::from_secs(0, 5), cond.clone());
+        let one = SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 5), cond.clone());
         assert!(rehash_shard_states(vec![one], 0, &spec).is_err());
         // Instances of different slices cannot be rehashed together.
-        let left = SlicedBinaryJoinOp::for_ab("J", SliceWindow::from_secs(0, 5), cond.clone());
-        let other = SlicedBinaryJoinOp::for_ab("J", SliceWindow::from_secs(5, 10), cond);
+        let left = SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 5), cond.clone());
+        let other = SliceJoinOp::for_ab("J", SliceWindow::from_secs(5, 10), cond);
         assert!(rehash_shard_states(vec![left, other], 2, &spec).is_err());
     }
 

@@ -25,7 +25,8 @@
 //!   optional residual selection, and a sink named after the query.
 
 use streamkit::error::Result;
-use streamkit::ops::{RouteTarget, RouterOp, SelectOp, SinkOp, UnionOp};
+use streamkit::ops::slice_join::{PORT_NEXT_SLICE, PORT_RESULTS};
+use streamkit::ops::{RouteTarget, RouterOp, SelectOp, SinkOp, SliceJoinOp, UnionOp};
 use streamkit::plan::{NodeId, Plan};
 use streamkit::tuple::{StreamId, Tuple};
 use streamkit::PortId;
@@ -33,7 +34,6 @@ use streamkit::PortId;
 use crate::chain::ChainSpec;
 use crate::lineage::{LineageAnnotatorOp, LineageGateOp};
 use crate::query::QueryWorkload;
-use crate::sliced_binary::{SlicedBinaryJoinOp, PORT_NEXT_SLICE, PORT_RESULTS};
 
 /// Name of the single external entry point of a chain plan (the merged
 /// timestamp-ordered A+B stream).
@@ -43,7 +43,7 @@ pub const CHAIN_ENTRY: &str = "AB";
 /// `index_join_state` and `shards`.  How joined results travel (row tuples
 /// or column batches) is not among them: every sliced join picks that per
 /// run from its own result density (see
-/// [`SlicedBinaryJoinOp`]).
+/// [`SliceJoinOp`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerOptions {
     /// Build retaining sinks so tests can inspect full result sets.
@@ -118,7 +118,7 @@ impl SharedChainPlan {
         let last = spec.num_slices() - 1;
         let mut slice_nodes: Vec<NodeId> = Vec::with_capacity(spec.num_slices());
         for (k, slice) in spec.slices().iter().enumerate() {
-            let mut op = SlicedBinaryJoinOp::for_ab(
+            let mut op = SliceJoinOp::for_ab(
                 format!("slice_{k}"),
                 slice.window,
                 workload.join_condition().clone(),

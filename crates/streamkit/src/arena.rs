@@ -202,6 +202,11 @@ impl TupleArena {
         self.get(self.head_seq)
     }
 
+    /// The newest live tuple.
+    pub fn back(&self) -> Option<&Tuple> {
+        self.get(self.next_seq.checked_sub(1)?)
+    }
+
     /// All live tuples, oldest first.
     pub fn iter(&self) -> ArenaIter<'_> {
         ArenaIter {

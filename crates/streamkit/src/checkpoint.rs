@@ -332,7 +332,7 @@ fn restore_node(op: &mut dyn Operator, ckpt: &NodeCheckpoint) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{SinkOp, WindowJoinOp};
+    use crate::ops::{SinkOp, SliceJoinOp};
     use crate::plan::Plan;
     use crate::predicate::JoinCondition;
     use crate::punctuation::Punctuation;
@@ -350,7 +350,7 @@ mod tests {
 
     fn join_plan() -> Plan {
         let mut builder = Plan::builder();
-        let join = builder.add_op(WindowJoinOp::symmetric(
+        let join = builder.add_op(SliceJoinOp::window_join(
             "join",
             WindowSpec::from_secs(20),
             JoinCondition::equi(0),

@@ -1,8 +1,8 @@
 //! Hash-indexed sliding-window join state.
 //!
-//! Every window join in this tree — the regular joins in
-//! [`ops::window_join`](crate::ops::window_join) and the state-sliced joins in
-//! `state_slice_core` — keeps per-stream state that is
+//! The window join ([`ops::slice_join`](crate::ops::slice_join)) — every
+//! chain slice and every regular `[0, W)` join — keeps per-stream state that
+//! is
 //!
 //! 1. **cross-purged oldest-first** (states are in arrival order, so purging
 //!    pops from the front until the first still-valid tuple), and
@@ -368,6 +368,16 @@ impl JoinState {
         }
     }
 
+    /// A fresh, empty state in the same mode as this one: linear, or hash-
+    /// or band-indexed on the same fields.
+    pub fn empty_like(&self) -> JoinState {
+        match (&self.band, self.stored_key_field, self.probe_key_field) {
+            (Some(band), ..) => JoinState::band_indexed(band.spec),
+            (None, Some(stored), Some(probe)) => JoinState::indexed(stored, probe),
+            _ => JoinState::linear(),
+        }
+    }
+
     /// `true` if this state maintains a hash index.
     pub fn is_indexed(&self) -> bool {
         self.stored_key_field.is_some()
@@ -396,6 +406,11 @@ impl JoinState {
     /// The oldest stored tuple.
     pub fn front(&self) -> Option<&Tuple> {
         self.arena.front()
+    }
+
+    /// The newest stored tuple.
+    pub fn back(&self) -> Option<&Tuple> {
+        self.arena.back()
     }
 
     /// All stored tuples, oldest first.

@@ -145,9 +145,9 @@ pub trait Operator: Send {
     /// This is the generic face of the state-migration path the sharded
     /// executor's hot-key replication uses: together with
     /// [`Operator::load_window_states`] it lets the router move or replicate
-    /// a key's stored bucket across shard plan instances without knowing the
-    /// concrete join type.  Join operators (windowed and sliced) implement
-    /// the pair; stateless and transient-buffer operators keep the default.
+    /// a key's stored bucket across shard plan instances.  The window join
+    /// implements the pair; stateless and transient-buffer operators keep
+    /// the default.
     /// Call only at quiescence (the owning executor drained), so no partial
     /// batch is in flight.
     fn drain_window_states(&mut self) -> Option<(Vec<Tuple>, Vec<Tuple>)> {

@@ -957,7 +957,7 @@ impl ShardedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{SinkOp, WindowJoinOp};
+    use crate::ops::{SinkOp, SliceJoinOp};
     use crate::predicate::JoinCondition;
     use crate::punctuation::Punctuation;
     use crate::time::Timestamp;
@@ -974,7 +974,7 @@ mod tests {
 
     fn join_plan(retain: bool) -> Plan {
         let mut builder = Plan::builder();
-        let join = builder.add_op(WindowJoinOp::symmetric(
+        let join = builder.add_op(SliceJoinOp::window_join(
             "join",
             WindowSpec::from_secs(10),
             JoinCondition::equi(0),

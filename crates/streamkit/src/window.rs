@@ -29,24 +29,15 @@ impl WindowSpec {
 
     /// `true` if a stored tuple with timestamp `stored` is inside this
     /// window when a probing tuple with timestamp `probe` arrives, i.e.
-    /// `0 <= probe - stored < range`.
-    ///
-    /// Containment is deliberately one-directional: a stored tuple *newer*
-    /// than the probe is never "in window" here.  Whether the pair joins via
-    /// the stored tuple's own window is a separate question the caller must
-    /// ask with the roles swapped — exactly what the binary window join's
-    /// two probe directions do.  (Previously the subtraction saturated to
-    /// zero for newer stored tuples, so any future tuple was accidentally
-    /// "in window" regardless of the range, making out-of-order semantics
-    /// asymmetric between the two join directions.)
+    /// `0 <= probe - stored < range`: a stored tuple *newer* than the probe
+    /// is never "in window" here.
     pub fn contains(&self, probe: Timestamp, stored: Timestamp) -> bool {
         stored <= probe && probe.saturating_sub(stored) < self.range
     }
 
     /// `true` if a stored tuple has aged out of this window when `probe` is
     /// processed (`probe - stored >= range`).  A stored tuple newer than the
-    /// probe has age zero and is never expired — purge paths must use this
-    /// (and not `!contains`) so tuples ahead of the probe are not purged.
+    /// probe has age zero and is never expired.
     pub fn expired(&self, probe: Timestamp, stored: Timestamp) -> bool {
         probe.saturating_sub(stored) >= self.range
     }

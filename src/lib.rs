@@ -31,9 +31,9 @@ pub mod prelude {
     pub use ss_query::{parse_query, QuerySpec};
     pub use ss_workload::{Scenario, StreamGenerator, WindowDistribution, WorkloadConfig};
     pub use state_slice_core::{
-        ChainBuilder, ChainSpec, JoinQuery, QueryWorkload, SharedChainPlan, SlicedBinaryJoinOp,
-        SlicedOneWayJoinOp,
+        ChainBuilder, ChainSpec, JoinQuery, QueryWorkload, SharedChainPlan,
     };
+    pub use streamkit::ops::SliceJoinOp;
     pub use streamkit::{
         Executor, JoinCondition, Plan, Predicate, TimeDelta, Timestamp, Tuple, WindowSpec,
     };

@@ -27,9 +27,10 @@ use state_slice_repro::core::live::{LiveOptions, LiveReslicer, MigrationMode};
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
-    ChainPlanFactory, ChainSpec, JoinQuery, QueryWorkload, SharedChainPlan, SlicedBinaryJoinOp,
+    ChainPlanFactory, ChainSpec, JoinQuery, QueryWorkload, SharedChainPlan,
 };
 use state_slice_repro::streamkit::checkpoint::{NodeCheckpoint, ShardCheckpoint};
+use state_slice_repro::streamkit::ops::SliceJoinOp;
 use state_slice_repro::streamkit::predicate::CmpOp;
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::{
@@ -139,7 +140,7 @@ fn assert_band_invariant(indexed: &Outcome, scan: &Outcome) {
 }
 
 #[test]
-fn band_index_matches_linear_scans_on_a_fixed_stream() {
+fn band_index_matches_unindexed_scans_on_a_fixed_stream() {
     let workload = workload_of(&[2, 7]);
     let spec = ChainSpec::memory_optimal(&workload);
     // (key domain, probe-comparison ratio the ordered walk must reach): the
@@ -248,7 +249,7 @@ fn live_states(live: &LiveReslicer) -> LiveStates {
                 .plan()
                 .nodes()
                 .iter()
-                .filter_map(|n| n.operator.as_any().downcast_ref::<SlicedBinaryJoinOp>())
+                .filter_map(|n| n.operator.as_any().downcast_ref::<SliceJoinOp>())
                 .map(|op| {
                     let (a, b) = op.state_tuples();
                     (fp(a), fp(b))

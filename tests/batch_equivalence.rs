@@ -7,20 +7,14 @@
 //! workloads and batch sizes, a batched run and the reference must produce:
 //!
 //! * identical per-sink result multisets,
-//! * identical output-scaling comparison counters (`probe`, `route`,
-//!   `filter`, `split`, `union`) and `tuples_processed` — the window joins
-//!   defer cross-purging to one pass per run, but probes window-check every
-//!   candidate *before* evaluating the condition, so deferred purges never
-//!   change probe work,
-//! * identical final join states in every slice (`drain_states`), which is
-//!   exactly the purge-monotonicity claim: one purge at the run-maximum
-//!   timestamp leaves the same state as purging once per tuple.
+//! * identical comparison counters (`probe`, `purge`, `route`, `filter`,
+//!   `split`, `union`) and `tuples_processed` — every join purges once per
+//!   probe, interleaved with the probes, whatever the run length,
+//! * identical final join states in every slice (`drain_states`).
 //!
-//! `purge_comparisons` is the one counter allowed to differ: the window joins
-//! pay one purge scan per run instead of one per tuple (the test pins
-//! `batched <= reference`).  `items_emitted` may also differ — a run
-//! coalesces the per-male union punctuations into one, which is a coarser
-//! but equally valid progress promise.  So may the results' transport: a
+//! `items_emitted` may differ — a run coalesces the per-male union
+//! punctuations into one, which is a coarser but equally valid progress
+//! promise.  So may the results' transport: a
 //! sliced join whose previous run produced enough results emits the next
 //! run's as one column batch, which longer runs reach and a run of one
 //! usually does not; the fixed-stream test feeds a dense input to make sure
@@ -30,7 +24,7 @@ use proptest::prelude::*;
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::{ChainSpec, JoinQuery, QueryWorkload, SharedChainPlan};
 use state_slice_repro::streamkit::operator::OpContext;
-use state_slice_repro::streamkit::ops::WindowJoinOp;
+use state_slice_repro::streamkit::ops::SliceJoinOp;
 use state_slice_repro::streamkit::plan::NodeId;
 use state_slice_repro::streamkit::queue::StreamItem;
 use state_slice_repro::streamkit::tuple::StreamId;
@@ -99,11 +93,7 @@ fn run_mode(
     let mut batch_results = 0;
     for idx in 0..exec.plan().num_nodes() {
         let node = exec.plan_mut().node_mut(NodeId(idx)).expect("node exists");
-        if let Some(slice) = node
-            .operator
-            .as_any_mut()
-            .downcast_mut::<state_slice_repro::core::SlicedBinaryJoinOp>()
-        {
+        if let Some(slice) = node.operator.as_any_mut().downcast_mut::<SliceJoinOp>() {
             batch_results += slice.batch_results();
             states.push(slice.drain_states());
         }
@@ -123,10 +113,8 @@ fn assert_batch_invariant(item: &Outcome, batched: &Outcome) {
     assert_eq!(item.1.tuples_processed, batched.1.tuples_processed);
     assert_eq!(item.1.items_dropped, 0);
     assert_eq!(batched.1.items_dropped, 0);
-    // One purge per run can only do less front-checking (monotone purging).
-    assert!(batched.1.purge_comparisons <= item.1.purge_comparisons);
-    // Identical final join state per slice: the batch purge at the
-    // run-maximum timestamp leaves exactly the per-tuple-purge state.
+    assert_eq!(item.1.purge_comparisons, batched.1.purge_comparisons);
+    // Identical final join state per slice.
     assert_eq!(item.2, batched.2);
 }
 
@@ -217,10 +205,10 @@ proptest! {
         assert_batch_invariant(&item, &batched);
     }
 
-    /// Purge monotonicity in isolation: feeding a window join a run and
-    /// purging once at the run-maximum timestamp (the `process_batch` path)
-    /// leaves exactly the state per-tuple purging leaves, with identical
-    /// results and probe comparisons.
+    /// The regular window join in isolation: feeding it each port's input
+    /// as one run (the `process_batch` path) leaves exactly the state
+    /// item-at-a-time processing leaves, with identical results and probe
+    /// and purge comparisons — the join purges once per probe either way.
     #[test]
     fn one_purge_at_run_max_equals_per_tuple_purge(
         a_run in prop::collection::vec((0u64..100, 0i64..5), 1..40),
@@ -238,7 +226,7 @@ proptest! {
         a.sort_by_key(|t| t.ts);
         b.sort_by_key(|t| t.ts);
         let make = || {
-            WindowJoinOp::symmetric(
+            SliceJoinOp::window_join(
                 "join",
                 WindowSpec::new(TimeDelta::from_secs(window)),
                 JoinCondition::equi(0),
@@ -266,7 +254,11 @@ proptest! {
             let mut out: Vec<(Timestamp, TimeDelta)> = ctx
                 .take_outputs()
                 .into_iter()
-                .filter_map(|(_, i)| i.into_tuple())
+                .flat_map(|(_, i)| match i {
+                    StreamItem::Tuple(t) => vec![t],
+                    StreamItem::Batch(b) => b.materialize(),
+                    StreamItem::Punctuation(_) => Vec::new(),
+                })
                 .map(|t| (t.ts, t.origin_span))
                 .collect();
             out.sort_unstable();
@@ -276,6 +268,10 @@ proptest! {
         prop_assert_eq!(
             item_ctx.counters.probe_comparisons,
             batch_ctx.counters.probe_comparisons
+        );
+        prop_assert_eq!(
+            item_ctx.counters.purge_comparisons,
+            batch_ctx.counters.purge_comparisons
         );
         prop_assert_eq!(item_op.state_a_len(), batch_op.state_a_len());
         prop_assert_eq!(item_op.state_b_len(), batch_op.state_b_len());

@@ -1,7 +1,8 @@
 //! Integration tests for Theorems 1–2: the state-slice chain produces exactly
 //! the result set of the regular window join, per registered query, for any
 //! slicing of the window — verified against an operator-independent oracle
-//! and with property-based testing over random streams and window sets.
+//! and with property-based testing over random streams and window sets, for
+//! the binary chain of the planner and for hand-wired one-way chains.
 
 use proptest::prelude::*;
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
@@ -9,7 +10,12 @@ use state_slice_repro::core::{
     collected_fingerprints, expected_fingerprints, expected_results, ChainSpec, JoinQuery,
     QueryWorkload, SharedChainPlan,
 };
+use state_slice_repro::streamkit::operator::{OpContext, Operator};
+use state_slice_repro::streamkit::ops::slice_join::{PORT_NEXT_SLICE, PORT_RESULTS};
+use state_slice_repro::streamkit::ops::SliceJoinOp;
+use state_slice_repro::streamkit::queue::StreamItem;
 use state_slice_repro::streamkit::tuple::StreamId;
+use state_slice_repro::streamkit::window::SliceWindow;
 use state_slice_repro::streamkit::{
     Executor, JoinCondition, Predicate, TimeDelta, Timestamp, Tuple,
 };
@@ -179,5 +185,74 @@ proptest! {
             let spec = ChainSpec::from_path(&workload, &path).unwrap();
             prop_assert_eq!(run_chain(&workload, &spec, &input), reference);
         }
+    }
+
+    /// Theorem 1: a one-way chain `A[w_0, w_1) ⋉ˢ B, …, A[w_k-1, W) ⋉ˢ B`
+    /// cut into 1–4 random slices and fed in random run lengths equals the
+    /// one-way join `A[W] ⋉ B` — every pair with `0 <= Tb - Ta < W` whose
+    /// keys match.
+    #[test]
+    fn one_way_chain_equals_the_one_way_join(
+        a_arrivals in prop::collection::vec((0u64..300, 0i64..4), 1..60),
+        b_arrivals in prop::collection::vec((0u64..300, 0i64..4), 1..60),
+        cuts in prop::collection::btree_set(1u64..120, 0..4),
+        window in 120u64..200,
+        run in 1usize..20,
+    ) {
+        let mut a: Vec<Tuple> = a_arrivals
+            .iter()
+            .map(|&(t, k)| tuple(StreamId::A, t, k, 0))
+            .collect();
+        let mut b: Vec<Tuple> = b_arrivals
+            .iter()
+            .map(|&(t, k)| tuple(StreamId::B, t, k, 0))
+            .collect();
+        a.sort_by_key(|t| t.ts);
+        b.sort_by_key(|t| t.ts);
+        let tenths = |t: u64| TimeDelta::from_millis(t * 100);
+        let expected: Vec<(Timestamp, TimeDelta, Timestamp)> = {
+            let mut pairs: Vec<_> = a
+                .iter()
+                .flat_map(|ta| b.iter().map(move |tb| (ta, tb)))
+                .filter(|(ta, tb)| ta.ts <= tb.ts && tb.ts.saturating_sub(ta.ts) < tenths(window))
+                .filter(|(ta, tb)| JoinCondition::equi(0).eval(ta, tb))
+                .map(|(ta, tb)| (tb.ts, tb.ts.saturating_sub(ta.ts), ta.ts))
+                .collect();
+            pairs.sort_unstable();
+            pairs
+        };
+
+        let bounds: Vec<u64> = std::iter::once(0)
+            .chain(cuts.iter().copied())
+            .chain(std::iter::once(window))
+            .collect();
+        let last = bounds.len() - 2;
+        let mut queue: Vec<StreamItem> = merge_streams(a, b).into_iter().map(Into::into).collect();
+        let mut results = Vec::new();
+        for (k, slice) in bounds.windows(2).enumerate() {
+            let window = SliceWindow::new(tenths(slice[0]), tenths(slice[1]));
+            let mut op = SliceJoinOp::for_ab(format!("J{k}"), window, JoinCondition::equi(0)).one_way();
+            if k == 0 {
+                op = op.chain_head();
+            }
+            if k == last {
+                op = op.last_in_chain();
+            }
+            let mut next = Vec::new();
+            for chunk in queue.chunks(run) {
+                let mut ctx = OpContext::new();
+                op.process_batch(0, &mut chunk.to_vec(), &mut ctx);
+                for (port, item) in ctx.take_outputs() {
+                    match (port, item) {
+                        (PORT_RESULTS, StreamItem::Tuple(t)) => results.push(t),
+                        (PORT_RESULTS, StreamItem::Batch(batch)) => results.extend(batch.materialize()),
+                        (PORT_NEXT_SLICE, item) => next.push(item),
+                        _ => {}
+                    }
+                }
+            }
+            queue = next;
+        }
+        prop_assert_eq!(collected_fingerprints(&results), expected);
     }
 }

@@ -14,7 +14,7 @@
 //!   `batch_per_visit` 64 or 256, where a run's matches add up past the
 //!   threshold and results travel as batches.
 //!
-//! Both facts are asserted through [`SlicedBinaryJoinOp::batch_results`]
+//! Both facts are asserted through [`SliceJoinOp::batch_results`]
 //! before anything is compared.  Then, for random workloads, streams,
 //! slicings and shard counts, the two must produce:
 //!
@@ -39,8 +39,9 @@ use state_slice_repro::core::live::{LiveOptions, LiveReslicer, MigrationMode};
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
-    ChainPlanFactory, ChainSpec, ChurnOutcome, JoinQuery, QueryWorkload, SlicedBinaryJoinOp,
+    ChainPlanFactory, ChainSpec, ChurnOutcome, JoinQuery, QueryWorkload,
 };
+use state_slice_repro::streamkit::ops::SliceJoinOp;
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::window::SliceWindow;
 use state_slice_repro::streamkit::{
@@ -81,12 +82,12 @@ fn executor_config(batch_per_visit: usize) -> ExecutorConfig {
 }
 
 /// One shard's sliced joins, in chain order.
-fn slices(shard: &Executor) -> impl Iterator<Item = &SlicedBinaryJoinOp> {
+fn slices(shard: &Executor) -> impl Iterator<Item = &SliceJoinOp> {
     shard
         .plan()
         .nodes()
         .iter()
-        .filter_map(|n| n.operator.as_any().downcast_ref::<SlicedBinaryJoinOp>())
+        .filter_map(|n| n.operator.as_any().downcast_ref::<SliceJoinOp>())
 }
 
 /// Results the executor's current sliced joins emitted as batch rows.

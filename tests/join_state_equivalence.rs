@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
-use state_slice_repro::core::sliced_binary::SlicedBinaryJoinOp;
 use state_slice_repro::core::{ChainSpec, JoinQuery, QueryWorkload, SharedChainPlan};
+use state_slice_repro::streamkit::ops::SliceJoinOp;
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::{Executor, JoinCondition, TimeDelta, Timestamp, Tuple};
 
@@ -63,7 +63,7 @@ fn run_chain(
         .plan()
         .nodes()
         .iter()
-        .filter_map(|n| n.operator.as_any().downcast_ref::<SlicedBinaryJoinOp>())
+        .filter_map(|n| n.operator.as_any().downcast_ref::<SliceJoinOp>())
         .map(|op| op.state_timestamps())
         .collect();
     ((results, states), report.totals.probe_comparisons)

@@ -27,8 +27,9 @@ use state_slice_repro::core::planner::{PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
     ChainPlanFactory, ChainSpec, ChurnOutcome, CostConfig, JoinQuery, QueryWorkload,
-    SharedChainPlan, SlicedBinaryJoinOp,
+    SharedChainPlan,
 };
+use state_slice_repro::streamkit::ops::SliceJoinOp;
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::window::SliceWindow;
 use state_slice_repro::streamkit::{
@@ -144,7 +145,7 @@ fn collect_states(exec: &ShardedExecutor) -> StateSnapshot {
                 .plan()
                 .nodes()
                 .iter()
-                .filter_map(|n| n.operator.as_any().downcast_ref::<SlicedBinaryJoinOp>())
+                .filter_map(|n| n.operator.as_any().downcast_ref::<SliceJoinOp>())
                 .map(|op| {
                     let (a, b) = op.state_tuples();
                     (op.window(), fp(a), fp(b))

@@ -15,9 +15,10 @@ use proptest::prelude::*;
 use state_slice_repro::core::{
     merge_slice_operators, merge_spec_slices, rehash_shard_states, split_slice_operator,
     split_slice_operator_eager, split_spec_slice, ChainSpec, JoinQuery, PurgeWatermarks,
-    QueryWorkload, SlicedBinaryJoinOp,
+    QueryWorkload,
 };
 use state_slice_repro::streamkit::operator::{OpContext, Operator};
+use state_slice_repro::streamkit::ops::SliceJoinOp;
 use state_slice_repro::streamkit::tuple::{StreamId, Tuple, TupleRole};
 use state_slice_repro::streamkit::window::SliceWindow;
 use state_slice_repro::streamkit::{JoinCondition, Punctuation, TimeDelta, Timestamp};
@@ -51,7 +52,7 @@ fn ordered_state(arrivals: &[(u64, i64)], stream: StreamId) -> Vec<Tuple> {
 fn split_outputs(
     ctx: &mut OpContext,
 ) -> (Vec<Tuple>, Vec<state_slice_repro::streamkit::StreamItem>) {
-    use state_slice_repro::core::sliced_binary::{PORT_NEXT_SLICE, PORT_RESULTS};
+    use state_slice_repro::streamkit::ops::slice_join::{PORT_NEXT_SLICE, PORT_RESULTS};
     let mut results = Vec::new();
     let mut forwarded = Vec::new();
     for (port, item) in ctx.take_outputs() {
@@ -111,9 +112,9 @@ proptest! {
             .into_iter()
             .map(|mut t| { t.ts = Timestamp::from_millis(t.ts.as_micros() / 1000 + offset * 100); t })
             .collect();
-        let mut left = SlicedBinaryJoinOp::for_ab(
+        let mut left = SliceJoinOp::for_ab(
             "L", SliceWindow::new(TimeDelta::ZERO, TimeDelta::from_millis(boundary * 100)), cond.clone());
-        let mut right = SlicedBinaryJoinOp::for_ab(
+        let mut right = SliceJoinOp::for_ab(
             "R",
             SliceWindow::new(TimeDelta::from_millis(boundary * 100), TimeDelta::from_millis(boundary * 200)),
             cond.clone());
@@ -163,7 +164,7 @@ proptest! {
         let wm = PurgeWatermarks { male_a: male_ts, male_b: male_ts };
 
         let mk = |name: &str| {
-            let mut op = SlicedBinaryJoinOp::for_ab(name, window, cond.clone());
+            let mut op = SliceJoinOp::for_ab(name, window, cond.clone());
             op.load_states(state_a.clone(), state_b.clone());
             op
         };
@@ -220,7 +221,7 @@ proptest! {
         let window = SliceWindow::from_secs(0, 50);
         let state_a = ordered_state(&arrivals_a, StreamId::A);
         let state_b = ordered_state(&arrivals_b, StreamId::B);
-        let mut op = SlicedBinaryJoinOp::for_ab("J", window, cond.clone()).chain_head();
+        let mut op = SliceJoinOp::for_ab("J", window, cond.clone()).chain_head();
         op.load_states(state_a.clone(), state_b.clone());
         let original = op.state_tuples();
         let shards = rehash_shard_states(vec![op], mid_shards, &spec).unwrap();
@@ -248,7 +249,7 @@ fn lazy_split_keeps_punctuations_flowing_to_both_halves() {
     // punctuations must traverse it so the downstream union keeps making
     // progress during a lazy migration.
     let cond = JoinCondition::Cross;
-    let op = SlicedBinaryJoinOp::for_ab("J", SliceWindow::from_secs(0, 10), cond).chain_head();
+    let op = SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 10), cond).chain_head();
     let (mut left, _right) = split_slice_operator(op, TimeDelta::from_secs(5), "l", "r").unwrap();
     let mut ctx = OpContext::new();
     left.process(
@@ -267,7 +268,7 @@ fn eager_split_boundary_cases_are_exact() {
     // is not; each side is cut by the *opposite* stream's male.
     let cond = JoinCondition::Cross;
     let window = SliceWindow::from_secs(0, 10);
-    let mut op = SlicedBinaryJoinOp::for_ab("J", window, cond);
+    let mut op = SliceJoinOp::for_ab("J", window, cond);
     let a_old = tup(100, StreamId::A, 0); // 10.0 s
     let a_new = tup(101, StreamId::A, 0); // 10.1 s
     let b_any = tup(102, StreamId::B, 0); // 10.2 s

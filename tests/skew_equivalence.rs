@@ -28,10 +28,9 @@
 
 use proptest::prelude::*;
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
-use state_slice_repro::core::{
-    ChainPlanFactory, ChainSpec, JoinQuery, QueryWorkload, SlicedBinaryJoinOp,
-};
+use state_slice_repro::core::{ChainPlanFactory, ChainSpec, JoinQuery, QueryWorkload};
 use state_slice_repro::streamkit::join_state::tuple_key;
+use state_slice_repro::streamkit::ops::SliceJoinOp;
 use state_slice_repro::streamkit::tuple::{KeyClass, StreamId};
 use state_slice_repro::streamkit::{
     CostCounters, JoinCondition, Predicate, SkewConfig, TimeDelta, Timestamp, Tuple,
@@ -141,11 +140,7 @@ fn harvest_hot_state_b(
             let node = plan
                 .node_mut(state_slice_repro::streamkit::NodeId(idx))
                 .expect("index in range");
-            if let Some(op) = node
-                .operator
-                .as_any_mut()
-                .downcast_mut::<SlicedBinaryJoinOp>()
-            {
+            if let Some(op) = node.operator.as_any_mut().downcast_mut::<SliceJoinOp>() {
                 let (_, side_b) = op.drain_states();
                 for t in side_b {
                     if let KeyClass::Hash(h) = tuple_key(&t, 0) {
