@@ -3,8 +3,6 @@
 //! Used by the unshared baseline, where every per-query plan needs its own
 //! copy of both input streams.
 
-use std::any::Any;
-
 use streamkit::operator::{OpContext, Operator, PortId};
 use streamkit::queue::StreamItem;
 
@@ -46,14 +44,6 @@ impl Operator for BroadcastOp {
         for port in 0..self.fanout {
             ctx.emit(port, item.clone());
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

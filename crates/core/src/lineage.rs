@@ -13,8 +13,6 @@
 //! filtered stream whose lineage is below `i` — a zero-comparison check, which
 //! is exactly the saving the lineage trick buys.
 
-use std::any::Any;
-
 use streamkit::operator::{OpContext, Operator, PortId};
 use streamkit::queue::StreamItem;
 use streamkit::tuple::StreamId;
@@ -96,14 +94,6 @@ impl Operator for LineageAnnotatorOp {
             p @ StreamItem::Punctuation(_) => ctx.emit(0, p),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Drops tuples of the filtered stream whose lineage level is below
@@ -161,14 +151,6 @@ impl Operator for LineageGateOp {
             }
             p @ StreamItem::Punctuation(_) => ctx.emit(0, p),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -360,40 +360,28 @@ pub fn apply_chain_edits(
 /// which take operators by value — can be applied to them.  The state moves
 /// with the operator; nothing is drained or re-indexed.
 fn lift_slice_ops(plan: &mut Plan) -> Vec<SliceJoinOp> {
-    let mut ops = Vec::new();
-    for idx in 0..plan.num_nodes() {
-        let Ok(node) = plan.node_mut(streamkit::NodeId(idx)) else {
-            continue;
-        };
-        if let Some(op) = node.operator.as_any_mut().downcast_mut::<SliceJoinOp>() {
-            ops.push(std::mem::replace(op, op.empty_like()));
-        }
-    }
-    ops
+    plan.slice_joins_mut()
+        .map(|op| std::mem::replace(op, op.empty_like()))
+        .collect()
 }
 
 /// Load migrated slice states into a freshly built plan, verifying the
 /// migrated windows line up with the plan's slices.
 fn load_slice_states(plan: &mut Plan, migrated: Vec<SliceJoinOp>) -> Result<()> {
     let mut migrated = migrated.into_iter();
-    for idx in 0..plan.num_nodes() {
-        let node = plan.node_mut(streamkit::NodeId(idx))?;
-        if let Some(op) = node.operator.as_any_mut().downcast_mut::<SliceJoinOp>() {
-            let mut source = migrated.next().ok_or_else(|| {
-                StreamError::Execution(
-                    "migrated chain has fewer slices than the new plan".to_string(),
-                )
-            })?;
-            if source.window() != op.window() {
-                return Err(StreamError::Execution(format!(
-                    "migrated slice {} does not match the planned slice {}",
-                    source.window(),
-                    op.window()
-                )));
-            }
-            let (a, b) = source.drain_states();
-            op.load_states(a, b);
+    for op in plan.slice_joins_mut() {
+        let mut source = migrated.next().ok_or_else(|| {
+            StreamError::Execution("migrated chain has fewer slices than the new plan".to_string())
+        })?;
+        if source.window() != op.window() {
+            return Err(StreamError::Execution(format!(
+                "migrated slice {} does not match the planned slice {}",
+                source.window(),
+                op.window()
+            )));
         }
+        let (a, b) = source.drain_states();
+        op.load_states(a, b);
     }
     if migrated.next().is_some() {
         return Err(StreamError::Execution(
@@ -626,6 +614,12 @@ impl LiveReslicer {
     /// The running executor (state inspection in tests and tools).
     pub fn executor(&self) -> &ShardedExecutor {
         &self.exec
+    }
+
+    /// Mutable access to the running executor (tests rewrite its slices'
+    /// probe mode through this; see `verify::scan_only`).
+    pub fn executor_mut(&mut self) -> &mut ShardedExecutor {
+        &mut self.exec
     }
 
     /// Current shard count.

@@ -39,19 +39,15 @@ use crate::query::QueryWorkload;
 /// timestamp-ordered A+B stream).
 pub const CHAIN_ENTRY: &str = "AB";
 
-/// Options controlling plan generation: three fields — `retain_results`,
-/// `index_join_state` and `shards`.  How joined results travel (row tuples
-/// or column batches) is not among them: every sliced join picks that per
-/// run from its own result density (see
-/// [`SliceJoinOp`]).
+/// Options controlling plan generation: two fields — `retain_results` and
+/// `shards`.  Neither the join state's access path nor how joined results
+/// travel is among them: every sliced join indexes its state as its
+/// condition allows and picks row tuples or column batches per run from its
+/// own result density (see [`SliceJoinOp`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerOptions {
     /// Build retaining sinks so tests can inspect full result sets.
     pub retain_results: bool,
-    /// Hash-index the sliced joins' state on the equi-join key (default).
-    /// Disable to get the pre-index linear-scan probes, for A/B
-    /// benchmarking and equivalence testing.
-    pub index_join_state: bool,
     /// Number of hash-partitioned parallel shards the chain should run on
     /// (default 1 = the classic single-threaded executor).  Consumed by
     /// [`ChainPlanFactory::sharded`](crate::builder::ChainPlanFactory) —
@@ -64,7 +60,6 @@ impl Default for PlannerOptions {
     fn default() -> Self {
         PlannerOptions {
             retain_results: false,
-            index_join_state: true,
             shards: 1,
         }
     }
@@ -128,9 +123,6 @@ impl SharedChainPlan {
             }
             if k == last {
                 op = op.last_in_chain();
-            }
-            if !options.index_join_state {
-                op = op.without_index();
             }
             let node = b.add_op(op);
             if k == 0 {

@@ -45,7 +45,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use streamkit::checkpoint::Checkpoint;
-use streamkit::error::{Result, StreamError};
+use streamkit::error::{panic_message, Result, StreamError};
 use streamkit::fault::FaultPlan;
 use streamkit::queue::StreamItem;
 use streamkit::shard::ShardedExecutor;
@@ -353,7 +353,7 @@ impl RecoverySupervisor {
     /// Capture the current (drained) session and clear the replay ring.
     fn take_checkpoint(&mut self, forced: bool) -> Result<()> {
         let seq = self.next_seq;
-        let ckpt = Checkpoint::capture(&mut self.exec, seq, self.watermark)?;
+        let ckpt = Checkpoint::capture(&self.exec, seq, self.watermark)?;
         self.next_seq += 1;
         self.log.checkpoints.push(CheckpointRecord {
             seq,
@@ -472,18 +472,10 @@ impl RecoverySupervisor {
 fn caught<T>(step: AssertUnwindSafe<impl FnOnce() -> Result<T>>) -> Result<T> {
     match catch_unwind(step) {
         Ok(outcome) => outcome,
-        Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            Err(StreamError::WorkerFailed(format!(
-                "inline execution panicked: {msg}"
-            )))
-        }
+        Err(payload) => Err(StreamError::WorkerFailed(format!(
+            "inline execution panicked: {}",
+            panic_message(payload)
+        ))),
     }
 }
 

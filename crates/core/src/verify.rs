@@ -4,12 +4,13 @@
 //! the exact result set each registered query must receive for a given input:
 //! for every A/B pair it checks the join condition, the query's window
 //! constraint and the query's selection.  Tests and property tests compare
-//! executed plans (chains, baselines) against this oracle.
+//! executed plans (chains, baselines) against this oracle, and index-mode
+//! runs against the linear-scan reference [`scan_only`] makes of a plan.
 
 use std::collections::HashMap;
 
 use streamkit::tuple::{StreamId, Tuple};
-use streamkit::{TimeDelta, Timestamp};
+use streamkit::{Plan, TimeDelta, Timestamp};
 
 use crate::query::QueryWorkload;
 
@@ -80,6 +81,23 @@ pub fn expected_fingerprints(expected: &[ResultKey]) -> Vec<(Timestamp, TimeDelt
         .collect();
     keys.sort_unstable();
     keys
+}
+
+/// Switch every slice join of `plan` to linear-scan probes, keeping its
+/// stored tuples: the unindexed reference the index-equivalence suites
+/// compare the hash- and band-indexed chains against.  Each slice's state is
+/// drained, its index dropped
+/// ([`without_index`](streamkit::ops::SliceJoinOp::without_index)) and the
+/// state reloaded.  A plan rebuilt later (a live migration's new plan) is
+/// indexed again, so apply this after every rebuild.
+pub fn scan_only(plan: &mut Plan) {
+    for op in plan.slice_joins_mut() {
+        let (a, b) = op.drain_states();
+        let placeholder = op.empty_like();
+        let mut linear = std::mem::replace(op, placeholder).without_index();
+        linear.load_states(a, b);
+        *op = linear;
+    }
 }
 
 #[cfg(test)]

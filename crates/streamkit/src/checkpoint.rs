@@ -4,41 +4,48 @@
 //! punctuation has fully propagated through a sliced chain, every union
 //! buffer is empty and every join state holds exactly the tuples inside its
 //! slice window.  Such a **drained punctuation boundary** is therefore a
-//! consistent cut: capturing (a) each operator's window state through the
-//! generic [`Operator::drain_window_states`](crate::Operator::drain_window_states)
-//! migration hooks, (b) each union's per-port watermarks, (c) each sink's
-//! cumulative counters, and (d) each shard executor's ingest counters fully
-//! determines the session, because everything in flight has either been
-//! absorbed into a window state or delivered to a sink.
+//! consistent cut: capturing (a) each plan node's own [`NodeState`] — a
+//! slice's stored tuples, a union's per-port watermarks, a sink's cumulative
+//! counters — through [`Operator::node_state`](crate::Operator::node_state),
+//! and (b) each shard executor's ingest counters fully determines the
+//! session, because everything in flight has either been absorbed into a
+//! window state or delivered to a sink.
 //!
 //! [`Checkpoint::capture`] takes such a snapshot from a drained
-//! [`ShardedExecutor`]; [`Checkpoint::restore`] loads it back into a session
-//! whose plans were rebuilt fresh (see `ShardedExecutor::recover_reset`).
-//! Restoration is **absolute**, not additive: sink counts and ingest
-//! counters are overwritten with the checkpointed values, and crash
-//! recovery then replays the post-checkpoint input, which re-delivers the
-//! post-checkpoint results exactly once (`core::recovery`).
+//! [`ShardedExecutor`] without disturbing it; [`Checkpoint::restore`] loads
+//! it back, node by node through
+//! [`Operator::restore_state`](crate::Operator::restore_state), into a
+//! session whose plans were rebuilt fresh (see
+//! `ShardedExecutor::recover_reset`).  Restoration is **absolute**, not
+//! additive: sink counts and ingest counters are overwritten with the
+//! checkpointed values, and crash recovery then replays the post-checkpoint
+//! input, which re-delivers the post-checkpoint results exactly once
+//! (`core::recovery`).
 
 use crate::error::{Result, StreamError};
 use crate::executor::Executor;
-use crate::operator::Operator;
-use crate::ops::{SinkOp, UnionOp};
 use crate::shard::ShardedExecutor;
 use crate::time::Timestamp;
 use crate::tuple::Tuple;
+use crate::window::SliceWindow;
 
 /// Version tag stamped on every checkpoint; restore refuses other versions.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-/// Snapshot of one plan node's recoverable state.
+/// The recoverable state of one plan node, as its operator captures it
+/// ([`Operator::node_state`](crate::Operator::node_state)) and restores it
+/// ([`Operator::restore_state`](crate::Operator::restore_state)).
 #[derive(Debug, Clone, PartialEq)]
-pub enum NodeCheckpoint {
+pub enum NodeState {
     /// The operator holds no state that survives a drained boundary
     /// (selections, projections, routers, transient reorder buffers).
     Stateless,
-    /// A window-join operator's stored tuples, one vector per input side
-    /// (`side_b` is empty for one-way joins).
+    /// A slice join's stored tuples, one vector per input side (`side_b` is
+    /// empty for one-way joins).
     Window {
+        /// The slice the tuples were stored for; a slice with another
+        /// window refuses them.
+        window: SliceWindow,
         /// Stored tuples of the first input side, in arrival order.
         side_a: Vec<Tuple>,
         /// Stored tuples of the second input side, in arrival order.
@@ -66,12 +73,28 @@ pub enum NodeCheckpoint {
     },
 }
 
+impl NodeState {
+    /// The error for restoring this state into the operator `name`, which
+    /// keeps another kind of state.
+    pub(crate) fn mismatch(&self, name: &str) -> StreamError {
+        let kind = match self {
+            NodeState::Stateless => "no state",
+            NodeState::Window { .. } => "window state",
+            NodeState::Union { .. } => "union progress",
+            NodeState::Sink { .. } => "sink counters",
+        };
+        StreamError::Checkpoint(format!(
+            "checkpoint holds {kind} for '{name}', which cannot restore it"
+        ))
+    }
+}
+
 /// Snapshot of one shard: its plan nodes plus the executor's ingest
 /// counters (restored absolutely so replayed input is counted exactly once).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCheckpoint {
     /// Per-node state in plan node-id order.
-    pub nodes: Vec<NodeCheckpoint>,
+    pub nodes: Vec<NodeState>,
     /// Tuples ingested by this shard's executor.
     pub ingested: u64,
     /// Per-stream ingest counts.
@@ -84,9 +107,9 @@ pub struct ShardCheckpoint {
 }
 
 impl ShardCheckpoint {
-    /// Capture one drained executor.  The executor's live state is left
-    /// untouched (window states are drained, cloned and loaded back).
-    pub fn capture(exec: &mut Executor) -> Result<ShardCheckpoint> {
+    /// Capture one drained executor.  Capture only reads: the executor's
+    /// live state, indexes included, is left untouched.
+    pub fn capture(exec: &Executor) -> Result<ShardCheckpoint> {
         if !exec.is_drained() {
             return Err(StreamError::Checkpoint(
                 "cannot capture an executor with queued input; run() to a \
@@ -96,10 +119,12 @@ impl ShardCheckpoint {
         }
         let (ingested, ingested_by_stream, ingest_max_ts_secs, punct_epochs) =
             exec.ingest_progress();
-        let mut nodes = Vec::with_capacity(exec.plan().num_nodes());
-        for node in exec.plan_mut().nodes_mut_internal() {
-            nodes.push(capture_node(node.operator.as_mut())?);
-        }
+        let nodes = exec
+            .plan()
+            .nodes()
+            .iter()
+            .map(|node| node.operator.node_state())
+            .collect::<Result<_>>()?;
         Ok(ShardCheckpoint {
             nodes,
             ingested,
@@ -124,13 +149,13 @@ impl ShardCheckpoint {
                 exec.plan().num_nodes()
             )));
         }
-        for (node, ckpt) in exec
+        for (node, state) in exec
             .plan_mut()
             .nodes_mut_internal()
             .iter_mut()
             .zip(&self.nodes)
         {
-            restore_node(node.operator.as_mut(), ckpt)?;
+            node.operator.restore_state(state.clone())?;
         }
         exec.restore_ingest_progress(
             self.ingested,
@@ -162,9 +187,9 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Capture a drained session.  Fails with [`StreamError::Checkpoint`] if
     /// any input is still queued (router-side or in a shard), or if an
-    /// operator holds state it exposes no migration hooks for.
+    /// operator holds state it cannot capture.
     pub fn capture(
-        session: &mut ShardedExecutor,
+        session: &ShardedExecutor,
         seq: u64,
         watermark: Timestamp,
     ) -> Result<Checkpoint> {
@@ -177,7 +202,7 @@ impl Checkpoint {
         }
         let mut epoch = 0;
         let mut shards = Vec::with_capacity(session.num_shards());
-        for exec in session.shards_mut() {
+        for exec in session.shards() {
             let shard = ShardCheckpoint::capture(exec)?;
             epoch = epoch.max(shard.punct_epochs);
             shards.push(shard);
@@ -226,116 +251,22 @@ impl Checkpoint {
             .iter()
             .flat_map(|s| s.nodes.iter())
             .map(|n| match n {
-                NodeCheckpoint::Window { side_a, side_b } => (side_a.len() + side_b.len()) as u64,
+                NodeState::Window { side_a, side_b, .. } => (side_a.len() + side_b.len()) as u64,
                 _ => 0,
             })
             .sum()
     }
 }
 
-fn capture_node(op: &mut dyn Operator) -> Result<NodeCheckpoint> {
-    if let Some(sink) = op.as_any().downcast_ref::<SinkOp>() {
-        return Ok(NodeCheckpoint::Sink {
-            count: sink.count(),
-            last_ts: sink.last_timestamp(),
-            out_of_order: sink.out_of_order(),
-            collected: sink.collected().to_vec(),
-        });
-    }
-    if let Some(union) = op.as_any().downcast_ref::<UnionOp>() {
-        if union.buffered_len() != 0 {
-            return Err(StreamError::Checkpoint(format!(
-                "union '{}' still buffers {} items at the checkpoint \
-                 boundary — the cut is not punctuation-aligned",
-                union.name(),
-                union.buffered_len()
-            )));
-        }
-        return Ok(NodeCheckpoint::Union {
-            watermarks: union.watermarks().to_vec(),
-            emitted_watermark: union.emitted_watermark(),
-        });
-    }
-    if let Some((side_a, side_b)) = op.drain_window_states() {
-        // Drain-clone-reload: capture must not disturb the live state.
-        op.load_window_states(side_a.clone(), side_b.clone());
-        return Ok(NodeCheckpoint::Window { side_a, side_b });
-    }
-    if op.state_size() > 0 && !op.is_transient_buffer() {
-        return Err(StreamError::Checkpoint(format!(
-            "operator '{}' holds {} state tuples but exposes no checkpoint \
-             hooks (drain_window_states)",
-            op.name(),
-            op.state_size()
-        )));
-    }
-    Ok(NodeCheckpoint::Stateless)
-}
-
-fn restore_node(op: &mut dyn Operator, ckpt: &NodeCheckpoint) -> Result<()> {
-    match ckpt {
-        // Fresh plan instances start empty; nothing to load.
-        NodeCheckpoint::Stateless => Ok(()),
-        NodeCheckpoint::Window { side_a, side_b } => {
-            // Drain (and discard) whatever the fresh instance holds so the
-            // load is absolute, and to verify the hook exists at all.
-            if op.drain_window_states().is_none() {
-                return Err(StreamError::Checkpoint(format!(
-                    "checkpoint holds window state for '{}' but the operator \
-                     has no load hook",
-                    op.name()
-                )));
-            }
-            op.load_window_states(side_a.clone(), side_b.clone());
-            Ok(())
-        }
-        NodeCheckpoint::Union {
-            watermarks,
-            emitted_watermark,
-        } => {
-            let Some(union) = op.as_any_mut().downcast_mut::<UnionOp>() else {
-                return Err(StreamError::Checkpoint(format!(
-                    "checkpoint holds union progress for '{}' but the \
-                     operator is not a union",
-                    op.name()
-                )));
-            };
-            if !union.restore_progress(watermarks.clone(), *emitted_watermark) {
-                return Err(StreamError::Checkpoint(format!(
-                    "union '{}' has a different port count than the \
-                     checkpoint ({} watermarks)",
-                    union.name(),
-                    watermarks.len()
-                )));
-            }
-            Ok(())
-        }
-        NodeCheckpoint::Sink {
-            count,
-            last_ts,
-            out_of_order,
-            collected,
-        } => {
-            let Some(sink) = op.as_any_mut().downcast_mut::<SinkOp>() else {
-                return Err(StreamError::Checkpoint(format!(
-                    "checkpoint holds sink counters for '{}' but the \
-                     operator is not a sink",
-                    op.name()
-                )));
-            };
-            sink.restore(*count, *last_ts, *out_of_order, collected.clone());
-            Ok(())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operator::{OpContext, Operator, PortId};
     use crate::ops::{SinkOp, SliceJoinOp};
     use crate::plan::Plan;
     use crate::predicate::JoinCondition;
     use crate::punctuation::Punctuation;
+    use crate::queue::StreamItem;
     use crate::shard::ShardSpec;
     use crate::tuple::{StreamId, Tuple};
     use crate::window::WindowSpec;
@@ -348,11 +279,11 @@ mod tests {
         Tuple::of_ints(Timestamp::from_secs(secs), StreamId::B, &[key])
     }
 
-    fn join_plan() -> Plan {
+    fn join_plan(window_secs: u64) -> Plan {
         let mut builder = Plan::builder();
         let join = builder.add_op(SliceJoinOp::window_join(
             "join",
-            WindowSpec::from_secs(20),
+            WindowSpec::from_secs(window_secs),
             JoinCondition::equi(0),
         ));
         let sink = builder.add_op(SinkOp::retaining("q1"));
@@ -362,9 +293,13 @@ mod tests {
         builder.build().unwrap()
     }
 
-    fn session(shards: usize) -> ShardedExecutor {
-        let plans: Vec<Plan> = (0..shards).map(|_| join_plan()).collect();
+    fn session_of(shards: usize, window_secs: u64) -> ShardedExecutor {
+        let plans: Vec<Plan> = (0..shards).map(|_| join_plan(window_secs)).collect();
         ShardedExecutor::new(plans, ShardSpec::symmetric(0)).unwrap()
+    }
+
+    fn session(shards: usize) -> ShardedExecutor {
+        session_of(shards, 20)
     }
 
     fn feed(exec: &mut ShardedExecutor, range: std::ops::Range<u64>) {
@@ -384,7 +319,7 @@ mod tests {
     fn capture_refuses_undrained_sessions() {
         let mut exec = session(2);
         feed(&mut exec, 0..4);
-        let err = Checkpoint::capture(&mut exec, 0, Timestamp::from_secs(4)).unwrap_err();
+        let err = Checkpoint::capture(&exec, 0, Timestamp::from_secs(4)).unwrap_err();
         assert!(matches!(err, StreamError::Checkpoint(_)));
     }
 
@@ -401,7 +336,7 @@ mod tests {
         let mut live = session(3);
         feed(&mut live, 0..15);
         live.run().unwrap();
-        let ckpt = Checkpoint::capture(&mut live, 1, Timestamp::from_secs(14)).unwrap();
+        let ckpt = Checkpoint::capture(&live, 1, Timestamp::from_secs(14)).unwrap();
         assert_eq!(ckpt.version, CHECKPOINT_VERSION);
         assert!(ckpt.state_tuples() > 0);
         // Capture must not disturb the live session: finishing it still
@@ -424,7 +359,7 @@ mod tests {
         live.ingest("A", Punctuation::new(Timestamp::from_secs(6)))
             .unwrap();
         live.run().unwrap();
-        let mut ckpt = Checkpoint::capture(&mut live, 0, Timestamp::from_secs(6)).unwrap();
+        let mut ckpt = Checkpoint::capture(&live, 0, Timestamp::from_secs(6)).unwrap();
         assert!(ckpt.epoch >= 1);
 
         // Wrong shard count.
@@ -443,11 +378,73 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_a_slice_with_another_window() {
+        // Same node count, same node kinds: only the join's window differs.
+        let mut live = session_of(1, 20);
+        feed(&mut live, 0..10);
+        live.run().unwrap();
+        let ckpt = Checkpoint::capture(&live, 0, Timestamp::from_secs(9)).unwrap();
+        let mut wider = session_of(1, 30);
+        assert!(matches!(
+            ckpt.restore(&mut wider).unwrap_err(),
+            StreamError::Checkpoint(_)
+        ));
+        let mut same = session_of(1, 20);
+        ckpt.restore(&mut same).unwrap();
+    }
+
+    #[test]
+    fn restoring_another_kind_of_state_is_refused() {
+        let union = NodeState::Union {
+            watermarks: vec![Timestamp::ZERO],
+            emitted_watermark: Timestamp::ZERO,
+        };
+        let sink = NodeState::Sink {
+            count: 1,
+            last_ts: None,
+            out_of_order: 0,
+            collected: Vec::new(),
+        };
+        let mut join =
+            SliceJoinOp::window_join("join", WindowSpec::from_secs(20), JoinCondition::equi(0));
+        for (op, state) in [
+            (&mut SinkOp::new("q1") as &mut dyn Operator, union),
+            (&mut join, sink),
+        ] {
+            let err = op.restore_state(state).unwrap_err();
+            assert!(matches!(err, StreamError::Checkpoint(_)), "{err}");
+        }
+    }
+
+    /// Holds window state it exposes no capture hook for.
+    struct Hoarder;
+
+    impl Operator for Hoarder {
+        fn name(&self) -> &str {
+            "hoarder"
+        }
+        fn process(&mut self, _port: PortId, _item: StreamItem, _ctx: &mut OpContext) {}
+        fn state_size(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn a_stateful_operator_without_a_hook_cannot_be_captured() {
+        let mut builder = Plan::builder();
+        let hoarder = builder.add_op(Hoarder);
+        builder.entry("A", hoarder, 0);
+        let exec = Executor::new(builder.build().unwrap());
+        let err = ShardCheckpoint::capture(&exec).unwrap_err();
+        assert!(matches!(err, StreamError::Checkpoint(ref m) if m.contains("hoarder")));
+    }
+
+    #[test]
     fn sink_and_ingest_counters_restore_absolutely() {
         let mut live = session(2);
         feed(&mut live, 0..10);
         let report = live.run().unwrap();
-        let ckpt = Checkpoint::capture(&mut live, 2, Timestamp::from_secs(9)).unwrap();
+        let ckpt = Checkpoint::capture(&live, 2, Timestamp::from_secs(9)).unwrap();
 
         let mut recovered = session(2);
         ckpt.restore(&mut recovered).unwrap();

@@ -47,6 +47,17 @@ impl std::error::Error for StreamError {}
 /// Result alias used throughout the workspace.
 pub type Result<T> = std::result::Result<T, StreamError>;
 
+/// Render a caught panic's payload into a human-readable message.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use crate::error::{Result, StreamError};
 use crate::fault::{FaultKind, FaultPlan, FAULT_PANIC_PREFIX};
-use crate::operator::{OpContext, PortId};
+use crate::operator::{OpContext, Operator, PortId};
 use crate::plan::Plan;
 use crate::queue::{Queue, StreamItem};
 use crate::scheduler::{RoundRobinScheduler, Scheduler};
@@ -353,16 +353,11 @@ impl Executor {
         for counters in &self.node_counters {
             self.carried_totals.add(counters);
         }
-        for (name, id) in self.plan.sinks() {
-            if let Some(sink) = self
-                .plan
-                .node(id)?
-                .operator
-                .as_any()
-                .downcast_ref::<crate::ops::SinkOp>()
-            {
-                *self.carried_sinks.entry(name).or_insert(0) += sink.count();
-            }
+        for sink in self.plan.sinks() {
+            *self
+                .carried_sinks
+                .entry(sink.name().to_string())
+                .or_insert(0) += sink.count();
         }
         let old = std::mem::replace(&mut self.plan, plan);
         self.queues = Self::build_queues(&self.plan);
@@ -842,16 +837,8 @@ impl Executor {
         self.total_rounds += rounds;
 
         let mut sink_counts = self.carried_sinks.clone();
-        for (name, id) in self.plan.sinks() {
-            if let Some(sink) = self
-                .plan
-                .node(id)?
-                .operator
-                .as_any()
-                .downcast_ref::<crate::ops::SinkOp>()
-            {
-                *sink_counts.entry(name).or_insert(0) += sink.count();
-            }
+        for sink in self.plan.sinks() {
+            *sink_counts.entry(sink.name().to_string()).or_insert(0) += sink.count();
         }
         let mut totals = self.carried_totals;
         let mut node_stats = Vec::with_capacity(self.plan.num_nodes());
@@ -958,15 +945,11 @@ impl Executor {
             });
         }
         let mut sink_out = Vec::new();
-        for (name, id) in self.plan.sinks() {
-            let Ok(node) = self.plan.node(id) else {
-                continue;
-            };
-            if let Some(sink) = node.operator.as_any().downcast_ref::<crate::ops::SinkOp>() {
-                let total = self.carried_sinks.get(&name).copied().unwrap_or(0) + sink.count();
-                let prev = w.prev_sinks.insert(name.clone(), total).unwrap_or(0);
-                sink_out.push((name, total - prev));
-            }
+        for sink in self.plan.sinks() {
+            let name = sink.name().to_string();
+            let total = self.carried_sinks.get(&name).copied().unwrap_or(0) + sink.count();
+            let prev = w.prev_sinks.insert(name.clone(), total).unwrap_or(0);
+            sink_out.push((name, total - prev));
         }
         sink_out.sort();
         StatsSnapshot {

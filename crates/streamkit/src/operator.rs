@@ -3,13 +3,14 @@
 //! Operators are push-based: the scheduler hands them one [`StreamItem`] at a
 //! time on a given input port, and they emit zero or more items on their
 //! output ports through the [`OpContext`].  All stateful operators report
-//! their state size in tuples so the executor can sample total state memory.
+//! their state size in tuples so the executor can sample total state memory,
+//! and capture and restore their own state as a [`NodeState`].
 
-use std::any::Any;
-
+use crate::checkpoint::NodeState;
+use crate::error::{Result, StreamError};
+use crate::ops::{SinkOp, SliceJoinOp};
 use crate::queue::StreamItem;
 use crate::stats::CostCounters;
-use crate::tuple::Tuple;
 
 /// Index of an input or output port of an operator.
 pub type PortId = usize;
@@ -63,6 +64,14 @@ impl OpContext {
 /// Implementations must be deterministic given the sequence of `(port, item)`
 /// calls; the round-robin scheduler may interleave operators arbitrarily, and
 /// the paper's correctness argument (Lemma 1) is independent of scheduling.
+///
+/// Only [`Operator::name`] and [`Operator::process`] are required.  An
+/// operator whose state must survive a drained punctuation boundary captures
+/// and restores it itself ([`Operator::node_state`] /
+/// [`Operator::restore_state`]) — the path checkpoints and hot-key
+/// replication reach a node's state by.  Code that needs a concrete operator
+/// asks through the typed accessors ([`Operator::as_sink`],
+/// [`Operator::as_slice_join`]).
 pub trait Operator: Send {
     /// Human-readable operator name (used in reports).
     fn name(&self) -> &str;
@@ -138,38 +147,49 @@ pub trait Operator: Send {
         false
     }
 
-    /// Take this operator's window state as two timestamp-ordered tuple
-    /// runs `(side a, side b)`, leaving the operator empty.  Returns `None`
-    /// when the operator has no migratable window state (the default).
-    ///
-    /// This is the generic face of the state-migration path the sharded
-    /// executor's hot-key replication uses: together with
-    /// [`Operator::load_window_states`] it lets the router move or replicate
-    /// a key's stored bucket across shard plan instances.  The window join
-    /// implements the pair; stateless and transient-buffer operators keep
-    /// the default.
-    /// Call only at quiescence (the owning executor drained), so no partial
-    /// batch is in flight.
-    fn drain_window_states(&mut self) -> Option<(Vec<Tuple>, Vec<Tuple>)> {
+    /// This node's recoverable state at a drained punctuation boundary (see
+    /// [`crate::checkpoint`]), read without disturbing the operator.  The
+    /// default suits operators that keep nothing a boundary must preserve:
+    /// it returns [`NodeState::Stateless`], and refuses with
+    /// [`StreamError::Checkpoint`] when the operator reports window state it
+    /// has no hook for.
+    fn node_state(&self) -> Result<NodeState> {
+        if self.state_size() > 0 && !self.is_transient_buffer() {
+            return Err(StreamError::Checkpoint(format!(
+                "operator '{}' holds {} state tuples but has no node_state hook",
+                self.name(),
+                self.state_size()
+            )));
+        }
+        Ok(NodeState::Stateless)
+    }
+
+    /// Replace this node's state with `state`, captured by
+    /// [`Operator::node_state`] from a node of the same shape.  Restoration
+    /// is absolute, and a state of another kind (or shape) is refused with
+    /// [`StreamError::Checkpoint`].  The default accepts only
+    /// [`NodeState::Stateless`].
+    fn restore_state(&mut self, state: NodeState) -> Result<()> {
+        match state {
+            NodeState::Stateless => Ok(()),
+            other => Err(other.mismatch(self.name())),
+        }
+    }
+
+    /// This operator as a result sink, if it is one.
+    fn as_sink(&self) -> Option<&SinkOp> {
         None
     }
 
-    /// Restore window state drained by [`Operator::drain_window_states`]
-    /// (possibly merged with replicated tuples, still timestamp-ordered per
-    /// side).  The default panics: it must only be called on operators whose
-    /// `drain_window_states` returns `Some`.
-    fn load_window_states(&mut self, _side_a: Vec<Tuple>, _side_b: Vec<Tuple>) {
-        panic!(
-            "operator '{}' does not support window-state migration",
-            self.name()
-        );
+    /// This operator as a slice join, if it is one.
+    fn as_slice_join(&self) -> Option<&SliceJoinOp> {
+        None
     }
 
-    /// Downcasting support (sinks expose collected results this way).
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcasting support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// This operator as a mutable slice join, if it is one.
+    fn as_slice_join_mut(&mut self) -> Option<&mut SliceJoinOp> {
+        None
+    }
 }
 
 #[cfg(test)]
@@ -186,12 +206,6 @@ mod tests {
         }
         fn process(&mut self, _port: PortId, item: StreamItem, ctx: &mut OpContext) {
             ctx.emit(0, item);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -224,12 +238,5 @@ mod tests {
         assert!(items.is_empty(), "batch input is drained");
         assert_eq!(ctx.pending_outputs(), 3);
         assert_eq!(ctx.counters.items_emitted, 3);
-    }
-
-    #[test]
-    fn operators_are_downcastable() {
-        let mut op = Echo;
-        assert!(op.as_any().downcast_ref::<Echo>().is_some());
-        assert!(op.as_any_mut().downcast_mut::<Echo>().is_some());
     }
 }

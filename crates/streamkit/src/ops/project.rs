@@ -1,6 +1,5 @@
 //! Projection operator.
 
-use std::any::Any;
 use std::sync::Arc;
 
 use crate::operator::{OpContext, Operator, PortId};
@@ -67,14 +66,6 @@ impl Operator for ProjectOp {
             }
             p @ StreamItem::Punctuation(_) => ctx.emit(0, p),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

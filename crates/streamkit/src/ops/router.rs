@@ -7,7 +7,6 @@
 //! comparison per registered query, which is exactly the per-result routing
 //! cost the paper identifies as a weakness of those strategies.
 
-use std::any::Any;
 use std::sync::Arc;
 
 use crate::columnar::eval_predicate_into;
@@ -144,14 +143,6 @@ impl Operator for RouterOp {
                 }
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

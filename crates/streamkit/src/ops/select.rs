@@ -1,7 +1,5 @@
 //! Selection (filter) operator.
 
-use std::any::Any;
-
 use crate::columnar::eval_predicate;
 use crate::operator::{OpContext, Operator, PortId};
 use crate::predicate::Predicate;
@@ -80,14 +78,6 @@ impl Operator for SelectOp {
             }
             p @ StreamItem::Punctuation(_) => ctx.emit(0, p),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

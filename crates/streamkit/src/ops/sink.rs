@@ -1,7 +1,7 @@
 //! Result sinks (the paper's "result receivers").
 
-use std::any::Any;
-
+use crate::checkpoint::NodeState;
+use crate::error::Result;
 use crate::operator::{OpContext, Operator, PortId};
 use crate::queue::StreamItem;
 use crate::time::Timestamp;
@@ -62,23 +62,6 @@ impl SinkOp {
     pub fn collected(&self) -> &[Tuple] {
         &self.collected
     }
-
-    /// Overwrite the sink's cumulative state with a checkpointed snapshot
-    /// (absolute, not additive: crash recovery restores the counts as of
-    /// the checkpoint and then replays the post-checkpoint input, which
-    /// re-delivers the post-checkpoint results).
-    pub fn restore(
-        &mut self,
-        count: u64,
-        last_ts: Option<Timestamp>,
-        out_of_order: u64,
-        collected: Vec<Tuple>,
-    ) {
-        self.count = count;
-        self.last_ts = last_ts;
-        self.out_of_order = out_of_order;
-        self.collected = collected;
-    }
 }
 
 impl Operator for SinkOp {
@@ -131,12 +114,38 @@ impl Operator for SinkOp {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn node_state(&self) -> Result<NodeState> {
+        Ok(NodeState::Sink {
+            count: self.count,
+            last_ts: self.last_ts,
+            out_of_order: self.out_of_order,
+            collected: self.collected.clone(),
+        })
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    /// Overwrite the cumulative counters with checkpointed ones (absolute,
+    /// not additive: crash recovery restores the counts as of the checkpoint
+    /// and then replays the post-checkpoint input, which re-delivers the
+    /// post-checkpoint results).
+    fn restore_state(&mut self, state: NodeState) -> Result<()> {
+        let NodeState::Sink {
+            count,
+            last_ts,
+            out_of_order,
+            collected,
+        } = state
+        else {
+            return Err(state.mismatch(&self.name));
+        };
+        self.count = count;
+        self.last_ts = last_ts;
+        self.out_of_order = out_of_order;
+        self.collected = collected;
+        Ok(())
+    }
+
+    fn as_sink(&self) -> Option<&SinkOp> {
+        Some(self)
     }
 }
 

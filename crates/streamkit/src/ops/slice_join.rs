@@ -29,9 +29,9 @@
 //! order-preserving union) — and [`PORT_NEXT_SLICE`], the logical queue
 //! feeding the next slice.
 
-use std::any::Any;
-
+use crate::checkpoint::NodeState;
 use crate::columnar::ColumnBatch;
+use crate::error::{Result, StreamError};
 use crate::join_state::{equi_key_fields, memoize_key, JoinState};
 use crate::operator::{OpContext, Operator, PortId};
 use crate::predicate::JoinCondition;
@@ -330,7 +330,8 @@ impl SliceJoinOp {
         )
     }
 
-    /// Copies of the tuples currently held in the two states (oldest first);
+    /// Copies of the tuples currently held in the two states (oldest first):
+    /// the read-only capture behind [`Operator::node_state`], and a
     /// verification aid for migration and shard-rescaling tooling.
     pub fn state_tuples(&self) -> (Vec<Tuple>, Vec<Tuple>) {
         (
@@ -578,20 +579,39 @@ impl Operator for SliceJoinOp {
         self.state_a.capacity_bytes() + self.state_b.capacity_bytes()
     }
 
-    fn drain_window_states(&mut self) -> Option<(Vec<Tuple>, Vec<Tuple>)> {
-        Some(self.drain_states())
+    fn node_state(&self) -> Result<NodeState> {
+        let (side_a, side_b) = self.state_tuples();
+        Ok(NodeState::Window {
+            window: self.window,
+            side_a,
+            side_b,
+        })
     }
 
-    fn load_window_states(&mut self, side_a: Vec<Tuple>, side_b: Vec<Tuple>) {
-        self.load_states(side_a, side_b);
+    fn restore_state(&mut self, state: NodeState) -> Result<()> {
+        match state {
+            NodeState::Window {
+                window,
+                side_a,
+                side_b,
+            } if window == self.window => {
+                self.load_states(side_a, side_b);
+                Ok(())
+            }
+            NodeState::Window { window, .. } => Err(StreamError::Checkpoint(format!(
+                "window state of slice {window} cannot restore into '{}' over {}",
+                self.name, self.window
+            ))),
+            other => Err(other.mismatch(&self.name)),
+        }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
+    fn as_slice_join(&self) -> Option<&SliceJoinOp> {
+        Some(self)
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn as_slice_join_mut(&mut self) -> Option<&mut SliceJoinOp> {
+        Some(self)
     }
 }
 
@@ -645,6 +665,63 @@ mod tests {
             fresh.process(0, tuple(31, StreamId::B).into(), &mut ctx);
             assert_eq!(fresh.results(), 20);
             assert_eq!(fresh.batch_results(), 0);
+        }
+    }
+
+    #[test]
+    fn capturing_a_slice_reads_its_state_without_touching_it() {
+        let theta = |op, right_field| JoinCondition::Theta {
+            left_field: 0,
+            op,
+            right_field,
+        };
+        let band = JoinCondition::And(Box::new(theta(CmpOp::Ge, 1)), Box::new(theta(CmpOp::Le, 2)));
+        let tuple = |s, stream, key: i64| {
+            Tuple::of_ints(Timestamp::from_secs(s), stream, &[key, key - 2, key + 2])
+        };
+        let run = |op: &mut SliceJoinOp, items: &[StreamItem]| {
+            let mut ctx = OpContext::new();
+            op.process_batch(0, &mut items.to_vec(), &mut ctx);
+            let c = ctx.counters;
+            (c.probe_comparisons, c.purge_comparisons, op.results())
+        };
+        // Live bytes, held bytes, and every key's probe candidates.
+        let observe = |op: &SliceJoinOp| {
+            let candidates: Vec<Vec<Timestamp>> = (0..7)
+                .map(|k| {
+                    let probe = tuple(300, StreamId::B, k);
+                    op.state_a.probe_candidates(&probe).map(|t| t.ts).collect()
+                })
+                .collect();
+            (op.state_bytes(), op.state_capacity_bytes(), candidates)
+        };
+        // 300 A tuples, then a B probe at 300 s that purges the 251 older
+        // than the 50 s window: the 49 survivors straddle two arena segments,
+        // the first one mostly purged slack, and the index holds dead entries.
+        let mut setup: Vec<StreamItem> = (0..300)
+            .map(|s| tuple(s, StreamId::A, (s % 7) as i64).into())
+            .collect();
+        setup.push(tuple(300, StreamId::B, 3).into());
+        let next: Vec<StreamItem> = (301..320)
+            .map(|s| tuple(s, StreamId::B, (s % 7) as i64).into())
+            .collect();
+        for (name, condition) in [("hash", JoinCondition::equi(0)), ("band", band)] {
+            let [mut captured, mut twin] = [(); 2].map(|_| {
+                SliceJoinOp::for_ab(name, SliceWindow::from_secs(0, 50), condition.clone())
+                    .chain_head()
+                    .last_in_chain()
+            });
+            assert_eq!(run(&mut captured, &setup), run(&mut twin, &setup));
+            let before = observe(&captured);
+            assert!(before.1 > before.0, "{name}: no purged slack to disturb");
+            let Ok(NodeState::Window { side_a, side_b, .. }) = captured.node_state() else {
+                panic!("{name}: a slice captures window state");
+            };
+            assert_eq!((side_a.len(), side_b.len()), (49, 1), "{name}");
+            assert_eq!(observe(&captured), before, "{name}");
+            // The captured slice goes on exactly as its uncaptured twin.
+            assert_eq!(run(&mut captured, &next), run(&mut twin, &next), "{name}");
+            assert_eq!(observe(&captured), observe(&twin), "{name}");
         }
     }
 }

@@ -6,8 +6,6 @@
 //! routes every tuple to the *first* port whose predicate matches; predicates
 //! are expected to be disjoint and exhaustive for a true partition.
 
-use std::any::Any;
-
 use crate::operator::{OpContext, Operator, PortId};
 use crate::predicate::Predicate;
 use crate::queue::StreamItem;
@@ -84,14 +82,6 @@ impl Operator for SplitOp {
                 }
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -18,11 +18,12 @@
 //! [1]: Abadi et al., "Aurora: A new model and architecture for data stream
 //! management", VLDB Journal 2003.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use crate::checkpoint::NodeState;
 use crate::columnar::ColumnBatch;
+use crate::error::{Result, StreamError};
 use crate::operator::{OpContext, Operator, PortId};
 use crate::punctuation::Punctuation;
 use crate::queue::StreamItem;
@@ -281,34 +282,6 @@ impl UnionOp {
     pub fn foreign_port_drops(&self) -> u64 {
         self.foreign_port_drops
     }
-
-    /// Per-port progress watermarks, in port order (checkpoint capture).
-    pub fn watermarks(&self) -> &[Timestamp] {
-        &self.watermarks
-    }
-
-    /// The merged watermark last forwarded downstream.
-    pub fn emitted_watermark(&self) -> Timestamp {
-        self.emitted_watermark
-    }
-
-    /// Restore the punctuation-driven progress state captured at a
-    /// checkpoint boundary.  The reorder buffers themselves are always
-    /// empty there (the post-run flush released everything), so the
-    /// watermarks *are* the union's persistent state.  Returns `false` —
-    /// and restores nothing — when the port count does not match.
-    pub fn restore_progress(
-        &mut self,
-        watermarks: Vec<Timestamp>,
-        emitted_watermark: Timestamp,
-    ) -> bool {
-        if watermarks.len() != self.inputs {
-            return false;
-        }
-        self.watermarks = watermarks;
-        self.emitted_watermark = emitted_watermark;
-        true
-    }
 }
 
 impl Operator for UnionOp {
@@ -343,12 +316,42 @@ impl Operator for UnionOp {
         true
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
+    /// The per-port watermarks — the union's only state that outlives a
+    /// drained boundary, where the post-run flush has emptied every reorder
+    /// buffer.  Still-buffered items mean the cut is not punctuation-aligned
+    /// and are refused.
+    fn node_state(&self) -> Result<NodeState> {
+        if self.buffered != 0 {
+            return Err(StreamError::Checkpoint(format!(
+                "union '{}' still buffers {} items at the checkpoint boundary \
+                 — the cut is not punctuation-aligned",
+                self.name, self.buffered
+            )));
+        }
+        Ok(NodeState::Union {
+            watermarks: self.watermarks.clone(),
+            emitted_watermark: self.emitted_watermark,
+        })
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn restore_state(&mut self, state: NodeState) -> Result<()> {
+        match state {
+            NodeState::Union {
+                watermarks,
+                emitted_watermark,
+            } if watermarks.len() == self.inputs => {
+                self.watermarks = watermarks;
+                self.emitted_watermark = emitted_watermark;
+                Ok(())
+            }
+            NodeState::Union { watermarks, .. } => Err(StreamError::Checkpoint(format!(
+                "union '{}' has {} ports but the checkpoint holds {} watermarks",
+                self.name,
+                self.inputs,
+                watermarks.len()
+            ))),
+            other => Err(other.mismatch(&self.name)),
+        }
     }
 }
 

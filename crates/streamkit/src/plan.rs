@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use crate::error::{Result, StreamError};
 use crate::operator::{Operator, PortId};
-use crate::ops::SinkOp;
+use crate::ops::{SinkOp, SliceJoinOp};
 
 /// Identifier of a node inside a [`Plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -210,21 +210,26 @@ impl Plan {
             .collect()
     }
 
-    /// Node ids of every sink operator ([`SinkOp`]) keyed by operator name.
-    pub fn sinks(&self) -> Vec<(String, NodeId)> {
-        self.nodes
-            .iter()
-            .filter(|n| n.operator.as_any().is::<SinkOp>())
-            .map(|n| (n.operator.name().to_string(), n.id))
-            .collect()
+    /// Every sink operator, in node order.
+    pub fn sinks(&self) -> impl Iterator<Item = &SinkOp> {
+        self.nodes.iter().filter_map(|n| n.operator.as_sink())
     }
 
     /// Immutable access to a sink operator by name.
     pub fn sink(&self, name: &str) -> Option<&SinkOp> {
+        self.sinks().find(|sink| sink.name() == name)
+    }
+
+    /// Every slice join, in node order (a chain's slices in chain order).
+    pub fn slice_joins(&self) -> impl Iterator<Item = &SliceJoinOp> {
+        self.nodes.iter().filter_map(|n| n.operator.as_slice_join())
+    }
+
+    /// Every slice join, mutably, in node order.
+    pub fn slice_joins_mut(&mut self) -> impl Iterator<Item = &mut SliceJoinOp> {
         self.nodes
-            .iter()
-            .filter(|n| n.operator.name() == name)
-            .find_map(|n| n.operator.as_any().downcast_ref::<SinkOp>())
+            .iter_mut()
+            .filter_map(|n| n.operator.as_slice_join_mut())
     }
 
     /// Internal mutable access to the node list (used by the executor to
@@ -290,7 +295,7 @@ mod tests {
         assert_eq!(plan.entry_names(), vec!["A"]);
         assert_eq!(plan.downstream(sel, 0), vec![(union, 0)]);
         assert_eq!(plan.downstream(sink, 0), vec![]);
-        assert_eq!(plan.sinks().len(), 1);
+        assert_eq!(plan.sinks().count(), 1);
         assert!(plan.sink("q1").is_some());
         assert!(plan.sink("sigma").is_none());
         assert_eq!(plan.total_state_size(), 0);

@@ -37,8 +37,8 @@
 //! With [`ShardedExecutor::enable_skew`] the router keeps a space-bounded
 //! heavy-hitter sketch ([`crate::skew`]) over canonical key hashes; when a
 //! key crosses the hot threshold its stored probe-side (stream B) bucket is
-//! replicated to every shard through the generic window-state migration
-//! hooks ([`crate::Operator::drain_window_states`]), and from then on its B
+//! replicated to every shard through each slice's own state hooks
+//! ([`Operator::node_state`]), and from then on its B
 //! tuples are broadcast to all shards while its A tuples are spread
 //! round-robin.  Every result pair is still produced exactly once — an A
 //! tuple lives in exactly one shard and meets the replicated B bucket there
@@ -63,10 +63,12 @@
 //!   to shard 0 and the shard-invariance guarantee is void for workloads
 //!   that join on `NaN` keys (real deployments reject them at ingest).
 
+use crate::checkpoint::NodeState;
 use crate::error::{Result, StreamError};
 use crate::executor::{ExecutionReport, Executor, ExecutorConfig};
 use crate::fault::FaultPlan;
 use crate::join_state::{equi_key_fields, memoize_key, tuple_key};
+use crate::operator::Operator;
 use crate::plan::{NodeId, Plan};
 use crate::pool::{Job, WorkerPool, DEFAULT_RING_CAPACITY};
 use crate::predicate::JoinCondition;
@@ -786,8 +788,8 @@ impl ShardedExecutor {
     }
 
     /// Replicate the stored probe-side bucket of a newly hot key to every
-    /// shard, via the generic window-state migration hooks
-    /// ([`crate::Operator::drain_window_states`]).
+    /// shard, through each slice's own state hooks
+    /// ([`Operator::node_state`] / [`Operator::restore_state`]).
     ///
     /// The key's build-side (stream A) tuples stay where hash routing put
     /// them: future broadcast B tuples probe them there, and future spread A
@@ -804,54 +806,22 @@ impl ShardedExecutor {
         };
         for node in 0..num_nodes {
             let node_id = NodeId(node);
-            // Drain the source shard's states, copy out the hot bucket, and
-            // load the source back unchanged.
-            let Some((side_a, side_b)) = self.shards[source]
-                .plan_mut()
-                .node_mut(node_id)?
-                .operator
-                .drain_window_states()
-            else {
-                continue; // stateless / non-migratable operator
+            // Copy the hot bucket out of the source shard's state.
+            let source_op = &self.shards[source].plan().node(node_id)?.operator;
+            let NodeState::Window { side_a, side_b, .. } = source_op.node_state()? else {
+                continue; // a node without window state
             };
-            let hot_a: Vec<Tuple> = side_a
-                .iter()
-                .filter(|t| is_hot_probe_tuple(t))
-                .cloned()
-                .collect();
-            let hot_b: Vec<Tuple> = side_b
-                .iter()
-                .filter(|t| is_hot_probe_tuple(t))
-                .cloned()
-                .collect();
-            self.shards[source]
-                .plan_mut()
-                .node_mut(node_id)?
-                .operator
-                .load_window_states(side_a, side_b);
+            let hot_a: Vec<Tuple> = side_a.into_iter().filter(is_hot_probe_tuple).collect();
+            let hot_b: Vec<Tuple> = side_b.into_iter().filter(is_hot_probe_tuple).collect();
             if hot_a.is_empty() && hot_b.is_empty() {
                 continue;
             }
             for shard in (0..self.count).filter(|&s| s != source) {
-                let Some((mut side_a, mut side_b)) = self.shards[shard]
-                    .plan_mut()
-                    .node_mut(node_id)?
-                    .operator
-                    .drain_window_states()
-                else {
-                    continue;
-                };
-                // Replicas go after existing tuples, then a stable sort by
-                // timestamp keeps arrival order within equal timestamps.
-                side_a.extend(hot_a.iter().cloned());
-                side_b.extend(hot_b.iter().cloned());
-                side_a.sort_by_key(|t| t.ts);
-                side_b.sort_by_key(|t| t.ts);
-                self.shards[shard]
-                    .plan_mut()
-                    .node_mut(node_id)?
-                    .operator
-                    .load_window_states(side_a, side_b);
+                let op = self.shards[shard].plan_mut().node_mut(node_id)?;
+                edit_window_state(op.operator.as_mut(), |side_a, side_b| {
+                    merge_by_ts(side_a, hot_a.iter().cloned());
+                    merge_by_ts(side_b, hot_b.iter().cloned());
+                })?;
             }
         }
         Ok(())
@@ -874,52 +844,30 @@ impl ShardedExecutor {
             |t: &Tuple| tuple_key(t, spec.key_field(t.stream)) == KeyClass::Hash(hash);
         for node in 0..num_nodes {
             let node_id = NodeId(node);
-            let mut moved_a: Vec<Tuple> = Vec::new();
-            let mut moved_b: Vec<Tuple> = Vec::new();
+            let mut moved: [Vec<Tuple>; 2] = Default::default();
             for shard in (0..self.count).filter(|&s| s != home) {
-                let Some((side_a, side_b)) = self.shards[shard]
-                    .plan_mut()
-                    .node_mut(node_id)?
-                    .operator
-                    .drain_window_states()
-                else {
-                    continue; // stateless / non-migratable operator
-                };
-                let (take_a, keep_a): (Vec<Tuple>, Vec<Tuple>) =
-                    side_a.into_iter().partition(&key_matches);
-                let (take_b, keep_b): (Vec<Tuple>, Vec<Tuple>) =
-                    side_b.into_iter().partition(&key_matches);
-                // Probe-side copies are replicas of the home shard's
-                // originals and are simply dropped; build-side tuples are
-                // unique per shard and migrate home.
-                moved_a.extend(take_a.into_iter().filter(|t| t.stream != spec.stream_b));
-                moved_b.extend(take_b.into_iter().filter(|t| t.stream != spec.stream_b));
-                self.shards[shard]
-                    .plan_mut()
-                    .node_mut(node_id)?
-                    .operator
-                    .load_window_states(keep_a, keep_b);
+                let op = self.shards[shard].plan_mut().node_mut(node_id)?;
+                edit_window_state(op.operator.as_mut(), |side_a, side_b| {
+                    for (side, moved) in [side_a, side_b].into_iter().zip(&mut moved) {
+                        let (take, keep): (Vec<Tuple>, Vec<Tuple>) =
+                            std::mem::take(side).into_iter().partition(&key_matches);
+                        *side = keep;
+                        // Probe-side copies are replicas of the home shard's
+                        // originals and are simply dropped; build-side
+                        // tuples are unique per shard and migrate home.
+                        moved.extend(take.into_iter().filter(|t| t.stream != spec.stream_b));
+                    }
+                })?;
             }
+            let [moved_a, moved_b] = moved;
             if moved_a.is_empty() && moved_b.is_empty() {
                 continue;
             }
-            let Some((mut side_a, mut side_b)) = self.shards[home]
-                .plan_mut()
-                .node_mut(node_id)?
-                .operator
-                .drain_window_states()
-            else {
-                continue;
-            };
-            side_a.extend(moved_a);
-            side_b.extend(moved_b);
-            side_a.sort_by_key(|t| t.ts);
-            side_b.sort_by_key(|t| t.ts);
-            self.shards[home]
-                .plan_mut()
-                .node_mut(node_id)?
-                .operator
-                .load_window_states(side_a, side_b);
+            let op = self.shards[home].plan_mut().node_mut(node_id)?;
+            edit_window_state(op.operator.as_mut(), |side_a, side_b| {
+                merge_by_ts(side_a, moved_a);
+                merge_by_ts(side_b, moved_b);
+            })?;
         }
         Ok(())
     }
@@ -952,6 +900,36 @@ impl ShardedExecutor {
             .flat_map(|sink| sink.collected().iter().cloned())
             .collect()
     }
+}
+
+/// Rewrite one node's window state through the operator's own hooks
+/// ([`Operator::node_state`] / [`Operator::restore_state`]); a node without
+/// window state is left alone.
+fn edit_window_state(
+    op: &mut dyn Operator,
+    edit: impl FnOnce(&mut Vec<Tuple>, &mut Vec<Tuple>),
+) -> Result<()> {
+    if let NodeState::Window {
+        window,
+        mut side_a,
+        mut side_b,
+    } = op.node_state()?
+    {
+        edit(&mut side_a, &mut side_b);
+        op.restore_state(NodeState::Window {
+            window,
+            side_a,
+            side_b,
+        })?;
+    }
+    Ok(())
+}
+
+/// Append `extra` to one timestamp-ordered state side and restore the
+/// order; the stable sort keeps arrival order within equal timestamps.
+fn merge_by_ts(side: &mut Vec<Tuple>, extra: impl IntoIterator<Item = Tuple>) {
+    side.extend(extra);
+    side.sort_by_key(|t| t.ts);
 }
 
 #[cfg(test)]

@@ -25,12 +25,11 @@
 use proptest::prelude::*;
 use state_slice_repro::core::live::{LiveOptions, LiveReslicer, MigrationMode};
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
-use state_slice_repro::core::verify::collected_fingerprints;
+use state_slice_repro::core::verify::{collected_fingerprints, scan_only};
 use state_slice_repro::core::{
     ChainPlanFactory, ChainSpec, JoinQuery, QueryWorkload, SharedChainPlan,
 };
-use state_slice_repro::streamkit::checkpoint::{NodeCheckpoint, ShardCheckpoint};
-use state_slice_repro::streamkit::ops::SliceJoinOp;
+use state_slice_repro::streamkit::checkpoint::{NodeState, ShardCheckpoint};
 use state_slice_repro::streamkit::predicate::CmpOp;
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::{
@@ -84,7 +83,7 @@ fn normalize_sinks(mut ckpt: ShardCheckpoint) -> ShardCheckpoint {
         (t.ts, t.origin_span, t.lineage, ints)
     };
     for node in &mut ckpt.nodes {
-        if let NodeCheckpoint::Sink { collected, .. } = node {
+        if let NodeState::Sink { collected, .. } = node {
             collected.sort_by_key(sort_key);
         }
     }
@@ -102,10 +101,12 @@ type Outcome = (
 fn run_mode(workload: &QueryWorkload, spec: &ChainSpec, input: &[Tuple], indexed: bool) -> Outcome {
     let options = PlannerOptions {
         retain_results: true,
-        index_join_state: indexed,
         ..PlannerOptions::default()
     };
-    let shared = SharedChainPlan::build(workload, spec, &options).expect("plan builds");
+    let mut shared = SharedChainPlan::build(workload, spec, &options).expect("plan builds");
+    if !indexed {
+        scan_only(&mut shared.plan);
+    }
     let mut exec = Executor::new(shared.plan);
     exec.ingest_all(CHAIN_ENTRY, input.to_vec())
         .expect("ingest");
@@ -118,7 +119,7 @@ fn run_mode(workload: &QueryWorkload, spec: &ChainSpec, input: &[Tuple], indexed
             (q.name.clone(), collected_fingerprints(sink.collected()))
         })
         .collect();
-    let state = normalize_sinks(ShardCheckpoint::capture(&mut exec).expect("drained capture"));
+    let state = normalize_sinks(ShardCheckpoint::capture(&exec).expect("drained capture"));
     (results, report.totals, state)
 }
 
@@ -247,9 +248,7 @@ fn live_states(live: &LiveReslicer) -> LiveStates {
         .map(|shard| {
             shard
                 .plan()
-                .nodes()
-                .iter()
-                .filter_map(|n| n.operator.as_any().downcast_ref::<SliceJoinOp>())
+                .slice_joins()
                 .map(|op| {
                     let (a, b) = op.state_tuples();
                     (fp(a), fp(b))
@@ -263,18 +262,27 @@ fn live_states(live: &LiveReslicer) -> LiveStates {
 type ChurnQueries = Vec<(String, u64, Vec<(Timestamp, TimeDelta, Timestamp)>)>;
 
 /// Drive a fixed churn schedule (add Q5 → remove Q2 → add Q3 against an
-/// always-alive Q9 anchor) over a band workload, indexed or linear.
+/// always-alive Q9 anchor) over a band workload, indexed or linear.  Every
+/// migration builds its plans indexed, so the linear run switches them back
+/// to scans after launch and after each churn action.
 fn run_band_churn(input: &[Tuple], indexed: bool) -> (ChurnQueries, CostCounters, LiveStates) {
     let options = LiveOptions {
         planner: PlannerOptions {
             retain_results: true,
-            index_join_state: indexed,
             ..PlannerOptions::default()
         },
         mode: MigrationMode::Eager,
         ..LiveOptions::default()
     };
     let mut live = LiveReslicer::launch(workload_of(&[9, 2]), options).expect("launch");
+    let probe_mode = |live: &mut LiveReslicer| {
+        if !indexed {
+            for shard in live.executor_mut().shards_mut() {
+                scan_only(shard.plan_mut());
+            }
+        }
+    };
+    probe_mode(&mut live);
     let cuts = [input.len() / 4, input.len() / 2, 3 * input.len() / 4];
     let actions: [&dyn Fn(&mut LiveReslicer); 3] = [
         &|l| {
@@ -294,6 +302,7 @@ fn run_band_churn(input: &[Tuple], indexed: bool) -> (ChurnQueries, CostCounters
         live.ingest_all(input[done..cut].to_vec()).expect("ingest");
         done = cut;
         action(&mut live);
+        probe_mode(&mut live);
     }
     live.ingest_all(input[done..].to_vec()).expect("ingest");
     live.drain().expect("drain");

@@ -25,7 +25,6 @@ use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTR
 use state_slice_repro::core::{ChainSpec, JoinQuery, QueryWorkload, SharedChainPlan};
 use state_slice_repro::streamkit::operator::OpContext;
 use state_slice_repro::streamkit::ops::SliceJoinOp;
-use state_slice_repro::streamkit::plan::NodeId;
 use state_slice_repro::streamkit::queue::StreamItem;
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::{
@@ -91,12 +90,9 @@ fn run_mode(
         .collect();
     let mut states = Vec::new();
     let mut batch_results = 0;
-    for idx in 0..exec.plan().num_nodes() {
-        let node = exec.plan_mut().node_mut(NodeId(idx)).expect("node exists");
-        if let Some(slice) = node.operator.as_any_mut().downcast_mut::<SliceJoinOp>() {
-            batch_results += slice.batch_results();
-            states.push(slice.drain_states());
-        }
+    for slice in exec.plan_mut().slice_joins_mut() {
+        batch_results += slice.batch_results();
+        states.push(slice.drain_states());
     }
     (results, report.totals, states, batch_results)
 }

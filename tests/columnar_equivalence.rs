@@ -83,11 +83,7 @@ fn executor_config(batch_per_visit: usize) -> ExecutorConfig {
 
 /// One shard's sliced joins, in chain order.
 fn slices(shard: &Executor) -> impl Iterator<Item = &SliceJoinOp> {
-    shard
-        .plan()
-        .nodes()
-        .iter()
-        .filter_map(|n| n.operator.as_any().downcast_ref::<SliceJoinOp>())
+    shard.plan().slice_joins()
 }
 
 /// Results the executor's current sliced joins emitted as batch rows.
@@ -303,7 +299,6 @@ fn run_live(
         planner: PlannerOptions {
             retain_results: true,
             shards,
-            ..PlannerOptions::default()
         },
         executor: executor_config(batch_per_visit),
         mode,

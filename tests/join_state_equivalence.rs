@@ -1,16 +1,16 @@
 //! Property test for the hash-indexed join state: on random equi-join
 //! workloads the indexed state-sliced chain must emit exactly the same
 //! result multiset — and end with exactly the same per-slice window state —
-//! as the pre-index linear-scan reference (the same chain built with
-//! `PlannerOptions { index_join_state: false }`).
+//! as the pre-index linear-scan reference (the same chain with every slice
+//! switched to linear scans by `verify::scan_only`).
 //!
 //! This pins the `JoinState` subsystem to the semantics the paper's
 //! Theorems 1–2 assume: the hash index is a pure access-path change.
 
 use proptest::prelude::*;
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
+use state_slice_repro::core::verify::scan_only;
 use state_slice_repro::core::{ChainSpec, JoinQuery, QueryWorkload, SharedChainPlan};
-use state_slice_repro::streamkit::ops::SliceJoinOp;
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::{Executor, JoinCondition, TimeDelta, Timestamp, Tuple};
 
@@ -31,16 +31,18 @@ fn run_chain(
     input: &[Tuple],
     indexed: bool,
 ) -> (ChainOutcome, u64) {
-    let shared = SharedChainPlan::build(
+    let mut shared = SharedChainPlan::build(
         workload,
         spec,
         &PlannerOptions {
             retain_results: true,
-            index_join_state: indexed,
             ..PlannerOptions::default()
         },
     )
     .expect("plan builds");
+    if !indexed {
+        scan_only(&mut shared.plan);
+    }
     let mut exec = Executor::new(shared.plan);
     exec.ingest_all(CHAIN_ENTRY, input.to_vec())
         .expect("ingest");
@@ -61,9 +63,7 @@ fn run_chain(
         .collect();
     let states = exec
         .plan()
-        .nodes()
-        .iter()
-        .filter_map(|n| n.operator.as_any().downcast_ref::<SliceJoinOp>())
+        .slice_joins()
         .map(|op| op.state_timestamps())
         .collect();
     ((results, states), report.totals.probe_comparisons)

@@ -29,7 +29,6 @@ use state_slice_repro::core::{
     ChainPlanFactory, ChainSpec, ChurnOutcome, CostConfig, JoinQuery, QueryWorkload,
     SharedChainPlan,
 };
-use state_slice_repro::streamkit::ops::SliceJoinOp;
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::window::SliceWindow;
 use state_slice_repro::streamkit::{
@@ -120,7 +119,6 @@ fn live_options(shards: usize, mode: MigrationMode) -> LiveOptions {
         planner: PlannerOptions {
             retain_results: true,
             shards,
-            ..PlannerOptions::default()
         },
         mode,
         ..LiveOptions::default()
@@ -143,9 +141,7 @@ fn collect_states(exec: &ShardedExecutor) -> StateSnapshot {
         .map(|shard| {
             shard
                 .plan()
-                .nodes()
-                .iter()
-                .filter_map(|n| n.operator.as_any().downcast_ref::<SliceJoinOp>())
+                .slice_joins()
                 .map(|op| {
                     let (a, b) = op.state_tuples();
                     (op.window(), fp(a), fp(b))
@@ -317,7 +313,6 @@ fn reference_final_states(input: &[Tuple], final_pool: &[u64], shards: usize) ->
         PlannerOptions {
             retain_results: true,
             shards,
-            ..PlannerOptions::default()
         },
     );
     let mut exec = factory.sharded().unwrap();

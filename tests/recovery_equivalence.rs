@@ -264,7 +264,6 @@ fn an_indexed_state_checkpoint_round_trip_preserves_probe_behaviour() {
         let spec = ChainSpec::memory_optimal(&wl);
         let options = PlannerOptions {
             retain_results: true,
-            index_join_state: true,
             ..PlannerOptions::default()
         };
         let mut original =
@@ -298,7 +297,7 @@ fn an_indexed_state_checkpoint_round_trip_preserves_probe_behaviour() {
         };
 
         let before = feed(&mut original, 0..14);
-        let ckpt = ShardCheckpoint::capture(&mut original).unwrap();
+        let ckpt = ShardCheckpoint::capture(&original).unwrap();
         ckpt.restore(&mut restored).unwrap();
 
         let after = feed(&mut original, 14..30);
@@ -320,8 +319,8 @@ fn an_indexed_state_checkpoint_round_trip_preserves_probe_behaviour() {
             assert_eq!(sink(&original), sink(&restored), "{mode:?}: {name} results");
         }
         assert_eq!(
-            ShardCheckpoint::capture(&mut original).unwrap(),
-            ShardCheckpoint::capture(&mut restored).unwrap(),
+            ShardCheckpoint::capture(&original).unwrap(),
+            ShardCheckpoint::capture(&restored).unwrap(),
             "{mode:?}: final states diverged after the round trip"
         );
     }

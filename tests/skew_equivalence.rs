@@ -30,7 +30,6 @@ use proptest::prelude::*;
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::{ChainPlanFactory, ChainSpec, JoinQuery, QueryWorkload};
 use state_slice_repro::streamkit::join_state::tuple_key;
-use state_slice_repro::streamkit::ops::SliceJoinOp;
 use state_slice_repro::streamkit::tuple::{KeyClass, StreamId};
 use state_slice_repro::streamkit::{
     CostCounters, JoinCondition, Predicate, SkewConfig, TimeDelta, Timestamp, Tuple,
@@ -135,22 +134,15 @@ fn harvest_hot_state_b(
     let mut per_shard = Vec::new();
     for shard in exec.shards_mut() {
         let mut fps: Vec<StateFp> = Vec::new();
-        let plan = shard.plan_mut();
-        for idx in 0..plan.num_nodes() {
-            let node = plan
-                .node_mut(state_slice_repro::streamkit::NodeId(idx))
-                .expect("index in range");
-            if let Some(op) = node.operator.as_any_mut().downcast_mut::<SliceJoinOp>() {
-                let (_, side_b) = op.drain_states();
-                for t in side_b {
-                    if let KeyClass::Hash(h) = tuple_key(&t, 0) {
-                        if hot.contains(&h) {
-                            let Some(&state_slice_repro::streamkit::Value::Int(k)) = t.value(0)
-                            else {
-                                panic!("join key must be an int");
-                            };
-                            fps.push((t.ts, k));
-                        }
+        for op in shard.plan_mut().slice_joins_mut() {
+            let (_, side_b) = op.drain_states();
+            for t in side_b {
+                if let KeyClass::Hash(h) = tuple_key(&t, 0) {
+                    if hot.contains(&h) {
+                        let Some(&state_slice_repro::streamkit::Value::Int(k)) = t.value(0) else {
+                            panic!("join key must be an int");
+                        };
+                        fps.push((t.ts, k));
                     }
                 }
             }

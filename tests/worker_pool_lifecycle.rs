@@ -100,7 +100,6 @@ fn live_options(shards: usize) -> LiveOptions {
         planner: PlannerOptions {
             retain_results: true,
             shards,
-            ..PlannerOptions::default()
         },
         ..LiveOptions::default()
     }
