@@ -23,7 +23,7 @@ use ss_workload::{DriftPhase, DriftProfile, KeyDistribution, WorkloadConfig, JOI
 use state_slice_core::adaptive::{
     AdaptationAction, AdaptationLog, AdaptationRecord, Supervisor, SupervisorConfig,
 };
-use state_slice_core::live::{LiveOptions, LiveReslicer, SliceStrategy};
+use state_slice_core::live::{Session, SessionOptions, SliceStrategy};
 use state_slice_core::planner::merge_streams;
 use state_slice_core::{CostConfig, JoinQuery, QueryWorkload};
 use streamkit::error::{Result, StreamError};
@@ -316,12 +316,12 @@ fn run_variant(
     strategy: SliceStrategy,
     mut supervisor: Option<&mut Supervisor>,
 ) -> Result<AdaptiveRun> {
-    let mut live = LiveReslicer::launch(
+    let mut live = Session::launch(
         workload.clone(),
-        LiveOptions {
+        SessionOptions {
             executor: executor_config(),
             strategy,
-            ..LiveOptions::default()
+            ..SessionOptions::default()
         },
     )?;
     let mut done = 0;

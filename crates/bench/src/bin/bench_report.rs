@@ -4,10 +4,12 @@
 //! the retired join/shard/batch/columnar/skew/band modes — are measured by
 //! `benchmark/`, see `BENCHMARK.json`.)
 //!
-//! Three modes:
+//! All three modes drive `state_slice_core::Session`, the one owner of the
+//! running executor, so churn, re-plans and crash recovery run through the
+//! same ingest, drain and checkpoint path:
 //!
-//! * **`--churn I`** — runs the fig18-style equi workload on a live
-//!   reslicing executor while queries enter/leave by a Poisson process with
+//! * **`--churn I`** — runs the fig18-style equi workload on a session
+//!   while queries enter/leave by a Poisson process with
 //!   mean interval `I` seconds (a comma list sweeps explicit intervals,
 //!   0 = no churn; a single value sweeps `0,I`), checks every query
 //!   instance's results against a statically-planned oracle, and writes
@@ -16,12 +18,12 @@
 //! * **`--adaptive`** — runs an equi workload whose join selectivity
 //!   collapses and recovers mid-stream under two statically-planned chains
 //!   (Mem-Opt, and the chain CPU-Opt picks for the collapsed phase), under
-//!   an adaptive supervisor that re-costs and re-cuts the chain live, and
+//!   an adaptive supervisor that re-costs and re-cuts the session's chain, and
 //!   under a stationary control (whose adaptation log must stay empty), and
 //!   writes `BENCH_adaptive.json` (`SS_BENCH_REPS` repetitions, default 3,
 //!   best service rate kept per variant).
 //! * **`--recovery`** — runs the fig18-style equi workload (punctuated every
-//!   stream second) under a crash-recovery supervisor twice: uninterrupted,
+//!   stream second) on a session twice: uninterrupted,
 //!   and with a deterministic worker panic injected at a mid-stream
 //!   punctuation epoch (recovered from the last punctuation-aligned
 //!   checkpoint plus a replay of the ring), and writes

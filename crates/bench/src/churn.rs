@@ -1,7 +1,7 @@
 //! Live-query-churn harness behind `bench_report -- --churn`.
 //!
 //! Runs the fig18-style equi workload (Uniform 10/20/30 s windows, no
-//! selections, probe-heavy) on a [`LiveReslicer`] while a Poisson churn
+//! selections, probe-heavy) on a [`Session`] while a Poisson churn
 //! schedule adds and removes queries mid-stream, sweeping the mean
 //! churn-event interval.  Every row measures the service rate (migration
 //! stalls excluded by the executor's paused-time accounting) and the
@@ -13,7 +13,7 @@
 //! lifetime.
 
 use ss_workload::{churn_schedule, ChurnAction, ChurnConfig, Scenario};
-use state_slice_core::live::{LiveOptions, LiveReslicer, QueryResults};
+use state_slice_core::live::{QueryResults, Session, SessionOptions};
 use state_slice_core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
 use state_slice_core::{ChainBuilder, JoinQuery, QueryWorkload, SharedChainPlan};
 use streamkit::error::{Result, StreamError};
@@ -232,11 +232,11 @@ pub fn run_churn_row(
     let cuts = epoch_cuts(input, &events);
 
     // Live run: ingest each epoch's chunk, then apply the churn event.
-    let mut live = LiveReslicer::launch(
+    let mut live = Session::launch(
         base_workload.clone(),
-        LiveOptions {
+        SessionOptions {
             executor: executor_config(),
-            ..LiveOptions::default()
+            ..SessionOptions::default()
         },
     )?;
     // Instance ledger: (name, window, first epoch, last epoch or None).

@@ -2,7 +2,7 @@
 //!
 //! Drives the fig18-style equi-join-heavy workload — with a punctuation
 //! closing every stream second, so checkpoints have boundaries to align to —
-//! through two [`RecoverySupervisor`] sessions over the **same** input:
+//! through two [`Session`]s over the **same** input:
 //!
 //! * `uninterrupted` — no fault armed; its recovery log must stay clean
 //!   (checkpoints only),
@@ -18,8 +18,8 @@
 
 use ss_workload::Scenario;
 use state_slice_core::planner::PlannerOptions;
-use state_slice_core::recovery::{RecoveryConfig, RecoveryLog, RecoverySupervisor};
-use state_slice_core::{ChainBuilder, ChainPlanFactory, QueryWorkload};
+use state_slice_core::recovery::{RecoveryConfig, RecoveryLog};
+use state_slice_core::{QueryWorkload, Session, SessionOptions};
 use streamkit::error::{Result, StreamError};
 use streamkit::fault::FaultPlan;
 use streamkit::punctuation::Punctuation;
@@ -192,17 +192,6 @@ fn punctuated(input: Vec<Tuple>) -> Vec<StreamItem> {
     items
 }
 
-fn session_factory(workload: &QueryWorkload, shards: usize) -> ChainPlanFactory {
-    let builder = ChainBuilder::new(workload.clone());
-    builder.plan_factory(
-        builder.memory_optimal(),
-        PlannerOptions {
-            retain_results: true,
-            ..PlannerOptions::default().with_shards(shards)
-        },
-    )
-}
-
 /// Feed the punctuated input, draining at every punctuation (so checkpoints
 /// land on the configured epoch interval), and return the finished run.
 fn run_session(
@@ -213,38 +202,46 @@ fn run_session(
     recovery: RecoveryConfig,
     fault: Option<FaultPlan>,
 ) -> Result<(RecoveryRun, RecoveryLog, SinkResults)> {
-    let mut sup = RecoverySupervisor::launch(
-        session_factory(workload, shards),
-        executor_config(),
-        recovery,
+    let mut session = Session::launch(
+        workload.clone(),
+        SessionOptions {
+            planner: PlannerOptions {
+                retain_results: true,
+                ..PlannerOptions::default().with_shards(shards)
+            },
+            executor: executor_config(),
+            recovery,
+            ..SessionOptions::default()
+        },
     )?;
     if let Some(plan) = fault {
-        sup.arm_fault(0, plan)?;
+        session.executor_mut().arm_fault(0, plan)?;
     }
     for item in items {
-        sup.ingest(item.clone())?;
+        session.ingest(item.clone())?;
         if matches!(item, StreamItem::Punctuation(_)) {
-            sup.run()?;
+            session.drain()?;
         }
     }
-    let mut collected: Vec<(String, Vec<Tuple>)> = workload
-        .queries()
+    let outcome = session.finish()?;
+    let mut collected: SinkResults = outcome
+        .queries
         .iter()
         .map(|q| {
-            let mut tuples = sup.sink_collected(&q.name);
+            let mut tuples = q.collected.clone();
             tuples.sort_by_key(|t| (t.ts, t.origin_span));
             (q.name.clone(), tuples)
         })
         .collect();
     collected.sort_by(|a, b| a.0.cmp(&b.0));
-    let (report, log) = sup.finish()?;
     let sink_counts = collected
         .iter()
         .map(|(name, tuples)| (name.clone(), tuples.len() as u64))
         .collect();
+    let log = outcome.recovery;
     let run = RecoveryRun {
         name: name.to_string(),
-        perf: perf_of(&report),
+        perf: perf_of(&outcome.report),
         sink_counts,
         checkpoints: log.checkpoints().len(),
         recoveries: log.recoveries().len(),

@@ -7,8 +7,8 @@
 //! and the chain that was CPU-optimal at launch can be badly mis-cut an
 //! hour later.  The [`Supervisor`] closes the loop:
 //!
-//! 1. it consumes windowed [`StatsSnapshot`]s from the running
-//!    [`LiveReslicer`] (EWMA-smoothed stream-time arrival rates, measured
+//! 1. it consumes windowed [`StatsSnapshot`]s from a running [`Session`],
+//!    which it borrows (EWMA-smoothed stream-time arrival rates, measured
 //!    join selectivity, live per-slice state),
 //! 2. a set of **drift detectors** with consecutive-confirmation hysteresis
 //!    compares them against the parameters the active plan was costed with
@@ -19,8 +19,8 @@
 //!    the declared [`CostConfig`]) and re-derives the slice boundaries,
 //! 4. and only when the modeled CPU win over the amortization horizon
 //!    exceeds the modeled migration pause cost does it drive a
-//!    [`LiveReslicer::set_strategy`] re-plan (or, for load signals,
-//!    [`LiveReslicer::rescale_shards`]).
+//!    [`Session::set_strategy`] re-plan (or, for load signals,
+//!    [`Session::rescale_shards`]).
 //!
 //! Every confirmed decision — applied, vetoed by the win/pause gate, or
 //! blocked by the runtime — is appended to an [`AdaptationLog`].  A
@@ -41,7 +41,7 @@ use streamkit::StatsSnapshot;
 use ss_cost_model::MeasuredParams;
 
 use crate::builder::{ChainBuilder, CostConfig};
-use crate::live::{ChainEditPlan, LiveReslicer, SliceStrategy};
+use crate::live::{ChainEditPlan, Session, SliceStrategy};
 
 /// Thresholds and gates of the adaptive supervisor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -296,7 +296,7 @@ impl Supervisor {
     /// Drain `live` to a punctuation boundary, sample its runtime
     /// statistics, and act on confirmed drift.  Returns the decision taken
     /// on this snapshot, if any.
-    pub fn observe(&mut self, live: &mut LiveReslicer) -> Result<Option<AdaptationRecord>> {
+    pub fn observe(&mut self, live: &mut Session) -> Result<Option<AdaptationRecord>> {
         let snapshot = live.stats_snapshot()?;
         if snapshot.stream_secs <= 0.0 {
             return Ok(None);
@@ -323,7 +323,7 @@ impl Supervisor {
         Ok(Some(record))
     }
 
-    fn warmup_secs(&self, live: &LiveReslicer) -> f64 {
+    fn warmup_secs(&self, live: &Session) -> f64 {
         if self.config.warmup_secs > 0.0 {
             self.config.warmup_secs
         } else {
@@ -331,7 +331,7 @@ impl Supervisor {
         }
     }
 
-    fn horizon_secs(&self, live: &LiveReslicer) -> f64 {
+    fn horizon_secs(&self, live: &Session) -> f64 {
         if self.config.horizon_secs > 0.0 {
             self.config.horizon_secs
         } else {
@@ -340,7 +340,7 @@ impl Supervisor {
     }
 
     /// Convert one snapshot into cost-model measurement overlays.
-    fn measure(&mut self, live: &LiveReslicer, snapshot: &StatsSnapshot) -> MeasuredParams {
+    fn measure(&mut self, live: &Session, snapshot: &StatsSnapshot) -> MeasuredParams {
         if let Some(inst) = estimate_sel(live, snapshot) {
             self.sel_ewma = Some(match self.sel_ewma {
                 None => inst,
@@ -380,7 +380,7 @@ impl Supervisor {
     /// the confirmation count, resetting its streak.
     fn confirm_drift(
         &mut self,
-        live: &LiveReslicer,
+        live: &Session,
         cost: &CostConfig,
         slope: f64,
         snapshot: &StatsSnapshot,
@@ -437,7 +437,7 @@ impl Supervisor {
     /// the chain if the modeled win covers the modeled pause.
     fn replan(
         &mut self,
-        live: &mut LiveReslicer,
+        live: &mut Session,
         snapshot: &StatsSnapshot,
         cost: CostConfig,
         trigger: DriftKind,
@@ -502,7 +502,7 @@ impl Supervisor {
     /// relief covers the modeled rehash pause.
     fn rescale(
         &mut self,
-        live: &mut LiveReslicer,
+        live: &mut Session,
         snapshot: &StatsSnapshot,
         cost: CostConfig,
         trigger: DriftKind,
@@ -590,7 +590,7 @@ fn ratio(a: f64, b: f64) -> f64 {
 
 /// Inverse-model join-selectivity estimate from the smallest-window query's
 /// output delta: `S⋈ = out_rate / (2·λ_A·λ_B·w)`.
-fn estimate_sel(live: &LiveReslicer, snapshot: &StatsSnapshot) -> Option<f64> {
+fn estimate_sel(live: &Session, snapshot: &StatsSnapshot) -> Option<f64> {
     let q = live.workload().queries().iter().min_by_key(|q| q.window)?;
     let w = q.window.as_secs_f64();
     let denom = 2.0 * snapshot.rate_a * snapshot.rate_b * w;
@@ -605,7 +605,7 @@ fn estimate_sel(live: &LiveReslicer, snapshot: &StatsSnapshot) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::LiveOptions;
+    use crate::live::SessionOptions;
     use crate::query::{JoinQuery, QueryWorkload};
     use streamkit::tuple::StreamId;
     use streamkit::{JoinCondition, TimeDelta, Timestamp, Tuple};
@@ -625,7 +625,7 @@ mod tests {
     /// One tuple per stream per second over `range`, with `key(t)` chosen by
     /// the caller to control the match rate.
     fn ingest_phase(
-        live: &mut LiveReslicer,
+        live: &mut Session,
         range: std::ops::Range<u64>,
         key_a: impl Fn(u64) -> i64,
         key_b: impl Fn(u64) -> i64,
@@ -650,7 +650,7 @@ mod tests {
 
     #[test]
     fn stationary_workload_confirms_no_drift() {
-        let mut live = LiveReslicer::launch(workload(&[4, 16]), LiveOptions::default()).unwrap();
+        let mut live = Session::launch(workload(&[4, 16]), SessionOptions::default()).unwrap();
         let declared = CostConfig {
             lambda_a: 1.0,
             lambda_b: 1.0,
@@ -677,7 +677,7 @@ mod tests {
 
     #[test]
     fn selectivity_collapse_triggers_a_live_merge() {
-        let mut live = LiveReslicer::launch(workload(&[4, 16]), LiveOptions::default()).unwrap();
+        let mut live = Session::launch(workload(&[4, 16]), SessionOptions::default()).unwrap();
         assert_eq!(live.spec().num_slices(), 2);
         let declared = CostConfig {
             lambda_a: 1.0,
@@ -721,7 +721,7 @@ mod tests {
 
     #[test]
     fn supervisor_pauses_accumulate_outside_the_service_clock() {
-        let mut live = LiveReslicer::launch(workload(&[4, 16]), LiveOptions::default()).unwrap();
+        let mut live = Session::launch(workload(&[4, 16]), SessionOptions::default()).unwrap();
         let declared = CostConfig {
             lambda_a: 1.0,
             lambda_b: 1.0,
@@ -789,7 +789,7 @@ mod tests {
 
     #[test]
     fn win_gate_vetoes_marginal_replans() {
-        let mut live = LiveReslicer::launch(workload(&[4, 16]), LiveOptions::default()).unwrap();
+        let mut live = Session::launch(workload(&[4, 16]), SessionOptions::default()).unwrap();
         let declared = CostConfig {
             lambda_a: 1.0,
             lambda_b: 1.0,
@@ -833,7 +833,7 @@ mod tests {
 
     #[test]
     fn rate_spike_rescales_up_to_the_cap() {
-        let mut live = LiveReslicer::launch(workload(&[4, 16]), LiveOptions::default()).unwrap();
+        let mut live = Session::launch(workload(&[4, 16]), SessionOptions::default()).unwrap();
         assert_eq!(live.num_shards(), 1);
         let declared = CostConfig {
             lambda_a: 1.0,

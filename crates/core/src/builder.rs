@@ -14,7 +14,7 @@ use streamkit::join_state::equi_key_fields;
 use streamkit::predicate::band_bounds;
 use streamkit::shard::{ShardSpec, ShardedExecutor};
 use streamkit::tuple::StreamId;
-use streamkit::ExecutorConfig;
+use streamkit::{ExecutorConfig, Plan};
 
 use crate::chain::ChainSpec;
 use crate::dijkstra::{brute_force_shortest_path, shortest_path};
@@ -269,10 +269,14 @@ impl ChainPlanFactory {
                 )));
             }
         };
-        let plans = (0..shards)
+        ShardedExecutor::with_config(self.plans()?, spec, config)
+    }
+
+    /// Build `options.shards` fresh plan instances (one per shard).
+    pub fn plans(&self) -> Result<Vec<Plan>> {
+        (0..self.options.shards)
             .map(|_| self.instantiate().map(|shared| shared.plan))
-            .collect::<Result<Vec<_>>>()?;
-        ShardedExecutor::with_config(plans, spec, config)
+            .collect()
     }
 }
 

@@ -22,13 +22,14 @@
 //! * [`planner`] — turning a chain spec into an executable
 //!   [`streamkit`] plan with per-query unions, routers and sinks,
 //! * [`migration`] — online merging / splitting of slices (Section 5.3),
-//! * [`live`] — live query churn: online add/remove of queries against a
-//!   running executor via chain re-slicing ([`live::LiveReslicer`]),
+//! * [`live`] — the [`live::Session`], the one owner of a running executor:
+//!   online add/remove of queries via chain re-slicing, re-plans, shard
+//!   rescales and crash recovery at one drained boundary,
 //! * [`adaptive`] — runtime-statistics feedback: drift detectors and the
-//!   [`adaptive::Supervisor`] that re-costs and re-cuts the chain live,
-//! * [`recovery`] — fault tolerance: punctuation-aligned checkpoints, a
-//!   bounded replay ring and the [`recovery::RecoverySupervisor`] that
-//!   restores crashed shards and replays lost input,
+//!   [`adaptive::Supervisor`] that re-costs and re-cuts a session's chain,
+//! * [`recovery`] — fault tolerance: the session's punctuation-aligned
+//!   checkpoints and bounded replay ring ([`recovery::Recovery`]), which
+//!   restore crashed shards and replay lost input,
 //! * [`verify`] — a brute-force equivalence oracle used by tests.
 //!
 //! # Example
@@ -86,8 +87,8 @@ pub use chain::{ChainSpec, SliceSpec};
 pub use dijkstra::{shortest_path, ShortestPath};
 pub use lineage::{LineageAnnotatorOp, LineageGateOp};
 pub use live::{
-    ChainEdit, ChainEditPlan, ChurnOutcome, LiveOptions, LiveReslicer, MigrationMode,
-    MigrationRecord, QueryResults, SliceStrategy,
+    ChainEdit, ChainEditPlan, MigrationMode, MigrationRecord, QueryResults, Session,
+    SessionOptions, SessionOutcome, SliceStrategy,
 };
 pub use migration::{
     merge_slice_operators, merge_spec_slices, rehash_shard_states, split_slice_operator,
@@ -96,8 +97,7 @@ pub use migration::{
 pub use planner::{merge_streams, PlannerOptions, SharedChainPlan, CHAIN_ENTRY};
 pub use query::{JoinQuery, QueryWorkload};
 pub use recovery::{
-    CheckpointRecord, OverflowPolicy, RecoveryConfig, RecoveryLog, RecoveryRecord,
-    RecoverySupervisor,
+    CheckpointRecord, OverflowPolicy, Recovery, RecoveryConfig, RecoveryLog, RecoveryRecord,
 };
 pub use sliced_binary::SlicedBinaryJoinOp;
 pub use verify::{collected_fingerprints, expected_fingerprints, expected_results};

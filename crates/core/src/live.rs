@@ -1,20 +1,20 @@
-//! Live query churn: online add/remove of registered queries against a
-//! *running* executor, with in-executor chain re-slicing (Section 5.3 put to
-//! work).
+//! The session: the one owner of a running chain executor, through which
+//! live query churn, re-plans, shard rescales and crash recovery all pass
+//! (Section 5.3 put to work).
 //!
 //! [`crate::migration`] implements the paper's chain-maintenance primitives —
 //! merging and splitting sliced joins — at the spec and operator level.  This
-//! module drives them end to end: a [`LiveReslicer`] owns a running
-//! [`Executor`]/[`ShardedExecutor`], accepts
-//! [`add_query`](LiveReslicer::add_query) / [`remove_query`](LiveReslicer::remove_query)
-//! at any punctuation boundary, re-plans the Mem-Opt or CPU-Opt chain for the
-//! changed [`QueryWorkload`], diffs the old and new [`ChainSpec`]s into a
-//! minimal sequence of merge/split primitives ([`ChainEditPlan::between`]),
-//! and applies them through the paper's protocol:
+//! module drives them end to end: a [`Session`] owns a running
+//! [`ShardedExecutor`], accepts [`add_query`](Session::add_query) /
+//! [`remove_query`](Session::remove_query) at any punctuation boundary,
+//! re-plans the Mem-Opt or CPU-Opt chain for the changed [`QueryWorkload`],
+//! diffs the old and new [`ChainSpec`]s into a minimal sequence of
+//! merge/split primitives ([`ChainEditPlan::between`]), and applies them
+//! through the paper's protocol:
 //!
-//! 1. **pause** ingestion and **drain** the in-flight queues (run the
-//!    executor to quiescence — the queues between slices must be empty before
-//!    states may be concatenated, Section 5.3),
+//! 1. **drain** the in-flight queues (run the executor to quiescence — the
+//!    queues between slices must be empty before states may be
+//!    concatenated, Section 5.3), then **pause** ingestion,
 //! 2. migrate each slice's state through
 //!    [`drain_states`](SliceJoinOp::drain_states) /
 //!    [`load_states`](SliceJoinOp::load_states):
@@ -25,14 +25,24 @@
 //! 3. re-wire the downstream union/router/sink graph for the added/removed
 //!    query by materialising a fresh plan for the new workload and
 //!    transplanting the migrated slice states into it,
-//! 4. **resume**.
+//! 4. **checkpoint** the re-planned chain and **resume**.
 //!
 //! When the executor is sharded, the chain edits are applied per shard (each
 //! shard is an independent instance of the chain over its key partition, so
 //! per-shard application is exactly the single-chain protocol N times), and
-//! [`rescale_shards`](LiveReslicer::rescale_shards) redistributes every
-//! slice's per-shard states across a new shard count via
-//! [`rehash_shard_states`].
+//! [`rescale_shards`](Session::rescale_shards) redistributes every slice's
+//! per-shard states across a new shard count via [`rehash_shard_states`].
+//!
+//! Crash recovery shares that boundary sequence ([`crate::recovery`]).  The
+//! session records every ingested item in its [`Recovery`] replay ring, and
+//! its one [`drain`](Session::drain) recovers a `WorkerFailed` run — rebuild
+//! the current chain, restore the last checkpoint, replay the ring — before
+//! it checkpoints on the punctuation-epoch interval.  Migrations drain
+//! through it, so a crash inside a migration's drain recovers before the
+//! migration goes on, and every migration ends in a checkpoint, so the
+//! durable cut always has the running chain's shape.  The adaptive
+//! [`Supervisor`](crate::adaptive::Supervisor) borrows the session to
+//! re-plan and rescale it.
 //!
 //! The migration pause of every event is measured and reported
 //! ([`MigrationRecord`]); the executor's paused-time accounting keeps those
@@ -52,6 +62,7 @@
 //! results are pairs whose timestamp span exceeds the coverage at add time.
 
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::time::Instant;
 
 use streamkit::error::{Result, StreamError};
@@ -59,7 +70,7 @@ use streamkit::ops::SliceJoinOp;
 use streamkit::queue::StreamItem;
 use streamkit::shard::ShardedExecutor;
 use streamkit::tuple::Tuple;
-use streamkit::{ExecutionReport, Executor, ExecutorConfig, Plan, TimeDelta, Timestamp};
+use streamkit::{ExecutionReport, ExecutorConfig, Plan, TimeDelta, Timestamp};
 
 use crate::builder::{ChainBuilder, ChainPlanFactory, CostConfig};
 use crate::chain::ChainSpec;
@@ -69,6 +80,7 @@ use crate::migration::{
 };
 use crate::planner::{PlannerOptions, CHAIN_ENTRY};
 use crate::query::{JoinQuery, QueryWorkload};
+use crate::recovery::{caught, Recovery, RecoveryConfig, RecoveryLog};
 
 /// How a split migrates the affected state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,9 +98,10 @@ pub enum MigrationMode {
 }
 
 /// Which chain buildup re-planning uses after every workload change.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum SliceStrategy {
     /// One slice per distinct window (Section 5.1).
+    #[default]
     MemOpt,
     /// Minimal analytical CPU cost under the given statistics (Section 5.2).
     CpuOpt(CostConfig),
@@ -429,20 +442,22 @@ pub struct QueryResults {
     pub collected: Vec<Tuple>,
 }
 
-/// Everything a finished churn session produced.
+/// Everything a finished session produced.
 #[derive(Debug)]
-pub struct ChurnOutcome {
+pub struct SessionOutcome {
     /// Cumulative execution report over the whole session (all epochs, all
-    /// shards; migration stalls excluded from the running time).
+    /// shards; migration and restore stalls excluded from the running time).
     pub report: ExecutionReport,
     /// Per-query-instance results, in lifetime order (finished instances
     /// first, then the queries still active at finish).
     pub queries: Vec<QueryResults>,
     /// One record per migration event.
     pub migrations: Vec<MigrationRecord>,
+    /// Every checkpoint and crash recovery.
+    pub recovery: RecoveryLog,
 }
 
-impl ChurnOutcome {
+impl SessionOutcome {
     /// Results of a query instance by name (the last instance of that name).
     pub fn query(&self, name: &str) -> Option<&QueryResults> {
         self.queries.iter().rev().find(|q| q.name == name)
@@ -454,10 +469,10 @@ impl ChurnOutcome {
     }
 }
 
-/// Tuning knobs of a live-reslicing session.
-#[derive(Debug, Clone)]
-pub struct LiveOptions {
-    /// Plan generation options (index mode, retained sinks, shard count).
+/// Tuning knobs of a session.
+#[derive(Debug, Clone, Default)]
+pub struct SessionOptions {
+    /// Plan generation options (retained sinks, launch shard count).
     pub planner: PlannerOptions,
     /// Executor configuration shared by every shard.
     pub executor: ExecutorConfig,
@@ -465,26 +480,18 @@ pub struct LiveOptions {
     pub strategy: SliceStrategy,
     /// Split-state migration mode.
     pub mode: MigrationMode,
+    /// Checkpoint interval and replay-ring bounds of crash recovery.
+    pub recovery: RecoveryConfig,
 }
 
-impl Default for LiveOptions {
-    fn default() -> Self {
-        LiveOptions {
-            planner: PlannerOptions::default(),
-            executor: ExecutorConfig::default(),
-            strategy: SliceStrategy::MemOpt,
-            mode: MigrationMode::Eager,
-        }
-    }
-}
-
-/// Online add/remove of queries against a running (possibly sharded) chain
-/// executor.  See the module docs for the protocol.
+/// The one owner of a running (possibly sharded) chain executor: online
+/// add/remove of queries, re-plans, shard rescales and crash recovery.  See
+/// the module docs for the protocol.
 #[derive(Debug)]
-pub struct LiveReslicer {
+pub struct Session {
     workload: QueryWorkload,
     spec: ChainSpec,
-    options: LiveOptions,
+    options: SessionOptions,
     exec: ShardedExecutor,
     /// Per-shard purge progress: last male per stream routed to the shard.
     shard_hw: Vec<PurgeWatermarks>,
@@ -494,74 +501,36 @@ pub struct LiveReslicer {
     /// Cumulative reports of executors retired by shard-count rescaling.
     retired: Option<ExecutionReport>,
     epoch: u64,
+    recovery: Recovery,
 }
 
-impl LiveReslicer {
-    /// Plan the chain for `workload` under `options` and launch a fresh
-    /// executor for it (`options.planner.shards` instances).
-    pub fn launch(workload: QueryWorkload, options: LiveOptions) -> Result<Self> {
+impl Session {
+    /// Plan the chain for `workload` under `options`, launch a fresh
+    /// executor for it (`options.planner.shards` instances) and take the
+    /// launch checkpoint.
+    pub fn launch(workload: QueryWorkload, options: SessionOptions) -> Result<Self> {
         let spec = options.strategy.spec_for(&workload)?;
-        let factory = ChainPlanFactory::new(workload.clone(), spec.clone(), options.planner);
-        let exec = factory.sharded_with_config(options.executor.clone())?;
-        Ok(Self::assemble(workload, spec, options, exec))
-    }
-
-    /// Take over an existing [`ShardedExecutor`] running `spec` over
-    /// `workload`.  The executor must not have processed any input yet (the
-    /// reslicer derives its progress watermarks from the tuples it routes).
-    pub fn attach(
-        exec: ShardedExecutor,
-        workload: QueryWorkload,
-        spec: ChainSpec,
-        options: LiveOptions,
-    ) -> Result<Self> {
-        spec.validate(&workload)?;
-        if !exec.is_drained() {
-            return Err(StreamError::InvalidConfig(
-                "attach the reslicer before ingesting input".to_string(),
-            ));
-        }
-        Ok(Self::assemble(workload, spec, options, exec))
-    }
-
-    /// Take over a plain single-instance [`Executor`] (the unsharded case).
-    pub fn attach_executor(
-        exec: Executor,
-        workload: QueryWorkload,
-        spec: ChainSpec,
-        options: LiveOptions,
-    ) -> Result<Self> {
-        let shard_spec = ChainPlanFactory::new(workload.clone(), spec.clone(), options.planner)
-            .shard_spec()
-            .unwrap_or_else(|| streamkit::ShardSpec::symmetric(0));
-        let sharded = ShardedExecutor::from_executors(vec![exec], shard_spec)?;
-        Self::attach(sharded, workload, spec, options)
-    }
-
-    fn assemble(
-        workload: QueryWorkload,
-        spec: ChainSpec,
-        options: LiveOptions,
-        exec: ShardedExecutor,
-    ) -> Self {
-        let shard_hw = vec![PurgeWatermarks::default(); exec.num_shards()];
+        let exec = ChainPlanFactory::new(workload.clone(), spec.clone(), options.planner)
+            .sharded_with_config(options.executor.clone())?;
+        let recovery = Recovery::launch(options.recovery, &exec)?;
         let active = workload
             .queries()
             .iter()
             .map(|q| (q.name.clone(), Self::fresh_results(q, 0)))
             .collect();
-        LiveReslicer {
+        Ok(Session {
+            shard_hw: vec![PurgeWatermarks::default(); exec.num_shards()],
             workload,
             spec,
             options,
             exec,
-            shard_hw,
             active,
             finished: Vec::new(),
             migrations: Vec::new(),
             retired: None,
             epoch: 0,
-        }
+            recovery,
+        })
     }
 
     fn fresh_results(query: &JoinQuery, epoch: u64) -> QueryResults {
@@ -573,6 +542,21 @@ impl LiveReslicer {
             count: 0,
             collected: Vec::new(),
         }
+    }
+
+    /// The plan factory for `workload` sliced by `spec` over `shards`
+    /// instances, under the session's planner options.
+    fn factory(
+        &self,
+        workload: &QueryWorkload,
+        spec: &ChainSpec,
+        shards: usize,
+    ) -> ChainPlanFactory {
+        let planner = PlannerOptions {
+            shards,
+            ..self.options.planner
+        };
+        ChainPlanFactory::new(workload.clone(), spec.clone(), planner)
     }
 
     /// The current workload.
@@ -607,7 +591,7 @@ impl LiveReslicer {
     /// statistics (arrival rates, operator selectivities, live state) merged
     /// across all shards.
     pub fn stats_snapshot(&mut self) -> Result<streamkit::StatsSnapshot> {
-        self.exec.run()?;
+        self.drain()?;
         Ok(self.exec.stats_snapshot())
     }
 
@@ -616,10 +600,15 @@ impl LiveReslicer {
         &self.exec
     }
 
-    /// Mutable access to the running executor (tests rewrite its slices'
-    /// probe mode through this; see `verify::scan_only`).
+    /// Mutable access to the running executor (tests arm faults, enable
+    /// skew routing and rewrite slices' probe mode through this).
     pub fn executor_mut(&mut self) -> &mut ShardedExecutor {
         &mut self.exec
+    }
+
+    /// The checkpoint, replay ring and log of crash recovery.
+    pub fn recovery(&self) -> &Recovery {
+        &self.recovery
     }
 
     /// Current shard count.
@@ -637,35 +626,30 @@ impl LiveReslicer {
         &self.migrations
     }
 
-    /// The chain's global progress watermark (max over shards and streams).
-    pub fn high_watermark(&self) -> Timestamp {
-        self.shard_hw
-            .iter()
-            .map(|wm| wm.max())
-            .max()
-            .unwrap_or(Timestamp::ZERO)
-    }
-
     /// Ingest one item into the chain entry (tuples are hash-routed to their
-    /// shard, punctuations broadcast).
+    /// shard, punctuations broadcast), recording it in the replay ring
+    /// first.  A single-shard session executes inline, so an injected fault
+    /// can surface right here; it is recovered like a failed drain (the
+    /// failing item is already in the ring, so the replay re-delivers it).
     pub fn ingest(&mut self, item: impl Into<StreamItem>) -> Result<()> {
         let item = item.into();
-        let mark = match &item {
-            StreamItem::Tuple(t) => Some((t.stream, t.ts)),
-            // Ingest-side batches are not part of the chain protocol (the
-            // sharded executor scatters their rows); they do not advance the
-            // per-shard progress watermarks.
-            StreamItem::Batch(_) | StreamItem::Punctuation(_) => None,
-        };
-        if let (Some(shard), Some((stream, ts))) =
-            (self.exec.ingest_routed(CHAIN_ENTRY, item)?, mark)
-        {
-            self.shard_hw[shard].observe(stream, ts);
+        if self.recovery.make_room()? {
+            // Block: the drain makes everything buffered so far part of a
+            // durable cut, unless its interval checkpoint already did.
+            self.drain()?;
+            if self.recovery.ring_len() > 0 {
+                self.recovery.checkpoint(&self.exec, true)?;
+            }
         }
-        Ok(())
+        self.recovery.record(&item);
+        match caught(AssertUnwindSafe(|| self.route(item))) {
+            Ok(()) => Ok(()),
+            Err(StreamError::WorkerFailed(trigger)) => self.recover(trigger),
+            Err(other) => Err(other),
+        }
     }
 
-    /// Ingest a batch of items (see [`LiveReslicer::ingest`]).
+    /// Ingest a batch of items (see [`Session::ingest`]).
     pub fn ingest_all<I>(&mut self, items: I) -> Result<()>
     where
         I: IntoIterator,
@@ -677,11 +661,75 @@ impl LiveReslicer {
         Ok(())
     }
 
-    /// Run the executor to quiescence (a punctuation boundary), returning the
-    /// cumulative report so far.
+    /// Hand one item to the executor, advancing the receiving shard's purge
+    /// watermark.  Ingest-side batches are not part of the chain protocol
+    /// (the sharded executor scatters their rows); they do not advance it.
+    fn route(&mut self, item: StreamItem) -> Result<()> {
+        let mark = match &item {
+            StreamItem::Tuple(t) => Some((t.stream, t.ts)),
+            StreamItem::Batch(_) | StreamItem::Punctuation(_) => None,
+        };
+        if let (Some(shard), Some((stream, ts))) =
+            (self.exec.ingest_routed(CHAIN_ENTRY, item)?, mark)
+        {
+            self.shard_hw[shard].observe(stream, ts);
+        }
+        Ok(())
+    }
+
+    /// Run the executor to quiescence (a punctuation boundary), recovering
+    /// from a worker failure if one surfaces, then checkpoint if the
+    /// punctuation-epoch interval has elapsed.  Returns the cumulative
+    /// report so far.
     pub fn drain(&mut self) -> Result<ExecutionReport> {
-        let report = self.exec.run()?;
-        Ok(self.with_retired(report))
+        let report = match caught(AssertUnwindSafe(|| self.exec.run())) {
+            Ok(report) => report,
+            Err(StreamError::WorkerFailed(trigger)) => {
+                self.recover(trigger)?;
+                self.exec.run()?
+            }
+            Err(other) => return Err(other),
+        };
+        if self.recovery.due(&self.exec) {
+            self.recovery.checkpoint(&self.exec, false)?;
+        }
+        Ok(match &self.retired {
+            None => report,
+            Some(base) => base.clone().then(report),
+        })
+    }
+
+    /// The recovery protocol: rebuild the current chain's plans, restore the
+    /// last checkpoint into them, replay the ring, re-drain.
+    fn recover(&mut self, trigger: String) -> Result<()> {
+        let started = Instant::now();
+        if !self.exec.is_parked() {
+            // The park barrier itself failed: a worker died without handing
+            // its executor back, so there is no session left to restore
+            // into.  (The catch_unwind harness in the worker loop makes this
+            // unreachable for ordinary panics.)
+            return Err(StreamError::WorkerFailed(format!(
+                "unrecoverable: {trigger} (shard executors were not returned)"
+            )));
+        }
+        let plans = self
+            .factory(&self.workload, &self.spec, self.exec.num_shards())
+            .plans()?;
+        let dropped = self.recovery.restore(&mut self.exec, plans)?;
+        let restore_secs = started.elapsed().as_secs_f64();
+        // Replay is ordinary (re-)execution through the ordinary routing
+        // path; the ring stays intact so a second crash before the next
+        // checkpoint can replay again.  A fault's fired flag survives the
+        // reset, so the replay cannot re-trigger it.
+        let replay = self.recovery.replay();
+        let replayed = replay.len() as u64;
+        for item in replay {
+            self.route(item)?;
+        }
+        self.exec.run()?;
+        self.recovery
+            .recovered(trigger, replayed, dropped, started, restore_secs);
+        Ok(())
     }
 
     /// Register a new query: drain, re-plan, migrate, resume.  Fails without
@@ -755,13 +803,9 @@ impl LiveReslicer {
         // fallible construction happens before the ledger harvest and the
         // executor replacement, so a failed rescale leaves the session
         // untouched.
-        let report = self.exec.run()?;
+        let report = self.drain()?;
         let pause_start = Instant::now();
-        let planner = PlannerOptions {
-            shards: new_shards,
-            ..self.options.planner
-        };
-        let factory = ChainPlanFactory::new(self.workload.clone(), self.spec.clone(), planner);
+        let factory = self.factory(&self.workload, &self.spec, new_shards);
         let shard_spec = factory.shard_spec().ok_or_else(|| {
             StreamError::InvalidConfig(
                 "cannot rescale shards for a join without an equi component".to_string(),
@@ -820,7 +864,10 @@ impl LiveReslicer {
             };
             new_shards
         ];
-        self.retired = Some(self.with_retired(report));
+        self.retired = Some(report);
+        // The last checkpoint has the old shard count: the rescale ends in
+        // a fresh one.
+        self.recovery.checkpoint(&self.exec, false)?;
         self.epoch += 1;
         self.migrations.push(MigrationRecord {
             epoch: self.epoch,
@@ -832,13 +879,6 @@ impl LiveReslicer {
             pause_secs: pause_start.elapsed().as_secs_f64(),
         });
         Ok(())
-    }
-
-    fn with_retired(&self, report: ExecutionReport) -> ExecutionReport {
-        match &self.retired {
-            None => report,
-            Some(base) => accumulate_sequential(base.clone(), report),
-        }
     }
 
     /// Harvest every active query's sink deliveries of the current plan
@@ -896,9 +936,9 @@ impl LiveReslicer {
 
     /// The full migration protocol for a workload change.
     fn reslice(&mut self, new_workload: QueryWorkload, reason: String) -> Result<()> {
-        // 1. Drain the in-flight queues to a punctuation boundary.  This is
-        //    ordinary execution, not stall time.
-        self.exec.run()?;
+        // 1. Drain the in-flight queues to a punctuation boundary, recovering
+        //    a crash first.  This is ordinary execution, not stall time.
+        self.drain()?;
         // 2. Re-plan and diff, and materialise the new plan instances (fresh
         //    union/router/sink wiring for the changed query set).  All the
         //    user-input-fallible work happens here, *before* anything is
@@ -913,22 +953,18 @@ impl LiveReslicer {
             debug_assert_eq!(new_spec, self.spec);
             return Ok(());
         }
-        let planner = PlannerOptions {
-            shards: self.exec.num_shards(),
-            ..self.options.planner
-        };
-        let factory = ChainPlanFactory::new(new_workload.clone(), new_spec.clone(), planner);
-        let plans = (0..self.exec.num_shards())
-            .map(|_| factory.instantiate().map(|shared| shared.plan))
-            .collect::<Result<Vec<Plan>>>()?;
+        let plans = self
+            .factory(&new_workload, &new_spec, self.exec.num_shards())
+            .plans()?;
         // 3. Pause: everything below is migration stall.
         let pause_start = Instant::now();
         self.exec.pause();
         // 4. Swap the plans in and migrate each retired shard plan's slice
         //    states through the edit sequence, closing the epoch's sink
         //    ledgers from the retired plans (each is harvested exactly once
-        //    by construction).  Resume even on a failed migration so the
-        //    pause accounting stays balanced.
+        //    by construction).  The last checkpoint has the retired plans'
+        //    shape, so the migration ends in a fresh one.  Resume even on a
+        //    failed migration so the pause accounting stays balanced.
         let migrate = |this: &mut Self, plans: Vec<Plan>| -> Result<ChainEditStats> {
             let old_plans = this.exec.swap_plans(plans)?;
             let mut stats = ChainEditStats::default();
@@ -940,6 +976,7 @@ impl LiveReslicer {
                 stats.add(&shard_stats);
                 load_slice_states(this.exec.shards_mut()[idx].plan_mut(), migrated)?;
             }
+            this.recovery.checkpoint(&this.exec, false)?;
             Ok(stats)
         };
         let result = migrate(self, plans);
@@ -963,55 +1000,27 @@ impl LiveReslicer {
 
     /// Drain remaining work, close every ledger and return the session's
     /// outcome.
-    pub fn finish(mut self) -> Result<ChurnOutcome> {
-        let report = self.exec.run()?;
-        let report = self.with_retired(report);
+    pub fn finish(mut self) -> Result<SessionOutcome> {
+        let report = self.drain()?;
         self.harvest_sinks()?;
         let mut queries = self.finished;
         let mut still_active: Vec<QueryResults> = self.active.into_values().collect();
         still_active.sort_by(|a, b| (a.added_epoch, &a.name).cmp(&(b.added_epoch, &b.name)));
         queries.extend(still_active);
-        Ok(ChurnOutcome {
+        Ok(SessionOutcome {
             report,
             queries,
             migrations: self.migrations,
+            recovery: self.recovery.into_log(),
         })
     }
-}
-
-/// Accumulate two reports of *sequential* phases of one logical run (unlike
-/// [`ExecutionReport::merge`], which combines *concurrent* partitions):
-/// counters, deliveries and time add up; peaks take the maximum; the node
-/// breakdown and averages are taken from the later phase.
-fn accumulate_sequential(mut base: ExecutionReport, next: ExecutionReport) -> ExecutionReport {
-    base.totals.add(&next.totals);
-    for (name, count) in next.sink_counts {
-        *base.sink_counts.entry(name).or_insert(0) += count;
-    }
-    base.ingested += next.ingested;
-    base.elapsed_secs += next.elapsed_secs;
-    base.paused_secs += next.paused_secs;
-    base.rounds += next.rounds;
-    base.memory.peak_state_tuples = base
-        .memory
-        .peak_state_tuples
-        .max(next.memory.peak_state_tuples);
-    base.memory.peak_queue_items = base
-        .memory
-        .peak_queue_items
-        .max(next.memory.peak_queue_items);
-    base.memory.final_state_tuples = next.memory.final_state_tuples;
-    base.memory.avg_state_tuples = next.memory.avg_state_tuples;
-    base.memory.samples += next.memory.samples;
-    base.node_stats = next.node_stats;
-    base
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use streamkit::tuple::StreamId;
-    use streamkit::JoinCondition;
+    use streamkit::{JoinCondition, MemoryStats};
 
     fn workload(windows: &[u64]) -> QueryWorkload {
         let queries = windows
@@ -1096,7 +1105,7 @@ mod tests {
             csys: 1.0,
         };
         let cpu_opt = SliceStrategy::CpuOpt(cost);
-        let mut live = LiveReslicer::launch(wl.clone(), LiveOptions::default()).unwrap();
+        let mut live = Session::launch(wl.clone(), SessionOptions::default()).unwrap();
         let spec_before = live.spec().clone();
         assert_eq!(
             cpu_opt.spec_for(&wl).unwrap(),
@@ -1220,13 +1229,13 @@ mod tests {
         assert!(rehashed[0].is_band_indexed(), "rehash");
     }
 
-    fn test_options() -> LiveOptions {
-        LiveOptions {
+    fn test_options() -> SessionOptions {
+        SessionOptions {
             planner: PlannerOptions {
                 retain_results: true,
                 ..PlannerOptions::default()
             },
-            ..LiveOptions::default()
+            ..SessionOptions::default()
         }
     }
 
@@ -1242,7 +1251,7 @@ mod tests {
 
     #[test]
     fn add_and_remove_queries_mid_stream() {
-        let mut live = LiveReslicer::launch(workload(&[5, 20]), test_options()).unwrap();
+        let mut live = Session::launch(workload(&[5, 20]), test_options()).unwrap();
         live.ingest_all(input(30)).unwrap();
         live.add_query(JoinQuery::new("Q10", secs(10))).unwrap();
         assert_eq!(live.epoch(), 1);
@@ -1275,7 +1284,7 @@ mod tests {
 
     #[test]
     fn invalid_churn_requests_fail_without_side_effects() {
-        let mut live = LiveReslicer::launch(workload(&[5, 20]), test_options()).unwrap();
+        let mut live = Session::launch(workload(&[5, 20]), test_options()).unwrap();
         live.ingest_all(input(10)).unwrap();
         assert!(live.add_query(JoinQuery::new("Q5", secs(7))).is_err());
         assert!(live.add_query(JoinQuery::new("Qdup", secs(20))).is_err());
@@ -1289,8 +1298,8 @@ mod tests {
 
     #[test]
     fn rescale_preserves_results_and_uses_rehash() {
-        let mut a = LiveReslicer::launch(workload(&[5, 20]), test_options()).unwrap();
-        let mut b = LiveReslicer::launch(workload(&[5, 20]), test_options()).unwrap();
+        let mut a = Session::launch(workload(&[5, 20]), test_options()).unwrap();
+        let mut b = Session::launch(workload(&[5, 20]), test_options()).unwrap();
         a.ingest_all(input(40)).unwrap();
         b.ingest_all(input(40)).unwrap();
         b.rescale_shards(4).unwrap();
@@ -1312,5 +1321,37 @@ mod tests {
         // Top-line stats survive the executor replacement.
         assert_eq!(oa.report.ingested, ob.report.ingested);
         assert_eq!(oa.report.sink_counts, ob.report.sink_counts);
+    }
+
+    #[test]
+    fn rescale_keeps_every_peak_of_both_phases() {
+        let mut live = Session::launch(workload(&[5, 20]), test_options()).unwrap();
+        live.ingest_all(input(10)).unwrap();
+        let before = live.drain().unwrap().memory;
+        live.rescale_shards(4).unwrap();
+        // The wider window fills up after the rescale: state keeps growing.
+        live.ingest_all(input(60).into_iter().skip(20)).unwrap();
+        live.drain().unwrap();
+        let after = live.executor_mut().run().unwrap().memory;
+        assert!(after.peak_state_bytes > before.peak_state_bytes);
+        assert!(after.peak_ring_runs > before.peak_ring_runs);
+        let total = live.finish().unwrap().report.memory;
+        let peaks = |m: &MemoryStats| {
+            [
+                ("state bytes", m.peak_state_bytes),
+                ("capacity bytes", m.peak_capacity_bytes),
+                ("ring runs", m.peak_ring_runs),
+            ]
+        };
+        for ((name, sum), ((_, one), (_, four))) in peaks(&total)
+            .into_iter()
+            .zip(peaks(&before).into_iter().zip(peaks(&after)))
+        {
+            assert!(
+                sum >= one.max(four),
+                "peak {name}: {sum} < max({one}, {four})"
+            );
+        }
+        assert_eq!(total.final_state_bytes, after.final_state_bytes);
     }
 }

@@ -170,11 +170,6 @@ impl PurgeWatermarks {
         }
     }
 
-    /// The later of the two watermarks.
-    pub fn max(&self) -> Timestamp {
-        self.male_a.max(self.male_b)
-    }
-
     /// Both sides pinned to the same timestamp.
     pub fn uniform(ts: Timestamp) -> PurgeWatermarks {
         PurgeWatermarks {

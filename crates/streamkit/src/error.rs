@@ -20,7 +20,7 @@ pub enum StreamError {
     /// Configuration values are inconsistent.
     InvalidConfig(String),
     /// A shard worker died (panicked or exited) instead of completing its
-    /// work.  Recoverable via `core::recovery::RecoverySupervisor`.
+    /// work.  A `core::live::Session` recovers from it (`core::recovery`).
     WorkerFailed(String),
     /// Checkpoint capture or restore failed.
     Checkpoint(String),

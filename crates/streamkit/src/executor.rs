@@ -116,10 +116,9 @@ impl ExecutionReport {
     /// * `paused_secs` is the maximum, **not** the sum: a sharded pause
     ///   ([`crate::shard::ShardedExecutor::pause`]) pauses all partitions
     ///   over the same wall-clock interval, so summing would count one stall
-    ///   N times.  Sequential epochs of the *same* executor are the
-    ///   opposite case and must sum (see `accumulate_sequential` in the
-    ///   live-reslicing layer) — pause time is counted exactly once either
-    ///   way,
+    ///   N times.  Sequential phases of one run are the opposite case and
+    ///   must sum (see [`ExecutionReport::then`]) — pause time is counted
+    ///   exactly once either way,
     /// * `rounds` is the maximum for the same reason.
     pub fn merge(reports: Vec<ExecutionReport>) -> ExecutionReport {
         let mut iter = reports.into_iter();
@@ -162,6 +161,26 @@ impl ExecutionReport {
             merged.rounds = merged.rounds.max(report.rounds);
         }
         merged
+    }
+
+    /// Accumulate the report of the *next sequential phase* of one logical
+    /// run (e.g. the executor that replaced this one when a session
+    /// rescaled), unlike [`ExecutionReport::merge`], which combines
+    /// concurrent partitions: counters, deliveries, ingest counts, time and
+    /// rounds add up, memory follows [`MemoryStats::then`], and the per-node
+    /// breakdown is the later phase's (the node lists are not comparable).
+    pub fn then(mut self, next: ExecutionReport) -> ExecutionReport {
+        self.totals.add(&next.totals);
+        for (name, count) in next.sink_counts {
+            *self.sink_counts.entry(name).or_insert(0) += count;
+        }
+        self.ingested += next.ingested;
+        self.elapsed_secs += next.elapsed_secs;
+        self.paused_secs += next.paused_secs;
+        self.rounds += next.rounds;
+        self.memory.then(&next.memory);
+        self.node_stats = next.node_stats;
+        self
     }
 }
 
@@ -377,8 +396,8 @@ impl Executor {
     /// have interrupted it mid-run).  Unlike `swap_plan` it
     ///
     /// * tolerates queued items — they belong to work the crash lost and
-    ///   are dropped (the recovery supervisor re-delivers everything since
-    ///   the checkpoint from its replay ring),
+    ///   are dropped (the session re-delivers everything since the
+    ///   checkpoint from its replay ring),
     /// * folds the old operators' cost counters into the carried totals
     ///   (the CPU work genuinely happened; replayed work is then honestly
     ///   counted a second time and reported separately as replay volume),
@@ -455,9 +474,11 @@ impl Executor {
     }
 
     /// Restore checkpointed ingest progress (absolute: replay re-counts the
-    /// post-checkpoint input exactly once).  Also resets the incremental
-    /// statistics window — windowed deltas spanning a recovery would
-    /// underflow against the rolled-back cumulative counters.
+    /// post-checkpoint input exactly once).  The statistics window keeps its
+    /// stream-level history: the replay brings the counters back to where an
+    /// uninterrupted run has them, so the next snapshot continues the same
+    /// series (a best-effort replay that shed input clamps its deltas at
+    /// zero).
     pub fn restore_ingest_progress(
         &mut self,
         ingested: u64,
@@ -469,7 +490,6 @@ impl Executor {
         self.ingested_by_stream = by_stream;
         self.ingest_max_ts_secs = max_ts_secs;
         self.punct_epochs = punct_epochs;
-        self.stats_window = StatsWindow::default();
     }
 
     /// Advance the punctuation-epoch clock and fire the armed fault when
@@ -889,13 +909,13 @@ impl Executor {
         w.seq += 1;
         let stream_secs = (self.ingest_max_ts_secs - w.prev_stream_secs).max(0.0);
         w.prev_stream_secs = self.ingest_max_ts_secs;
-        let ingested_delta = self.ingested - w.prev_ingested;
+        let ingested_delta = self.ingested.saturating_sub(w.prev_ingested);
         w.prev_ingested = self.ingested;
         // A window with no stream-time progress cannot measure a rate; the
         // previous smoothed value stands.
         let mut rates = [0.0f64; 2];
         for (s, rate) in rates.iter_mut().enumerate() {
-            let delta = self.ingested_by_stream[s] - w.prev_stream_count[s];
+            let delta = self.ingested_by_stream[s].saturating_sub(w.prev_stream_count[s]);
             w.prev_stream_count[s] = self.ingested_by_stream[s];
             if stream_secs > 0.0 {
                 let inst = delta as f64 / stream_secs;
@@ -949,7 +969,7 @@ impl Executor {
             let name = sink.name().to_string();
             let total = self.carried_sinks.get(&name).copied().unwrap_or(0) + sink.count();
             let prev = w.prev_sinks.insert(name.clone(), total).unwrap_or(0);
-            sink_out.push((name, total - prev));
+            sink_out.push((name, total.saturating_sub(prev)));
         }
         sink_out.sort();
         StatsSnapshot {

@@ -115,6 +115,7 @@ impl Queue {
     }
 
     /// Remove and return the oldest item.
+    #[cfg(test)]
     pub fn pop(&mut self) -> Option<StreamItem> {
         self.items.pop_front()
     }

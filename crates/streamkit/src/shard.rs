@@ -275,33 +275,18 @@ impl ShardedExecutor {
     /// per-node statistics position-wise, and differing plans would produce
     /// different results per shard anyway.
     pub fn with_config(plans: Vec<Plan>, spec: ShardSpec, config: ExecutorConfig) -> Result<Self> {
-        Self::validate_instances(plans.iter())?;
-        let executors = plans
-            .into_iter()
-            .map(|p| Executor::with_config(p, config.clone()))
-            .collect();
-        Ok(Self::assemble(executors, spec))
-    }
-
-    /// Wrap already-built executors (e.g. a single running [`Executor`] being
-    /// promoted into a live-reslicing session).  The executors' plans must be
-    /// instances of the same logical plan, like
-    /// [`ShardedExecutor::with_config`].
-    pub fn from_executors(executors: Vec<Executor>, spec: ShardSpec) -> Result<Self> {
-        Self::validate_instances(executors.iter().map(|e| e.plan()))?;
-        Ok(Self::assemble(executors, spec))
-    }
-
-    fn assemble(executors: Vec<Executor>, spec: ShardSpec) -> Self {
-        let count = executors.len();
-        let entry_names = executors[0]
-            .plan()
+        Self::validate_instances(&plans)?;
+        let count = plans.len();
+        let entry_names = plans[0]
             .entry_names()
             .into_iter()
             .map(String::from)
             .collect();
-        ShardedExecutor {
-            shards: executors,
+        Ok(ShardedExecutor {
+            shards: plans
+                .into_iter()
+                .map(|p| Executor::with_config(p, config.clone()))
+                .collect(),
             count,
             spec,
             // One persistent worker per shard, created exactly once; the
@@ -314,12 +299,12 @@ impl ShardedExecutor {
             entry_names,
             skew: None,
             stats: RouterStats::new(count),
-        }
+        })
     }
 
-    fn validate_instances<'a>(plans: impl Iterator<Item = &'a Plan>) -> Result<()> {
+    fn validate_instances(plans: &[Plan]) -> Result<()> {
         let mut reference: Option<Vec<&str>> = None;
-        for (i, plan) in plans.enumerate() {
+        for (i, plan) in plans.iter().enumerate() {
             let names: Vec<&str> = plan.nodes().iter().map(|n| n.operator.name()).collect();
             match &reference {
                 None => reference = Some(names),
@@ -480,7 +465,7 @@ impl ShardedExecutor {
                 self.count
             )));
         }
-        Self::validate_instances(plans.iter())?;
+        Self::validate_instances(&plans)?;
         if !self.is_drained() {
             return Err(StreamError::Execution(
                 "cannot swap plans with items still queued; drain first".to_string(),
@@ -519,9 +504,8 @@ impl ShardedExecutor {
     /// via [`Executor::recover_plan`] — which, unlike
     /// [`ShardedExecutor::swap_plans`], tolerates the queued items a caught
     /// worker panic leaves behind and drops them too.  Returns the total
-    /// number of items dropped (router-side plus in-executor); the recovery
-    /// supervisor re-delivers everything since the checkpoint from its
-    /// replay ring.
+    /// number of items dropped (router-side plus in-executor); the session
+    /// re-delivers everything since the checkpoint from its replay ring.
     pub fn recover_reset(&mut self, plans: Vec<Plan>) -> Result<u64> {
         self.expect_parked("recover_reset()");
         if plans.len() != self.count {
@@ -531,7 +515,7 @@ impl ShardedExecutor {
                 self.count
             )));
         }
-        Self::validate_instances(plans.iter())?;
+        Self::validate_instances(&plans)?;
         let mut dropped: u64 = self.pending_len.iter().map(|&n| n as u64).sum();
         for buf in &mut self.pending {
             buf.clear();
@@ -1104,11 +1088,9 @@ mod tests {
         // Pause/resume fan out to every shard.
         exec.pause();
         exec.resume();
-        // from_executors round-trips through into_parts.
-        let (executors, spec) = exec.into_parts();
-        let rebuilt = ShardedExecutor::from_executors(executors, spec).unwrap();
-        assert_eq!(rebuilt.num_shards(), 2);
-        assert!(ShardedExecutor::from_executors(Vec::new(), ShardSpec::symmetric(0)).is_err());
+        // into_parts hands back one executor per shard.
+        let (executors, _) = exec.into_parts();
+        assert_eq!(executors.len(), 2);
     }
 
     #[test]

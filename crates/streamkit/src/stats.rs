@@ -157,6 +157,27 @@ impl MemoryStats {
         self.final_state_bytes += other.final_state_bytes;
         self.samples = total_samples;
     }
+
+    /// Absorb the statistics of the *next sequential phase* of the same run
+    /// (see [`ExecutionReport::then`](crate::ExecutionReport::then)): every
+    /// peak takes the maximum of the two phases, the finals are the later
+    /// phase's, and both averages are sample-weighted over the two phases.
+    pub fn then(&mut self, next: &MemoryStats) {
+        self.peak_state_tuples = self.peak_state_tuples.max(next.peak_state_tuples);
+        self.peak_state_bytes = self.peak_state_bytes.max(next.peak_state_bytes);
+        self.peak_capacity_bytes = self.peak_capacity_bytes.max(next.peak_capacity_bytes);
+        self.peak_queue_items = self.peak_queue_items.max(next.peak_queue_items);
+        self.peak_ring_runs = self.peak_ring_runs.max(next.peak_ring_runs);
+        let (n, m) = (self.samples as f64, next.samples as f64);
+        if n + m > 0.0 {
+            self.avg_state_tuples =
+                (self.avg_state_tuples * n + next.avg_state_tuples * m) / (n + m);
+            self.avg_state_bytes = (self.avg_state_bytes * n + next.avg_state_bytes * m) / (n + m);
+        }
+        self.final_state_tuples = next.final_state_tuples;
+        self.final_state_bytes = next.final_state_bytes;
+        self.samples += next.samples;
+    }
 }
 
 /// Default EWMA smoothing factor used by
@@ -450,6 +471,29 @@ mod tests {
         assert_eq!(a.final_state_tuples, 25);
         assert_eq!(a.samples, 3);
         assert!((a.avg_state_tuples - 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn then_keeps_every_peak_of_both_phases() {
+        let mut first = MemoryStats::default();
+        first.record(30, 3000, 3600, 4);
+        first.record(10, 1000, 1200, 1);
+        let mut second = MemoryStats::default();
+        second.record(50, 5000, 2000, 2);
+        second.peak_ring_runs = 3;
+        first.then(&second);
+        // Each peak comes from whichever phase reached it.
+        assert_eq!(first.peak_state_tuples, 50);
+        assert_eq!(first.peak_state_bytes, 5000);
+        assert_eq!(first.peak_capacity_bytes, 3600);
+        assert_eq!(first.peak_queue_items, 4);
+        assert_eq!(first.peak_ring_runs, 3);
+        assert_eq!(first.final_state_tuples, 50, "finals are the later phase's");
+        assert_eq!(first.final_state_bytes, 5000);
+        assert_eq!(first.samples, 3);
+        // Sample-weighted: (20*2 + 50*1) / 3 and (2000*2 + 5000*1) / 3.
+        assert!((first.avg_state_tuples - 30.0).abs() < 1e-9);
+        assert!((first.avg_state_bytes - 3000.0).abs() < 1e-9);
     }
 
     #[test]

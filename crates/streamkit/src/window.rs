@@ -31,6 +31,7 @@ impl WindowSpec {
     /// window when a probing tuple with timestamp `probe` arrives, i.e.
     /// `0 <= probe - stored < range`: a stored tuple *newer* than the probe
     /// is never "in window" here.
+    #[cfg(test)]
     pub fn contains(&self, probe: Timestamp, stored: Timestamp) -> bool {
         stored <= probe && probe.saturating_sub(stored) < self.range
     }
@@ -38,6 +39,7 @@ impl WindowSpec {
     /// `true` if a stored tuple has aged out of this window when `probe` is
     /// processed (`probe - stored >= range`).  A stored tuple newer than the
     /// probe has age zero and is never expired.
+    #[cfg(test)]
     pub fn expired(&self, probe: Timestamp, stored: Timestamp) -> bool {
         probe.saturating_sub(stored) >= self.range
     }
@@ -79,6 +81,7 @@ impl SliceWindow {
 
     /// `true` if the timestamp difference `probe - stored` falls inside the
     /// slice, i.e. `start <= probe - stored < end`.
+    #[cfg(test)]
     pub fn contains_diff(&self, probe: Timestamp, stored: Timestamp) -> bool {
         let diff = probe.saturating_sub(stored);
         diff >= self.start && diff < self.end

@@ -13,11 +13,15 @@
 //! incidental: equivalence must hold whether or not the supervisor acts.
 
 use proptest::prelude::*;
-use state_slice_repro::core::adaptive::{Supervisor, SupervisorConfig};
-use state_slice_repro::core::live::{LiveOptions, LiveReslicer};
+use state_slice_repro::core::adaptive::{
+    AdaptationAction, AdaptationLog, DriftKind, Supervisor, SupervisorConfig,
+};
+use state_slice_repro::core::live::{Session, SessionOptions};
 use state_slice_repro::core::planner::{PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{ChainSpec, CostConfig, JoinQuery, QueryWorkload, SharedChainPlan};
+use state_slice_repro::streamkit::fault::FaultPlan;
+use state_slice_repro::streamkit::punctuation::Punctuation;
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::{Executor, JoinCondition, TimeDelta, Timestamp, Tuple};
 
@@ -70,13 +74,13 @@ fn build_input(arrivals: &[(u64, bool, i64)]) -> Vec<Tuple> {
         .collect()
 }
 
-fn retaining_options() -> LiveOptions {
-    LiveOptions {
+fn retaining_options() -> SessionOptions {
+    SessionOptions {
         planner: PlannerOptions {
             retain_results: true,
             ..PlannerOptions::default()
         },
-        ..LiveOptions::default()
+        ..SessionOptions::default()
     }
 }
 
@@ -84,7 +88,7 @@ fn retaining_options() -> LiveOptions {
 /// each query's sorted result fingerprints and the number of applied
 /// re-plans.
 fn adaptive_results(input: &[Tuple], cuts: &[usize]) -> (Vec<(String, Vec<Fingerprint>)>, usize) {
-    let mut live = LiveReslicer::launch(workload(), retaining_options()).unwrap();
+    let mut live = Session::launch(workload(), retaining_options()).unwrap();
     let mut sup = supervisor();
     let mut done = 0usize;
     for &cut in cuts {
@@ -149,10 +153,9 @@ fn assert_equivalent(input: &[Tuple], cuts: &[usize]) -> usize {
     replans
 }
 
-#[test]
-fn a_fired_replan_leaves_the_results_untouched() {
-    // One tuple per stream per second; the streams stop joining at t=40, so
-    // the measured S⋈ collapses and the supervisor merges the chain live.
+/// One tuple per stream per second; the streams stop joining at t=40, so
+/// the measured S⋈ collapses and the supervisor merges the chain live.
+fn collapse_input() -> Vec<Tuple> {
     let mut arrivals = Vec::new();
     for t in 0..40u64 {
         arrivals.push((if t == 0 { 0 } else { 5 }, true, (t % 4) as i64));
@@ -162,11 +165,129 @@ fn a_fired_replan_leaves_the_results_untouched() {
         arrivals.push((5, true, 100 + (t % 4) as i64));
         arrivals.push((5, false, 200 + (t % 4) as i64));
     }
-    let input = build_input(&arrivals);
+    build_input(&arrivals)
+}
+
+#[test]
+fn a_fired_replan_leaves_the_results_untouched() {
+    let input = collapse_input();
     // Observe every 20 s of arrivals (40 tuples).
     let cuts: Vec<usize> = (1..6).map(|i| i * 40).collect();
     let replans = assert_equivalent(&input, &cuts);
     assert!(replans >= 1, "the collapse must fire a live re-plan");
+}
+
+/// A log's decisions `(snapshot seq, trigger, action)`, without the
+/// wall-clock pause each applied action measured.
+type Decisions = Vec<(u64, DriftKind, AdaptationAction)>;
+
+fn decisions(log: &AdaptationLog) -> Decisions {
+    let untimed = |action: &AdaptationAction| match action.clone() {
+        AdaptationAction::Replan {
+            pause_secs: _,
+            strategy,
+            merges,
+            splits,
+        } => AdaptationAction::Replan {
+            strategy,
+            merges,
+            splits,
+            pause_secs: 0.0,
+        },
+        AdaptationAction::Rescale { from, to, .. } => AdaptationAction::Rescale {
+            from,
+            to,
+            pause_secs: 0.0,
+        },
+        other => other,
+    };
+    log.records()
+        .iter()
+        .map(|r| (r.seq, r.trigger, untimed(&r.action)))
+        .collect()
+}
+
+/// The adaptive session over punctuated input (a punctuation closes every
+/// whole second), with `fault` armed at launch.  Returns each query's
+/// sorted results, the supervisor's decisions and the recoveries.
+fn punctuated_run(
+    input: &[Tuple],
+    cuts: &[usize],
+    fault: Option<FaultPlan>,
+) -> (Vec<(String, Vec<Fingerprint>)>, Decisions, usize) {
+    let mut live = Session::launch(workload(), retaining_options()).unwrap();
+    if let Some(fault) = fault {
+        live.executor_mut().arm_fault(0, fault).unwrap();
+    }
+    let mut sup = supervisor();
+    let mut next_sec = 1u64;
+    let mut done = 0usize;
+    for &cut in cuts.iter().chain([&input.len()]) {
+        for t in &input[done..cut] {
+            while t.ts >= Timestamp::from_secs(next_sec) {
+                live.ingest(Punctuation::new(Timestamp::from_secs(next_sec)))
+                    .unwrap();
+                next_sec += 1;
+            }
+            live.ingest(t.clone()).unwrap();
+        }
+        done = cut;
+        sup.observe(&mut live).unwrap();
+    }
+    let outcome = live.finish().unwrap();
+    let mut results: Vec<(String, Vec<Fingerprint>)> = outcome
+        .queries
+        .iter()
+        .map(|q| {
+            let mut fps = collected_fingerprints(&q.collected);
+            fps.sort_unstable();
+            (q.name.clone(), fps)
+        })
+        .collect();
+    results.sort();
+    (
+        results,
+        decisions(sup.log()),
+        outcome.recovery.recoveries().len(),
+    )
+}
+
+#[test]
+fn a_crash_beside_a_fired_replan_changes_neither_decisions_nor_results() {
+    // The collapse again, with a punctuation per second so a worker panic
+    // has epochs to fire at: one crash before the re-plan fires, one after.
+    // Recovery restores the stream counters the supervisor measures, so it
+    // re-plans at the same snapshot, the same way.
+    let input = collapse_input();
+    let cuts: Vec<usize> = (1..6).map(|i| i * 40).collect();
+    let (clean_results, clean_decisions, clean_recoveries) = punctuated_run(&input, &cuts, None);
+    assert_eq!(clean_recoveries, 0);
+    assert!(
+        clean_decisions
+            .iter()
+            .any(|(_, _, action)| matches!(action, AdaptationAction::Replan { .. })),
+        "the collapse must fire a live re-plan: {clean_decisions:?}"
+    );
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let crashed: Vec<_> = [30, 100]
+        .into_iter()
+        .map(|epoch| {
+            (
+                epoch,
+                punctuated_run(&input, &cuts, Some(FaultPlan::panic_at(epoch))),
+            )
+        })
+        .collect();
+    std::panic::set_hook(hook);
+    for (epoch, (results, decisions, recoveries)) in crashed {
+        assert_eq!(recoveries, 1, "crash at epoch {epoch} must fire once");
+        assert_eq!(
+            decisions, clean_decisions,
+            "crash at epoch {epoch}: decisions"
+        );
+        assert_eq!(results, clean_results, "crash at epoch {epoch}: results");
+    }
 }
 
 proptest! {

@@ -23,7 +23,7 @@
 //! the equivalence too.
 
 use proptest::prelude::*;
-use state_slice_repro::core::live::{LiveOptions, LiveReslicer, MigrationMode};
+use state_slice_repro::core::live::{MigrationMode, Session, SessionOptions};
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::{collected_fingerprints, scan_only};
 use state_slice_repro::core::{
@@ -230,7 +230,7 @@ fn band_chains_run_single_shard_and_reject_hash_partitioning() {
 /// per shard, per slice `(A side, B side)` as `(timestamp, key)` lists.
 type LiveStates = Vec<Vec<(Vec<(Timestamp, i64)>, Vec<(Timestamp, i64)>)>>;
 
-fn live_states(live: &LiveReslicer) -> LiveStates {
+fn live_states(live: &Session) -> LiveStates {
     let fp = |tuples: Vec<Tuple>| -> Vec<(Timestamp, i64)> {
         tuples
             .into_iter()
@@ -266,16 +266,16 @@ type ChurnQueries = Vec<(String, u64, Vec<(Timestamp, TimeDelta, Timestamp)>)>;
 /// migration builds its plans indexed, so the linear run switches them back
 /// to scans after launch and after each churn action.
 fn run_band_churn(input: &[Tuple], indexed: bool) -> (ChurnQueries, CostCounters, LiveStates) {
-    let options = LiveOptions {
+    let options = SessionOptions {
         planner: PlannerOptions {
             retain_results: true,
             ..PlannerOptions::default()
         },
         mode: MigrationMode::Eager,
-        ..LiveOptions::default()
+        ..SessionOptions::default()
     };
-    let mut live = LiveReslicer::launch(workload_of(&[9, 2]), options).expect("launch");
-    let probe_mode = |live: &mut LiveReslicer| {
+    let mut live = Session::launch(workload_of(&[9, 2]), options).expect("launch");
+    let probe_mode = |live: &mut Session| {
         if !indexed {
             for shard in live.executor_mut().shards_mut() {
                 scan_only(shard.plan_mut());
@@ -284,7 +284,7 @@ fn run_band_churn(input: &[Tuple], indexed: bool) -> (ChurnQueries, CostCounters
     };
     probe_mode(&mut live);
     let cuts = [input.len() / 4, input.len() / 2, 3 * input.len() / 4];
-    let actions: [&dyn Fn(&mut LiveReslicer); 3] = [
+    let actions: [&dyn Fn(&mut Session); 3] = [
         &|l| {
             l.add_query(JoinQuery::new("Q5", TimeDelta::from_secs(5)))
                 .expect("add Q5")

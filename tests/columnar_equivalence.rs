@@ -28,18 +28,18 @@
 //! * identical final join states in every slice.
 //!
 //! A second property pins the same equivalence under mid-run
-//! [`LiveReslicer`] churn: queries entering and leaving re-slice the chain
+//! [`Session`] churn: queries entering and leaving re-slice the chain
 //! online (eager or lazy migration, 1 or 4 shards), and every query
 //! instance's lifetime deliveries and the final drained states must agree —
 //! including across operator rebuilds, each of which resets the rebuilt
 //! operator's result history (it restarts on rows).
 
 use proptest::prelude::*;
-use state_slice_repro::core::live::{LiveOptions, LiveReslicer, MigrationMode};
+use state_slice_repro::core::live::{MigrationMode, Session, SessionOptions};
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
-    ChainPlanFactory, ChainSpec, ChurnOutcome, JoinQuery, QueryWorkload,
+    ChainPlanFactory, ChainSpec, JoinQuery, QueryWorkload, SessionOutcome,
 };
 use state_slice_repro::streamkit::ops::SliceJoinOp;
 use state_slice_repro::streamkit::tuple::StreamId;
@@ -282,7 +282,7 @@ fn resolve_schedule(
     (cuts, actions)
 }
 
-/// Drive a live reslicer over the schedule at one run length; return the
+/// Drive a session over the schedule at one run length; return the
 /// churn outcome, the final drained state snapshot, and the batch rows the
 /// sliced joins emitted (summed before every rebuild and at the end — a
 /// migration replaces the operators and their counts with them).
@@ -294,17 +294,17 @@ fn run_live(
     shards: usize,
     mode: MigrationMode,
     batch_per_visit: usize,
-) -> (ChurnOutcome, StateSnapshot, u64) {
-    let options = LiveOptions {
+) -> (SessionOutcome, StateSnapshot, u64) {
+    let options = SessionOptions {
         planner: PlannerOptions {
             retain_results: true,
             shards,
         },
         executor: executor_config(batch_per_visit),
         mode,
-        ..LiveOptions::default()
+        ..SessionOptions::default()
     };
-    let mut live = LiveReslicer::launch(churn_workload(initial), options).unwrap();
+    let mut live = Session::launch(churn_workload(initial), options).unwrap();
     let mut done = 0usize;
     let mut batch_rows = 0u64;
     for (&cut, action) in cuts.iter().zip(actions) {
@@ -328,7 +328,7 @@ fn run_live(
 /// fingerprints.
 type InstanceFingerprints = Vec<((String, u64), Vec<(Timestamp, TimeDelta, Timestamp)>)>;
 
-fn instance_multisets(outcome: &ChurnOutcome) -> InstanceFingerprints {
+fn instance_multisets(outcome: &SessionOutcome) -> InstanceFingerprints {
     let mut out: Vec<_> = outcome
         .queries
         .iter()

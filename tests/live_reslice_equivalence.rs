@@ -22,11 +22,11 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use state_slice_repro::core::live::{LiveOptions, LiveReslicer, MigrationMode, SliceStrategy};
+use state_slice_repro::core::live::{MigrationMode, Session, SessionOptions, SliceStrategy};
 use state_slice_repro::core::planner::{PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
-    ChainPlanFactory, ChainSpec, ChurnOutcome, CostConfig, JoinQuery, QueryWorkload,
+    ChainPlanFactory, ChainSpec, CostConfig, JoinQuery, QueryWorkload, SessionOutcome,
     SharedChainPlan,
 };
 use state_slice_repro::streamkit::tuple::StreamId;
@@ -114,14 +114,14 @@ fn resolve_schedule(
     (cuts, actions)
 }
 
-fn live_options(shards: usize, mode: MigrationMode) -> LiveOptions {
-    LiveOptions {
+fn live_options(shards: usize, mode: MigrationMode) -> SessionOptions {
+    SessionOptions {
         planner: PlannerOptions {
             retain_results: true,
             shards,
         },
         mode,
-        ..LiveOptions::default()
+        ..SessionOptions::default()
     }
 }
 
@@ -151,7 +151,7 @@ fn collect_states(exec: &ShardedExecutor) -> StateSnapshot {
         .collect()
 }
 
-/// Drive the live reslicer over the schedule; return its outcome and the
+/// Drive a session over the schedule; return its outcome and the
 /// final drained state snapshot.
 fn run_live(
     input: &[Tuple],
@@ -160,8 +160,8 @@ fn run_live(
     actions: &[Action],
     shards: usize,
     mode: MigrationMode,
-) -> (ChurnOutcome, StateSnapshot) {
-    let mut live = LiveReslicer::launch(workload_of(initial), live_options(shards, mode)).unwrap();
+) -> (SessionOutcome, StateSnapshot) {
+    let mut live = Session::launch(workload_of(initial), live_options(shards, mode)).unwrap();
     let mut done = 0usize;
     for (&cut, action) in cuts.iter().zip(actions) {
         live.ingest_all(input[done..cut].to_vec()).unwrap();
@@ -280,7 +280,7 @@ fn oracle_instances(
 }
 
 fn assert_live_matches_oracle(
-    outcome: &ChurnOutcome,
+    outcome: &SessionOutcome,
     oracle: &[((String, u64), Vec<Fingerprint>)],
 ) {
     assert_eq!(outcome.queries.len(), oracle.len(), "instance count");
@@ -419,7 +419,7 @@ fn cpu_opt_replanning_matches_per_epoch_references() {
     let (cuts, actions) = resolve_schedule(&schedule, input.len(), &initial);
     let mut options = live_options(1, MigrationMode::Eager);
     options.strategy = SliceStrategy::CpuOpt(CostConfig::default());
-    let mut live = LiveReslicer::launch(workload_of(&initial), options).unwrap();
+    let mut live = Session::launch(workload_of(&initial), options).unwrap();
     let mut done = 0usize;
     for (&cut, action) in cuts.iter().zip(&actions) {
         live.ingest_all(input[done..cut].to_vec()).unwrap();
@@ -448,7 +448,7 @@ fn window_extension_ramps_up_instead_of_resurrecting_history() {
     let arrivals: Vec<(u64, bool, i64)> = (0..300).map(|i| (2, i % 2 == 0, 0i64)).collect();
     let input = build_input(&arrivals);
     let cut = 200usize;
-    let mut live = LiveReslicer::launch(workload, live_options(1, MigrationMode::Eager)).unwrap();
+    let mut live = Session::launch(workload, live_options(1, MigrationMode::Eager)).unwrap();
     live.ingest_all(input[..cut].to_vec()).unwrap();
     live.add_query(JoinQuery::new("Q12", TimeDelta::from_secs(12)))
         .unwrap();

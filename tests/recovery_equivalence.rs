@@ -2,9 +2,9 @@
 //!
 //! Property: a shard crash is **invisible in the results**.  Whatever fault
 //! fires — a worker panic at an arbitrary punctuation epoch, a poisoned run,
-//! a ring stall — a session driven by the [`RecoverySupervisor`] delivers
-//! exactly the per-sink result multisets of an uninterrupted run fed the
-//! same input, and its final per-shard per-slice join states (compared
+//! a ring stall — a [`Session`] delivers exactly the per-query-instance
+//! result multisets of an uninterrupted session fed the same input and the
+//! same actions, and its final per-shard per-slice join states (compared
 //! structurally via a drained-boundary [`Checkpoint`]) are identical too.
 //!
 //! The protocol this pins: checkpoints are aligned to drained punctuation
@@ -12,29 +12,34 @@
 //! exactly their slice windows), sink counts and ingest counters restore
 //! *absolutely*, and the replay ring holds exactly the post-checkpoint
 //! input, so recovery re-delivers post-checkpoint results exactly once.
+//! Because one session owns churn, re-plans, rescales and recovery, the
+//! same property holds across those axes: a crash after a re-plan, inside
+//! the drain a re-plan starts with, or after a rescale recovers into the
+//! chain that was running when it fired.
 //!
-//! The deterministic case pins the interesting trajectory — a guaranteed
-//! mid-stream worker panic on a multi-shard session — and the proptests
-//! sweep random inputs, checkpoint intervals, crash epochs and seed-derived
-//! fault plans where firing is incidental: equivalence must hold whether or
-//! not the fault ever triggers.
+//! The deterministic cases pin the interesting trajectories — a guaranteed
+//! mid-stream worker panic on a multi-shard session, and one crash per
+//! cross-axis position — and the proptests sweep random inputs, checkpoint
+//! intervals, crash epochs, churn/rescale schedules and seed-derived fault
+//! plans where firing is incidental: equivalence must hold whether or not
+//! the fault ever triggers.
 
 use std::sync::Mutex;
 
 use proptest::prelude::*;
 use state_slice_repro::core::planner::{PlannerOptions, CHAIN_ENTRY};
-use state_slice_repro::core::recovery::{RecoveryConfig, RecoverySupervisor};
+use state_slice_repro::core::recovery::{RecoveryConfig, RecoveryLog};
 use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
-    ChainPlanFactory, ChainSpec, JoinQuery, QueryWorkload, SharedChainPlan,
+    ChainSpec, JoinQuery, QueryWorkload, Session, SessionOptions, SharedChainPlan,
 };
-use state_slice_repro::streamkit::checkpoint::ShardCheckpoint;
+use state_slice_repro::streamkit::checkpoint::{Checkpoint, ShardCheckpoint};
 use state_slice_repro::streamkit::fault::FaultPlan;
 use state_slice_repro::streamkit::predicate::CmpOp;
 use state_slice_repro::streamkit::punctuation::Punctuation;
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::{
-    CostCounters, Executor, ExecutorConfig, JoinCondition, TimeDelta, Timestamp, Tuple,
+    CostCounters, Executor, JoinCondition, TimeDelta, Timestamp, Tuple,
 };
 
 type Fingerprint = (Timestamp, TimeDelta, Timestamp);
@@ -100,37 +105,28 @@ impl Mode {
     }
 
     fn workload(self) -> QueryWorkload {
-        let queries = WINDOWS
-            .iter()
-            .map(|&w| JoinQuery::new(format!("Q{w}"), TimeDelta::from_secs(w)))
-            .collect();
+        let queries = WINDOWS.iter().map(|&w| query(w)).collect();
         QueryWorkload::new(queries, self.condition()).unwrap()
     }
 }
 
-fn factory(mode: Mode, shards: usize) -> ChainPlanFactory {
-    let wl = mode.workload();
-    let spec = ChainSpec::memory_optimal(&wl);
-    ChainPlanFactory::new(
-        wl,
-        spec,
-        PlannerOptions {
+fn query(window_secs: u64) -> JoinQuery {
+    JoinQuery::new(format!("Q{window_secs}"), TimeDelta::from_secs(window_secs))
+}
+
+fn launch(mode: Mode, shards: usize, every: u64) -> Session {
+    let options = SessionOptions {
+        planner: PlannerOptions {
             retain_results: true,
             ..PlannerOptions::default().with_shards(shards)
         },
-    )
-}
-
-fn supervisor(mode: Mode, shards: usize, every: u64) -> RecoverySupervisor {
-    RecoverySupervisor::launch(
-        factory(mode, shards),
-        ExecutorConfig::default(),
-        RecoveryConfig {
+        recovery: RecoveryConfig {
             checkpoint_every_epochs: every,
             ..RecoveryConfig::default()
         },
-    )
-    .unwrap()
+        ..SessionOptions::default()
+    };
+    Session::launch(mode.workload(), options).unwrap()
 }
 
 /// One simulated second of input: an A and a B tuple plus the punctuation
@@ -141,96 +137,143 @@ struct Second {
     key_b: i64,
 }
 
-/// Feed `seconds`, draining (`run`, which may checkpoint) after each cut
-/// position.  Returns the per-query sorted fingerprints and the final
-/// per-shard states captured at a forced drained-boundary checkpoint.
+/// One session action, applied before the input of a given second.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Drain to a punctuation boundary (which may checkpoint).
+    Drain,
+    /// Register the query `Q{w}`.
+    Add(u64),
+    /// Deregister the query `Q{w}`.
+    Remove(u64),
+    /// Rescale to this many shards.
+    Rescale(usize),
+    /// Drain, then arm this fault on shard 0 (faulty session only).
+    Arm(FaultPlan),
+}
+
+/// Per query instance `(name, added epoch)`, the sorted result fingerprints.
+type Instances = Vec<((String, u64), Vec<Fingerprint>)>;
+
+/// Drain positions as steps: a drain after second `c` runs before `c + 1`.
+fn drains(cuts: &[usize]) -> impl Iterator<Item = (usize, Step)> + '_ {
+    cuts.iter().map(|&c| (c + 1, Step::Drain))
+}
+
+/// Feed `seconds`, applying each `(at, step)` before second `at` (steps at
+/// `seconds.len()` run after the last second; later ones never run).
+/// Returns the per-instance results, the final per-shard states captured at
+/// a drained boundary, and the recovery log.
 fn drive(
-    sup: &mut RecoverySupervisor,
+    mut session: Session,
     mode: Mode,
     seconds: &[Second],
-    cuts: &[usize],
-) -> (Vec<(String, Vec<Fingerprint>)>, Vec<ShardCheckpoint>) {
-    let mut cut_iter = cuts.iter().peekable();
-    for (t, s) in seconds.iter().enumerate() {
-        let ts = Timestamp::from_secs(t as u64);
-        sup.ingest(mode.tuple(ts, StreamId::A, s.key_a)).unwrap();
-        sup.ingest(mode.tuple(ts, StreamId::B, s.key_b)).unwrap();
-        sup.ingest(Punctuation::new(ts)).unwrap();
-        while cut_iter.peek() == Some(&&t) {
-            cut_iter.next();
-            sup.run().unwrap();
+    steps: &[(usize, Step)],
+    faulty: bool,
+) -> (Instances, Vec<ShardCheckpoint>, RecoveryLog) {
+    for t in 0..=seconds.len() {
+        for &(_, step) in steps.iter().filter(|(at, _)| *at == t) {
+            match step {
+                Step::Drain => {
+                    session.drain().unwrap();
+                }
+                Step::Add(w) => session.add_query(query(w)).unwrap(),
+                Step::Remove(w) => {
+                    session.remove_query(&format!("Q{w}")).unwrap();
+                }
+                Step::Rescale(shards) => session.rescale_shards(shards).unwrap(),
+                Step::Arm(fault) => {
+                    session.drain().unwrap();
+                    if faulty {
+                        session.executor_mut().arm_fault(0, fault).unwrap();
+                    }
+                }
+            }
+        }
+        if let Some(s) = seconds.get(t) {
+            let ts = Timestamp::from_secs(t as u64);
+            session
+                .ingest(mode.tuple(ts, StreamId::A, s.key_a))
+                .unwrap();
+            session
+                .ingest(mode.tuple(ts, StreamId::B, s.key_b))
+                .unwrap();
+            session.ingest(Punctuation::new(ts)).unwrap();
         }
     }
-    sup.run().unwrap();
-    sup.checkpoint_now().unwrap();
-    let shards = sup.last_checkpoint().unwrap().shards.clone();
-    let mut results: Vec<(String, Vec<Fingerprint>)> = WINDOWS
+    session.drain().unwrap();
+    let states = Checkpoint::capture(session.executor(), 0, Timestamp::ZERO)
+        .unwrap()
+        .shards;
+    let outcome = session.finish().unwrap();
+    let mut results: Instances = outcome
+        .queries
         .iter()
-        .map(|&w| {
-            let name = format!("Q{w}");
-            let mut fps = collected_fingerprints(&sup.sink_collected(&name));
+        .map(|q| {
+            let mut fps = collected_fingerprints(&q.collected);
             fps.sort_unstable();
-            (name, fps)
+            ((q.name.clone(), q.added_epoch), fps)
         })
         .collect();
     results.sort();
-    results
-        .iter()
-        .for_each(|(_, fps)| debug_assert!(fps.windows(2).all(|w| w[0] <= w[1])));
-    (results, shards)
+    (results, states, outcome.recovery)
 }
 
-/// The property: with `fault` armed on shard 0, results and final states
-/// must match an uninterrupted run of the same input.  Returns the number
-/// of recoveries the faulty run logged.
+/// The property: with the schedule's faults armed, results and final states
+/// must match an uninterrupted session fed the same input and actions.
+/// Returns the faulty session's recovery log.
 fn assert_equivalent(
     mode: Mode,
     shards: usize,
     every: u64,
     seconds: &[Second],
-    cuts: &[usize],
-    fault: FaultPlan,
-) -> usize {
-    let mut oracle = supervisor(mode, shards, every);
-    let (expected_results, expected_states) = drive(&mut oracle, mode, seconds, cuts);
+    steps: &[(usize, Step)],
+) -> RecoveryLog {
+    let oracle = launch(mode, shards, every);
+    let (expected_results, expected_states, clean) = drive(oracle, mode, seconds, steps, false);
+    assert!(clean.is_clean(), "the uninterrupted session recovered");
 
-    let mut sup = supervisor(mode, shards, every);
-    sup.arm_fault(0, fault).unwrap();
-    let (results, states) = quiet(|| drive(&mut sup, mode, seconds, cuts));
+    let faulty = launch(mode, shards, every);
+    let (results, states, log) = quiet(|| drive(faulty, mode, seconds, steps, true));
 
     assert_eq!(
         results,
         expected_results,
         "recovered per-sink multisets diverged from the uninterrupted oracle \
          ({} recoveries: {:?})",
-        sup.log().recoveries().len(),
-        sup.log().recoveries()
+        log.recoveries().len(),
+        log.recoveries()
     );
     assert_eq!(
         states, expected_states,
         "recovered per-shard per-slice states diverged from the oracle"
     );
-    sup.log().recoveries().len()
+    log
+}
+
+/// A launch-time fault plus drains after the `cuts` seconds.
+fn faulted(fault: FaultPlan, cuts: &[usize]) -> Vec<(usize, Step)> {
+    std::iter::once((0, Step::Arm(fault)))
+        .chain(drains(cuts))
+        .collect()
+}
+
+fn seconds_of(n: u64, a: u64, b: u64, domain: u64) -> Vec<Second> {
+    (0..n)
+        .map(|t| Second {
+            key_a: ((t * a) % domain) as i64,
+            key_b: ((t * b) % domain) as i64,
+        })
+        .collect()
 }
 
 #[test]
 fn a_worker_panic_at_a_punctuation_boundary_is_invisible() {
-    let seconds: Vec<Second> = (0..24)
-        .map(|t| Second {
-            key_a: (t % 5) as i64,
-            key_b: ((t * 3) % 5) as i64,
-        })
-        .collect();
-    let cuts = [5, 11, 17];
+    let seconds = seconds_of(24, 1, 3, 5);
+    let steps = faulted(FaultPlan::panic_at(9), &[5, 11, 17]);
     for shards in [1, 3] {
-        let recoveries = assert_equivalent(
-            Mode::Equi,
-            shards,
-            4,
-            &seconds,
-            &cuts,
-            FaultPlan::panic_at(9),
-        );
+        let log = assert_equivalent(Mode::Equi, shards, 4, &seconds, &steps);
+        let recoveries = log.recoveries().len();
         assert_eq!(recoveries, 1, "{shards} shard(s): the panic must fire once");
     }
 }
@@ -240,15 +283,79 @@ fn a_crash_with_band_indexed_states_is_invisible() {
     // Band conditions have no equi component, so the chain runs single-shard
     // (the planner refuses to hash-partition them); the recovered band index
     // is rebuilt from the checkpointed tuples and must behave identically.
-    let seconds: Vec<Second> = (0..24)
-        .map(|t| Second {
-            key_a: (t % 9) as i64,
-            key_b: ((t * 5) % 9) as i64,
-        })
-        .collect();
-    let cuts = [5, 11, 17];
-    let recoveries = assert_equivalent(Mode::Band, 1, 4, &seconds, &cuts, FaultPlan::panic_at(9));
+    let seconds = seconds_of(24, 1, 5, 9);
+    let steps = faulted(FaultPlan::panic_at(9), &[5, 11, 17]);
+    let recoveries = assert_equivalent(Mode::Band, 1, 4, &seconds, &steps)
+        .recoveries()
+        .len();
     assert_eq!(recoveries, 1, "the panic must fire once");
+}
+
+#[test]
+fn a_crash_after_a_replan_recovers_into_the_replanned_chain() {
+    // Q9 enters before second 7 and Q4 leaves before second 13; the crash
+    // fires after one or both re-plans, so recovery must rebuild that
+    // epoch's chain, not the launch chain.
+    let seconds = seconds_of(24, 1, 3, 5);
+    for (mode, shards) in [(Mode::Equi, 1), (Mode::Equi, 3), (Mode::Band, 1)] {
+        for crash in [10, 17] {
+            let steps = [
+                (0, Step::Arm(FaultPlan::panic_at(crash))),
+                (7, Step::Add(9)),
+                (13, Step::Remove(4)),
+                (20, Step::Drain),
+            ];
+            let log = assert_equivalent(mode, shards, 4, &seconds, &steps);
+            assert_eq!(
+                log.recoveries().len(),
+                1,
+                "{mode:?}/{shards}: crash {crash}"
+            );
+            let seq = log.last_recovery().unwrap().checkpoint_seq;
+            assert!(
+                seq >= 1,
+                "{mode:?}/{shards}: crash {crash} restored the launch checkpoint"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_crash_inside_the_drain_a_reslice_starts_recovers_before_the_migration() {
+    // No drain between the fault and the add: on one shard a poisoned run
+    // panics in the next run, on three the worker's failure surfaces at the
+    // next park — both are the drain `add_query` starts with.
+    let seconds = seconds_of(24, 1, 3, 5);
+    for (shards, fault) in [(1, FaultPlan::poison_at(9)), (3, FaultPlan::panic_at(9))] {
+        let steps = [(0, Step::Arm(fault)), (12, Step::Add(9))];
+        let log = assert_equivalent(Mode::Equi, shards, 4, &seconds, &steps);
+        assert_eq!(log.recoveries().len(), 1, "{shards} shard(s)");
+        // The launch checkpoint was restored and the whole pre-add input
+        // (12 seconds, three items each) replayed: the recovery ran before
+        // the migration's own checkpoint cleared the ring.
+        let rec = log.last_recovery().unwrap();
+        assert_eq!(
+            (rec.checkpoint_seq, rec.replayed),
+            (0, 36),
+            "{shards} shard(s)"
+        );
+    }
+}
+
+#[test]
+fn a_crash_after_a_rescale_recovers_at_the_new_shard_count() {
+    // The rescale replaces the executor, so the fault is armed on the new
+    // one; its punctuation epochs count from the rescale.
+    let seconds = seconds_of(24, 1, 3, 5);
+    for (from, to) in [(1, 3), (3, 2)] {
+        let steps = [
+            (8, Step::Rescale(to)),
+            (8, Step::Arm(FaultPlan::panic_at(5))),
+            (18, Step::Drain),
+        ];
+        let log = assert_equivalent(Mode::Equi, from, 4, &seconds, &steps);
+        assert_eq!(log.recoveries().len(), 1, "rescale {from}->{to}");
+    }
 }
 
 /// Checkpoint round-trip for *indexed* join states: capture a drained
@@ -326,6 +433,37 @@ fn an_indexed_state_checkpoint_round_trip_preserves_probe_behaviour() {
     }
 }
 
+/// Resolve drawn `(at, kind, pick)` triples into a valid schedule: adds
+/// draw from a window pool, removes keep at least one query, rescales pick
+/// 1–3 shards, and a kind with nothing to act on degrades to a drain.
+fn churn_schedule(drawn: &[(usize, usize, usize)]) -> Vec<(usize, Step)> {
+    const POOL: [u64; 4] = [2, 7, 9, 11];
+    let mut drawn = drawn.to_vec();
+    drawn.sort_by_key(|&(at, _, _)| at);
+    let mut active: Vec<u64> = WINDOWS.to_vec();
+    drawn
+        .into_iter()
+        .map(|(at, kind, pick)| {
+            let avail: Vec<u64> = POOL
+                .iter()
+                .copied()
+                .filter(|w| !active.contains(w))
+                .collect();
+            let step = match kind {
+                0 if !avail.is_empty() => {
+                    let w = avail[pick % avail.len()];
+                    active.push(w);
+                    Step::Add(w)
+                }
+                1 if active.len() > 1 => Step::Remove(active.remove(pick % active.len())),
+                2 => Step::Rescale(1 + pick % 3),
+                _ => Step::Drain,
+            };
+            (at, step)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -350,7 +488,8 @@ proptest! {
         cuts.dedup();
         // Band chains are single-shard (no equi key to partition by).
         let (mode, shards) = if band { (Mode::Band, 1) } else { (Mode::Equi, shards) };
-        assert_equivalent(mode, shards, every, &seconds, &cuts, FaultPlan::panic_at(crash_epoch));
+        let steps = faulted(FaultPlan::panic_at(crash_epoch), &cuts);
+        assert_equivalent(mode, shards, every, &seconds, &steps);
     }
 
     /// Seed-derived fault plans (panic, stall or poisoned run at a
@@ -365,7 +504,28 @@ proptest! {
             .into_iter()
             .map(|(key_a, key_b)| Second { key_a, key_b })
             .collect();
-        let fault = FaultPlan::from_seed(seed, 16);
-        assert_equivalent(Mode::Equi, shards, 4, &seconds, &[7, 15], fault);
+        let steps = faulted(FaultPlan::from_seed(seed, 16), &[7, 15]);
+        assert_equivalent(Mode::Equi, shards, 4, &seconds, &steps);
+    }
+
+    /// Random churn and rescale schedules with a panic armed at a random
+    /// point and epoch: the crash may land between re-plans, right after a
+    /// rescale, inside a migration's drain, or never.
+    #[test]
+    fn a_crash_anywhere_in_a_churn_and_rescale_schedule_recovers_exactly(
+        keys in prop::collection::vec((0i64..5, 0i64..5), 12..40),
+        shards in 1usize..4,
+        every in 1u64..7,
+        drawn in prop::collection::vec((0usize..40, 0usize..4, 0usize..8), 1..5),
+        arm_at in 0usize..40,
+        crash_epoch in 1u64..24,
+    ) {
+        let seconds: Vec<Second> = keys
+            .into_iter()
+            .map(|(key_a, key_b)| Second { key_a, key_b })
+            .collect();
+        let mut steps = churn_schedule(&drawn);
+        steps.push((arm_at, Step::Arm(FaultPlan::panic_at(crash_epoch))));
+        assert_equivalent(Mode::Equi, shards, every, &seconds, &steps);
     }
 }

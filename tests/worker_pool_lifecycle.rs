@@ -2,7 +2,7 @@
 //!
 //! The sharded executor creates its worker threads once (one per shard,
 //! each fed by a bounded SPSC ring) and reuses them across every
-//! `run`/`pause`/`resume`/`swap_plans` cycle the [`LiveReslicer`] drives.
+//! `run`/`pause`/`resume`/`swap_plans` cycle the [`Session`] drives.
 //! This suite pins the lifecycle invariants:
 //!
 //! * **no worker leaks** — the process thread count (via `/proc/self/task`)
@@ -24,16 +24,14 @@
 
 use std::sync::Mutex;
 
-use state_slice_repro::core::live::{LiveOptions, LiveReslicer};
+use state_slice_repro::core::live::{Session, SessionOptions};
 use state_slice_repro::core::planner::PlannerOptions;
-use state_slice_repro::core::recovery::{OverflowPolicy, RecoveryConfig, RecoverySupervisor};
-use state_slice_repro::core::{ChainPlanFactory, ChainSpec, JoinQuery, QueryWorkload};
+use state_slice_repro::core::recovery::{OverflowPolicy, RecoveryConfig};
+use state_slice_repro::core::{JoinQuery, QueryWorkload};
 use state_slice_repro::streamkit::fault::FaultPlan;
 use state_slice_repro::streamkit::punctuation::Punctuation;
 use state_slice_repro::streamkit::tuple::StreamId;
-use state_slice_repro::streamkit::{
-    ExecutorConfig, JoinCondition, SkewConfig, TimeDelta, Timestamp, Tuple,
-};
+use state_slice_repro::streamkit::{JoinCondition, SkewConfig, TimeDelta, Timestamp, Tuple};
 
 /// Serialises the tests in this binary: thread-count assertions must not
 /// race another test's pool creation.
@@ -95,13 +93,13 @@ fn workload(queries: Vec<JoinQuery>) -> QueryWorkload {
     QueryWorkload::new(queries, JoinCondition::equi(0)).unwrap()
 }
 
-fn live_options(shards: usize) -> LiveOptions {
-    LiveOptions {
+fn live_options(shards: usize) -> SessionOptions {
+    SessionOptions {
         planner: PlannerOptions {
             retain_results: true,
             shards,
         },
-        ..LiveOptions::default()
+        ..SessionOptions::default()
     }
 }
 
@@ -122,7 +120,7 @@ fn worker_pool_survives_churn_epochs_without_leaking_threads() {
     let _guard = THREAD_COUNT_LOCK.lock().unwrap();
     let shards = test_shards();
     let rescale_to = if shards == 2 { 3 } else { 2 };
-    let mut live = LiveReslicer::launch(
+    let mut live = Session::launch(
         workload(vec![query("QA", 15), query("C5", 5)]),
         live_options(shards),
     )
@@ -181,7 +179,7 @@ fn worker_pool_survives_churn_epochs_without_leaking_threads() {
     assert!(report.sink_count("QA") > 0, "anchor query starved");
     let outcome = live.finish().unwrap();
     assert!(outcome.query("QA").is_some());
-    // Finishing the reslicer drops its executor, which joins the pool.
+    // Finishing the session drops its executor, which joins the pool.
     drop(outcome);
     assert_workers_settle(0, "after finish");
 }
@@ -190,27 +188,20 @@ fn worker_pool_survives_churn_epochs_without_leaking_threads() {
 fn rescale_refuses_while_hot_keys_are_replicated_and_session_survives() {
     let _guard = THREAD_COUNT_LOCK.lock().unwrap();
     let shards = test_shards();
-    let wl = workload(vec![query("QA", 15), query("C5", 5)]);
-    let spec = ChainSpec::memory_optimal(&wl);
-    let factory = ChainPlanFactory::new(
-        wl.clone(),
-        spec.clone(),
-        PlannerOptions {
-            retain_results: true,
-            ..PlannerOptions::default()
-        }
-        .with_shards(shards),
-    );
-    let mut exec = factory.sharded().unwrap();
-    exec.enable_skew(SkewConfig {
-        hot_share: 0.3,
-        min_observations: 8,
-        sketch_capacity: 16,
-        max_hot_keys: 2,
-        demote_observations: 0,
-    })
+    let mut live = Session::launch(
+        workload(vec![query("QA", 15), query("C5", 5)]),
+        live_options(shards),
+    )
     .unwrap();
-    let mut live = LiveReslicer::attach(exec, wl, spec, live_options(shards)).unwrap();
+    live.executor_mut()
+        .enable_skew(SkewConfig {
+            hot_share: 0.3,
+            min_observations: 8,
+            sketch_capacity: 16,
+            max_hot_keys: 2,
+            demote_observations: 0,
+        })
+        .unwrap();
 
     // Key 0 dominates both streams: promoted almost immediately.
     let mut items = Vec::new();
@@ -255,27 +246,18 @@ fn rescale_refuses_while_hot_keys_are_replicated_and_session_survives() {
 fn kill_and_recover_soak_reuses_the_pool_and_keeps_counters_monotone() {
     let _guard = THREAD_COUNT_LOCK.lock().unwrap();
     let shards = test_shards();
-    let wl = workload(vec![query("QA", 15), query("C5", 5)]);
-    let spec = ChainSpec::memory_optimal(&wl);
-    let factory = ChainPlanFactory::new(
-        wl,
-        spec,
-        PlannerOptions {
-            retain_results: true,
-            ..PlannerOptions::default()
-        }
-        .with_shards(shards),
-    );
     // A tiny shedding ring keeps the overflow path exercised alongside the
     // crashes (recovery is best-effort under Shed, but the pool and counter
     // invariants must hold regardless).
-    let mut sup = RecoverySupervisor::launch(
-        factory,
-        ExecutorConfig::default(),
-        RecoveryConfig {
-            checkpoint_every_epochs: 3,
-            replay_capacity: 64,
-            overflow: OverflowPolicy::Shed,
+    let mut sup = Session::launch(
+        workload(vec![query("QA", 15), query("C5", 5)]),
+        SessionOptions {
+            recovery: RecoveryConfig {
+                checkpoint_every_epochs: 3,
+                replay_capacity: 64,
+                overflow: OverflowPolicy::Shed,
+            },
+            ..live_options(shards)
         },
     )
     .unwrap();
@@ -289,7 +271,8 @@ fn kill_and_recover_soak_reuses_the_pool_and_keeps_counters_monotone() {
     for round in 0..4usize {
         // Re-arm a fresh crash a few punctuation epochs ahead, rotating the
         // victim shard; each second feeds both streams plus a punctuation.
-        sup.arm_fault(round % shards, FaultPlan::panic_at(secs + 3))
+        sup.executor_mut()
+            .arm_fault(round % shards, FaultPlan::panic_at(secs + 3))
             .unwrap();
         for _ in 0..8 {
             sup.ingest(tuple(StreamId::A, secs * 10, (secs % 8) as i64))
@@ -300,9 +283,9 @@ fn kill_and_recover_soak_reuses_the_pool_and_keeps_counters_monotone() {
                 .unwrap();
             secs += 1;
         }
-        let report = sup.run().unwrap();
+        let report = sup.drain().unwrap();
         assert_eq!(
-            sup.log().recoveries().len(),
+            sup.recovery().log().recoveries().len(),
             round + 1,
             "round {round}: each armed panic fires exactly one recovery"
         );
@@ -315,16 +298,16 @@ fn kill_and_recover_soak_reuses_the_pool_and_keeps_counters_monotone() {
         );
         last_stalls = report.totals.router_stalls;
         assert!(
-            sup.log().items_shed() >= last_shed,
+            sup.recovery().log().items_shed() >= last_shed,
             "round {round}: items_shed must be monotone"
         );
-        last_shed = sup.log().items_shed();
+        last_shed = sup.recovery().log().items_shed();
     }
     std::panic::set_hook(hook);
 
     // The soaked session still computes and shuts down clean.
-    let (report, log) = sup.finish().unwrap();
-    assert!(report.sink_count("QA") > 0, "anchor query starved");
-    assert_eq!(log.recoveries().len(), 4);
+    let outcome = sup.finish().unwrap();
+    assert!(outcome.report.sink_count("QA") > 0, "anchor query starved");
+    assert_eq!(outcome.recovery.recoveries().len(), 4);
     assert_workers_settle(0, "after finish");
 }
