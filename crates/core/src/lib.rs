@@ -91,13 +91,11 @@ pub use live::{
     SessionOptions, SessionOutcome, SliceStrategy,
 };
 pub use migration::{
-    merge_slice_operators, merge_spec_slices, rehash_shard_states, split_slice_operator,
-    split_slice_operator_eager, split_spec_slice, PurgeWatermarks,
+    merge_slice_states, merge_spec_slices, rehash_shard_states, split_slice_state,
+    split_slice_state_eager, split_spec_slice, PurgeWatermarks,
 };
 pub use planner::{merge_streams, PlannerOptions, SharedChainPlan, CHAIN_ENTRY};
 pub use query::{JoinQuery, QueryWorkload};
-pub use recovery::{
-    CheckpointRecord, OverflowPolicy, Recovery, RecoveryConfig, RecoveryLog, RecoveryRecord,
-};
+pub use recovery::{CheckpointRecord, Recovery, RecoveryConfig, RecoveryLog, RecoveryRecord};
 pub use sliced_binary::SlicedBinaryJoinOp;
 pub use verify::{collected_fingerprints, expected_fingerprints, expected_results};

@@ -3,35 +3,38 @@
 //! (Section 5.3 put to work).
 //!
 //! [`crate::migration`] implements the paper's chain-maintenance primitives —
-//! merging and splitting sliced joins — at the spec and operator level.  This
-//! module drives them end to end: a [`Session`] owns a running
-//! [`ShardedExecutor`], accepts [`add_query`](Session::add_query) /
-//! [`remove_query`](Session::remove_query) at any punctuation boundary,
-//! re-plans the Mem-Opt or CPU-Opt chain for the changed [`QueryWorkload`],
-//! diffs the old and new [`ChainSpec`]s into a minimal sequence of
-//! merge/split primitives ([`ChainEditPlan::between`]), and applies them
-//! through the paper's protocol:
+//! merging and splitting sliced joins — at the spec level and as pure
+//! functions over drained slice state ([`WindowState`]).  This module drives
+//! them end to end: a [`Session`] owns a running [`ShardedExecutor`], accepts
+//! [`add_query`](Session::add_query) / [`remove_query`](Session::remove_query)
+//! at any punctuation boundary, re-plans the Mem-Opt or CPU-Opt chain for the
+//! changed [`QueryWorkload`], diffs the old and new [`ChainSpec`]s into a
+//! minimal sequence of merge/split primitives ([`ChainEditPlan::between`]),
+//! and applies them through the paper's protocol:
 //!
 //! 1. **drain** the in-flight queues (run the executor to quiescence — the
 //!    queues between slices must be empty before states may be
 //!    concatenated, Section 5.3), then **pause** ingestion,
-//! 2. migrate each slice's state through
-//!    [`drain_states`](SliceJoinOp::drain_states) /
-//!    [`load_states`](SliceJoinOp::load_states):
-//!    merges concatenate adjacent states
-//!    ([`merge_slice_operators`]); splits either re-cut the state eagerly by
-//!    tuple age ([`split_slice_operator_eager`], the default) or follow the
-//!    paper's lazy split-purge protocol ([`split_slice_operator`]),
-//! 3. re-wire the downstream union/router/sink graph for the added/removed
-//!    query by materialising a fresh plan for the new workload and
-//!    transplanting the migrated slice states into it,
-//! 4. **checkpoint** the re-planned chain and **resume**.
+//! 2. **read** every slice's window state and apply the edits to that data
+//!    ([`apply_chain_edits`]): merges concatenate adjacent states
+//!    ([`merge_slice_states`]); splits either re-cut the state eagerly by
+//!    tuple age ([`split_slice_state_eager`], the default) or follow the
+//!    paper's lazy split-purge protocol ([`split_slice_state`]),
+//! 3. **swap in** fresh plans for the new workload — the union/router/sink
+//!    graph of the added/removed query, and each slice's index mode, chain
+//!    flags and name — and move the migrated states into them the way crash
+//!    recovery moves checkpointed state: capture the fresh plans'
+//!    [`Checkpoint`](streamkit::Checkpoint), put the migrated states into
+//!    its window slots and restore it,
+//! 4. **adopt** that same checkpoint as the durable cut, and **resume**.
 //!
 //! When the executor is sharded, the chain edits are applied per shard (each
 //! shard is an independent instance of the chain over its key partition, so
 //! per-shard application is exactly the single-chain protocol N times), and
-//! [`rescale_shards`](Session::rescale_shards) redistributes every slice's
-//! per-shard states across a new shard count via [`rehash_shard_states`].
+//! [`rescale_shards`](Session::rescale_shards) runs the same sequence with
+//! [`rehash_shard_states`] in place of the edits and a fresh executor over
+//! the new shard count in place of the plan swap.  Every fallible step on
+//! the migrated data runs before the running executor is touched.
 //!
 //! Crash recovery shares that boundary sequence ([`crate::recovery`]).  The
 //! session records every ingested item in its [`Recovery`] replay ring, and
@@ -39,10 +42,10 @@
 //! the current chain, restore the last checkpoint, replay the ring — before
 //! it checkpoints on the punctuation-epoch interval.  Migrations drain
 //! through it, so a crash inside a migration's drain recovers before the
-//! migration goes on, and every migration ends in a checkpoint, so the
-//! durable cut always has the running chain's shape.  The adaptive
-//! [`Supervisor`](crate::adaptive::Supervisor) borrows the session to
-//! re-plan and rescale it.
+//! migration goes on, and every migration ends in the checkpoint it
+//! restored, so the durable cut always has the running chain's shape.  The
+//! adaptive [`Supervisor`](crate::adaptive::Supervisor) borrows the session
+//! to re-plan and rescale it.
 //!
 //! The migration pause of every event is measured and reported
 //! ([`MigrationRecord`]); the executor's paused-time accounting keeps those
@@ -65,8 +68,8 @@ use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::time::Instant;
 
+use streamkit::checkpoint::WindowState;
 use streamkit::error::{Result, StreamError};
-use streamkit::ops::SliceJoinOp;
 use streamkit::queue::StreamItem;
 use streamkit::shard::ShardedExecutor;
 use streamkit::tuple::Tuple;
@@ -75,7 +78,7 @@ use streamkit::{ExecutionReport, ExecutorConfig, Plan, TimeDelta, Timestamp};
 use crate::builder::{ChainBuilder, ChainPlanFactory, CostConfig};
 use crate::chain::ChainSpec;
 use crate::migration::{
-    merge_slice_operators, rehash_shard_states, split_slice_operator, split_slice_operator_eager,
+    merge_slice_states, rehash_shard_states, split_slice_state, split_slice_state_eager,
     PurgeWatermarks,
 };
 use crate::planner::{PlannerOptions, CHAIN_ENTRY};
@@ -86,11 +89,11 @@ use crate::recovery::{caught, Recovery, RecoveryConfig, RecoveryLog};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MigrationMode {
     /// Re-cut the split slice's state immediately by tuple age
-    /// ([`split_slice_operator_eager`]); the migrated chain's states match a
+    /// ([`split_slice_state_eager`]); the migrated chain's states match a
     /// freshly planned chain exactly.
     #[default]
     Eager,
-    /// The paper's lazy protocol ([`split_slice_operator`]): the left half
+    /// The paper's lazy protocol ([`split_slice_state`]): the left half
     /// keeps the whole state and subsequent cross-purging fills the right
     /// half up.  Results are identical; only the transient state placement
     /// differs.
@@ -123,7 +126,7 @@ impl SliceStrategy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChainEdit {
     /// Remove the interior boundary at `boundary`: merge the two adjacent
-    /// slices ([`merge_slice_operators`]).
+    /// slices ([`merge_slice_states`]).
     Merge {
         /// Window offset of the removed boundary.
         boundary: TimeDelta,
@@ -227,7 +230,7 @@ impl ChainEditPlan {
 /// Counters of one edit-plan application on one chain instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChainEditStats {
-    /// State tuples drained and reloaded by merges/splits/truncation.
+    /// State tuples re-cut by merges, eager splits and truncation.
     pub tuples_moved: usize,
     /// State tuples dropped by a coverage truncation.
     pub tuples_dropped: usize,
@@ -240,72 +243,57 @@ impl ChainEditStats {
     }
 }
 
-/// Apply an edit plan to the (drained) slice operators of one chain
-/// instance.  `watermarks` is the instance's purge progress (last male per
-/// stream), used by eager splits and by truncation to re-cut state by age —
-/// each side's age is measured against the opposite stream's last male,
-/// because purging is cross-purging.
+/// Apply an edit plan to the drained slice states of one chain instance, in
+/// chain order.  `watermarks` is the instance's purge progress (last male
+/// per stream), used by eager splits and by truncation to re-cut state by
+/// age — each side's age is measured against the opposite stream's last
+/// male, because purging is cross-purging.
 pub fn apply_chain_edits(
-    mut ops: Vec<SliceJoinOp>,
+    mut states: Vec<WindowState>,
     plan: &ChainEditPlan,
     watermarks: PurgeWatermarks,
     mode: MigrationMode,
-) -> Result<(Vec<SliceJoinOp>, ChainEditStats)> {
-    use streamkit::Operator as _;
+) -> Result<(Vec<WindowState>, ChainEditStats)> {
     let mut stats = ChainEditStats::default();
     for edit in &plan.edits {
         match *edit {
             ChainEdit::Merge { boundary } => {
-                let idx = ops
+                let idx = states
                     .iter()
-                    .position(|o| o.window().end == boundary)
+                    .position(|s| s.window.end == boundary)
+                    .filter(|&idx| idx + 1 < states.len())
                     .ok_or_else(|| {
                         StreamError::InvalidConfig(format!(
-                            "no slice ends at the merge boundary {boundary}"
+                            "no pair of slices meets at the merge boundary {boundary}"
                         ))
                     })?;
-                if idx + 1 >= ops.len() {
-                    return Err(StreamError::InvalidConfig(format!(
-                        "merge boundary {boundary} has no right neighbour"
-                    )));
-                }
-                let right = ops.remove(idx + 1);
-                let left = ops.remove(idx);
-                stats.tuples_moved += left.state_len() + right.state_len();
-                let name = left.name().to_string();
-                ops.insert(idx, merge_slice_operators(name, left, right)?);
+                let right = states.remove(idx + 1);
+                let left = states.remove(idx);
+                stats.tuples_moved += left.len() + right.len();
+                states.insert(idx, merge_slice_states(left, right)?);
             }
             ChainEdit::Split { boundary } => {
-                let idx = ops
+                let idx = states
                     .iter()
-                    .position(|o| o.window().start < boundary && boundary < o.window().end)
+                    .position(|s| s.window.start < boundary && boundary < s.window.end)
                     .ok_or_else(|| {
                         StreamError::InvalidConfig(format!(
                             "no slice strictly contains the split boundary {boundary}"
                         ))
                     })?;
-                let op = ops.remove(idx);
-                let name = op.name().to_string();
+                let state = states.remove(idx);
                 let (left, right) = match mode {
                     MigrationMode::Eager => {
-                        stats.tuples_moved += op.state_len();
-                        split_slice_operator_eager(
-                            op,
-                            boundary,
-                            watermarks,
-                            name.clone(),
-                            format!("{name}'"),
-                        )?
+                        stats.tuples_moved += state.len();
+                        split_slice_state_eager(state, boundary, watermarks)?
                     }
-                    MigrationMode::Lazy => {
-                        split_slice_operator(op, boundary, name.clone(), format!("{name}'"))?
-                    }
+                    MigrationMode::Lazy => split_slice_state(state, boundary)?,
                 };
-                ops.insert(idx, right);
-                ops.insert(idx, left);
+                states.insert(idx, right);
+                states.insert(idx, left);
             }
             ChainEdit::Truncate { from, to } => {
-                let last = ops.last().map(|o| o.window().end);
+                let last = states.last().map(|s| s.window.end);
                 if last != Some(from) {
                     return Err(StreamError::InvalidConfig(format!(
                         "truncate expects the chain to end at {from}, found {last:?}"
@@ -315,93 +303,62 @@ pub fn apply_chain_edits(
                 // straddling slice (if any) and drop its old half.  A chain
                 // that never covered `[to, from)` would have purged exactly
                 // this state into oblivion at its last slice.
-                while ops.last().is_some_and(|o| o.window().start >= to) {
-                    let dropped = ops.pop().ok_or_else(|| {
-                        StreamError::Execution("truncate lost the slice it just peeked".to_string())
-                    })?;
-                    stats.tuples_dropped += dropped.state_len();
+                while states.last().is_some_and(|s| s.window.start >= to) {
+                    stats.tuples_dropped += states.pop().map_or(0, |s| s.len());
                 }
-                if let Some(last) = ops.last() {
-                    if last.window().end > to {
-                        let op = ops.pop().ok_or_else(|| {
-                            StreamError::Execution(
-                                "truncate lost the slice it just peeked".to_string(),
-                            )
-                        })?;
-                        let name = op.name().to_string();
-                        stats.tuples_moved += op.state_len();
-                        // Truncation is always eager: keeping over-aged state
-                        // in the (now last) slice would leak out-of-window
-                        // results into queries whose window equals the new
-                        // coverage.
-                        let (left, right) =
-                            split_slice_operator_eager(op, to, watermarks, name, "dropped")?;
-                        stats.tuples_dropped += right.state_len();
-                        stats.tuples_moved -= right.state_len();
-                        ops.push(left);
+                if let Some(last) = states.pop() {
+                    if last.window.end > to {
+                        // Truncation is always eager: keeping over-aged
+                        // state in the (now last) slice would leak
+                        // out-of-window results into queries whose window
+                        // equals the new coverage.
+                        let (kept, dropped) = split_slice_state_eager(last, to, watermarks)?;
+                        stats.tuples_moved += kept.len();
+                        stats.tuples_dropped += dropped.len();
+                        states.push(kept);
+                    } else {
+                        states.push(last);
                     }
                 }
-                if ops.is_empty() {
+                if states.is_empty() {
                     return Err(StreamError::InvalidConfig(
                         "truncation removed every slice".to_string(),
                     ));
                 }
             }
             ChainEdit::Extend { from, to } => {
-                let Some(last) = ops.last_mut() else {
+                let Some(last) = states.last_mut() else {
                     return Err(StreamError::InvalidConfig(
                         "cannot extend an empty chain".to_string(),
                     ));
                 };
-                if last.window().end != from {
+                if last.window.end != from {
                     return Err(StreamError::InvalidConfig(format!(
                         "extend expects the chain to end at {from}, found {}",
-                        last.window().end
+                        last.window.end
                     )));
                 }
-                let mut window = last.window();
-                window.end = to;
-                last.set_window(window);
+                last.window.end = to;
             }
         }
     }
-    Ok((ops, stats))
+    Ok((states, stats))
 }
 
-/// Lift every sliced join out of a retired plan, in chain order, leaving an
-/// empty operator of the same shape behind, so the migration primitives —
-/// which take operators by value — can be applied to them.  The state moves
-/// with the operator; nothing is drained or re-indexed.
-fn lift_slice_ops(plan: &mut Plan) -> Vec<SliceJoinOp> {
-    plan.slice_joins_mut()
-        .map(|op| std::mem::replace(op, op.empty_like()))
-        .collect()
+/// Every slice's window state in `plan`, in chain order: a read-only copy
+/// through each slice's own capture.
+fn slice_states(plan: &Plan) -> Vec<WindowState> {
+    plan.slice_joins().map(|op| op.window_state()).collect()
 }
 
-/// Load migrated slice states into a freshly built plan, verifying the
-/// migrated windows line up with the plan's slices.
-fn load_slice_states(plan: &mut Plan, migrated: Vec<SliceJoinOp>) -> Result<()> {
-    let mut migrated = migrated.into_iter();
-    for op in plan.slice_joins_mut() {
-        let mut source = migrated.next().ok_or_else(|| {
-            StreamError::Execution("migrated chain has fewer slices than the new plan".to_string())
-        })?;
-        if source.window() != op.window() {
-            return Err(StreamError::Execution(format!(
-                "migrated slice {} does not match the planned slice {}",
-                source.window(),
-                op.window()
-            )));
+/// Credit one plan's sink deliveries to the ledgers of the active queries.
+fn credit_sinks(active: &mut HashMap<String, QueryResults>, plan: &Plan) {
+    for (name, ledger) in active.iter_mut() {
+        if let Some(sink) = plan.sink(name) {
+            ledger.count += sink.count();
+            ledger.collected.extend_from_slice(sink.collected());
         }
-        let (a, b) = source.drain_states();
-        op.load_states(a, b);
     }
-    if migrated.next().is_some() {
-        return Err(StreamError::Execution(
-            "migrated chain has more slices than the new plan".to_string(),
-        ));
-    }
-    Ok(())
 }
 
 /// What one migration event did and what it cost.
@@ -633,9 +590,9 @@ impl Session {
     /// failing item is already in the ring, so the replay re-delivers it).
     pub fn ingest(&mut self, item: impl Into<StreamItem>) -> Result<()> {
         let item = item.into();
-        if self.recovery.make_room()? {
-            // Block: the drain makes everything buffered so far part of a
-            // durable cut, unless its interval checkpoint already did.
+        if self.recovery.is_full() {
+            // The drain makes everything buffered so far part of a durable
+            // cut, unless its interval checkpoint already did.
             self.drain()?;
             if self.recovery.ring_len() > 0 {
                 self.recovery.checkpoint(&self.exec, true)?;
@@ -799,10 +756,9 @@ impl Session {
                 "cannot rescale shards while skew-replicated hot keys are active".to_string(),
             ));
         }
-        // Drain in-flight work (ordinary execution), then stall.  All the
-        // fallible construction happens before the ledger harvest and the
-        // executor replacement, so a failed rescale leaves the session
-        // untouched.
+        // Drain in-flight work (ordinary execution), then stall.  The
+        // rehash and the restore run on data and on the new executor, so a
+        // failed rescale leaves the session untouched.
         let report = self.drain()?;
         let pause_start = Instant::now();
         let factory = self.factory(&self.workload, &self.spec, new_shards);
@@ -811,44 +767,23 @@ impl Session {
                 "cannot rescale shards for a join without an equi component".to_string(),
             )
         })?;
-        let fresh = factory.sharded_with_config(self.options.executor.clone())?;
-        self.harvest_sinks()?;
-        // Retire the old executor (its cumulative report was taken above)
-        // and lift each shard's slice instances out of it.
-        let old = std::mem::replace(&mut self.exec, fresh);
-        let (mut old_executors, _) = old.into_parts();
-        let per_shard_ops: Vec<Vec<SliceJoinOp>> = old_executors
-            .iter_mut()
-            .map(|e| lift_slice_ops(e.plan_mut()))
+        let states: Vec<Vec<WindowState>> = self
+            .exec
+            .shards()
+            .iter()
+            .map(|shard| slice_states(shard.plan()))
             .collect();
-        let num_slices = per_shard_ops.first().map(|ops| ops.len()).unwrap_or(0);
-        // Transpose to per-slice columns of per-shard instances.
-        let mut columns: Vec<Vec<SliceJoinOp>> = (0..num_slices).map(|_| Vec::new()).collect();
-        for shard_ops in per_shard_ops {
-            if shard_ops.len() != num_slices {
-                return Err(StreamError::Execution(
-                    "shard chain instances have diverging slice counts".to_string(),
-                ));
-            }
-            for (k, op) in shard_ops.into_iter().enumerate() {
-                columns[k].push(op);
-            }
+        let tuples_moved = states.iter().flatten().map(WindowState::len).sum();
+        let rehashed = rehash_shard_states(states, new_shards, &shard_spec)?;
+        let mut fresh = factory.sharded_with_config(self.options.executor.clone())?;
+        let cut = self.recovery.restore_windows(&mut fresh, rehashed)?;
+        // Retire the old executor (its cumulative report was taken above),
+        // closing the epoch's sink ledgers from its plans.
+        let old = std::mem::replace(&mut self.exec, fresh);
+        for shard in old.shards() {
+            credit_sinks(&mut self.active, shard.plan());
         }
-        // Re-hash every slice's states onto the new shard count and load
-        // them into the fresh instances.
-        let mut tuples_moved = 0;
-        let mut per_new_shard: Vec<Vec<SliceJoinOp>> =
-            (0..new_shards).map(|_| Vec::new()).collect();
-        for instances in columns {
-            tuples_moved += instances.iter().map(|o| o.state_len()).sum::<usize>();
-            let rehashed = rehash_shard_states(instances, new_shards, &shard_spec)?;
-            for (i, op) in rehashed.into_iter().enumerate() {
-                per_new_shard[i].push(op);
-            }
-        }
-        for (i, ops) in per_new_shard.into_iter().enumerate() {
-            load_slice_states(self.exec.shards_mut()[i].plan_mut(), ops)?;
-        }
+        self.recovery.adopt(cut, false);
         // A new shard's per-stream last-male timestamps cannot be
         // reconstructed from the surviving state, so every shard
         // conservatively adopts the global per-stream maxima.  Future tuples
@@ -865,9 +800,6 @@ impl Session {
             new_shards
         ];
         self.retired = Some(report);
-        // The last checkpoint has the old shard count: the rescale ends in
-        // a fresh one.
-        self.recovery.checkpoint(&self.exec, false)?;
         self.epoch += 1;
         self.migrations.push(MigrationRecord {
             epoch: self.epoch,
@@ -878,59 +810,6 @@ impl Session {
             tuples_dropped: 0,
             pause_secs: pause_start.elapsed().as_secs_f64(),
         });
-        Ok(())
-    }
-
-    /// Harvest every active query's sink deliveries of the current plan
-    /// generation (read live off the executor; used at rescale and finish,
-    /// where the plans are about to be consumed or dropped).
-    fn harvest_sinks(&mut self) -> Result<()> {
-        for shard_idx in 0..self.exec.num_shards() {
-            let plan_sinks: Vec<(String, u64, Vec<Tuple>)> = {
-                let plan = self.exec.shards()[shard_idx].plan();
-                self.workload
-                    .queries()
-                    .iter()
-                    .filter_map(|q| {
-                        plan.sink(&q.name)
-                            .map(|s| (q.name.clone(), s.count(), s.collected().to_vec()))
-                    })
-                    .collect()
-            };
-            for (name, count, collected) in plan_sinks {
-                self.credit_instance(&name, count, collected)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Harvest one *retired* plan's sink deliveries.  Retired plans are
-    /// returned by `swap_plans` exactly once, so this cannot double-count
-    /// even if a later migration step fails.
-    fn harvest_retired_plan(&mut self, plan: &Plan) -> Result<()> {
-        let names: Vec<String> = self
-            .workload
-            .queries()
-            .iter()
-            .map(|q| q.name.clone())
-            .collect();
-        for name in names {
-            let Some(sink) = plan.sink(&name) else {
-                continue;
-            };
-            let count = sink.count();
-            let collected = sink.collected().to_vec();
-            self.credit_instance(&name, count, collected)?;
-        }
-        Ok(())
-    }
-
-    fn credit_instance(&mut self, name: &str, count: u64, collected: Vec<Tuple>) -> Result<()> {
-        let acc = self.active.get_mut(name).ok_or_else(|| {
-            StreamError::Execution(format!("sink '{name}' has no active ledger entry"))
-        })?;
-        acc.count += count;
-        acc.collected.extend(collected);
         Ok(())
     }
 
@@ -956,31 +835,11 @@ impl Session {
         let plans = self
             .factory(&new_workload, &new_spec, self.exec.num_shards())
             .plans()?;
-        // 3. Pause: everything below is migration stall.
+        // 3. Pause: everything below is migration stall.  Resume even on a
+        //    failed migration so the pause accounting stays balanced.
         let pause_start = Instant::now();
         self.exec.pause();
-        // 4. Swap the plans in and migrate each retired shard plan's slice
-        //    states through the edit sequence, closing the epoch's sink
-        //    ledgers from the retired plans (each is harvested exactly once
-        //    by construction).  The last checkpoint has the retired plans'
-        //    shape, so the migration ends in a fresh one.  Resume even on a
-        //    failed migration so the pause accounting stays balanced.
-        let migrate = |this: &mut Self, plans: Vec<Plan>| -> Result<ChainEditStats> {
-            let old_plans = this.exec.swap_plans(plans)?;
-            let mut stats = ChainEditStats::default();
-            for (idx, mut old_plan) in old_plans.into_iter().enumerate() {
-                this.harvest_retired_plan(&old_plan)?;
-                let ops = lift_slice_ops(&mut old_plan);
-                let (migrated, shard_stats) =
-                    apply_chain_edits(ops, &edits, this.shard_hw[idx], this.options.mode)?;
-                stats.add(&shard_stats);
-                load_slice_states(this.exec.shards_mut()[idx].plan_mut(), migrated)?;
-            }
-            this.recovery.checkpoint(&this.exec, false)?;
-            Ok(stats)
-        };
-        let result = migrate(self, plans);
-        // 5. Resume.
+        let result = self.migrate(&edits, plans);
         self.exec.resume();
         let stats = result?;
         self.epoch += 1;
@@ -998,11 +857,36 @@ impl Session {
         Ok(())
     }
 
+    /// Read every shard's slice states and apply the edits to that data,
+    /// then swap `plans` in, close the epoch's sink ledgers from the retired
+    /// plans (each is returned, and so harvested, exactly once), restore the
+    /// migrated states into the new plans through their checkpoint and adopt
+    /// that checkpoint as the durable cut.
+    fn migrate(&mut self, edits: &ChainEditPlan, plans: Vec<Plan>) -> Result<ChainEditStats> {
+        let mut stats = ChainEditStats::default();
+        let mut migrated = Vec::with_capacity(plans.len());
+        for (shard, watermarks) in self.exec.shards().iter().zip(&self.shard_hw) {
+            let states = slice_states(shard.plan());
+            let (chain, shard_stats) =
+                apply_chain_edits(states, edits, *watermarks, self.options.mode)?;
+            stats.add(&shard_stats);
+            migrated.push(chain);
+        }
+        for old in self.exec.swap_plans(plans)? {
+            credit_sinks(&mut self.active, &old);
+        }
+        let cut = self.recovery.restore_windows(&mut self.exec, migrated)?;
+        self.recovery.adopt(cut, false);
+        Ok(stats)
+    }
+
     /// Drain remaining work, close every ledger and return the session's
     /// outcome.
     pub fn finish(mut self) -> Result<SessionOutcome> {
         let report = self.drain()?;
-        self.harvest_sinks()?;
+        for shard in self.exec.shards() {
+            credit_sinks(&mut self.active, shard.plan());
+        }
         let mut queries = self.finished;
         let mut still_active: Vec<QueryResults> = self.active.into_values().collect();
         still_active.sort_by(|a, b| (a.added_epoch, &a.name).cmp(&(b.added_epoch, &b.name)));
@@ -1135,38 +1019,20 @@ mod tests {
         assert!(q16.count > 20, "warm state was dropped: {}", q16.count);
     }
 
-    fn chain_ops(windows: &[(u64, u64)]) -> Vec<SliceJoinOp> {
-        use streamkit::window::SliceWindow;
-        let last = windows.len() - 1;
-        windows
-            .iter()
-            .enumerate()
-            .map(|(k, &(s, e))| {
-                let mut op = SliceJoinOp::for_ab(
-                    format!("slice_{k}"),
-                    SliceWindow::from_secs(s, e),
-                    JoinCondition::equi(0),
-                );
-                if k == 0 {
-                    op = op.chain_head();
-                }
-                if k == last {
-                    op = op.last_in_chain();
-                }
-                op
-            })
-            .collect()
-    }
-
     #[test]
     fn apply_edits_recuts_truncates_and_extends_states() {
+        use streamkit::window::SliceWindow;
         // Chain [0,10),[10,30) with females aged (vs watermark 100s) 5, 15, 25.
-        let mut ops = chain_ops(&[(0, 10), (10, 30)]);
-        ops[0].load_states(vec![keyed(95, StreamId::A, 1)], vec![]);
-        ops[1].load_states(
-            vec![keyed(75, StreamId::A, 1), keyed(85, StreamId::A, 1)],
-            vec![],
-        );
+        let female = |s| keyed(s, StreamId::A, 1);
+        let slice = |start, end, side_a| WindowState {
+            window: SliceWindow::from_secs(start, end),
+            side_a,
+            side_b: Vec::new(),
+        };
+        let states = vec![
+            slice(0, 10, vec![female(95)]),
+            slice(10, 30, vec![female(75), female(85)]),
+        ];
         // Re-slice to [0,20),[20,25): boundary 10 merges away, coverage
         // truncates to 25 (dropping the age-25 female), boundary 20 splits.
         let target = ChainSpec::memory_optimal(&workload(&[20, 25]));
@@ -1175,30 +1041,43 @@ mod tests {
         assert_eq!(plan.merges(), 1);
         assert_eq!(plan.splits(), 1);
         let (migrated, stats) = apply_chain_edits(
-            ops,
+            states,
             &plan,
             PurgeWatermarks::uniform(Timestamp::from_secs(100)),
             MigrationMode::Eager,
         )
         .unwrap();
         assert_eq!(migrated.len(), 2);
-        assert_eq!(
-            migrated[0].window(),
-            streamkit::window::SliceWindow::from_secs(0, 20)
-        );
-        assert_eq!(
-            migrated[1].window(),
-            streamkit::window::SliceWindow::from_secs(20, 25)
-        );
+        assert_eq!(migrated[0].window, SliceWindow::from_secs(0, 20));
+        assert_eq!(migrated[1].window, SliceWindow::from_secs(20, 25));
         // age 5 → [0,20); age 15 → [0,20); age 25 → dropped.
-        assert_eq!(migrated[0].state_a_len(), 2);
-        assert_eq!(migrated[1].state_a_len(), 0);
+        assert_eq!(migrated[0].side_a.len(), 2);
+        assert_eq!(migrated[1].side_a.len(), 0);
         assert_eq!(stats.tuples_dropped, 1);
         assert!(stats.tuples_moved >= 2);
+        // Growing the coverage back widens the last slice, which keeps its
+        // state; the widened range starts empty.
+        let wider = ChainEditPlan::between(&target, &source);
+        let (extended, _) = apply_chain_edits(
+            migrated,
+            &wider,
+            PurgeWatermarks::uniform(Timestamp::from_secs(100)),
+            MigrationMode::Eager,
+        )
+        .unwrap();
+        let windows: Vec<SliceWindow> = extended.iter().map(|s| s.window).collect();
+        assert_eq!(
+            windows,
+            [
+                SliceWindow::from_secs(0, 10),
+                SliceWindow::from_secs(10, 30)
+            ]
+        );
+        assert_eq!(extended.iter().map(WindowState::len).sum::<usize>(), 2);
     }
 
     #[test]
-    fn a_band_slice_keeps_its_band_index_through_lift_merge_split_and_rehash() {
+    fn a_band_session_keeps_every_slice_band_indexed_through_churn() {
         use streamkit::predicate::CmpOp;
         let theta = |op, right_field| JoinCondition::Theta {
             left_field: 0,
@@ -1210,23 +1089,101 @@ mod tests {
             JoinQuery::new("Q5", secs(5)),
             JoinQuery::new("Q10", secs(10)),
         ];
-        let wl = QueryWorkload::new(queries, band).unwrap();
-        let spec = ChainSpec::memory_optimal(&wl);
-        let mut plan = ChainPlanFactory::new(wl, spec, PlannerOptions::default())
-            .instantiate()
-            .unwrap()
-            .plan;
-        let mut lifted = lift_slice_ops(&mut plan);
-        assert_eq!(lifted.len(), 2);
-        assert!(lifted.iter().all(SliceJoinOp::is_band_indexed), "lift");
-        let right = lifted.pop().unwrap();
-        let merged = merge_slice_operators("J", lifted.pop().unwrap(), right).unwrap();
-        assert!(merged.is_band_indexed(), "merge");
-        let (left, right) = split_slice_operator(merged, secs(5), "l", "r").unwrap();
-        assert!(left.is_band_indexed() && right.is_band_indexed(), "split");
-        let spec = streamkit::shard::ShardSpec::symmetric(0);
-        let rehashed = rehash_shard_states(vec![right], 1, &spec).unwrap();
-        assert!(rehashed[0].is_band_indexed(), "rehash");
+        let mut live =
+            Session::launch(QueryWorkload::new(queries, band).unwrap(), test_options()).unwrap();
+        let feed = |live: &mut Session, from: u64| {
+            for s in from..from + 12 {
+                let v = (s % 7) as i64;
+                for stream in [StreamId::A, StreamId::B] {
+                    let t = Tuple::of_ints(Timestamp::from_secs(s), stream, &[v, v - 2, v + 2]);
+                    live.ingest(t).unwrap();
+                }
+            }
+        };
+        let all_band_indexed = |live: &Session| {
+            let slices: Vec<bool> = live
+                .executor()
+                .shards()
+                .iter()
+                .flat_map(|shard| shard.plan().slice_joins().map(|op| op.is_band_indexed()))
+                .collect();
+            slices.len() == live.spec().num_slices() && slices.iter().all(|&b| b)
+        };
+        assert!(all_band_indexed(&live), "launch");
+        feed(&mut live, 0);
+        live.add_query(JoinQuery::new("Q7", secs(7))).unwrap();
+        assert!(all_band_indexed(&live), "add (split)");
+        feed(&mut live, 12);
+        live.remove_query("Q5").unwrap();
+        assert!(all_band_indexed(&live), "remove (merge)");
+        feed(&mut live, 24);
+        live.add_query(JoinQuery::new("Q20", secs(20))).unwrap();
+        assert!(all_band_indexed(&live), "add (extend)");
+        feed(&mut live, 36);
+        live.remove_query("Q20").unwrap();
+        assert!(all_band_indexed(&live), "remove (truncate)");
+        assert_eq!(live.epoch(), 4);
+        let state: usize = live
+            .executor()
+            .shards()
+            .iter()
+            .flat_map(|shard| shard.plan().slice_joins().map(|op| op.state_len()))
+            .sum();
+        assert!(state > 0, "the migrations kept no state");
+    }
+
+    #[test]
+    fn a_migration_adopts_the_checkpoint_it_restored() {
+        use streamkit::checkpoint::Checkpoint;
+        let options = SessionOptions {
+            // No interval checkpoints: every checkpoint below is a migration's.
+            recovery: RecoveryConfig {
+                checkpoint_every_epochs: u64::MAX,
+                ..RecoveryConfig::default()
+            },
+            ..test_options()
+        };
+        let mut live = Session::launch(workload(&[5, 20]), options).unwrap();
+        type Step = fn(&mut Session) -> Result<()>;
+        let steps: [(&str, Step); 6] = [
+            ("add (split)", |s| {
+                s.add_query(JoinQuery::new("Q10", secs(10)))
+            }),
+            ("remove (merge)", |s| s.remove_query("Q5").map(|_| ())),
+            ("remove (truncate)", |s| s.remove_query("Q20").map(|_| ())),
+            ("add (extend)", |s| {
+                s.add_query(JoinQuery::new("Q40", secs(40)))
+            }),
+            ("rescale 1->3", |s| s.rescale_shards(3)),
+            ("rescale 3->2", |s| s.rescale_shards(2)),
+        ];
+        let all = input(20 * steps.len() as u64);
+        for (k, (name, step)) in steps.into_iter().enumerate() {
+            live.ingest_all(all[40 * k..40 * (k + 1)].to_vec()).unwrap();
+            live.drain().unwrap();
+            let before = live.recovery().log().checkpoints().len();
+            step(&mut live).unwrap();
+            let log = live.recovery().log();
+            assert_eq!(
+                log.checkpoints().len(),
+                before + 1,
+                "{name}: one checkpoint"
+            );
+            let cut = live.recovery().last_checkpoint();
+            let record = log.checkpoints().last().unwrap();
+            assert_eq!((record.seq, record.forced), (cut.seq, false), "{name}");
+            assert!(
+                cut.state_tuples() > 0,
+                "{name}: the migration kept no state"
+            );
+            let after = Checkpoint::capture(live.executor(), cut.seq, cut.watermark).unwrap();
+            assert_eq!(
+                after.shards, cut.shards,
+                "{name}: the cut is not the running state"
+            );
+        }
+        assert_eq!(live.num_shards(), 2);
+        assert_eq!(live.migrations().len(), 6);
     }
 
     fn test_options() -> SessionOptions {

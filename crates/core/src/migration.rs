@@ -13,21 +13,25 @@
 //!   smaller window, into the queue ... and eventually fill up the states of
 //!   J'_i correctly").
 //!
-//! Both primitives are exposed at two levels: on [`ChainSpec`]s (planning
-//! level) and on [`SliceJoinOp`] operators (runtime level).
+//! Both primitives exist at two levels: on [`ChainSpec`]s (planning level)
+//! and on the drained slice state itself (runtime level) — the
+//! [`WindowState`] a slice captures through
+//! [`Operator::node_state`](streamkit::Operator::node_state) and a freshly
+//! planned slice restores through
+//! [`Operator::restore_state`](streamkit::Operator::restore_state).  The
+//! runtime primitives are pure functions of that data: index mode, chain
+//! flags and operator names belong to the plan the migrated states are
+//! restored into, never to the states.
 //!
 //! A third runtime primitive serves **sharded parallel execution**
-//! ([`streamkit::shard`]): [`rehash_shard_states`] redistributes the window
-//! states of the per-shard instances of one sliced join across a new shard
-//! count by draining every instance ([`SliceJoinOp::drain_states`]),
-//! re-hashing each tuple's canonical join key, and loading the merged
-//! timestamp-ordered runs into fresh instances
-//! ([`SliceJoinOp::load_states`]).  Scale-up (split a shard's state)
-//! and scale-down (merge shards) are the same operation with different
-//! target counts.
+//! ([`streamkit::shard`]): [`rehash_shard_states`] redistributes the slice
+//! states of every shard's chain instance across a new shard count by
+//! re-hashing each tuple's canonical join key.  Scale-up (split a shard's
+//! state) and scale-down (merge shards) are the same operation with
+//! different target counts.
 
+use streamkit::checkpoint::WindowState;
 use streamkit::error::{Result, StreamError};
-use streamkit::ops::SliceJoinOp;
 use streamkit::shard::ShardSpec;
 use streamkit::tuple::Tuple;
 use streamkit::{TimeDelta, Timestamp};
@@ -78,70 +82,49 @@ pub fn split_spec_slice(
     ChainSpec::from_path(workload, &path)
 }
 
-/// Merge two adjacent sliced join operators into one (runtime primitive).
+/// Merge the states of two adjacent slices into one (runtime primitive).
 ///
 /// `left` is the slice closer to the head of the chain (smaller window
 /// offsets, younger tuples); `right` is the next slice (older tuples).  The
-/// queue between them must have been drained by the scheduler before calling
-/// this, which the caller asserts by passing both operators by value.
-pub fn merge_slice_operators(
-    name: impl Into<String>,
-    mut left: SliceJoinOp,
-    mut right: SliceJoinOp,
-) -> Result<SliceJoinOp> {
-    if left.window().end != right.window().start {
+/// queue between them must have been drained before the states were read.
+pub fn merge_slice_states(left: WindowState, right: WindowState) -> Result<WindowState> {
+    if left.window.end != right.window.start {
         return Err(StreamError::InvalidConfig(format!(
             "slices {} and {} are not adjacent",
-            left.window(),
-            right.window()
+            left.window, right.window
         )));
     }
-    if !left.joins_like(&right) {
-        return Err(StreamError::InvalidConfig(
-            "cannot merge sliced joins with different conditions, streams, directions or index \
-             modes"
-                .to_string(),
-        ));
-    }
-    let (left_a, left_b) = left.drain_states();
-    let (right_a, right_b) = right.drain_states();
-    let mut merged = left.empty_like().renamed(name);
-    merged.set_window(left.window().merge(&right.window()));
-    merged.set_has_next(right.has_next());
     // Oldest tuples first: the right (older) slice's state precedes the left's.
-    let mut state_a = right_a;
-    state_a.extend(left_a);
-    let mut state_b = right_b;
-    state_b.extend(left_b);
-    merged.load_states(state_a, state_b);
-    Ok(merged)
+    let mut side_a = right.side_a;
+    side_a.extend(left.side_a);
+    let mut side_b = right.side_b;
+    side_b.extend(left.side_b);
+    Ok(WindowState {
+        window: left.window.merge(&right.window),
+        side_a,
+        side_b,
+    })
 }
 
-/// Split one sliced join operator at window offset `at` (runtime primitive).
+/// Split one slice's state at window offset `at` (runtime primitive).
 ///
 /// Follows the paper's lazy protocol: the left half keeps the entire state
 /// and simply shrinks its end window; the right half starts empty and is
 /// filled by subsequent cross-purging.  Returns `(left, right)`.
-pub fn split_slice_operator(
-    op: SliceJoinOp,
-    at: TimeDelta,
-    left_name: impl Into<String>,
-    right_name: impl Into<String>,
-) -> Result<(SliceJoinOp, SliceJoinOp)> {
-    let window = op.window();
-    let Some((left_window, right_window)) = window.split_at(at) else {
+pub fn split_slice_state(state: WindowState, at: TimeDelta) -> Result<(WindowState, WindowState)> {
+    let Some((left, right)) = state.window.split_at(at) else {
         return Err(StreamError::InvalidConfig(format!(
-            "split point {at} is not strictly inside {window}"
+            "split point {at} is not strictly inside {}",
+            state.window
         )));
     };
-    let mut left = op;
-    let mut right = left.empty_like().renamed(right_name);
-    right.set_window(right_window);
-    right.set_chain_head(false);
-    left.set_window(left_window);
-    left.set_has_next(true);
-    let _ = left_name; // the left operator keeps its identity (and state)
-    Ok((left, right))
+    Ok((
+        WindowState {
+            window: left,
+            ..state
+        },
+        WindowState::empty(right),
+    ))
 }
 
 /// A chain instance's purge progress: the timestamp of the last *male* tuple
@@ -179,12 +162,12 @@ impl PurgeWatermarks {
     }
 }
 
-/// Split one sliced join operator at window offset `at`, **eagerly** moving
-/// the state that already belongs to the right half (runtime primitive).
+/// Split one slice's state at window offset `at`, **eagerly** moving the
+/// state that already belongs to the right half (runtime primitive).
 ///
-/// The lazy protocol of [`split_slice_operator`] leaves the whole state in
-/// the left half and lets subsequent cross-purging fill the right half up.
-/// The eager variant re-cuts the state immediately using the chain's purge
+/// The lazy protocol of [`split_slice_state`] leaves the whole state in the
+/// left half and lets subsequent cross-purging fill the right half up.  The
+/// eager variant re-cuts the state immediately using the chain's purge
 /// watermarks: a stored tuple whose age — measured against the opposite
 /// stream's last male, the tuple that would next purge it — has reached `at`
 /// would already have been purged out of the shrunk left window, so it
@@ -192,57 +175,44 @@ impl PurgeWatermarks {
 /// what a chain *freshly built* with this boundary would hold at the same
 /// quiescent point, which is what makes differential
 /// (live-migrated ≡ freshly-planned) testing exact.
-pub fn split_slice_operator_eager(
-    op: SliceJoinOp,
+pub fn split_slice_state_eager(
+    state: WindowState,
     at: TimeDelta,
     watermarks: PurgeWatermarks,
-    left_name: impl Into<String>,
-    right_name: impl Into<String>,
-) -> Result<(SliceJoinOp, SliceJoinOp)> {
-    let (mut left, mut right) = split_slice_operator(op, at, left_name, right_name)?;
-    // States drain oldest-first, and "expired out of [start, at)" is monotone
-    // in the timestamp, so each side's state splits at one cut point: the
-    // old prefix belongs to the right (older) slice, the rest stays left.
-    let (state_a, state_b) = left.drain_states();
-    let cut = |mut state: Vec<Tuple>, purger: Timestamp| {
-        let cut = state.partition_point(|t: &Tuple| purger.saturating_sub(t.ts) >= at);
-        let keep = state.split_off(cut);
-        (keep, state)
+) -> Result<(WindowState, WindowState)> {
+    let (mut left, mut right) = split_slice_state(state, at)?;
+    // States are oldest-first, and "expired out of [start, at)" is monotone
+    // in the timestamp, so each side splits at one cut point: the old prefix
+    // belongs to the right (older) slice, the rest stays left.
+    let cut = |side: &mut Vec<Tuple>, purger: Timestamp| {
+        let cut = side.partition_point(|t| purger.saturating_sub(t.ts) >= at);
+        let keep = side.split_off(cut);
+        std::mem::replace(side, keep)
     };
-    let (left_a, right_a) = cut(state_a, watermarks.male_b);
-    let (left_b, right_b) = cut(state_b, watermarks.male_a);
-    left.load_states(left_a, left_b);
-    right.load_states(right_a, right_b);
+    right.side_a = cut(&mut left.side_a, watermarks.male_b);
+    right.side_b = cut(&mut left.side_b, watermarks.male_a);
     Ok((left, right))
 }
 
-/// Merge per-old-shard timestamp-ordered runs into one ordered vector.
-/// The sort is stable over the concatenation, so equal timestamps keep the
-/// lower shard index first and the result is deterministic.
-fn merge_ordered_runs(runs: Vec<Vec<Tuple>>) -> Vec<Tuple> {
-    let mut merged: Vec<Tuple> = runs.into_iter().flatten().collect();
-    merged.sort_by_key(|t| t.ts);
-    merged
-}
-
-/// Redistribute the states of the per-shard instances of **one** sliced join
-/// across `new_shards` shards (runtime primitive for shard scale-up/down).
+/// Redistribute the slice states of a sharded chain across `new_shards`
+/// shards (runtime primitive for shard scale-up/down).
 ///
-/// `shards` holds the current instances — structurally identical operators
-/// (same window, condition, streams, chain flags and index mode) whose
-/// states partition the slice's window by join key.  All instances are
-/// drained, every tuple is routed to `spec.shard_of(tuple, new_shards)`, and
-/// each new instance is loaded with its tuples in timestamp order.  The
-/// union of the states is preserved exactly; only the partition changes.
+/// `shards[s]` is shard `s`'s chain instance: its slices' states in chain
+/// order.  The instances cover the same slices, and their states partition
+/// each slice by join key.  Every tuple is routed to
+/// `spec.shard_of(tuple, new_shards)`, and each new instance's sides are
+/// put in timestamp order — a stable sort, so equal timestamps keep the
+/// lower old shard first and the result is deterministic.  The union of the
+/// states is preserved exactly; only the partition changes.
 ///
 /// Scale-down to one shard (`new_shards == 1`) is the "merge" direction;
 /// scale-up from one shard is the "split by re-hashing keys" direction.
 pub fn rehash_shard_states(
-    mut shards: Vec<SliceJoinOp>,
+    shards: Vec<Vec<WindowState>>,
     new_shards: usize,
     spec: &ShardSpec,
-) -> Result<Vec<SliceJoinOp>> {
-    let Some(template) = shards.first() else {
+) -> Result<Vec<Vec<WindowState>>> {
+    let Some(first) = shards.first() else {
         return Err(StreamError::InvalidConfig(
             "rehash needs at least one current shard instance".to_string(),
         ));
@@ -252,39 +222,32 @@ pub fn rehash_shard_states(
             "cannot rescale to zero shards".to_string(),
         ));
     }
-    let template = template.empty_like();
-    for op in &shards {
-        if op.window() != template.window()
-            || !op.joins_like(&template)
-            || op.is_chain_head() != template.is_chain_head()
-            || op.has_next() != template.has_next()
-        {
-            return Err(StreamError::InvalidConfig(
-                "cannot rehash shard instances of different sliced joins".to_string(),
-            ));
+    let empty: Vec<WindowState> = first.iter().map(|s| WindowState::empty(s.window)).collect();
+    let same_slices = |chain: &Vec<WindowState>| {
+        chain
+            .iter()
+            .map(|s| s.window)
+            .eq(empty.iter().map(|s| s.window))
+    };
+    if !shards.iter().all(same_slices) {
+        return Err(StreamError::InvalidConfig(
+            "cannot rehash shard instances of different chains".to_string(),
+        ));
+    }
+    let mut out = vec![empty; new_shards];
+    for chain in shards {
+        for (k, state) in chain.into_iter().enumerate() {
+            for t in state.side_a {
+                out[spec.shard_of(&t, new_shards)][k].side_a.push(t);
+            }
+            for t in state.side_b {
+                out[spec.shard_of(&t, new_shards)][k].side_b.push(t);
+            }
         }
     }
-    // Drain every instance, then re-partition each side by the new hash.
-    let mut runs_a: Vec<Vec<Tuple>> = Vec::with_capacity(shards.len());
-    let mut runs_b: Vec<Vec<Tuple>> = Vec::with_capacity(shards.len());
-    for op in &mut shards {
-        let (a, b) = op.drain_states();
-        runs_a.push(a);
-        runs_b.push(b);
-    }
-    let mut new_a: Vec<Vec<Tuple>> = vec![Vec::new(); new_shards];
-    let mut new_b: Vec<Vec<Tuple>> = vec![Vec::new(); new_shards];
-    for tuple in merge_ordered_runs(runs_a) {
-        new_a[spec.shard_of(&tuple, new_shards)].push(tuple);
-    }
-    for tuple in merge_ordered_runs(runs_b) {
-        new_b[spec.shard_of(&tuple, new_shards)].push(tuple);
-    }
-    let mut out = Vec::with_capacity(new_shards);
-    for (state_a, state_b) in new_a.into_iter().zip(new_b) {
-        let mut op = template.empty_like();
-        op.load_states(state_a, state_b);
-        out.push(op);
+    for state in out.iter_mut().flatten() {
+        state.side_a.sort_by_key(|t| t.ts);
+        state.side_b.sort_by_key(|t| t.ts);
     }
     Ok(out)
 }
@@ -293,8 +256,10 @@ pub fn rehash_shard_states(
 mod tests {
     use super::*;
     use crate::query::JoinQuery;
+    use streamkit::checkpoint::NodeState;
     use streamkit::operator::{OpContext, Operator};
     use streamkit::ops::slice_join::{PORT_NEXT_SLICE, PORT_RESULTS};
+    use streamkit::ops::SliceJoinOp;
     use streamkit::tuple::{StreamId, Tuple, TupleRole};
     use streamkit::window::SliceWindow;
     use streamkit::{JoinCondition, Timestamp};
@@ -319,6 +284,27 @@ mod tests {
         Tuple::of_ints(Timestamp::from_secs(secs), StreamId::B, &[0])
     }
 
+    fn state(start: u64, end: u64, side_a: Vec<Tuple>, side_b: Vec<Tuple>) -> WindowState {
+        WindowState {
+            window: SliceWindow::from_secs(start, end),
+            side_a,
+            side_b,
+        }
+    }
+
+    /// Restore a migrated state into a planned slice, as a migration does.
+    fn restored(mut op: SliceJoinOp, state: WindowState) -> SliceJoinOp {
+        op.restore_state(NodeState::Window(state)).unwrap();
+        op
+    }
+
+    fn secs_of(tuples: &[Tuple]) -> Vec<u64> {
+        tuples
+            .iter()
+            .map(|t| t.ts.as_micros() / 1_000_000)
+            .collect()
+    }
+
     #[test]
     fn spec_merge_and_split_round_trip() {
         let w = workload();
@@ -341,99 +327,94 @@ mod tests {
 
     #[test]
     fn operator_merge_concatenates_states_oldest_first() {
-        let cond = JoinCondition::Cross;
-        let mut left = SliceJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone());
-        let mut right = SliceJoinOp::for_ab("J2", SliceWindow::from_secs(5, 10), cond.clone());
         // Young female in the left slice, old female in the right slice.
-        left.load_states(vec![a(8)], vec![]);
-        right.load_states(vec![a(2)], vec![b(3)]);
-        let merged = merge_slice_operators("J12", left, right).unwrap();
-        assert_eq!(merged.window(), SliceWindow::from_secs(0, 10));
-        assert_eq!(merged.state_a_len(), 2);
-        assert_eq!(merged.state_b_len(), 1);
-        assert_eq!(merged.state_len(), 3);
+        let left = state(0, 5, vec![a(8)], vec![]);
+        let right = state(5, 10, vec![a(2)], vec![b(3)]);
+        let merged = merge_slice_states(left, right).unwrap();
+        assert_eq!(merged.window, SliceWindow::from_secs(0, 10));
+        assert_eq!(secs_of(&merged.side_a), vec![2, 8]);
+        assert_eq!(merged.side_b.len(), 1);
+        assert_eq!(merged.len(), 3);
     }
 
-    /// Adjacent slices `[0, 5)` and `[5, 10)`, forced to linear scans or not.
-    fn adjacent(cond: &JoinCondition, linear: bool) -> (SliceJoinOp, SliceJoinOp) {
-        let slice = |s, e| SliceJoinOp::for_ab("J", SliceWindow::from_secs(s, e), cond.clone());
-        let (left, right) = (slice(0, 5), slice(5, 10));
+    /// The planned slice `[start, end)` a migrated state is restored into,
+    /// forced to linear scans or not.
+    fn planned(cond: &JoinCondition, start: u64, end: u64, linear: bool) -> SliceJoinOp {
+        let mut op = SliceJoinOp::for_ab("J", SliceWindow::from_secs(start, end), cond.clone());
         if linear {
-            (left.without_index(), right.without_index())
-        } else {
-            (left, right)
+            op.drop_index();
         }
+        op
     }
 
     #[test]
     fn merge_and_split_preserve_the_index_mode() {
         let cond = JoinCondition::equi(0);
-        // Indexed chain stays indexed through a merge…
-        let (left, right) = adjacent(&cond, false);
-        assert!(merge_slice_operators("J12", left, right)
-            .unwrap()
-            .is_indexed());
+        let keyed = |s: u64| Tuple::of_ints(Timestamp::from_secs(s), StreamId::A, &[s as i64]);
+        let merged = merge_slice_states(
+            state(0, 5, vec![keyed(8)], vec![]),
+            state(5, 10, vec![keyed(2)], vec![]),
+        )
+        .unwrap();
+        // The plan decides the index mode: an indexed chain stays indexed
+        // through a merge…
+        assert!(restored(planned(&cond, 0, 10, false), merged.clone()).is_indexed());
         // …and a linear-scan A/B reference chain stays linear through both
         // merge and split.
-        let (left, right) = adjacent(&cond, true);
-        let merged = merge_slice_operators("J12", left, right).unwrap();
-        assert!(!merged.is_indexed());
-        let (split_left, split_right) =
-            split_slice_operator(merged, TimeDelta::from_secs(5), "l", "r").unwrap();
-        assert!(!split_left.is_indexed());
-        assert!(!split_right.is_indexed());
-        // Mixed-mode merges are rejected rather than silently coerced.
-        let ((indexed, _), (_, linear)) = (adjacent(&cond, false), adjacent(&cond, true));
-        assert!(merge_slice_operators("bad", indexed, linear).is_err());
+        let linear = restored(planned(&cond, 0, 10, true), merged.clone());
+        assert!(!linear.is_indexed());
+        assert_eq!(linear.state_len(), 2);
+        let (split_left, split_right) = split_slice_state(merged, TimeDelta::from_secs(5)).unwrap();
+        assert!(!restored(planned(&cond, 0, 5, true), split_left).is_indexed());
+        assert!(!restored(planned(&cond, 5, 10, true), split_right).is_indexed());
     }
 
     #[test]
     fn merge_split_and_rehash_preserve_the_band_index_mode() {
         use streamkit::predicate::CmpOp;
-        // A band condition (no equi): states are band-indexed, and every
-        // migration primitive must keep them that way instead of coercing
-        // to linear (is_indexed() is false for band mode, so a hash-only
-        // check would force-linearize).
+        // A band condition (no equi): a planned slice is band-indexed, and a
+        // state restored into it after any migration primitive must keep it
+        // that way instead of coercing to linear (is_indexed() is false for
+        // band mode, so a hash-only check would force-linearize).
         let theta = |op, right_field| JoinCondition::Theta {
             left_field: 0,
             op,
             right_field,
         };
         let cond = JoinCondition::And(Box::new(theta(CmpOp::Ge, 1)), Box::new(theta(CmpOp::Le, 2)));
-        let (left, right) = adjacent(&cond, false);
-        assert!(left.is_band_indexed() && !left.is_indexed());
-        let merged = merge_slice_operators("J12", left, right).unwrap();
-        assert!(merged.is_band_indexed(), "merge dropped the band index");
+        let band = |s: u64| Tuple::of_ints(Timestamp::from_secs(s), StreamId::A, &[s as i64, 0, 9]);
+        let left = state(0, 5, vec![band(8)], vec![]);
+        let right = state(5, 10, vec![band(2)], vec![]);
+        assert!(planned(&cond, 0, 5, false).is_band_indexed());
+        assert!(!planned(&cond, 0, 5, false).is_indexed());
+        let merged = merge_slice_states(left, right).unwrap();
+        let merged_op = restored(planned(&cond, 0, 10, false), merged.clone());
+        assert!(merged_op.is_band_indexed(), "merge dropped the band index");
         let (split_left, split_right) =
-            split_slice_operator(merged, TimeDelta::from_secs(5), "l", "r").unwrap();
-        assert!(split_left.is_band_indexed());
+            split_slice_state(merged.clone(), TimeDelta::from_secs(5)).unwrap();
+        assert!(restored(planned(&cond, 0, 5, false), split_left.clone()).is_band_indexed());
         assert!(
-            split_right.is_band_indexed(),
+            restored(planned(&cond, 5, 10, false), split_right).is_band_indexed(),
             "split dropped the band index"
         );
         // Rehash across one shard (band joins run single-shard, but the
-        // primitive must still round-trip the mode).
+        // primitive must still round-trip the state).
         let spec = ShardSpec::symmetric(0);
-        let rehashed = rehash_shard_states(vec![split_left], 1, &spec).unwrap();
+        let rehashed = rehash_shard_states(vec![vec![split_left]], 1, &spec).unwrap();
         assert!(
-            rehashed[0].is_band_indexed(),
+            restored(planned(&cond, 0, 5, false), rehashed[0][0].clone()).is_band_indexed(),
             "rehash dropped the band index"
         );
         // Forced-linear band chains stay linear.
-        let (linear_left, linear_right) = adjacent(&cond, true);
-        let merged = merge_slice_operators("J12", linear_left, linear_right).unwrap();
-        assert!(!merged.is_band_indexed() && !merged.is_indexed());
-        // Mixed band/linear merges are rejected.
-        let ((banded, _), (_, linear)) = (adjacent(&cond, false), adjacent(&cond, true));
-        assert!(merge_slice_operators("bad", banded, linear).is_err());
+        let linear = restored(planned(&cond, 0, 10, true), merged);
+        assert!(!linear.is_band_indexed() && !linear.is_indexed());
     }
 
     #[test]
     fn operator_merge_rejects_non_adjacent_slices() {
-        let cond = JoinCondition::Cross;
-        let left = SliceJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone());
-        let right = SliceJoinOp::for_ab("J3", SliceWindow::from_secs(10, 20), cond);
-        assert!(merge_slice_operators("bad", left, right).is_err());
+        let left = WindowState::empty(SliceWindow::from_secs(0, 5));
+        let right = WindowState::empty(SliceWindow::from_secs(10, 20));
+        assert!(merge_slice_states(left, right).is_err());
     }
 
     #[test]
@@ -444,7 +425,7 @@ mod tests {
         let mut left =
             SliceJoinOp::for_ab("J1", SliceWindow::from_secs(0, 5), cond.clone()).chain_head();
         let mut right =
-            SliceJoinOp::for_ab("J2", SliceWindow::from_secs(5, 10), cond).last_in_chain();
+            SliceJoinOp::for_ab("J2", SliceWindow::from_secs(5, 10), cond.clone()).last_in_chain();
         // Prime the two-slice chain with A females at ts 1 and 7.
         let mut ctx = OpContext::new();
         left.process(0, a(1).into(), &mut ctx);
@@ -459,12 +440,13 @@ mod tests {
         let _ = ctx.take_outputs();
         let produced_before = left.results() + right.results();
         assert!(produced_before > 0);
-        // Queue between them is drained; merge.
-        let mut merged = merge_slice_operators("J12", left, right).unwrap();
-        merged.set_has_next(false);
+        // Queue between them is drained; merge their window states.
+        let merged = merge_slice_states(left.window_state(), right.window_state()).unwrap();
+        let merged_op = SliceJoinOp::for_ab("J12", merged.window, cond).last_in_chain();
+        let mut merged_op = restored(merged_op, merged);
         // A later male B joins against both stored females through the merged state.
         let mut ctx = OpContext::new();
-        merged.process(0, b(9).with_role(TupleRole::Male).into(), &mut ctx);
+        merged_op.process(0, b(9).with_role(TupleRole::Male).into(), &mut ctx);
         let results: Vec<_> = ctx
             .take_outputs()
             .into_iter()
@@ -477,7 +459,7 @@ mod tests {
     #[test]
     fn operator_split_is_lazy_and_correct() {
         let cond = JoinCondition::Cross;
-        let mut op = SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 10), cond)
+        let mut op = SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 10), cond.clone())
             .chain_head()
             .last_in_chain();
         let mut ctx = OpContext::new();
@@ -485,12 +467,21 @@ mod tests {
         op.process(0, a(6).into(), &mut ctx);
         let _ = ctx.take_outputs();
         // Split at offset 5: left keeps all state (lazy), right starts empty.
-        let (mut left, mut right) =
-            split_slice_operator(op, TimeDelta::from_secs(5), "J_left", "J_right").unwrap();
-        assert_eq!(left.window(), SliceWindow::from_secs(0, 5));
-        assert_eq!(right.window(), SliceWindow::from_secs(5, 10));
-        assert_eq!(left.state_len(), 2);
-        assert_eq!(right.state_len(), 0);
+        let (left_state, right_state) =
+            split_slice_state(op.window_state(), TimeDelta::from_secs(5)).unwrap();
+        assert_eq!(left_state.window, SliceWindow::from_secs(0, 5));
+        assert_eq!(right_state.window, SliceWindow::from_secs(5, 10));
+        assert_eq!(left_state.len(), 2);
+        assert_eq!(right_state.len(), 0);
+        // The re-planned chain: the left half forwards, the right is last.
+        let mut left = restored(
+            SliceJoinOp::for_ab("J_left", left_state.window, cond.clone()).chain_head(),
+            left_state,
+        );
+        let mut right = restored(
+            SliceJoinOp::for_ab("J_right", right_state.window, cond).last_in_chain(),
+            right_state,
+        );
         assert!(left.has_next());
         assert!(!right.has_next());
         // A male B at ts 8 purges a@1 (age 7 >= 5) into the queue towards the
@@ -524,45 +515,32 @@ mod tests {
 
     #[test]
     fn eager_split_recuts_state_by_age_against_the_watermark() {
-        let cond = JoinCondition::Cross;
-        let mut op = SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 10), cond)
-            .chain_head()
-            .last_in_chain();
         // A-side ages are measured against the last B male (20s): a@16 → 4
         // (left of 5), a@15 → 5 (exactly the boundary: expired, right),
         // a@12 → 8 (right).  B-side ages use the last A male (23s):
         // b@13 → 10 (right), b@18 → 5 (right, exactly at the boundary).
-        op.load_states(vec![a(12), a(15), a(16)], vec![b(13), b(18)]);
-        let (left, right) = split_slice_operator_eager(
-            op,
+        let whole = state(0, 10, vec![a(12), a(15), a(16)], vec![b(13), b(18)]);
+        let (left, right) = split_slice_state_eager(
+            whole,
             TimeDelta::from_secs(5),
             PurgeWatermarks {
                 male_a: Timestamp::from_secs(23),
                 male_b: Timestamp::from_secs(20),
             },
-            "l",
-            "r",
         )
         .unwrap();
-        assert_eq!(left.window(), SliceWindow::from_secs(0, 5));
-        assert_eq!(right.window(), SliceWindow::from_secs(5, 10));
-        let (la, lb) = left.state_timestamps();
-        let (ra, rb) = right.state_timestamps();
-        let secs = |v: Vec<Timestamp>| -> Vec<u64> {
-            v.into_iter().map(|t| t.as_micros() / 1_000_000).collect()
-        };
-        assert_eq!(secs(la), vec![16]);
-        assert_eq!(secs(ra), vec![12, 15]);
-        assert_eq!(secs(lb), Vec::<u64>::new());
-        assert_eq!(secs(rb), vec![13, 18]);
-        assert!(left.has_next());
-        assert!(!right.has_next());
+        assert_eq!(left.window, SliceWindow::from_secs(0, 5));
+        assert_eq!(right.window, SliceWindow::from_secs(5, 10));
+        assert_eq!(secs_of(&left.side_a), vec![16]);
+        assert_eq!(secs_of(&right.side_a), vec![12, 15]);
+        assert_eq!(secs_of(&left.side_b), Vec::<u64>::new());
+        assert_eq!(secs_of(&right.side_b), vec![13, 18]);
     }
 
     #[test]
     fn operator_split_rejects_out_of_range_points() {
-        let op = SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 10), JoinCondition::Cross);
-        assert!(split_slice_operator(op, TimeDelta::from_secs(10), "l", "r").is_err());
+        let whole = WindowState::empty(SliceWindow::from_secs(0, 10));
+        assert!(split_slice_state(whole, TimeDelta::from_secs(10)).is_err());
     }
 
     fn keyed(secs: u64, stream: StreamId, key: i64) -> Tuple {
@@ -573,41 +551,40 @@ mod tests {
     fn rehash_round_trips_state_through_scale_up_and_down() {
         let cond = JoinCondition::equi(0);
         let spec = ShardSpec::from_condition(&cond, StreamId::A, StreamId::B).unwrap();
-        let mut op =
-            SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 50), cond.clone()).chain_head();
         let state_a: Vec<Tuple> = (1..=20)
             .map(|s| keyed(s, StreamId::A, (s % 6) as i64))
             .collect();
         let state_b: Vec<Tuple> = (1..=15)
             .map(|s| keyed(s, StreamId::B, (s % 6) as i64))
             .collect();
-        op.load_states(state_a.clone(), state_b.clone());
+        let whole = state(0, 50, state_a.clone(), state_b.clone());
         // Scale up 1 -> 4: states split by re-hashed key, time order kept.
-        let shards = rehash_shard_states(vec![op], 4, &spec).unwrap();
+        let shards = rehash_shard_states(vec![vec![whole.clone()]], 4, &spec).unwrap();
         assert_eq!(shards.len(), 4);
-        let total: usize = shards.iter().map(|s| s.state_len()).sum();
+        let total: usize = shards.iter().flatten().map(WindowState::len).sum();
         assert_eq!(total, state_a.len() + state_b.len());
-        for shard in &shards {
-            assert!(shard.is_chain_head());
-            assert!(shard.has_next());
-            assert!(shard.is_indexed());
-            let (ts_a, ts_b) = shard.state_timestamps();
-            assert!(ts_a.windows(2).all(|w| w[0] <= w[1]), "A side time-ordered");
-            assert!(ts_b.windows(2).all(|w| w[0] <= w[1]), "B side time-ordered");
+        for chain in &shards {
+            assert_eq!(chain.len(), 1);
+            let shard = &chain[0];
+            assert_eq!(shard.window, whole.window);
+            assert!(
+                shard.side_a.windows(2).all(|w| w[0].ts <= w[1].ts),
+                "A side time-ordered"
+            );
+            assert!(
+                shard.side_b.windows(2).all(|w| w[0].ts <= w[1].ts),
+                "B side time-ordered"
+            );
         }
         // Every tuple sits exactly on the shard its key hashes to.
-        for (i, shard) in shards.iter().enumerate() {
-            let (tuples_a, tuples_b) = shard.state_tuples();
-            for tuple in tuples_a.iter().chain(&tuples_b) {
+        for (i, chain) in shards.iter().enumerate() {
+            for tuple in chain[0].side_a.iter().chain(&chain[0].side_b) {
                 assert_eq!(spec.shard_of(tuple, 4), i, "tuple on wrong shard");
             }
         }
         // Scale down 4 -> 1 restores the exact original states.
         let merged = rehash_shard_states(shards, 1, &spec).unwrap();
-        assert_eq!(merged.len(), 1);
-        let (ts_a, ts_b) = merged[0].state_timestamps();
-        assert_eq!(ts_a, state_a.iter().map(|t| t.ts).collect::<Vec<_>>());
-        assert_eq!(ts_b, state_b.iter().map(|t| t.ts).collect::<Vec<_>>());
+        assert_eq!(merged, vec![vec![whole]]);
     }
 
     #[test]
@@ -615,12 +592,12 @@ mod tests {
         let cond = JoinCondition::equi(0);
         let spec = ShardSpec::from_condition(&cond, StreamId::A, StreamId::B).unwrap();
         assert!(rehash_shard_states(Vec::new(), 2, &spec).is_err());
-        let one = SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 5), cond.clone());
-        assert!(rehash_shard_states(vec![one], 0, &spec).is_err());
-        // Instances of different slices cannot be rehashed together.
-        let left = SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 5), cond.clone());
-        let other = SliceJoinOp::for_ab("J", SliceWindow::from_secs(5, 10), cond);
-        assert!(rehash_shard_states(vec![left, other], 2, &spec).is_err());
+        let one = WindowState::empty(SliceWindow::from_secs(0, 5));
+        assert!(rehash_shard_states(vec![vec![one.clone()]], 0, &spec).is_err());
+        // Instances of different chains cannot be rehashed together.
+        let other = WindowState::empty(SliceWindow::from_secs(5, 10));
+        assert!(rehash_shard_states(vec![vec![one.clone()], vec![other]], 2, &spec).is_err());
+        assert!(rehash_shard_states(vec![vec![one.clone()], vec![]], 2, &spec).is_err());
     }
 
     #[test]

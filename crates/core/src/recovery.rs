@@ -19,10 +19,13 @@
 //! 2. after every drain, once the punctuation epoch has advanced by
 //!    [`RecoveryConfig::checkpoint_every_epochs`], a [`Checkpoint`] is
 //!    captured and the replay ring is cleared — everything at or before the
-//!    checkpoint is durable, everything after it is in the ring.  Every
-//!    migration (re-plan, rescale) ends at a drained boundary with fresh
-//!    plans and checkpoints there too, so the durable cut always has the
-//!    running chain's shape and shard count,
+//!    checkpoint is durable, everything after it is in the ring.  A
+//!    migration (re-plan, rescale) moves slice state the same way a recovery
+//!    does: it captures its freshly built plans, puts the migrated slice
+//!    states into that checkpoint's window slots and restores it
+//!    (`Recovery::restore_windows`), and the restored checkpoint becomes
+//!    the durable cut — so the cut always has the running chain's shape and
+//!    shard count,
 //! 3. when a run fails with `WorkerFailed` — while ingesting, draining, or
 //!    in the drain a migration starts with — the session rebuilds every
 //!    shard's plan fresh for its *current* workload, slicing and shard count
@@ -37,38 +40,21 @@
 //! uninterrupted run's (`tests/recovery_equivalence.rs` pins this property
 //! under arbitrary fault epochs, re-plans and rescales).
 //!
-//! When the ring fills up, [`OverflowPolicy`] decides: `Block` forces an
-//! early checkpoint (trimming the ring to empty), `Shed` drops the oldest
-//! item and counts it (recovery is then best-effort: a crash would lose the
-//! shed items), `Error` refuses the ingest.  Every checkpoint and recovery
-//! is appended to a [`RecoveryLog`], mirroring the adaptive supervisor's
+//! A full ring never drops an item: the session drains and forces an early
+//! checkpoint, which empties the ring, so recovery stays exact however
+//! small the ring is.  Every checkpoint and recovery is appended to a
+//! [`RecoveryLog`], mirroring the adaptive supervisor's
 //! [`crate::AdaptationLog`].
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use streamkit::checkpoint::Checkpoint;
+use streamkit::checkpoint::{Checkpoint, NodeState, WindowState};
 use streamkit::error::{panic_message, Result, StreamError};
 use streamkit::queue::StreamItem;
 use streamkit::shard::ShardedExecutor;
 use streamkit::{Plan, Timestamp};
-
-/// What to do when the replay ring is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// Force a checkpoint now (drain + capture), which empties the ring.
-    /// Bounds memory at the cost of a checkpoint stall; never loses
-    /// recoverability.
-    #[default]
-    Block,
-    /// Drop the oldest ring item and count it in
-    /// [`RecoveryLog::items_shed`].  Ingest never stalls, but a crash now
-    /// replays an incomplete tail: recovery becomes best-effort.
-    Shed,
-    /// Refuse the ingest with an error.
-    Error,
-}
 
 /// Tuning knobs of a session's crash recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,10 +63,8 @@ pub struct RecoveryConfig {
     /// has advanced by this many epochs since the last checkpoint
     /// (minimum 1).
     pub checkpoint_every_epochs: u64,
-    /// Replay ring capacity in items.
+    /// Replay ring capacity in items; a full ring forces a checkpoint.
     pub replay_capacity: usize,
-    /// What to do when the ring is full.
-    pub overflow: OverflowPolicy,
 }
 
 impl Default for RecoveryConfig {
@@ -88,7 +72,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             checkpoint_every_epochs: 4,
             replay_capacity: 1 << 16,
-            overflow: OverflowPolicy::Block,
         }
     }
 }
@@ -106,8 +89,8 @@ pub struct CheckpointRecord {
     pub state_tuples: u64,
     /// Replay-ring items the checkpoint made obsolete (cleared).
     pub ring_cleared: usize,
-    /// `true` when the checkpoint was forced by a full replay ring
-    /// ([`OverflowPolicy::Block`]) rather than the epoch interval.
+    /// `true` when the checkpoint was forced by a full replay ring rather
+    /// than the epoch interval.
     pub forced: bool,
 }
 
@@ -153,7 +136,6 @@ pub struct RecoveryRecord {
 pub struct RecoveryLog {
     checkpoints: Vec<CheckpointRecord>,
     recoveries: Vec<RecoveryRecord>,
-    items_shed: u64,
 }
 
 impl RecoveryLog {
@@ -167,13 +149,7 @@ impl RecoveryLog {
         &self.recoveries
     }
 
-    /// Replay-ring items dropped under [`OverflowPolicy::Shed`]
-    /// (monotonically non-decreasing).
-    pub fn items_shed(&self) -> u64 {
-        self.items_shed
-    }
-
-    /// Checkpoints forced by ring overflow ([`OverflowPolicy::Block`]).
+    /// Checkpoints forced by a full replay ring.
     pub fn forced_checkpoints(&self) -> usize {
         self.checkpoints.iter().filter(|c| c.forced).count()
     }
@@ -239,6 +215,12 @@ impl Recovery {
         &self.log
     }
 
+    /// The durable cut: the checkpoint a crash restores.
+    #[cfg(test)]
+    pub(crate) fn last_checkpoint(&self) -> &Checkpoint {
+        &self.last
+    }
+
     /// Current replay-ring occupancy.
     pub fn ring_len(&self) -> usize {
         self.ring.len()
@@ -248,25 +230,10 @@ impl Recovery {
         self.log
     }
 
-    /// Make room for one more ring item under the overflow policy.  Returns
-    /// `true` when the policy is [`OverflowPolicy::Block`] and the caller
-    /// must drain and checkpoint first.
-    pub(crate) fn make_room(&mut self) -> Result<bool> {
-        if self.ring.len() < self.config.replay_capacity {
-            return Ok(false);
-        }
-        match self.config.overflow {
-            OverflowPolicy::Block => Ok(true),
-            OverflowPolicy::Shed => {
-                self.ring.pop_front();
-                self.log.items_shed += 1;
-                Ok(false)
-            }
-            OverflowPolicy::Error => Err(StreamError::Execution(format!(
-                "replay ring full ({} items) and the overflow policy is Error",
-                self.ring.len()
-            ))),
-        }
+    /// `true` when the ring is full: the caller must drain and force a
+    /// checkpoint before it records another item.
+    pub(crate) fn is_full(&self) -> bool {
+        self.ring.len() >= self.config.replay_capacity
     }
 
     /// Append one ingested item to the ring.
@@ -295,13 +262,67 @@ impl Recovery {
     /// Capture the drained executor as the new durable cut and clear the
     /// replay ring.
     pub(crate) fn checkpoint(&mut self, exec: &ShardedExecutor, forced: bool) -> Result<()> {
-        let seq = self.log.checkpoints.len() as u64;
-        self.last = Checkpoint::capture(exec, seq, self.watermark)?;
+        let ckpt = self.capture(exec)?;
+        self.adopt(ckpt, forced);
+        Ok(())
+    }
+
+    /// Capture the drained executor as the next checkpoint, without making
+    /// it the durable cut yet.
+    fn capture(&self, exec: &ShardedExecutor) -> Result<Checkpoint> {
+        Checkpoint::capture(exec, self.log.checkpoints.len() as u64, self.watermark)
+    }
+
+    /// Make `ckpt` — a capture of the running executor — the durable cut,
+    /// log it and clear the replay ring.
+    pub(crate) fn adopt(&mut self, ckpt: Checkpoint, forced: bool) {
         self.log
             .checkpoints
-            .push(CheckpointRecord::of(&self.last, self.ring.len(), forced));
+            .push(CheckpointRecord::of(&ckpt, self.ring.len(), forced));
+        self.last = ckpt;
         self.ring.clear();
-        Ok(())
+    }
+
+    /// Move migrated slice state into freshly built plans the way a recovery
+    /// moves checkpointed state: capture `exec`'s new plans as the next
+    /// checkpoint, put `windows` — one chain per shard, its slices in chain
+    /// order — into the checkpoint's window slots, and restore it.  Each
+    /// planned slice refuses a state of another window, so the migrated
+    /// chain must match the new plans slice for slice.  The returned
+    /// checkpoint is the migration's durable cut, for the caller to
+    /// [`adopt`](Recovery::adopt) once `exec` is the running executor.
+    pub(crate) fn restore_windows(
+        &self,
+        exec: &mut ShardedExecutor,
+        windows: Vec<Vec<WindowState>>,
+    ) -> Result<Checkpoint> {
+        let mut ckpt = self.capture(exec)?;
+        if windows.len() != ckpt.shards.len() {
+            return Err(StreamError::Execution(format!(
+                "migrated {} chain instances into {} shards",
+                windows.len(),
+                ckpt.shards.len()
+            )));
+        }
+        for (shard, chain) in ckpt.shards.iter_mut().zip(windows) {
+            let slots: Vec<&mut NodeState> = shard
+                .nodes
+                .iter_mut()
+                .filter(|node| matches!(node, NodeState::Window(_)))
+                .collect();
+            if slots.len() != chain.len() {
+                return Err(StreamError::Execution(format!(
+                    "migrated a chain of {} slices into a plan of {}",
+                    chain.len(),
+                    slots.len()
+                )));
+            }
+            for (slot, state) in slots.into_iter().zip(chain) {
+                *slot = NodeState::Window(state);
+            }
+        }
+        ckpt.restore(exec)?;
+        Ok(ckpt)
     }
 
     /// Reset a failed executor onto fresh `plans` and restore the last
@@ -524,57 +545,18 @@ mod tests {
     }
 
     #[test]
-    fn shed_policy_drops_oldest_and_counts() {
+    fn a_full_ring_forces_a_checkpoint() {
         let mut session = open(
             1,
             RecoveryConfig {
                 // Never checkpoint on the interval; tiny ring.
                 checkpoint_every_epochs: u64::MAX,
                 replay_capacity: 8,
-                overflow: OverflowPolicy::Shed,
             },
         );
         feed(&mut session, 0..10); // 30 items through a ring of 8
-        assert_eq!(session.recovery().ring_len(), 8);
-        assert_eq!(session.recovery().log().items_shed(), 22);
-        session.drain().unwrap();
-        // Monotone: more input only grows the counter.
-        let before = session.recovery().log().items_shed();
-        feed(&mut session, 10..12);
-        assert!(session.recovery().log().items_shed() >= before);
-    }
-
-    #[test]
-    fn block_policy_forces_a_checkpoint_and_error_policy_refuses() {
-        let mut session = open(
-            1,
-            RecoveryConfig {
-                checkpoint_every_epochs: u64::MAX,
-                replay_capacity: 8,
-                overflow: OverflowPolicy::Block,
-            },
-        );
-        feed(&mut session, 0..10);
         assert!(session.recovery().log().forced_checkpoints() > 0);
         assert!(session.recovery().ring_len() < 8);
-        assert_eq!(session.recovery().log().items_shed(), 0);
-
-        let mut session = open(
-            1,
-            RecoveryConfig {
-                checkpoint_every_epochs: u64::MAX,
-                replay_capacity: 4,
-                overflow: OverflowPolicy::Error,
-            },
-        );
-        let mut err = None;
-        for t in 0..10 {
-            if let Err(e) = session.ingest(tuple(StreamId::A, t, 0)) {
-                err = Some(e);
-                break;
-            }
-        }
-        assert!(matches!(err, Some(StreamError::Execution(_))), "{err:?}");
     }
 
     #[test]

@@ -8,6 +8,7 @@ pub use streamkit::ops::slice_join::{SliceJoinOp as SlicedBinaryJoinOp, PORT_RES
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamkit::checkpoint::NodeState;
     use streamkit::operator::{OpContext, Operator, PortId};
     use streamkit::ops::slice_join::{PORT_NEXT_SLICE, RESULT_STREAM};
     use streamkit::ops::SliceJoinOp;
@@ -138,14 +139,22 @@ mod tests {
         let mut ctx = OpContext::new();
         op.process(0, a(1, 0).into(), &mut ctx);
         op.process(0, b(2, 0).into(), &mut ctx);
-        let (sa, sb) = op.drain_states();
-        assert_eq!(sa.len(), 1);
-        assert_eq!(sb.len(), 1);
-        assert_eq!(op.state_len(), 0);
-        op.load_states(sa, sb);
-        assert_eq!(op.state_len(), 2);
-        op.set_window(SliceWindow::from_secs(0, 50));
-        assert_eq!(op.window(), SliceWindow::from_secs(0, 50));
+        let Ok(NodeState::Window(state)) = op.node_state() else {
+            panic!("a slice captures window state");
+        };
+        assert_eq!(state.side_a.len(), 1);
+        assert_eq!(state.side_b.len(), 1);
+        assert_eq!(op.state_len(), 2, "capture reads without draining");
+        // A planned slice over the same window takes the state back…
+        let mut twin = only_slice(100, JoinCondition::Cross);
+        twin.restore_state(NodeState::Window(state.clone()))
+            .unwrap();
+        assert_eq!(twin.state_tuples(), op.state_tuples());
+        // …and a slice over another window refuses it.
+        let mut narrower = only_slice(50, JoinCondition::Cross);
+        assert!(narrower.restore_state(NodeState::Window(state)).is_err());
+        assert_eq!(narrower.window(), SliceWindow::from_secs(0, 50));
+        assert_eq!(narrower.state_len(), 0);
     }
 
     #[test]

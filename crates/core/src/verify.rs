@@ -85,19 +85,12 @@ pub fn expected_fingerprints(expected: &[ResultKey]) -> Vec<(Timestamp, TimeDelt
 
 /// Switch every slice join of `plan` to linear-scan probes, keeping its
 /// stored tuples: the unindexed reference the index-equivalence suites
-/// compare the hash- and band-indexed chains against.  Each slice's state is
-/// drained, its index dropped
-/// ([`without_index`](streamkit::ops::SliceJoinOp::without_index)) and the
-/// state reloaded.  A plan rebuilt later (a live migration's new plan) is
-/// indexed again, so apply this after every rebuild.
+/// compare the hash- and band-indexed chains against
+/// ([`drop_index`](streamkit::ops::SliceJoinOp::drop_index)).  A plan rebuilt
+/// later (a live migration's new plan) is indexed again, so apply this after
+/// every rebuild.
 pub fn scan_only(plan: &mut Plan) {
-    for op in plan.slice_joins_mut() {
-        let (a, b) = op.drain_states();
-        let placeholder = op.empty_like();
-        let mut linear = std::mem::replace(op, placeholder).without_index();
-        linear.load_states(a, b);
-        *op = linear;
-    }
+    plan.slice_joins_mut().for_each(|op| op.drop_index());
 }
 
 #[cfg(test)]

@@ -40,17 +40,8 @@ pub enum NodeState {
     /// The operator holds no state that survives a drained boundary
     /// (selections, projections, routers, transient reorder buffers).
     Stateless,
-    /// A slice join's stored tuples, one vector per input side (`side_b` is
-    /// empty for one-way joins).
-    Window {
-        /// The slice the tuples were stored for; a slice with another
-        /// window refuses them.
-        window: SliceWindow,
-        /// Stored tuples of the first input side, in arrival order.
-        side_a: Vec<Tuple>,
-        /// Stored tuples of the second input side, in arrival order.
-        side_b: Vec<Tuple>,
-    },
+    /// A slice join's stored tuples.
+    Window(WindowState),
     /// An order-preserving union's punctuation progress.  Its tuple buffers
     /// are provably empty at a drained boundary, so only the monotone
     /// watermarks need to survive.
@@ -73,13 +64,49 @@ pub enum NodeState {
     },
 }
 
+/// A slice join's stored tuples, one vector per input side: the payload of
+/// [`NodeState::Window`], and the data the chain-maintenance primitives
+/// (`core::migration`) merge, split and re-hash.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowState {
+    /// The slice the tuples were stored for; a slice with another window
+    /// refuses them.
+    pub window: SliceWindow,
+    /// Stored tuples of the first input side, oldest first.
+    pub side_a: Vec<Tuple>,
+    /// Stored tuples of the second input side, oldest first (empty for
+    /// one-way joins).
+    pub side_b: Vec<Tuple>,
+}
+
+impl WindowState {
+    /// A slice holding no tuples.
+    pub fn empty(window: SliceWindow) -> WindowState {
+        WindowState {
+            window,
+            side_a: Vec::new(),
+            side_b: Vec::new(),
+        }
+    }
+
+    /// Stored tuples on both sides.
+    pub fn len(&self) -> usize {
+        self.side_a.len() + self.side_b.len()
+    }
+
+    /// `true` if neither side holds a tuple.
+    pub fn is_empty(&self) -> bool {
+        self.side_a.is_empty() && self.side_b.is_empty()
+    }
+}
+
 impl NodeState {
     /// The error for restoring this state into the operator `name`, which
     /// keeps another kind of state.
     pub(crate) fn mismatch(&self, name: &str) -> StreamError {
         let kind = match self {
             NodeState::Stateless => "no state",
-            NodeState::Window { .. } => "window state",
+            NodeState::Window(_) => "window state",
             NodeState::Union { .. } => "union progress",
             NodeState::Sink { .. } => "sink counters",
         };
@@ -251,7 +278,7 @@ impl Checkpoint {
             .iter()
             .flat_map(|s| s.nodes.iter())
             .map(|n| match n {
-                NodeState::Window { side_a, side_b, .. } => (side_a.len() + side_b.len()) as u64,
+                NodeState::Window(state) => state.len() as u64,
                 _ => 0,
             })
             .sum()

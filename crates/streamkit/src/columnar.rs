@@ -42,8 +42,8 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::join_state::{band_key_bits, canonical_key_hash, monotone_band_bits};
-use crate::predicate::{BandProbe, CmpOp, JoinCondition, Predicate};
+use crate::join_state::canonical_key_hash;
+use crate::predicate::{CmpOp, Predicate};
 use crate::time::{TimeDelta, Timestamp};
 use crate::tuple::{KeyClass, StreamId, Tuple, TupleRole, Value};
 
@@ -681,145 +681,6 @@ fn compare_fields(a: &TypedColumn, b: &TypedColumn, scope: &[u32], op: CmpOp, ou
     }
 }
 
-/// A sorted permutation of one payload column, the columnar counterpart of
-/// the [`crate::join_state`] band index: numeric rows ordered by their key
-/// value (ties by row index), non-numeric rows (`Null`/`Bool`/`Str`/`NaN` —
-/// which *can* satisfy band thetas through cross-type comparisons) in a side
-/// list every probe scans.  Rows whose band field is out of range appear in
-/// neither (a theta over an absent field is false, and join conditions are
-/// pure conjunctions).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BandColumnIndex {
-    /// `(monotone key bits, row)` ascending — binary-search territory.
-    order: Vec<(u64, u32)>,
-    /// Rows whose key does not order numerically, ascending.
-    side: Vec<u32>,
-}
-
-impl BandColumnIndex {
-    /// Number of rows the index references.
-    pub fn len(&self) -> usize {
-        self.order.len() + self.side.len()
-    }
-
-    /// `true` if no row is referenced.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty() && self.side.is_empty()
-    }
-}
-
-/// Build the sorted permutation of `field` over the rows of `batch` — one
-/// `O(n log n)` sort that [`probe_band_column`] then binary-searches per
-/// probe.  Typed `Int`/`Float` no-null columns take flat fast paths.
-pub fn sort_band_column(batch: &ColumnBatch, field: usize) -> BandColumnIndex {
-    let mut index = BandColumnIndex::default();
-    let Some(col) = batch.columns.get(field) else {
-        return index; // out-of-range field: no row can match a band theta
-    };
-    match (&col.data, &col.validity) {
-        (ColumnData::Int(xs), None) => {
-            index.order.extend(xs.iter().enumerate().map(|(i, &x)| {
-                let bits = monotone_band_bits(x as f64).expect("i64 cast is never NaN");
-                (bits, i as u32)
-            }));
-        }
-        (ColumnData::Float(xs), None) => {
-            for (i, &x) in xs.iter().enumerate() {
-                match monotone_band_bits(x) {
-                    Some(bits) => index.order.push((bits, i as u32)),
-                    None => index.side.push(i as u32),
-                }
-            }
-        }
-        _ => {
-            for i in 0..batch.len() {
-                match band_key_bits(&col.value_at(i)) {
-                    Some(bits) => index.order.push((bits, i as u32)),
-                    None => index.side.push(i as u32),
-                }
-            }
-        }
-    }
-    index.order.sort_unstable();
-    index
-}
-
-/// Band-probe one stored batch with one probe tuple: binary-search the
-/// sorted permutation to the probe's `[lo, hi]` key range, walk the
-/// contiguous run plus the non-numeric side list, and evaluate the full
-/// join condition on each candidate.  Returns the selection vector of
-/// matching stored rows (ascending) and adds exactly the value comparisons
-/// the row path — [`crate::join_state::JoinState::probe_candidates`] over
-/// the same stored tuples followed by per-candidate
-/// [`JoinCondition::eval_counted`] — would count.
-///
-/// `spec` must be `band_bounds(cond, stored_is_left)` for the same
-/// condition and orientation; `stored_is_left` says whether the stored rows
-/// are the condition's left operand.  Range endpoints are widened to
-/// inclusive at `f64` granularity, a missing bound attribute on the probe
-/// yields no candidates, and a non-numeric bound value degrades to scanning
-/// every indexed row — all exactly as in the row path, so counters agree.
-pub fn probe_band_column(
-    cond: &JoinCondition,
-    spec: &BandProbe,
-    stored_is_left: bool,
-    index: &BandColumnIndex,
-    batch: &ColumnBatch,
-    probe: &Tuple,
-    comparisons: &mut u64,
-) -> Vec<u32> {
-    let mut lo = 0usize;
-    let mut hi = index.order.len();
-    let mut full_scan = false;
-    for (bound, is_lower) in [(spec.lower, true), (spec.upper, false)] {
-        if let Some((field, _inclusive)) = bound {
-            match probe.value(field) {
-                None => return Vec::new(),
-                Some(v) => match band_key_bits(v) {
-                    None => full_scan = true,
-                    Some(bits) => {
-                        if is_lower {
-                            lo = index.order.partition_point(|&(b, _)| b < bits);
-                        } else {
-                            hi = index.order.partition_point(|&(b, _)| b <= bits);
-                        }
-                    }
-                },
-            }
-        }
-    }
-    let mut out = Vec::new();
-    let mut eval = |row: u32, out: &mut Vec<u32>| {
-        let stored = batch.row(row as usize);
-        let hit = if stored_is_left {
-            cond.eval_counted(&stored, probe, comparisons)
-        } else {
-            cond.eval_counted(probe, &stored, comparisons)
-        };
-        if hit {
-            out.push(row);
-        }
-    };
-    if full_scan {
-        // The row path degrades to Candidates::all here — every stored row,
-        // even ones the index does not reference — so do exactly that.
-        for row in 0..batch.len() as u32 {
-            eval(row, &mut out);
-        }
-        return out;
-    }
-    if lo < hi {
-        for &(_, row) in &index.order[lo..hi] {
-            eval(row, &mut out);
-        }
-    }
-    for &row in &index.side {
-        eval(row, &mut out);
-    }
-    out.sort_unstable();
-    out
-}
-
 /// `out` = `scope` minus `subset` (`subset` ⊆ `scope`, both ascending).
 fn complement(scope: &[u32], subset: &[u32], out: &mut Vec<u32>) {
     let mut j = 0;
@@ -1173,157 +1034,5 @@ mod tests {
         // ...and any payload mutation drops it.
         assert!(hashed.push_tuple(&tv(6, vec![Value::Int(8)])));
         assert_eq!(hashed.key_classes(0), None);
-    }
-
-    fn theta(left_field: usize, op: CmpOp, right_field: usize) -> JoinCondition {
-        JoinCondition::Theta {
-            left_field,
-            op,
-            right_field,
-        }
-    }
-
-    #[test]
-    fn band_kernel_matches_row_probe_exactly() {
-        use crate::join_state::JoinState;
-        use crate::predicate::band_bounds;
-
-        let mut seed = 0xdead_beef_cafe_f00du64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        // Stored rows: field 0 is the band key (Int / Float / NaN / Null /
-        // Str zoo), field 1 is the row id — equal to the row's position.
-        let rows: Vec<Tuple> = (0..160)
-            .map(|i| {
-                let key = match next() % 8 {
-                    0 => Value::Float((next() % 60) as f64 / 2.0),
-                    1 => Value::Float(f64::NAN),
-                    2 => Value::Null,
-                    3 => Value::str("zed"),
-                    _ => Value::Int((next() % 30) as i64),
-                };
-                tv(i, vec![key, Value::Int(i as i64)])
-            })
-            .collect();
-        let batch = ColumnBatch::from_tuples(&rows).unwrap();
-        let index = sort_band_column(&batch, 0);
-        assert_eq!(index.len(), batch.len());
-        assert!(index.order.windows(2).all(|w| w[0].0 <= w[1].0));
-
-        // Same band either way round: stored field 0 between probe fields
-        // 0 and 1, with the stored tuple on the left resp. the right.
-        let cases = [
-            (
-                JoinCondition::And(
-                    Box::new(theta(0, CmpOp::Ge, 0)),
-                    Box::new(theta(0, CmpOp::Le, 1)),
-                ),
-                true,
-            ),
-            (
-                JoinCondition::And(
-                    Box::new(theta(0, CmpOp::Le, 0)),
-                    Box::new(theta(1, CmpOp::Ge, 0)),
-                ),
-                false,
-            ),
-        ];
-        for (cond, stored_is_left) in &cases {
-            let spec = band_bounds(cond, *stored_is_left).unwrap();
-            let mut state = JoinState::band_indexed(spec);
-            for row in &rows {
-                state.push(row.clone());
-            }
-            let probes = vec![
-                t(90, &[10, 20]),
-                t(91, &[20, 10]), // inverted range
-                t(92, &[-5, 100]),
-                tv(93, vec![Value::Float(9.5), Value::Float(22.0)]),
-                tv(94, vec![Value::Float(f64::NAN), Value::Int(30)]), // full scan
-                tv(95, vec![Value::str("x"), Value::Int(4)]),         // full scan
-                tv(96, vec![Value::Null, Value::Int(4)]),             // full scan
-                t(97, &[3]), // upper bound field missing -> no candidates
-            ];
-            for probe in &probes {
-                let mut kernel_count = 0u64;
-                let sel = probe_band_column(
-                    cond,
-                    &spec,
-                    *stored_is_left,
-                    &index,
-                    &batch,
-                    probe,
-                    &mut kernel_count,
-                );
-                let mut got: Vec<i64> = sel.iter().map(|&r| r as i64).collect();
-                got.sort_unstable();
-                let mut row_count = 0u64;
-                let mut want: Vec<i64> = Vec::new();
-                for stored in state.probe_candidates(probe) {
-                    let hit = if *stored_is_left {
-                        cond.eval_counted(stored, probe, &mut row_count)
-                    } else {
-                        cond.eval_counted(probe, stored, &mut row_count)
-                    };
-                    if hit {
-                        match stored.value(1) {
-                            Some(Value::Int(id)) => want.push(*id),
-                            other => panic!("row id missing: {other:?}"),
-                        }
-                    }
-                }
-                want.sort_unstable();
-                assert_eq!(got, want, "selection for probe {probe:?}");
-                assert_eq!(kernel_count, row_count, "comparisons for probe {probe:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn band_kernel_handles_missing_key_column_like_the_row_path() {
-        use crate::join_state::JoinState;
-        use crate::predicate::band_bounds;
-
-        // The band field is out of range for every stored row: the index
-        // references nothing, and only a full-scan probe touches the rows —
-        // exactly what the row path's Candidates::all degrade does.
-        let rows: Vec<Tuple> = (0..8).map(|i| t(i, &[i as i64])).collect();
-        let batch = ColumnBatch::from_tuples(&rows).unwrap();
-        let index = sort_band_column(&batch, 5);
-        assert!(index.is_empty());
-
-        let cond = theta(5, CmpOp::Ge, 0);
-        let spec = band_bounds(&cond, true).unwrap();
-        let mut state = JoinState::band_indexed(spec);
-        for row in &rows {
-            state.push(row.clone());
-        }
-        for probe in [t(9, &[0]), tv(9, vec![Value::str("q")])] {
-            let mut kernel_count = 0u64;
-            let sel = probe_band_column(
-                &cond,
-                &spec,
-                true,
-                &index,
-                &batch,
-                &probe,
-                &mut kernel_count,
-            );
-            assert!(sel.is_empty(), "probe {probe:?}");
-            let mut row_count = 0u64;
-            let hits = state
-                .probe_candidates(&probe)
-                .filter(|stored| cond.eval_counted(stored, &probe, &mut row_count))
-                .count();
-            assert_eq!(hits, 0);
-            // Thetas over an absent stored field never compare values, so
-            // both paths report zero comparisons even on the full scan.
-            assert_eq!(kernel_count, row_count);
-            assert_eq!(kernel_count, 0);
-        }
     }
 }

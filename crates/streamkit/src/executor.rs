@@ -477,8 +477,7 @@ impl Executor {
     /// post-checkpoint input exactly once).  The statistics window keeps its
     /// stream-level history: the replay brings the counters back to where an
     /// uninterrupted run has them, so the next snapshot continues the same
-    /// series (a best-effort replay that shed input clamps its deltas at
-    /// zero).
+    /// series.
     pub fn restore_ingest_progress(
         &mut self,
         ingested: u64,

@@ -368,16 +368,6 @@ impl JoinState {
         }
     }
 
-    /// A fresh, empty state in the same mode as this one: linear, or hash-
-    /// or band-indexed on the same fields.
-    pub fn empty_like(&self) -> JoinState {
-        match (&self.band, self.stored_key_field, self.probe_key_field) {
-            (Some(band), ..) => JoinState::band_indexed(band.spec),
-            (None, Some(stored), Some(probe)) => JoinState::indexed(stored, probe),
-            _ => JoinState::linear(),
-        }
-    }
-
     /// `true` if this state maintains a hash index.
     pub fn is_indexed(&self) -> bool {
         self.stored_key_field.is_some()
@@ -625,11 +615,9 @@ impl JoinState {
         comparisons
     }
 
-    /// Drain every stored tuple, oldest first, resetting the index.  Used by
-    /// online chain migration to move state between slices: the arena's
-    /// segments are consumed whole, and re-cutting state tuple-wise is left
-    /// to the caller (every migration — rehash, merge, split — re-cuts
-    /// anyway, so the cross-crate hooks keep their `Vec<Tuple>` shape).
+    /// Drain every stored tuple, oldest first, resetting the index (how a
+    /// slice re-indexes its state in another mode,
+    /// [`SliceJoinOp::drop_index`](crate::ops::SliceJoinOp::drop_index)).
     pub fn drain_ordered(&mut self) -> Vec<Tuple> {
         self.index.clear();
         self.unindexed.clear();

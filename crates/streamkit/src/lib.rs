@@ -52,7 +52,7 @@ pub mod tuple;
 pub mod window;
 
 pub use arena::TupleArena;
-pub use checkpoint::{Checkpoint, NodeState, ShardCheckpoint, CHECKPOINT_VERSION};
+pub use checkpoint::{Checkpoint, NodeState, ShardCheckpoint, WindowState, CHECKPOINT_VERSION};
 pub use columnar::ColumnBatch;
 pub use error::{Result, StreamError};
 pub use executor::{ExecutionReport, Executor, ExecutorConfig};

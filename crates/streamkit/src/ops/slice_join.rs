@@ -29,7 +29,7 @@
 //! order-preserving union) — and [`PORT_NEXT_SLICE`], the logical queue
 //! feeding the next slice.
 
-use crate::checkpoint::NodeState;
+use crate::checkpoint::{NodeState, WindowState};
 use crate::columnar::ColumnBatch;
 use crate::error::{Result, StreamError};
 use crate::join_state::{equi_key_fields, memoize_key, JoinState};
@@ -88,8 +88,6 @@ pub struct SliceJoinOp {
     name: String,
     window: SliceWindow,
     condition: JoinCondition,
-    stream_a: StreamId,
-    stream_b: StreamId,
     direction: Direction,
     /// 1 on a chain's logical queue, 2 for the regular window join.
     input_ports: usize,
@@ -111,15 +109,9 @@ pub struct SliceJoinOp {
 }
 
 impl SliceJoinOp {
-    /// A two-way join over the window slice `window` for streams
-    /// `stream_a` / `stream_b`: a mid-chain slice with one input port.
-    pub fn new(
-        name: impl Into<String>,
-        window: SliceWindow,
-        condition: JoinCondition,
-        stream_a: StreamId,
-        stream_b: StreamId,
-    ) -> Self {
+    /// A two-way join of streams `A` and `B` over the window slice
+    /// `window`: a mid-chain slice with one input port.
+    pub fn for_ab(name: impl Into<String>, window: SliceWindow, condition: JoinCondition) -> Self {
         // State A stores the left side of condition evaluations, state B the
         // right side; each is hash- or band-indexed when the condition allows.
         let state_a = JoinState::for_condition(&condition, true);
@@ -128,8 +120,6 @@ impl SliceJoinOp {
             name: name.into(),
             window,
             condition,
-            stream_a,
-            stream_b,
             direction: Direction::TwoWay,
             input_ports: 1,
             state_a,
@@ -141,11 +131,6 @@ impl SliceJoinOp {
             prev_run_results: 0,
             batch_results: 0,
         }
-    }
-
-    /// [`SliceJoinOp::new`] for the conventional `A`/`B` streams.
-    pub fn for_ab(name: impl Into<String>, window: SliceWindow, condition: JoinCondition) -> Self {
-        SliceJoinOp::new(name, window, condition, StreamId::A, StreamId::B)
     }
 
     /// The regular sliding-window join `A[W] ⋈ B[W]`: the slice `[0, W)`,
@@ -182,59 +167,19 @@ impl SliceJoinOp {
         self
     }
 
-    /// Disable the hash/band index and probe by linear scan — the reference
-    /// side of the index equivalence suites.  Call before processing any
-    /// tuples.
-    pub fn without_index(mut self) -> Self {
-        debug_assert!(self.state_a.is_empty() && self.state_b.is_empty());
+    /// Drop the hash/band index and probe by linear scan, keeping the stored
+    /// tuples — the reference side of the index equivalence suites
+    /// (`core::verify::scan_only`).
+    pub fn drop_index(&mut self) {
+        let (side_a, side_b) = (self.state_a.drain_ordered(), self.state_b.drain_ordered());
         self.state_a = JoinState::linear();
         self.state_b = JoinState::linear();
-        self
-    }
-
-    /// A fresh operator shaped like this one — same name, window, condition,
-    /// streams, direction, ports, chain flags and index mode — with no state
-    /// and no emission history.
-    pub fn empty_like(&self) -> Self {
-        SliceJoinOp {
-            name: self.name.clone(),
-            condition: self.condition.clone(),
-            state_a: self.state_a.empty_like(),
-            state_b: self.state_b.empty_like(),
-            peak_state: 0,
-            results: 0,
-            prev_run_results: 0,
-            batch_results: 0,
-            ..*self
-        }
-    }
-
-    /// The same operator under another name (migration names the slices it
-    /// creates).
-    pub fn renamed(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// `true` if `other` joins the same streams under the same condition, in
-    /// the same direction and index mode — slices that can be merged into
-    /// one, or shard instances that can be re-hashed together.
-    pub fn joins_like(&self, other: &SliceJoinOp) -> bool {
-        self.condition == other.condition
-            && (self.stream_a, self.stream_b) == (other.stream_a, other.stream_b)
-            && self.direction == other.direction
-            && self.is_indexed() == other.is_indexed()
-            && self.is_band_indexed() == other.is_band_indexed()
+        self.load_states(side_a, side_b);
     }
 
     /// The window slice `[W_start, W_end)` of this join.
     pub fn window(&self) -> SliceWindow {
         self.window
-    }
-
-    /// Replace the window slice (used by online chain migration).
-    pub fn set_window(&mut self, window: SliceWindow) {
-        self.window = window;
     }
 
     /// The join condition.
@@ -247,24 +192,8 @@ impl SliceJoinOp {
         self.has_next
     }
 
-    /// Change whether this join forwards to a next slice (used by migration
-    /// when a slice stops or starts being the last one of its chain).
-    pub fn set_has_next(&mut self, has_next: bool) {
-        self.has_next = has_next;
-    }
-
-    /// `true` if this join splits regular tuples into reference copies.
-    pub fn is_chain_head(&self) -> bool {
-        self.chain_head
-    }
-
-    /// Change whether this join is the head of its chain.
-    pub fn set_chain_head(&mut self, chain_head: bool) {
-        self.chain_head = chain_head;
-    }
-
     /// `true` if this join's state is hash-indexed on the equi-join key
-    /// (`false` in [`SliceJoinOp::without_index`] mode or for conditions
+    /// (`false` after [`SliceJoinOp::drop_index`] or for conditions
     /// with no equi component).
     pub fn is_indexed(&self) -> bool {
         self.state_a.is_indexed()
@@ -307,15 +236,9 @@ impl SliceJoinOp {
         self.peak_state
     }
 
-    /// Drain both states (oldest first), used by online migration to move
-    /// state into a merged join.
-    pub fn drain_states(&mut self) -> (Vec<Tuple>, Vec<Tuple>) {
-        (self.state_a.drain_ordered(), self.state_b.drain_ordered())
-    }
-
-    /// Load state tuples (assumed timestamp-ordered), used by online
-    /// migration when merging or splitting slices.  Rebuilds the index.
-    pub fn load_states(&mut self, state_a: Vec<Tuple>, state_b: Vec<Tuple>) {
+    /// Replace both states with timestamp-ordered tuples, rebuilding the
+    /// index.
+    fn load_states(&mut self, state_a: Vec<Tuple>, state_b: Vec<Tuple>) {
         self.state_a.load_ordered(state_a);
         self.state_b.load_ordered(state_b);
         self.track_peak();
@@ -330,14 +253,24 @@ impl SliceJoinOp {
         )
     }
 
-    /// Copies of the tuples currently held in the two states (oldest first):
-    /// the read-only capture behind [`Operator::node_state`], and a
-    /// verification aid for migration and shard-rescaling tooling.
+    /// Copies of the tuples currently held in the two states (oldest first);
+    /// test and verification aid.
     pub fn state_tuples(&self) -> (Vec<Tuple>, Vec<Tuple>) {
         (
             self.state_a.iter().cloned().collect(),
             self.state_b.iter().cloned().collect(),
         )
+    }
+
+    /// A read-only copy of this slice's stored tuples — the capture behind
+    /// [`Operator::node_state`], and what chain migration re-cuts.
+    pub fn window_state(&self) -> WindowState {
+        let (side_a, side_b) = self.state_tuples();
+        WindowState {
+            window: self.window,
+            side_a,
+            side_b,
+        }
     }
 
     fn track_peak(&mut self) {
@@ -391,7 +324,7 @@ impl SliceJoinOp {
     /// one port lags the other — so while the opposite state's newest tuple
     /// is ahead of the probe, candidates a whole window ahead are skipped.
     fn probe(&mut self, probe: Tuple, pending: &mut Option<ColumnBatch>, ctx: &mut OpContext) {
-        let probe_is_a = probe.stream == self.stream_a;
+        let probe_is_a = probe.stream == StreamId::A;
         let opposite = if probe_is_a {
             &mut self.state_b
         } else {
@@ -432,7 +365,7 @@ impl SliceJoinOp {
 
     /// Insert a female (or a one-way A tuple) into its stream's state.
     fn store(&mut self, tuple: Tuple) {
-        if tuple.stream == self.stream_a {
+        if tuple.stream == StreamId::A {
             self.state_a.push(tuple);
         } else {
             self.state_b.push(tuple);
@@ -445,7 +378,7 @@ impl SliceJoinOp {
     /// of the condition), or `None` for non-equi conditions.
     fn key_field_of(&self, stream: StreamId) -> Option<usize> {
         let (left, right) = equi_key_fields(&self.condition, true)?;
-        Some(if stream == self.stream_a { left } else { right })
+        Some(if stream == StreamId::A { left } else { right })
     }
 
     /// Process one tuple of a run.
@@ -472,7 +405,7 @@ impl SliceJoinOp {
         }
         let role = match self.direction {
             Direction::TwoWay => t.role,
-            Direction::OneWay if t.stream == self.stream_a => TupleRole::Female,
+            Direction::OneWay if t.stream == StreamId::A => TupleRole::Female,
             Direction::OneWay => TupleRole::Male,
         };
         if role == TupleRole::Female {
@@ -580,27 +513,18 @@ impl Operator for SliceJoinOp {
     }
 
     fn node_state(&self) -> Result<NodeState> {
-        let (side_a, side_b) = self.state_tuples();
-        Ok(NodeState::Window {
-            window: self.window,
-            side_a,
-            side_b,
-        })
+        Ok(NodeState::Window(self.window_state()))
     }
 
     fn restore_state(&mut self, state: NodeState) -> Result<()> {
         match state {
-            NodeState::Window {
-                window,
-                side_a,
-                side_b,
-            } if window == self.window => {
-                self.load_states(side_a, side_b);
+            NodeState::Window(state) if state.window == self.window => {
+                self.load_states(state.side_a, state.side_b);
                 Ok(())
             }
-            NodeState::Window { window, .. } => Err(StreamError::Checkpoint(format!(
-                "window state of slice {window} cannot restore into '{}' over {}",
-                self.name, self.window
+            NodeState::Window(state) => Err(StreamError::Checkpoint(format!(
+                "window state of slice {} cannot restore into '{}' over {}",
+                state.window, self.name, self.window
             ))),
             other => Err(other.mismatch(&self.name)),
         }
@@ -621,7 +545,7 @@ mod tests {
     use crate::predicate::CmpOp;
 
     #[test]
-    fn an_empty_like_copy_keeps_the_shape_and_index_mode_but_no_state_or_history() {
+    fn a_restored_slice_keeps_its_index_mode_but_no_emission_history() {
         let theta = |op, right_field| JoinCondition::Theta {
             left_field: 0,
             op,
@@ -629,19 +553,28 @@ mod tests {
         };
         let band = JoinCondition::And(Box::new(theta(CmpOp::Ge, 1)), Box::new(theta(CmpOp::Le, 2)));
         let window = SliceWindow::from_secs(0, 100);
-        let shapes = [
-            SliceJoinOp::for_ab("hash", window, JoinCondition::equi(0)).chain_head(),
-            SliceJoinOp::for_ab("band", window, band).last_in_chain(),
-            SliceJoinOp::for_ab("linear", window, JoinCondition::equi(0)).without_index(),
-            SliceJoinOp::for_ab("one-way", window, JoinCondition::Cross).one_way(),
-            SliceJoinOp::window_join("regular", WindowSpec::from_secs(100), JoinCondition::Cross),
-        ];
-        let modes = shapes
-            .each_ref()
-            .map(|op| (op.is_indexed(), op.is_band_indexed()));
+        let shapes = || {
+            let mut linear = SliceJoinOp::for_ab("linear", window, JoinCondition::equi(0));
+            linear.drop_index();
+            [
+                SliceJoinOp::for_ab("hash", window, JoinCondition::equi(0)).chain_head(),
+                SliceJoinOp::for_ab("band", window, band.clone()).last_in_chain(),
+                linear,
+                SliceJoinOp::for_ab("one-way", window, JoinCondition::Cross).one_way(),
+                SliceJoinOp::window_join(
+                    "regular",
+                    WindowSpec::from_secs(100),
+                    JoinCondition::Cross,
+                ),
+            ]
+        };
+        let mode = |op: &SliceJoinOp| (op.is_indexed(), op.is_band_indexed());
         let (plain, hashed, banded) = ((false, false), (true, false), (false, true));
-        assert_eq!(modes, [hashed, banded, plain, plain, plain]);
-        for mut op in shapes {
+        assert_eq!(
+            shapes().each_ref().map(mode),
+            [hashed, banded, plain, plain, plain]
+        );
+        for (mut op, mut fresh) in shapes().into_iter().zip(shapes()) {
             // A dense first run: 20 stored tuples × 1 probe = 20 results, so
             // the next run would go columnar.
             let tuple = |s, stream| Tuple::of_ints(Timestamp::from_secs(s), stream, &[0, 0, 0]);
@@ -650,21 +583,21 @@ mod tests {
             let mut ctx = OpContext::new();
             op.process_batch(0, &mut run, &mut ctx);
             assert_eq!(op.results(), 20, "{}", op.name());
-            let mut fresh = op.empty_like();
-            assert!(fresh.joins_like(&op), "{}", op.name());
-            let shape = |op: &SliceJoinOp| {
-                let flags = (op.is_chain_head(), op.has_next(), op.num_input_ports());
-                (op.name().to_string(), op.window(), flags)
-            };
-            assert_eq!(shape(&fresh), shape(&op));
-            let history = (fresh.state_len(), fresh.peak_state(), fresh.results());
-            assert_eq!(history, (0, 0, 0));
-            // No emission history: the fresh operator's first run is on rows.
-            let (a, b) = op.drain_states();
-            fresh.load_states(a, b);
+            // A migration restores the captured window into a freshly
+            // planned twin, which keeps its own index mode and starts with
+            // no emission history: its first run is on rows.
+            fresh.restore_state(op.node_state().unwrap()).unwrap();
+            assert_eq!(mode(&fresh), mode(&op), "{}", op.name());
+            assert_eq!(fresh.state_tuples(), op.state_tuples());
+            assert_eq!(fresh.results(), 0);
             fresh.process(0, tuple(31, StreamId::B).into(), &mut ctx);
             assert_eq!(fresh.results(), 20);
             assert_eq!(fresh.batch_results(), 0);
+            // Dropping the index keeps every stored tuple.
+            let stored = fresh.state_tuples();
+            fresh.drop_index();
+            assert_eq!(mode(&fresh), plain);
+            assert_eq!(fresh.state_tuples(), stored);
         }
     }
 
@@ -714,7 +647,8 @@ mod tests {
             assert_eq!(run(&mut captured, &setup), run(&mut twin, &setup));
             let before = observe(&captured);
             assert!(before.1 > before.0, "{name}: no purged slack to disturb");
-            let Ok(NodeState::Window { side_a, side_b, .. }) = captured.node_state() else {
+            let Ok(NodeState::Window(WindowState { side_a, side_b, .. })) = captured.node_state()
+            else {
                 panic!("{name}: a slice captures window state");
             };
             assert_eq!((side_a.len(), side_b.len()), (49, 1), "{name}");

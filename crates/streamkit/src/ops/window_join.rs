@@ -141,7 +141,8 @@ mod tests {
 
     #[test]
     fn without_index_scans_every_stored_tuple() {
-        let mut op = window_join(1000, JoinCondition::equi(0)).without_index();
+        let mut op = window_join(1000, JoinCondition::equi(0));
+        op.drop_index();
         let mut ctx = OpContext::new();
         for i in 0..10u64 {
             op.process(0, a(i + 1, i as i64).into(), &mut ctx);

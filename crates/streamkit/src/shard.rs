@@ -63,7 +63,7 @@
 //!   to shard 0 and the shard-invariance guarantee is void for workloads
 //!   that join on `NaN` keys (real deployments reject them at ingest).
 
-use crate::checkpoint::NodeState;
+use crate::checkpoint::{NodeState, WindowState};
 use crate::error::{Result, StreamError};
 use crate::executor::{ExecutionReport, Executor, ExecutorConfig};
 use crate::fault::FaultPlan;
@@ -400,21 +400,11 @@ impl ShardedExecutor {
         &self.shards
     }
 
-    /// Mutable access to the per-shard executors (used by online chain
-    /// migration to swap plans and transplant operator state).  Panics while
-    /// a run is in flight.
+    /// Mutable access to the per-shard executors.  Panics while a run is in
+    /// flight.
     pub fn shards_mut(&mut self) -> &mut [Executor] {
         self.expect_parked("shards_mut()");
         &mut self.shards
-    }
-
-    /// Decompose into the per-shard executors and the partitioning spec
-    /// (shard-count rescaling rebuilds the wrapper from scratch).  The
-    /// worker pool is torn down — its threads join — when the wrapper is
-    /// consumed here.  Panics while a run is in flight.
-    pub fn into_parts(self) -> (Vec<Executor>, ShardSpec) {
-        self.expect_parked("into_parts()");
-        (self.shards, self.spec)
     }
 
     /// `true` when the executors are parked in this wrapper (no run in
@@ -452,11 +442,10 @@ impl ShardedExecutor {
     }
 
     /// Replace every shard's plan with a fresh instance, returning the old
-    /// plans in shard order for state harvesting.  All shards must be
-    /// drained; the instance count must match the shard count (rescaling the
-    /// shard count instead redistributes states by re-hashing keys and
-    /// rebuilds the wrapper via [`ShardedExecutor::into_parts`]).  Statistics
-    /// stay cumulative per shard ([`Executor::swap_plan`]).
+    /// plans in shard order for sink harvesting.  All shards must be drained;
+    /// the instance count must match the shard count (rescaling the shard
+    /// count builds a new executor instead).  Statistics stay cumulative per
+    /// shard ([`Executor::swap_plan`]).
     pub fn swap_plans(&mut self, plans: Vec<Plan>) -> Result<Vec<Plan>> {
         if plans.len() != self.count {
             return Err(StreamError::InvalidConfig(format!(
@@ -792,7 +781,8 @@ impl ShardedExecutor {
             let node_id = NodeId(node);
             // Copy the hot bucket out of the source shard's state.
             let source_op = &self.shards[source].plan().node(node_id)?.operator;
-            let NodeState::Window { side_a, side_b, .. } = source_op.node_state()? else {
+            let NodeState::Window(WindowState { side_a, side_b, .. }) = source_op.node_state()?
+            else {
                 continue; // a node without window state
             };
             let hot_a: Vec<Tuple> = side_a.into_iter().filter(is_hot_probe_tuple).collect();
@@ -893,18 +883,9 @@ fn edit_window_state(
     op: &mut dyn Operator,
     edit: impl FnOnce(&mut Vec<Tuple>, &mut Vec<Tuple>),
 ) -> Result<()> {
-    if let NodeState::Window {
-        window,
-        mut side_a,
-        mut side_b,
-    } = op.node_state()?
-    {
-        edit(&mut side_a, &mut side_b);
-        op.restore_state(NodeState::Window {
-            window,
-            side_a,
-            side_b,
-        })?;
+    if let NodeState::Window(mut state) = op.node_state()? {
+        edit(&mut state.side_a, &mut state.side_b);
+        op.restore_state(NodeState::Window(state))?;
     }
     Ok(())
 }
@@ -1088,9 +1069,6 @@ mod tests {
         // Pause/resume fan out to every shard.
         exec.pause();
         exec.resume();
-        // into_parts hands back one executor per shard.
-        let (executors, _) = exec.into_parts();
-        assert_eq!(executors.len(), 2);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * identical comparison counters (`probe`, `purge`, `route`, `filter`,
 //!   `split`, `union`) and `tuples_processed` — every join purges once per
 //!   probe, interleaved with the probes, whatever the run length,
-//! * identical final join states in every slice (`drain_states`).
+//! * identical final join states in every slice (`state_tuples`).
 //!
 //! `items_emitted` may differ — a run coalesces the per-male union
 //! punctuations into one, which is a coarser but equally valid progress
@@ -90,9 +90,9 @@ fn run_mode(
         .collect();
     let mut states = Vec::new();
     let mut batch_results = 0;
-    for slice in exec.plan_mut().slice_joins_mut() {
+    for slice in exec.plan().slice_joins() {
         batch_results += slice.batch_results();
-        states.push(slice.drain_states());
+        states.push(slice.state_tuples());
     }
     (results, report.totals, states, batch_results)
 }

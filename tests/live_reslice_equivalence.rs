@@ -370,7 +370,7 @@ fn check_schedule(
         MigrationMode::Eager => {
             // Exact per-shard per-slice equality with the freshly planned
             // chain, including window boundaries and state order.
-            assert_eq!(live_states, fresh_states, "final drain_states diverged");
+            assert_eq!(live_states, fresh_states, "final slice states diverged");
         }
         MigrationMode::Lazy => {
             // Placement may lag behind (split-purge fills lazily), but each

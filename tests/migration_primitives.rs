@@ -1,22 +1,26 @@
 //! Direct property coverage for the chain-maintenance primitives of
-//! `core::migration` (Section 5.3), at both the spec and the operator level:
+//! `core::migration` (Section 5.3), at both the spec and the slice-state
+//! level:
 //!
 //! * spec-level merge/split round-trips over random workloads and paths,
-//! * operator-level merge: result preservation (a probe against the merged
-//!   state sees exactly the union of the two slices' states),
-//! * operator-level split, both flavours: the eager re-cut partitions by
-//!   cross-purge age, and the lazy split-purge path **fills the right half
-//!   up** to exactly the eager distribution once enough traffic has flowed,
-//! * `rehash_shard_states` round-trip: drain → rehash k→k'→k reproduces the
-//!   original states bit for bit, and every intermediate shard holds only
-//!   its own keys.
+//! * state-level merge: result preservation (a probe against a slice
+//!   restored from the merged state sees exactly the union of the two
+//!   slices' states),
+//! * state-level split, both flavours: the eager re-cut partitions by
+//!   cross-purge age, and the lazy split-purge path — both halves restored
+//!   into slices — **fills the right half up** to exactly the eager
+//!   distribution once enough traffic has flowed,
+//! * `rehash_shard_states` round-trip: rehash k→k'→k reproduces the original
+//!   states bit for bit, and every intermediate shard holds only its own
+//!   keys.
 
 use proptest::prelude::*;
 use state_slice_repro::core::{
-    merge_slice_operators, merge_spec_slices, rehash_shard_states, split_slice_operator,
-    split_slice_operator_eager, split_spec_slice, ChainSpec, JoinQuery, PurgeWatermarks,
+    merge_slice_states, merge_spec_slices, rehash_shard_states, split_slice_state,
+    split_slice_state_eager, split_spec_slice, ChainSpec, JoinQuery, PurgeWatermarks,
     QueryWorkload,
 };
+use state_slice_repro::streamkit::checkpoint::{NodeState, WindowState};
 use state_slice_repro::streamkit::operator::{OpContext, Operator};
 use state_slice_repro::streamkit::ops::SliceJoinOp;
 use state_slice_repro::streamkit::tuple::{StreamId, Tuple, TupleRole};
@@ -46,6 +50,21 @@ fn ordered_state(arrivals: &[(u64, i64)], stream: StreamId) -> Vec<Tuple> {
             tup(tenths, stream, key).with_role(TupleRole::Female)
         })
         .collect()
+}
+
+/// A slice over `state.window` with `state` restored into it, as a migration
+/// restores migrated state into a freshly planned slice.
+fn restored(state: WindowState, last: bool) -> SliceJoinOp {
+    let mut op = SliceJoinOp::for_ab("J", state.window, JoinCondition::equi(0));
+    if last {
+        op = op.last_in_chain();
+    }
+    op.restore_state(NodeState::Window(state)).unwrap();
+    op
+}
+
+fn timestamps(tuples: &[Tuple]) -> Vec<Timestamp> {
+    tuples.iter().map(|t| t.ts).collect()
 }
 
 /// Collect `(PORT_RESULTS tuples, PORT_NEXT_SLICE items)` from a context.
@@ -102,7 +121,6 @@ proptest! {
         right_a in prop::collection::vec((0u64..20, 0i64..3), 0..12),
         probe_key in 0i64..3,
     ) {
-        let cond = JoinCondition::equi(0);
         let boundary = 400u64; // tenths: slices [0, 40s) and [40s, 80s)
         // Right slice holds older tuples: offset its arrivals before the
         // left slice's.
@@ -112,31 +130,33 @@ proptest! {
             .into_iter()
             .map(|mut t| { t.ts = Timestamp::from_millis(t.ts.as_micros() / 1000 + offset * 100); t })
             .collect();
-        let mut left = SliceJoinOp::for_ab(
-            "L", SliceWindow::new(TimeDelta::ZERO, TimeDelta::from_millis(boundary * 100)), cond.clone());
-        let mut right = SliceJoinOp::for_ab(
-            "R",
-            SliceWindow::new(TimeDelta::from_millis(boundary * 100), TimeDelta::from_millis(boundary * 200)),
-            cond.clone());
-        right.set_has_next(false);
-        left.load_states(left_state.clone(), Vec::new());
-        right.load_states(right_state.clone(), Vec::new());
+        let left = WindowState {
+            window: SliceWindow::new(TimeDelta::ZERO, TimeDelta::from_millis(boundary * 100)),
+            side_a: left_state.clone(),
+            side_b: Vec::new(),
+        };
+        let right = WindowState {
+            window: SliceWindow::new(
+                TimeDelta::from_millis(boundary * 100),
+                TimeDelta::from_millis(boundary * 200),
+            ),
+            side_a: right_state.clone(),
+            side_b: Vec::new(),
+        };
         let expected: usize = left_state.iter().chain(&right_state)
             .filter(|t| t.value(0).and_then(|v| v.as_int()) == Some(probe_key))
             .count();
-        let merged = merge_slice_operators("M", left, right).unwrap();
-        prop_assert_eq!(merged.state_a_len(), left_state.len() + right_state.len());
+        let merged = merge_slice_states(left, right).unwrap();
+        prop_assert_eq!(merged.side_a.len(), left_state.len() + right_state.len());
         // Oldest first across the concatenation.
-        let (ts_a, _) = merged.state_timestamps();
-        prop_assert!(ts_a.windows(2).all(|w| w[0] <= w[1]));
+        prop_assert!(merged.side_a.windows(2).all(|w| w[0].ts <= w[1].ts));
         // A cross-probing male B far in the future would purge everything;
         // use a male at the very end of the merged window instead: nothing
         // expires (all ages < 80 s by construction), everything probes.
-        let mut merged = merged;
-        merged.set_has_next(false);
         let male_ts = Timestamp::from_millis(
-            merged.window().end.as_micros() / 1000 - 1
+            merged.window.end.as_micros() / 1000 - 1
         );
+        let mut merged = restored(merged, true);
         let mut ctx = OpContext::new();
         let male = Tuple::of_ints(male_ts, StreamId::B, &[probe_key]).with_role(TupleRole::Male);
         merged.process(0, male.into(), &mut ctx);
@@ -154,7 +174,6 @@ proptest! {
         split_tenths in 1u64..99,
         male_gap in 0u64..60,
     ) {
-        let cond = JoinCondition::equi(0);
         let window = SliceWindow::new(TimeDelta::ZERO, TimeDelta::from_millis(10_000));
         let state_a = ordered_state(&arrivals_a, StreamId::A);
         let state_b = ordered_state(&arrivals_b, StreamId::B);
@@ -163,18 +182,14 @@ proptest! {
         let male_ts = Timestamp::from_micros(last.as_micros() + male_gap * 100_000);
         let wm = PurgeWatermarks { male_a: male_ts, male_b: male_ts };
 
-        let mk = |name: &str| {
-            let mut op = SliceJoinOp::for_ab(name, window, cond.clone());
-            op.load_states(state_a.clone(), state_b.clone());
-            op
-        };
+        let whole = WindowState { window, side_a: state_a.clone(), side_b: state_b.clone() };
         // Eager: re-cut immediately.
-        let (eager_l, eager_r) =
-            split_slice_operator_eager(mk("E"), at, wm, "el", "er").unwrap();
+        let (eager_l, eager_r) = split_slice_state_eager(whole.clone(), at, wm).unwrap();
         // Lazy: left keeps everything...
-        let (mut lazy_l, mut lazy_r) = split_slice_operator(mk("L"), at, "ll", "lr").unwrap();
-        prop_assert_eq!(lazy_l.state_len(), state_a.len() + state_b.len());
-        prop_assert_eq!(lazy_r.state_len(), 0);
+        let (lazy_l, lazy_r) = split_slice_state(whole, at).unwrap();
+        prop_assert_eq!(lazy_l.len(), state_a.len() + state_b.len());
+        prop_assert_eq!(lazy_r.len(), 0);
+        let (mut lazy_l, mut lazy_r) = (restored(lazy_l, false), restored(lazy_r, true));
         // ...until a male per stream (at the same watermarks) cross-purges.
         let mut ctx = OpContext::new();
         for stream in [StreamId::B, StreamId::A] {
@@ -193,15 +208,14 @@ proptest! {
             }
         }
         let _ = ctx.take_outputs();
-        prop_assert_eq!(lazy_l.state_timestamps(), eager_l.state_timestamps(),
+        let eager_timestamps =
+            |s: &WindowState| (timestamps(&s.side_a), timestamps(&s.side_b));
+        prop_assert_eq!(lazy_l.state_timestamps(), eager_timestamps(&eager_l),
             "left slices diverge after fill-up");
-        prop_assert_eq!(lazy_r.state_timestamps(), eager_r.state_timestamps(),
+        prop_assert_eq!(lazy_r.state_timestamps(), eager_timestamps(&eager_r),
             "right slices diverge after fill-up");
         // Nothing was lost or duplicated.
-        prop_assert_eq!(
-            eager_l.state_len() + eager_r.state_len(),
-            state_a.len() + state_b.len()
-        );
+        prop_assert_eq!(eager_l.len() + eager_r.len(), state_a.len() + state_b.len());
     }
 
     /// Rehash round-trip: k → k' → k reproduces the original states exactly,
@@ -221,25 +235,21 @@ proptest! {
         let window = SliceWindow::from_secs(0, 50);
         let state_a = ordered_state(&arrivals_a, StreamId::A);
         let state_b = ordered_state(&arrivals_b, StreamId::B);
-        let mut op = SliceJoinOp::for_ab("J", window, cond.clone()).chain_head();
-        op.load_states(state_a.clone(), state_b.clone());
-        let original = op.state_tuples();
-        let shards = rehash_shard_states(vec![op], mid_shards, &spec).unwrap();
+        let original = WindowState { window, side_a: state_a, side_b: state_b };
+        let shards = rehash_shard_states(vec![vec![original.clone()]], mid_shards, &spec).unwrap();
         prop_assert_eq!(shards.len(), mid_shards);
-        let total: usize = shards.iter().map(|s| s.state_len()).sum();
-        prop_assert_eq!(total, state_a.len() + state_b.len());
-        for (i, shard) in shards.iter().enumerate() {
-            let (a, b) = shard.state_tuples();
-            for t in a.iter().chain(&b) {
+        let total: usize = shards.iter().flatten().map(WindowState::len).sum();
+        prop_assert_eq!(total, original.len());
+        for (i, chain) in shards.iter().enumerate() {
+            let shard = &chain[0];
+            for t in shard.side_a.iter().chain(&shard.side_b) {
                 prop_assert_eq!(spec.shard_of(t, mid_shards), i, "tuple on wrong shard");
             }
-            let (ts_a, ts_b) = shard.state_timestamps();
-            prop_assert!(ts_a.windows(2).all(|w| w[0] <= w[1]));
-            prop_assert!(ts_b.windows(2).all(|w| w[0] <= w[1]));
+            prop_assert!(shard.side_a.windows(2).all(|w| w[0].ts <= w[1].ts));
+            prop_assert!(shard.side_b.windows(2).all(|w| w[0].ts <= w[1].ts));
         }
         let back = rehash_shard_states(shards, 1, &spec).unwrap();
-        prop_assert_eq!(back.len(), 1);
-        prop_assert_eq!(back[0].state_tuples(), original);
+        prop_assert_eq!(back, vec![vec![original]]);
     }
 }
 
@@ -248,9 +258,9 @@ fn lazy_split_keeps_punctuations_flowing_to_both_halves() {
     // The fill-up path relies on the logical queue between the halves;
     // punctuations must traverse it so the downstream union keeps making
     // progress during a lazy migration.
-    let cond = JoinCondition::Cross;
-    let op = SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 10), cond).chain_head();
-    let (mut left, _right) = split_slice_operator(op, TimeDelta::from_secs(5), "l", "r").unwrap();
+    let whole = WindowState::empty(SliceWindow::from_secs(0, 10));
+    let (left, _right) = split_slice_state(whole, TimeDelta::from_secs(5)).unwrap();
+    let mut left = restored(left, false);
     let mut ctx = OpContext::new();
     left.process(
         0,
@@ -266,25 +276,27 @@ fn lazy_split_keeps_punctuations_flowing_to_both_halves() {
 fn eager_split_boundary_cases_are_exact() {
     // A tuple exactly `at` old is expired (purge uses `>=`), one tick newer
     // is not; each side is cut by the *opposite* stream's male.
-    let cond = JoinCondition::Cross;
-    let window = SliceWindow::from_secs(0, 10);
-    let mut op = SliceJoinOp::for_ab("J", window, cond);
     let a_old = tup(100, StreamId::A, 0); // 10.0 s
     let a_new = tup(101, StreamId::A, 0); // 10.1 s
     let b_any = tup(102, StreamId::B, 0); // 10.2 s
-    op.load_states(vec![a_old, a_new], vec![b_any]);
+    let whole = WindowState {
+        window: SliceWindow::from_secs(0, 10),
+        side_a: vec![a_old, a_new],
+        side_b: vec![b_any],
+    };
     let wm = PurgeWatermarks {
         // B males reached 15.0 s → A-side ages: 5.0 (expired at 5s) / 4.9.
         male_b: Timestamp::from_millis(15_000),
         // A males reached 10.2 s → B-side age 0: stays left.
         male_a: Timestamp::from_millis(10_200),
     };
-    let (left, right) =
-        split_slice_operator_eager(op, TimeDelta::from_secs(5), wm, "l", "r").unwrap();
-    assert_eq!(left.state_a_len(), 1);
-    assert_eq!(right.state_a_len(), 1);
-    assert_eq!(left.state_b_len(), 1);
-    assert_eq!(right.state_b_len(), 0);
-    let (ra, _) = right.state_timestamps();
-    assert_eq!(ra, vec![Timestamp::from_millis(10_000)]);
+    let (left, right) = split_slice_state_eager(whole, TimeDelta::from_secs(5), wm).unwrap();
+    assert_eq!(left.side_a.len(), 1);
+    assert_eq!(right.side_a.len(), 1);
+    assert_eq!(left.side_b.len(), 1);
+    assert_eq!(right.side_b.len(), 0);
+    assert_eq!(
+        timestamps(&right.side_a),
+        vec![Timestamp::from_millis(10_000)]
+    );
 }

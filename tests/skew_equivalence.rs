@@ -116,7 +116,7 @@ fn run_with_policy(
         })
         .collect();
     let hot_keys = exec.hot_keys();
-    let hot_state_b = harvest_hot_state_b(&mut exec, &hot_keys);
+    let hot_state_b = harvest_hot_state_b(&exec, &hot_keys);
     Outcome {
         results,
         totals: report.totals,
@@ -125,17 +125,17 @@ fn run_with_policy(
     }
 }
 
-/// Drain every sliced join of every shard and keep the probe-side tuples
+/// Read every sliced join of every shard and keep the probe-side tuples
 /// whose key hash is in `hot`, fingerprinted and sorted per shard.
 fn harvest_hot_state_b(
-    exec: &mut state_slice_repro::streamkit::ShardedExecutor,
+    exec: &state_slice_repro::streamkit::ShardedExecutor,
     hot: &[u64],
 ) -> Vec<Vec<StateFp>> {
     let mut per_shard = Vec::new();
-    for shard in exec.shards_mut() {
+    for shard in exec.shards() {
         let mut fps: Vec<StateFp> = Vec::new();
-        for op in shard.plan_mut().slice_joins_mut() {
-            let (_, side_b) = op.drain_states();
+        for op in shard.plan().slice_joins() {
+            let (_, side_b) = op.state_tuples();
             for t in side_b {
                 if let KeyClass::Hash(h) = tuple_key(&t, 0) {
                     if hot.contains(&h) {
@@ -243,7 +243,7 @@ fn run_pair(workload: &QueryWorkload, spec: &ChainSpec, input: &[Tuple]) -> (Out
         exec.ingest_all(CHAIN_ENTRY, input.to_vec())
             .expect("ingest");
         exec.run().expect("run");
-        single.hot_state_b = harvest_hot_state_b(&mut exec, &skewed.hot_keys);
+        single.hot_state_b = harvest_hot_state_b(&exec, &skewed.hot_keys);
     }
     (single, skewed)
 }

@@ -17,8 +17,9 @@
 //! * **skew guard** — shard rescaling refuses to run while replicated
 //!   hot keys are active, and the refusal leaves the session working;
 //! * **kill-and-recover soak** — repeated injected worker crashes recover
-//!   on the *same* pool (the named-worker census never moves), with the
-//!   backpressure and shed counters staying monotone throughout.
+//!   on the *same* pool (the named-worker census never moves), interleaved
+//!   with checkpoints forced by a full replay ring, with the backpressure
+//!   and forced-checkpoint counters staying monotone throughout.
 //!
 //! `SS_TEST_SHARDS` (default 4, minimum 2) sets the pool width.
 
@@ -26,7 +27,7 @@ use std::sync::Mutex;
 
 use state_slice_repro::core::live::{Session, SessionOptions};
 use state_slice_repro::core::planner::PlannerOptions;
-use state_slice_repro::core::recovery::{OverflowPolicy, RecoveryConfig};
+use state_slice_repro::core::recovery::RecoveryConfig;
 use state_slice_repro::core::{JoinQuery, QueryWorkload};
 use state_slice_repro::streamkit::fault::FaultPlan;
 use state_slice_repro::streamkit::punctuation::Punctuation;
@@ -246,16 +247,15 @@ fn rescale_refuses_while_hot_keys_are_replicated_and_session_survives() {
 fn kill_and_recover_soak_reuses_the_pool_and_keeps_counters_monotone() {
     let _guard = THREAD_COUNT_LOCK.lock().unwrap();
     let shards = test_shards();
-    // A tiny shedding ring keeps the overflow path exercised alongside the
-    // crashes (recovery is best-effort under Shed, but the pool and counter
-    // invariants must hold regardless).
+    // A tiny ring and no interval checkpoints: every durable cut after
+    // launch is forced by the full ring, so forced checkpoints interleave
+    // with the crashes and their replays.
     let mut sup = Session::launch(
         workload(vec![query("QA", 15), query("C5", 5)]),
         SessionOptions {
             recovery: RecoveryConfig {
-                checkpoint_every_epochs: 3,
+                checkpoint_every_epochs: u64::MAX,
                 replay_capacity: 64,
-                overflow: OverflowPolicy::Shed,
             },
             ..live_options(shards)
         },
@@ -267,7 +267,7 @@ fn kill_and_recover_soak_reuses_the_pool_and_keeps_counters_monotone() {
     std::panic::set_hook(Box::new(|_| {}));
     let mut secs = 0u64;
     let mut last_stalls = 0u64;
-    let mut last_shed = 0u64;
+    let mut last_forced = 0;
     for round in 0..4usize {
         // Re-arm a fresh crash a few punctuation epochs ahead, rotating the
         // victim shard; each second feeds both streams plus a punctuation.
@@ -297,13 +297,15 @@ fn kill_and_recover_soak_reuses_the_pool_and_keeps_counters_monotone() {
             "round {round}: router_stalls must stay monotone across recoveries"
         );
         last_stalls = report.totals.router_stalls;
+        let forced = sup.recovery().log().forced_checkpoints();
         assert!(
-            sup.recovery().log().items_shed() >= last_shed,
-            "round {round}: items_shed must be monotone"
+            forced >= last_forced,
+            "round {round}: forced checkpoints must be monotone"
         );
-        last_shed = sup.recovery().log().items_shed();
+        last_forced = forced;
     }
     std::panic::set_hook(hook);
+    assert!(last_forced > 0, "the full ring never forced a checkpoint");
 
     // The soaked session still computes and shuts down clean.
     let outcome = sup.finish().unwrap();
