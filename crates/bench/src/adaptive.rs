@@ -8,11 +8,11 @@
 //!   under the high-selectivity phases (routing results is expensive),
 //! * `static-cpu-opt` — the chain CPU-Opt picks when costed with the
 //!   low-selectivity phase's statistics (slices merged),
-//! * `adaptive` — starts on the Mem-Opt chain with the phase-1 statistics
-//!   declared, and lets a [`Supervisor`] re-cost and re-cut live as its
-//!   drift detectors confirm each phase transition,
-//! * a **stationary control** — the adaptive executor over a no-drift
-//!   profile, whose adaptation log must stay empty.
+//! * `adaptive` — an adaptive session that starts on the Mem-Opt chain with
+//!   the phase-1 statistics declared, and re-costs and re-cuts live at its
+//!   drains as its drift detectors confirm each phase transition,
+//! * a **stationary control** — the adaptive session over a no-drift
+//!   profile, whose timeline must hold no adaptation decision.
 //!
 //! The oracle-best static is whichever static run serviced faster; the
 //! adaptive run should track it (and beat the worse static) while all runs
@@ -20,10 +20,10 @@
 //! what the union delivers).
 
 use ss_workload::{DriftPhase, DriftProfile, KeyDistribution, WorkloadConfig, JOIN_KEY_FIELD};
-use state_slice_core::adaptive::{
-    AdaptationAction, AdaptationLog, AdaptationRecord, Supervisor, SupervisorConfig,
+use state_slice_core::adaptive::{AdaptationAction, AdaptationRecord, SupervisorConfig};
+use state_slice_core::live::{
+    MigrationRecord, Session, SessionEvent, SessionOptions, SliceStrategy,
 };
-use state_slice_core::live::{Session, SessionOptions, SliceStrategy};
 use state_slice_core::planner::merge_streams;
 use state_slice_core::{CostConfig, JoinQuery, QueryWorkload};
 use streamkit::error::{Result, StreamError};
@@ -35,7 +35,7 @@ use crate::runner::{executor_config, perf_of, RunPerf};
 pub const SEL_HI: f64 = 0.1;
 /// Join selectivity of the collapsed middle phase.
 pub const SEL_LO: f64 = 0.002;
-/// Supervisor observations per run (snapshot cadence = duration / this).
+/// Drains (statistics snapshots) per run (cadence = duration / this).
 pub const OBSERVATIONS: usize = 12;
 
 /// One executor variant's measured run.
@@ -68,8 +68,8 @@ pub struct AdaptiveBenchReport {
     pub phases: Vec<(f64, f64)>,
     /// The three measured runs.
     pub runs: Vec<AdaptiveRun>,
-    /// The adaptive run's confirmed decisions.
-    pub log: Vec<AdaptationRecord>,
+    /// The adaptive run's timeline.
+    pub events: Vec<SessionEvent>,
     /// Decisions confirmed on the stationary control run (must be none).
     pub control_log_len: usize,
     /// `true` iff every run delivered identical per-query counts.
@@ -98,6 +98,19 @@ impl AdaptiveBenchReport {
             .perf
             .service_rate
             .min(self.run("static-cpu-opt").perf.service_rate)
+    }
+
+    /// The adaptive run's confirmed decisions, each with the migration that
+    /// directly follows it on the timeline (an applied re-plan or rescale).
+    pub fn decisions(&self) -> Vec<(&AdaptationRecord, Option<&MigrationRecord>)> {
+        self.events
+            .iter()
+            .enumerate()
+            .filter_map(|(i, event)| {
+                let next = self.events.get(i + 1).and_then(SessionEvent::migration);
+                event.adaptation().map(|record| (record, next))
+            })
+            .collect()
     }
 
     /// Adaptive service rate relative to the oracle-best static.
@@ -171,17 +184,18 @@ impl AdaptiveBenchReport {
             ));
         }
         out.push_str("  ],\n  \"adaptation_log\": [\n");
-        for (i, record) in self.log.iter().enumerate() {
+        let decisions = self.decisions();
+        for (i, (record, migration)) in decisions.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"seq\": {}, \"stream_secs\": {:.1}, \"trigger\": \"{}\", \"action\": {}, \"measured_sel\": {:.5}, \"modeled_win\": {:.0}, \"modeled_pause\": {:.0}}}{}\n",
                 record.seq,
                 record.stream_secs,
                 record.trigger.name(),
-                action_json(&record.action),
+                action_json(&record.action, *migration),
                 record.measured.sel_join,
                 record.modeled_win,
                 record.modeled_pause,
-                if i + 1 < self.log.len() { "," } else { "" },
+                if i + 1 < decisions.len() { "," } else { "" },
             ));
         }
         out.push_str("  ]\n}\n");
@@ -189,25 +203,18 @@ impl AdaptiveBenchReport {
     }
 }
 
-fn action_json(action: &AdaptationAction) -> String {
+/// One decision's JSON; an applied re-plan or rescale reports the
+/// primitives and the pause of the `migration` that carried it out.
+fn action_json(action: &AdaptationAction, migration: Option<&MigrationRecord>) -> String {
+    let (merges, splits, pause_ms) =
+        migration.map_or((0, 0, 0.0), |m| (m.merges, m.splits, 1e3 * m.pause_secs));
     match action {
         AdaptationAction::KeepPlan => "{\"kind\": \"keep-plan\"}".to_string(),
-        AdaptationAction::Replan {
-            strategy,
-            merges,
-            splits,
-            pause_secs,
-        } => format!(
-            "{{\"kind\": \"replan\", \"strategy\": \"{strategy}\", \"merges\": {merges}, \"splits\": {splits}, \"pause_ms\": {:.3}}}",
-            1e3 * pause_secs
+        AdaptationAction::Replan { strategy } => format!(
+            "{{\"kind\": \"replan\", \"strategy\": \"{strategy}\", \"merges\": {merges}, \"splits\": {splits}, \"pause_ms\": {pause_ms:.3}}}",
         ),
-        AdaptationAction::Rescale {
-            from,
-            to,
-            pause_secs,
-        } => format!(
-            "{{\"kind\": \"rescale\", \"from\": {from}, \"to\": {to}, \"pause_ms\": {:.3}}}",
-            1e3 * pause_secs
+        AdaptationAction::Rescale { from, to } => format!(
+            "{{\"kind\": \"rescale\", \"from\": {from}, \"to\": {to}, \"pause_ms\": {pause_ms:.3}}}",
         ),
         AdaptationAction::Vetoed { strategy } => {
             format!("{{\"kind\": \"vetoed\", \"strategy\": \"{strategy}\"}}")
@@ -306,21 +313,22 @@ fn observation_cuts(input: &[Tuple], duration_secs: f64) -> Vec<usize> {
     cuts
 }
 
-/// Run one variant over the input, observing (adaptive) or just draining
-/// (static) at every cut.  Returns the run's counters and, for the adaptive
-/// variant, the supervisor's log.
+/// Run one variant over the input, draining at every cut (an adaptive
+/// session's drains run its drift policy).  Returns the run's counters and
+/// its timeline.
 fn run_variant(
     workload: &QueryWorkload,
     input: &[Tuple],
     cuts: &[usize],
     strategy: SliceStrategy,
-    mut supervisor: Option<&mut Supervisor>,
-) -> Result<AdaptiveRun> {
+    adaptive: Option<(CostConfig, SupervisorConfig)>,
+) -> Result<(AdaptiveRun, Vec<SessionEvent>)> {
     let mut live = Session::launch(
         workload.clone(),
         SessionOptions {
             executor: executor_config(),
             strategy,
+            adaptive,
             ..SessionOptions::default()
         },
     )?;
@@ -328,14 +336,7 @@ fn run_variant(
     for &cut in cuts {
         live.ingest_all(input[done..cut].to_vec())?;
         done = cut;
-        match supervisor.as_deref_mut() {
-            Some(sup) => {
-                sup.observe(&mut live)?;
-            }
-            None => {
-                live.drain()?;
-            }
-        }
+        live.drain()?;
     }
     let outcome = live.finish()?;
     let mut sink_counts: Vec<(String, u64)> = outcome
@@ -344,16 +345,15 @@ fn run_variant(
         .map(|q| (q.name.clone(), q.count))
         .collect();
     sink_counts.sort();
-    Ok(AdaptiveRun {
+    let migrations = outcome.events.iter().filter_map(SessionEvent::migration);
+    let run = AdaptiveRun {
         name: String::new(),
         perf: perf_of(&outcome.report),
-        replans: outcome.migrations.len(),
-        // `.max(0.0)`: an empty migration list sums to f64's additive
-        // identity -0.0, which would serialize as "-0.000".
-        total_pause_ms: (1e3 * outcome.migrations.iter().map(|m| m.pause_secs).sum::<f64>())
-            .max(0.0),
+        replans: migrations.count(),
+        total_pause_ms: 1e3 * outcome.total_pause_secs(),
         sink_counts,
-    })
+    };
+    Ok((run, outcome.events))
 }
 
 /// Run the full comparison: two statics, the adaptive executor, and the
@@ -363,7 +363,7 @@ pub fn run_adaptive_bench(
     duration_secs: f64,
     rate: f64,
     reps: usize,
-) -> Result<(AdaptiveBenchReport, AdaptationLog)> {
+) -> Result<AdaptiveBenchReport> {
     let workload = drift_workload(duration_secs)?;
     let profile = drift_profile(duration_secs, rate);
     let (a, b) = profile.generate_pair();
@@ -374,30 +374,23 @@ pub fn run_adaptive_bench(
         ));
     }
     let cuts = observation_cuts(&input, duration_secs);
-    let declared_hi = declared_cost(rate, SEL_HI);
+    let adaptive = Some((declared_cost(rate, SEL_HI), supervisor_config()));
     let declared_lo = declared_cost(rate, SEL_LO);
-    let variants: Vec<(&str, SliceStrategy, bool)> = vec![
-        ("static-mem-opt", SliceStrategy::MemOpt, false),
-        ("static-cpu-opt", SliceStrategy::CpuOpt(declared_lo), false),
-        ("adaptive", SliceStrategy::MemOpt, true),
+    let variants = [
+        ("static-mem-opt", SliceStrategy::MemOpt, None),
+        ("static-cpu-opt", SliceStrategy::CpuOpt(declared_lo), None),
+        ("adaptive", SliceStrategy::MemOpt, adaptive),
     ];
     let mut runs = Vec::with_capacity(variants.len());
-    let mut log = AdaptationLog::default();
+    let mut events = Vec::new();
     for (name, strategy, adaptive) in variants {
         let mut best: Option<AdaptiveRun> = None;
         for _ in 0..reps.max(1) {
-            let mut supervisor =
-                adaptive.then(|| Supervisor::new(declared_hi, supervisor_config()));
-            let mut run = run_variant(
-                &workload,
-                &input,
-                &cuts,
-                strategy.clone(),
-                supervisor.as_mut(),
-            )?;
+            let (mut run, timeline) =
+                run_variant(&workload, &input, &cuts, strategy.clone(), adaptive)?;
             run.name = name.to_string();
-            if let Some(sup) = supervisor {
-                log = sup.into_log();
+            if adaptive.is_some() {
+                events = timeline;
             }
             best = match best {
                 Some(prev) if prev.perf.service_rate >= run.perf.service_rate => Some(prev),
@@ -406,21 +399,20 @@ pub fn run_adaptive_bench(
         }
         runs.push(best.expect("at least one rep"));
     }
-    // Stationary control: same adaptive machinery, no drift — the log must
-    // stay empty.
+    // Stationary control: same adaptive machinery, no drift — no decision
+    // may be logged.
     let control_profile = DriftProfile::stationary(base_config(duration_secs, rate));
     let (ca, cb) = control_profile.generate_pair();
     let control_input = merge_streams(ca, cb);
     let control_cuts = observation_cuts(&control_input, duration_secs);
-    let mut control_sup = Supervisor::new(declared_hi, supervisor_config());
-    run_variant(
+    let (_, control) = run_variant(
         &workload,
         &control_input,
         &control_cuts,
         SliceStrategy::MemOpt,
-        Some(&mut control_sup),
+        adaptive,
     )?;
-    let control_log_len = control_sup.log().len();
+    let control_log_len = control.iter().filter_map(SessionEvent::adaptation).count();
     let results_match = runs
         .windows(2)
         .all(|pair| pair[0].sink_counts == pair[1].sink_counts);
@@ -435,11 +427,11 @@ pub fn run_adaptive_bench(
             .map(|p| (p.at_secs, p.sel_join))
             .collect(),
         runs,
-        log: log.records().to_vec(),
+        events,
         control_log_len,
         results_match,
     };
-    Ok((report, log))
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -449,16 +441,20 @@ mod tests {
 
     #[test]
     fn adaptive_tracks_the_drift_and_control_stays_silent() {
-        let (report, log) = run_adaptive_bench(12.0, 40.0, 1).unwrap();
+        let report = run_adaptive_bench(12.0, 40.0, 1).unwrap();
         assert!(report.results_match, "runs: {:#?}", report.runs);
         assert_eq!(report.control_log_len, 0, "control confirmed drift");
-        assert!(!log.is_empty(), "no drift confirmed on the drifting run");
+        let decisions = report.decisions();
         assert!(
-            log.records()
-                .iter()
-                .any(|r| matches!(r.action, AdaptationAction::Replan { .. })),
-            "no re-plan applied: {:#?}",
-            log.records()
+            !decisions.is_empty(),
+            "no drift confirmed on the drifting run"
+        );
+        assert!(
+            decisions.iter().any(|(r, migration)| matches!(
+                r.action,
+                AdaptationAction::Replan { .. }
+            ) && migration.is_some()),
+            "no re-plan applied: {decisions:#?}"
         );
         let adaptive = report.run("adaptive");
         assert!(adaptive.replans > 0);

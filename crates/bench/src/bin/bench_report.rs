@@ -17,9 +17,9 @@
 //!   rate.
 //! * **`--adaptive`** — runs an equi workload whose join selectivity
 //!   collapses and recovers mid-stream under two statically-planned chains
-//!   (Mem-Opt, and the chain CPU-Opt picks for the collapsed phase), under
-//!   an adaptive supervisor that re-costs and re-cuts the session's chain, and
-//!   under a stationary control (whose adaptation log must stay empty), and
+//!   (Mem-Opt, and the chain CPU-Opt picks for the collapsed phase), on an
+//!   adaptive session that re-costs and re-cuts its chain at its drains, and
+//!   under a stationary control (which must log no adaptation decision), and
 //!   writes `BENCH_adaptive.json` (`SS_BENCH_REPS` repetitions, default 3,
 //!   best service rate kept per variant).
 //! * **`--recovery`** — runs the fig18-style equi workload (punctuated every
@@ -101,7 +101,7 @@ fn run_recovery() {
             run.recoveries,
         );
     }
-    for rec in report.log.recoveries() {
+    for rec in &report.recoveries {
         eprintln!(
             "recovered from checkpoint #{} (epoch {}): replayed {} items, dropped {} in-flight, {:.2} ms total ({:.2} ms restore) [{}]",
             rec.checkpoint_seq,
@@ -118,7 +118,7 @@ fn run_recovery() {
         "crash-recovered results diverged from the uninterrupted session"
     );
     assert_eq!(
-        report.log.recoveries().len(),
+        report.recoveries.len(),
         1,
         "the armed panic must fire exactly one recovery"
     );
@@ -140,7 +140,7 @@ fn run_adaptive() {
     eprintln!(
         "# bench_report: adaptive re-optimization on a drifting equi workload ({duration} s, {rate} t/s, {reps} rep(s))"
     );
-    let (report, log) = run_adaptive_bench(duration, rate, reps).expect("adaptive bench harness");
+    let report = run_adaptive_bench(duration, rate, reps).expect("adaptive bench harness");
     for run in &report.runs {
         eprintln!(
             "{:<16} service rate {:>12.1} t/s, comparisons {}, outputs {}, replans {}, pause {:.2} ms",
@@ -152,7 +152,8 @@ fn run_adaptive() {
             run.total_pause_ms,
         );
     }
-    for record in log.records() {
+    let decisions = report.decisions();
+    for (record, _) in &decisions {
         eprintln!(
             "t={:>6.1}s {:<12} S⋈={:.5} win {:>10.0} / pause {:>8.0} -> {:?}",
             record.stream_secs,
@@ -174,7 +175,7 @@ fn run_adaptive() {
         "adaptive / static runs diverged in per-query results"
     );
     assert!(
-        !log.is_empty(),
+        !decisions.is_empty(),
         "the drifting run confirmed no drift at all"
     );
     assert_eq!(

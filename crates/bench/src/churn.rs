@@ -13,7 +13,7 @@
 //! lifetime.
 
 use ss_workload::{churn_schedule, ChurnAction, ChurnConfig, Scenario};
-use state_slice_core::live::{QueryResults, Session, SessionOptions};
+use state_slice_core::live::{QueryResults, Session, SessionEvent, SessionOptions};
 use state_slice_core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
 use state_slice_core::{ChainBuilder, JoinQuery, QueryWorkload, SharedChainPlan};
 use streamkit::error::{Result, StreamError};
@@ -287,7 +287,8 @@ pub fn run_churn_row(
     let instances: Vec<InstanceCheck> = outcome.queries.iter().map(instance_check).collect();
     let results_match = instances.iter().all(|i| i.live_count == i.oracle_count);
 
-    let pauses: Vec<f64> = outcome.migrations.iter().map(|m| m.pause_secs).collect();
+    let migrations = outcome.events.iter().filter_map(SessionEvent::migration);
+    let pauses: Vec<f64> = migrations.clone().map(|m| m.pause_secs).collect();
     let avg_pause_ms = if pauses.is_empty() {
         0.0
     } else {
@@ -300,7 +301,7 @@ pub fn run_churn_row(
         perf: perf_of(&outcome.report),
         avg_pause_ms,
         max_pause_ms,
-        tuples_moved: outcome.migrations.iter().map(|m| m.tuples_moved).sum(),
+        tuples_moved: migrations.map(|m| m.tuples_moved).sum(),
         instances,
         results_match,
     })

@@ -12,8 +12,8 @@
 //!   replay, vs an uninterrupted session (written to
 //!   `BENCH_recovery.json`),
 //! * [`adaptive`] — the adaptive re-optimization harness: a drifting
-//!   workload under static chains vs a live re-planning supervisor (written
-//!   to `BENCH_adaptive.json`).
+//!   workload under static chains vs an adaptive session that re-plans live
+//!   (written to `BENCH_adaptive.json`).
 //!
 //! The binaries `fig11`, `fig17`, `fig18`, `fig19` and `table2` print the
 //! corresponding rows and `bench_report` runs the churn, adaptive and

@@ -4,8 +4,8 @@
 //! closing every stream second, so checkpoints have boundaries to align to —
 //! through two [`Session`]s over the **same** input:
 //!
-//! * `uninterrupted` — no fault armed; its recovery log must stay clean
-//!   (checkpoints only),
+//! * `uninterrupted` — no fault armed; its timeline must hold checkpoints
+//!   only, no recovery,
 //! * `crash-recover` — a deterministic worker panic armed at a mid-stream
 //!   punctuation epoch; the session restores the last checkpoint, replays
 //!   the ring and finishes the stream.
@@ -18,8 +18,8 @@
 
 use ss_workload::Scenario;
 use state_slice_core::planner::PlannerOptions;
-use state_slice_core::recovery::{RecoveryConfig, RecoveryLog};
-use state_slice_core::{QueryWorkload, Session, SessionOptions};
+use state_slice_core::recovery::{CheckpointRecord, RecoveryConfig, RecoveryRecord};
+use state_slice_core::{QueryWorkload, Session, SessionEvent, SessionOptions};
 use streamkit::error::{Result, StreamError};
 use streamkit::fault::FaultPlan;
 use streamkit::punctuation::Punctuation;
@@ -61,8 +61,10 @@ pub struct RecoveryBenchReport {
     pub crash_epoch: u64,
     /// Both measured runs.
     pub runs: Vec<RecoveryRun>,
-    /// The crashed run's recovery log.
-    pub log: RecoveryLog,
+    /// The crashed run's recoveries, in completion order.
+    pub recoveries: Vec<RecoveryRecord>,
+    /// The crashed run's checkpoints, in capture order.
+    pub checkpoints: Vec<CheckpointRecord>,
     /// `true` iff both sessions delivered identical per-query result
     /// multisets.
     pub results_match: bool,
@@ -79,15 +81,15 @@ impl RecoveryBenchReport {
     /// Wall-clock seconds from failure detection to the recovered session
     /// being drained again.
     pub fn recovery_secs(&self) -> f64 {
-        self.log
-            .last_recovery()
+        self.recoveries
+            .last()
             .map(|r| r.recovery_secs)
             .unwrap_or(0.0)
     }
 
     /// Items replayed from the ring after the restore.
     pub fn replayed(&self) -> u64 {
-        self.log.last_recovery().map(|r| r.replayed).unwrap_or(0)
+        self.recoveries.last().map(|r| r.replayed).unwrap_or(0)
     }
 
     /// Recovered service rate relative to the uninterrupted run.
@@ -140,7 +142,7 @@ impl RecoveryBenchReport {
             ));
         }
         out.push_str("  ],\n  \"recoveries\": [\n");
-        let recoveries = self.log.recoveries();
+        let recoveries = &self.recoveries;
         for (i, rec) in recoveries.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"checkpoint_seq\": {}, \"checkpoint_epoch\": {}, \"trigger\": \"{}\", \"replayed\": {}, \"dropped_inflight\": {}, \"recovery_secs\": {:.6}, \"restore_secs\": {:.6}}}{}\n",
@@ -155,7 +157,7 @@ impl RecoveryBenchReport {
             ));
         }
         out.push_str("  ],\n  \"checkpoints\": [\n");
-        let checkpoints = self.log.checkpoints();
+        let checkpoints = &self.checkpoints;
         for (i, ckpt) in checkpoints.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"seq\": {}, \"epoch\": {}, \"watermark_secs\": {:.1}, \"state_tuples\": {}, \"ring_cleared\": {}, \"forced\": {}}}{}\n",
@@ -201,7 +203,7 @@ fn run_session(
     shards: usize,
     recovery: RecoveryConfig,
     fault: Option<FaultPlan>,
-) -> Result<(RecoveryRun, RecoveryLog, SinkResults)> {
+) -> Result<(RecoveryRun, Vec<SessionEvent>, SinkResults)> {
     let mut session = Session::launch(
         workload.clone(),
         SessionOptions {
@@ -238,15 +240,15 @@ fn run_session(
         .iter()
         .map(|(name, tuples)| (name.clone(), tuples.len() as u64))
         .collect();
-    let log = outcome.recovery;
+    let count = |kind: fn(&SessionEvent) -> bool| outcome.events.iter().filter(|e| kind(e)).count();
     let run = RecoveryRun {
         name: name.to_string(),
         perf: perf_of(&outcome.report),
         sink_counts,
-        checkpoints: log.checkpoints().len(),
-        recoveries: log.recoveries().len(),
+        checkpoints: count(|e| e.checkpoint().is_some()),
+        recoveries: count(|e| e.recovery().is_some()),
     };
-    Ok((run, log, collected))
+    Ok((run, outcome.events, collected))
 }
 
 /// Run the full comparison: the uninterrupted session and the
@@ -270,9 +272,9 @@ pub fn run_recovery_bench(
     // durable before the fault fires (epochs advance one per second).
     let crash_epoch = ((duration_secs * 0.6) as u64).max(2);
 
-    let (clean, clean_log, clean_results) =
+    let (clean, _, clean_results) =
         run_session("uninterrupted", &workload, &items, shards, recovery, None)?;
-    if !clean_log.is_clean() {
+    if clean.recoveries > 0 {
         return Err(StreamError::Execution(
             "the uninterrupted session recovered from a phantom fault".to_string(),
         ));
@@ -291,7 +293,7 @@ pub fn run_recovery_bench(
         Some(FaultPlan::panic_at(crash_epoch)),
     );
     std::panic::set_hook(hook);
-    let (crashed, crash_log, crashed_results) = crashed?;
+    let (crashed, events, crashed_results) = crashed?;
 
     let results_match = clean_results == crashed_results;
     Ok(RecoveryBenchReport {
@@ -301,7 +303,16 @@ pub fn run_recovery_bench(
         checkpoint_every_epochs: recovery.checkpoint_every_epochs,
         crash_epoch,
         runs: vec![clean, crashed],
-        log: crash_log,
+        recoveries: events
+            .iter()
+            .filter_map(SessionEvent::recovery)
+            .cloned()
+            .collect(),
+        checkpoints: events
+            .iter()
+            .filter_map(SessionEvent::checkpoint)
+            .cloned()
+            .collect(),
         results_match,
     })
 }

@@ -1,30 +1,36 @@
 //! Adaptive re-optimization: feed runtime statistics back into the cost
-//! model and trigger live re-plans when the workload drifts.
+//! model and re-plan a live session when the workload drifts.
 //!
 //! The chain a [`crate::builder::ChainBuilder`] picks is only optimal for
 //! the statistics it was costed with.  Long-running workloads drift —
 //! arrival rates spike, join selectivities shift, key skew concentrates —
 //! and the chain that was CPU-optimal at launch can be badly mis-cut an
-//! hour later.  The [`Supervisor`] closes the loop:
+//! hour later.  A session launched with
+//! [`SessionOptions::adaptive`](crate::live::SessionOptions::adaptive) owns a
+//! supervisor that closes the loop at every [`Session::drain`]:
 //!
-//! 1. it consumes windowed [`StatsSnapshot`]s from a running [`Session`],
-//!    which it borrows (EWMA-smoothed stream-time arrival rates, measured
-//!    join selectivity, live per-slice state),
+//! 1. the drain samples a windowed [`StatsSnapshot`] of the settled session
+//!    (EWMA-smoothed stream-time arrival rates, measured join selectivity,
+//!    live per-slice state),
 //! 2. a set of **drift detectors** with consecutive-confirmation hysteresis
-//!    compares them against the parameters the active plan was costed with
-//!    (rate ratio, selectivity ratio, state-bytes slope, total-rate spike /
-//!    busiest-shard share),
-//! 3. on confirmed drift it **re-costs** Mem-Opt against CPU-Opt under the
-//!    measured parameters (via [`ss_cost_model::MeasuredParams`] overlaid on
-//!    the declared [`CostConfig`]) and re-derives the slice boundaries,
-//! 4. and only when the modeled CPU win over the amortization horizon
-//!    exceeds the modeled migration pause cost does it drive a
-//!    [`Session::set_strategy`] re-plan (or, for load signals,
-//!    [`Session::rescale_shards`]).
+//!    compares it against the parameters the active plan was costed with
+//!    (rate ratio, selectivity ratio, total-rate spike / busiest-shard
+//!    share),
+//! 3. on confirmed drift the supervisor **re-costs** Mem-Opt against CPU-Opt
+//!    under the measured parameters (via [`ss_cost_model::MeasuredParams`]
+//!    overlaid on the declared [`CostConfig`]) and re-derives the slice
+//!    boundaries,
+//! 4. and only when the modeled CPU win over the amortization horizon covers
+//!    the modeled migration pause cost does the drain apply a re-plan
+//!    ([`Session::set_strategy`]) or, for load signals, a rescale
+//!    ([`Session::rescale_shards`]).
 //!
 //! Every confirmed decision — applied, vetoed by the win/pause gate, or
-//! blocked by the runtime — is appended to an [`AdaptationLog`].  A
-//! stationary workload confirms no detector and leaves the log empty.
+//! blocked by the runtime — is appended to the session's timeline as a
+//! [`SessionEvent::Adaptation`](crate::live::SessionEvent::Adaptation); an
+//! applied re-plan or rescale is directly followed by the `Migration` event
+//! that carried it out.  A stationary workload confirms no detector and logs
+//! no decision.
 //!
 //! The join selectivity is measured through the inverse of the chain output
 //! model rather than from operator counters: for the smallest-window query
@@ -34,7 +40,7 @@
 //! stays correct for any slicing of the chain, because slicing never changes
 //! what the union delivers (Theorems 1–2).
 
-use streamkit::error::{Result, StreamError};
+use streamkit::error::Result;
 use streamkit::stats::DEFAULT_STATS_ALPHA;
 use streamkit::StatsSnapshot;
 
@@ -43,7 +49,9 @@ use ss_cost_model::MeasuredParams;
 use crate::builder::{ChainBuilder, CostConfig};
 use crate::live::{ChainEditPlan, Session, SliceStrategy};
 
-/// Thresholds and gates of the adaptive supervisor.
+/// Thresholds and gates of the adaptive supervisor (a session takes them
+/// beside the declared statistics, in
+/// [`SessionOptions::adaptive`](crate::live::SessionOptions::adaptive)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorConfig {
     /// Re-plan trigger: measured / current arrival-rate ratio (either
@@ -52,21 +60,9 @@ pub struct SupervisorConfig {
     /// Re-plan trigger: measured / current join-selectivity ratio (either
     /// direction) at or beyond this confirms selectivity drift.
     pub sel_ratio: f64,
-    /// Rescale trigger: live state growing faster than this many bytes per
-    /// stream-time second.  `f64::INFINITY` disables the detector.
-    pub state_slope_bytes_per_sec: f64,
-    /// Rescale trigger: measured total rate at or beyond this multiple of
-    /// the baseline total rate.
-    pub spike_ratio: f64,
-    /// Rescale trigger: busiest-shard share of routed tuples at or beyond
-    /// this (only meaningful with more than one shard).
-    pub busy_share: f64,
     /// Consecutive breached snapshots required before a detector fires
     /// (hysteresis against transient noise).
     pub confirm: u32,
-    /// The modeled win must be at least this multiple of the modeled
-    /// migration pause cost for an action to be applied.
-    pub min_win_ratio: f64,
     /// Modeled migration cost per live state tuple, in comparisons
     /// equivalent (drain, re-cut, reload).
     pub pause_cost_per_tuple: f64,
@@ -87,11 +83,7 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             rate_ratio: 1.5,
             sel_ratio: 2.0,
-            state_slope_bytes_per_sec: f64::INFINITY,
-            spike_ratio: 2.0,
-            busy_share: 0.85,
             confirm: 2,
-            min_win_ratio: 1.0,
             pause_cost_per_tuple: 4.0,
             horizon_secs: 0.0,
             warmup_secs: 0.0,
@@ -100,15 +92,22 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// Which drift detector confirmed.
+/// Load-spike trigger: a measured total rate at or beyond this multiple of
+/// the baseline total rate.
+const SPIKE_RATIO: f64 = 2.0;
+
+/// Load-spike trigger: a busiest-shard share of routed tuples at or beyond
+/// this (only with more than one shard).
+const BUSY_SHARE: f64 = 0.85;
+
+/// Which drift detector confirmed (in detector order: the discriminant
+/// indexes the supervisor's streaks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriftKind {
     /// A stream's measured arrival rate drifted from the costed rate.
     RateDrift,
     /// The measured join selectivity drifted from the costed selectivity.
     SelectivityDrift,
-    /// Live state bytes are growing beyond the configured slope.
-    StateGrowth,
     /// Total arrival rate spiked, or one shard carries most of the traffic.
     LoadSpike,
 }
@@ -119,13 +118,14 @@ impl DriftKind {
         match self {
             DriftKind::RateDrift => "rate",
             DriftKind::SelectivityDrift => "selectivity",
-            DriftKind::StateGrowth => "state-growth",
             DriftKind::LoadSpike => "load-spike",
         }
     }
 }
 
-/// What the supervisor did about a confirmed drift.
+/// What the supervisor did about a confirmed drift.  An applied re-plan or
+/// rescale is directly followed on the timeline by the `Migration` event
+/// that carried it out, with its primitives and its pause.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdaptationAction {
     /// Re-costing confirmed the running slice boundaries are still the
@@ -135,12 +135,6 @@ pub enum AdaptationAction {
     Replan {
         /// Strategy installed (`"mem-opt"` or `"cpu-opt"`).
         strategy: String,
-        /// Merge primitives the migration applied.
-        merges: usize,
-        /// Split primitives the migration applied.
-        splits: usize,
-        /// Observed migration stall in wall-clock seconds.
-        pause_secs: f64,
     },
     /// The executor was rescaled to a new shard count.
     Rescale {
@@ -148,8 +142,6 @@ pub enum AdaptationAction {
         from: usize,
         /// Shard count after.
         to: usize,
-        /// Observed migration stall in wall-clock seconds.
-        pause_secs: f64,
     },
     /// The modeled win did not cover the modeled migration pause cost.
     Vetoed {
@@ -185,142 +177,89 @@ pub struct AdaptationRecord {
     pub detail: String,
 }
 
-/// Append-only record of every confirmed adaptation decision.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AdaptationLog {
-    records: Vec<AdaptationRecord>,
+/// The change an applied decision makes to the session.
+#[derive(Debug)]
+pub(crate) enum Remedy {
+    /// Install the strategy and re-plan the current workload under it; the
+    /// string is the migration's reason.
+    Replan(SliceStrategy, String),
+    /// Rescale to this many shards.
+    Rescale(usize),
 }
 
-impl AdaptationLog {
-    /// All decisions in confirmation order.
-    pub fn records(&self) -> &[AdaptationRecord] {
-        &self.records
-    }
-
-    /// Number of decisions.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when no drift was ever confirmed.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The latest decision.
-    pub fn last(&self) -> Option<&AdaptationRecord> {
-        self.records.last()
-    }
-
-    /// Number of applied live re-plans (strategy switches / re-cuts).
-    pub fn replans(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| matches!(r.action, AdaptationAction::Replan { .. }))
-            .count()
-    }
-
-    /// Number of applied shard rescalings.
-    pub fn rescales(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| matches!(r.action, AdaptationAction::Rescale { .. }))
-            .count()
-    }
-}
-
-/// Detector indices into the streak array.
-const DETECTORS: usize = 4;
-const D_RATE: usize = 0;
-const D_SEL: usize = 1;
-const D_STATE: usize = 2;
-const D_LOAD: usize = 3;
-
-/// The feedback controller: consumes snapshots, confirms drift, re-costs,
-/// and drives live re-plans.  See the module docs for the protocol.
-#[derive(Debug, Clone)]
-pub struct Supervisor {
+/// The session-owned feedback controller: measures every drained snapshot,
+/// confirms drift and re-costs.  See the module docs for the protocol.
+#[derive(Debug)]
+pub(crate) struct Supervisor {
     config: SupervisorConfig,
     /// Parameters the active plan was costed with (rebaselined after every
     /// confirmed decision).
     current: CostConfig,
     /// Total rate the load-spike detector compares against.
     baseline_total_rate: f64,
-    /// Supervisor-side EWMA of the inverse-model selectivity estimate.
-    sel_ewma: Option<f64>,
+    /// The latest measurement.  Its `sel_join` is the supervisor-side EWMA
+    /// of the inverse-model selectivity estimate, carried across snapshots.
+    measured: MeasuredParams,
     /// Cumulative stream time over all snapshots, in seconds.
     stream_secs: f64,
-    /// Last (cumulative stream secs, state bytes) pair for slope tracking.
-    state_track: Option<(f64, usize)>,
-    streaks: [u32; DETECTORS],
-    log: AdaptationLog,
+    /// Consecutive breached snapshots, per [`DriftKind`].
+    streaks: [u32; 3],
 }
 
 impl Supervisor {
     /// Start supervising against the parameters the launch plan was costed
     /// with (the declared workload statistics).
-    pub fn new(declared: CostConfig, config: SupervisorConfig) -> Self {
+    pub(crate) fn launch(declared: CostConfig, config: SupervisorConfig) -> Self {
         Supervisor {
             config,
             current: declared,
             baseline_total_rate: declared.lambda_a + declared.lambda_b,
-            sel_ewma: None,
+            measured: MeasuredParams::default(),
             stream_secs: 0.0,
-            state_track: None,
-            streaks: [0; DETECTORS],
-            log: AdaptationLog::default(),
+            streaks: [0; 3],
         }
     }
 
-    /// Every confirmed decision so far.
-    pub fn log(&self) -> &AdaptationLog {
-        &self.log
-    }
-
-    /// Consume the log (bench reporting).
-    pub fn into_log(self) -> AdaptationLog {
-        self.log
-    }
-
-    /// The parameters the active plan is currently costed with.
-    pub fn current_cost(&self) -> &CostConfig {
-        &self.current
-    }
-
-    /// The supervisor's smoothed join-selectivity estimate, if any input has
-    /// been observed yet.
-    pub fn measured_sel(&self) -> Option<f64> {
-        self.sel_ewma
-    }
-
-    /// Drain `live` to a punctuation boundary, sample its runtime
-    /// statistics, and act on confirmed drift.  Returns the decision taken
-    /// on this snapshot, if any.
-    pub fn observe(&mut self, live: &mut Session) -> Result<Option<AdaptationRecord>> {
-        let snapshot = live.stats_snapshot()?;
+    /// Measure one snapshot of the settled session `live` and check it for
+    /// drift.  Returns the decision a confirmed detector led to and, when
+    /// the decision is to be applied, the change the session makes.
+    pub(crate) fn decide(
+        &mut self,
+        live: &Session,
+        snapshot: &StatsSnapshot,
+    ) -> Result<Option<(AdaptationRecord, Option<Remedy>)>> {
         if snapshot.stream_secs <= 0.0 {
             return Ok(None);
         }
         self.stream_secs += snapshot.stream_secs;
-        let measured = self.measure(live, &snapshot);
-        let cost = self.current.with_measured(&measured);
-        let slope = self.state_slope(&snapshot);
+        self.measure(live, snapshot);
+        let cost = self.current.with_measured(&self.measured);
         if self.stream_secs < self.warmup_secs(live) {
             // Join states are still filling; rates and the inverse-model
             // selectivity both read low until one full window has passed.
             return Ok(None);
         }
-        let Some((detector, detail)) = self.confirm_drift(live, &cost, slope, &snapshot) else {
+        let Some((trigger, detail)) = self.confirm_drift(live, &cost, snapshot) else {
             return Ok(None);
         };
-        let record = match detector {
-            D_RATE => self.replan(live, &snapshot, cost, DriftKind::RateDrift, detail)?,
-            D_SEL => self.replan(live, &snapshot, cost, DriftKind::SelectivityDrift, detail)?,
-            D_STATE => self.rescale(live, &snapshot, cost, DriftKind::StateGrowth, detail)?,
-            _ => self.rescale(live, &snapshot, cost, DriftKind::LoadSpike, detail)?,
+        // Conservative pause model: a re-cut or a rehash drains at most
+        // every live state tuple once.
+        let modeled_pause = snapshot.state_tuples as f64 * self.config.pause_cost_per_tuple;
+        let (modeled_win, action, remedy) = match trigger {
+            DriftKind::LoadSpike => self.rescale(live, cost, modeled_pause),
+            _ => self.replan(live, cost, modeled_pause, &detail)?,
         };
-        self.log.records.push(record.clone());
-        Ok(Some(record))
+        let record = AdaptationRecord {
+            seq: snapshot.seq,
+            stream_secs: self.stream_secs,
+            trigger,
+            measured: cost,
+            modeled_win,
+            modeled_pause,
+            action,
+            detail,
+        };
+        Ok(Some((record, remedy)))
     }
 
     fn warmup_secs(&self, live: &Session) -> f64 {
@@ -339,41 +278,20 @@ impl Supervisor {
         }
     }
 
-    /// Convert one snapshot into cost-model measurement overlays.
-    fn measure(&mut self, live: &Session, snapshot: &StatsSnapshot) -> MeasuredParams {
-        if let Some(inst) = estimate_sel(live, snapshot) {
-            self.sel_ewma = Some(match self.sel_ewma {
-                None => inst,
-                Some(prev) => DEFAULT_STATS_ALPHA * inst + (1.0 - DEFAULT_STATS_ALPHA) * prev,
-            });
-        }
-        // Stateful operators in plan order are exactly the sliced joins in
-        // chain order; everything else in the chain plan is transient.
-        let stateful: Vec<&streamkit::OperatorSnapshot> = snapshot
-            .operators
-            .iter()
-            .filter(|o| o.state_tuples > 0 || o.state_bytes > 0)
-            .collect();
-        MeasuredParams {
+    /// Fold one snapshot into the cost-model measurement overlay.
+    fn measure(&mut self, live: &Session, snapshot: &StatsSnapshot) {
+        let sel_join = match (estimate_sel(live, snapshot), self.measured.sel_join) {
+            (Some(inst), Some(prev)) => {
+                Some(DEFAULT_STATS_ALPHA * inst + (1.0 - DEFAULT_STATS_ALPHA) * prev)
+            }
+            (inst, prev) => inst.or(prev),
+        };
+        self.measured = MeasuredParams {
             rate_a: (snapshot.rate_a > 0.0).then_some(snapshot.rate_a),
             rate_b: (snapshot.rate_b > 0.0).then_some(snapshot.rate_b),
-            sel_join: self.sel_ewma,
+            sel_join,
             csys: None,
-            slice_state_tuples: stateful.iter().map(|o| o.state_tuples).collect(),
-            slice_state_bytes: stateful.iter().map(|o| o.state_bytes).collect(),
-        }
-    }
-
-    /// Live state growth in bytes per stream-time second since the last
-    /// snapshot.
-    fn state_slope(&mut self, snapshot: &StatsSnapshot) -> f64 {
-        let now = (self.stream_secs, snapshot.state_bytes);
-        let slope = match self.state_track {
-            Some((at, bytes)) if now.0 > at => (now.1 as f64 - bytes as f64) / (now.0 - at),
-            _ => 0.0,
         };
-        self.state_track = Some(now);
-        slope
     }
 
     /// Update every detector's streak and return the first one that reached
@@ -382,20 +300,17 @@ impl Supervisor {
         &mut self,
         live: &Session,
         cost: &CostConfig,
-        slope: f64,
         snapshot: &StatsSnapshot,
-    ) -> Option<(usize, String)> {
-        let cfg = &self.config;
+    ) -> Option<(DriftKind, String)> {
         let cur = &self.current;
         let rate_drift = ratio(cost.lambda_a, cur.lambda_a).max(ratio(cost.lambda_b, cur.lambda_b));
         let sel_drift = ratio(cost.sel_join, cur.sel_join);
         let total_rate = cost.lambda_a + cost.lambda_b;
-        let spiked = total_rate >= cfg.spike_ratio * self.baseline_total_rate
-            || (live.num_shards() > 1 && snapshot.busiest_shard_share >= cfg.busy_share);
+        let spiked = total_rate >= SPIKE_RATIO * self.baseline_total_rate
+            || (live.num_shards() > 1 && snapshot.busiest_shard_share >= BUSY_SHARE);
         let breached = [
-            rate_drift >= cfg.rate_ratio,
-            sel_drift >= cfg.sel_ratio,
-            slope >= cfg.state_slope_bytes_per_sec,
+            rate_drift >= self.config.rate_ratio,
+            sel_drift >= self.config.sel_ratio,
             spiked,
         ];
         let details = [
@@ -408,10 +323,6 @@ impl Supervisor {
                 cost.sel_join, cur.sel_join
             ),
             format!(
-                "state growing at {slope:.0} bytes/s (live {} bytes)",
-                snapshot.state_bytes
-            ),
-            format!(
                 "load spike: total rate {total_rate:.1} vs baseline {:.1}, busiest shard {:.0}%",
                 self.baseline_total_rate,
                 100.0 * snapshot.busiest_shard_share
@@ -421,7 +332,7 @@ impl Supervisor {
         for (i, &hit) in breached.iter().enumerate() {
             if hit {
                 self.streaks[i] += 1;
-                if fired.is_none() && self.streaks[i] >= cfg.confirm {
+                if fired.is_none() && self.streaks[i] >= self.config.confirm {
                     fired = Some(i);
                 }
             } else {
@@ -430,19 +341,24 @@ impl Supervisor {
         }
         let i = fired?;
         self.streaks[i] = 0;
-        Some((i, details[i].clone()))
+        let kinds = [
+            DriftKind::RateDrift,
+            DriftKind::SelectivityDrift,
+            DriftKind::LoadSpike,
+        ];
+        Some((kinds[i], details[i].clone()))
     }
 
-    /// Re-cost Mem-Opt vs. CPU-Opt under the measured parameters and re-cut
-    /// the chain if the modeled win covers the modeled pause.
+    /// Re-cost Mem-Opt vs. CPU-Opt under the measured parameters; re-cut the
+    /// chain if the modeled win covers the modeled pause.  Returns the
+    /// modeled win, the action and its remedy.
     fn replan(
         &mut self,
-        live: &mut Session,
-        snapshot: &StatsSnapshot,
+        live: &Session,
         cost: CostConfig,
-        trigger: DriftKind,
-        detail: String,
-    ) -> Result<AdaptationRecord> {
+        modeled_pause: f64,
+        detail: &str,
+    ) -> Result<(f64, AdaptationAction, Option<Remedy>)> {
         let builder = ChainBuilder::new(live.workload().clone());
         let mem_spec = builder.memory_optimal();
         let cpu = builder.cpu_optimal(&cost)?;
@@ -455,99 +371,67 @@ impl Supervisor {
         };
         let current_cpu = builder.estimate_cpu(live.spec(), &cost);
         let modeled_win = (current_cpu - cpu.estimated_cpu).max(0.0) * self.horizon_secs(live);
-        // Conservative pause model: a re-cut drains at most every live state
-        // tuple once.
-        let modeled_pause = snapshot.state_tuples as f64 * self.config.pause_cost_per_tuple;
-        let edits = ChainEditPlan::between(live.spec(), &target_spec);
         let reason = format!("adapt: {strategy_name} ({detail})");
-        let action = if edits.is_empty() {
+        let (action, remedy) = if ChainEditPlan::between(live.spec(), &target_spec).is_empty() {
             // Same boundaries: install the measured strategy (a no-op
             // migration) so later churn re-plans cost against reality.
-            live.set_strategy(strategy, reason)?;
-            AdaptationAction::KeepPlan
-        } else if modeled_win >= self.config.min_win_ratio * modeled_pause {
-            live.set_strategy(strategy, reason)?;
-            let migration = live.migrations().last().ok_or_else(|| {
-                StreamError::Execution("re-plan applied without recording a migration".to_string())
-            })?;
-            AdaptationAction::Replan {
-                strategy: strategy_name.to_string(),
-                merges: migration.merges,
-                splits: migration.splits,
-                pause_secs: migration.pause_secs,
-            }
+            (
+                AdaptationAction::KeepPlan,
+                Some(Remedy::Replan(strategy, reason)),
+            )
+        } else if modeled_win >= modeled_pause {
+            (
+                AdaptationAction::Replan {
+                    strategy: strategy_name.to_string(),
+                },
+                Some(Remedy::Replan(strategy, reason)),
+            )
         } else {
-            AdaptationAction::Vetoed {
-                strategy: strategy_name.to_string(),
-            }
+            (
+                AdaptationAction::Vetoed {
+                    strategy: strategy_name.to_string(),
+                },
+                None,
+            )
         };
         // Rebaseline: the decision (applied or not) was taken against the
         // measured parameters; only a further drift should re-fire.
         self.current = cost;
-        self.streaks[D_RATE] = 0;
-        self.streaks[D_SEL] = 0;
-        Ok(AdaptationRecord {
-            seq: snapshot.seq,
-            stream_secs: self.stream_secs,
-            trigger,
-            measured: cost,
-            modeled_win,
-            modeled_pause,
-            action,
-            detail,
-        })
+        self.streaks[DriftKind::RateDrift as usize] = 0;
+        self.streaks[DriftKind::SelectivityDrift as usize] = 0;
+        Ok((modeled_win, action, remedy))
     }
 
     /// Double the shard count (up to the cap) if the modeled per-shard CPU
-    /// relief covers the modeled rehash pause.
+    /// relief covers the modeled rehash pause.  Returns the modeled win, the
+    /// action and its remedy.
     fn rescale(
         &mut self,
-        live: &mut Session,
-        snapshot: &StatsSnapshot,
+        live: &Session,
         cost: CostConfig,
-        trigger: DriftKind,
-        detail: String,
-    ) -> Result<AdaptationRecord> {
+        modeled_pause: f64,
+    ) -> (f64, AdaptationAction, Option<Remedy>) {
         let from = live.num_shards();
         let to = (from * 2).min(self.config.max_shards);
-        let builder = ChainBuilder::new(live.workload().clone());
-        let chain_cpu = builder.estimate_cpu(live.spec(), &cost);
-        let modeled_pause = snapshot.state_tuples as f64 * self.config.pause_cost_per_tuple;
-        let (modeled_win, action) = if to <= from {
-            (
-                0.0,
-                AdaptationAction::Blocked {
-                    reason: format!(
-                        "at shard cap ({from} shards, max {})",
-                        self.config.max_shards
-                    ),
-                },
-            )
+        let blocked = |reason: String| (0.0, AdaptationAction::Blocked { reason }, None);
+        let decision = if to <= from {
+            blocked(format!(
+                "at shard cap ({from} shards, max {})",
+                self.config.max_shards
+            ))
         } else if live.executor().has_hot_keys() {
-            (
-                0.0,
-                AdaptationAction::Blocked {
-                    reason: "skew-replicated hot keys are active".to_string(),
-                },
-            )
+            blocked("skew-replicated hot keys are active".to_string())
         } else {
             // Spreading the chain over `to` shards relieves each shard of
             // `1 - from/to` of the per-shard work.
+            let chain_cpu =
+                ChainBuilder::new(live.workload().clone()).estimate_cpu(live.spec(), &cost);
             let win = chain_cpu * self.horizon_secs(live) * (1.0 - from as f64 / to as f64);
-            if win >= self.config.min_win_ratio * modeled_pause {
-                live.rescale_shards(to)?;
-                let migration = live.migrations().last().ok_or_else(|| {
-                    StreamError::Execution(
-                        "rescale applied without recording a migration".to_string(),
-                    )
-                })?;
+            if win >= modeled_pause {
                 (
                     win,
-                    AdaptationAction::Rescale {
-                        from,
-                        to,
-                        pause_secs: migration.pause_secs,
-                    },
+                    AdaptationAction::Rescale { from, to },
+                    Some(Remedy::Rescale(to)),
                 )
             } else {
                 (
@@ -555,24 +439,14 @@ impl Supervisor {
                     AdaptationAction::Vetoed {
                         strategy: format!("rescale {from}->{to}"),
                     },
+                    None,
                 )
             }
         };
-        // Rebaseline the load detectors on what was just observed.
+        // Rebaseline the load detector on what was just observed.
         self.baseline_total_rate = cost.lambda_a + cost.lambda_b;
-        self.state_track = Some((self.stream_secs, snapshot.state_bytes));
-        self.streaks[D_STATE] = 0;
-        self.streaks[D_LOAD] = 0;
-        Ok(AdaptationRecord {
-            seq: snapshot.seq,
-            stream_secs: self.stream_secs,
-            trigger,
-            measured: cost,
-            modeled_win,
-            modeled_pause,
-            action,
-            detail,
-        })
+        self.streaks[DriftKind::LoadSpike as usize] = 0;
+        decision
     }
 }
 
@@ -605,7 +479,7 @@ fn estimate_sel(live: &Session, snapshot: &StatsSnapshot) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::SessionOptions;
+    use crate::live::{SessionEvent, SessionOptions};
     use crate::query::{JoinQuery, QueryWorkload};
     use streamkit::tuple::StreamId;
     use streamkit::{JoinCondition, TimeDelta, Timestamp, Tuple};
@@ -648,16 +522,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stationary_workload_confirms_no_drift() {
-        let mut live = Session::launch(workload(&[4, 16]), SessionOptions::default()).unwrap();
+    /// An adaptive session over `windows`, declared at one tuple per stream
+    /// per second and S⋈ 0.2.
+    fn adaptive(windows: &[u64], config: SupervisorConfig) -> Session {
         let declared = CostConfig {
             lambda_a: 1.0,
             lambda_b: 1.0,
             sel_join: 0.2,
             csys: 1.0,
         };
-        let mut sup = Supervisor::new(declared, test_config());
+        let options = SessionOptions {
+            adaptive: Some((declared, config)),
+            ..SessionOptions::default()
+        };
+        Session::launch(workload(windows), options).unwrap()
+    }
+
+    /// Drain `live`, returning the decision its policy took there, if any.
+    fn drain_decision(live: &mut Session) -> Option<AdaptationRecord> {
+        let before = live.events().len();
+        live.drain().unwrap();
+        live.events()[before..]
+            .iter()
+            .find_map(SessionEvent::adaptation)
+            .cloned()
+    }
+
+    fn decisions(events: &[SessionEvent]) -> Vec<&AdaptationRecord> {
+        events.iter().filter_map(SessionEvent::adaptation).collect()
+    }
+
+    fn count(events: &[SessionEvent], applied: fn(&AdaptationAction) -> bool) -> usize {
+        decisions(events)
+            .iter()
+            .filter(|r| applied(&r.action))
+            .count()
+    }
+
+    fn replans(events: &[SessionEvent]) -> usize {
+        count(events, |a| matches!(a, AdaptationAction::Replan { .. }))
+    }
+
+    #[test]
+    fn stationary_workload_confirms_no_drift() {
+        let mut live = adaptive(&[4, 16], test_config());
         // Keys cycle over a domain of 5 on both streams: S⋈ ≈ 0.2 forever.
         for phase in 0..4 {
             let lo = phase * 20;
@@ -667,29 +575,27 @@ mod tests {
                 |t| (t % 5) as i64,
                 |t| (t % 5) as i64,
             );
-            sup.observe(&mut live).unwrap();
+            live.drain().unwrap();
         }
-        assert!(sup.log().is_empty(), "log: {:?}", sup.log());
+        assert!(
+            decisions(live.events()).is_empty(),
+            "log: {:?}",
+            live.events()
+        );
         assert_eq!(live.epoch(), 0);
-        let sel = sup.measured_sel().expect("sel was measured");
+        let sup = live.supervisor.as_ref().unwrap();
+        let sel = sup.measured.sel_join.expect("sel was measured");
         assert!((0.05..0.6).contains(&sel), "sel estimate {sel}");
     }
 
     #[test]
     fn selectivity_collapse_triggers_a_live_merge() {
-        let mut live = Session::launch(workload(&[4, 16]), SessionOptions::default()).unwrap();
+        let mut live = adaptive(&[4, 16], test_config());
         assert_eq!(live.spec().num_slices(), 2);
-        let declared = CostConfig {
-            lambda_a: 1.0,
-            lambda_b: 1.0,
-            sel_join: 0.2,
-            csys: 1.0,
-        };
-        let mut sup = Supervisor::new(declared, test_config());
         // Phase 1 matches the declaration; afterwards the streams stop
         // joining at all, so merging the chain becomes free of routing cost.
         ingest_phase(&mut live, 0..20, |t| (t % 5) as i64, |t| (t % 5) as i64);
-        sup.observe(&mut live).unwrap();
+        live.drain().unwrap();
         let mut fired = None;
         for phase in 1..6 {
             let lo = phase * 20;
@@ -699,7 +605,7 @@ mod tests {
                 |t| 1_000 + (t % 5) as i64,
                 |t| 2_000 + (t % 5) as i64,
             );
-            if let Some(record) = sup.observe(&mut live).unwrap() {
+            if let Some(record) = drain_decision(&mut live) {
                 fired = Some(record);
                 break;
             }
@@ -707,33 +613,32 @@ mod tests {
         let record = fired.expect("selectivity drift confirmed");
         assert_eq!(record.trigger, DriftKind::SelectivityDrift);
         assert!(
-            matches!(&record.action, AdaptationAction::Replan { strategy, merges, .. }
-                if strategy == "cpu-opt" && *merges == 1),
+            matches!(&record.action, AdaptationAction::Replan { strategy } if strategy == "cpu-opt"),
             "action: {:?}",
             record.action
         );
         assert_eq!(live.spec().num_slices(), 1);
-        assert_eq!(sup.log().replans(), 1);
+        assert_eq!(replans(live.events()), 1);
         assert!(matches!(live.strategy(), SliceStrategy::CpuOpt(_)));
-        let migration = live.migrations().last().unwrap();
+        // The migration that carried the re-plan out directly follows it.
+        let events = live.events();
+        let at = events
+            .iter()
+            .position(|e| e.adaptation() == Some(&record))
+            .unwrap();
+        let migration = events[at + 1].migration().expect("the re-plan's migration");
         assert!(migration.reason.starts_with("adapt: cpu-opt"));
+        assert_eq!((migration.merges, migration.splits), (1, 0));
     }
 
     #[test]
     fn supervisor_pauses_accumulate_outside_the_service_clock() {
-        let mut live = Session::launch(workload(&[4, 16]), SessionOptions::default()).unwrap();
-        let declared = CostConfig {
-            lambda_a: 1.0,
-            lambda_b: 1.0,
-            sel_join: 0.2,
-            csys: 1.0,
-        };
-        let mut sup = Supervisor::new(declared, test_config());
+        let mut live = adaptive(&[4, 16], test_config());
         ingest_phase(&mut live, 0..20, |t| (t % 5) as i64, |t| (t % 5) as i64);
-        sup.observe(&mut live).unwrap();
+        live.drain().unwrap();
         // Collapse the selectivity until the supervisor merges the chain...
         let mut lo = 20;
-        while sup.log().replans() < 1 {
+        while replans(live.events()) < 1 {
             ingest_phase(
                 &mut live,
                 lo..lo + 20,
@@ -741,12 +646,12 @@ mod tests {
                 |t| 2_000 + (t % 5) as i64,
             );
             lo += 20;
-            sup.observe(&mut live).unwrap();
+            live.drain().unwrap();
             assert!(lo < 200, "collapse never confirmed");
         }
         // ...then recover it at a rate high enough that the extra probe work
         // of the merged slice outweighs routing, so CPU-Opt splits it back.
-        while sup.log().replans() < 2 {
+        while replans(live.events()) < 2 {
             for t in lo..lo + 20 {
                 for rep in 0..8 {
                     let key = ((t * 8 + rep) % 5) as i64;
@@ -755,15 +660,17 @@ mod tests {
                 }
             }
             lo += 20;
-            sup.observe(&mut live).unwrap();
+            live.drain().unwrap();
             assert!(lo < 400, "recovery never confirmed");
         }
         let outcome = live.finish().unwrap();
-        assert_eq!(outcome.migrations.len(), 2);
-        assert!(outcome
-            .migrations
+        let migrations: Vec<_> = outcome
+            .events
             .iter()
-            .all(|m| m.reason.starts_with("adapt:")));
+            .filter_map(SessionEvent::migration)
+            .collect();
+        assert_eq!(migrations.len(), 2);
+        assert!(migrations.iter().all(|m| m.reason.starts_with("adapt:")));
         let stall = outcome.total_pause_secs();
         let report = &outcome.report;
         // Both supervisor-triggered stalls landed in the pause bucket, which
@@ -789,21 +696,14 @@ mod tests {
 
     #[test]
     fn win_gate_vetoes_marginal_replans() {
-        let mut live = Session::launch(workload(&[4, 16]), SessionOptions::default()).unwrap();
-        let declared = CostConfig {
-            lambda_a: 1.0,
-            lambda_b: 1.0,
-            sel_join: 0.2,
-            csys: 1.0,
-        };
         let config = SupervisorConfig {
             // A pause cost no realistic win can cover.
             pause_cost_per_tuple: 1e12,
             ..test_config()
         };
-        let mut sup = Supervisor::new(declared, config);
+        let mut live = adaptive(&[4, 16], config);
         ingest_phase(&mut live, 0..20, |t| (t % 5) as i64, |t| (t % 5) as i64);
-        sup.observe(&mut live).unwrap();
+        live.drain().unwrap();
         let mut fired = None;
         for phase in 1..6 {
             let lo = phase * 20;
@@ -813,7 +713,7 @@ mod tests {
                 |t| 1_000 + (t % 5) as i64,
                 |t| 2_000 + (t % 5) as i64,
             );
-            if let Some(record) = sup.observe(&mut live).unwrap() {
+            if let Some(record) = drain_decision(&mut live) {
                 fired = Some(record);
                 break;
             }
@@ -827,29 +727,21 @@ mod tests {
         // The chain was left alone.
         assert_eq!(live.spec().num_slices(), 2);
         assert_eq!(live.epoch(), 0);
-        assert_eq!(sup.log().replans(), 0);
-        assert_eq!(sup.log().len(), 1);
+        assert_eq!(replans(live.events()), 0);
+        assert_eq!(decisions(live.events()).len(), 1);
     }
 
     #[test]
     fn rate_spike_rescales_up_to_the_cap() {
-        let mut live = Session::launch(workload(&[4, 16]), SessionOptions::default()).unwrap();
-        assert_eq!(live.num_shards(), 1);
-        let declared = CostConfig {
-            lambda_a: 1.0,
-            lambda_b: 1.0,
-            sel_join: 0.2,
-            csys: 1.0,
-        };
         let config = SupervisorConfig {
             sel_ratio: 1e9,
-            spike_ratio: 2.0,
             max_shards: 2,
             ..test_config()
         };
-        let mut sup = Supervisor::new(declared, config);
+        let mut live = adaptive(&[4, 16], config);
+        assert_eq!(live.num_shards(), 1);
         ingest_phase(&mut live, 0..20, |t| (t % 5) as i64, |t| (t % 5) as i64);
-        sup.observe(&mut live).unwrap();
+        live.drain().unwrap();
         // Rate quadruples: four tuples per stream per second.
         for t in 20..40 {
             for rep in 0..4 {
@@ -858,21 +750,18 @@ mod tests {
                 live.ingest(tuple(StreamId::B, t, key)).unwrap();
             }
         }
-        let record = sup
-            .observe(&mut live)
-            .unwrap()
-            .expect("spike confirmed at confirm=1");
+        let record = drain_decision(&mut live).expect("spike confirmed at confirm=1");
         assert_eq!(record.trigger, DriftKind::LoadSpike);
         assert!(
-            matches!(
-                record.action,
-                AdaptationAction::Rescale { from: 1, to: 2, .. }
-            ),
+            matches!(record.action, AdaptationAction::Rescale { from: 1, to: 2 }),
             "action: {:?}",
             record.action
         );
         assert_eq!(live.num_shards(), 2);
-        assert_eq!(sup.log().rescales(), 1);
+        let rescales = count(live.events(), |a| {
+            matches!(a, AdaptationAction::Rescale { .. })
+        });
+        assert_eq!(rescales, 1);
         // Further snapshots compare against the rebaselined rate.
         for t in 40..60 {
             for rep in 0..4 {
@@ -881,7 +770,41 @@ mod tests {
                 live.ingest(tuple(StreamId::B, t, key)).unwrap();
             }
         }
-        sup.observe(&mut live).unwrap();
-        assert_eq!(sup.log().len(), 1, "log: {:?}", sup.log());
+        live.drain().unwrap();
+        let logged = decisions(live.events());
+        assert_eq!(logged.len(), 1, "log: {logged:?}");
+    }
+
+    #[test]
+    fn a_rescale_does_not_fake_rate_drift() {
+        // A stationary feed at the declared rate, rescaled mid-stream: the
+        // fresh shards continue the stream-level statistics series, so the
+        // first snapshot after the rescale measures the 20 s since it, not
+        // the whole stream, and the rate detector has nothing to confirm.
+        let config = SupervisorConfig {
+            rate_ratio: 1.5,
+            ..test_config()
+        };
+        let mut live = adaptive(&[4, 16], config);
+        let stationary = |t: u64| (t % 5) as i64;
+        ingest_phase(&mut live, 0..20, stationary, stationary);
+        live.drain().unwrap();
+        ingest_phase(&mut live, 20..40, stationary, stationary);
+        live.drain().unwrap();
+        live.rescale_shards(2).unwrap();
+        let rescaled = live.events().len();
+        let before = live.supervisor.as_ref().unwrap().stream_secs;
+        ingest_phase(&mut live, 40..60, stationary, stationary);
+        live.drain().unwrap();
+        let after = decisions(&live.events()[rescaled..]);
+        assert!(after.is_empty(), "decisions after the rescale: {after:?}");
+        assert_eq!(live.spec().num_slices(), 2);
+        let sup = live.supervisor.as_ref().unwrap();
+        let window = sup.stream_secs - before;
+        assert!((19.0..=21.0).contains(&window), "window {window} s");
+        for rate in [sup.measured.rate_a, sup.measured.rate_b] {
+            let rate = rate.expect("rate measured");
+            assert!((rate - 1.0).abs() <= 0.1, "rate {rate}");
+        }
     }
 }

@@ -23,10 +23,11 @@
 //!   [`streamkit`] plan with per-query unions, routers and sinks,
 //! * [`migration`] — online merging / splitting of slices (Section 5.3),
 //! * [`live`] — the [`live::Session`], the one owner of a running executor:
-//!   online add/remove of queries via chain re-slicing, re-plans, shard
-//!   rescales and crash recovery at one drained boundary,
-//! * [`adaptive`] — runtime-statistics feedback: drift detectors and the
-//!   [`adaptive::Supervisor`] that re-costs and re-cuts a session's chain,
+//!   query churn via chain re-slicing, re-plans, shard rescales, crash
+//!   recovery and adaptive re-optimization at one drained boundary, all on
+//!   one timeline of [`live::SessionEvent`]s,
+//! * [`adaptive`] — runtime-statistics feedback: the drift detectors and
+//!   re-costing an adaptive session runs at every drain,
 //! * [`recovery`] — fault tolerance: the session's punctuation-aligned
 //!   checkpoints and bounded replay ring ([`recovery::Recovery`]), which
 //!   restore crashed shards and replay lost input,
@@ -79,15 +80,13 @@ pub mod sliced_binary;
 mod sliced_one_way;
 pub mod verify;
 
-pub use adaptive::{
-    AdaptationAction, AdaptationLog, AdaptationRecord, DriftKind, Supervisor, SupervisorConfig,
-};
+pub use adaptive::{AdaptationAction, AdaptationRecord, DriftKind, SupervisorConfig};
 pub use builder::{BuiltChain, ChainBuilder, ChainPlanFactory, CostConfig};
 pub use chain::{ChainSpec, SliceSpec};
 pub use dijkstra::{shortest_path, ShortestPath};
 pub use lineage::{LineageAnnotatorOp, LineageGateOp};
 pub use live::{
-    ChainEdit, ChainEditPlan, MigrationMode, MigrationRecord, QueryResults, Session,
+    ChainEdit, ChainEditPlan, MigrationMode, MigrationRecord, QueryResults, Session, SessionEvent,
     SessionOptions, SessionOutcome, SliceStrategy,
 };
 pub use migration::{
@@ -96,6 +95,6 @@ pub use migration::{
 };
 pub use planner::{merge_streams, PlannerOptions, SharedChainPlan, CHAIN_ENTRY};
 pub use query::{JoinQuery, QueryWorkload};
-pub use recovery::{CheckpointRecord, Recovery, RecoveryConfig, RecoveryLog, RecoveryRecord};
+pub use recovery::{CheckpointRecord, Recovery, RecoveryConfig, RecoveryRecord};
 pub use sliced_binary::SlicedBinaryJoinOp;
 pub use verify::{collected_fingerprints, expected_fingerprints, expected_results};

@@ -24,8 +24,8 @@
 //!    graph of the added/removed query, and each slice's index mode, chain
 //!    flags and name — and move the migrated states into them the way crash
 //!    recovery moves checkpointed state: capture the fresh plans'
-//!    [`Checkpoint`](streamkit::Checkpoint), put the migrated states into
-//!    its window slots and restore it,
+//!    [`Checkpoint`], put the migrated states into its window slots and
+//!    restore it,
 //! 4. **adopt** that same checkpoint as the durable cut, and **resume**.
 //!
 //! When the executor is sharded, the chain edits are applied per shard (each
@@ -36,20 +36,25 @@
 //! the new shard count in place of the plan swap.  Every fallible step on
 //! the migrated data runs before the running executor is touched.
 //!
-//! Crash recovery shares that boundary sequence ([`crate::recovery`]).  The
-//! session records every ingested item in its [`Recovery`] replay ring, and
-//! its one [`drain`](Session::drain) recovers a `WorkerFailed` run — rebuild
-//! the current chain, restore the last checkpoint, replay the ring — before
-//! it checkpoints on the punctuation-epoch interval.  Migrations drain
-//! through it, so a crash inside a migration's drain recovers before the
-//! migration goes on, and every migration ends in the checkpoint it
-//! restored, so the durable cut always has the running chain's shape.  The
-//! adaptive [`Supervisor`](crate::adaptive::Supervisor) borrows the session
-//! to re-plan and rescale it.
+//! Crash recovery and adaptive re-optimization share that boundary.  One
+//! [`drain`](Session::drain) runs the whole sequence: run the executor to a
+//! punctuation boundary, recover a `WorkerFailed` run — rebuild the current
+//! chain, restore the last checkpoint, replay the [`Recovery`] ring
+//! ([`crate::recovery`]) — checkpoint on the punctuation-epoch interval, and
+//! on an adaptive session ([`SessionOptions::adaptive`]) sample the runtime
+//! statistics, check them for drift and apply the re-plan or rescale the
+//! supervisor decides on ([`crate::adaptive`]).  The drains inside the
+//! session's own operations — a full replay ring, a migration,
+//! [`finish`](Session::finish) — stop before the policy, so a crash inside a
+//! migration's drain recovers before the migration goes on and the policy
+//! never runs inside one.  Every migration ends in the checkpoint it
+//! restored, so the durable cut always has the running chain's shape.
 //!
-//! The migration pause of every event is measured and reported
-//! ([`MigrationRecord`]); the executor's paused-time accounting keeps those
-//! stalls out of the service-rate denominator.
+//! Everything that happens at the boundary lands on one timeline,
+//! [`Session::events`], in the order it happened: checkpoints, recoveries,
+//! migrations (each with its measured pause, which the executor's
+//! paused-time accounting keeps out of the service-rate denominator) and
+//! adaptation decisions ([`SessionEvent`]).
 //!
 //! ## Differential testing
 //!
@@ -68,13 +73,14 @@ use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::time::Instant;
 
-use streamkit::checkpoint::WindowState;
+use streamkit::checkpoint::{Checkpoint, WindowState};
 use streamkit::error::{Result, StreamError};
 use streamkit::queue::StreamItem;
 use streamkit::shard::ShardedExecutor;
 use streamkit::tuple::Tuple;
 use streamkit::{ExecutionReport, ExecutorConfig, Plan, TimeDelta, Timestamp};
 
+use crate::adaptive::{AdaptationRecord, Remedy, Supervisor, SupervisorConfig};
 use crate::builder::{ChainBuilder, ChainPlanFactory, CostConfig};
 use crate::chain::ChainSpec;
 use crate::migration::{
@@ -83,7 +89,7 @@ use crate::migration::{
 };
 use crate::planner::{PlannerOptions, CHAIN_ENTRY};
 use crate::query::{JoinQuery, QueryWorkload};
-use crate::recovery::{caught, Recovery, RecoveryConfig, RecoveryLog};
+use crate::recovery::{caught, CheckpointRecord, Recovery, RecoveryConfig, RecoveryRecord};
 
 /// How a split migrates the affected state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -361,7 +367,7 @@ fn credit_sinks(active: &mut HashMap<String, QueryResults>, plan: &Plan) {
     }
 }
 
-/// What one migration event did and what it cost.
+/// What one migration did and what it cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationRecord {
     /// Epoch index after the migration (epoch 0 is the launch workload).
@@ -399,6 +405,56 @@ pub struct QueryResults {
     pub collected: Vec<Tuple>,
 }
 
+/// One entry of a session's timeline ([`Session::events`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum SessionEvent {
+    /// A checkpoint became the durable cut: at launch, on the epoch
+    /// interval, forced by a full replay ring, or at the end of a migration
+    /// (directly after its `Migration`).
+    Checkpoint(CheckpointRecord),
+    /// A failed run was restored from the durable cut and replayed.
+    Recovery(RecoveryRecord),
+    /// A query churn, re-plan or rescale re-cut the running chain.
+    Migration(MigrationRecord),
+    /// The adaptive supervisor confirmed drift and decided; an applied
+    /// re-plan or rescale is directly followed by its `Migration`.
+    Adaptation(AdaptationRecord),
+}
+
+impl SessionEvent {
+    /// The checkpoint, if this is one.
+    pub fn checkpoint(&self) -> Option<&CheckpointRecord> {
+        match self {
+            SessionEvent::Checkpoint(record) => Some(record),
+            _ => None,
+        }
+    }
+
+    /// The recovery, if this is one.
+    pub fn recovery(&self) -> Option<&RecoveryRecord> {
+        match self {
+            SessionEvent::Recovery(record) => Some(record),
+            _ => None,
+        }
+    }
+
+    /// The migration, if this is one.
+    pub fn migration(&self) -> Option<&MigrationRecord> {
+        match self {
+            SessionEvent::Migration(record) => Some(record),
+            _ => None,
+        }
+    }
+
+    /// The adaptation decision, if this is one.
+    pub fn adaptation(&self) -> Option<&AdaptationRecord> {
+        match self {
+            SessionEvent::Adaptation(record) => Some(record),
+            _ => None,
+        }
+    }
+}
+
 /// Everything a finished session produced.
 #[derive(Debug)]
 pub struct SessionOutcome {
@@ -408,10 +464,8 @@ pub struct SessionOutcome {
     /// Per-query-instance results, in lifetime order (finished instances
     /// first, then the queries still active at finish).
     pub queries: Vec<QueryResults>,
-    /// One record per migration event.
-    pub migrations: Vec<MigrationRecord>,
-    /// Every checkpoint and crash recovery.
-    pub recovery: RecoveryLog,
+    /// The session's timeline ([`Session::events`]).
+    pub events: Vec<SessionEvent>,
 }
 
 impl SessionOutcome {
@@ -422,7 +476,10 @@ impl SessionOutcome {
 
     /// Total migration stall time in seconds.
     pub fn total_pause_secs(&self) -> f64 {
-        self.migrations.iter().map(|m| m.pause_secs).sum()
+        self.events
+            .iter()
+            .filter_map(SessionEvent::migration)
+            .fold(0.0, |total, m| total + m.pause_secs)
     }
 }
 
@@ -439,11 +496,15 @@ pub struct SessionOptions {
     pub mode: MigrationMode,
     /// Checkpoint interval and replay-ring bounds of crash recovery.
     pub recovery: RecoveryConfig,
+    /// Adaptive re-optimization: the statistics the launch plan is costed
+    /// with and the supervisor's thresholds.  `None` never re-plans on its
+    /// own.
+    pub adaptive: Option<(CostConfig, SupervisorConfig)>,
 }
 
 /// The one owner of a running (possibly sharded) chain executor: online
-/// add/remove of queries, re-plans, shard rescales and crash recovery.  See
-/// the module docs for the protocol.
+/// add/remove of queries, re-plans, shard rescales, crash recovery and
+/// adaptive re-optimization.  See the module docs for the protocol.
 #[derive(Debug)]
 pub struct Session {
     workload: QueryWorkload,
@@ -454,11 +515,13 @@ pub struct Session {
     shard_hw: Vec<PurgeWatermarks>,
     active: HashMap<String, QueryResults>,
     finished: Vec<QueryResults>,
-    migrations: Vec<MigrationRecord>,
+    /// Every boundary event, in the order it happened.
+    events: Vec<SessionEvent>,
     /// Cumulative reports of executors retired by shard-count rescaling.
     retired: Option<ExecutionReport>,
     epoch: u64,
     recovery: Recovery,
+    pub(crate) supervisor: Option<Supervisor>,
 }
 
 impl Session {
@@ -469,7 +532,10 @@ impl Session {
         let spec = options.strategy.spec_for(&workload)?;
         let exec = ChainPlanFactory::new(workload.clone(), spec.clone(), options.planner)
             .sharded_with_config(options.executor.clone())?;
-        let recovery = Recovery::launch(options.recovery, &exec)?;
+        let (recovery, launched) = Recovery::launch(options.recovery, &exec)?;
+        let supervisor = options
+            .adaptive
+            .map(|(declared, config)| Supervisor::launch(declared, config));
         let active = workload
             .queries()
             .iter()
@@ -483,10 +549,11 @@ impl Session {
             exec,
             active,
             finished: Vec::new(),
-            migrations: Vec::new(),
+            events: vec![SessionEvent::Checkpoint(launched)],
             retired: None,
             epoch: 0,
             recovery,
+            supervisor,
         })
     }
 
@@ -532,9 +599,9 @@ impl Session {
     }
 
     /// Switch the chain buildup strategy and immediately re-plan the current
-    /// workload under it (the adaptive supervisor's entry point).  If the new
-    /// strategy derives the same slice boundaries, this is a true no-op: no
-    /// pause, no plan swap, no migration record.
+    /// workload under it (how an adaptive drain applies a re-plan).  If the
+    /// new strategy derives the same slice boundaries, this is a true no-op:
+    /// no pause, no plan swap, no migration record.
     pub fn set_strategy(
         &mut self,
         strategy: SliceStrategy,
@@ -542,14 +609,6 @@ impl Session {
     ) -> Result<()> {
         self.options.strategy = strategy;
         self.reslice(self.workload.clone(), reason.into())
-    }
-
-    /// Drain to a punctuation boundary and sample the windowed runtime
-    /// statistics (arrival rates, operator selectivities, live state) merged
-    /// across all shards.
-    pub fn stats_snapshot(&mut self) -> Result<streamkit::StatsSnapshot> {
-        self.drain()?;
-        Ok(self.exec.stats_snapshot())
     }
 
     /// The running executor (state inspection in tests and tools).
@@ -563,7 +622,7 @@ impl Session {
         &mut self.exec
     }
 
-    /// The checkpoint, replay ring and log of crash recovery.
+    /// The checkpoint and replay ring of crash recovery.
     pub fn recovery(&self) -> &Recovery {
         &self.recovery
     }
@@ -578,9 +637,10 @@ impl Session {
         self.epoch
     }
 
-    /// Migration records so far.
-    pub fn migrations(&self) -> &[MigrationRecord] {
-        &self.migrations
+    /// The timeline so far: every checkpoint, recovery, migration and
+    /// adaptation decision, in the order it happened.
+    pub fn events(&self) -> &[SessionEvent] {
+        &self.events
     }
 
     /// Ingest one item into the chain entry (tuples are hash-routed to their
@@ -591,11 +651,12 @@ impl Session {
     pub fn ingest(&mut self, item: impl Into<StreamItem>) -> Result<()> {
         let item = item.into();
         if self.recovery.is_full() {
-            // The drain makes everything buffered so far part of a durable
+            // Settling makes everything buffered so far part of a durable
             // cut, unless its interval checkpoint already did.
-            self.drain()?;
+            self.settle()?;
             if self.recovery.ring_len() > 0 {
-                self.recovery.checkpoint(&self.exec, true)?;
+                let forced = self.recovery.checkpoint(&self.exec, true)?;
+                self.events.push(SessionEvent::Checkpoint(forced));
             }
         }
         self.recovery.record(&item);
@@ -634,11 +695,38 @@ impl Session {
         Ok(())
     }
 
+    /// The boundary sequence: run the executor to quiescence (a punctuation
+    /// boundary), recovering from a worker failure if one surfaces,
+    /// checkpoint if the punctuation-epoch interval has elapsed, and on an
+    /// adaptive session sample the windowed runtime statistics merged across
+    /// all shards, check them for drift and apply the re-plan or rescale the
+    /// supervisor decides on (logged before the migration that carries it
+    /// out).  Returns the cumulative report as of the settled boundary.
+    pub fn drain(&mut self) -> Result<ExecutionReport> {
+        let report = self.settle()?;
+        let Some(mut supervisor) = self.supervisor.take() else {
+            return Ok(report);
+        };
+        let snapshot = self.exec.stats_snapshot();
+        let decided = supervisor.decide(self, &snapshot);
+        self.supervisor = Some(supervisor);
+        if let Some((record, remedy)) = decided? {
+            self.events.push(SessionEvent::Adaptation(record));
+            match remedy {
+                Some(Remedy::Replan(strategy, reason)) => self.set_strategy(strategy, reason)?,
+                Some(Remedy::Rescale(shards)) => self.rescale_shards(shards)?,
+                None => {}
+            }
+        }
+        Ok(report)
+    }
+
     /// Run the executor to quiescence (a punctuation boundary), recovering
     /// from a worker failure if one surfaces, then checkpoint if the
-    /// punctuation-epoch interval has elapsed.  Returns the cumulative
-    /// report so far.
-    pub fn drain(&mut self) -> Result<ExecutionReport> {
+    /// punctuation-epoch interval has elapsed.  Every drain inside the
+    /// session's own operations stops here, short of the adaptive policy.
+    /// Returns the cumulative report so far.
+    fn settle(&mut self) -> Result<ExecutionReport> {
         let report = match caught(AssertUnwindSafe(|| self.exec.run())) {
             Ok(report) => report,
             Err(StreamError::WorkerFailed(trigger)) => {
@@ -648,7 +736,8 @@ impl Session {
             Err(other) => return Err(other),
         };
         if self.recovery.due(&self.exec) {
-            self.recovery.checkpoint(&self.exec, false)?;
+            let interval = self.recovery.checkpoint(&self.exec, false)?;
+            self.events.push(SessionEvent::Checkpoint(interval));
         }
         Ok(match &self.retired {
             None => report,
@@ -684,8 +773,16 @@ impl Session {
             self.route(item)?;
         }
         self.exec.run()?;
-        self.recovery
-            .recovered(trigger, replayed, dropped, started, restore_secs);
+        let cut = self.recovery.last_checkpoint();
+        self.events.push(SessionEvent::Recovery(RecoveryRecord {
+            checkpoint_seq: cut.seq,
+            checkpoint_epoch: cut.epoch,
+            trigger,
+            replayed,
+            dropped_inflight: dropped,
+            recovery_secs: started.elapsed().as_secs_f64(),
+            restore_secs,
+        }));
         Ok(())
     }
 
@@ -759,7 +856,7 @@ impl Session {
         // Drain in-flight work (ordinary execution), then stall.  The
         // rehash and the restore run on data and on the new executor, so a
         // failed rescale leaves the session untouched.
-        let report = self.drain()?;
+        let report = self.settle()?;
         let pause_start = Instant::now();
         let factory = self.factory(&self.workload, &self.spec, new_shards);
         let shard_spec = factory.shard_spec().ok_or_else(|| {
@@ -776,6 +873,11 @@ impl Session {
         let tuples_moved = states.iter().flatten().map(WindowState::len).sum();
         let rehashed = rehash_shard_states(states, new_shards, &shard_spec)?;
         let mut fresh = factory.sharded_with_config(self.options.executor.clone())?;
+        // Continue the stream-level statistics series before the cut
+        // captures the fresh shards' ingest watermark.
+        for shard in fresh.shards_mut() {
+            shard.continue_stats_of(self.exec.shards());
+        }
         let cut = self.recovery.restore_windows(&mut fresh, rehashed)?;
         // Retire the old executor (its cumulative report was taken above),
         // closing the epoch's sink ledgers from its plans.
@@ -783,7 +885,6 @@ impl Session {
         for shard in old.shards() {
             credit_sinks(&mut self.active, shard.plan());
         }
-        self.recovery.adopt(cut, false);
         // A new shard's per-stream last-male timestamps cannot be
         // reconstructed from the surviving state, so every shard
         // conservatively adopts the global per-stream maxima.  Future tuples
@@ -801,7 +902,7 @@ impl Session {
         ];
         self.retired = Some(report);
         self.epoch += 1;
-        self.migrations.push(MigrationRecord {
+        let record = MigrationRecord {
             epoch: self.epoch,
             reason: format!("rescale {old_shards}->{new_shards}"),
             merges: 0,
@@ -809,7 +910,8 @@ impl Session {
             tuples_moved,
             tuples_dropped: 0,
             pause_secs: pause_start.elapsed().as_secs_f64(),
-        });
+        };
+        self.close_migration(record, cut);
         Ok(())
     }
 
@@ -817,7 +919,7 @@ impl Session {
     fn reslice(&mut self, new_workload: QueryWorkload, reason: String) -> Result<()> {
         // 1. Drain the in-flight queues to a punctuation boundary, recovering
         //    a crash first.  This is ordinary execution, not stall time.
-        self.drain()?;
+        self.settle()?;
         // 2. Re-plan and diff, and materialise the new plan instances (fresh
         //    union/router/sink wiring for the changed query set).  All the
         //    user-input-fallible work happens here, *before* anything is
@@ -841,9 +943,9 @@ impl Session {
         self.exec.pause();
         let result = self.migrate(&edits, plans);
         self.exec.resume();
-        let stats = result?;
+        let (stats, cut) = result?;
         self.epoch += 1;
-        self.migrations.push(MigrationRecord {
+        let record = MigrationRecord {
             epoch: self.epoch,
             reason,
             merges: edits.merges(),
@@ -851,7 +953,8 @@ impl Session {
             tuples_moved: stats.tuples_moved,
             tuples_dropped: stats.tuples_dropped,
             pause_secs: pause_start.elapsed().as_secs_f64(),
-        });
+        };
+        self.close_migration(record, cut);
         self.workload = new_workload;
         self.spec = new_spec;
         Ok(())
@@ -859,10 +962,14 @@ impl Session {
 
     /// Read every shard's slice states and apply the edits to that data,
     /// then swap `plans` in, close the epoch's sink ledgers from the retired
-    /// plans (each is returned, and so harvested, exactly once), restore the
-    /// migrated states into the new plans through their checkpoint and adopt
-    /// that checkpoint as the durable cut.
-    fn migrate(&mut self, edits: &ChainEditPlan, plans: Vec<Plan>) -> Result<ChainEditStats> {
+    /// plans (each is returned, and so harvested, exactly once) and restore
+    /// the migrated states into the new plans through their checkpoint,
+    /// which is returned for the caller to adopt.
+    fn migrate(
+        &mut self,
+        edits: &ChainEditPlan,
+        plans: Vec<Plan>,
+    ) -> Result<(ChainEditStats, Checkpoint)> {
         let mut stats = ChainEditStats::default();
         let mut migrated = Vec::with_capacity(plans.len());
         for (shard, watermarks) in self.exec.shards().iter().zip(&self.shard_hw) {
@@ -876,14 +983,21 @@ impl Session {
             credit_sinks(&mut self.active, &old);
         }
         let cut = self.recovery.restore_windows(&mut self.exec, migrated)?;
-        self.recovery.adopt(cut, false);
-        Ok(stats)
+        Ok((stats, cut))
+    }
+
+    /// Log a finished migration, then adopt the checkpoint it restored as
+    /// the durable cut and log that: every migration ends in its checkpoint.
+    fn close_migration(&mut self, record: MigrationRecord, cut: Checkpoint) {
+        self.events.push(SessionEvent::Migration(record));
+        let adopted = self.recovery.adopt(cut, false);
+        self.events.push(SessionEvent::Checkpoint(adopted));
     }
 
     /// Drain remaining work, close every ledger and return the session's
     /// outcome.
     pub fn finish(mut self) -> Result<SessionOutcome> {
-        let report = self.drain()?;
+        let report = self.settle()?;
         for shard in self.exec.shards() {
             credit_sinks(&mut self.active, shard.plan());
         }
@@ -894,8 +1008,7 @@ impl Session {
         Ok(SessionOutcome {
             report,
             queries,
-            migrations: self.migrations,
-            recovery: self.recovery.into_log(),
+            events: self.events,
         })
     }
 }
@@ -1008,7 +1121,7 @@ mod tests {
         assert!(matches!(live.strategy(), SliceStrategy::CpuOpt(_)));
         assert_eq!(live.spec(), &spec_before);
         assert_eq!(live.epoch(), 0);
-        assert!(live.migrations().is_empty());
+        assert_eq!(migrations(live.events()).count(), 0);
         // Warm state survived: later arrivals still join earlier ones.
         live.ingest(keyed(10, StreamId::A, 1)).unwrap();
         live.ingest(keyed(10, StreamId::B, 1)).unwrap();
@@ -1134,7 +1247,6 @@ mod tests {
 
     #[test]
     fn a_migration_adopts_the_checkpoint_it_restored() {
-        use streamkit::checkpoint::Checkpoint;
         let options = SessionOptions {
             // No interval checkpoints: every checkpoint below is a migration's.
             recovery: RecoveryConfig {
@@ -1161,16 +1273,14 @@ mod tests {
         for (k, (name, step)) in steps.into_iter().enumerate() {
             live.ingest_all(all[40 * k..40 * (k + 1)].to_vec()).unwrap();
             live.drain().unwrap();
-            let before = live.recovery().log().checkpoints().len();
+            let before = live.events().len();
             step(&mut live).unwrap();
-            let log = live.recovery().log();
-            assert_eq!(
-                log.checkpoints().len(),
-                before + 1,
-                "{name}: one checkpoint"
-            );
+            let [SessionEvent::Migration(_), SessionEvent::Checkpoint(record)] =
+                &live.events()[before..]
+            else {
+                panic!("{name}: not one migration and its checkpoint");
+            };
             let cut = live.recovery().last_checkpoint();
-            let record = log.checkpoints().last().unwrap();
             assert_eq!((record.seq, record.forced), (cut.seq, false), "{name}");
             assert!(
                 cut.state_tuples() > 0,
@@ -1183,7 +1293,116 @@ mod tests {
             );
         }
         assert_eq!(live.num_shards(), 2);
-        assert_eq!(live.migrations().len(), 6);
+        assert_eq!(migrations(live.events()).count(), 6);
+    }
+
+    fn migrations(events: &[SessionEvent]) -> impl Iterator<Item = &MigrationRecord> {
+        events.iter().filter_map(SessionEvent::migration)
+    }
+
+    #[test]
+    fn the_timeline_orders_every_boundary_event() {
+        use crate::adaptive::{AdaptationAction, SupervisorConfig};
+        use streamkit::fault::FaultPlan;
+        use streamkit::punctuation::Punctuation;
+        let declared = CostConfig {
+            lambda_a: 1.0,
+            lambda_b: 1.0,
+            sel_join: 0.2,
+            csys: 1.0,
+        };
+        let eager = SupervisorConfig {
+            rate_ratio: 1e9,
+            sel_ratio: 3.0,
+            confirm: 1,
+            warmup_secs: 8.0,
+            horizon_secs: 200.0,
+            pause_cost_per_tuple: 1.0,
+            ..SupervisorConfig::default()
+        };
+        let options = SessionOptions {
+            adaptive: Some((declared, eager)),
+            ..test_options()
+        };
+        let mut live = Session::launch(workload(&[4, 16]), options).unwrap();
+        // One tuple per stream and one punctuation per second; from t = 20
+        // on the streams stop joining, which collapses the measured S⋈.
+        let feed = |live: &mut Session, from: u64| {
+            for t in from..from + 20 {
+                let (a, b) = if t < 20 { (0, 0) } else { (1_000, 2_000) };
+                live.ingest(keyed(t, StreamId::A, a + (t % 5) as i64))
+                    .unwrap();
+                live.ingest(keyed(t, StreamId::B, b + (t % 5) as i64))
+                    .unwrap();
+                live.ingest(Punctuation::new(Timestamp::from_secs(t)))
+                    .unwrap();
+            }
+        };
+        feed(&mut live, 0);
+        live.drain().unwrap();
+        // The first collapsed window is where the policy confirms drift, so
+        // a policy inside the add's drain would log a decision here.
+        feed(&mut live, 20);
+        let before = live.events().len();
+        live.add_query(JoinQuery::new("Q9", secs(9))).unwrap();
+        let added = &live.events()[before..];
+        assert!(
+            !added.iter().any(|e| e.adaptation().is_some()),
+            "the policy ran inside the add's drain: {added:?}"
+        );
+        live.drain().unwrap();
+        // A crash a few epochs into the next window, recovered inline.
+        live.executor_mut()
+            .arm_fault(0, FaultPlan::panic_at(45))
+            .unwrap();
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        feed(&mut live, 40);
+        std::panic::set_hook(hook);
+        live.drain().unwrap();
+
+        let events = live.events();
+        assert!(
+            matches!(&events[0], SessionEvent::Checkpoint(c) if c.seq == 0),
+            "launch checkpoint first: {:?}",
+            events[0]
+        );
+        // Checkpoint seq counts the checkpoints before it.
+        let seqs: Vec<u64> = events
+            .iter()
+            .filter_map(SessionEvent::checkpoint)
+            .map(|c| c.seq)
+            .collect();
+        assert_eq!(seqs, (0..seqs.len() as u64).collect::<Vec<_>>());
+        let position = |found: &dyn Fn(&SessionEvent) -> bool| {
+            events.iter().position(found).expect("event logged")
+        };
+        let replan = position(&|e| {
+            matches!(
+                e.adaptation().map(|r| &r.action),
+                Some(AdaptationAction::Replan { .. })
+            )
+        });
+        assert!(
+            matches!(&events[replan + 1], SessionEvent::Migration(m) if m.reason.starts_with("adapt: ")),
+            "the re-plan's migration follows it: {:?}",
+            events[replan + 1]
+        );
+        assert!(
+            matches!(&events[replan + 2], SessionEvent::Checkpoint(c) if !c.forced),
+            "the migration's checkpoint follows it: {:?}",
+            events[replan + 2]
+        );
+        let add = position(&|e| e.migration().is_some_and(|m| m.reason == "add Q9"));
+        assert!(add < replan, "the add ran before the decision");
+        assert!(
+            matches!(&events[add + 1], SessionEvent::Checkpoint(c) if !c.forced),
+            "the add's checkpoint follows it: {:?}",
+            events[add + 1]
+        );
+        let recovery = position(&|e| e.recovery().is_some());
+        assert!(replan + 2 < recovery, "the crash came after the re-plan");
+        assert_eq!(events.iter().filter(|e| e.recovery().is_some()).count(), 1);
     }
 
     fn test_options() -> SessionOptions {
@@ -1226,7 +1445,7 @@ mod tests {
         live.ingest_all(rest).unwrap();
         let outcome = live.finish().unwrap();
         assert_eq!(outcome.queries.len(), 3);
-        assert_eq!(outcome.migrations.len(), 2);
+        assert_eq!(migrations(&outcome.events).count(), 2);
         assert!(outcome.total_pause_secs() >= 0.0);
         // The long-lived query saw the whole stream.
         let q20 = outcome.query("Q20").unwrap();
@@ -1272,9 +1491,10 @@ mod tests {
             assert_eq!(fa, fb, "rescale changed {name}'s results");
             assert!(!fa.is_empty());
         }
-        assert_eq!(ob.migrations.len(), 1);
-        assert_eq!(ob.migrations[0].reason, "rescale 1->4");
-        assert!(ob.migrations[0].tuples_moved > 0);
+        let rescales: Vec<_> = migrations(&ob.events).collect();
+        assert_eq!(rescales.len(), 1);
+        assert_eq!(rescales[0].reason, "rescale 1->4");
+        assert!(rescales[0].tuples_moved > 0);
         // Top-line stats survive the executor replacement.
         assert_eq!(oa.report.ingested, ob.report.ingested);
         assert_eq!(oa.report.sink_counts, ob.report.sink_counts);

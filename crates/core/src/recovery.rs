@@ -11,8 +11,8 @@
 //! consistent cut ([`streamkit::checkpoint`]).
 //!
 //! Every [`Session`](crate::live::Session) owns one [`Recovery`] — the last
-//! durable [`Checkpoint`], the replay ring and the [`RecoveryLog`] — and
-//! runs this protocol on it:
+//! durable [`Checkpoint`] and the replay ring — and runs this protocol on
+//! it:
 //!
 //! 1. every item the session ingests is also appended to a bounded **replay
 //!    ring** (clones of the source items, in arrival order),
@@ -42,13 +42,12 @@
 //!
 //! A full ring never drops an item: the session drains and forces an early
 //! checkpoint, which empties the ring, so recovery stays exact however
-//! small the ring is.  Every checkpoint and recovery is appended to a
-//! [`RecoveryLog`], mirroring the adaptive supervisor's
-//! [`crate::AdaptationLog`].
+//! small the ring is.  Every checkpoint and recovery is appended to the
+//! session's timeline ([`SessionEvent`](crate::live::SessionEvent)), beside
+//! its migrations and adaptation decisions.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 use streamkit::checkpoint::{Checkpoint, NodeState, WindowState};
 use streamkit::error::{panic_message, Result, StreamError};
@@ -76,10 +75,11 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// One captured checkpoint (log entry).
+/// One checkpoint that became the durable cut (timeline entry).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointRecord {
-    /// Checkpoint sequence number.
+    /// Checkpoint sequence number: the number of checkpoints before this
+    /// one (the launch checkpoint is 0).
     pub seq: u64,
     /// Punctuation epoch the checkpoint is aligned to.
     pub epoch: u64,
@@ -107,7 +107,7 @@ impl CheckpointRecord {
     }
 }
 
-/// One completed crash recovery (log entry).
+/// One completed crash recovery (timeline entry).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryRecord {
     /// Sequence number of the checkpoint that was restored.
@@ -130,44 +130,9 @@ pub struct RecoveryRecord {
     pub restore_secs: f64,
 }
 
-/// Append-only record of every checkpoint and recovery, mirroring the
-/// adaptive supervisor's [`crate::AdaptationLog`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RecoveryLog {
-    checkpoints: Vec<CheckpointRecord>,
-    recoveries: Vec<RecoveryRecord>,
-}
-
-impl RecoveryLog {
-    /// Every captured checkpoint, in capture order.
-    pub fn checkpoints(&self) -> &[CheckpointRecord] {
-        &self.checkpoints
-    }
-
-    /// Every completed recovery, in completion order.
-    pub fn recoveries(&self) -> &[RecoveryRecord] {
-        &self.recoveries
-    }
-
-    /// Checkpoints forced by a full replay ring.
-    pub fn forced_checkpoints(&self) -> usize {
-        self.checkpoints.iter().filter(|c| c.forced).count()
-    }
-
-    /// `true` when nothing ever crashed.
-    pub fn is_clean(&self) -> bool {
-        self.recoveries.is_empty()
-    }
-
-    /// The latest recovery.
-    pub fn last_recovery(&self) -> Option<&RecoveryRecord> {
-        self.recoveries.last()
-    }
-}
-
 /// The recovery state a [`Session`](crate::live::Session) owns: the last
-/// durable checkpoint, the replay ring of everything ingested since, and the
-/// log.  See the module docs for the protocol.
+/// durable checkpoint and the replay ring of everything ingested since.  See
+/// the module docs for the protocol.
 #[derive(Debug)]
 pub struct Recovery {
     config: RecoveryConfig,
@@ -179,13 +144,15 @@ pub struct Recovery {
     last: Checkpoint,
     /// Largest tuple/punctuation timestamp ingested so far.
     watermark: Timestamp,
-    log: RecoveryLog,
 }
 
 impl Recovery {
     /// Validate the configuration and take the launch checkpoint of a
     /// freshly built (empty) executor.
-    pub(crate) fn launch(config: RecoveryConfig, exec: &ShardedExecutor) -> Result<Self> {
+    pub(crate) fn launch(
+        config: RecoveryConfig,
+        exec: &ShardedExecutor,
+    ) -> Result<(Self, CheckpointRecord)> {
         if config.checkpoint_every_epochs == 0 {
             return Err(StreamError::InvalidConfig(
                 "checkpoint_every_epochs must be at least 1".to_string(),
@@ -197,26 +164,17 @@ impl Recovery {
             ));
         }
         let last = Checkpoint::capture(exec, 0, Timestamp::ZERO)?;
-        let log = RecoveryLog {
-            checkpoints: vec![CheckpointRecord::of(&last, 0, false)],
-            ..RecoveryLog::default()
-        };
-        Ok(Recovery {
+        let launched = CheckpointRecord::of(&last, 0, false);
+        let recovery = Recovery {
             config,
             ring: VecDeque::new(),
             last,
             watermark: Timestamp::ZERO,
-            log,
-        })
-    }
-
-    /// Every checkpoint and recovery so far.
-    pub fn log(&self) -> &RecoveryLog {
-        &self.log
+        };
+        Ok((recovery, launched))
     }
 
     /// The durable cut: the checkpoint a crash restores.
-    #[cfg(test)]
     pub(crate) fn last_checkpoint(&self) -> &Checkpoint {
         &self.last
     }
@@ -224,10 +182,6 @@ impl Recovery {
     /// Current replay-ring occupancy.
     pub fn ring_len(&self) -> usize {
         self.ring.len()
-    }
-
-    pub(crate) fn into_log(self) -> RecoveryLog {
-        self.log
     }
 
     /// `true` when the ring is full: the caller must drain and force a
@@ -261,26 +215,29 @@ impl Recovery {
 
     /// Capture the drained executor as the new durable cut and clear the
     /// replay ring.
-    pub(crate) fn checkpoint(&mut self, exec: &ShardedExecutor, forced: bool) -> Result<()> {
+    pub(crate) fn checkpoint(
+        &mut self,
+        exec: &ShardedExecutor,
+        forced: bool,
+    ) -> Result<CheckpointRecord> {
         let ckpt = self.capture(exec)?;
-        self.adopt(ckpt, forced);
-        Ok(())
+        Ok(self.adopt(ckpt, forced))
     }
 
     /// Capture the drained executor as the next checkpoint, without making
-    /// it the durable cut yet.
+    /// it the durable cut yet.  Every checkpoint becomes the cut once it is
+    /// logged, so the cut's successor is the next in sequence.
     fn capture(&self, exec: &ShardedExecutor) -> Result<Checkpoint> {
-        Checkpoint::capture(exec, self.log.checkpoints.len() as u64, self.watermark)
+        Checkpoint::capture(exec, self.last.seq + 1, self.watermark)
     }
 
-    /// Make `ckpt` — a capture of the running executor — the durable cut,
-    /// log it and clear the replay ring.
-    pub(crate) fn adopt(&mut self, ckpt: Checkpoint, forced: bool) {
-        self.log
-            .checkpoints
-            .push(CheckpointRecord::of(&ckpt, self.ring.len(), forced));
+    /// Make `ckpt` — a capture of the running executor — the durable cut and
+    /// clear the replay ring.  Returns the cut's timeline entry.
+    pub(crate) fn adopt(&mut self, ckpt: Checkpoint, forced: bool) -> CheckpointRecord {
+        let record = CheckpointRecord::of(&ckpt, self.ring.len(), forced);
         self.last = ckpt;
         self.ring.clear();
+        record
     }
 
     /// Move migrated slice state into freshly built plans the way a recovery
@@ -337,26 +294,6 @@ impl Recovery {
         exec.resume();
         restored
     }
-
-    /// Log one completed recovery from the last checkpoint.
-    pub(crate) fn recovered(
-        &mut self,
-        trigger: String,
-        replayed: u64,
-        dropped_inflight: u64,
-        started: Instant,
-        restore_secs: f64,
-    ) {
-        self.log.recoveries.push(RecoveryRecord {
-            checkpoint_seq: self.last.seq,
-            checkpoint_epoch: self.last.epoch,
-            trigger,
-            replayed,
-            dropped_inflight,
-            recovery_secs: started.elapsed().as_secs_f64(),
-            restore_secs,
-        });
-    }
 }
 
 /// Run an executor step, converting an escaped panic (the single-shard
@@ -375,7 +312,7 @@ pub(crate) fn caught<T>(step: AssertUnwindSafe<impl FnOnce() -> Result<T>>) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::{Session, SessionOptions};
+    use crate::live::{Session, SessionEvent, SessionOptions};
     use crate::planner::PlannerOptions;
     use crate::query::{JoinQuery, QueryWorkload};
     use streamkit::fault::FaultPlan;
@@ -432,6 +369,14 @@ mod tests {
         tuples.iter().map(key).collect()
     }
 
+    fn checkpoints(events: &[SessionEvent]) -> Vec<&CheckpointRecord> {
+        events.iter().filter_map(SessionEvent::checkpoint).collect()
+    }
+
+    fn recoveries(events: &[SessionEvent]) -> Vec<&RecoveryRecord> {
+        events.iter().filter_map(SessionEvent::recovery).collect()
+    }
+
     fn quiet<R>(f: impl FnOnce() -> R) -> R {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
@@ -459,22 +404,18 @@ mod tests {
                 ..RecoveryConfig::default()
             },
         );
-        assert_eq!(
-            session.recovery().log().checkpoints().len(),
-            1,
-            "launch checkpoint"
-        );
+        assert_eq!(checkpoints(session.events()).len(), 1, "launch checkpoint");
         feed(&mut session, 0..6);
         assert!(session.recovery().ring_len() > 0);
         session.drain().unwrap();
         // 6 punctuation epochs >= 0 + 3: checkpointed, ring cleared.
-        let log = session.recovery().log();
-        assert!(log.checkpoints().len() >= 2);
+        let logged = checkpoints(session.events());
+        assert!(logged.len() >= 2);
         assert_eq!(session.recovery().ring_len(), 0);
-        let last = log.checkpoints().last().unwrap();
+        let last = logged.last().unwrap();
         assert!(last.epoch >= 3);
         assert!(!last.forced);
-        assert!(log.is_clean());
+        assert!(recoveries(session.events()).is_empty());
     }
 
     #[test]
@@ -492,14 +433,13 @@ mod tests {
                 feed(&mut session, 12..24);
                 session.drain().unwrap();
             });
-            let log = session.recovery().log();
+            let logged = recoveries(session.events());
             assert_eq!(
-                log.recoveries().len(),
+                logged.len(),
                 1,
-                "{shards} shard(s): exactly one recovery, log: {:?}",
-                log.recoveries()
+                "{shards} shard(s): exactly one recovery, log: {logged:?}"
             );
-            let rec = log.last_recovery().unwrap();
+            let rec = logged[0];
             assert!(rec.trigger.contains("panic"), "trigger: {}", rec.trigger);
             assert!(rec.recovery_secs >= rec.restore_secs);
             assert_eq!(
@@ -524,7 +464,7 @@ mod tests {
             feed(&mut session, 12..24);
             session.drain().unwrap();
         });
-        assert_eq!(session.recovery().log().recoveries().len(), 1);
+        assert_eq!(recoveries(session.events()).len(), 1);
         assert_eq!(fingerprints(&session, "Q16"), expected);
     }
 
@@ -540,7 +480,7 @@ mod tests {
         session.drain().unwrap();
         feed(&mut session, 12..24);
         session.drain().unwrap();
-        assert!(session.recovery().log().is_clean());
+        assert!(recoveries(session.events()).is_empty());
         assert_eq!(fingerprints(&session, "Q16"), expected);
     }
 
@@ -555,7 +495,7 @@ mod tests {
             },
         );
         feed(&mut session, 0..10); // 30 items through a ring of 8
-        assert!(session.recovery().log().forced_checkpoints() > 0);
+        assert!(checkpoints(session.events()).iter().any(|c| c.forced));
         assert!(session.recovery().ring_len() < 8);
     }
 
@@ -593,7 +533,8 @@ mod tests {
             session.finish().unwrap()
         });
         assert!(outcome.report.sink_count("Q4") > 0);
-        assert_eq!(outcome.recovery.recoveries().len(), 1);
-        assert!(outcome.recovery.last_recovery().unwrap().replayed > 0);
+        let logged = recoveries(&outcome.events);
+        assert_eq!(logged.len(), 1);
+        assert!(logged[0].replayed > 0);
     }
 }

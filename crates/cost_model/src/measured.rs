@@ -4,9 +4,8 @@
 //! workload parameters — the arrival rates and selectivities a query was
 //! registered with.  Adaptive re-optimization instead feeds back values the
 //! executor actually measured (windowed arrival rates in stream-time
-//! tuples/second, per-operator selectivities, live per-slice state), so that
-//! re-costing Mem-Opt against CPU-Opt runs against reality rather than the
-//! original declaration.
+//! tuples/second, the join selectivity), so that re-costing Mem-Opt against
+//! CPU-Opt runs against reality rather than the original declaration.
 //!
 //! [`MeasuredParams`] is a plain carrier: every field is optional, and
 //! [`MeasuredParams::apply_to`] overlays only the fields that were actually
@@ -19,9 +18,8 @@ use crate::chain::ChainParams;
 /// Runtime-measured overrides for the declared chain parameters.
 ///
 /// Any field left `None` (or out of range) falls through to the declared
-/// value in [`MeasuredParams::apply_to`].  State vectors are carried per
-/// slice, in chain order, for memory-side re-costing and drift detection.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// value in [`MeasuredParams::apply_to`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MeasuredParams {
     /// Measured arrival rate of stream A, tuples per stream-time second.
     pub rate_a: Option<f64>,
@@ -32,33 +30,9 @@ pub struct MeasuredParams {
     /// Measured per-operator system overhead `C_sys`, comparisons-equivalent
     /// per input tuple per operator.
     pub csys: Option<f64>,
-    /// Live state population per slice, in chain order (tuples).
-    pub slice_state_tuples: Vec<usize>,
-    /// Live state footprint per slice, in chain order (bytes).
-    pub slice_state_bytes: Vec<usize>,
 }
 
 impl MeasuredParams {
-    /// True when no override of any kind was observed.
-    pub fn is_empty(&self) -> bool {
-        self.rate_a.is_none()
-            && self.rate_b.is_none()
-            && self.sel_join.is_none()
-            && self.csys.is_none()
-            && self.slice_state_tuples.is_empty()
-            && self.slice_state_bytes.is_empty()
-    }
-
-    /// Total live state across all slices, in tuples.
-    pub fn state_tuples(&self) -> usize {
-        self.slice_state_tuples.iter().sum()
-    }
-
-    /// Total live state across all slices, in bytes.
-    pub fn state_bytes(&self) -> usize {
-        self.slice_state_bytes.iter().sum()
-    }
-
     /// Overlay the measured values onto declared chain parameters.
     ///
     /// Rates and `csys` are taken when finite and non-negative; the join
@@ -102,10 +76,7 @@ mod tests {
     #[test]
     fn empty_measurement_changes_nothing() {
         let m = MeasuredParams::default();
-        assert!(m.is_empty());
         assert_eq!(m.apply_to(&declared()), declared());
-        assert_eq!(m.state_tuples(), 0);
-        assert_eq!(m.state_bytes(), 0);
     }
 
     #[test]
@@ -130,21 +101,8 @@ mod tests {
             rate_b: Some(-3.0),
             sel_join: Some(1.5),
             csys: Some(f64::INFINITY),
-            ..MeasuredParams::default()
         };
         assert_eq!(m.apply_to(&declared()), declared());
-    }
-
-    #[test]
-    fn state_vectors_sum_per_slice() {
-        let m = MeasuredParams {
-            slice_state_tuples: vec![100, 250],
-            slice_state_bytes: vec![6_400, 16_000],
-            ..MeasuredParams::default()
-        };
-        assert!(!m.is_empty());
-        assert_eq!(m.state_tuples(), 350);
-        assert_eq!(m.state_bytes(), 22_400);
     }
 
     #[test]

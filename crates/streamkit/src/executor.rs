@@ -491,6 +491,20 @@ impl Executor {
         self.punct_epochs = punct_epochs;
     }
 
+    /// Continue the stream-level statistics series of `old`, the executors
+    /// this fresh one takes over from mid-stream (a shard-count rescale): the
+    /// ingest watermark and the stream-time baseline start at their largest
+    /// ingested timestamp and snapshot numbering after their last snapshot,
+    /// so the next [`Executor::stats_snapshot`] measures the stream time
+    /// since the hand-over, not since stream time zero.
+    pub fn continue_stats_of(&mut self, old: &[Executor]) {
+        for prev in old {
+            self.ingest_max_ts_secs = self.ingest_max_ts_secs.max(prev.ingest_max_ts_secs);
+            self.stats_window.seq = self.stats_window.seq.max(prev.stats_window.seq);
+        }
+        self.stats_window.prev_stream_secs = self.ingest_max_ts_secs;
+    }
+
     /// Advance the punctuation-epoch clock and fire the armed fault when
     /// its trigger epoch is reached.  `Panic` unwinds right here, inside
     /// the worker's ingest (caught by the pool's `catch_unwind` barrier);

@@ -1,9 +1,9 @@
 //! Differential suite for adaptive re-optimization (`core::adaptive`).
 //!
 //! Property: the drift supervisor is **invisible in the results**.  Whatever
-//! re-plans it fires — strategy switches, chain re-cuts, vetoes — a live
-//! chain driven by `Supervisor::observe` delivers exactly the per-sink result
-//! multisets of a statically planned Mem-Opt chain fed the same input
+//! re-plans it fires — strategy switches, chain re-cuts, vetoes — an adaptive
+//! session drained at every observation point delivers exactly the per-sink
+//! result multisets of a statically planned Mem-Opt chain fed the same input
 //! (Theorem 1: all slicings of a workload are result-equivalent, and the
 //! migration protocol preserves state across re-cuts).
 //!
@@ -13,10 +13,8 @@
 //! incidental: equivalence must hold whether or not the supervisor acts.
 
 use proptest::prelude::*;
-use state_slice_repro::core::adaptive::{
-    AdaptationAction, AdaptationLog, DriftKind, Supervisor, SupervisorConfig,
-};
-use state_slice_repro::core::live::{Session, SessionOptions};
+use state_slice_repro::core::adaptive::{AdaptationAction, AdaptationRecord, SupervisorConfig};
+use state_slice_repro::core::live::{Session, SessionEvent, SessionOptions};
 use state_slice_repro::core::planner::{PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{ChainSpec, CostConfig, JoinQuery, QueryWorkload, SharedChainPlan};
@@ -41,7 +39,7 @@ fn workload() -> QueryWorkload {
 
 /// An eager supervisor: single-observation confirmation, a short warm-up and
 /// a near-free pause model, so random runs re-plan as often as possible.
-fn supervisor() -> Supervisor {
+fn supervisor() -> (CostConfig, SupervisorConfig) {
     let declared = CostConfig {
         lambda_a: 1.0,
         lambda_b: 1.0,
@@ -57,7 +55,7 @@ fn supervisor() -> Supervisor {
         pause_cost_per_tuple: 0.001,
         ..SupervisorConfig::default()
     };
-    Supervisor::new(declared, config)
+    (declared, config)
 }
 
 /// Build a timestamp-ordered input stream from (delta-tenths, is-A, key)
@@ -74,32 +72,46 @@ fn build_input(arrivals: &[(u64, bool, i64)]) -> Vec<Tuple> {
         .collect()
 }
 
-fn retaining_options() -> SessionOptions {
+/// An adaptive session that retains every result.
+fn adaptive_options() -> SessionOptions {
     SessionOptions {
         planner: PlannerOptions {
             retain_results: true,
             ..PlannerOptions::default()
         },
+        adaptive: Some(supervisor()),
         ..SessionOptions::default()
     }
 }
 
-/// Drive the live chain with the supervisor observing at every cut; return
-/// each query's sorted result fingerprints and the number of applied
-/// re-plans.
+/// The adaptation decisions on a timeline.
+type Decisions = Vec<AdaptationRecord>;
+
+fn decisions(events: &[SessionEvent]) -> Decisions {
+    events
+        .iter()
+        .filter_map(SessionEvent::adaptation)
+        .cloned()
+        .collect()
+}
+
+/// Drive the adaptive session, draining at every cut; return each query's
+/// sorted result fingerprints and the number of applied re-plans.
 fn adaptive_results(input: &[Tuple], cuts: &[usize]) -> (Vec<(String, Vec<Fingerprint>)>, usize) {
-    let mut live = Session::launch(workload(), retaining_options()).unwrap();
-    let mut sup = supervisor();
+    let mut live = Session::launch(workload(), adaptive_options()).unwrap();
     let mut done = 0usize;
     for &cut in cuts {
         let cut = cut.min(input.len());
         live.ingest_all(input[done..cut].to_vec()).unwrap();
         done = cut;
-        sup.observe(&mut live).unwrap();
+        live.drain().unwrap();
     }
     live.ingest_all(input[done..].to_vec()).unwrap();
-    let replans = sup.log().replans();
     let outcome = live.finish().unwrap();
+    let replans = decisions(&outcome.events)
+        .iter()
+        .filter(|r| matches!(r.action, AdaptationAction::Replan { .. }))
+        .count();
     let mut results: Vec<(String, Vec<Fingerprint>)> = outcome
         .queries
         .iter()
@@ -177,36 +189,6 @@ fn a_fired_replan_leaves_the_results_untouched() {
     assert!(replans >= 1, "the collapse must fire a live re-plan");
 }
 
-/// A log's decisions `(snapshot seq, trigger, action)`, without the
-/// wall-clock pause each applied action measured.
-type Decisions = Vec<(u64, DriftKind, AdaptationAction)>;
-
-fn decisions(log: &AdaptationLog) -> Decisions {
-    let untimed = |action: &AdaptationAction| match action.clone() {
-        AdaptationAction::Replan {
-            pause_secs: _,
-            strategy,
-            merges,
-            splits,
-        } => AdaptationAction::Replan {
-            strategy,
-            merges,
-            splits,
-            pause_secs: 0.0,
-        },
-        AdaptationAction::Rescale { from, to, .. } => AdaptationAction::Rescale {
-            from,
-            to,
-            pause_secs: 0.0,
-        },
-        other => other,
-    };
-    log.records()
-        .iter()
-        .map(|r| (r.seq, r.trigger, untimed(&r.action)))
-        .collect()
-}
-
 /// The adaptive session over punctuated input (a punctuation closes every
 /// whole second), with `fault` armed at launch.  Returns each query's
 /// sorted results, the supervisor's decisions and the recoveries.
@@ -215,11 +197,10 @@ fn punctuated_run(
     cuts: &[usize],
     fault: Option<FaultPlan>,
 ) -> (Vec<(String, Vec<Fingerprint>)>, Decisions, usize) {
-    let mut live = Session::launch(workload(), retaining_options()).unwrap();
+    let mut live = Session::launch(workload(), adaptive_options()).unwrap();
     if let Some(fault) = fault {
         live.executor_mut().arm_fault(0, fault).unwrap();
     }
-    let mut sup = supervisor();
     let mut next_sec = 1u64;
     let mut done = 0usize;
     for &cut in cuts.iter().chain([&input.len()]) {
@@ -232,7 +213,7 @@ fn punctuated_run(
             live.ingest(t.clone()).unwrap();
         }
         done = cut;
-        sup.observe(&mut live).unwrap();
+        live.drain().unwrap();
     }
     let outcome = live.finish().unwrap();
     let mut results: Vec<(String, Vec<Fingerprint>)> = outcome
@@ -245,11 +226,12 @@ fn punctuated_run(
         })
         .collect();
     results.sort();
-    (
-        results,
-        decisions(sup.log()),
-        outcome.recovery.recoveries().len(),
-    )
+    let recoveries = outcome
+        .events
+        .iter()
+        .filter_map(SessionEvent::recovery)
+        .count();
+    (results, decisions(&outcome.events), recoveries)
 }
 
 #[test]
@@ -265,7 +247,7 @@ fn a_crash_beside_a_fired_replan_changes_neither_decisions_nor_results() {
     assert!(
         clean_decisions
             .iter()
-            .any(|(_, _, action)| matches!(action, AdaptationAction::Replan { .. })),
+            .any(|r| matches!(r.action, AdaptationAction::Replan { .. })),
         "the collapse must fire a live re-plan: {clean_decisions:?}"
     );
     let hook = std::panic::take_hook();

@@ -35,7 +35,7 @@
 //! operator's result history (it restarts on rows).
 
 use proptest::prelude::*;
-use state_slice_repro::core::live::{MigrationMode, Session, SessionOptions};
+use state_slice_repro::core::live::{MigrationMode, Session, SessionEvent, SessionOptions};
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
@@ -369,8 +369,10 @@ fn check_churn_schedule(
         run_live(&input, initial, &cuts, &actions, shards, mode, 64);
     assert_eq!(row_batch_rows, 0, "the reference must stay on rows");
     assert!(col_batch_rows > 0, "the subject never went columnar");
-    assert_eq!(row_outcome.migrations.len(), actions.len());
-    assert_eq!(col_outcome.migrations.len(), actions.len());
+    for outcome in [&row_outcome, &col_outcome] {
+        let migrations = outcome.events.iter().filter_map(SessionEvent::migration);
+        assert_eq!(migrations.count(), actions.len());
+    }
     assert_eq!(
         instance_multisets(&row_outcome),
         instance_multisets(&col_outcome),

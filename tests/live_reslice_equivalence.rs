@@ -22,7 +22,9 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use state_slice_repro::core::live::{MigrationMode, Session, SessionOptions, SliceStrategy};
+use state_slice_repro::core::live::{
+    MigrationMode, Session, SessionEvent, SessionOptions, SliceStrategy,
+};
 use state_slice_repro::core::planner::{PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
@@ -362,7 +364,8 @@ fn check_schedule(
     let input = build_input(arrivals);
     let (cuts, actions) = resolve_schedule(schedule, input.len(), initial);
     let (outcome, live_states) = run_live(&input, initial, &cuts, &actions, shards, mode);
-    assert_eq!(outcome.migrations.len(), actions.len());
+    let migrations = outcome.events.iter().filter_map(SessionEvent::migration);
+    assert_eq!(migrations.count(), actions.len());
     let oracle = oracle_instances(&input, initial, &cuts, &actions);
     assert_live_matches_oracle(&outcome, &oracle);
     let fresh_states = reference_final_states(&input, &final_pool(initial, &actions), shards);

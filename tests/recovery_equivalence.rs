@@ -28,10 +28,10 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use state_slice_repro::core::planner::{PlannerOptions, CHAIN_ENTRY};
-use state_slice_repro::core::recovery::{RecoveryConfig, RecoveryLog};
+use state_slice_repro::core::recovery::{RecoveryConfig, RecoveryRecord};
 use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
-    ChainSpec, JoinQuery, QueryWorkload, Session, SessionOptions, SharedChainPlan,
+    ChainSpec, JoinQuery, QueryWorkload, Session, SessionEvent, SessionOptions, SharedChainPlan,
 };
 use state_slice_repro::streamkit::checkpoint::{Checkpoint, ShardCheckpoint};
 use state_slice_repro::streamkit::fault::FaultPlan;
@@ -163,14 +163,14 @@ fn drains(cuts: &[usize]) -> impl Iterator<Item = (usize, Step)> + '_ {
 /// Feed `seconds`, applying each `(at, step)` before second `at` (steps at
 /// `seconds.len()` run after the last second; later ones never run).
 /// Returns the per-instance results, the final per-shard states captured at
-/// a drained boundary, and the recovery log.
+/// a drained boundary, and the session's recoveries.
 fn drive(
     mut session: Session,
     mode: Mode,
     seconds: &[Second],
     steps: &[(usize, Step)],
     faulty: bool,
-) -> (Instances, Vec<ShardCheckpoint>, RecoveryLog) {
+) -> (Instances, Vec<ShardCheckpoint>, Vec<RecoveryRecord>) {
     for t in 0..=seconds.len() {
         for &(_, step) in steps.iter().filter(|(at, _)| *at == t) {
             match step {
@@ -216,39 +216,44 @@ fn drive(
         })
         .collect();
     results.sort();
-    (results, states, outcome.recovery)
+    let recoveries = outcome
+        .events
+        .iter()
+        .filter_map(SessionEvent::recovery)
+        .cloned()
+        .collect();
+    (results, states, recoveries)
 }
 
 /// The property: with the schedule's faults armed, results and final states
 /// must match an uninterrupted session fed the same input and actions.
-/// Returns the faulty session's recovery log.
+/// Returns the faulty session's recoveries.
 fn assert_equivalent(
     mode: Mode,
     shards: usize,
     every: u64,
     seconds: &[Second],
     steps: &[(usize, Step)],
-) -> RecoveryLog {
+) -> Vec<RecoveryRecord> {
     let oracle = launch(mode, shards, every);
     let (expected_results, expected_states, clean) = drive(oracle, mode, seconds, steps, false);
-    assert!(clean.is_clean(), "the uninterrupted session recovered");
+    assert!(clean.is_empty(), "the uninterrupted session recovered");
 
     let faulty = launch(mode, shards, every);
-    let (results, states, log) = quiet(|| drive(faulty, mode, seconds, steps, true));
+    let (results, states, recoveries) = quiet(|| drive(faulty, mode, seconds, steps, true));
 
     assert_eq!(
         results,
         expected_results,
         "recovered per-sink multisets diverged from the uninterrupted oracle \
-         ({} recoveries: {:?})",
-        log.recoveries().len(),
-        log.recoveries()
+         ({} recoveries: {recoveries:?})",
+        recoveries.len(),
     );
     assert_eq!(
         states, expected_states,
         "recovered per-shard per-slice states diverged from the oracle"
     );
-    log
+    recoveries
 }
 
 /// A launch-time fault plus drains after the `cuts` seconds.
@@ -272,8 +277,7 @@ fn a_worker_panic_at_a_punctuation_boundary_is_invisible() {
     let seconds = seconds_of(24, 1, 3, 5);
     let steps = faulted(FaultPlan::panic_at(9), &[5, 11, 17]);
     for shards in [1, 3] {
-        let log = assert_equivalent(Mode::Equi, shards, 4, &seconds, &steps);
-        let recoveries = log.recoveries().len();
+        let recoveries = assert_equivalent(Mode::Equi, shards, 4, &seconds, &steps).len();
         assert_eq!(recoveries, 1, "{shards} shard(s): the panic must fire once");
     }
 }
@@ -285,9 +289,7 @@ fn a_crash_with_band_indexed_states_is_invisible() {
     // is rebuilt from the checkpointed tuples and must behave identically.
     let seconds = seconds_of(24, 1, 5, 9);
     let steps = faulted(FaultPlan::panic_at(9), &[5, 11, 17]);
-    let recoveries = assert_equivalent(Mode::Band, 1, 4, &seconds, &steps)
-        .recoveries()
-        .len();
+    let recoveries = assert_equivalent(Mode::Band, 1, 4, &seconds, &steps).len();
     assert_eq!(recoveries, 1, "the panic must fire once");
 }
 
@@ -305,13 +307,9 @@ fn a_crash_after_a_replan_recovers_into_the_replanned_chain() {
                 (13, Step::Remove(4)),
                 (20, Step::Drain),
             ];
-            let log = assert_equivalent(mode, shards, 4, &seconds, &steps);
-            assert_eq!(
-                log.recoveries().len(),
-                1,
-                "{mode:?}/{shards}: crash {crash}"
-            );
-            let seq = log.last_recovery().unwrap().checkpoint_seq;
+            let recoveries = assert_equivalent(mode, shards, 4, &seconds, &steps);
+            assert_eq!(recoveries.len(), 1, "{mode:?}/{shards}: crash {crash}");
+            let seq = recoveries[0].checkpoint_seq;
             assert!(
                 seq >= 1,
                 "{mode:?}/{shards}: crash {crash} restored the launch checkpoint"
@@ -328,12 +326,12 @@ fn a_crash_inside_the_drain_a_reslice_starts_recovers_before_the_migration() {
     let seconds = seconds_of(24, 1, 3, 5);
     for (shards, fault) in [(1, FaultPlan::poison_at(9)), (3, FaultPlan::panic_at(9))] {
         let steps = [(0, Step::Arm(fault)), (12, Step::Add(9))];
-        let log = assert_equivalent(Mode::Equi, shards, 4, &seconds, &steps);
-        assert_eq!(log.recoveries().len(), 1, "{shards} shard(s)");
+        let recoveries = assert_equivalent(Mode::Equi, shards, 4, &seconds, &steps);
+        assert_eq!(recoveries.len(), 1, "{shards} shard(s)");
         // The launch checkpoint was restored and the whole pre-add input
         // (12 seconds, three items each) replayed: the recovery ran before
         // the migration's own checkpoint cleared the ring.
-        let rec = log.last_recovery().unwrap();
+        let rec = &recoveries[0];
         assert_eq!(
             (rec.checkpoint_seq, rec.replayed),
             (0, 36),
@@ -353,8 +351,8 @@ fn a_crash_after_a_rescale_recovers_at_the_new_shard_count() {
             (8, Step::Arm(FaultPlan::panic_at(5))),
             (18, Step::Drain),
         ];
-        let log = assert_equivalent(Mode::Equi, from, 4, &seconds, &steps);
-        assert_eq!(log.recoveries().len(), 1, "rescale {from}->{to}");
+        let recoveries = assert_equivalent(Mode::Equi, from, 4, &seconds, &steps);
+        assert_eq!(recoveries.len(), 1, "rescale {from}->{to}");
     }
 }
 

@@ -25,7 +25,7 @@
 
 use std::sync::Mutex;
 
-use state_slice_repro::core::live::{Session, SessionOptions};
+use state_slice_repro::core::live::{Session, SessionEvent, SessionOptions};
 use state_slice_repro::core::planner::PlannerOptions;
 use state_slice_repro::core::recovery::RecoveryConfig;
 use state_slice_repro::core::{JoinQuery, QueryWorkload};
@@ -285,7 +285,10 @@ fn kill_and_recover_soak_reuses_the_pool_and_keeps_counters_monotone() {
         }
         let report = sup.drain().unwrap();
         assert_eq!(
-            sup.recovery().log().recoveries().len(),
+            sup.events()
+                .iter()
+                .filter_map(SessionEvent::recovery)
+                .count(),
             round + 1,
             "round {round}: each armed panic fires exactly one recovery"
         );
@@ -297,7 +300,12 @@ fn kill_and_recover_soak_reuses_the_pool_and_keeps_counters_monotone() {
             "round {round}: router_stalls must stay monotone across recoveries"
         );
         last_stalls = report.totals.router_stalls;
-        let forced = sup.recovery().log().forced_checkpoints();
+        let forced = sup
+            .events()
+            .iter()
+            .filter_map(SessionEvent::checkpoint)
+            .filter(|c| c.forced)
+            .count();
         assert!(
             forced >= last_forced,
             "round {round}: forced checkpoints must be monotone"
@@ -310,6 +318,7 @@ fn kill_and_recover_soak_reuses_the_pool_and_keeps_counters_monotone() {
     // The soaked session still computes and shuts down clean.
     let outcome = sup.finish().unwrap();
     assert!(outcome.report.sink_count("QA") > 0, "anchor query starved");
-    assert_eq!(outcome.recovery.recoveries().len(), 4);
+    let recoveries = outcome.events.iter().filter_map(SessionEvent::recovery);
+    assert_eq!(recoveries.count(), 4);
     assert_workers_settle(0, "after finish");
 }
