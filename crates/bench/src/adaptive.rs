@@ -35,7 +35,7 @@ use crate::runner::{executor_config, perf_of, RunPerf};
 pub const SEL_HI: f64 = 0.1;
 /// Join selectivity of the collapsed middle phase.
 pub const SEL_LO: f64 = 0.002;
-/// Drains (statistics snapshots) per run (cadence = duration / this).
+/// Drains (measured statistics windows) per run (cadence = duration / this).
 pub const OBSERVATIONS: usize = 12;
 
 /// One executor variant's measured run.
@@ -290,7 +290,7 @@ fn supervisor_config() -> SupervisorConfig {
     SupervisorConfig {
         rate_ratio: 1.8,
         sel_ratio: 3.0,
-        // The snapshot cadence is coarse and the selectivity estimate is
+        // The drain cadence is coarse and the selectivity estimate is
         // EWMA-smoothed, so a single confirmed breach suffices.
         confirm: 1,
         ..SupervisorConfig::default()

@@ -9,9 +9,11 @@
 //! [`SessionOptions::adaptive`](crate::live::SessionOptions::adaptive) owns a
 //! supervisor that closes the loop at every [`Session::drain`]:
 //!
-//! 1. the drain samples a windowed [`StatsSnapshot`] of the settled session
-//!    (EWMA-smoothed stream-time arrival rates, measured join selectivity,
-//!    live per-slice state),
+//! 1. the supervisor windows the drained session's cumulative
+//!    [`ExecutionReport`] against the previous drain's: per-stream ingest
+//!    and sink deltas over the stream time between the two drains give
+//!    EWMA-smoothed arrival rates and the measured join selectivity, and
+//!    the report's final state size prices a migration,
 //! 2. a set of **drift detectors** with consecutive-confirmation hysteresis
 //!    compares it against the parameters the active plan was costed with
 //!    (rate ratio, selectivity ratio, total-rate spike / busiest-shard
@@ -41,8 +43,7 @@
 //! what the union delivers (Theorems 1–2).
 
 use streamkit::error::Result;
-use streamkit::stats::DEFAULT_STATS_ALPHA;
-use streamkit::StatsSnapshot;
+use streamkit::ExecutionReport;
 
 use ss_cost_model::MeasuredParams;
 
@@ -60,7 +61,7 @@ pub struct SupervisorConfig {
     /// Re-plan trigger: measured / current join-selectivity ratio (either
     /// direction) at or beyond this confirms selectivity drift.
     pub sel_ratio: f64,
-    /// Consecutive breached snapshots required before a detector fires
+    /// Consecutive breached windows required before a detector fires
     /// (hysteresis against transient noise).
     pub confirm: u32,
     /// Modeled migration cost per live state tuple, in comparisons
@@ -99,6 +100,11 @@ const SPIKE_RATIO: f64 = 2.0;
 /// Load-spike trigger: a busiest-shard share of routed tuples at or beyond
 /// this (only with more than one shard).
 const BUSY_SHARE: f64 = 0.85;
+
+/// EWMA weight of the newest window: each drain's window contributes half
+/// of the smoothed rates and selectivity, so they track drift within two or
+/// three windows without chasing single-window noise.
+const ALPHA: f64 = 0.5;
 
 /// Which drift detector confirmed (in detector order: the discriminant
 /// indexes the supervisor's streaks).
@@ -158,7 +164,7 @@ pub enum AdaptationAction {
 /// One confirmed drift decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptationRecord {
-    /// Snapshot sequence number the decision was taken on.
+    /// The supervisor's count of measured drains at the decision.
     pub seq: u64,
     /// Cumulative stream time at the decision, in seconds.
     pub stream_secs: f64,
@@ -187,8 +193,9 @@ pub(crate) enum Remedy {
     Rescale(usize),
 }
 
-/// The session-owned feedback controller: measures every drained snapshot,
-/// confirms drift and re-costs.  See the module docs for the protocol.
+/// The session-owned feedback controller: measures every drain's window of
+/// the session report, confirms drift and re-costs.  See the module docs
+/// for the protocol.
 #[derive(Debug)]
 pub(crate) struct Supervisor {
     config: SupervisorConfig,
@@ -197,13 +204,20 @@ pub(crate) struct Supervisor {
     current: CostConfig,
     /// Total rate the load-spike detector compares against.
     baseline_total_rate: f64,
-    /// The latest measurement.  Its `sel_join` is the supervisor-side EWMA
-    /// of the inverse-model selectivity estimate, carried across snapshots.
+    /// The latest measurement: EWMA arrival rates and the EWMA of the
+    /// inverse-model selectivity estimate, carried across windows.
     measured: MeasuredParams,
-    /// Cumulative stream time over all snapshots, in seconds.
+    /// EWMA arrival rates of streams A and B, tuples per stream-time second.
+    rates: [Option<f64>; 2],
+    /// Cumulative stream time over all measured windows, in seconds.
     stream_secs: f64,
-    /// Consecutive breached snapshots, per [`DriftKind`].
+    /// Consecutive breached windows, per [`DriftKind`].
     streaks: [u32; 3],
+    /// Drains measured so far.
+    drains: u64,
+    /// The previous drain's cumulative report: where the next window
+    /// starts.
+    last: ExecutionReport,
 }
 
 impl Supervisor {
@@ -215,42 +229,48 @@ impl Supervisor {
             current: declared,
             baseline_total_rate: declared.lambda_a + declared.lambda_b,
             measured: MeasuredParams::default(),
+            rates: [None; 2],
             stream_secs: 0.0,
             streaks: [0; 3],
+            drains: 0,
+            last: ExecutionReport::default(),
         }
     }
 
-    /// Measure one snapshot of the settled session `live` and check it for
-    /// drift.  Returns the decision a confirmed detector led to and, when
-    /// the decision is to be applied, the change the session makes.
+    /// Measure the window since the previous drain from the settled session
+    /// `live`'s cumulative `report` and check it for drift.  Returns the
+    /// decision a confirmed detector led to and, when the decision is to be
+    /// applied, the change the session makes.
     pub(crate) fn decide(
         &mut self,
         live: &Session,
-        snapshot: &StatsSnapshot,
+        report: &ExecutionReport,
     ) -> Result<Option<(AdaptationRecord, Option<Remedy>)>> {
-        if snapshot.stream_secs <= 0.0 {
+        self.drains += 1;
+        let window_secs = self.measure(live, report);
+        if window_secs <= 0.0 {
             return Ok(None);
         }
-        self.stream_secs += snapshot.stream_secs;
-        self.measure(live, snapshot);
+        self.stream_secs += window_secs;
         let cost = self.current.with_measured(&self.measured);
         if self.stream_secs < self.warmup_secs(live) {
             // Join states are still filling; rates and the inverse-model
             // selectivity both read low until one full window has passed.
             return Ok(None);
         }
-        let Some((trigger, detail)) = self.confirm_drift(live, &cost, snapshot) else {
+        let Some((trigger, detail)) = self.confirm_drift(live, &cost) else {
             return Ok(None);
         };
         // Conservative pause model: a re-cut or a rehash drains at most
         // every live state tuple once.
-        let modeled_pause = snapshot.state_tuples as f64 * self.config.pause_cost_per_tuple;
+        let modeled_pause =
+            report.memory.final_state_tuples as f64 * self.config.pause_cost_per_tuple;
         let (modeled_win, action, remedy) = match trigger {
             DriftKind::LoadSpike => self.rescale(live, cost, modeled_pause),
             _ => self.replan(live, cost, modeled_pause, &detail)?,
         };
         let record = AdaptationRecord {
-            seq: snapshot.seq,
+            seq: self.drains,
             stream_secs: self.stream_secs,
             trigger,
             measured: cost,
@@ -278,36 +298,59 @@ impl Supervisor {
         }
     }
 
-    /// Fold one snapshot into the cost-model measurement overlay.
-    fn measure(&mut self, live: &Session, snapshot: &StatsSnapshot) {
-        let sel_join = match (estimate_sel(live, snapshot), self.measured.sel_join) {
-            (Some(inst), Some(prev)) => {
-                Some(DEFAULT_STATS_ALPHA * inst + (1.0 - DEFAULT_STATS_ALPHA) * prev)
-            }
-            (inst, prev) => inst.or(prev),
-        };
+    /// Window the cumulative `report` against the previous drain's and fold
+    /// the window into the cost-model measurement overlay.  Returns the
+    /// stream time the window covers.  A window without stream-time
+    /// progress measures nothing (the smoothed values stand), but it still
+    /// moves the next window's start.
+    fn measure(&mut self, live: &Session, report: &ExecutionReport) -> f64 {
+        let last = std::mem::replace(&mut self.last, report.clone());
+        let window_secs = (report.ingest_max_ts_secs - last.ingest_max_ts_secs).max(0.0);
+        if window_secs <= 0.0 {
+            return 0.0;
+        }
+        let rates = [0, 1].map(|s| {
+            let delta = report.ingested_by_stream[s].saturating_sub(last.ingested_by_stream[s]);
+            let rate = smooth(self.rates[s], delta as f64 / window_secs);
+            self.rates[s] = Some(rate);
+            rate
+        });
+        // The inverse output model over the smallest-window query's
+        // deliveries in the window: `S⋈ = out_rate / (2·λ_A·λ_B·w)`.
+        let sel = live
+            .workload()
+            .queries()
+            .iter()
+            .min_by_key(|q| q.window)
+            .and_then(|q| {
+                let denom = 2.0 * rates[0] * rates[1] * q.window.as_secs_f64();
+                let out = report
+                    .sink_counts
+                    .get(&q.name)?
+                    .saturating_sub(last.sink_count(&q.name));
+                let out_rate = out as f64 / window_secs;
+                (denom > 0.0).then(|| (out_rate / denom).clamp(0.0, 1.0))
+            });
+        let prev_sel = self.measured.sel_join;
         self.measured = MeasuredParams {
-            rate_a: (snapshot.rate_a > 0.0).then_some(snapshot.rate_a),
-            rate_b: (snapshot.rate_b > 0.0).then_some(snapshot.rate_b),
-            sel_join,
+            rate_a: (rates[0] > 0.0).then_some(rates[0]),
+            rate_b: (rates[1] > 0.0).then_some(rates[1]),
+            sel_join: sel.map(|inst| smooth(prev_sel, inst)).or(prev_sel),
             csys: None,
         };
+        window_secs
     }
 
     /// Update every detector's streak and return the first one that reached
     /// the confirmation count, resetting its streak.
-    fn confirm_drift(
-        &mut self,
-        live: &Session,
-        cost: &CostConfig,
-        snapshot: &StatsSnapshot,
-    ) -> Option<(DriftKind, String)> {
+    fn confirm_drift(&mut self, live: &Session, cost: &CostConfig) -> Option<(DriftKind, String)> {
         let cur = &self.current;
+        let busiest_share = live.executor().router_stats().busiest_share();
         let rate_drift = ratio(cost.lambda_a, cur.lambda_a).max(ratio(cost.lambda_b, cur.lambda_b));
         let sel_drift = ratio(cost.sel_join, cur.sel_join);
         let total_rate = cost.lambda_a + cost.lambda_b;
         let spiked = total_rate >= SPIKE_RATIO * self.baseline_total_rate
-            || (live.num_shards() > 1 && snapshot.busiest_shard_share >= BUSY_SHARE);
+            || (live.num_shards() > 1 && busiest_share >= BUSY_SHARE);
         let breached = [
             rate_drift >= self.config.rate_ratio,
             sel_drift >= self.config.sel_ratio,
@@ -325,7 +368,7 @@ impl Supervisor {
             format!(
                 "load spike: total rate {total_rate:.1} vs baseline {:.1}, busiest shard {:.0}%",
                 self.baseline_total_rate,
-                100.0 * snapshot.busiest_shard_share
+                100.0 * busiest_share
             ),
         ];
         let mut fired = None;
@@ -462,24 +505,19 @@ fn ratio(a: f64, b: f64) -> f64 {
     (a / b).max(b / a)
 }
 
-/// Inverse-model join-selectivity estimate from the smallest-window query's
-/// output delta: `S⋈ = out_rate / (2·λ_A·λ_B·w)`.
-fn estimate_sel(live: &Session, snapshot: &StatsSnapshot) -> Option<f64> {
-    let q = live.workload().queries().iter().min_by_key(|q| q.window)?;
-    let w = q.window.as_secs_f64();
-    let denom = 2.0 * snapshot.rate_a * snapshot.rate_b * w;
-    if denom <= 0.0 || snapshot.stream_secs <= 0.0 {
-        return None;
+/// The EWMA after observing `inst`; the first observation seeds it.
+fn smooth(prev: Option<f64>, inst: f64) -> f64 {
+    match prev {
+        None => inst,
+        Some(p) => ALPHA * inst + (1.0 - ALPHA) * p,
     }
-    let (_, out_delta) = snapshot.sink_out.iter().find(|(name, _)| name == &q.name)?;
-    let out_rate = *out_delta as f64 / snapshot.stream_secs;
-    Some((out_rate / denom).clamp(0.0, 1.0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::live::{SessionEvent, SessionOptions};
+    use crate::planner::PlannerOptions;
     use crate::query::{JoinQuery, QueryWorkload};
     use streamkit::tuple::StreamId;
     use streamkit::{JoinCondition, TimeDelta, Timestamp, Tuple};
@@ -525,6 +563,11 @@ mod tests {
     /// An adaptive session over `windows`, declared at one tuple per stream
     /// per second and S⋈ 0.2.
     fn adaptive(windows: &[u64], config: SupervisorConfig) -> Session {
+        adaptive_on(windows, config, 1)
+    }
+
+    /// [`adaptive`] on `shards` hash partitions.
+    fn adaptive_on(windows: &[u64], config: SupervisorConfig, shards: usize) -> Session {
         let declared = CostConfig {
             lambda_a: 1.0,
             lambda_b: 1.0,
@@ -532,6 +575,7 @@ mod tests {
             csys: 1.0,
         };
         let options = SessionOptions {
+            planner: PlannerOptions::default().with_shards(shards),
             adaptive: Some((declared, config)),
             ..SessionOptions::default()
         };
@@ -762,7 +806,7 @@ mod tests {
             matches!(a, AdaptationAction::Rescale { .. })
         });
         assert_eq!(rescales, 1);
-        // Further snapshots compare against the rebaselined rate.
+        // Further windows compare against the rebaselined rate.
         for t in 40..60 {
             for rep in 0..4 {
                 let key = ((t * 4 + rep) % 5) as i64;
@@ -778,8 +822,8 @@ mod tests {
     #[test]
     fn a_rescale_does_not_fake_rate_drift() {
         // A stationary feed at the declared rate, rescaled mid-stream: the
-        // fresh shards continue the stream-level statistics series, so the
-        // first snapshot after the rescale measures the 20 s since it, not
+        // session report runs on across the executor hand-over, so the
+        // first window after the rescale measures the 20 s since it, not
         // the whole stream, and the rate detector has nothing to confirm.
         let config = SupervisorConfig {
             rate_ratio: 1.5,
@@ -805,6 +849,54 @@ mod tests {
         for rate in [sup.measured.rate_a, sup.measured.rate_b] {
             let rate = rate.expect("rate measured");
             assert!((rate - 1.0).abs() <= 0.1, "rate {rate}");
+        }
+    }
+
+    #[test]
+    fn a_sparse_shard_does_not_inflate_the_measured_rate() {
+        // Both streams carry the same feed over 2 shards: one tuple per
+        // second on a shard-0 key, plus bursts of 4 on a shard-1 key at
+        // 19.9 s and 20.1 s, with a drain at 20 s.  Shard 1's own clock
+        // moves only 0.2 s across the second window, so dividing its 4
+        // tuples by that (20 t/s) instead of the session's 19.1 s would fake
+        // a ×10 rate drift.  The bursts keep the busiest shard's share
+        // (40 of 48 tuples) under the load-spike trigger.
+        let config = SupervisorConfig {
+            rate_ratio: 1.5,
+            sel_ratio: 1e9,
+            ..test_config()
+        };
+        let mut live = adaptive_on(&[4, 16], config, 2);
+        let key_on = |shard: usize| {
+            (0..)
+                .find(|&k| live.executor().shard_of(&tuple(StreamId::A, 0, k)) == shard)
+                .unwrap()
+        };
+        let (busy, sparse) = (key_on(0), key_on(1));
+        let burst = |live: &mut Session, micros: u64| {
+            for stream in [StreamId::A, StreamId::B] {
+                for _ in 0..4 {
+                    let ts = Timestamp::from_micros(micros);
+                    live.ingest(Tuple::of_ints(ts, stream, &[sparse])).unwrap();
+                }
+            }
+        };
+        ingest_phase(&mut live, 0..20, |_| busy, |_| busy);
+        burst(&mut live, 19_900_000);
+        live.drain().unwrap();
+        burst(&mut live, 20_100_000);
+        ingest_phase(&mut live, 20..40, |_| busy, |_| busy);
+        live.drain().unwrap();
+        assert!(
+            decisions(live.events()).is_empty(),
+            "log: {:?}",
+            live.events()
+        );
+        // 48 tuples per stream over 40 s of stream time.
+        let sup = live.supervisor.as_ref().unwrap();
+        for rate in [sup.measured.rate_a, sup.measured.rate_b] {
+            let rate = rate.expect("rate measured");
+            assert!((rate - 1.2).abs() <= 0.12, "rate {rate}");
         }
     }
 }

@@ -698,17 +698,17 @@ impl Session {
     /// The boundary sequence: run the executor to quiescence (a punctuation
     /// boundary), recovering from a worker failure if one surfaces,
     /// checkpoint if the punctuation-epoch interval has elapsed, and on an
-    /// adaptive session sample the windowed runtime statistics merged across
-    /// all shards, check them for drift and apply the re-plan or rescale the
-    /// supervisor decides on (logged before the migration that carries it
-    /// out).  Returns the cumulative report as of the settled boundary.
+    /// adaptive session hand the settled cumulative report to the
+    /// supervisor, which measures the window since the previous drain,
+    /// checks it for drift and decides on the re-plan or rescale applied
+    /// here (logged before the migration that carries it out).  Returns the
+    /// cumulative report as of the settled boundary.
     pub fn drain(&mut self) -> Result<ExecutionReport> {
         let report = self.settle()?;
         let Some(mut supervisor) = self.supervisor.take() else {
             return Ok(report);
         };
-        let snapshot = self.exec.stats_snapshot();
-        let decided = supervisor.decide(self, &snapshot);
+        let decided = supervisor.decide(self, &report);
         self.supervisor = Some(supervisor);
         if let Some((record, remedy)) = decided? {
             self.events.push(SessionEvent::Adaptation(record));
@@ -873,11 +873,6 @@ impl Session {
         let tuples_moved = states.iter().flatten().map(WindowState::len).sum();
         let rehashed = rehash_shard_states(states, new_shards, &shard_spec)?;
         let mut fresh = factory.sharded_with_config(self.options.executor.clone())?;
-        // Continue the stream-level statistics series before the cut
-        // captures the fresh shards' ingest watermark.
-        for shard in fresh.shards_mut() {
-            shard.continue_stats_of(self.exec.shards());
-        }
         let cut = self.recovery.restore_windows(&mut fresh, rehashed)?;
         // Retire the old executor (its cumulative report was taken above),
         // closing the epoch's sink ledgers from its plans.

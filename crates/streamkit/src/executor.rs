@@ -14,10 +14,7 @@ use crate::operator::{OpContext, Operator, PortId};
 use crate::plan::Plan;
 use crate::queue::{Queue, StreamItem};
 use crate::scheduler::{RoundRobinScheduler, Scheduler};
-use crate::stats::{
-    CostCounters, MemoryStats, NodeStats, OperatorSnapshot, StatsSnapshot, StatsWindow,
-    DEFAULT_STATS_ALPHA,
-};
+use crate::stats::{CostCounters, MemoryStats, NodeStats};
 use crate::tuple::StreamId;
 
 /// Executor tuning knobs.
@@ -51,7 +48,7 @@ impl Default for ExecutorConfig {
 }
 
 /// Result of running a plan to quiescence.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecutionReport {
     /// Global comparison counters summed over all operators.
     pub totals: CostCounters,
@@ -63,6 +60,12 @@ pub struct ExecutionReport {
     pub sink_counts: HashMap<String, u64>,
     /// Number of external items ingested.
     pub ingested: u64,
+    /// Data tuples ingested per stream (A, B); tuples of other streams and
+    /// pre-built columnar batches count only into `ingested`.
+    pub ingested_by_stream: [u64; 2],
+    /// Largest ingested tuple timestamp, in seconds: the stream-time clock
+    /// measured arrival rates are computed against.
+    pub ingest_max_ts_secs: f64,
     /// Wall-clock running time in seconds, accumulated over every
     /// [`Executor::run`] call of this executor's lifetime.  Incremental
     /// (ingest → run → ingest → run) usage therefore reports one consistent
@@ -105,7 +108,10 @@ impl ExecutionReport {
     /// per-shard reports of a [`ShardedExecutor`](crate::shard::ShardedExecutor))
     /// into one report with the same schema:
     ///
-    /// * counters, sink counts and ingest counts are summed,
+    /// * counters, sink counts and ingest counts (also per stream) are
+    ///   summed, and the largest ingested timestamp is the maximum — the
+    ///   partitions split one stream, so their union covers the stream time
+    ///   of the furthest one,
     /// * per-node statistics are summed position-wise (partitions execute
     ///   instances of the same plan, so node `i` is the same operator in
     ///   every partition),
@@ -123,16 +129,7 @@ impl ExecutionReport {
     pub fn merge(reports: Vec<ExecutionReport>) -> ExecutionReport {
         let mut iter = reports.into_iter();
         let Some(mut merged) = iter.next() else {
-            return ExecutionReport {
-                totals: CostCounters::default(),
-                node_stats: Vec::new(),
-                memory: MemoryStats::default(),
-                sink_counts: HashMap::new(),
-                ingested: 0,
-                elapsed_secs: 0.0,
-                paused_secs: 0.0,
-                rounds: 0,
-            };
+            return ExecutionReport::default();
         };
         for report in iter {
             // Position-wise summing is only meaningful over instances of the
@@ -144,6 +141,7 @@ impl ExecutionReport {
                 "merged reports must cover the same plan (node_stats lengths differ)"
             );
             merged.totals.add(&report.totals);
+            merged.add_ingest(&report);
             for (into, from) in merged.node_stats.iter_mut().zip(&report.node_stats) {
                 into.counters.add(&from.counters);
                 into.state_tuples += from.state_tuples;
@@ -155,7 +153,6 @@ impl ExecutionReport {
             for (name, count) in report.sink_counts {
                 *merged.sink_counts.entry(name).or_insert(0) += count;
             }
-            merged.ingested += report.ingested;
             merged.elapsed_secs = merged.elapsed_secs.max(report.elapsed_secs);
             merged.paused_secs = merged.paused_secs.max(report.paused_secs);
             merged.rounds = merged.rounds.max(report.rounds);
@@ -167,20 +164,35 @@ impl ExecutionReport {
     /// run (e.g. the executor that replaced this one when a session
     /// rescaled), unlike [`ExecutionReport::merge`], which combines
     /// concurrent partitions: counters, deliveries, ingest counts, time and
-    /// rounds add up, memory follows [`MemoryStats::then`], and the per-node
-    /// breakdown is the later phase's (the node lists are not comparable).
+    /// rounds add up, the largest ingested timestamp is the later of the
+    /// two, memory follows [`MemoryStats::then`], and the per-node breakdown
+    /// is the later phase's (the node lists are not comparable).
     pub fn then(mut self, next: ExecutionReport) -> ExecutionReport {
         self.totals.add(&next.totals);
+        self.add_ingest(&next);
         for (name, count) in next.sink_counts {
             *self.sink_counts.entry(name).or_insert(0) += count;
         }
-        self.ingested += next.ingested;
         self.elapsed_secs += next.elapsed_secs;
         self.paused_secs += next.paused_secs;
         self.rounds += next.rounds;
         self.memory.then(&next.memory);
         self.node_stats = next.node_stats;
         self
+    }
+
+    /// Sum the ingest counts and keep the later stream time (shared by
+    /// [`ExecutionReport::merge`] and [`ExecutionReport::then`]).
+    fn add_ingest(&mut self, other: &ExecutionReport) {
+        self.ingested += other.ingested;
+        for (into, from) in self
+            .ingested_by_stream
+            .iter_mut()
+            .zip(other.ingested_by_stream)
+        {
+            *into += from;
+        }
+        self.ingest_max_ts_secs = self.ingest_max_ts_secs.max(other.ingest_max_ts_secs);
     }
 }
 
@@ -216,11 +228,8 @@ pub struct Executor {
     /// Data tuples ingested per stream (A, B); tuples of other streams and
     /// pre-built columnar batches count only into `ingested`.
     ingested_by_stream: [u64; 2],
-    /// Largest ingested tuple timestamp seen so far, in seconds — the
-    /// stream-time clock that measured arrival rates are computed against.
+    /// Largest ingested tuple timestamp seen so far, in seconds.
     ingest_max_ts_secs: f64,
-    /// Incremental state behind [`Executor::stats_snapshot`].
-    stats_window: StatsWindow,
     /// Per-node queued-item counts, maintained incrementally on every push
     /// and pop so a scheduler round never rescans the queues.
     node_backlog: Vec<usize>,
@@ -278,7 +287,6 @@ impl Executor {
             carried_sinks: HashMap::new(),
             ingested_by_stream: [0, 0],
             ingest_max_ts_secs: 0.0,
-            stats_window: StatsWindow::default(),
             node_backlog: vec![0; n],
             total_backlog: 0,
             scratch_ctx: OpContext::new(),
@@ -342,16 +350,6 @@ impl Executor {
         }
     }
 
-    /// Cumulative explicitly-paused wall clock so far (completed pauses only).
-    pub fn paused_secs(&self) -> f64 {
-        self.paused_secs
-    }
-
-    /// Cumulative in-run wall clock so far.
-    pub fn active_secs(&self) -> f64 {
-        self.active_secs
-    }
-
     /// Replace the executed plan with a new one, returning the old plan (so
     /// the caller can harvest operator state — the online chain migration
     /// path drains the old slices' states into the new plan's slices).
@@ -369,26 +367,13 @@ impl Executor {
                 self.total_backlog
             )));
         }
-        for counters in &self.node_counters {
-            self.carried_totals.add(counters);
-        }
         for sink in self.plan.sinks() {
             *self
                 .carried_sinks
                 .entry(sink.name().to_string())
                 .or_insert(0) += sink.count();
         }
-        let old = std::mem::replace(&mut self.plan, plan);
-        self.queues = Self::build_queues(&self.plan);
-        self.routing = Self::build_routing(&self.plan);
-        let n = self.plan.num_nodes();
-        self.node_counters = vec![CostCounters::default(); n];
-        self.peak_state = vec![0; n];
-        self.peak_state_bytes = vec![0; n];
-        self.node_backlog = vec![0; n];
-        self.total_backlog = 0;
-        self.stats_window.reset_nodes();
-        Ok(old)
+        Ok(self.install_plan(plan))
     }
 
     /// Crash-recovery variant of [`Executor::swap_plan`]: replace the plan
@@ -409,10 +394,22 @@ impl Executor {
     /// Returns the number of queued items that were dropped.
     pub fn recover_plan(&mut self, plan: Plan) -> usize {
         let dropped = self.total_backlog;
+        self.install_plan(plan);
+        self.processed_since_sample = 0;
+        self.fault_poison_armed = false;
+        dropped
+    }
+
+    /// The plan install both [`Executor::swap_plan`] and
+    /// [`Executor::recover_plan`] end with: fold the retiring operators'
+    /// counters into the carried totals, then rebuild queues and routing
+    /// and restart per-node counters, peaks and backlog for `plan`.
+    /// Returns the retired plan.
+    fn install_plan(&mut self, plan: Plan) -> Plan {
         for counters in &self.node_counters {
             self.carried_totals.add(counters);
         }
-        self.plan = plan;
+        let old = std::mem::replace(&mut self.plan, plan);
         self.queues = Self::build_queues(&self.plan);
         self.routing = Self::build_routing(&self.plan);
         let n = self.plan.num_nodes();
@@ -421,14 +418,12 @@ impl Executor {
         self.peak_state_bytes = vec![0; n];
         self.node_backlog = vec![0; n];
         self.total_backlog = 0;
-        self.processed_since_sample = 0;
-        self.fault_poison_armed = false;
-        self.stats_window.reset_nodes();
-        dropped
+        old
     }
 
-    /// Track per-stream ingest counts and stream-time progress for
-    /// [`Executor::stats_snapshot`]'s measured arrival rates.
+    /// Track per-stream ingest counts and stream-time progress
+    /// ([`ExecutionReport::ingested_by_stream`],
+    /// [`ExecutionReport::ingest_max_ts_secs`]).
     fn meter_ingest(&mut self, item: &StreamItem) {
         if let StreamItem::Tuple(t) = item {
             if t.stream == StreamId::A {
@@ -474,10 +469,8 @@ impl Executor {
     }
 
     /// Restore checkpointed ingest progress (absolute: replay re-counts the
-    /// post-checkpoint input exactly once).  The statistics window keeps its
-    /// stream-level history: the replay brings the counters back to where an
-    /// uninterrupted run has them, so the next snapshot continues the same
-    /// series.
+    /// post-checkpoint input exactly once, so the next report is where an
+    /// uninterrupted run has it).
     pub fn restore_ingest_progress(
         &mut self,
         ingested: u64,
@@ -489,20 +482,6 @@ impl Executor {
         self.ingested_by_stream = by_stream;
         self.ingest_max_ts_secs = max_ts_secs;
         self.punct_epochs = punct_epochs;
-    }
-
-    /// Continue the stream-level statistics series of `old`, the executors
-    /// this fresh one takes over from mid-stream (a shard-count rescale): the
-    /// ingest watermark and the stream-time baseline start at their largest
-    /// ingested timestamp and snapshot numbering after their last snapshot,
-    /// so the next [`Executor::stats_snapshot`] measures the stream time
-    /// since the hand-over, not since stream time zero.
-    pub fn continue_stats_of(&mut self, old: &[Executor]) {
-        for prev in old {
-            self.ingest_max_ts_secs = self.ingest_max_ts_secs.max(prev.ingest_max_ts_secs);
-            self.stats_window.seq = self.stats_window.seq.max(prev.stats_window.seq);
-        }
-        self.stats_window.prev_stream_secs = self.ingest_max_ts_secs;
     }
 
     /// Advance the punctuation-epoch clock and fire the armed fault when
@@ -892,6 +871,8 @@ impl Executor {
             memory: self.memory,
             sink_counts,
             ingested: self.ingested,
+            ingested_by_stream: self.ingested_by_stream,
+            ingest_max_ts_secs: self.ingest_max_ts_secs,
             elapsed_secs: self.active_secs,
             paused_secs: self.paused_secs,
             rounds: self.total_rounds,
@@ -902,104 +883,6 @@ impl Executor {
     pub fn run(&mut self) -> Result<ExecutionReport> {
         let mut scheduler = RoundRobinScheduler;
         self.run_with_scheduler(&mut scheduler)
-    }
-
-    /// Sample a measured-statistics snapshot: windowed deltas since the
-    /// previous snapshot, with arrival rates and per-operator selectivities
-    /// EWMA-smoothed across windows (see [`StatsSnapshot`]).
-    ///
-    /// Call between runs — the punctuation boundary of this pull-based
-    /// executor — where reading the counters needs no locks and cannot touch
-    /// the hot path.
-    pub fn stats_snapshot(&mut self) -> StatsSnapshot {
-        self.stats_snapshot_with_alpha(DEFAULT_STATS_ALPHA)
-    }
-
-    /// [`Executor::stats_snapshot`] with an explicit EWMA smoothing factor in
-    /// `(0, 1]` — `1.0` means no smoothing (the last window only).
-    pub fn stats_snapshot_with_alpha(&mut self, alpha: f64) -> StatsSnapshot {
-        let w = &mut self.stats_window;
-        w.seq += 1;
-        let stream_secs = (self.ingest_max_ts_secs - w.prev_stream_secs).max(0.0);
-        w.prev_stream_secs = self.ingest_max_ts_secs;
-        let ingested_delta = self.ingested.saturating_sub(w.prev_ingested);
-        w.prev_ingested = self.ingested;
-        // A window with no stream-time progress cannot measure a rate; the
-        // previous smoothed value stands.
-        let mut rates = [0.0f64; 2];
-        for (s, rate) in rates.iter_mut().enumerate() {
-            let delta = self.ingested_by_stream[s].saturating_sub(w.prev_stream_count[s]);
-            w.prev_stream_count[s] = self.ingested_by_stream[s];
-            if stream_secs > 0.0 {
-                let inst = delta as f64 / stream_secs;
-                w.rate_ewma[s] = Some(StatsWindow::smooth(w.rate_ewma[s], inst, alpha));
-            }
-            *rate = w.rate_ewma[s].unwrap_or(0.0);
-        }
-        let n = self.plan.num_nodes();
-        w.prev_in.resize(n, 0);
-        w.prev_out.resize(n, 0);
-        w.sel_ewma.resize(n, None);
-        let mut operators = Vec::with_capacity(n);
-        let mut state_tuples = 0usize;
-        let mut state_bytes = 0usize;
-        for (i, node) in self.plan.nodes().iter().enumerate() {
-            let counters = &self.node_counters[i];
-            let tuples_in = counters.tuples_processed - w.prev_in[i];
-            let tuples_out = counters.items_emitted - w.prev_out[i];
-            w.prev_in[i] = counters.tuples_processed;
-            w.prev_out[i] = counters.items_emitted;
-            if tuples_in > 0 {
-                let inst = tuples_out as f64 / tuples_in as f64;
-                w.sel_ewma[i] = Some(StatsWindow::smooth(w.sel_ewma[i], inst, alpha));
-            }
-            let transient = node.operator.is_transient_buffer();
-            let op_tuples = if transient {
-                0
-            } else {
-                node.operator.state_size()
-            };
-            let op_bytes = if transient {
-                0
-            } else {
-                node.operator.state_bytes()
-            };
-            state_tuples += op_tuples;
-            state_bytes += op_bytes;
-            operators.push(OperatorSnapshot {
-                name: node.operator.name().to_string(),
-                tuples_in,
-                tuples_out,
-                selectivity: w.sel_ewma[i].unwrap_or(1.0),
-                measured: w.sel_ewma[i].is_some(),
-                state_tuples: op_tuples,
-                state_bytes: op_bytes,
-                backlog: self.node_backlog[i],
-            });
-        }
-        let mut sink_out = Vec::new();
-        for sink in self.plan.sinks() {
-            let name = sink.name().to_string();
-            let total = self.carried_sinks.get(&name).copied().unwrap_or(0) + sink.count();
-            let prev = w.prev_sinks.insert(name.clone(), total).unwrap_or(0);
-            sink_out.push((name, total.saturating_sub(prev)));
-        }
-        sink_out.sort();
-        StatsSnapshot {
-            seq: w.seq,
-            active_secs: self.active_secs,
-            stream_secs,
-            ingested_delta,
-            rate_a: rates[0],
-            rate_b: rates[1],
-            operators,
-            sink_out,
-            state_tuples,
-            state_bytes,
-            backlog: self.total_backlog,
-            busiest_shard_share: 0.0,
-            router: None,
-        }
     }
 }
 
@@ -1196,48 +1079,35 @@ mod tests {
         exec.pause();
         let third = exec.run().unwrap();
         assert!(third.paused_secs >= second.paused_secs);
-        assert_eq!(exec.active_secs(), third.elapsed_secs);
+        assert!(third.elapsed_secs >= second.elapsed_secs);
     }
 
     #[test]
-    fn stats_snapshot_windows_rates_and_selectivities() {
+    fn report_carries_per_stream_ingest_and_max_timestamp() {
+        use crate::punctuation::Punctuation;
         let mut exec = Executor::new(join_plan());
-        // Window 1: both streams at 1 tuple per stream-second over 10s, with
-        // keys that never match (selectivity 0 at the join).
         exec.ingest_all("A", (1..=10).map(|s| a(s, 1))).unwrap();
-        exec.ingest_all("B", (1..=10).map(|s| b(s, 2))).unwrap();
-        exec.run().unwrap();
-        let s1 = exec.stats_snapshot();
-        assert_eq!(s1.seq, 1);
-        assert_eq!(s1.ingested_delta, 20);
-        assert!((s1.stream_secs - 10.0).abs() < 1e-9);
-        assert!((s1.rate_a - 1.0).abs() < 1e-9, "rate_a {}", s1.rate_a);
-        assert!((s1.rate_b - 1.0).abs() < 1e-9, "rate_b {}", s1.rate_b);
-        let join = s1.operator("join").unwrap();
-        assert!(join.measured);
-        assert_eq!(join.tuples_in, 20);
-        // No key ever matches: the join's only outputs are its progress
-        // punctuations, at most one per run of input.
-        assert!(join.selectivity <= 1.0, "no key ever matches");
-        assert!(join.state_tuples > 0, "the window retains state");
-        assert!(s1.state_bytes > 0);
-        assert_eq!(s1.backlog, 0, "sampled at quiescence");
-        assert_eq!(s1.sink_out, vec![("q1".to_string(), 0)]);
-        // Window 2: stream A doubles to 2/sec, stream B stops.  EWMA with
-        // the default alpha 0.5 lands halfway between the windows.
-        exec.ingest_all("A", (0..20).map(|i| a(11 + i / 2, 1)))
+        exec.ingest_all("B", (1..=4).map(|s| b(s, 2))).unwrap();
+        // A punctuation past every tuple is progress, not ingest: it moves
+        // neither the counts nor the stream-time clock.
+        exec.ingest("B", Punctuation::new(Timestamp::from_secs(30)))
             .unwrap();
-        exec.run().unwrap();
-        let s2 = exec.stats_snapshot();
-        assert_eq!(s2.seq, 2);
-        assert!((s2.stream_secs - 10.0).abs() < 1e-9);
-        assert!((s2.rate_a - 1.5).abs() < 1e-9, "rate_a {}", s2.rate_a);
-        assert!((s2.rate_b - 0.5).abs() < 1e-9, "rate_b {}", s2.rate_b);
-        assert_eq!(s2.ingested_delta, 20);
-        // A third snapshot without progress keeps the smoothed rates.
-        let s3 = exec.stats_snapshot();
-        assert_eq!(s3.ingested_delta, 0);
-        assert!((s3.rate_a - 1.5).abs() < 1e-9, "no progress: EWMA stands");
+        let first = exec.run().unwrap();
+        assert_eq!(first.ingested, 14);
+        assert_eq!(first.ingested_by_stream, [10, 4]);
+        assert_eq!(first.ingest_max_ts_secs, 10.0);
+        // Cumulative: the next report counts both runs' input, and the
+        // clock is the largest timestamp ever ingested, not the last one.
+        exec.ingest("B", b(12, 2)).unwrap();
+        exec.ingest("A", a(11, 1)).unwrap();
+        let second = exec.run().unwrap();
+        assert_eq!(second.ingested_by_stream, [11, 5]);
+        assert_eq!(second.ingest_max_ts_secs, 12.0);
+        // A plan swap restarts the per-node statistics, not the stream's.
+        exec.swap_plan(join_plan()).unwrap();
+        let third = exec.run().unwrap();
+        assert_eq!(third.ingested_by_stream, [11, 5]);
+        assert_eq!(third.ingest_max_ts_secs, 12.0);
     }
 
     #[test]
@@ -1280,14 +1150,14 @@ mod tests {
         paused_secs: f64,
     ) -> ExecutionReport {
         ExecutionReport {
-            totals: CostCounters::default(),
-            node_stats: Vec::new(),
-            memory: MemoryStats::default(),
             sink_counts: HashMap::from([("q1".to_string(), sink)]),
             ingested,
+            ingested_by_stream: [ingested / 2, ingested - ingested / 2],
+            ingest_max_ts_secs: ingested as f64,
             elapsed_secs,
             paused_secs,
             rounds: 1,
+            ..ExecutionReport::default()
         }
     }
 
@@ -1306,6 +1176,19 @@ mod tests {
         assert_eq!(merged.paused_secs, 1.25, "concurrent pause counted once");
         // Service rate divides by running time only — pause time excluded.
         assert!((merged.service_rate() - 50.0 / 3.0).abs() < 1e-9);
+        // Per-stream counts sum; the stream-time clock is the furthest
+        // partition's.
+        assert_eq!(merged.ingested_by_stream, [5 + 15, 5 + 15]);
+        assert_eq!(merged.ingest_max_ts_secs, 30.0);
+        // Sequential phases are the opposite case: the second phase's
+        // pause follows the first's, so pause time sums instead.
+        let phased = synthetic_report(10, 4, 2.0, 1.0).then(synthetic_report(30, 6, 3.0, 1.25));
+        assert_eq!(phased.ingested, 40);
+        assert_eq!(phased.ingested_by_stream, [20, 20]);
+        assert_eq!(phased.sink_count("q1"), 10);
+        assert_eq!(phased.elapsed_secs, 5.0, "sequential: wall clocks add");
+        assert_eq!(phased.paused_secs, 2.25, "each phase's pause once");
+        assert_eq!(phased.ingest_max_ts_secs, 30.0);
     }
 
     #[test]

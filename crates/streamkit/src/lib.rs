@@ -14,8 +14,9 @@
 //!   router, order-preserving union, sliding-window joins, sinks),
 //! * an operator-DAG [`Plan`](plan::Plan) with per-port queues,
 //! * a round-robin [`Scheduler`](scheduler::RoundRobinScheduler) and an
-//!   [`Executor`](executor::Executor) with statistics collection (state
-//!   memory, comparison counts, throughput / service rate),
+//!   [`Executor`](executor::Executor) whose one cumulative
+//!   [`ExecutionReport`] carries the statistics (state memory, comparison
+//!   counts, throughput / service rate, per-stream ingest progress),
 //! * a [`ShardedExecutor`](shard::ShardedExecutor) running N instances of
 //!   one plan on a persistent [`WorkerPool`](pool::WorkerPool) — one
 //!   long-lived worker per shard, fed by bounded SPSC rings — over input
@@ -66,9 +67,7 @@ pub use punctuation::Punctuation;
 pub use queue::StreamItem;
 pub use shard::{RouterStats, ShardSpec, ShardedExecutor};
 pub use skew::{HotKeyTracker, SkewConfig, SpaceSavingSketch};
-pub use stats::{
-    CostCounters, MemoryStats, NodeStats, OperatorSnapshot, StatsSnapshot, DEFAULT_STATS_ALPHA,
-};
+pub use stats::{CostCounters, MemoryStats, NodeStats};
 pub use time::{TimeDelta, Timestamp};
 pub use tuple::{Field, Schema, StreamId, Tuple, TupleRole, Value};
 pub use window::{SliceWindow, WindowSpec};

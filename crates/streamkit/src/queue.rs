@@ -93,10 +93,6 @@ impl From<Punctuation> for StreamItem {
 #[derive(Debug, Default)]
 pub struct Queue {
     items: VecDeque<StreamItem>,
-    /// Largest number of items ever held.
-    peak_len: usize,
-    /// Total number of items ever enqueued.
-    total_enqueued: u64,
 }
 
 impl Queue {
@@ -108,16 +104,6 @@ impl Queue {
     /// Append an item.
     pub fn push(&mut self, item: StreamItem) {
         self.items.push_back(item);
-        self.total_enqueued += 1;
-        if self.items.len() > self.peak_len {
-            self.peak_len = self.items.len();
-        }
-    }
-
-    /// Remove and return the oldest item.
-    #[cfg(test)]
-    pub fn pop(&mut self) -> Option<StreamItem> {
-        self.items.pop_front()
     }
 
     /// Pop a timestamp-contiguous run from the front into `out`: up to `max`
@@ -149,22 +135,9 @@ impl Queue {
         popped
     }
 
-    /// Allocating convenience wrapper around [`Queue::pop_run_into`].
-    pub fn pop_run(&mut self, max: usize, min_other_ts: Option<Timestamp>) -> Vec<StreamItem> {
-        let mut out = Vec::new();
-        self.pop_run_into(max, min_other_ts, &mut out);
-        out
-    }
-
     /// Append every item of an iterator (bulk [`Queue::push`]).
     pub fn extend<I: IntoIterator<Item = StreamItem>>(&mut self, items: I) {
-        for item in items {
-            self.items.push_back(item);
-            self.total_enqueued += 1;
-        }
-        if self.items.len() > self.peak_len {
-            self.peak_len = self.items.len();
-        }
+        self.items.extend(items);
     }
 
     /// Timestamp of the oldest item without removing it.
@@ -180,16 +153,6 @@ impl Queue {
     /// `true` if no items are queued.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// Largest number of items ever held.
-    pub fn peak_len(&self) -> usize {
-        self.peak_len
-    }
-
-    /// Total number of items ever enqueued.
-    pub fn total_enqueued(&self) -> u64 {
-        self.total_enqueued
     }
 }
 
@@ -236,7 +199,11 @@ mod tests {
             q.push(at(s));
         }
         // Bound 4 (inclusive): the run is 1, 2, 4; 7 stays queued.
-        let run = q.pop_run(10, Some(Timestamp::from_secs(4)));
+        let mut run = Vec::new();
+        assert_eq!(
+            q.pop_run_into(10, Some(Timestamp::from_secs(4)), &mut run),
+            3
+        );
         let ts: Vec<u64> = run
             .iter()
             .map(|i| i.timestamp().as_micros() / 1_000_000)
@@ -244,7 +211,11 @@ mod tests {
         assert_eq!(ts, vec![1, 2, 4]);
         assert_eq!(q.len(), 1);
         // Nothing at or below the bound left: empty run, queue untouched.
-        assert!(q.pop_run(10, Some(Timestamp::from_secs(6))).is_empty());
+        assert_eq!(
+            q.pop_run_into(10, Some(Timestamp::from_secs(6)), &mut run),
+            0
+        );
+        assert_eq!(run.len(), 3, "nothing appended");
         assert_eq!(q.len(), 1);
     }
 
@@ -255,12 +226,15 @@ mod tests {
             q.push(at(s));
         }
         // Equal timestamps are all part of one run (inclusive bound)...
-        let run = q.pop_run(10, Some(Timestamp::from_secs(3)));
-        assert_eq!(run.len(), 3);
+        let mut run = Vec::new();
+        assert_eq!(
+            q.pop_run_into(10, Some(Timestamp::from_secs(3)), &mut run),
+            3
+        );
         // ...and `max` caps a run mid-way without losing order.
         q.push(at(5));
-        let run = q.pop_run(1, None);
-        assert_eq!(run.len(), 1);
+        run.clear();
+        assert_eq!(q.pop_run_into(1, None, &mut run), 1);
         assert_eq!(run[0].timestamp(), Timestamp::from_secs(5));
         assert_eq!(q.len(), 1);
     }
@@ -272,10 +246,10 @@ mod tests {
             q.push(at(s));
         }
         // No other-port head (bound None): the run is the whole queue.
-        let run = q.pop_run(10, None);
-        assert_eq!(run.len(), 3);
+        let mut run = Vec::new();
+        assert_eq!(q.pop_run_into(10, None, &mut run), 3);
         assert!(q.is_empty());
-        assert!(q.pop_run(10, None).is_empty());
+        assert_eq!(q.pop_run_into(10, None, &mut run), 0);
     }
 
     #[test]
@@ -286,8 +260,11 @@ mod tests {
         q.push(at(4));
         // The punctuation's watermark is its run timestamp: a bound of 2
         // takes the tuple and the punctuation but not the later tuple.
-        let run = q.pop_run(10, Some(Timestamp::from_secs(2)));
-        assert_eq!(run.len(), 2);
+        let mut run = Vec::new();
+        assert_eq!(
+            q.pop_run_into(10, Some(Timestamp::from_secs(2)), &mut run),
+            2
+        );
         assert!(run[1].is_punctuation());
         assert_eq!(q.len(), 1);
     }
@@ -297,9 +274,13 @@ mod tests {
         let mut q = Queue::new();
         q.extend([at(1), at(2), at(3)]);
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peak_len(), 3);
-        assert_eq!(q.total_enqueued(), 3);
         assert_eq!(q.peek_timestamp(), Some(Timestamp::from_secs(1)));
+        // Bulk pushes append after what is queued, in order.
+        q.extend([at(4)]);
+        let mut run = Vec::new();
+        q.pop_run_into(usize::MAX, None, &mut run);
+        let ts: Vec<Timestamp> = run.iter().map(StreamItem::timestamp).collect();
+        assert_eq!(ts, (1..=4).map(Timestamp::from_secs).collect::<Vec<_>>());
     }
 
     #[test]
@@ -311,16 +292,18 @@ mod tests {
             q.push(Tuple::of_ints(Timestamp::from_secs(s), StreamId::A, &[s as i64]).into());
         }
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peak_len(), 3);
-        assert_eq!(q.total_enqueued(), 3);
         assert_eq!(q.peek_timestamp(), Some(Timestamp::from_secs(1)));
-        let first = q.pop().unwrap();
-        assert_eq!(first.timestamp(), Timestamp::from_secs(1));
-        assert_eq!(q.len(), 2);
-        // Peak length remembers the high-water mark.
-        q.pop();
-        q.pop();
-        assert!(q.pop().is_none());
-        assert_eq!(q.peak_len(), 3);
+        // One item at a time comes out oldest first.
+        let mut out = Vec::new();
+        for s in 1..=3u64 {
+            assert_eq!(q.pop_run_into(1, None, &mut out), 1);
+            assert_eq!(
+                out.pop().map(|i| i.timestamp()),
+                Some(Timestamp::from_secs(s))
+            );
+            assert_eq!(q.len(), 3 - s as usize);
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.pop_run_into(1, None, &mut out), 0);
     }
 }

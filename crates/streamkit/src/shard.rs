@@ -74,7 +74,6 @@ use crate::pool::{Job, WorkerPool, DEFAULT_RING_CAPACITY};
 use crate::predicate::JoinCondition;
 use crate::queue::StreamItem;
 use crate::skew::{HotKeyTracker, SkewConfig};
-use crate::stats::StatsSnapshot;
 use crate::tuple::{KeyClass, StreamId, Tuple};
 
 /// Default number of items the router buffers per shard before forwarding
@@ -846,23 +845,6 @@ impl ShardedExecutor {
         Ok(())
     }
 
-    /// Measured-statistics snapshot of one logical sample, merged across
-    /// shards ([`StatsSnapshot::merge`]), with the router's cumulative
-    /// counters and the busiest shard's load share attached.  Panics while a
-    /// run is in flight — sample between runs, like the per-shard accessors.
-    pub fn stats_snapshot(&mut self) -> StatsSnapshot {
-        self.expect_parked("stats_snapshot()");
-        let snapshots = self
-            .shards
-            .iter_mut()
-            .map(|shard| shard.stats_snapshot())
-            .collect();
-        let mut merged = StatsSnapshot::merge(snapshots);
-        merged.busiest_shard_share = self.stats.busiest_share();
-        merged.router = Some(self.stats.clone());
-        merged
-    }
-
     /// All tuples the named retaining sink collected, gathered across shards
     /// (shard index order; within a shard, the sink's delivery order).
     /// Panics while a run is in flight.
@@ -1183,31 +1165,41 @@ mod tests {
     }
 
     #[test]
-    fn sharded_stats_snapshot_merges_shards_and_attaches_router_stats() {
+    fn sharded_report_merges_stream_progress_and_keeps_router_stats() {
         let plans: Vec<Plan> = (0..2).map(|_| join_plan(false)).collect();
         let mut exec = ShardedExecutor::new(plans, ShardSpec::symmetric(0)).unwrap();
         let (aa, bb) = inputs();
         exec.ingest_all("A", aa).unwrap();
         exec.ingest_all("B", bb).unwrap();
-        exec.run().unwrap();
-        let snap = exec.stats_snapshot();
-        assert_eq!(snap.seq, 1);
-        assert_eq!(snap.ingested_delta, 120);
-        assert!(snap.rate_a > 0.0 && snap.rate_b > 0.0);
-        assert_eq!(snap.operators.len(), 2, "join + sink, merged shard-wise");
-        let join = snap.operator("join").unwrap();
-        assert_eq!(join.tuples_in, 120, "both shards' inputs sum");
-        let router = snap.router.as_ref().expect("sharded snapshot has router");
+        let report = exec.run().unwrap();
+        let router = exec.router_stats().clone();
+        let per_shard: Vec<ExecutionReport> = exec
+            .shards_mut()
+            .iter_mut()
+            .map(|shard| shard.run().unwrap())
+            .collect();
+        // The merged report counts every routed tuple once, per stream...
+        let stream_a: u64 = per_shard.iter().map(|r| r.ingested_by_stream[0]).sum();
+        assert_eq!(stream_a, 60);
+        assert_eq!(report.ingested_by_stream, [60, 60]);
+        // ...and reads the stream time of the furthest shard.
+        let furthest = per_shard
+            .iter()
+            .map(|r| r.ingest_max_ts_secs)
+            .fold(0.0, f64::max);
+        assert_eq!(report.ingest_max_ts_secs, furthest);
+        assert_eq!(report.ingest_max_ts_secs, 59.0);
+        // The router's own counters are not part of the merge.
         assert_eq!(router.routed_tuples.iter().sum::<u64>(), 120);
+        assert_eq!(router.hash_routed, 120);
         assert!(
-            snap.busiest_shard_share >= 0.5,
+            router.busiest_share() >= 0.5,
             "two shards: max share >= 1/2"
         );
-        // A second sample with no traffic has zero deltas.
-        let snap2 = exec.stats_snapshot();
-        assert_eq!(snap2.seq, 2);
-        assert_eq!(snap2.ingested_delta, 0);
-        assert_eq!(snap2.operator("join").unwrap().tuples_in, 0);
+        // A run with no traffic changes neither.
+        let again = exec.run().unwrap();
+        assert_eq!(again.ingested_by_stream, [60, 60]);
+        assert_eq!(exec.router_stats(), &router);
     }
 
     #[test]

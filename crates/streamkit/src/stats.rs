@@ -8,9 +8,9 @@
 //!   union merging,
 //!
 //! plus the measured **service rate** (total throughput / running time) in the
-//! experimental section.  [`CostCounters`], [`MemoryStats`] and
-//! [`ExecutionSummary`]-style reports in the executor mirror exactly those
-//! quantities.
+//! experimental section.  [`CostCounters`], [`MemoryStats`] and the
+//! executor's [`ExecutionReport`](crate::ExecutionReport) mirror exactly
+//! those quantities.
 
 /// Comparison-count breakdown, mirroring the cost components of Equations
 /// 1–3 in the paper.
@@ -180,208 +180,7 @@ impl MemoryStats {
     }
 }
 
-/// Default EWMA smoothing factor used by
-/// [`Executor::stats_snapshot`](crate::executor::Executor::stats_snapshot):
-/// each new observation window contributes half of the smoothed value, so
-/// rates and selectivities track drift within two or three windows without
-/// chasing single-window noise.
-pub const DEFAULT_STATS_ALPHA: f64 = 0.5;
-
-/// Per-operator entry of a [`StatsSnapshot`]: the in/out tuple deltas of the
-/// observation window, the EWMA-smoothed selectivity derived from them, and
-/// the operator's live state / backlog at the sample point.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OperatorSnapshot {
-    /// Operator name (matches [`NodeStats::name`]).
-    pub name: String,
-    /// Tuples the operator consumed during the observation window.
-    pub tuples_in: u64,
-    /// Items the operator emitted during the observation window.
-    pub tuples_out: u64,
-    /// EWMA-smoothed out/in ratio.  `1.0` until the operator has processed
-    /// its first windowed input (see [`OperatorSnapshot::measured`]).
-    pub selectivity: f64,
-    /// `false` until at least one observation window saw input tuples —
-    /// before that, `selectivity` is the uninformative default.
-    pub measured: bool,
-    /// Live state size in tuples at the sample point.
-    pub state_tuples: usize,
-    /// Live state size in bytes at the sample point.
-    pub state_bytes: usize,
-    /// Items queued at the operator's input ports at the sample point.
-    pub backlog: usize,
-}
-
-/// A periodic measured-statistics sample of a running executor — the feedback
-/// half of the adaptive re-optimization loop (`core::adaptive`).
-///
-/// Snapshots are deltas: every rate and count covers the window since the
-/// previous `stats_snapshot()` call on the same executor, with arrival rates
-/// and selectivities EWMA-smoothed across windows.  Arrival rates are
-/// measured in tuples per *stream-time* second (ingested-timestamp progress),
-/// the same unit as the cost model's declared `lambda` parameters, so a
-/// snapshot can be fed straight back into chain re-costing.
-///
-/// Sampling reads the executor's existing counters between runs — the natural
-/// punctuation boundary of this pull-based runtime — so it takes no locks and
-/// adds nothing to the hot path.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StatsSnapshot {
-    /// 1-based snapshot sequence number on this executor.
-    pub seq: u64,
-    /// Cumulative in-run wall clock at the sample point.
-    pub active_secs: f64,
-    /// Stream-time seconds covered by this window (progress of the maximum
-    /// ingested tuple timestamp).
-    pub stream_secs: f64,
-    /// Data tuples ingested during this window.
-    pub ingested_delta: u64,
-    /// EWMA arrival rate of stream A, tuples per stream-time second.
-    pub rate_a: f64,
-    /// EWMA arrival rate of stream B, tuples per stream-time second.
-    pub rate_b: f64,
-    /// Per-operator windowed statistics, in node-id order.
-    pub operators: Vec<OperatorSnapshot>,
-    /// Tuples delivered per sink during this window, sorted by sink name.
-    pub sink_out: Vec<(String, u64)>,
-    /// Total live state in tuples at the sample point.
-    pub state_tuples: usize,
-    /// Total live state in bytes at the sample point.
-    pub state_bytes: usize,
-    /// Total queued items at the sample point.
-    pub backlog: usize,
-    /// Fraction of routed tuples handled by the busiest shard (`0.0` on a
-    /// plain unsharded executor).
-    pub busiest_shard_share: f64,
-    /// Router counters of the sharded executor, when sharded.
-    pub router: Option<crate::shard::RouterStats>,
-}
-
-impl StatsSnapshot {
-    /// Combined EWMA arrival rate of both streams.
-    pub fn total_rate(&self) -> f64 {
-        self.rate_a + self.rate_b
-    }
-
-    /// Total sink deliveries during this window.
-    pub fn output_delta(&self) -> u64 {
-        self.sink_out.iter().map(|(_, n)| *n).sum()
-    }
-
-    /// Look up an operator's windowed statistics by name.
-    pub fn operator(&self, name: &str) -> Option<&OperatorSnapshot> {
-        self.operators.iter().find(|o| o.name == name)
-    }
-
-    /// Merge the per-shard snapshots of one logical sample (taken in the same
-    /// parked window) into one snapshot with the same schema.  Counts, rates,
-    /// state and backlog sum; selectivities are weighted by each shard's
-    /// windowed input so busy shards dominate; wall clock and stream time are
-    /// maxima (shards run concurrently over the same window).
-    pub fn merge(snapshots: Vec<StatsSnapshot>) -> StatsSnapshot {
-        let mut iter = snapshots.into_iter();
-        let Some(mut merged) = iter.next() else {
-            return StatsSnapshot::default();
-        };
-        // Re-derive weighted selectivities from scratch so the first shard is
-        // not privileged.
-        let mut weighted: Vec<(f64, f64, bool)> = merged
-            .operators
-            .iter()
-            .map(|o| {
-                (
-                    o.selectivity * o.tuples_in as f64,
-                    o.tuples_in as f64,
-                    o.measured,
-                )
-            })
-            .collect();
-        let mut sinks: std::collections::HashMap<String, u64> = merged.sink_out.drain(..).collect();
-        for snap in iter {
-            debug_assert_eq!(
-                merged.operators.len(),
-                snap.operators.len(),
-                "merged snapshots must cover the same plan"
-            );
-            merged.seq = merged.seq.max(snap.seq);
-            merged.active_secs = merged.active_secs.max(snap.active_secs);
-            merged.stream_secs = merged.stream_secs.max(snap.stream_secs);
-            merged.ingested_delta += snap.ingested_delta;
-            merged.rate_a += snap.rate_a;
-            merged.rate_b += snap.rate_b;
-            merged.state_tuples += snap.state_tuples;
-            merged.state_bytes += snap.state_bytes;
-            merged.backlog += snap.backlog;
-            for ((into, acc), from) in merged
-                .operators
-                .iter_mut()
-                .zip(weighted.iter_mut())
-                .zip(&snap.operators)
-            {
-                into.tuples_in += from.tuples_in;
-                into.tuples_out += from.tuples_out;
-                into.state_tuples += from.state_tuples;
-                into.state_bytes += from.state_bytes;
-                into.backlog += from.backlog;
-                acc.0 += from.selectivity * from.tuples_in as f64;
-                acc.1 += from.tuples_in as f64;
-                acc.2 |= from.measured;
-            }
-            for (name, count) in snap.sink_out {
-                *sinks.entry(name).or_insert(0) += count;
-            }
-        }
-        for (op, (sum, weight, measured)) in merged.operators.iter_mut().zip(weighted) {
-            op.measured = measured;
-            if weight > 0.0 {
-                op.selectivity = sum / weight;
-            }
-        }
-        let mut sink_out: Vec<(String, u64)> = sinks.into_iter().collect();
-        sink_out.sort();
-        merged.sink_out = sink_out;
-        merged
-    }
-}
-
-/// Incremental bookkeeping behind
-/// [`Executor::stats_snapshot`](crate::executor::Executor::stats_snapshot):
-/// the previous sample's cumulative counters (for deltas) and the EWMA
-/// accumulators carried across windows.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct StatsWindow {
-    pub(crate) seq: u64,
-    pub(crate) prev_ingested: u64,
-    pub(crate) prev_stream_count: [u64; 2],
-    pub(crate) prev_stream_secs: f64,
-    pub(crate) prev_in: Vec<u64>,
-    pub(crate) prev_out: Vec<u64>,
-    pub(crate) prev_sinks: std::collections::HashMap<String, u64>,
-    pub(crate) rate_ewma: [Option<f64>; 2],
-    pub(crate) sel_ewma: Vec<Option<f64>>,
-}
-
-impl StatsWindow {
-    /// Forget per-node history after a plan swap: the new plan's node list is
-    /// not comparable, so windowed deltas restart from zero.  Stream-level
-    /// rate EWMAs and sink history survive (both are cumulative across
-    /// swaps).
-    pub(crate) fn reset_nodes(&mut self) {
-        self.prev_in.clear();
-        self.prev_out.clear();
-        self.sel_ewma.clear();
-    }
-
-    /// EWMA update: the smoothed value after observing `inst`.
-    pub(crate) fn smooth(prev: Option<f64>, inst: f64, alpha: f64) -> f64 {
-        match prev {
-            None => inst,
-            Some(p) => alpha * inst + (1.0 - alpha) * p,
-        }
-    }
-}
-
-/// Per-operator statistics snapshot.
+/// Per-operator statistics of an [`ExecutionReport`](crate::ExecutionReport).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeStats {
     /// Operator name.

@@ -239,7 +239,7 @@ fn a_crash_beside_a_fired_replan_changes_neither_decisions_nor_results() {
     // The collapse again, with a punctuation per second so a worker panic
     // has epochs to fire at: one crash before the re-plan fires, one after.
     // Recovery restores the stream counters the supervisor measures, so it
-    // re-plans at the same snapshot, the same way.
+    // re-plans at the same drain, the same way.
     let input = collapse_input();
     let cuts: Vec<usize> = (1..6).map(|i| i * 40).collect();
     let (clean_results, clean_decisions, clean_recoveries) = punctuated_run(&input, &cuts, None);
