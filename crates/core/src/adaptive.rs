@@ -154,7 +154,7 @@ pub enum AdaptationAction {
         /// Strategy that would have been installed.
         strategy: String,
     },
-    /// The runtime refused the action (hot keys replicated, shard cap).
+    /// The runtime refused the action (the shard cap is reached).
     Blocked {
         /// Why the action could not be applied.
         reason: String,
@@ -456,14 +456,12 @@ impl Supervisor {
     ) -> (f64, AdaptationAction, Option<Remedy>) {
         let from = live.num_shards();
         let to = (from * 2).min(self.config.max_shards);
-        let blocked = |reason: String| (0.0, AdaptationAction::Blocked { reason }, None);
         let decision = if to <= from {
-            blocked(format!(
+            let reason = format!(
                 "at shard cap ({from} shards, max {})",
                 self.config.max_shards
-            ))
-        } else if live.executor().has_hot_keys() {
-            blocked("skew-replicated hot keys are active".to_string())
+            );
+            (0.0, AdaptationAction::Blocked { reason }, None)
         } else {
             // Spreading the chain over `to` shards relieves each shard of
             // `1 - from/to` of the per-shard work.
@@ -846,6 +844,44 @@ mod tests {
         let sup = live.supervisor.as_ref().unwrap();
         let window = sup.stream_secs - before;
         assert!((19.0..=21.0).contains(&window), "window {window} s");
+        for rate in [sup.measured.rate_a, sup.measured.rate_b] {
+            let rate = rate.expect("rate measured");
+            assert!((rate - 1.0).abs() <= 0.1, "rate {rate}");
+        }
+    }
+
+    #[test]
+    fn a_broadcast_hot_key_is_counted_once() {
+        // A stationary feed at the declared rate over 2 shards, three in five
+        // tuples on key 0: skew routing promotes it and broadcasts its B
+        // tuples to both shards.  Each shard meters its copy, but the session
+        // ingested each tuple once, so λ_B stays at 1 and nothing drifts.
+        let config = SupervisorConfig {
+            rate_ratio: 1.5,
+            sel_ratio: 1e9,
+            ..test_config()
+        };
+        let mut live = adaptive_on(&[4, 16], config, 2);
+        let skew = streamkit::SkewConfig {
+            hot_share: 0.3,
+            min_observations: 8,
+            sketch_capacity: 16,
+            max_hot_keys: 2,
+            demote_observations: 0,
+        };
+        live.executor_mut().enable_skew(skew).unwrap();
+        let key = |t: u64| if t % 5 < 3 { 0 } else { (t % 5) as i64 };
+        for phase in 0..4 {
+            ingest_phase(&mut live, phase * 20..phase * 20 + 20, key, key);
+            live.drain().unwrap();
+        }
+        assert!(!live.executor().hot_keys().is_empty(), "key 0 turns hot");
+        assert!(
+            decisions(live.events()).is_empty(),
+            "log: {:?}",
+            live.events()
+        );
+        let sup = live.supervisor.as_ref().unwrap();
         for rate in [sup.measured.rate_a, sup.measured.rate_b] {
             let rate = rate.expect("rate measured");
             assert!((rate - 1.0).abs() <= 0.1, "rate {rate}");

@@ -13,7 +13,6 @@ use streamkit::error::{Result, StreamError};
 use streamkit::join_state::equi_key_fields;
 use streamkit::predicate::band_bounds;
 use streamkit::shard::{ShardSpec, ShardedExecutor};
-use streamkit::tuple::StreamId;
 use streamkit::{ExecutorConfig, Plan};
 
 use crate::chain::ChainSpec;
@@ -236,7 +235,7 @@ impl ChainPlanFactory {
     /// The partitioning spec for this workload's join condition, or `None`
     /// when the condition has no equi component (not hash-partitionable).
     pub fn shard_spec(&self) -> Option<ShardSpec> {
-        ShardSpec::from_condition(self.workload.join_condition(), StreamId::A, StreamId::B)
+        ShardSpec::from_condition(self.workload.join_condition())
     }
 
     /// Build a [`ShardedExecutor`] over `options.shards` plan instances with

@@ -86,8 +86,8 @@ pub use chain::{ChainSpec, SliceSpec};
 pub use dijkstra::{shortest_path, ShortestPath};
 pub use lineage::{LineageAnnotatorOp, LineageGateOp};
 pub use live::{
-    ChainEdit, ChainEditPlan, MigrationMode, MigrationRecord, QueryResults, Session, SessionEvent,
-    SessionOptions, SessionOutcome, SliceStrategy,
+    ChainEdit, ChainEditPlan, MigrationRecord, QueryResults, Session, SessionEvent, SessionOptions,
+    SessionOutcome, SliceStrategy,
 };
 pub use migration::{
     merge_slice_states, merge_spec_slices, rehash_shard_states, split_slice_state,

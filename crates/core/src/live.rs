@@ -15,26 +15,31 @@
 //! 1. **drain** the in-flight queues (run the executor to quiescence — the
 //!    queues between slices must be empty before states may be
 //!    concatenated, Section 5.3), then **pause** ingestion,
-//! 2. **read** every slice's window state and apply the edits to that data
+//! 2. **read** every slice's window state
+//!    ([`ShardedExecutor::window_states`]) and apply the edits to that data
 //!    ([`apply_chain_edits`]): merges concatenate adjacent states
-//!    ([`merge_slice_states`]); splits either re-cut the state eagerly by
-//!    tuple age ([`split_slice_state_eager`], the default) or follow the
-//!    paper's lazy split-purge protocol ([`split_slice_state`]),
+//!    ([`merge_slice_states`]) and splits re-cut the state by tuple age
+//!    ([`split_slice_state_eager`]),
 //! 3. **swap in** fresh plans for the new workload — the union/router/sink
 //!    graph of the added/removed query, and each slice's index mode, chain
-//!    flags and name — and move the migrated states into them the way crash
-//!    recovery moves checkpointed state: capture the fresh plans'
-//!    [`Checkpoint`], put the migrated states into its window slots and
-//!    restore it,
-//! 4. **adopt** that same checkpoint as the durable cut, and **resume**.
+//!    flags and name — and **restore** the migrated states into them
+//!    ([`ShardedExecutor::restore_window_states`]),
+//! 4. **adopt** a checkpoint of the migrated executor as the durable cut, and
+//!    **resume**.
 //!
 //! When the executor is sharded, the chain edits are applied per shard (each
 //! shard is an independent instance of the chain over its key partition, so
 //! per-shard application is exactly the single-chain protocol N times), and
 //! [`rescale_shards`](Session::rescale_shards) runs the same sequence with
 //! [`rehash_shard_states`] in place of the edits and a fresh executor over
-//! the new shard count in place of the plan swap.  Every fallible step on
-//! the migrated data runs before the running executor is touched.
+//! the new shard count in place of the plan swap.  Hot keys of skew routing
+//! move through the same read/write pair: the router promotes and demotes
+//! them mid-ingest ([`streamkit::skew`]), and a rescale first demotes every
+//! hot key as data — dropping the replicated probe-side copies and sending
+//! the spread build-side tuples home — then re-hashes, and keeps skew
+//! routing on whenever the new executor has two or more shards.  Every
+//! fallible step on the migrated data runs before the running executor is
+//! touched.
 //!
 //! Crash recovery and adaptive re-optimization share that boundary.  One
 //! [`drain`](Session::drain) runs the whole sequence: run the executor to a
@@ -58,11 +63,10 @@
 //!
 //! ## Differential testing
 //!
-//! With the default eager mode, the states a live-migrated chain holds at a
-//! quiescent point are *exactly* the states of a chain freshly planned for
-//! the new workload (fed the same input from scratch), as long as no
-//! migration ever extended the chain's coverage beyond history it had already
-//! discarded.  `tests/live_reslice_equivalence.rs` pins that equivalence —
+//! The states a live-migrated chain holds at a quiescent point are
+//! *exactly* the states of a chain freshly planned for the new workload
+//! (fed the same input from scratch), as long as no migration ever extended
+//! the chain's coverage beyond history it had already discarded.  `tests/live_reslice_equivalence.rs` pins that equivalence —
 //! per-sink result multisets per query lifetime, and final per-slice states —
 //! against freshly-planned reference chains.  When an added query *does*
 //! extend the largest window, the chain cannot resurrect discarded state: the
@@ -77,6 +81,7 @@ use streamkit::checkpoint::{Checkpoint, WindowState};
 use streamkit::error::{Result, StreamError};
 use streamkit::queue::StreamItem;
 use streamkit::shard::ShardedExecutor;
+use streamkit::skew::demote_key;
 use streamkit::tuple::Tuple;
 use streamkit::{ExecutionReport, ExecutorConfig, Plan, TimeDelta, Timestamp};
 
@@ -84,27 +89,11 @@ use crate::adaptive::{AdaptationRecord, Remedy, Supervisor, SupervisorConfig};
 use crate::builder::{ChainBuilder, ChainPlanFactory, CostConfig};
 use crate::chain::ChainSpec;
 use crate::migration::{
-    merge_slice_states, rehash_shard_states, split_slice_state, split_slice_state_eager,
-    PurgeWatermarks,
+    merge_slice_states, rehash_shard_states, split_slice_state_eager, PurgeWatermarks,
 };
 use crate::planner::{PlannerOptions, CHAIN_ENTRY};
 use crate::query::{JoinQuery, QueryWorkload};
 use crate::recovery::{caught, CheckpointRecord, Recovery, RecoveryConfig, RecoveryRecord};
-
-/// How a split migrates the affected state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MigrationMode {
-    /// Re-cut the split slice's state immediately by tuple age
-    /// ([`split_slice_state_eager`]); the migrated chain's states match a
-    /// freshly planned chain exactly.
-    #[default]
-    Eager,
-    /// The paper's lazy protocol ([`split_slice_state`]): the left half
-    /// keeps the whole state and subsequent cross-purging fills the right
-    /// half up.  Results are identical; only the transient state placement
-    /// differs.
-    Lazy,
-}
 
 /// Which chain buildup re-planning uses after every workload change.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -251,14 +240,14 @@ impl ChainEditStats {
 
 /// Apply an edit plan to the drained slice states of one chain instance, in
 /// chain order.  `watermarks` is the instance's purge progress (last male
-/// per stream), used by eager splits and by truncation to re-cut state by
-/// age — each side's age is measured against the opposite stream's last
-/// male, because purging is cross-purging.
+/// per stream), used by splits and by truncation to re-cut state by age —
+/// each side's age is measured against the opposite stream's last male,
+/// because purging is cross-purging.  The re-cut states are exactly what a
+/// chain freshly planned with the new boundaries would hold.
 pub fn apply_chain_edits(
     mut states: Vec<WindowState>,
     plan: &ChainEditPlan,
     watermarks: PurgeWatermarks,
-    mode: MigrationMode,
 ) -> Result<(Vec<WindowState>, ChainEditStats)> {
     let mut stats = ChainEditStats::default();
     for edit in &plan.edits {
@@ -288,13 +277,8 @@ pub fn apply_chain_edits(
                         ))
                     })?;
                 let state = states.remove(idx);
-                let (left, right) = match mode {
-                    MigrationMode::Eager => {
-                        stats.tuples_moved += state.len();
-                        split_slice_state_eager(state, boundary, watermarks)?
-                    }
-                    MigrationMode::Lazy => split_slice_state(state, boundary)?,
-                };
+                stats.tuples_moved += state.len();
+                let (left, right) = split_slice_state_eager(state, boundary, watermarks)?;
                 states.insert(idx, right);
                 states.insert(idx, left);
             }
@@ -349,12 +333,6 @@ pub fn apply_chain_edits(
         }
     }
     Ok((states, stats))
-}
-
-/// Every slice's window state in `plan`, in chain order: a read-only copy
-/// through each slice's own capture.
-fn slice_states(plan: &Plan) -> Vec<WindowState> {
-    plan.slice_joins().map(|op| op.window_state()).collect()
 }
 
 /// Credit one plan's sink deliveries to the ledgers of the active queries.
@@ -492,8 +470,6 @@ pub struct SessionOptions {
     pub executor: ExecutorConfig,
     /// Chain buildup strategy applied after every workload change.
     pub strategy: SliceStrategy,
-    /// Split-state migration mode.
-    pub mode: MigrationMode,
     /// Checkpoint interval and replay-ring bounds of crash recovery.
     pub recovery: RecoveryConfig,
     /// Adaptive re-optimization: the statistics the launch plan is costed
@@ -838,20 +814,14 @@ impl Session {
 
     /// Redistribute every slice's per-shard states across `new_shards`
     /// hash partitions ([`rehash_shard_states`]) and relaunch the executor
-    /// over that many chain instances.  Requires an equi-join workload (the
-    /// same precondition as sharded execution itself).
+    /// over that many chain instances.  Hot keys are demoted first, as data
+    /// ([`demote_key`]), and the new executor keeps the skew-routing
+    /// configuration if it has two or more shards.  Requires an equi-join
+    /// workload (the same precondition as sharded execution itself).
     pub fn rescale_shards(&mut self, new_shards: usize) -> Result<()> {
         let old_shards = self.exec.num_shards();
         if new_shards == old_shards {
             return Ok(());
-        }
-        if self.exec.has_hot_keys() {
-            // Replicated hot-key buckets live on every shard; re-hashing
-            // would collapse the replicas into duplicate states.  Un-
-            // replication is a separate (future) migration step.
-            return Err(StreamError::Execution(
-                "cannot rescale shards while skew-replicated hot keys are active".to_string(),
-            ));
         }
         // Drain in-flight work (ordinary execution), then stall.  The
         // rehash and the restore run on data and on the new executor, so a
@@ -864,16 +834,18 @@ impl Session {
                 "cannot rescale shards for a join without an equi component".to_string(),
             )
         })?;
-        let states: Vec<Vec<WindowState>> = self
-            .exec
-            .shards()
-            .iter()
-            .map(|shard| slice_states(shard.plan()))
-            .collect();
+        let mut states = self.exec.window_states();
+        for &key in self.exec.hot_keys() {
+            demote_key(&mut states, &shard_spec, key);
+        }
         let tuples_moved = states.iter().flatten().map(WindowState::len).sum();
         let rehashed = rehash_shard_states(states, new_shards, &shard_spec)?;
         let mut fresh = factory.sharded_with_config(self.options.executor.clone())?;
-        let cut = self.recovery.restore_windows(&mut fresh, rehashed)?;
+        if let Some(skew) = self.exec.skew_config().filter(|_| new_shards > 1) {
+            fresh.enable_skew(skew)?;
+        }
+        fresh.restore_window_states(rehashed)?;
+        let cut = self.recovery.capture(&fresh)?;
         // Retire the old executor (its cumulative report was taken above),
         // closing the epoch's sink ledgers from its plans.
         let old = std::mem::replace(&mut self.exec, fresh);
@@ -957,9 +929,9 @@ impl Session {
 
     /// Read every shard's slice states and apply the edits to that data,
     /// then swap `plans` in, close the epoch's sink ledgers from the retired
-    /// plans (each is returned, and so harvested, exactly once) and restore
-    /// the migrated states into the new plans through their checkpoint,
-    /// which is returned for the caller to adopt.
+    /// plans (each is returned, and so harvested, exactly once), restore the
+    /// migrated states into the new plans and capture the checkpoint the
+    /// caller adopts.
     fn migrate(
         &mut self,
         edits: &ChainEditPlan,
@@ -967,22 +939,21 @@ impl Session {
     ) -> Result<(ChainEditStats, Checkpoint)> {
         let mut stats = ChainEditStats::default();
         let mut migrated = Vec::with_capacity(plans.len());
-        for (shard, watermarks) in self.exec.shards().iter().zip(&self.shard_hw) {
-            let states = slice_states(shard.plan());
-            let (chain, shard_stats) =
-                apply_chain_edits(states, edits, *watermarks, self.options.mode)?;
+        for (chain, watermarks) in self.exec.window_states().into_iter().zip(&self.shard_hw) {
+            let (chain, shard_stats) = apply_chain_edits(chain, edits, *watermarks)?;
             stats.add(&shard_stats);
             migrated.push(chain);
         }
         for old in self.exec.swap_plans(plans)? {
             credit_sinks(&mut self.active, &old);
         }
-        let cut = self.recovery.restore_windows(&mut self.exec, migrated)?;
-        Ok((stats, cut))
+        self.exec.restore_window_states(migrated)?;
+        Ok((stats, self.recovery.capture(&self.exec)?))
     }
 
-    /// Log a finished migration, then adopt the checkpoint it restored as
-    /// the durable cut and log that: every migration ends in its checkpoint.
+    /// Log a finished migration, then adopt the checkpoint of the migrated
+    /// executor as the durable cut and log that: every migration ends in its
+    /// checkpoint.
     fn close_migration(&mut self, record: MigrationRecord, cut: Checkpoint) {
         self.events.push(SessionEvent::Migration(record));
         let adopted = self.recovery.adopt(cut, false);
@@ -1152,7 +1123,6 @@ mod tests {
             states,
             &plan,
             PurgeWatermarks::uniform(Timestamp::from_secs(100)),
-            MigrationMode::Eager,
         )
         .unwrap();
         assert_eq!(migrated.len(), 2);
@@ -1170,7 +1140,6 @@ mod tests {
             migrated,
             &wider,
             PurgeWatermarks::uniform(Timestamp::from_secs(100)),
-            MigrationMode::Eager,
         )
         .unwrap();
         let windows: Vec<SliceWindow> = extended.iter().map(|s| s.window).collect();

@@ -550,7 +550,7 @@ mod tests {
     #[test]
     fn rehash_round_trips_state_through_scale_up_and_down() {
         let cond = JoinCondition::equi(0);
-        let spec = ShardSpec::from_condition(&cond, StreamId::A, StreamId::B).unwrap();
+        let spec = ShardSpec::from_condition(&cond).unwrap();
         let state_a: Vec<Tuple> = (1..=20)
             .map(|s| keyed(s, StreamId::A, (s % 6) as i64))
             .collect();
@@ -590,7 +590,7 @@ mod tests {
     #[test]
     fn rehash_rejects_mismatched_or_empty_instances() {
         let cond = JoinCondition::equi(0);
-        let spec = ShardSpec::from_condition(&cond, StreamId::A, StreamId::B).unwrap();
+        let spec = ShardSpec::from_condition(&cond).unwrap();
         assert!(rehash_shard_states(Vec::new(), 2, &spec).is_err());
         let one = WindowState::empty(SliceWindow::from_secs(0, 5));
         assert!(rehash_shard_states(vec![vec![one.clone()]], 0, &spec).is_err());

@@ -20,11 +20,13 @@
 //!    [`RecoveryConfig::checkpoint_every_epochs`], a [`Checkpoint`] is
 //!    captured and the replay ring is cleared — everything at or before the
 //!    checkpoint is durable, everything after it is in the ring.  A
-//!    migration (re-plan, rescale) moves slice state the same way a recovery
-//!    does: it captures its freshly built plans, puts the migrated slice
-//!    states into that checkpoint's window slots and restores it
-//!    (`Recovery::restore_windows`), and the restored checkpoint becomes
-//!    the durable cut — so the cut always has the running chain's shape and
+//!    checkpoint holds every slice's state plus the router's hot set, so a
+//!    hot key promoted after the cut is not hot after a restore: the replay
+//!    promotes it again from the restored states.  A migration (churn,
+//!    re-plan, rescale) restores its migrated slice states into the running
+//!    executor (`ShardedExecutor::restore_window_states`, the write hot-key
+//!    promotions use too) and adopts a checkpoint of the result as the
+//!    durable cut — so the cut always has the running chain's shape and
 //!    shard count,
 //! 3. when a run fails with `WorkerFailed` — while ingesting, draining, or
 //!    in the drain a migration starts with — the session rebuilds every
@@ -49,7 +51,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use streamkit::checkpoint::{Checkpoint, NodeState, WindowState};
+use streamkit::checkpoint::Checkpoint;
 use streamkit::error::{panic_message, Result, StreamError};
 use streamkit::queue::StreamItem;
 use streamkit::shard::ShardedExecutor;
@@ -227,7 +229,7 @@ impl Recovery {
     /// Capture the drained executor as the next checkpoint, without making
     /// it the durable cut yet.  Every checkpoint becomes the cut once it is
     /// logged, so the cut's successor is the next in sequence.
-    fn capture(&self, exec: &ShardedExecutor) -> Result<Checkpoint> {
+    pub(crate) fn capture(&self, exec: &ShardedExecutor) -> Result<Checkpoint> {
         Checkpoint::capture(exec, self.last.seq + 1, self.watermark)
     }
 
@@ -238,48 +240,6 @@ impl Recovery {
         self.last = ckpt;
         self.ring.clear();
         record
-    }
-
-    /// Move migrated slice state into freshly built plans the way a recovery
-    /// moves checkpointed state: capture `exec`'s new plans as the next
-    /// checkpoint, put `windows` — one chain per shard, its slices in chain
-    /// order — into the checkpoint's window slots, and restore it.  Each
-    /// planned slice refuses a state of another window, so the migrated
-    /// chain must match the new plans slice for slice.  The returned
-    /// checkpoint is the migration's durable cut, for the caller to
-    /// [`adopt`](Recovery::adopt) once `exec` is the running executor.
-    pub(crate) fn restore_windows(
-        &self,
-        exec: &mut ShardedExecutor,
-        windows: Vec<Vec<WindowState>>,
-    ) -> Result<Checkpoint> {
-        let mut ckpt = self.capture(exec)?;
-        if windows.len() != ckpt.shards.len() {
-            return Err(StreamError::Execution(format!(
-                "migrated {} chain instances into {} shards",
-                windows.len(),
-                ckpt.shards.len()
-            )));
-        }
-        for (shard, chain) in ckpt.shards.iter_mut().zip(windows) {
-            let slots: Vec<&mut NodeState> = shard
-                .nodes
-                .iter_mut()
-                .filter(|node| matches!(node, NodeState::Window(_)))
-                .collect();
-            if slots.len() != chain.len() {
-                return Err(StreamError::Execution(format!(
-                    "migrated a chain of {} slices into a plan of {}",
-                    chain.len(),
-                    slots.len()
-                )));
-            }
-            for (slot, state) in slots.into_iter().zip(chain) {
-                *slot = NodeState::Window(state);
-            }
-        }
-        ckpt.restore(exec)?;
-        Ok(ckpt)
     }
 
     /// Reset a failed executor onto fresh `plans` and restore the last

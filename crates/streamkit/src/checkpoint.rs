@@ -7,9 +7,12 @@
 //! consistent cut: capturing (a) each plan node's own [`NodeState`] — a
 //! slice's stored tuples, a union's per-port watermarks, a sink's cumulative
 //! counters — through [`Operator::node_state`](crate::Operator::node_state),
-//! and (b) each shard executor's ingest counters fully determines the
-//! session, because everything in flight has either been absorbed into a
-//! window state or delivered to a sink.
+//! (b) each shard executor's ingest counters, plus the router's hot set and
+//! broadcast-copy count, fully determines the session, because everything
+//! in flight has either been absorbed into a window state or delivered to a
+//! sink.  The hot set belongs to the cut because the states replicate
+//! exactly those keys' probe-side buckets: restoring one without the other
+//! would spread a key's build side to shards that lack its probe bucket.
 //!
 //! [`Checkpoint::capture`] takes such a snapshot from a drained
 //! [`ShardedExecutor`] without disturbing it; [`Checkpoint::restore`] loads
@@ -17,10 +20,10 @@
 //! [`Operator::restore_state`](crate::Operator::restore_state), into a
 //! session whose plans were rebuilt fresh (see
 //! `ShardedExecutor::recover_reset`).  Restoration is **absolute**, not
-//! additive: sink counts and ingest counters are overwritten with the
-//! checkpointed values, and crash recovery then replays the post-checkpoint
-//! input, which re-delivers the post-checkpoint results exactly once
-//! (`core::recovery`).
+//! additive: sink counts, ingest counters and the hot set are overwritten
+//! with the checkpointed values, and crash recovery then replays the
+//! post-checkpoint input, which re-delivers the post-checkpoint results
+//! exactly once (`core::recovery`).
 
 use crate::error::{Result, StreamError};
 use crate::executor::Executor;
@@ -209,6 +212,12 @@ pub struct Checkpoint {
     pub watermark: Timestamp,
     /// Per-shard snapshots in shard index order.
     pub shards: Vec<ShardCheckpoint>,
+    /// The router's hot keys (canonical key hashes), in promotion order;
+    /// empty without skew routing.
+    pub hot_keys: Vec<u64>,
+    /// Broadcast copies of hot probe-side tuples beyond the first, which
+    /// the merged ingest count discounts.
+    pub broadcast_copies: u64,
 }
 
 impl Checkpoint {
@@ -234,18 +243,23 @@ impl Checkpoint {
             epoch = epoch.max(shard.punct_epochs);
             shards.push(shard);
         }
+        let (hot_keys, broadcast_copies) = session.router_state();
         Ok(Checkpoint {
             version: CHECKPOINT_VERSION,
             seq,
             epoch,
             watermark,
             shards,
+            hot_keys,
+            broadcast_copies,
         })
     }
 
     /// Load this snapshot into a session whose plans were rebuilt fresh
     /// (e.g. via `ShardedExecutor::recover_reset`).  The shard count and
-    /// plan shape must match the captured session.
+    /// plan shape must match the captured session, and a non-empty hot set
+    /// needs a session with skew routing.  The router's hot set becomes
+    /// exactly the checkpoint's; its frequency sketch is kept.
     pub fn restore(&self, session: &mut ShardedExecutor) -> Result<()> {
         if self.version != CHECKPOINT_VERSION {
             return Err(StreamError::Checkpoint(format!(
@@ -265,6 +279,7 @@ impl Checkpoint {
                 session.num_shards()
             )));
         }
+        session.restore_router_state(&self.hot_keys, self.broadcast_copies)?;
         for (exec, shard) in session.shards_mut().iter_mut().zip(&self.shards) {
             shard.restore(exec)?;
         }
@@ -441,6 +456,39 @@ mod tests {
             let err = op.restore_state(state).unwrap_err();
             assert!(matches!(err, StreamError::Checkpoint(_)), "{err}");
         }
+    }
+
+    #[test]
+    fn the_hot_set_restores_with_the_states_that_replicate_it() {
+        let skew = crate::skew::SkewConfig {
+            hot_share: 0.3,
+            min_observations: 8,
+            sketch_capacity: 16,
+            max_hot_keys: 2,
+            demote_observations: 0,
+        };
+        let mut live = session(2);
+        live.enable_skew(skew).unwrap();
+        for i in 0..40 {
+            live.ingest("A", a(i, 0)).unwrap();
+            live.ingest("B", b(i, 0)).unwrap();
+        }
+        let report = live.run().unwrap();
+        // Broadcast B tuples reached both shards but count once.
+        assert_eq!(report.ingested_by_stream, [40, 40]);
+        let ckpt = Checkpoint::capture(&live, 0, Timestamp::from_secs(39)).unwrap();
+        assert!(!ckpt.hot_keys.is_empty());
+        assert_eq!(ckpt.hot_keys, live.hot_keys());
+        // A session without skew routing cannot hold a hot set.
+        assert!(matches!(
+            ckpt.restore(&mut session(2)).unwrap_err(),
+            StreamError::Checkpoint(_)
+        ));
+        let mut fresh = session(2);
+        fresh.enable_skew(skew).unwrap();
+        ckpt.restore(&mut fresh).unwrap();
+        assert_eq!(fresh.hot_keys(), ckpt.hot_keys);
+        assert_eq!(fresh.run().unwrap().ingested_by_stream, [40, 40]);
     }
 
     /// Holds window state it exposes no capture hook for.

@@ -8,6 +8,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use crate::checkpoint::{NodeState, WindowState};
 use crate::error::{Result, StreamError};
 use crate::fault::{FaultKind, FaultPlan, FAULT_PANIC_PREFIX};
 use crate::operator::{OpContext, Operator, PortId};
@@ -515,9 +516,35 @@ impl Executor {
         &self.plan
     }
 
-    /// Mutable access to the wrapped plan (used by online chain migration).
+    /// Mutable access to the wrapped plan.
     pub fn plan_mut(&mut self) -> &mut Plan {
         &mut self.plan
+    }
+
+    /// Restore `states`, one per slice in chain order, into a drained plan
+    /// through each slice's own [`Operator::restore_state`], which refuses a
+    /// window that is not its own.  A slice already holding its state is
+    /// left alone, index and emission history included.
+    pub(crate) fn restore_window_states(&mut self, states: Vec<WindowState>) -> Result<()> {
+        if !self.is_drained() {
+            return Err(StreamError::Execution(
+                "cannot restore slice states with items still queued; drain first".to_string(),
+            ));
+        }
+        let slices: Vec<_> = self.plan.slice_joins_mut().collect();
+        if slices.len() != states.len() {
+            return Err(StreamError::Execution(format!(
+                "restored a chain of {} slices into a plan of {}",
+                states.len(),
+                slices.len()
+            )));
+        }
+        for (slice, state) in slices.into_iter().zip(states) {
+            if slice.window_state() != state {
+                slice.restore_state(NodeState::Window(state))?;
+            }
+        }
+        Ok(())
     }
 
     /// Push an item into a named entry point.

@@ -20,10 +20,15 @@
 //! exactly one shard; B is everywhere), so no dedup pass is needed beyond
 //! the existing union/sink wiring.  Promotion is **not** sticky: a hot key
 //! whose guaranteed share decays below half the promotion threshold for
-//! [`SkewConfig::demote_observations`] consecutive observations is demoted —
-//! the tracker queues it in [`HotKeyTracker::take_demotions`] and the router
-//! migrates its state back to plain hash routing, so a transient hot spot no
-//! longer blocks shard-count rescaling forever.
+//! [`SkewConfig::demote_observations`] consecutive observations is demoted
+//! ([`HotKeyTracker::take_demotions`]).  Both moves are pure functions over
+//! every shard's slice states (`promote_key`, [`demote_key`]), and the hot
+//! set is checkpoint state (`HotKeyTracker::restore_hot`).
+
+use crate::checkpoint::WindowState;
+use crate::join_state::tuple_key;
+use crate::shard::ShardSpec;
+use crate::tuple::{KeyClass, Tuple};
 
 /// Configuration of the hot-key detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -237,10 +242,19 @@ impl HotKeyTracker {
     }
 
     /// Keys demoted since the last call, in demotion order.  The caller must
-    /// migrate each key's replicated state back to hash routing (the router
-    /// does this in `ShardedExecutor::demote_hot_key`).
+    /// migrate each key's replicated state back to hash routing
+    /// ([`demote_key`]).
     pub fn take_demotions(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.pending_demotions)
+    }
+
+    /// Reset the hot set to exactly `keys` (a restored checkpoint's), with
+    /// fresh demotion counters and no pending demotions.  The sketch keeps
+    /// its counts.
+    pub(crate) fn restore_hot(&mut self, keys: &[u64]) {
+        self.hot = keys.to_vec();
+        self.decay = vec![0; keys.len()];
+        self.pending_demotions.clear();
     }
 
     /// Whether `key` is in the hot set.
@@ -258,6 +272,58 @@ impl HotKeyTracker {
         let shard = self.spread_next % shards.max(1);
         self.spread_next = self.spread_next.wrapping_add(1);
         shard
+    }
+}
+
+/// Promote `key` in `states` (one chain per shard, slices in chain order):
+/// copy its stored probe-side (B) tuples from its hash home into every other
+/// shard, in timestamp order.  Its A tuples stay home, where broadcast B
+/// tuples probe them, and spread A tuples meet the copies wherever they
+/// land, so each result pair is still produced exactly once.
+pub(crate) fn promote_key(states: &mut [Vec<WindowState>], spec: &ShardSpec, key: u64) {
+    let home = ShardSpec::shard_for_class(KeyClass::Hash(key), states.len());
+    let bucket = |s: &WindowState| -> Vec<Tuple> {
+        s.side_b
+            .iter()
+            .filter(|t| has_key(spec, t, key))
+            .cloned()
+            .collect()
+    };
+    let copies: Vec<Vec<Tuple>> = states[home].iter().map(bucket).collect();
+    for (_, chain) in states.iter_mut().enumerate().filter(|(s, _)| *s != home) {
+        for (state, copy) in chain.iter_mut().zip(&copies) {
+            insert_by_ts(&mut state.side_b, copy.clone());
+        }
+    }
+}
+
+/// Demote `key` in `states`, undoing `promote_key`: drop the B copies from
+/// every shard but the key's hash home, which kept the originals, and move
+/// its A tuples, spread while it was hot, home.
+pub fn demote_key(states: &mut [Vec<WindowState>], spec: &ShardSpec, key: u64) {
+    let home = ShardSpec::shard_for_class(KeyClass::Hash(key), states.len());
+    let mut spread = vec![Vec::new(); states[home].len()];
+    for (_, chain) in states.iter_mut().enumerate().filter(|(s, _)| *s != home) {
+        for (state, spread) in chain.iter_mut().zip(&mut spread) {
+            state.side_b.retain(|t| !has_key(spec, t, key));
+            spread.extend(state.side_a.extract_if(.., |t| has_key(spec, t, key)));
+        }
+    }
+    for (state, spread) in states[home].iter_mut().zip(spread) {
+        insert_by_ts(&mut state.side_a, spread);
+    }
+}
+
+fn has_key(spec: &ShardSpec, t: &Tuple, key: u64) -> bool {
+    tuple_key(t, spec.key_field(t.stream)) == KeyClass::Hash(key)
+}
+
+/// Add `extra` to a timestamp-ordered state side; the stable sort keeps
+/// arrival order within equal timestamps.
+fn insert_by_ts(side: &mut Vec<Tuple>, extra: Vec<Tuple>) {
+    if !extra.is_empty() {
+        side.extend(extra);
+        side.sort_by_key(|t| t.ts);
     }
 }
 
@@ -405,6 +471,45 @@ mod tests {
         }
         assert!(t.is_hot(7), "demote_observations = 0 is sticky");
         assert!(t.take_demotions().is_empty());
+    }
+
+    #[test]
+    fn promote_then_demote_returns_every_tuple_of_the_key_home() {
+        use crate::time::Timestamp;
+        use crate::tuple::StreamId;
+        use crate::window::SliceWindow;
+        let spec = ShardSpec::symmetric(0);
+        let t = |s, stream, key| Tuple::of_ints(Timestamp::from_secs(s), stream, &[key]);
+        let KeyClass::Hash(key) = tuple_key(&t(0, StreamId::A, 7), 0) else {
+            panic!("an int key hashes");
+        };
+        let home = ShardSpec::shard_for_class(KeyClass::Hash(key), 3);
+        // Hash placement over 3 shards: every tuple on its key's home.
+        let mut placed = vec![vec![WindowState::empty(SliceWindow::from_secs(0, 20))]; 3];
+        for s in 0..12 {
+            let (a, b) = (
+                t(s, StreamId::A, s as i64 % 4 + 5),
+                t(s, StreamId::B, s as i64 % 3 + 6),
+            );
+            placed[spec.shard_of(&a, 3)][0].side_a.push(a);
+            placed[spec.shard_of(&b, 3)][0].side_b.push(b);
+        }
+        let mut states = placed.clone();
+        promote_key(&mut states, &spec, key);
+        let bucket = |chain: &Vec<WindowState>| -> Vec<Tuple> {
+            let side = chain[0].side_b.iter();
+            side.filter(|t| has_key(&spec, t, key)).cloned().collect()
+        };
+        assert_eq!(bucket(&placed[home]).len(), 4);
+        assert!(states
+            .iter()
+            .all(|chain| bucket(chain) == bucket(&placed[home])));
+        // While hot, one of the key's A tuples was spread off its home.
+        let spread = t(12, StreamId::A, 7);
+        states[(home + 1) % 3][0].side_a.push(spread.clone());
+        placed[home][0].side_a.push(spread);
+        demote_key(&mut states, &spec, key);
+        assert_eq!(states, placed);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! the equivalence too.
 
 use proptest::prelude::*;
-use state_slice_repro::core::live::{MigrationMode, Session, SessionOptions};
+use state_slice_repro::core::live::{Session, SessionOptions};
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::{collected_fingerprints, scan_only};
 use state_slice_repro::core::{
@@ -271,7 +271,6 @@ fn run_band_churn(input: &[Tuple], indexed: bool) -> (ChurnQueries, CostCounters
             retain_results: true,
             ..PlannerOptions::default()
         },
-        mode: MigrationMode::Eager,
         ..SessionOptions::default()
     };
     let mut live = Session::launch(workload_of(&[9, 2]), options).expect("launch");

@@ -29,13 +29,13 @@
 //!
 //! A second property pins the same equivalence under mid-run
 //! [`Session`] churn: queries entering and leaving re-slice the chain
-//! online (eager or lazy migration, 1 or 4 shards), and every query
+//! online (1 or 4 shards), and every query
 //! instance's lifetime deliveries and the final drained states must agree —
 //! including across operator rebuilds, each of which resets the rebuilt
 //! operator's result history (it restarts on rows).
 
 use proptest::prelude::*;
-use state_slice_repro::core::live::{MigrationMode, Session, SessionEvent, SessionOptions};
+use state_slice_repro::core::live::{Session, SessionEvent, SessionOptions};
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
@@ -292,7 +292,6 @@ fn run_live(
     cuts: &[usize],
     actions: &[Action],
     shards: usize,
-    mode: MigrationMode,
     batch_per_visit: usize,
 ) -> (SessionOutcome, StateSnapshot, u64) {
     let options = SessionOptions {
@@ -301,7 +300,6 @@ fn run_live(
             shards,
         },
         executor: executor_config(batch_per_visit),
-        mode,
         ..SessionOptions::default()
     };
     let mut live = Session::launch(churn_workload(initial), options).unwrap();
@@ -348,7 +346,6 @@ fn check_churn_schedule(
     initial: &[u64],
     schedule: &[(usize, bool, usize)],
     shards: usize,
-    mode: MigrationMode,
 ) {
     let mut tenths = 0u64;
     let mut seen = [0usize; 2];
@@ -364,9 +361,9 @@ fn check_churn_schedule(
         .collect();
     let (cuts, actions) = resolve_schedule(schedule, input.len(), initial);
     let (row_outcome, row_states, row_batch_rows) =
-        run_live(&input, initial, &cuts, &actions, shards, mode, 1);
+        run_live(&input, initial, &cuts, &actions, shards, 1);
     let (col_outcome, col_states, col_batch_rows) =
-        run_live(&input, initial, &cuts, &actions, shards, mode, 64);
+        run_live(&input, initial, &cuts, &actions, shards, 64);
     assert_eq!(row_batch_rows, 0, "the reference must stay on rows");
     assert!(col_batch_rows > 0, "the subject never went columnar");
     for outcome in [&row_outcome, &col_outcome] {
@@ -387,15 +384,7 @@ fn churned_chain_is_transport_invariant() {
     let arrivals: Vec<(u64, bool)> = (0..1600).map(|i| (1 + i % 2, i % 3 == 0)).collect();
     let initial = [5u64];
     let schedule = [(560usize, true, 1usize), (520, false, 0)];
-    check_churn_schedule(&arrivals, &initial, &schedule, 4, MigrationMode::Eager);
-}
-
-#[test]
-fn lazy_churned_chain_is_transport_invariant() {
-    let arrivals: Vec<(u64, bool)> = (0..1200).map(|i| (1 + (i * 7) % 2, i % 2 == 0)).collect();
-    let initial = [2u64, 11];
-    let schedule = [(320usize, true, 0usize), (360, false, 1), (240, true, 2)];
-    check_churn_schedule(&arrivals, &initial, &schedule, 1, MigrationMode::Lazy);
+    check_churn_schedule(&arrivals, &initial, &schedule, 4);
 }
 
 proptest! {
@@ -446,8 +435,8 @@ proptest! {
 
     /// Property: random input and random churn schedule — the live-migrated
     /// chain delivers the same per-instance lifetime results and final
-    /// states whether results travel as column batches or row tuples, in
-    /// both migration modes and shard counts; results and states are
+    /// states whether results travel as column batches or row tuples, at
+    /// both shard counts; results and states are
     /// unchanged across rebuilds, each of which resets the rebuilt
     /// operator's result history.
     #[test]
@@ -456,11 +445,9 @@ proptest! {
         initial_picks in prop::collection::btree_set(0usize..POOL.len(), 0..3),
         schedule in prop::collection::vec((300usize..500, proptest::bool::ANY, 0usize..8), 1..4),
         four_shards in proptest::bool::ANY,
-        lazy in proptest::bool::ANY,
     ) {
         let initial: Vec<u64> = initial_picks.iter().map(|&i| POOL[i]).collect();
         let shards = if four_shards { 4 } else { 1 };
-        let mode = if lazy { MigrationMode::Lazy } else { MigrationMode::Eager };
-        check_churn_schedule(&arrivals, &initial, &schedule, shards, mode);
+        check_churn_schedule(&arrivals, &initial, &schedule, shards);
     }
 }

@@ -9,10 +9,8 @@
 //!   its lifetime equal, epoch by epoch, the delivery deltas of a fresh chain
 //!   planned for that epoch's workload and fed the whole input history, and
 //! * **final states** — after the last drain, the live chain's per-shard
-//!   per-slice window states equal (eager mode) the states of a fresh chain
-//!   planned for the final workload and fed the entire input; in lazy
-//!   split-purge mode the per-slice placement may lag, but the per-side state
-//!   *multisets* still agree.
+//!   per-slice window states equal the states of a fresh chain planned for
+//!   the final workload and fed the entire input.
 //!
 //! Schedules keep one anchor query (the largest window) alive throughout, so
 //! churn never changes the chain's coverage and every migration is a pure
@@ -22,9 +20,7 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use state_slice_repro::core::live::{
-    MigrationMode, Session, SessionEvent, SessionOptions, SliceStrategy,
-};
+use state_slice_repro::core::live::{Session, SessionEvent, SessionOptions, SliceStrategy};
 use state_slice_repro::core::planner::{PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
@@ -116,13 +112,12 @@ fn resolve_schedule(
     (cuts, actions)
 }
 
-fn live_options(shards: usize, mode: MigrationMode) -> SessionOptions {
+fn live_options(shards: usize) -> SessionOptions {
     SessionOptions {
         planner: PlannerOptions {
             retain_results: true,
             shards,
         },
-        mode,
         ..SessionOptions::default()
     }
 }
@@ -161,9 +156,8 @@ fn run_live(
     cuts: &[usize],
     actions: &[Action],
     shards: usize,
-    mode: MigrationMode,
 ) -> (SessionOutcome, StateSnapshot) {
-    let mut live = Session::launch(workload_of(initial), live_options(shards, mode)).unwrap();
+    let mut live = Session::launch(workload_of(initial), live_options(shards)).unwrap();
     let mut done = 0usize;
     for (&cut, action) in cuts.iter().zip(actions) {
         live.ingest_all(input[done..cut].to_vec()).unwrap();
@@ -323,26 +317,6 @@ fn reference_final_states(input: &[Tuple], final_pool: &[u64], shards: usize) ->
     collect_states(&exec)
 }
 
-/// Per-shard `(A side, B side)` state multisets.
-type SideMultisets = Vec<(Vec<(Timestamp, i64)>, Vec<(Timestamp, i64)>)>;
-
-/// Flatten a snapshot to per-shard per-side multisets (for lazy mode, where
-/// only the union over slices is pinned).
-fn state_multisets(snapshot: &StateSnapshot) -> SideMultisets {
-    snapshot
-        .iter()
-        .map(|slices| {
-            let mut a: Vec<(Timestamp, i64)> =
-                slices.iter().flat_map(|(_, a, _)| a.clone()).collect();
-            let mut b: Vec<(Timestamp, i64)> =
-                slices.iter().flat_map(|(_, _, b)| b.clone()).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            (a, b)
-        })
-        .collect()
-}
-
 fn final_pool(initial: &[u64], actions: &[Action]) -> Vec<u64> {
     let mut active = initial.to_vec();
     for action in actions {
@@ -359,32 +333,18 @@ fn check_schedule(
     initial: &[u64],
     schedule: &[(usize, bool, usize)],
     shards: usize,
-    mode: MigrationMode,
 ) {
     let input = build_input(arrivals);
     let (cuts, actions) = resolve_schedule(schedule, input.len(), initial);
-    let (outcome, live_states) = run_live(&input, initial, &cuts, &actions, shards, mode);
+    let (outcome, live_states) = run_live(&input, initial, &cuts, &actions, shards);
     let migrations = outcome.events.iter().filter_map(SessionEvent::migration);
     assert_eq!(migrations.count(), actions.len());
     let oracle = oracle_instances(&input, initial, &cuts, &actions);
     assert_live_matches_oracle(&outcome, &oracle);
     let fresh_states = reference_final_states(&input, &final_pool(initial, &actions), shards);
-    match mode {
-        MigrationMode::Eager => {
-            // Exact per-shard per-slice equality with the freshly planned
-            // chain, including window boundaries and state order.
-            assert_eq!(live_states, fresh_states, "final slice states diverged");
-        }
-        MigrationMode::Lazy => {
-            // Placement may lag behind (split-purge fills lazily), but each
-            // shard holds exactly the same state multiset per side.
-            assert_eq!(
-                state_multisets(&live_states),
-                state_multisets(&fresh_states),
-                "final state multisets diverged"
-            );
-        }
-    }
+    // Exact per-shard per-slice equality with the freshly planned chain,
+    // including window boundaries and state order.
+    assert_eq!(live_states, fresh_states, "final slice states diverged");
 }
 
 #[test]
@@ -396,17 +356,7 @@ fn sharded_add_and_remove_preserve_per_sink_multisets() {
         .collect();
     let initial = [5u64];
     let schedule = [(140usize, true, 1usize), (130, false, 0)];
-    check_schedule(&arrivals, &initial, &schedule, 4, MigrationMode::Eager);
-}
-
-#[test]
-fn lazy_split_purge_matches_the_oracle_too() {
-    let arrivals: Vec<(u64, bool, i64)> = (0..300)
-        .map(|i| ((i * 7) % 5, i % 2 == 0, (i % 4) as i64))
-        .collect();
-    let initial = [3u64, 9];
-    let schedule = [(80usize, true, 0usize), (90, false, 1), (60, true, 2)];
-    check_schedule(&arrivals, &initial, &schedule, 1, MigrationMode::Lazy);
+    check_schedule(&arrivals, &initial, &schedule, 4);
 }
 
 #[test]
@@ -420,7 +370,7 @@ fn cpu_opt_replanning_matches_per_epoch_references() {
     let initial = [2u64, 7, 11];
     let schedule = [(120usize, false, 0usize), (110, true, 3)];
     let (cuts, actions) = resolve_schedule(&schedule, input.len(), &initial);
-    let mut options = live_options(1, MigrationMode::Eager);
+    let mut options = live_options(1);
     options.strategy = SliceStrategy::CpuOpt(CostConfig::default());
     let mut live = Session::launch(workload_of(&initial), options).unwrap();
     let mut done = 0usize;
@@ -451,7 +401,7 @@ fn window_extension_ramps_up_instead_of_resurrecting_history() {
     let arrivals: Vec<(u64, bool, i64)> = (0..300).map(|i| (2, i % 2 == 0, 0i64)).collect();
     let input = build_input(&arrivals);
     let cut = 200usize;
-    let mut live = Session::launch(workload, live_options(1, MigrationMode::Eager)).unwrap();
+    let mut live = Session::launch(workload, live_options(1)).unwrap();
     live.ingest_all(input[..cut].to_vec()).unwrap();
     live.add_query(JoinQuery::new("Q12", TimeDelta::from_secs(12)))
         .unwrap();
@@ -506,11 +456,9 @@ proptest! {
         initial_picks in prop::collection::btree_set(0usize..POOL.len(), 0..3),
         schedule in prop::collection::vec((20usize..90, proptest::bool::ANY, 0usize..8), 1..5),
         four_shards in proptest::bool::ANY,
-        lazy in proptest::bool::ANY,
     ) {
         let initial: Vec<u64> = initial_picks.iter().map(|&i| POOL[i]).collect();
         let shards = if four_shards { 4 } else { 1 };
-        let mode = if lazy { MigrationMode::Lazy } else { MigrationMode::Eager };
-        check_schedule(&arrivals, &initial, &schedule, shards, mode);
+        check_schedule(&arrivals, &initial, &schedule, shards);
     }
 }

@@ -230,8 +230,7 @@ proptest! {
         mid_shards in 2usize..7,
     ) {
         let cond = JoinCondition::equi(0);
-        let spec = state_slice_repro::streamkit::ShardSpec::from_condition(
-            &cond, StreamId::A, StreamId::B).unwrap();
+        let spec = state_slice_repro::streamkit::ShardSpec::from_condition(&cond).unwrap();
         let window = SliceWindow::from_secs(0, 50);
         let state_a = ordered_state(&arrivals_a, StreamId::A);
         let state_b = ordered_state(&arrivals_b, StreamId::B);

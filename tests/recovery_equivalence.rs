@@ -15,7 +15,9 @@
 //! Because one session owns churn, re-plans, rescales and recovery, the
 //! same property holds across those axes: a crash after a re-plan, inside
 //! the drain a re-plan starts with, or after a rescale recovers into the
-//! chain that was running when it fired.
+//! chain that was running when it fired, and a crash after a skew-routing
+//! hot-key promotion recovers the hot set with the states (results only:
+//! spread tuples may sit on other shards).
 //!
 //! The deterministic cases pin the interesting trajectories — a guaranteed
 //! mid-stream worker panic on a multi-shard session, and one crash per
@@ -39,7 +41,7 @@ use state_slice_repro::streamkit::predicate::CmpOp;
 use state_slice_repro::streamkit::punctuation::Punctuation;
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::{
-    CostCounters, Executor, JoinCondition, TimeDelta, Timestamp, Tuple,
+    CostCounters, Executor, JoinCondition, SkewConfig, TimeDelta, Timestamp, Tuple,
 };
 
 type Fingerprint = (Timestamp, TimeDelta, Timestamp);
@@ -353,6 +355,102 @@ fn a_crash_after_a_rescale_recovers_at_the_new_shard_count() {
         ];
         let recoveries = assert_equivalent(Mode::Equi, from, 4, &seconds, &steps);
         assert_eq!(recoveries.len(), 1, "rescale {from}->{to}");
+    }
+}
+
+/// Skew routing promotes a key after the last checkpoint, then a worker
+/// crashes.  The restored cut predates the promotion, so it must also
+/// restore the hot set it was taken with (empty): the replay then promotes
+/// the key again from the restored states, instead of spreading its build
+/// side to shards that never received its earlier probe-side tuples.  The
+/// replay promotes at another moment than the uninterrupted run, so spread
+/// build-side tuples may sit on other shards; only the per-query result
+/// multisets are compared, against the 1-shard oracle.
+#[test]
+fn a_crash_after_a_hot_key_promotion_recovers_exactly() {
+    let run = |shards: usize, crash_on: Option<usize>| {
+        let options = SessionOptions {
+            planner: PlannerOptions {
+                retain_results: true,
+                shards,
+            },
+            recovery: RecoveryConfig {
+                checkpoint_every_epochs: 10,
+                ..RecoveryConfig::default()
+            },
+            ..SessionOptions::default()
+        };
+        let queries = vec![
+            JoinQuery::new("C5", TimeDelta::from_secs(5)),
+            JoinQuery::new("QA", TimeDelta::from_secs(15)),
+        ];
+        let workload = QueryWorkload::new(queries, JoinCondition::equi(0)).unwrap();
+        let mut session = Session::launch(workload, options).unwrap();
+        if shards > 1 {
+            let skew = SkewConfig {
+                hot_share: 0.3,
+                min_observations: 8,
+                sketch_capacity: 16,
+                max_hot_keys: 2,
+                demote_observations: 0,
+            };
+            session.executor_mut().enable_skew(skew).unwrap();
+        }
+        if let Some(shard) = crash_on {
+            let fault = FaultPlan::panic_at(16);
+            session.executor_mut().arm_fault(shard, fault).unwrap();
+        }
+        // Ten tuples per stream per second; key 0 is one in ten of them
+        // before 10 s and eight in ten after, so it turns hot at about 14 s,
+        // between the checkpoints at epochs 10 and 20.
+        for t in 0..25u64 {
+            for j in 0..10u64 {
+                let hot = if t < 10 { j == 0 } else { j < 8 };
+                let key = if hot {
+                    0
+                } else {
+                    1 + ((t * 10 + j) % 9) as i64
+                };
+                let ts = Timestamp::from_millis(t * 1000 + j * 100);
+                for stream in [StreamId::A, StreamId::B] {
+                    session.ingest(Tuple::of_ints(ts, stream, &[key])).unwrap();
+                }
+            }
+            let end = Timestamp::from_millis(t * 1000 + 999);
+            session.ingest(Punctuation::new(end)).unwrap();
+            session.drain().unwrap();
+        }
+        let promotions = session.executor().router_stats().promotions;
+        let outcome = session.finish().unwrap();
+        let results: Vec<(String, Vec<Fingerprint>)> = outcome
+            .queries
+            .iter()
+            .map(|q| {
+                let mut fps = collected_fingerprints(&q.collected);
+                fps.sort_unstable();
+                (q.name.clone(), fps)
+            })
+            .collect();
+        let recoveries: Vec<RecoveryRecord> = outcome
+            .events
+            .iter()
+            .filter_map(SessionEvent::recovery)
+            .cloned()
+            .collect();
+        (results, recoveries, promotions)
+    };
+    let (oracle, _, _) = run(1, None);
+    let (clean, _, promotions) = run(2, None);
+    assert!(promotions > 0, "key 0 must turn hot");
+    assert_eq!(clean, oracle, "skew routing changed the results");
+    for shard in 0..2 {
+        let (crashed, recoveries, _) = quiet(|| run(2, Some(shard)));
+        assert_eq!(recoveries.len(), 1, "crash on shard {shard}");
+        assert_eq!(
+            recoveries[0].checkpoint_epoch, 10,
+            "crash on shard {shard}: the restored cut predates the promotion"
+        );
+        assert_eq!(crashed, oracle, "crash on shard {shard}");
     }
 }
 

@@ -23,12 +23,23 @@
 //! lazily on local arrivals, so they can only retain more than the
 //! reference, never less).
 //!
+//! Two cross-axis cases drive a [`Session`] with skew routing on and compare
+//! every query's result multiset with a 1-shard session without it: a
+//! rescale to one more shard and back while a key is hot (the rescale
+//! demotes it as data, and the new pool promotes it again), and query churn
+//! while a key is hot (each shard's chain is re-cut with the replicated
+//! bucket in it).  The crash-after-promotion case lives in
+//! `recovery_equivalence`.
+//!
 //! `SS_TEST_SHARDS` (default 4, minimum 2) sets the pool width so CI can
 //! sweep shard counts.
 
 use proptest::prelude::*;
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
-use state_slice_repro::core::{ChainPlanFactory, ChainSpec, JoinQuery, QueryWorkload};
+use state_slice_repro::core::verify::collected_fingerprints;
+use state_slice_repro::core::{
+    ChainPlanFactory, ChainSpec, JoinQuery, QueryWorkload, Session, SessionOptions,
+};
 use state_slice_repro::streamkit::join_state::tuple_key;
 use state_slice_repro::streamkit::tuple::{KeyClass, StreamId};
 use state_slice_repro::streamkit::{
@@ -115,7 +126,7 @@ fn run_with_policy(
             (q.name.clone(), fp)
         })
         .collect();
-    let hot_keys = exec.hot_keys();
+    let hot_keys = exec.hot_keys().to_vec();
     let hot_state_b = harvest_hot_state_b(&exec, &hot_keys);
     Outcome {
         results,
@@ -308,6 +319,121 @@ fn key_becoming_hot_mid_run_matches_the_reference() {
         "key 5 should be promoted mid-run (hot set: {:?})",
         skewed.hot_keys
     );
+}
+
+/// A session action after a chunk of input.
+#[derive(Debug, Clone, Copy)]
+enum Action {
+    Add(&'static str, u64),
+    Remove(&'static str),
+    Rescale(usize),
+}
+
+/// Per query name, the sorted result fingerprints.
+type ByQuery = Vec<(String, Vec<(Timestamp, TimeDelta, Timestamp)>)>;
+
+/// Key 0 carries two thirds of both streams over `from..to` (0.2 s steps).
+fn dominant_key_chunk(from: u64, to: u64) -> Vec<Tuple> {
+    let mut items = Vec::new();
+    for i in from..to {
+        let key = if i % 3 < 2 { 0 } else { (i % 7) as i64 + 1 };
+        items.push(tuple(StreamId::A, i * 2, key, (i % 8) as i64));
+        items.push(tuple(StreamId::B, i * 2 + 1, key, 0));
+    }
+    items
+}
+
+/// Feed `chunks` to a session over QA (15 s) and C5 (5 s), draining after
+/// each and applying `actions[k]` after chunk `k`.  With skew routing on
+/// `shards` workers it records whether a key was hot at each action; the
+/// oracle (`None`) runs on one shard and skips rescales.  Returns the
+/// results by query name, the hot flags and the final hot set.
+fn run_session(
+    skew_shards: Option<usize>,
+    chunks: &[Vec<Tuple>],
+    actions: &[Action],
+) -> (ByQuery, Vec<bool>, Vec<u64>) {
+    let options = SessionOptions {
+        planner: PlannerOptions {
+            retain_results: true,
+            shards: skew_shards.unwrap_or(1),
+        },
+        ..SessionOptions::default()
+    };
+    let queries = vec![
+        JoinQuery::new("QA", TimeDelta::from_secs(15)),
+        JoinQuery::new("C5", TimeDelta::from_secs(5)),
+    ];
+    let workload = QueryWorkload::new(queries, JoinCondition::equi(0)).unwrap();
+    let mut live = Session::launch(workload, options).unwrap();
+    if skew_shards.is_some() {
+        live.executor_mut().enable_skew(eager_skew()).unwrap();
+    }
+    let mut hot_at = Vec::new();
+    for (k, chunk) in chunks.iter().enumerate() {
+        live.ingest_all(chunk.clone()).unwrap();
+        live.drain().unwrap();
+        let Some(&action) = actions.get(k) else {
+            continue;
+        };
+        hot_at.push(!live.executor().hot_keys().is_empty());
+        match action {
+            Action::Add(name, secs) => live
+                .add_query(JoinQuery::new(name, TimeDelta::from_secs(secs)))
+                .unwrap(),
+            Action::Remove(name) => {
+                live.remove_query(name).unwrap();
+            }
+            Action::Rescale(n) if skew_shards.is_some() => live.rescale_shards(n).unwrap(),
+            Action::Rescale(_) => {}
+        }
+    }
+    let hot = live.executor().hot_keys().to_vec();
+    let outcome = live.finish().unwrap();
+    let mut results: ByQuery = outcome
+        .queries
+        .iter()
+        .map(|q| {
+            let mut fps = collected_fingerprints(&q.collected);
+            fps.sort_unstable();
+            (q.name.clone(), fps)
+        })
+        .collect();
+    results.sort();
+    (results, hot_at, hot)
+}
+
+#[test]
+fn a_rescale_with_a_hot_key_matches_the_reference() {
+    let n = test_shards();
+    let chunks: Vec<Vec<Tuple>> = (0..4)
+        .map(|c| dominant_key_chunk(c * 150, c * 150 + 150))
+        .collect();
+    let actions = [Action::Rescale(n + 1), Action::Rescale(n)];
+    let (oracle, _, _) = run_session(None, &chunks, &actions);
+    let (skewed, hot_at, hot) = run_session(Some(n), &chunks, &actions);
+    assert_eq!(hot_at, [true, true], "a key is hot at each rescale");
+    assert!(!hot.is_empty(), "skew routing survived both rescales");
+    assert!(oracle.iter().all(|(_, fps)| !fps.is_empty()));
+    assert_eq!(skewed, oracle);
+}
+
+#[test]
+fn query_churn_with_a_hot_key_matches_the_reference() {
+    let chunks: Vec<Vec<Tuple>> = (0..4)
+        .map(|c| dominant_key_chunk(c * 150, c * 150 + 150))
+        .collect();
+    let actions = [
+        Action::Add("C3", 3),
+        Action::Remove("C5"),
+        Action::Add("C7", 7),
+    ];
+    let (oracle, _, _) = run_session(None, &chunks, &actions);
+    let (skewed, hot_at, _) = run_session(Some(test_shards()), &chunks, &actions);
+    assert_eq!(hot_at, [true; 3], "a key is hot at each churn step");
+    assert_eq!(oracle.len(), 4);
+    assert!(oracle.iter().all(|(_, fps)| !fps.is_empty()));
+    assert_eq!(skewed, oracle);
 }
 
 proptest! {

@@ -14,8 +14,10 @@
 //! * **monotone backpressure counters** — the cumulative
 //!   `router_stalls` counter never decreases across epochs, including
 //!   across rescales (retired executors' reports are folded in);
-//! * **skew guard** — shard rescaling refuses to run while replicated
-//!   hot keys are active, and the refusal leaves the session working;
+//! * **hot keys through a rescale** — rescaling while hot keys are
+//!   replicated demotes them as data, keeps skew routing on the new pool
+//!   (which promotes again under skewed input) and leaves the session
+//!   working;
 //! * **kill-and-recover soak** — repeated injected worker crashes recover
 //!   on the *same* pool (the named-worker census never moves), interleaved
 //!   with checkpoints forced by a full replay ring, with the backpressure
@@ -186,7 +188,7 @@ fn worker_pool_survives_churn_epochs_without_leaking_threads() {
 }
 
 #[test]
-fn rescale_refuses_while_hot_keys_are_replicated_and_session_survives() {
+fn rescale_with_hot_keys_demotes_them_and_the_session_survives() {
     let _guard = THREAD_COUNT_LOCK.lock().unwrap();
     let shards = test_shards();
     let mut live = Session::launch(
@@ -194,53 +196,54 @@ fn rescale_refuses_while_hot_keys_are_replicated_and_session_survives() {
         live_options(shards),
     )
     .unwrap();
-    live.executor_mut()
-        .enable_skew(SkewConfig {
-            hot_share: 0.3,
-            min_observations: 8,
-            sketch_capacity: 16,
-            max_hot_keys: 2,
-            demote_observations: 0,
-        })
-        .unwrap();
+    let skew = SkewConfig {
+        hot_share: 0.3,
+        min_observations: 8,
+        sketch_capacity: 16,
+        max_hot_keys: 2,
+        demote_observations: 0,
+    };
+    live.executor_mut().enable_skew(skew).unwrap();
 
     // Key 0 dominates both streams: promoted almost immediately.
-    let mut items = Vec::new();
-    for i in 0..200u64 {
-        let key = if i % 3 < 2 { 0 } else { (i % 7) as i64 };
-        items.push(tuple(StreamId::A, i * 2, key));
-        items.push(tuple(StreamId::B, i * 2 + 1, key));
-    }
-    live.ingest_all(items).unwrap();
+    let skewed = |from: u64, to: u64| -> Vec<Tuple> {
+        let mut items = Vec::new();
+        for i in from..to {
+            let key = if i % 3 < 2 { 0 } else { (i % 7) as i64 };
+            items.push(tuple(StreamId::A, i * 2, key));
+            items.push(tuple(StreamId::B, i * 2 + 1, key));
+        }
+        items
+    };
+    live.ingest_all(skewed(0, 200)).unwrap();
     live.drain().unwrap();
     assert!(
-        live.executor().has_hot_keys(),
+        !live.executor().hot_keys().is_empty(),
         "the dominant key must be promoted"
     );
 
-    // Rescaling to a different width must refuse...
+    // Rescaling demotes the hot keys as data and keeps skew routing.
     let target = if shards == 2 { 3 } else { 2 };
-    let err = live.rescale_shards(target).unwrap_err();
+    live.rescale_shards(target).unwrap();
+    assert_eq!(live.num_shards(), target);
     assert!(
-        err.to_string().contains("hot keys"),
-        "unexpected rescale error: {err}"
+        live.executor().hot_keys().is_empty(),
+        "demoted by the rescale"
     );
-    // ...while rescaling to the current width stays a no-op.
-    live.rescale_shards(shards).unwrap();
-    assert_eq!(live.num_shards(), shards);
+    assert_eq!(live.executor().skew_config(), Some(skew));
+    assert_workers_settle(target, "rescale with hot keys");
 
-    // The refusal left the session intact: query churn and further input
-    // still work on the same pool.
+    // The session goes on: query churn and further skewed input work, and
+    // the new pool promotes the dominant key again.
     live.add_query(query("C3", 3)).unwrap();
-    let mut more = Vec::new();
-    for i in 200..260u64 {
-        more.push(tuple(StreamId::A, i * 2, 0));
-        more.push(tuple(StreamId::B, i * 2 + 1, 0));
-    }
-    live.ingest_all(more).unwrap();
+    live.ingest_all(skewed(200, 260)).unwrap();
     let report = live.drain().unwrap();
     assert!(report.sink_count("QA") > 0);
-    assert!(live.executor().has_hot_keys(), "hot set survives churn");
+    assert!(!live.executor().hot_keys().is_empty(), "promoted again");
+    live.rescale_shards(shards).unwrap();
+    assert_workers_settle(shards, "rescale back");
+    live.ingest_all(skewed(260, 300)).unwrap();
+    assert!(live.drain().unwrap().sink_count("C3") > 0);
 }
 
 #[test]
