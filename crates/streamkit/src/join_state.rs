@@ -21,11 +21,15 @@
 //!
 //! Conditions with no equi component but an inequality (band/theta)
 //! component get a third mode, **`BandIndexed`**: a value-ordered secondary
-//! index (`BTreeMap` over an order-preserving encoding of the stored band
-//! key) maintained incrementally on insert and cleaned lazily like the hash
-//! buckets.  A band probe `lo ≤ stored.g ≤ hi` binary-searches to the range
-//! start and walks the contiguous run — O(log n + matches) instead of the
-//! O(n) scan (the classic ordered range-reporting bound).  Stored keys that
+//! index, one ordered set of `(order-preserving encoding of the stored band
+//! key, sequence number)` pairs.  Unlike the hash buckets it is maintained
+//! **eagerly**: a push inserts the tuple's pair and a purge removes it, each
+//! O(log n), so the set holds exactly the live entries and is never rebuilt
+//! (a lazily-cleaned ordered index had to rebuild itself whole once half the
+//! window turned over, an O(n log n) stall on the purge path).  A band probe
+//! `lo ≤ stored.g ≤ hi` binary-searches to the range start and walks the
+//! contiguous run — O(log n + matches) instead of the O(n) scan (the classic
+//! ordered range-reporting bound).  Stored keys that
 //! do not order numerically (`Null`/`Bool`/`Str`/`NaN` — cross-type
 //! comparisons go through type ranks, so they *can* satisfy a band theta)
 //! live in a side list every band probe scans; a probe whose bound value is
@@ -69,7 +73,7 @@
 //! collision); that only widens a candidate set, and callers re-evaluate the
 //! condition per candidate, so correctness is unaffected.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -197,6 +201,9 @@ impl Hasher for IdentityHasher {
 
 type IdentityBuild = BuildHasherDefault<IdentityHasher>;
 
+/// Hash buckets: canonical key hash → sequence numbers in insertion order.
+type Buckets = HashMap<u64, VecDeque<u64>, IdentityBuild>;
+
 /// Deterministic hash of a join-key value over the *same* equivalence
 /// classes as the [`JoinState`] bucket mapping: two key values that
 /// [`Value::compare`](crate::tuple::Value) as `Equal` hash identically
@@ -234,7 +241,7 @@ pub fn canonical_key_hash(v: &Value) -> Option<u64> {
 /// to this tag, and no probe ever looks the bucket up).
 const MISSING_KEY_HASH: u64 = 0xaf63_bc4c_8601_b62c;
 
-/// Compact the lazily-cleaned index once the dead-entry backlog exceeds
+/// Compact the lazily-cleaned hash index once the dead-entry backlog exceeds
 /// `max(live entries, MIN_COMPACT_STALE)` — amortised O(1) per purge, and
 /// small states never bother.
 const MIN_COMPACT_STALE: usize = 32;
@@ -264,22 +271,101 @@ pub(crate) fn band_key_bits(v: &Value) -> Option<u64> {
     }
 }
 
-/// The value-ordered secondary index of a `BandIndexed` [`JoinState`].
+/// The value-ordered secondary index of a `BandIndexed` [`JoinState`],
+/// maintained eagerly: it references exactly the live entries.
 #[derive(Debug)]
 struct BandIndexState {
     /// The band shape ([`band_bounds`]) this state answers probes for.
     spec: BandProbe,
-    /// Order index: monotone key bits → sequence numbers in insertion order.
-    /// Holds only numerically-ordered keys; cleaned lazily like the hash
-    /// buckets (dead sequence numbers are skipped and swept by compaction).
-    tree: BTreeMap<u64, VecDeque<u64>>,
+    /// Order index: `(monotone key bits, sequence number)` pairs, so a range
+    /// walk yields value order and insertion order among equal keys.  Holds
+    /// only numerically-ordered keys.
+    order: BTreeSet<(u64, u64)>,
     /// Sequence numbers of entries whose band key exists but is not
-    /// numerically ordered (`Null`/`Bool`/`Str`/`NaN`); every band probe
-    /// scans these in addition to its tree range.  Entries *missing* the
-    /// band key field are referenced by neither structure — a theta over an
-    /// absent field is false, and conditions are pure conjunctions, so such
-    /// tuples can never match.
+    /// numerically ordered (`Null`/`Bool`/`Str`/`NaN`), in time order; every
+    /// band probe scans these in addition to its order range.  Entries
+    /// *missing* the band key field are referenced by neither structure — a
+    /// theta over an absent field is false, and conditions are pure
+    /// conjunctions, so such tuples can never match.
     side: VecDeque<u64>,
+}
+
+/// Add the hash-bucket references of every live tuple in `arena` to `index`
+/// and the `NaN` side list, from the tuples' key memos (no key is rehashed:
+/// every stored tuple memoised its class on insert, [`memoize_key`]).
+fn fill_buckets(
+    arena: &TupleArena,
+    field: usize,
+    index: &mut Buckets,
+    unindexed: &mut VecDeque<u64>,
+) {
+    for (seq, tuple) in (arena.head_seq()..).zip(arena.iter()) {
+        let class = tuple
+            .memoized_key(field)
+            .unwrap_or_else(|| compute_key(tuple, field));
+        match JoinState::bucket_hash(class) {
+            Some(hash) => index.entry(hash).or_default().push_back(seq),
+            None => unindexed.push_back(seq),
+        }
+    }
+}
+
+/// Where a stored tuple's band entry lives.
+enum BandSlot {
+    /// In the order set, under these monotone key bits.
+    Order(u64),
+    /// In the side list (non-numeric or `NaN` key).
+    Side,
+    /// Nowhere (the band key field is missing).
+    Absent,
+}
+
+impl BandIndexState {
+    fn new(spec: BandProbe) -> BandIndexState {
+        BandIndexState {
+            spec,
+            order: BTreeSet::new(),
+            side: VecDeque::new(),
+        }
+    }
+
+    fn slot(&self, tuple: &Tuple) -> BandSlot {
+        match tuple.value(self.spec.stored_field) {
+            None => BandSlot::Absent,
+            Some(v) => band_key_bits(v).map_or(BandSlot::Side, BandSlot::Order),
+        }
+    }
+
+    fn insert(&mut self, seq: u64, tuple: &Tuple) {
+        match self.slot(tuple) {
+            BandSlot::Order(bits) => {
+                self.order.insert((bits, seq));
+            }
+            BandSlot::Side => self.side.push_back(seq),
+            BandSlot::Absent => {}
+        }
+    }
+
+    /// Drop the entry of the purged tuple `seq`.  Purging is oldest-first and
+    /// the side list is in time order, so a side entry is always its front.
+    fn remove(&mut self, seq: u64, tuple: &Tuple) {
+        match self.slot(tuple) {
+            BandSlot::Order(bits) => {
+                let removed = self.order.remove(&(bits, seq));
+                debug_assert!(removed, "purged band entry {seq} was not indexed");
+            }
+            BandSlot::Side => {
+                let front = self.side.pop_front();
+                debug_assert_eq!(front, Some(seq), "side list out of time order");
+            }
+            BandSlot::Absent => {}
+        }
+    }
+
+    fn clear(&mut self) {
+        self.order.clear();
+        self.side.clear();
+    }
 }
 
 /// One stream's window-join state: an arena-backed, time-ordered tuple store
@@ -304,15 +390,19 @@ struct BandIndexState {
 /// Buckets are keyed by the canonical 64-bit key hash; each stored tuple
 /// carries its key class as a memo ([`memoize_key`]), so neither purging nor
 /// compaction ever rehashes a key that was hashed on insert.
+///
+/// The band index is the exception to the laziness: a purge removes the
+/// purged tuple's entry from it at once (see the module docs), so it never
+/// holds a dead entry and never needs a rebuild.
 #[derive(Debug, Default)]
 pub struct JoinState {
     arena: TupleArena,
-    index: HashMap<u64, VecDeque<u64>, IdentityBuild>,
+    index: Buckets,
     /// Sequence numbers of entries with unindexable (`NaN`) keys, in time
     /// order; scanned by every probe in addition to its bucket.
     unindexed: VecDeque<u64>,
-    /// Dead sequence numbers still referenced by `index`/`unindexed`/the
-    /// band index (indexed modes only); drives compaction.
+    /// Dead sequence numbers still referenced by `index`/`unindexed` (hash
+    /// mode only); drives compaction.
     stale: usize,
     /// Field of *stored* tuples the index is built on (`None` = linear mode).
     stored_key_field: Option<usize>,
@@ -344,11 +434,7 @@ impl JoinState {
     /// answering range probes bounded by the probe-tuple fields in `spec`.
     pub fn band_indexed(spec: BandProbe) -> JoinState {
         JoinState {
-            band: Some(BandIndexState {
-                spec,
-                tree: BTreeMap::new(),
-                side: VecDeque::new(),
-            }),
+            band: Some(BandIndexState::new(spec)),
             ..JoinState::default()
         }
     }
@@ -445,69 +531,78 @@ impl JoinState {
                 None => self.unindexed.push_back(seq),
             }
         } else if let Some(band) = &mut self.band {
-            let seq = self.arena.next_seq();
-            match tuple.value(band.spec.stored_field) {
-                // A missing band key can never satisfy the (conjunctive)
-                // condition, so the entry is referenced by neither the tree
-                // nor the side list.
-                None => {}
-                Some(v) => match band_key_bits(v) {
-                    Some(bits) => band.tree.entry(bits).or_default().push_back(seq),
-                    None => band.side.push_back(seq),
-                },
-            }
+            band.insert(self.arena.next_seq(), &tuple);
         }
         self.arena.push(tuple);
     }
 
-    /// Remove and return the oldest tuple.  The index is cleaned **lazily**:
-    /// the popped entry's bucket reference merely goes dead (probes skip it)
-    /// and is swept out by the next compaction, so the purge hot path never
-    /// touches the hash map.
+    /// Remove and return the oldest tuple.  The hash index is cleaned
+    /// **lazily**: the popped entry's bucket reference merely goes dead
+    /// (probes skip it) and is swept out by the next compaction, so the purge
+    /// hot path never touches the hash map.  The band index drops its entry
+    /// at once.
     pub fn pop_front(&mut self) -> Option<Tuple> {
+        let seq = self.arena.head_seq();
         let tuple = self.arena.pop_front()?;
-        if self.stored_key_field.is_some() || self.band.is_some() {
+        if self.stored_key_field.is_some() {
             self.stale += 1;
             if self.stale > self.arena.len().max(MIN_COMPACT_STALE) {
                 self.compact();
             }
+        } else if let Some(band) = &mut self.band {
+            band.remove(seq, &tuple);
         }
         Some(tuple)
     }
 
-    /// Sweep dead entries out of the index by rebuilding it from the live
-    /// tuples' key memos.  No key is rehashed: every stored tuple memoised
-    /// its class on insert ([`memoize_key`]).  Runs automatically once the
-    /// dead backlog exceeds the live size (amortised O(1) per purge); public
-    /// so state inspection and tests can force a consistent view.
-    pub fn compact(&mut self) {
+    /// Sweep dead entries out of the hash index by rebuilding it in place
+    /// (the map keeps its capacity).  Runs once the dead backlog exceeds the
+    /// live size (amortised O(1) per purge).
+    fn compact(&mut self) {
         if let Some(field) = self.stored_key_field {
             self.index.clear();
             self.unindexed.clear();
-            for (seq, tuple) in (self.arena.head_seq()..).zip(self.arena.iter()) {
-                let class = tuple
-                    .memoized_key(field)
-                    .unwrap_or_else(|| compute_key(tuple, field));
-                match Self::bucket_hash(class) {
-                    Some(hash) => self.index.entry(hash).or_default().push_back(seq),
-                    None => self.unindexed.push_back(seq),
-                }
-            }
-            self.stale = 0;
-        } else if let Some(band) = &mut self.band {
-            band.tree.clear();
-            band.side.clear();
-            for (seq, tuple) in (self.arena.head_seq()..).zip(self.arena.iter()) {
-                match tuple.value(band.spec.stored_field) {
-                    None => {}
-                    Some(v) => match band_key_bits(v) {
-                        Some(bits) => band.tree.entry(bits).or_default().push_back(seq),
-                        None => band.side.push_back(seq),
-                    },
-                }
-            }
+            fill_buckets(&self.arena, field, &mut self.index, &mut self.unindexed);
             self.stale = 0;
         }
+    }
+
+    /// `true` if the index references exactly what a from-scratch rebuild
+    /// over the stored tuples would: the band index entry for entry (it is
+    /// maintained eagerly), the hash index once its dead references are
+    /// skipped — and those must number exactly the purges since the last
+    /// compaction.  A linear state is trivially consistent.  This is the
+    /// "incremental ≡ rebuild" invariant every push / purge / migrate /
+    /// restore sequence keeps.
+    pub fn index_matches_rebuild(&self) -> bool {
+        let head = self.arena.head_seq();
+        if let Some(band) = &self.band {
+            let mut fresh = BandIndexState::new(band.spec);
+            for (seq, tuple) in (head..).zip(self.arena.iter()) {
+                fresh.insert(seq, tuple);
+            }
+            return fresh.order == band.order && fresh.side == band.side;
+        }
+        let Some(field) = self.stored_key_field else {
+            return true;
+        };
+        let referenced =
+            self.index.values().map(VecDeque::len).sum::<usize>() + self.unindexed.len();
+        let live_only = |refs: &VecDeque<u64>| -> VecDeque<u64> {
+            refs.iter().copied().filter(|&seq| seq >= head).collect()
+        };
+        let mut index = Buckets::default();
+        for (&hash, bucket) in &self.index {
+            let bucket = live_only(bucket);
+            if !bucket.is_empty() {
+                index.insert(hash, bucket);
+            }
+        }
+        let (mut fresh_index, mut fresh_unindexed) = (Buckets::default(), VecDeque::new());
+        fill_buckets(&self.arena, field, &mut fresh_index, &mut fresh_unindexed);
+        referenced == self.len() + self.stale
+            && index == fresh_index
+            && live_only(&self.unindexed) == fresh_unindexed
     }
 
     /// The candidate tuples an arriving `probe` tuple has to be evaluated
@@ -576,17 +671,18 @@ impl JoinState {
                 }
             }
         }
-        // An inverted range holds no tree matches (BTreeMap::range would
-        // panic on it); the side list must still be scanned.
+        // An inverted range holds no order-set matches (BTreeSet::range
+        // would panic on it); the side list must still be scanned.
         let range = match (lo, hi) {
-            (Bound::Included(l), Bound::Included(h)) if l > h => band.tree.range(0..0),
-            _ => band.tree.range((lo, hi)),
+            (Bound::Included(l), Bound::Included(h)) if l > h => band.order.range((0, 0)..(0, 0)),
+            _ => band
+                .order
+                .range((lo.map(|l| (l, 0)), hi.map(|h| (h, u64::MAX)))),
         };
         Candidates {
             inner: CandidatesInner::Band {
                 arena: &self.arena,
                 range,
-                bucket: None,
                 extra: band.side.iter(),
             },
         }
@@ -619,34 +715,31 @@ impl JoinState {
     /// slice re-indexes its state in another mode,
     /// [`SliceJoinOp::drop_index`](crate::ops::SliceJoinOp::drop_index)).
     pub fn drain_ordered(&mut self) -> Vec<Tuple> {
-        self.index.clear();
-        self.unindexed.clear();
-        if let Some(band) = &mut self.band {
-            band.tree.clear();
-            band.side.clear();
-        }
-        self.stale = 0;
+        self.clear_index();
         self.arena.drain()
     }
 
     /// Replace the contents with `tuples` (which must be in timestamp
     /// order), rebuilding the index.
     /// The rebuild is deterministic: pushing the same ordered tuples always
-    /// yields the same index (band tree runs are in insertion = time order),
-    /// so a state restored from a checkpoint probes identically — same
-    /// candidates, same comparison counts — to the incrementally-maintained
-    /// original.
+    /// yields the same index (equal band keys order by sequence number, i.e.
+    /// by time), so a state restored from a checkpoint probes identically —
+    /// same candidates, same comparison counts — to the
+    /// incrementally-maintained original.
     pub fn load_ordered(&mut self, tuples: Vec<Tuple>) {
+        self.clear_index();
         self.arena.clear();
-        self.index.clear();
-        self.unindexed.clear();
-        if let Some(band) = &mut self.band {
-            band.tree.clear();
-            band.side.clear();
-        }
-        self.stale = 0;
         for t in tuples {
             self.push(t);
+        }
+    }
+
+    fn clear_index(&mut self) {
+        self.index.clear();
+        self.unindexed.clear();
+        self.stale = 0;
+        if let Some(band) = &mut self.band {
+            band.clear();
         }
     }
 }
@@ -668,8 +761,7 @@ enum CandidatesInner<'a> {
     },
     Band {
         arena: &'a TupleArena,
-        range: std::collections::btree_map::Range<'a, u64, VecDeque<u64>>,
-        bucket: Option<std::collections::vec_deque::Iter<'a, u64>>,
+        range: std::collections::btree_set::Range<'a, (u64, u64)>,
         extra: std::collections::vec_deque::Iter<'a, u64>,
     },
 }
@@ -721,31 +813,16 @@ impl<'a> Iterator for Candidates<'a> {
             CandidatesInner::Band {
                 arena,
                 range,
-                bucket,
                 extra,
             } => {
-                // Walk the tree range run by run (value order, insertion
-                // order within a run), then the non-numeric side list; dead
-                // sequence numbers are skipped exactly as in the hash path.
-                loop {
-                    if let Some(iter) = bucket {
-                        for &seq in iter.by_ref() {
-                            if let Some(tuple) = arena.get(seq) {
-                                return Some(tuple);
-                            }
-                        }
-                    }
-                    match range.next() {
-                        Some((_, run)) => *bucket = Some(run.iter()),
-                        None => break,
-                    }
-                }
-                for &seq in extra.by_ref() {
-                    if let Some(tuple) = arena.get(seq) {
-                        return Some(tuple);
-                    }
-                }
-                None
+                // The order range (value order, insertion order among equal
+                // keys), then the non-numeric side list.  Both hold live
+                // entries only, so every sequence number resolves.
+                let seq = match range.next() {
+                    Some(&(_, seq)) => seq,
+                    None => *extra.next()?,
+                };
+                arena.get(seq)
             }
         }
     }
@@ -1197,21 +1274,33 @@ mod tests {
     }
 
     #[test]
-    fn band_stale_references_auto_compact() {
+    fn band_purge_drops_the_entry_at_once() {
         let mut s = band_state();
         for i in 0..40u64 {
             s.push(t(i, (i % 7) as i64));
         }
-        for _ in 0..35 {
+        s.push(tv(40, Value::str("side")));
+        s.push(tv(41, Value::Int(3)));
+        for pops in 1..=36 {
+            s.pop_front();
+            // Every pop removes its entry: the index references exactly the
+            // live tuples after each one, with no compaction to wait for.
+            let band = s.band.as_ref().unwrap();
+            assert_eq!(
+                band.order.len() + band.side.len(),
+                s.len(),
+                "after {pops} pops"
+            );
+            assert!(s.index_matches_rebuild());
+        }
+        assert_eq!(s.len(), 6);
+        // Purging the side-listed tuple pops the side list's front.
+        for _ in 0..5 {
             s.pop_front();
         }
-        assert_eq!(s.len(), 5);
-        // Same compaction cadence as the hash index: the sweep fired on the
-        // 33rd pop, leaving 5 live + 2 fresh dead references.
-        let band = s.band.as_ref().unwrap();
-        let referenced: usize =
-            band.tree.values().map(|r| r.len()).sum::<usize>() + band.side.len();
-        assert_eq!(referenced, 7, "auto-compaction swept dead references");
+        assert_eq!(s.len(), 1);
+        assert!(s.band.as_ref().unwrap().side.is_empty());
+        assert!(s.index_matches_rebuild());
         // A full-range probe still sees exactly the live tuples (candidates
         // come back in value order; compare as multisets).
         let mut want: Vec<u64> = s.iter().map(|c| c.ts.as_micros() / 1_000_000).collect();
@@ -1328,5 +1417,62 @@ mod tests {
             indexed.push(tuple.clone());
             linear.push(tuple);
         }
+    }
+
+    #[test]
+    fn incremental_index_equals_a_rebuild_after_any_sequence() {
+        // Random push / purge / drain+reload sequences over hash, band and
+        // linear states, with NaN, string, null and missing keys mixed in:
+        // after every step the index must equal a from-scratch rebuild.
+        let mut seed = 0x0bad_5eed_dead_beefu64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for mut s in [JoinState::indexed(0, 0), band_state(), JoinState::linear()] {
+            for step in 0..2_000u64 {
+                match next() % 10 {
+                    0..=4 => {
+                        let key = match next() % 12 {
+                            0 => Value::Float(f64::NAN),
+                            1 => Value::str("s"),
+                            2 => Value::Null,
+                            _ => Value::Int((next() % 9) as i64),
+                        };
+                        let values = if next() % 20 == 0 { vec![] } else { vec![key] };
+                        s.push(Tuple::new(Timestamp::from_secs(step), StreamId::A, values));
+                    }
+                    5..=8 => {
+                        s.pop_front();
+                    }
+                    _ => {
+                        let tuples = s.drain_ordered();
+                        s.load_ordered(tuples);
+                    }
+                }
+                assert!(s.index_matches_rebuild(), "diverged at step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupted_index_fails_the_rebuild_check() {
+        let mut band = band_state();
+        let mut hash = JoinState::indexed(0, 0);
+        for i in 0..5u64 {
+            band.push(t(i, i as i64));
+            hash.push(t(i, i as i64));
+        }
+        hash.pop_front();
+        assert!(band.index_matches_rebuild() && hash.index_matches_rebuild());
+        // A lost band entry (a false negative waiting to happen)...
+        let first = *band.band.as_ref().unwrap().order.first().unwrap();
+        band.band.as_mut().unwrap().order.remove(&first);
+        assert!(!band.index_matches_rebuild());
+        // ...and an uncounted dead hash reference are both caught.
+        hash.stale = 0;
+        assert!(!hash.index_matches_rebuild());
     }
 }

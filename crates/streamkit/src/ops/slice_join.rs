@@ -205,6 +205,12 @@ impl SliceJoinOp {
         self.state_a.is_band_indexed() || self.state_b.is_band_indexed()
     }
 
+    /// `true` if both states' indexes equal a from-scratch rebuild over
+    /// their stored tuples ([`JoinState::index_matches_rebuild`]).
+    pub fn index_matches_rebuild(&self) -> bool {
+        self.state_a.index_matches_rebuild() && self.state_b.index_matches_rebuild()
+    }
+
     /// Number of joined results produced so far.
     pub fn results(&self) -> u64 {
         self.results

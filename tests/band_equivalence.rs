@@ -15,6 +15,10 @@
 //!   the output-scaling route/union/filter/split counters.  Probe
 //!   comparisons are the point of the index: `indexed ≤ scan`.
 //!
+//! * **index ≡ rebuild** — every slice's incrementally maintained index
+//!   equals a from-scratch build over its stored tuples at the end of
+//!   every run, churn sessions included.
+//!
 //! Sharding: the planner refuses to hash-partition a no-equi condition
 //! across several shards (there is no key to route by), so band chains run
 //! single-shard — the 4-shard request must error, and the 1-shard sharded
@@ -111,6 +115,12 @@ fn run_mode(workload: &QueryWorkload, spec: &ChainSpec, input: &[Tuple], indexed
     exec.ingest_all(CHAIN_ENTRY, input.to_vec())
         .expect("ingest");
     let report = exec.run().expect("run");
+    assert!(
+        exec.plan()
+            .slice_joins()
+            .all(|op| op.index_matches_rebuild()),
+        "index diverged from a rebuild"
+    );
     let results = workload
         .queries()
         .iter()
@@ -250,6 +260,7 @@ fn live_states(live: &Session) -> LiveStates {
                 .plan()
                 .slice_joins()
                 .map(|op| {
+                    assert!(op.index_matches_rebuild(), "index diverged from a rebuild");
                     let (a, b) = op.state_tuples();
                     (fp(a), fp(b))
                 })

@@ -64,7 +64,10 @@ fn run_chain(
     let states = exec
         .plan()
         .slice_joins()
-        .map(|op| op.state_timestamps())
+        .map(|op| {
+            assert!(op.index_matches_rebuild(), "index diverged from a rebuild");
+            op.state_timestamps()
+        })
         .collect();
     ((results, states), report.totals.probe_comparisons)
 }

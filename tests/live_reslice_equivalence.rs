@@ -140,6 +140,7 @@ fn collect_states(exec: &ShardedExecutor) -> StateSnapshot {
                 .plan()
                 .slice_joins()
                 .map(|op| {
+                    assert!(op.index_matches_rebuild(), "index diverged from a rebuild");
                     let (a, b) = op.state_tuples();
                     (op.window(), fp(a), fp(b))
                 })

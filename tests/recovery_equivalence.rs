@@ -204,6 +204,11 @@ fn drive(
         }
     }
     session.drain().unwrap();
+    for shard in session.executor().shards() {
+        for op in shard.plan().slice_joins() {
+            assert!(op.index_matches_rebuild(), "index diverged from a rebuild");
+        }
+    }
     let states = Checkpoint::capture(session.executor(), 0, Timestamp::ZERO)
         .unwrap()
         .shards;

@@ -146,6 +146,7 @@ fn harvest_hot_state_b(
     for shard in exec.shards() {
         let mut fps: Vec<StateFp> = Vec::new();
         for op in shard.plan().slice_joins() {
+            assert!(op.index_matches_rebuild(), "index diverged from a rebuild");
             let (_, side_b) = op.state_tuples();
             for t in side_b {
                 if let KeyClass::Hash(h) = tuple_key(&t, 0) {
