@@ -120,7 +120,7 @@ impl TupleArena {
 
     /// Sequence number of the oldest live tuple (equal to
     /// [`TupleArena::next_seq`] when empty).  Sequence numbers below this are
-    /// dead: a lazily-cleaned index entry pointing at one must be skipped.
+    /// dead; an index drops its entry for one when the tuple is popped.
     pub fn head_seq(&self) -> u64 {
         self.head_seq
     }
@@ -170,7 +170,7 @@ impl TupleArena {
             return None;
         }
         let placeholder = self.placeholder();
-        let seg = self.segments.front_mut().expect("non-empty arena");
+        let seg = self.segments.front_mut()?;
         let offset = (self.head_seq - seg.base_seq) as usize;
         let tuple = std::mem::replace(&mut seg.tuples[offset], placeholder);
         self.head_seq += 1;

@@ -11,25 +11,23 @@
 //! [`JoinState`] packages both access paths: a time-ordered segmented bump
 //! arena ([`TupleArena`]) for O(1) oldest-first purging with whole-segment
 //! deallocation, plus — for equi-join conditions — a hash index `key →
-//! bucket of entries` maintained incrementally on insert and cleaned
-//! *lazily* on purge (dead bucket references are skipped by probes and swept
-//! out by occasional compaction, so the purge hot path never touches the
-//! map).  An equi probe then touches only its key bucket, so the probe cost
-//! is O(1 + matches) instead of O(|state|); the `probe_comparisons` counters
-//! incremented by the callers consequently scale with the *output* size, not
-//! with the state size (the dominant cost in the paper's Figures 17–19).
+//! bucket of entries`.  Every bucket is in time order and purging is
+//! oldest-first, so a purged tuple is always the front of its bucket: a push
+//! appends to the bucket and a purge pops its front, dropping the bucket once
+//! it empties.  An equi probe then touches only its key bucket, so the probe
+//! cost is O(1 + matches) instead of O(|state|); the `probe_comparisons`
+//! counters incremented by the callers consequently scale with the *output*
+//! size, not with the state size (the dominant cost in the paper's Figures
+//! 17–19).
 //!
 //! Conditions with no equi component but an inequality (band/theta)
 //! component get a third mode, **`BandIndexed`**: a value-ordered secondary
 //! index, one ordered set of `(order-preserving encoding of the stored band
-//! key, sequence number)` pairs.  Unlike the hash buckets it is maintained
-//! **eagerly**: a push inserts the tuple's pair and a purge removes it, each
-//! O(log n), so the set holds exactly the live entries and is never rebuilt
-//! (a lazily-cleaned ordered index had to rebuild itself whole once half the
-//! window turned over, an O(n log n) stall on the purge path).  A band probe
-//! `lo ≤ stored.g ≤ hi` binary-searches to the range start and walks the
-//! contiguous run — O(log n + matches) instead of the O(n) scan (the classic
-//! ordered range-reporting bound).  Stored keys that
+//! key, sequence number)` pairs.  A push inserts the tuple's pair and a purge
+//! removes it, each O(log n).  A band probe `lo ≤ stored.g ≤ hi`
+//! binary-searches to the range start and walks the contiguous run —
+//! O(log n + matches) instead of the O(n) scan (the classic ordered
+//! range-reporting bound).  Stored keys that
 //! do not order numerically (`Null`/`Bool`/`Str`/`NaN` — cross-type
 //! comparisons go through type ranks, so they *can* satisfy a band theta)
 //! live in a side list every band probe scans; a probe whose bound value is
@@ -37,6 +35,10 @@
 //! inclusive at `f64` granularity so `i64 → f64` rounding can never lose a
 //! true match.  As everywhere else: false positives are fine (callers
 //! re-evaluate the full condition per candidate), false negatives never.
+//!
+//! Both indexes are **exact after every operation**: they reference the live
+//! tuples and nothing else, so no probe skips a dead entry and no index is
+//! ever rebuilt on the purge path ([`JoinState::index_matches_rebuild`]).
 //!
 //! Cross products and conditions with no usable component at all fall back
 //! to a linear scan over the time-ordered store, which is exactly the
@@ -73,6 +75,7 @@
 //! collision); that only widens a candidate set, and callers re-evaluate the
 //! condition per candidate, so correctness is unaffected.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -241,11 +244,6 @@ pub fn canonical_key_hash(v: &Value) -> Option<u64> {
 /// to this tag, and no probe ever looks the bucket up).
 const MISSING_KEY_HASH: u64 = 0xaf63_bc4c_8601_b62c;
 
-/// Compact the lazily-cleaned hash index once the dead-entry backlog exceeds
-/// `max(live entries, MIN_COMPACT_STALE)` — amortised O(1) per purge, and
-/// small states never bother.
-const MIN_COMPACT_STALE: usize = 32;
-
 /// Order-preserving `u64` encoding of a *numeric* band key: `a < b` under
 /// [`Value::compare`] iff `bits(a) < bits(b)` (the classic sign-flip trick
 /// over IEEE-754 bits), with `-0.0` folded into `+0.0`.  Returns `None` for
@@ -273,7 +271,7 @@ pub(crate) fn band_key_bits(v: &Value) -> Option<u64> {
 
 /// The value-ordered secondary index of a `BandIndexed` [`JoinState`],
 /// maintained eagerly: it references exactly the live entries.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct BandIndexState {
     /// The band shape ([`band_bounds`]) this state answers probes for.
     spec: BandProbe,
@@ -288,26 +286,6 @@ struct BandIndexState {
     /// theta over an absent field is false, and conditions are pure
     /// conjunctions, so such tuples can never match.
     side: VecDeque<u64>,
-}
-
-/// Add the hash-bucket references of every live tuple in `arena` to `index`
-/// and the `NaN` side list, from the tuples' key memos (no key is rehashed:
-/// every stored tuple memoised its class on insert, [`memoize_key`]).
-fn fill_buckets(
-    arena: &TupleArena,
-    field: usize,
-    index: &mut Buckets,
-    unindexed: &mut VecDeque<u64>,
-) {
-    for (seq, tuple) in (arena.head_seq()..).zip(arena.iter()) {
-        let class = tuple
-            .memoized_key(field)
-            .unwrap_or_else(|| compute_key(tuple, field));
-        match JoinState::bucket_hash(class) {
-            Some(hash) => index.entry(hash).or_default().push_back(seq),
-            None => unindexed.push_back(seq),
-        }
-    }
 }
 
 /// Where a stored tuple's band entry lives.
@@ -361,56 +339,121 @@ impl BandIndexState {
             BandSlot::Absent => {}
         }
     }
+}
 
-    fn clear(&mut self) {
-        self.order.clear();
-        self.side.clear();
+/// The index of a [`JoinState`]: exactly one mode per state.
+#[derive(Debug, Default, PartialEq)]
+enum Index {
+    /// No index: every probe scans the whole state.
+    #[default]
+    Linear,
+    /// Hash buckets on the equi key.
+    Hash {
+        /// Field of *stored* tuples the buckets are keyed on.
+        stored_field: usize,
+        /// Field of *probing* tuples holding the lookup key.
+        probe_field: usize,
+        buckets: Buckets,
+        /// Sequence numbers of entries with unindexable (`NaN`) keys, in
+        /// time order; scanned by every probe in addition to its bucket.
+        nan: VecDeque<u64>,
+    },
+    /// The value-ordered band index.
+    Band(BandIndexState),
+}
+
+impl Index {
+    /// The bucket hash of a stored entry's key class: `Missing` entries get
+    /// their own bucket no probe ever reads.
+    fn bucket_hash(class: KeyClass) -> Option<u64> {
+        match class {
+            KeyClass::Hash(h) => Some(h),
+            KeyClass::Missing => Some(MISSING_KEY_HASH),
+            KeyClass::Nan => None,
+        }
+    }
+
+    /// Add the entry of tuple `seq`, memoising its key class on a hash
+    /// index's stored tuple ([`memoize_key`]).
+    fn insert(&mut self, seq: u64, tuple: &mut Tuple) {
+        match self {
+            Index::Linear => {}
+            Index::Hash {
+                stored_field,
+                buckets,
+                nan,
+                ..
+            } => match Self::bucket_hash(memoize_key(tuple, *stored_field)) {
+                Some(hash) => buckets.entry(hash).or_default().push_back(seq),
+                None => nan.push_back(seq),
+            },
+            Index::Band(band) => band.insert(seq, tuple),
+        }
+    }
+
+    /// Drop the entry of the purged tuple `seq`.  Purging is oldest-first and
+    /// every bucket and the `NaN` list are in time order, so a hash entry is
+    /// always the front of its list, found through the tuple's key memo (no
+    /// rehash); a bucket is dropped once it empties.
+    fn remove(&mut self, seq: u64, tuple: &Tuple) {
+        match self {
+            Index::Linear => {}
+            Index::Hash {
+                stored_field,
+                buckets,
+                nan,
+                ..
+            } => {
+                let front = match Self::bucket_hash(tuple_key(tuple, *stored_field)) {
+                    Some(hash) => match buckets.entry(hash) {
+                        Entry::Occupied(mut bucket) => {
+                            let front = bucket.get_mut().pop_front();
+                            if bucket.get().is_empty() {
+                                bucket.remove();
+                            }
+                            front
+                        }
+                        Entry::Vacant(_) => None,
+                    },
+                    None => nan.pop_front(),
+                };
+                debug_assert_eq!(front, Some(seq), "hash bucket out of time order");
+            }
+            Index::Band(band) => band.remove(seq, tuple),
+        }
+    }
+
+    /// An index of the same mode with no entries.
+    fn emptied(&self) -> Index {
+        match self {
+            Index::Linear => Index::Linear,
+            Index::Hash {
+                stored_field,
+                probe_field,
+                ..
+            } => JoinState::indexed(*stored_field, *probe_field).index,
+            Index::Band(band) => Index::Band(BandIndexState::new(band.spec)),
+        }
     }
 }
 
 /// One stream's window-join state: an arena-backed, time-ordered tuple store
-/// with an optional incrementally-maintained hash index on the equi-join key.
+/// with an optional index — hash buckets on the equi-join key, or the
+/// value-ordered band index.
 ///
-/// Entries live in a segmented bump arena ([`TupleArena`]) and are identified
-/// by its stable, monotonically increasing sequence numbers; buckets store
-/// sequence numbers and look entries up generationally.  Purging pops the
-/// arena front and does **not** touch the buckets: a bucket entry whose
-/// sequence number has fallen behind the arena head is dead, and every
-/// reader (probes, compaction) skips such entries.  This removes the
-/// per-purge bucket surgery — a hash lookup, a bucket pop and, for the very
-/// common one-entry bucket, a map-entry deallocation that the next push of
-/// the same key pays all over again — from the cross-purge hot path; dead
-/// entries are swept out wholesale by an occasional compaction instead.
-///
-/// The probe-visible candidate set is unaffected by the laziness (dead
-/// sequence numbers are filtered before a candidate is ever yielded), so the
-/// probe-comparison counters of every caller are identical to eager
-/// cleanup's.
+/// Entries live in a segmented bump arena ([`TupleArena`]) under stable,
+/// increasing sequence numbers, which the index stores.  A push adds the new
+/// tuple's entry and a purge drops the purged tuple's entry at once, so after
+/// every operation the index references exactly the live tuples: no probe
+/// skips a dead entry and nothing is rebuilt on the purge path.
 ///
 /// Buckets are keyed by the canonical 64-bit key hash; each stored tuple
-/// carries its key class as a memo ([`memoize_key`]), so neither purging nor
-/// compaction ever rehashes a key that was hashed on insert.
-///
-/// The band index is the exception to the laziness: a purge removes the
-/// purged tuple's entry from it at once (see the module docs), so it never
-/// holds a dead entry and never needs a rebuild.
+/// carries its key class as a memo ([`memoize_key`]), so a purge never
+/// rehashes a key that was hashed on insert.
 #[derive(Debug, Default)]
 pub struct JoinState {
     arena: TupleArena,
-    index: Buckets,
-    /// Sequence numbers of entries with unindexable (`NaN`) keys, in time
-    /// order; scanned by every probe in addition to its bucket.
-    unindexed: VecDeque<u64>,
-    /// Dead sequence numbers still referenced by `index`/`unindexed` (hash
-    /// mode only); drives compaction.
-    stale: usize,
-    /// Field of *stored* tuples the index is built on (`None` = linear mode).
-    stored_key_field: Option<usize>,
-    /// Field of *probing* tuples holding the lookup key.
-    probe_key_field: Option<usize>,
-    /// Value-ordered band index (`BandIndexed` mode); mutually exclusive
-    /// with the hash index.
-    band: Option<BandIndexState>,
+    index: Index,
 }
 
 impl JoinState {
@@ -424,9 +467,13 @@ impl JoinState {
     /// probed with `probe_key_field` of arriving tuples.
     pub fn indexed(stored_key_field: usize, probe_key_field: usize) -> JoinState {
         JoinState {
-            stored_key_field: Some(stored_key_field),
-            probe_key_field: Some(probe_key_field),
-            ..JoinState::default()
+            arena: TupleArena::default(),
+            index: Index::Hash {
+                stored_field: stored_key_field,
+                probe_field: probe_key_field,
+                buckets: Buckets::default(),
+                nan: VecDeque::new(),
+            },
         }
     }
 
@@ -434,8 +481,8 @@ impl JoinState {
     /// answering range probes bounded by the probe-tuple fields in `spec`.
     pub fn band_indexed(spec: BandProbe) -> JoinState {
         JoinState {
-            band: Some(BandIndexState::new(spec)),
-            ..JoinState::default()
+            arena: TupleArena::default(),
+            index: Index::Band(BandIndexState::new(spec)),
         }
     }
 
@@ -456,17 +503,20 @@ impl JoinState {
 
     /// `true` if this state maintains a hash index.
     pub fn is_indexed(&self) -> bool {
-        self.stored_key_field.is_some()
+        matches!(self.index, Index::Hash { .. })
     }
 
     /// `true` if this state maintains a value-ordered band index.
     pub fn is_band_indexed(&self) -> bool {
-        self.band.is_some()
+        matches!(self.index, Index::Band(_))
     }
 
     /// The band shape a `BandIndexed` state answers probes for.
     pub fn band_spec(&self) -> Option<&BandProbe> {
-        self.band.as_ref().map(|b| &b.spec)
+        match &self.index {
+            Index::Band(band) => Some(&band.spec),
+            _ => None,
+        }
     }
 
     /// Number of stored tuples.
@@ -507,102 +557,38 @@ impl JoinState {
         self.arena.capacity_bytes()
     }
 
-    /// The bucket hash of a stored entry's key class: `Missing` entries get
-    /// their own bucket no probe ever reads.
-    fn bucket_hash(class: KeyClass) -> Option<u64> {
-        match class {
-            KeyClass::Hash(h) => Some(h),
-            KeyClass::Missing => Some(MISSING_KEY_HASH),
-            KeyClass::Nan => None,
-        }
-    }
-
     /// Insert a tuple at the back.  Tuples must arrive in timestamp order
     /// (the operator contract for all window joins).  The canonical key hash
     /// is taken from the tuple's memo when present ([`memoize_key`]) and
     /// computed — and memoised on the stored copy — otherwise, so that a
     /// purge forwarding this tuple to the next slice ships the hash along.
     pub fn push(&mut self, mut tuple: Tuple) {
-        if let Some(field) = self.stored_key_field {
-            let class = memoize_key(&mut tuple, field);
-            let seq = self.arena.next_seq();
-            match Self::bucket_hash(class) {
-                Some(hash) => self.index.entry(hash).or_default().push_back(seq),
-                None => self.unindexed.push_back(seq),
-            }
-        } else if let Some(band) = &mut self.band {
-            band.insert(self.arena.next_seq(), &tuple);
-        }
+        self.index.insert(self.arena.next_seq(), &mut tuple);
         self.arena.push(tuple);
     }
 
-    /// Remove and return the oldest tuple.  The hash index is cleaned
-    /// **lazily**: the popped entry's bucket reference merely goes dead
-    /// (probes skip it) and is swept out by the next compaction, so the purge
-    /// hot path never touches the hash map.  The band index drops its entry
-    /// at once.
+    /// Remove and return the oldest tuple, dropping its index entry at once:
+    /// it is the front of its hash bucket (the bucket goes once it empties)
+    /// or of the `NaN` list, or one entry of the band index's order set or
+    /// the front of its side list.
     pub fn pop_front(&mut self) -> Option<Tuple> {
         let seq = self.arena.head_seq();
         let tuple = self.arena.pop_front()?;
-        if self.stored_key_field.is_some() {
-            self.stale += 1;
-            if self.stale > self.arena.len().max(MIN_COMPACT_STALE) {
-                self.compact();
-            }
-        } else if let Some(band) = &mut self.band {
-            band.remove(seq, &tuple);
-        }
+        self.index.remove(seq, &tuple);
         Some(tuple)
     }
 
-    /// Sweep dead entries out of the hash index by rebuilding it in place
-    /// (the map keeps its capacity).  Runs once the dead backlog exceeds the
-    /// live size (amortised O(1) per purge).
-    fn compact(&mut self) {
-        if let Some(field) = self.stored_key_field {
-            self.index.clear();
-            self.unindexed.clear();
-            fill_buckets(&self.arena, field, &mut self.index, &mut self.unindexed);
-            self.stale = 0;
-        }
-    }
-
-    /// `true` if the index references exactly what a from-scratch rebuild
-    /// over the stored tuples would: the band index entry for entry (it is
-    /// maintained eagerly), the hash index once its dead references are
-    /// skipped — and those must number exactly the purges since the last
-    /// compaction.  A linear state is trivially consistent.  This is the
-    /// "incremental ≡ rebuild" invariant every push / purge / migrate /
-    /// restore sequence keeps.
+    /// `true` if the index equals a from-scratch build over the stored
+    /// tuples — the same entries in the same order, and nothing else.  A
+    /// linear state is trivially consistent.  This is the "incremental ≡
+    /// rebuild" invariant every push / purge / migrate / restore sequence
+    /// keeps.
     pub fn index_matches_rebuild(&self) -> bool {
-        let head = self.arena.head_seq();
-        if let Some(band) = &self.band {
-            let mut fresh = BandIndexState::new(band.spec);
-            for (seq, tuple) in (head..).zip(self.arena.iter()) {
-                fresh.insert(seq, tuple);
-            }
-            return fresh.order == band.order && fresh.side == band.side;
+        let mut fresh = self.index.emptied();
+        for (seq, tuple) in (self.arena.head_seq()..).zip(self.arena.iter()) {
+            fresh.insert(seq, &mut tuple.clone());
         }
-        let Some(field) = self.stored_key_field else {
-            return true;
-        };
-        let referenced =
-            self.index.values().map(VecDeque::len).sum::<usize>() + self.unindexed.len();
-        let live_only = |refs: &VecDeque<u64>| -> VecDeque<u64> {
-            refs.iter().copied().filter(|&seq| seq >= head).collect()
-        };
-        let mut index = Buckets::default();
-        for (&hash, bucket) in &self.index {
-            let bucket = live_only(bucket);
-            if !bucket.is_empty() {
-                index.insert(hash, bucket);
-            }
-        }
-        let (mut fresh_index, mut fresh_unindexed) = (Buckets::default(), VecDeque::new());
-        fill_buckets(&self.arena, field, &mut fresh_index, &mut fresh_unindexed);
-        referenced == self.len() + self.stale
-            && index == fresh_index
-            && live_only(&self.unindexed) == fresh_unindexed
+        fresh == self.index
     }
 
     /// The candidate tuples an arriving `probe` tuple has to be evaluated
@@ -623,24 +609,25 @@ impl JoinState {
     /// at `f64` granularity).  The probe key hash is reused from the tuple's
     /// memo when present.
     pub fn probe_candidates(&self, probe: &Tuple) -> Candidates<'_> {
-        if let Some(band) = &self.band {
-            return self.band_candidates(band, probe);
-        }
-        let field = match self.probe_key_field {
-            None => return Candidates::all(&self.arena),
-            Some(field) => field,
-        };
-        let hash = match tuple_key(probe, field) {
-            KeyClass::Missing => return Candidates::empty(),
-            KeyClass::Nan => return Candidates::all(&self.arena), // NaN probe
-            KeyClass::Hash(hash) => hash,
-        };
-        Candidates {
-            inner: CandidatesInner::Indexed {
-                arena: &self.arena,
-                bucket: self.index.get(&hash).map(|b| b.iter()),
-                extra: self.unindexed.iter(),
+        match &self.index {
+            Index::Linear => Candidates::all(&self.arena),
+            Index::Hash {
+                probe_field,
+                buckets,
+                nan,
+                ..
+            } => match tuple_key(probe, *probe_field) {
+                KeyClass::Missing => Candidates::empty(),
+                KeyClass::Nan => Candidates::all(&self.arena), // NaN probe
+                KeyClass::Hash(hash) => Candidates {
+                    inner: CandidatesInner::Indexed {
+                        arena: &self.arena,
+                        bucket: buckets.get(&hash).map(|b| b.iter()),
+                        extra: nan.iter(),
+                    },
+                },
             },
+            Index::Band(band) => self.band_candidates(band, probe),
         }
     }
 
@@ -705,7 +692,7 @@ impl JoinState {
             if !is_expired(front) {
                 break;
             }
-            let tuple = self.pop_front().expect("front exists");
+            let Some(tuple) = self.pop_front() else { break };
             on_expired(tuple);
         }
         comparisons
@@ -715,7 +702,7 @@ impl JoinState {
     /// slice re-indexes its state in another mode,
     /// [`SliceJoinOp::drop_index`](crate::ops::SliceJoinOp::drop_index)).
     pub fn drain_ordered(&mut self) -> Vec<Tuple> {
-        self.clear_index();
+        self.index = self.index.emptied();
         self.arena.drain()
     }
 
@@ -727,19 +714,10 @@ impl JoinState {
     /// same candidates, same comparison counts — to the
     /// incrementally-maintained original.
     pub fn load_ordered(&mut self, tuples: Vec<Tuple>) {
-        self.clear_index();
+        self.index = self.index.emptied();
         self.arena.clear();
         for t in tuples {
             self.push(t);
-        }
-    }
-
-    fn clear_index(&mut self) {
-        self.index.clear();
-        self.unindexed.clear();
-        self.stale = 0;
-        if let Some(band) = &mut self.band {
-            band.clear();
         }
     }
 }
@@ -792,23 +770,13 @@ impl<'a> Iterator for Candidates<'a> {
                 bucket,
                 extra,
             } => {
-                // Index cleanup is lazy: sequence numbers behind the arena
-                // head are dead (purged) references and are skipped here, so
-                // the yielded candidate set — and with it every caller's
-                // probe-comparison count — is exactly eager cleanup's.
-                if let Some(iter) = bucket {
-                    for &seq in iter.by_ref() {
-                        if let Some(tuple) = arena.get(seq) {
-                            return Some(tuple);
-                        }
-                    }
-                }
-                for &seq in extra.by_ref() {
-                    if let Some(tuple) = arena.get(seq) {
-                        return Some(tuple);
-                    }
-                }
-                None
+                // The key's bucket (time order), then the `NaN` list.  Both
+                // hold live entries only, so every sequence number resolves.
+                let seq = bucket
+                    .as_mut()
+                    .and_then(Iterator::next)
+                    .or_else(|| extra.next())?;
+                arena.get(*seq)
             }
             CandidatesInner::Band {
                 arena,
@@ -847,6 +815,28 @@ mod tests {
             .probe_candidates(probe)
             .map(|t| t.ts.as_micros() / 1_000_000)
             .collect()
+    }
+
+    /// The buckets and `NaN` list of a hash-indexed state.
+    fn hash_parts(s: &mut JoinState) -> (&mut Buckets, &mut VecDeque<u64>) {
+        match &mut s.index {
+            Index::Hash { buckets, nan, .. } => (buckets, nan),
+            _ => panic!("not a hash-indexed state"),
+        }
+    }
+
+    /// Bucket references plus `NaN` list entries of a hash-indexed state.
+    fn hash_references(s: &mut JoinState) -> usize {
+        let (buckets, nan) = hash_parts(s);
+        buckets.values().map(VecDeque::len).sum::<usize>() + nan.len()
+    }
+
+    /// The band index of a band-indexed state.
+    fn band_part(s: &mut JoinState) -> &mut BandIndexState {
+        match &mut s.index {
+            Index::Band(band) => band,
+            _ => panic!("not a band-indexed state"),
+        }
     }
 
     #[test]
@@ -949,15 +939,14 @@ mod tests {
         assert_eq!(popped.ts, Timestamp::from_secs(1));
         assert_eq!(candidate_secs(&s, &t(9, 7)), vec![3]);
         assert_eq!(candidate_secs(&s, &t(9, 8)), vec![2]);
-        // Cleanup is lazy: dead bucket references linger but are invisible
-        // to probes, and a compaction sweeps them out entirely.
+        // Each purge drops its bucket reference at once: the last one
+        // leaves no bucket behind.
         s.pop_front();
         s.pop_front();
         assert!(s.is_empty());
+        assert!(hash_parts(&mut s).0.is_empty());
         assert_eq!(candidate_secs(&s, &t(9, 7)), Vec::<u64>::new());
         assert_eq!(candidate_secs(&s, &t(9, 8)), Vec::<u64>::new());
-        s.compact();
-        assert!(s.index.is_empty());
     }
 
     #[test]
@@ -994,13 +983,12 @@ mod tests {
             candidate_secs(&s, &tv(9, Value::Float(f64::NAN))),
             vec![1, 2]
         );
-        // Purging the NaN entry leaves a dead side-list reference that no
-        // probe sees; compaction removes it.
+        // Purging the NaN entry pops it off the side list at once.
         s.pop_front();
         s.pop_front();
+        let (buckets, nan) = hash_parts(&mut s);
+        assert!(buckets.is_empty() && nan.is_empty());
         assert_eq!(candidate_secs(&s, &tv(9, Value::Int(5))), Vec::<u64>::new());
-        s.compact();
-        assert!(s.unindexed.is_empty());
     }
 
     #[test]
@@ -1009,10 +997,9 @@ mod tests {
         // Stored tuple has no field 1: indexed under Missing, never probed.
         s.push(t(1, 7));
         assert_eq!(candidate_secs(&s, &t(9, 8)), Vec::<u64>::new());
-        // And purging it still balances the books (after a sweep).
+        // And purging it drops the Missing bucket at once.
         s.pop_front();
-        s.compact();
-        assert!(s.index.is_empty());
+        assert!(hash_parts(&mut s).0.is_empty());
     }
 
     #[test]
@@ -1098,43 +1085,40 @@ mod tests {
         let mut probe = t(9, 7);
         memoize_key(&mut probe, 0);
         assert_eq!(candidate_secs(&s, &probe), vec![1]);
-        // The popped tuple still carries the memo it got on insert, and a
-        // compaction (which rebuilds buckets from memos) leaves no trace.
+        // The popped tuple still carries the memo it got on insert, and its
+        // purge (which found the bucket through that memo) leaves no trace.
         let popped = s.pop_front().unwrap();
         assert_eq!(popped.memoized_key(0), Some(class));
-        s.compact();
-        assert!(s.index.is_empty());
+        assert!(hash_parts(&mut s).0.is_empty());
     }
 
     #[test]
-    fn stale_bucket_references_auto_compact() {
+    fn hash_purge_drops_the_entry_at_once() {
         let mut s = JoinState::indexed(0, 0);
-        // Push 40, pop 35: the dead backlog (35) exceeds both the live size
-        // (5) and the minimum threshold (32), so compaction must have fired
-        // and the index must reference exactly the live entries again.
         for i in 0..40u64 {
             s.push(t(i, (i % 7) as i64));
         }
-        for _ in 0..35 {
+        // NaN (side list), Null, Str and missing-key (own bucket) tuples.
+        for (secs, values) in [
+            (40, vec![Value::Float(f64::NAN)]),
+            (41, vec![Value::Null]),
+            (42, vec![Value::str("k")]),
+            (43, vec![]),
+            (44, vec![Value::Float(f64::NAN)]),
+            (45, vec![Value::Int(3)]),
+        ] {
+            s.push(Tuple::new(Timestamp::from_secs(secs), StreamId::A, values));
+        }
+        assert!(s.index_matches_rebuild());
+        for pops in 1..=46 {
             s.pop_front();
+            // Every pop removes its entry: the index references exactly the
+            // live tuples after each one, and an emptied bucket is gone.
+            assert_eq!(hash_references(&mut s), s.len(), "after {pops} pops");
+            assert!(s.index_matches_rebuild(), "after {pops} pops");
         }
-        assert_eq!(s.len(), 5);
-        // Compaction fired on the 33rd pop (dead backlog 33 > max(live 7,
-        // 32)); the two pops after it left two fresh dead references, so the
-        // index references 5 live + 2 dead entries — not the 35 an
-        // un-compacted index would carry.
-        let referenced: usize =
-            s.index.values().map(|b| b.len()).sum::<usize>() + s.unindexed.len();
-        assert_eq!(referenced, 7, "auto-compaction swept dead references");
-        // Probes agree with a from-scratch rebuild.
-        for key in 0..7i64 {
-            let want: Vec<u64> = s
-                .iter()
-                .filter(|c| c.value(0) == Some(&Value::Int(key)))
-                .map(|c| c.ts.as_micros() / 1_000_000)
-                .collect();
-            assert_eq!(candidate_secs(&s, &t(99, key)), want);
-        }
+        let (buckets, nan) = hash_parts(&mut s);
+        assert!(buckets.is_empty() && nan.is_empty());
     }
 
     #[test]
@@ -1285,12 +1269,9 @@ mod tests {
             s.pop_front();
             // Every pop removes its entry: the index references exactly the
             // live tuples after each one, with no compaction to wait for.
-            let band = s.band.as_ref().unwrap();
-            assert_eq!(
-                band.order.len() + band.side.len(),
-                s.len(),
-                "after {pops} pops"
-            );
+            let band = band_part(&mut s);
+            let referenced = band.order.len() + band.side.len();
+            assert_eq!(referenced, s.len(), "after {pops} pops");
             assert!(s.index_matches_rebuild());
         }
         assert_eq!(s.len(), 6);
@@ -1299,7 +1280,7 @@ mod tests {
             s.pop_front();
         }
         assert_eq!(s.len(), 1);
-        assert!(s.band.as_ref().unwrap().side.is_empty());
+        assert!(band_part(&mut s).side.is_empty());
         assert!(s.index_matches_rebuild());
         // A full-range probe still sees exactly the live tuples (candidates
         // come back in value order; compare as multisets).
@@ -1468,11 +1449,20 @@ mod tests {
         hash.pop_front();
         assert!(band.index_matches_rebuild() && hash.index_matches_rebuild());
         // A lost band entry (a false negative waiting to happen)...
-        let first = *band.band.as_ref().unwrap().order.first().unwrap();
-        band.band.as_mut().unwrap().order.remove(&first);
+        let order = &mut band_part(&mut band).order;
+        let first = *order.first().unwrap();
+        order.remove(&first);
         assert!(!band.index_matches_rebuild());
-        // ...and an uncounted dead hash reference are both caught.
-        hash.stale = 0;
+        // ...a lost hash bucket reference...
+        let key = canonical_key_hash(&Value::Int(2)).unwrap();
+        let lost = hash_parts(&mut hash).0.get_mut(&key).unwrap().pop_front();
+        assert!(!hash.index_matches_rebuild());
+        // ...and, once it is back, an extra (dead) one are all caught.
+        let buckets = hash_parts(&mut hash).0;
+        buckets.get_mut(&key).unwrap().push_back(lost.unwrap());
+        assert!(hash.index_matches_rebuild());
+        let buckets = hash_parts(&mut hash).0;
+        buckets.get_mut(&key).unwrap().push_front(0);
         assert!(!hash.index_matches_rebuild());
     }
 }

@@ -636,7 +636,7 @@ mod tests {
         };
         // 300 A tuples, then a B probe at 300 s that purges the 251 older
         // than the 50 s window: the 49 survivors straddle two arena segments,
-        // the first one mostly purged slack, and the index holds dead entries.
+        // the first one mostly purged slack.
         let mut setup: Vec<StreamItem> = (0..300)
             .map(|s| tuple(s, StreamId::A, (s % 7) as i64).into())
             .collect();

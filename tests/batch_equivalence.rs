@@ -91,6 +91,10 @@ fn run_mode(
     let mut states = Vec::new();
     let mut batch_results = 0;
     for slice in exec.plan().slice_joins() {
+        assert!(
+            slice.index_matches_rebuild(),
+            "index diverged from a rebuild"
+        );
         batch_results += slice.batch_results();
         states.push(slice.state_tuples());
     }

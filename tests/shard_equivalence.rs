@@ -71,6 +71,11 @@ fn run_with_shards(
             (q.name.clone(), fp)
         })
         .collect();
+    for shard in exec.shards() {
+        for op in shard.plan().slice_joins() {
+            assert!(op.index_matches_rebuild(), "index diverged from a rebuild");
+        }
+    }
     (results, report.totals)
 }
 
