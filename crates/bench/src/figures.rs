@@ -1,48 +1,16 @@
-//! Row generators for every table and figure of the paper's evaluation.
+//! Row generators for the measured figures of the paper's evaluation.
 //!
-//! Each generator returns plain data rows; the `fig11` / `fig17` / `fig18` /
-//! `fig19` / `table2` binaries print them, and the criterion benches time
-//! scaled-down versions of the same sweeps.  See `EXPERIMENTS.md` for the
-//! mapping and the recorded paper-vs-measured comparison.
+//! Each generator returns plain data rows; the `fig17` / `fig18` / `fig19`
+//! binaries print them.  Figure 11 is analytic: `examples/cost_explorer.rs`
+//! prints its surfaces and a `ss_cost_model::savings` test asserts their
+//! directions.  Table 2 is a golden test in `tests/chain_equivalence.rs`.
+//! See `EXPERIMENTS.md` for the mapping and the recorded paper-vs-measured
+//! comparison.
 
-use ss_cost_model::{SavingsPoint, SystemParams};
 use ss_workload::{Scenario, WindowDistribution};
 use streamkit::error::Result;
 
 use crate::runner::{run_strategies, RunMetrics, Strategy};
-
-/// One grid point of the analytical saving surfaces of Figure 11.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig11Row {
-    /// Join selectivity of this surface (Figure 11(b)/(c) draw one surface
-    /// per join selectivity).
-    pub sel_join: f64,
-    /// The evaluated saving point (ρ, Sσ and the four savings).
-    pub point: SavingsPoint,
-}
-
-/// Figure 11: memory and CPU savings of state-slicing over the two
-/// alternatives, over a (ρ, Sσ) grid and the paper's three join
-/// selectivities.
-pub fn fig11_rows(grid_steps: usize) -> Vec<Fig11Row> {
-    let steps = grid_steps.max(2);
-    let mut rows = Vec::new();
-    for &sel_join in &[0.4, 0.1, 0.025] {
-        for i in 1..steps {
-            for j in 1..steps {
-                let rho = i as f64 / steps as f64;
-                let sel_filter = j as f64 / steps as f64;
-                let w2 = 60.0;
-                let params = SystemParams::symmetric(50.0, rho * w2, w2, sel_filter, sel_join);
-                rows.push(Fig11Row {
-                    sel_join,
-                    point: SavingsPoint::evaluate(&params),
-                });
-            }
-        }
-    }
-    rows
-}
 
 /// One measured point of Figures 17 / 18: a panel, an input rate, a strategy
 /// and its metrics.
@@ -215,18 +183,6 @@ pub fn format_rows(rows: &[MeasuredRow], value: impl Fn(&RunMetrics) -> f64, uni
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fig11_grid_covers_three_join_selectivities() {
-        let rows = fig11_rows(5);
-        assert_eq!(rows.len(), 3 * 4 * 4);
-        assert!(rows.iter().any(|r| r.sel_join == 0.4));
-        assert!(rows.iter().any(|r| r.sel_join == 0.025));
-        // All memory savings are within [0, 0.5] as in Figure 11(a).
-        assert!(rows
-            .iter()
-            .all(|r| (0.0..=0.5 + 1e-9).contains(&r.point.mem_vs_pullup)));
-    }
 
     #[test]
     fn panel_definitions_match_the_paper() {

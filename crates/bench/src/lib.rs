@@ -2,8 +2,7 @@
 //!
 //! * [`runner`] — run one scenario under one sharing strategy and collect
 //!   the metrics the paper reports (state memory, service rate, comparisons),
-//! * [`figures`] — the sweeps behind Figures 11, 17, 18 and 19,
-//! * [`table2`] — the execution trace of Table 2,
+//! * [`figures`] — the sweeps behind Figures 17, 18 and 19,
 //! * [`churn`] — the live-query-churn harness: online add/remove of queries
 //!   with in-executor chain re-slicing vs a statically-planned oracle
 //!   (written to `BENCH_churn.json`),
@@ -15,32 +14,30 @@
 //!   workload under static chains vs an adaptive session that re-plans live
 //!   (written to `BENCH_adaptive.json`).
 //!
-//! The binaries `fig11`, `fig17`, `fig18`, `fig19` and `table2` print the
-//! corresponding rows and `bench_report` runs the churn, adaptive and
-//! recovery harnesses (engine throughput, latency and state memory are
-//! measured by the `benchmark/` package instead); the criterion benches
-//! under `benches/` time scaled-down versions of the same sweeps plus the
-//! `probe_scaling` state-size × key-cardinality grid.
-//! `EXPERIMENTS.md` records the paper-vs-measured comparison.
+//! The binaries `fig17`, `fig18` and `fig19` print the corresponding rows
+//! and `bench_report` runs the churn, adaptive and recovery harnesses
+//! (engine throughput, latency and state memory are measured by the
+//! `benchmark/` package instead).  Figure 11 and Table 2 are tests: the
+//! saving surfaces' directions in `ss_cost_model::savings`, the two-slice
+//! trace in `tests/chain_equivalence.rs`.  `EXPERIMENTS.md` records the
+//! paper-vs-measured comparison.
 
 pub mod adaptive;
 pub mod churn;
 pub mod figures;
 pub mod recovery;
 pub mod runner;
-pub mod table2;
 
 pub use adaptive::{drift_profile, run_adaptive_bench, AdaptiveBenchReport, AdaptiveRun};
 pub use churn::{run_churn_bench, ChurnBenchReport, ChurnRun, InstanceCheck};
 pub use figures::{
-    fig11_rows, figure_17_18_panels, figure_18_extra_panels, figure_19_panels, format_rows,
-    measure_fig19, measure_panels, Fig11Row, MeasuredRow,
+    figure_17_18_panels, figure_18_extra_panels, figure_19_panels, format_rows, measure_fig19,
+    measure_panels, MeasuredRow,
 };
 pub use recovery::{run_recovery_bench, RecoveryBenchReport, RecoveryRun};
 pub use runner::{
     build_workload, cost_config, run_strategies, run_strategy, RunMetrics, RunPerf, Strategy,
 };
-pub use table2::{format_table2, table2_trace, TraceRow};
 
 /// Stream duration (seconds) used by the figure binaries unless overridden by
 /// the `SS_DURATION_SECS` environment variable.  The paper runs 90-second

@@ -226,6 +226,71 @@ mod tests {
         assert!(large > small);
     }
 
+    /// Figure 11's grid, indexed `[S⋈][ρ][Sσ]`: ρ and Sσ in 0.1…0.9 for
+    /// each of the paper's three join selectivities, at λ = 50 t/s and
+    /// W2 = 60 s.
+    fn fig11_grid() -> [[[SavingsPoint; 9]; 9]; 3] {
+        [0.4, 0.1, 0.025].map(|sel_join| {
+            std::array::from_fn(|i| {
+                std::array::from_fn(|j| {
+                    let (rho, sel_filter, w2) =
+                        ((i + 1) as f64 / 10.0, (j + 1) as f64 / 10.0, 60.0);
+                    let params = SystemParams::symmetric(50.0, rho * w2, w2, sel_filter, sel_join);
+                    SavingsPoint::evaluate(&params)
+                })
+            })
+        })
+    }
+
+    #[test]
+    fn fig11_surfaces_have_the_model_directions() {
+        type Saving = fn(&SavingsPoint) -> f64;
+        // (saving, rises in ρ, rises in Sσ)
+        let savings: [(&str, Saving, bool, bool); 4] = [
+            ("mem vs pull-up", |p| p.mem_vs_pullup, false, false),
+            ("mem vs push-down", |p| p.mem_vs_pushdown, true, false),
+            ("cpu vs pull-up", |p| p.cpu_vs_pullup, false, false),
+            ("cpu vs push-down", |p| p.cpu_vs_pushdown, false, true),
+        ];
+        let grid = fig11_grid();
+        for p in grid.iter().flatten().flatten() {
+            for (name, saving, ..) in savings {
+                let v = saving(p);
+                assert!((0.002..1.0).contains(&v), "{name} = {v} at {p:?}");
+            }
+            assert!(p.mem_vs_pullup <= 0.5, "{p:?}");
+            assert!(p.cpu_vs_pullup > p.cpu_vs_pushdown, "{p:?}");
+        }
+
+        // Every adjacent pair along ρ and along Sσ (216 per axis) moves each
+        // saving strictly the model's way.
+        let moves = |name: &str, axis: &str, here: f64, next: f64, rises: bool| {
+            let ok = if rises { next > here } else { next < here };
+            assert!(ok, "{name} along {axis}: {here} -> {next}");
+        };
+        for (name, saving, rises_in_rho, rises_in_sel) in savings {
+            for surface in &grid {
+                for i in 0..9 {
+                    for j in 0..9 {
+                        let here = saving(&surface[i][j]);
+                        if i < 8 {
+                            moves(name, "rho", here, saving(&surface[i + 1][j]), rises_in_rho);
+                        }
+                        if j < 8 {
+                            moves(
+                                name,
+                                "Ssigma",
+                                here,
+                                saving(&surface[i][j + 1]),
+                                rises_in_sel,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn degenerate_denominators_yield_zero() {
         assert_eq!(mem_saving_vs_pushdown_closed_form(0.0, 0.0), 0.0);

@@ -366,7 +366,7 @@ impl ColumnBatch {
 
     /// Append row `i` of another batch.  Returns `false` on arity mismatch.
     /// The row-at-a-time reference [`ColumnBatch::push_rows_from`] is tested
-    /// and benchmarked against.
+    /// against.
     pub fn push_row_from(&mut self, src: &ColumnBatch, i: usize) -> bool {
         self.key_hash = None;
         if self.ts.is_empty() {

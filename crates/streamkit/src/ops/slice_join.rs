@@ -299,13 +299,14 @@ impl SliceJoinOp {
             ctx.emit(PORT_RESULTS, Tuple::join(left, right, RESULT_STREAM));
             return;
         };
-        if !batch.push_join(left, right, RESULT_STREAM) {
-            // Result arity changed mid-run: flush and start a fresh batch.
-            Self::flush_results(pending, ctx);
-            let batch = pending.as_mut().expect("flushing keeps the run columnar");
-            let ok = batch.push_join(left, right, RESULT_STREAM);
-            debug_assert!(ok, "a fresh batch accepts any arity");
+        if batch.push_join(left, right, RESULT_STREAM) {
+            return;
         }
+        // Result arity changed mid-run, so the batch holds rows: flush it
+        // and start a fresh one.
+        ctx.emit(PORT_RESULTS, std::mem::take(batch));
+        let ok = batch.push_join(left, right, RESULT_STREAM);
+        debug_assert!(ok, "a fresh batch accepts any arity");
     }
 
     /// Emit a columnar run's open batch, if it holds any rows, leaving a
@@ -436,8 +437,7 @@ impl SliceJoinOp {
     /// Process one run: a statically dispatched tight loop with the per-probe
     /// union punctuations coalesced into **one punctuation per run** (a
     /// punctuation is a monotone progress promise, so the run's last probe
-    /// promises everything the per-probe punctuations would — the same
-    /// coarsening the order-preserving union's own forwarding mode applies).
+    /// promises everything the per-probe punctuations would).
     ///
     /// The run's results leave as row tuples or as one [`ColumnBatch`]
     /// (flushed before any interleaved punctuation and before the run's

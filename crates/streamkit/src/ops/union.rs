@@ -25,7 +25,6 @@ use crate::checkpoint::NodeState;
 use crate::columnar::ColumnBatch;
 use crate::error::{Result, StreamError};
 use crate::operator::{OpContext, Operator, PortId};
-use crate::punctuation::Punctuation;
 use crate::queue::StreamItem;
 use crate::time::Timestamp;
 use crate::tuple::Tuple;
@@ -63,10 +62,8 @@ pub struct UnionOp {
     buffers: Vec<VecDeque<Slot>>,
     /// Monotone per-port progress watermarks.
     watermarks: Vec<Timestamp>,
-    /// Last merged watermark forwarded downstream (when enabled).
+    /// Last merged watermark released up to.
     emitted_watermark: Timestamp,
-    /// Emit punctuations downstream whenever the merged watermark advances.
-    forward_punctuations: bool,
     buffered: usize,
     /// Items received on a port this union does not have (and dropped).
     foreign_port_drops: u64,
@@ -89,17 +86,9 @@ impl UnionOp {
             buffers: (0..inputs).map(|_| VecDeque::new()).collect(),
             watermarks: vec![Timestamp::ZERO; inputs],
             emitted_watermark: Timestamp::ZERO,
-            forward_punctuations: false,
             buffered: 0,
             foreign_port_drops: 0,
         }
-    }
-
-    /// Also forward punctuations downstream when the merged watermark grows
-    /// (useful when unions feed further unions).
-    pub fn forwarding_punctuations(mut self) -> Self {
-        self.forward_punctuations = true;
-        self
     }
 
     fn merged_watermark(&self) -> Timestamp {
@@ -149,7 +138,10 @@ impl UnionOp {
                 break;
             }
             let buffer = &mut self.buffers[port];
-            let released = match buffer.pop_front().expect("front exists") {
+            let Some(slot) = buffer.pop_front() else {
+                break;
+            };
+            let released = match slot {
                 Slot::Row(tuple) => {
                     if !pending.is_empty() {
                         ctx.emit(0, std::mem::take(&mut pending));
@@ -198,9 +190,7 @@ impl UnionOp {
     /// tuple ties with a tuple already buffered from another port, the
     /// single release pass may order the tie differently than shorter runs
     /// would (both orders are valid timestamp orders; downstream ordering
-    /// guarantees are by timestamp only).  In punctuation-forwarding mode,
-    /// one merged punctuation summarises the run's progress (progress
-    /// promises are monotone, so coarser is safe).
+    /// guarantees are by timestamp only).
     fn absorb(
         &mut self,
         port: PortId,
@@ -260,9 +250,6 @@ impl UnionOp {
         if wm > self.emitted_watermark {
             self.emitted_watermark = wm;
             self.release_up_to(wm, ctx);
-            if self.forward_punctuations {
-                ctx.emit(0, Punctuation::new(wm));
-            }
         } else if self.buffered > 0 {
             // Even without watermark progress, tuples at or below the current
             // merged watermark (e.g. arriving late on a lagging port) can be
@@ -303,9 +290,6 @@ impl Operator for UnionOp {
 
     fn flush(&mut self, ctx: &mut OpContext) {
         self.release_up_to(Timestamp::MAX, ctx);
-        if self.forward_punctuations {
-            ctx.emit(0, Punctuation::end_of_stream());
-        }
     }
 
     fn state_size(&self) -> usize {
@@ -358,6 +342,7 @@ impl Operator for UnionOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::punctuation::Punctuation;
     use crate::tuple::StreamId;
 
     fn tup(secs: u64, v: i64) -> Tuple {
@@ -429,20 +414,6 @@ mod tests {
         let tuples: Vec<_> = out.iter().filter(|(_, i)| !i.is_punctuation()).collect();
         assert_eq!(tuples.len(), 3);
         assert_eq!(ctx.counters.union_comparisons, 3);
-    }
-
-    #[test]
-    fn forwarding_punctuations_emits_watermarks() {
-        let mut op = UnionOp::new("union", 1).forwarding_punctuations();
-        let mut ctx = OpContext::new();
-        op.process(0, tup(2, 0).into(), &mut ctx);
-        let out = ctx.take_outputs();
-        assert!(out.iter().any(|(_, i)| i.is_punctuation()));
-        op.flush(&mut ctx);
-        let out = ctx.take_outputs();
-        assert!(out
-            .iter()
-            .any(|(_, i)| matches!(i, StreamItem::Punctuation(p) if p.is_end_of_stream())));
     }
 
     #[test]

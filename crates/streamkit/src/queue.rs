@@ -124,13 +124,14 @@ impl Queue {
     ) -> usize {
         let mut popped = 0;
         while popped < max {
-            match self.items.front() {
-                Some(item) if min_other_ts.is_none_or(|bound| item.timestamp() <= bound) => {
-                    out.push(self.items.pop_front().expect("front exists"));
-                    popped += 1;
-                }
-                _ => break,
-            }
+            let Some(item) = self
+                .items
+                .pop_front_if(|item| min_other_ts.is_none_or(|bound| item.timestamp() <= bound))
+            else {
+                break;
+            };
+            out.push(item);
+            popped += 1;
         }
         popped
     }

@@ -1,6 +1,7 @@
 //! Explore the analytical cost model (Equations 1–4): for a handful of
 //! parameter settings, print the memory and CPU cost of each sharing
-//! strategy and the resulting savings of state-slicing.
+//! strategy and the resulting savings of state-slicing, then Figure 11's
+//! (a)–(c) saving surfaces over a (ρ, Sσ) grid in steps of 0.1.
 //!
 //! ```text
 //! cargo run --example cost_explorer
@@ -76,5 +77,59 @@ fn main() {
             100.0 * s.cpu_vs_pullup,
             100.0 * s.cpu_vs_pushdown
         );
+    }
+
+    let grid: Vec<f64> = (1..10).map(|i| i as f64 / 10.0).collect();
+    let savings = |rho: f64, sel_filter: f64, sel_join: f64| {
+        let w2 = 60.0;
+        SavingsPoint::evaluate(&SystemParams::symmetric(
+            50.0,
+            rho * w2,
+            w2,
+            sel_filter,
+            sel_join,
+        ))
+    };
+
+    // Memory savings do not depend on S⋈; Figure 11(a) draws S⋈ = 0.1.
+    println!("\n# Figure 11(a): memory saving (%) of State-Slice");
+    println!(
+        "{:<8} {:<8} {:>24} {:>26}",
+        "rho", "Ssigma", "vs Selection-PullUp", "vs Selection-PushDown"
+    );
+    for &rho in &grid {
+        for &sel_filter in &grid {
+            let s = savings(rho, sel_filter, 0.1);
+            println!(
+                "{:<8.2} {:<8.2} {:>24.1} {:>26.1}",
+                rho,
+                sel_filter,
+                100.0 * s.mem_vs_pullup,
+                100.0 * s.mem_vs_pushdown
+            );
+        }
+    }
+
+    for (panel, vs_pullup) in [("(b)", true), ("(c)", false)] {
+        let baseline = if vs_pullup { "PullUp" } else { "PushDown" };
+        println!("\n# Figure 11{panel}: CPU saving (%) vs Selection-{baseline}");
+        println!(
+            "{:<8} {:<8} {:>10} {:>10} {:>10}",
+            "rho", "Ssigma", "S1=0.4", "S1=0.1", "S1=0.025"
+        );
+        for &rho in &grid {
+            for &sel_filter in &grid {
+                let [a, b, c] = [0.4, 0.1, 0.025].map(|sel_join| {
+                    let s = savings(rho, sel_filter, sel_join);
+                    100.0
+                        * if vs_pullup {
+                            s.cpu_vs_pullup
+                        } else {
+                            s.cpu_vs_pushdown
+                        }
+                });
+                println!("{rho:<8.2} {sel_filter:<8.2} {a:>10.1} {b:>10.1} {c:>10.1}");
+            }
+        }
     }
 }
