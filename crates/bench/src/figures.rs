@@ -3,7 +3,7 @@
 //! Each generator returns plain data rows; the `fig17` / `fig18` / `fig19`
 //! binaries print them.  Figure 11 is analytic: `examples/cost_explorer.rs`
 //! prints its surfaces and a `ss_cost_model::savings` test asserts their
-//! directions.  Table 2 is a golden test in `tests/chain_equivalence.rs`.
+//! directions.  Table 2 is a golden test in `table2`'s tests.
 //! See `EXPERIMENTS.md` for the mapping and the recorded paper-vs-measured
 //! comparison.
 

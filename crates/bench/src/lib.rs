@@ -19,7 +19,7 @@
 //! (engine throughput, latency and state memory are measured by the
 //! `benchmark/` package instead).  Figure 11 and Table 2 are tests: the
 //! saving surfaces' directions in `ss_cost_model::savings`, the two-slice
-//! trace in `tests/chain_equivalence.rs`.  `EXPERIMENTS.md` records the
+//! trace in `table2`'s tests.  `EXPERIMENTS.md` records the
 //! paper-vs-measured comparison.
 
 pub mod adaptive;
@@ -27,6 +27,7 @@ pub mod churn;
 pub mod figures;
 pub mod recovery;
 pub mod runner;
+mod table2;
 
 pub use adaptive::{drift_profile, run_adaptive_bench, AdaptiveBenchReport, AdaptiveRun};
 pub use churn::{run_churn_bench, ChurnBenchReport, ChurnRun, InstanceCheck};

@@ -114,4 +114,38 @@ mod tests {
         // comparison instead of one per stored tuple.
         assert_eq!(ctx.counters.probe_comparisons, 1);
     }
+
+    #[test]
+    fn table_2_execution_trace() {
+        // Reproduces the scenario of Table 2 of the paper: w1 = 2 s, w2 = 4 s,
+        // Cartesian-product semantics, one tuple per second, arrivals
+        // a1 a2 a3 b1 b2.  J1 = A[0,2) ⋉ˢ B, J2 = A[2,4) ⋉ˢ B.
+        //
+        // We use half-open slices exactly as in Definition 1 (W_start <=
+        // Tb - Ta < W_end); the paper's printed trace keeps boundary tuples
+        // (Tb - Ta == W_end) one slice earlier, but the union over the chain
+        // is the same either way and must equal the regular one-way join.
+        let mut j1 = new_slice(0, 2);
+        let mut j2 = new_slice(2, 4).last_in_chain();
+        let (j1_results, queue) = feed(&mut j1, [a(1), a(2), a(3), b(4), b(5)]);
+        // J1 keeps only tuples younger than 2 s: b2@5 purged even a3@3.
+        assert_eq!(j1.state_len(), 0);
+        // The logical queue holds, in emission order, the purged a tuples and
+        // the propagated b tuples: a1, a2, b1, a3, b2.
+        let queue_ts: Vec<u64> = queue.iter().map(|t| secs(t.ts)).collect();
+        assert_eq!(queue_ts, vec![1, 2, 4, 3, 5]);
+        // J1's only in-slice pair is (a3, b1).
+        assert_eq!(j1_results, vec![(4, 1)]);
+
+        // J2 consumes the logical queue.
+        let (j2_results, forwarded) = feed(&mut j2, queue);
+        assert!(forwarded.is_empty());
+        assert_eq!(j2_results, vec![(4, 3), (4, 2), (5, 3), (5, 2)]);
+
+        // Union of J1 and J2 results equals the regular one-way join
+        // A[4) ⋉ B: every pair with 0 <= Tb - Ta < 4.
+        let mut chain_all = [j1_results, j2_results].concat();
+        chain_all.sort_unstable();
+        assert_eq!(chain_all, vec![(4, 1), (4, 2), (4, 3), (5, 2), (5, 3)]);
+    }
 }
