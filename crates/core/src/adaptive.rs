@@ -48,7 +48,7 @@ use streamkit::ExecutionReport;
 use ss_cost_model::MeasuredParams;
 
 use crate::builder::{ChainBuilder, CostConfig};
-use crate::live::{ChainEditPlan, Session, SliceStrategy};
+use crate::live::{Session, SliceStrategy};
 
 /// Thresholds and gates of the adaptive supervisor (a session takes them
 /// beside the declared statistics, in
@@ -415,7 +415,7 @@ impl Supervisor {
         let current_cpu = builder.estimate_cpu(live.spec(), &cost);
         let modeled_win = (current_cpu - cpu.estimated_cpu).max(0.0) * self.horizon_secs(live);
         let reason = format!("adapt: {strategy_name} ({detail})");
-        let (action, remedy) = if ChainEditPlan::between(live.spec(), &target_spec).is_empty() {
+        let (action, remedy) = if *live.spec() == target_spec {
             // Same boundaries: install the measured strategy (a no-op
             // migration) so later churn re-plans cost against reality.
             (

@@ -54,7 +54,7 @@ impl ChainSpec {
     /// it must start at 0, end at `N` and be strictly increasing.
     pub fn from_path(workload: &QueryWorkload, path: &[usize]) -> Result<Self> {
         let n = workload.len();
-        if path.len() < 2 || path[0] != 0 || *path.last().unwrap() != n {
+        if path.len() < 2 || path.first() != Some(&0) || path.last() != Some(&n) {
             return Err(StreamError::InvalidConfig(format!(
                 "boundary path must start at 0 and end at {n}, got {path:?}"
             )));

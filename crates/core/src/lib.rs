@@ -86,12 +86,12 @@ pub use chain::{ChainSpec, SliceSpec};
 pub use dijkstra::{shortest_path, ShortestPath};
 pub use lineage::{LineageAnnotatorOp, LineageGateOp};
 pub use live::{
-    ChainEdit, ChainEditPlan, MigrationRecord, QueryResults, Session, SessionEvent, SessionOptions,
-    SessionOutcome, SliceStrategy,
+    MigrationRecord, QueryResults, Session, SessionEvent, SessionOptions, SessionOutcome,
+    SliceStrategy,
 };
 pub use migration::{
-    merge_slice_states, merge_spec_slices, rehash_shard_states, split_slice_state,
-    split_slice_state_eager, split_spec_slice, PurgeWatermarks,
+    merge_slice_states, merge_spec_slices, recut_chain, rehash_shard_states, split_slice_state,
+    split_slice_state_eager, split_spec_slice, PurgeWatermarks, RecutStats,
 };
 pub use planner::{merge_streams, PlannerOptions, SharedChainPlan, CHAIN_ENTRY};
 pub use query::{JoinQuery, QueryWorkload};

@@ -13,10 +13,14 @@
 //! filtered stream whose lineage is below `i` — a zero-comparison check, which
 //! is exactly the saving the lineage trick buys.
 
+use streamkit::checkpoint::WindowState;
 use streamkit::operator::{OpContext, Operator, PortId};
 use streamkit::queue::StreamItem;
-use streamkit::tuple::StreamId;
+use streamkit::tuple::{StreamId, Tuple};
 use streamkit::Predicate;
+
+use crate::chain::ChainSpec;
+use crate::query::QueryWorkload;
 
 /// Annotates tuples of one stream with their selection-push-down lineage
 /// level; tuples that satisfy no predicate are dropped.
@@ -70,14 +74,8 @@ impl Operator for LineageAnnotatorOp {
                     ctx.emit(0, t);
                     return;
                 }
-                // Evaluate cond_N, cond_{N-1}, ... and stop at the first hit.
-                let mut level = 0u32;
-                for (idx, pred) in self.predicates.iter().enumerate().rev() {
-                    if pred.eval_counted(&t, &mut ctx.counters.filter_comparisons) {
-                        level = (idx + 1) as u32;
-                        break;
-                    }
-                }
+                let level =
+                    lineage_level(&self.predicates, &t, &mut ctx.counters.filter_comparisons);
                 if level == 0 {
                     self.dropped += 1;
                 } else {
@@ -94,6 +92,44 @@ impl Operator for LineageAnnotatorOp {
             p @ StreamItem::Punctuation(_) => ctx.emit(0, p),
         }
     }
+}
+
+/// The lineage level of a tuple under per-query `predicates` (index 0 is the
+/// query with the smallest window): evaluate cond_N, cond_{N-1}, ... and stop
+/// at the first hit, whose 1-based index is the level; 0 if none holds.
+fn lineage_level(predicates: &[Predicate], tuple: &Tuple, comparisons: &mut u64) -> u32 {
+    predicates
+        .iter()
+        .rposition(|pred| pred.eval_counted(tuple, comparisons))
+        .map_or(0, |idx| idx as u32 + 1)
+}
+
+/// Re-derive the lineage of the stored A tuples of one chain instance
+/// (`states[k]` is slice `k` of `spec`) under `workload`'s selections, and
+/// drop every tuple slice `k`'s gate would refuse: what a chain freshly
+/// planned for `workload` holds.  A stored level indexes the query set it was
+/// annotated under, so a migration that changes the queries re-derives it.
+/// Returns the number of tuples dropped.
+pub(crate) fn regate_states(
+    states: &mut [WindowState],
+    workload: &QueryWorkload,
+    spec: &ChainSpec,
+) -> usize {
+    if !workload.has_selections() {
+        return 0;
+    }
+    let predicates = workload.filters();
+    let mut dropped = 0;
+    for (state, slice) in states.iter_mut().zip(spec.slices()) {
+        let min_level = slice.query_lo as u32 + 1;
+        let before = state.side_a.len();
+        state.side_a.retain_mut(|t| {
+            t.lineage = lineage_level(&predicates, t, &mut 0);
+            t.lineage >= min_level
+        });
+        dropped += before - state.side_a.len();
+    }
+    dropped
 }
 
 /// Drops tuples of the filtered stream whose lineage level is below
@@ -264,5 +300,43 @@ mod tests {
         ann.process(0, p.into(), &mut ctx);
         gate.process(0, p.into(), &mut ctx);
         assert_eq!(ctx.take_outputs().len(), 2);
+    }
+
+    #[test]
+    fn regating_relabels_stored_tuples_and_drops_what_the_gates_refuse() {
+        use crate::query::JoinQuery;
+        use streamkit::window::SliceWindow;
+        use streamkit::{JoinCondition, TimeDelta};
+        // Q1 (5 s): value > 0; Q2 (10 s): value > 10; slices [0,5), [5,10).
+        let workload = QueryWorkload::new(
+            vec![
+                JoinQuery::with_filter("Q1", TimeDelta::from_secs(5), Predicate::gt(0, 0i64)),
+                JoinQuery::with_filter("Q2", TimeDelta::from_secs(10), Predicate::gt(0, 10i64)),
+            ],
+            JoinCondition::equi(0),
+        )
+        .unwrap();
+        let spec = ChainSpec::memory_optimal(&workload);
+        // Levels left over from some other query set.
+        let stale = |v| a(v).with_lineage(7);
+        let mut states = vec![
+            WindowState {
+                window: SliceWindow::from_secs(0, 5),
+                side_a: vec![stale(0), stale(5), stale(50)],
+                side_b: vec![b(0)],
+            },
+            WindowState {
+                window: SliceWindow::from_secs(5, 10),
+                side_a: vec![stale(5), stale(50)],
+                side_b: Vec::new(),
+            },
+        ];
+        // a(0) satisfies no query; a(5) only Q1, whose window ends before
+        // the second slice.
+        assert_eq!(regate_states(&mut states, &workload, &spec), 2);
+        let levels = |s: &WindowState| s.side_a.iter().map(|t| t.lineage).collect::<Vec<_>>();
+        assert_eq!(levels(&states[0]), [1, 2]);
+        assert_eq!(levels(&states[1]), [2]);
+        assert_eq!(states[0].side_b, [b(0)]);
     }
 }

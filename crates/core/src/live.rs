@@ -8,18 +8,22 @@
 //! them end to end: a [`Session`] owns a running [`ShardedExecutor`], accepts
 //! [`add_query`](Session::add_query) / [`remove_query`](Session::remove_query)
 //! at any punctuation boundary, re-plans the Mem-Opt or CPU-Opt chain for the
-//! changed [`QueryWorkload`], diffs the old and new [`ChainSpec`]s into a
-//! minimal sequence of merge/split primitives ([`ChainEditPlan::between`]),
-//! and applies them through the paper's protocol:
+//! changed [`QueryWorkload`], and moves the running state onto the new
+//! [`ChainSpec`] through the paper's protocol:
 //!
 //! 1. **drain** the in-flight queues (run the executor to quiescence — the
 //!    queues between slices must be empty before states may be
 //!    concatenated, Section 5.3), then **pause** ingestion,
 //! 2. **read** every slice's window state
-//!    ([`ShardedExecutor::window_states`]) and apply the edits to that data
-//!    ([`apply_chain_edits`]): merges concatenate adjacent states
-//!    ([`merge_slice_states`]) and splits re-cut the state by tuple age
-//!    ([`split_slice_state_eager`]),
+//!    ([`ShardedExecutor::window_states`]) and re-cut that data to the new
+//!    slices in one pass ([`recut_chain`]): states whose shared boundary the
+//!    new chain drops are concatenated
+//!    ([`merge_slice_states`](crate::migration::merge_slice_states)), states
+//!    a new boundary falls inside are re-cut by tuple age
+//!    ([`split_slice_state_eager`](crate::migration::split_slice_state_eager)),
+//!    and a boundary both chains share moves nothing; the stored tuples'
+//!    selection lineage is then re-derived for the new query set, as the new
+//!    chain's lineage annotator and gates would have left it,
 //! 3. **swap in** fresh plans for the new workload — the union/router/sink
 //!    graph of the added/removed query, and each slice's index mode, chain
 //!    flags and name — and **restore** the migrated states into them
@@ -27,17 +31,17 @@
 //! 4. **adopt** a checkpoint of the migrated executor as the durable cut, and
 //!    **resume**.
 //!
-//! When the executor is sharded, the chain edits are applied per shard (each
-//! shard is an independent instance of the chain over its key partition, so
-//! per-shard application is exactly the single-chain protocol N times), and
-//! [`rescale_shards`](Session::rescale_shards) runs the same sequence with
-//! [`rehash_shard_states`] in place of the edits and a fresh executor over
-//! the new shard count in place of the plan swap.  Hot keys of skew routing
-//! move through the same read/write pair: the router promotes and demotes
-//! them mid-ingest ([`streamkit::skew`]), and a rescale first demotes every
-//! hot key as data — dropping the replicated probe-side copies and sending
-//! the spread build-side tuples home — then re-hashes, and keeps skew
-//! routing on whenever the new executor has two or more shards.  Every
+//! When the executor is sharded, each shard's chain is re-cut on its own
+//! (each shard is an independent instance of the chain over its key
+//! partition, so the per-shard re-cut is exactly the single-chain protocol N
+//! times), and [`rescale_shards`](Session::rescale_shards) runs the same
+//! sequence with [`rehash_shard_states`] in place of the re-cut and a fresh
+//! executor over the new shard count in place of the plan swap.  Hot keys of
+//! skew routing move through the same read/write pair: the router promotes
+//! and demotes them mid-ingest ([`streamkit::skew`]), and a rescale first
+//! demotes every hot key as data — dropping the replicated probe-side copies
+//! and sending the spread build-side tuples home — then re-hashes, and keeps
+//! skew routing on whenever the new executor has two or more shards.  Every
 //! fallible step on the migrated data runs before the running executor is
 //! touched.
 //!
@@ -88,9 +92,8 @@ use streamkit::{ExecutionReport, ExecutorConfig, Plan, TimeDelta, Timestamp};
 use crate::adaptive::{AdaptationRecord, Remedy, Supervisor, SupervisorConfig};
 use crate::builder::{ChainBuilder, ChainPlanFactory, CostConfig};
 use crate::chain::ChainSpec;
-use crate::migration::{
-    merge_slice_states, rehash_shard_states, split_slice_state_eager, PurgeWatermarks,
-};
+use crate::lineage::regate_states;
+use crate::migration::{recut_chain, rehash_shard_states, PurgeWatermarks, RecutStats};
 use crate::planner::{PlannerOptions, CHAIN_ENTRY};
 use crate::query::{JoinQuery, QueryWorkload};
 use crate::recovery::{caught, CheckpointRecord, Recovery, RecoveryConfig, RecoveryRecord};
@@ -116,225 +119,6 @@ impl SliceStrategy {
     }
 }
 
-/// One chain-maintenance primitive, expressed over window-offset *values*
-/// (boundary indexes shift when queries enter or leave, offsets do not).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChainEdit {
-    /// Remove the interior boundary at `boundary`: merge the two adjacent
-    /// slices ([`merge_slice_states`]).
-    Merge {
-        /// Window offset of the removed boundary.
-        boundary: TimeDelta,
-    },
-    /// Add an interior boundary at `boundary`: split the slice containing it.
-    Split {
-        /// Window offset of the added boundary.
-        boundary: TimeDelta,
-    },
-    /// Shrink the covered range from `from` to `to` (the largest query
-    /// left): state older than `to` is dropped, exactly as a chain that
-    /// never covered it would have dropped it.
-    Truncate {
-        /// Old covered range.
-        from: TimeDelta,
-        /// New covered range.
-        to: TimeDelta,
-    },
-    /// Grow the covered range from `from` to `to` (a query with a new
-    /// largest window arrived): the last slice widens; already-discarded
-    /// history is *not* resurrected, so the widened range starts empty.
-    Extend {
-        /// Old covered range.
-        from: TimeDelta,
-        /// New covered range.
-        to: TimeDelta,
-    },
-}
-
-/// The minimal primitive sequence turning one [`ChainSpec`] into another.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ChainEditPlan {
-    /// Edits in application order: merges (ascending boundary), then the
-    /// coverage change, then splits (ascending boundary).
-    pub edits: Vec<ChainEdit>,
-}
-
-impl ChainEditPlan {
-    /// Diff two chain specs into the minimal merge/split sequence: one merge
-    /// per interior boundary the new chain drops, one split per interior
-    /// boundary it adds, plus at most one coverage change.
-    pub fn between(old: &ChainSpec, new: &ChainSpec) -> ChainEditPlan {
-        let interior = |spec: &ChainSpec| -> Vec<TimeDelta> {
-            let slices = spec.slices();
-            slices[..slices.len() - 1]
-                .iter()
-                .map(|s| s.window.end)
-                .collect()
-        };
-        let old_end = old.covered_range();
-        let new_end = new.covered_range();
-        let old_interior = interior(old);
-        let new_interior = interior(new);
-        let mut edits = Vec::new();
-        // Boundaries at or beyond the new coverage disappear with Truncate.
-        for &b in old_interior
-            .iter()
-            .filter(|&&b| b < new_end && !new_interior.contains(&b))
-        {
-            edits.push(ChainEdit::Merge { boundary: b });
-        }
-        if new_end < old_end {
-            edits.push(ChainEdit::Truncate {
-                from: old_end,
-                to: new_end,
-            });
-        } else if new_end > old_end {
-            edits.push(ChainEdit::Extend {
-                from: old_end,
-                to: new_end,
-            });
-        }
-        for &b in new_interior.iter().filter(|&&b| !old_interior.contains(&b)) {
-            edits.push(ChainEdit::Split { boundary: b });
-        }
-        ChainEditPlan { edits }
-    }
-
-    /// Number of merge edits.
-    pub fn merges(&self) -> usize {
-        self.edits
-            .iter()
-            .filter(|e| matches!(e, ChainEdit::Merge { .. }))
-            .count()
-    }
-
-    /// Number of split edits.
-    pub fn splits(&self) -> usize {
-        self.edits
-            .iter()
-            .filter(|e| matches!(e, ChainEdit::Split { .. }))
-            .count()
-    }
-
-    /// `true` if the two specs were identical.
-    pub fn is_empty(&self) -> bool {
-        self.edits.is_empty()
-    }
-}
-
-/// Counters of one edit-plan application on one chain instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChainEditStats {
-    /// State tuples re-cut by merges, eager splits and truncation.
-    pub tuples_moved: usize,
-    /// State tuples dropped by a coverage truncation.
-    pub tuples_dropped: usize,
-}
-
-impl ChainEditStats {
-    fn add(&mut self, other: &ChainEditStats) {
-        self.tuples_moved += other.tuples_moved;
-        self.tuples_dropped += other.tuples_dropped;
-    }
-}
-
-/// Apply an edit plan to the drained slice states of one chain instance, in
-/// chain order.  `watermarks` is the instance's purge progress (last male
-/// per stream), used by splits and by truncation to re-cut state by age —
-/// each side's age is measured against the opposite stream's last male,
-/// because purging is cross-purging.  The re-cut states are exactly what a
-/// chain freshly planned with the new boundaries would hold.
-pub fn apply_chain_edits(
-    mut states: Vec<WindowState>,
-    plan: &ChainEditPlan,
-    watermarks: PurgeWatermarks,
-) -> Result<(Vec<WindowState>, ChainEditStats)> {
-    let mut stats = ChainEditStats::default();
-    for edit in &plan.edits {
-        match *edit {
-            ChainEdit::Merge { boundary } => {
-                let idx = states
-                    .iter()
-                    .position(|s| s.window.end == boundary)
-                    .filter(|&idx| idx + 1 < states.len())
-                    .ok_or_else(|| {
-                        StreamError::InvalidConfig(format!(
-                            "no pair of slices meets at the merge boundary {boundary}"
-                        ))
-                    })?;
-                let right = states.remove(idx + 1);
-                let left = states.remove(idx);
-                stats.tuples_moved += left.len() + right.len();
-                states.insert(idx, merge_slice_states(left, right)?);
-            }
-            ChainEdit::Split { boundary } => {
-                let idx = states
-                    .iter()
-                    .position(|s| s.window.start < boundary && boundary < s.window.end)
-                    .ok_or_else(|| {
-                        StreamError::InvalidConfig(format!(
-                            "no slice strictly contains the split boundary {boundary}"
-                        ))
-                    })?;
-                let state = states.remove(idx);
-                stats.tuples_moved += state.len();
-                let (left, right) = split_slice_state_eager(state, boundary, watermarks)?;
-                states.insert(idx, right);
-                states.insert(idx, left);
-            }
-            ChainEdit::Truncate { from, to } => {
-                let last = states.last().map(|s| s.window.end);
-                if last != Some(from) {
-                    return Err(StreamError::InvalidConfig(format!(
-                        "truncate expects the chain to end at {from}, found {last:?}"
-                    )));
-                }
-                // Drop slices fully beyond the new coverage; split the
-                // straddling slice (if any) and drop its old half.  A chain
-                // that never covered `[to, from)` would have purged exactly
-                // this state into oblivion at its last slice.
-                while states.last().is_some_and(|s| s.window.start >= to) {
-                    stats.tuples_dropped += states.pop().map_or(0, |s| s.len());
-                }
-                if let Some(last) = states.pop() {
-                    if last.window.end > to {
-                        // Truncation is always eager: keeping over-aged
-                        // state in the (now last) slice would leak
-                        // out-of-window results into queries whose window
-                        // equals the new coverage.
-                        let (kept, dropped) = split_slice_state_eager(last, to, watermarks)?;
-                        stats.tuples_moved += kept.len();
-                        stats.tuples_dropped += dropped.len();
-                        states.push(kept);
-                    } else {
-                        states.push(last);
-                    }
-                }
-                if states.is_empty() {
-                    return Err(StreamError::InvalidConfig(
-                        "truncation removed every slice".to_string(),
-                    ));
-                }
-            }
-            ChainEdit::Extend { from, to } => {
-                let Some(last) = states.last_mut() else {
-                    return Err(StreamError::InvalidConfig(
-                        "cannot extend an empty chain".to_string(),
-                    ));
-                };
-                if last.window.end != from {
-                    return Err(StreamError::InvalidConfig(format!(
-                        "extend expects the chain to end at {from}, found {}",
-                        last.window.end
-                    )));
-                }
-                last.window.end = to;
-            }
-        }
-    }
-    Ok((states, stats))
-}
-
 /// Credit one plan's sink deliveries to the ledgers of the active queries.
 fn credit_sinks(active: &mut HashMap<String, QueryResults>, plan: &Plan) {
     for (name, ledger) in active.iter_mut() {
@@ -356,9 +140,11 @@ pub struct MigrationRecord {
     pub merges: usize,
     /// Split primitives applied (per chain instance).
     pub splits: usize,
-    /// State tuples drained and reloaded across all shards.
+    /// State tuples a merge or cut re-placed, each counted once, across all
+    /// shards (a rescale counts every state tuple it re-hashed).
     pub tuples_moved: usize,
-    /// State tuples dropped by coverage truncation across all shards.
+    /// State tuples dropped across all shards: beyond the new coverage, or
+    /// refused by the new chain's lineage gates.
     pub tuples_dropped: usize,
     /// Wall-clock seconds the executor was stalled by this migration
     /// (excluded from the service-rate denominator).
@@ -892,13 +678,11 @@ impl Session {
         //    user-input-fallible work happens here, *before* anything is
         //    mutated, so a failed add/remove leaves the session untouched.
         let new_spec = self.options.strategy.spec_for(&new_workload)?;
-        let edits = ChainEditPlan::between(&self.spec, &new_spec);
-        if edits.is_empty() && new_workload == self.workload {
+        if new_spec == self.spec && new_workload == self.workload {
             // Same queries, same boundaries: the running plans already *are*
             // the re-derived chain (a strategy switch that lands on the
             // current slicing).  Swapping plans would stall the executor and
             // discard warm state for nothing, so don't.
-            debug_assert_eq!(new_spec, self.spec);
             return Ok(());
         }
         let plans = self
@@ -908,15 +692,15 @@ impl Session {
         //    failed migration so the pause accounting stays balanced.
         let pause_start = Instant::now();
         self.exec.pause();
-        let result = self.migrate(&edits, plans);
+        let result = self.migrate(&new_workload, &new_spec, plans);
         self.exec.resume();
         let (stats, cut) = result?;
         self.epoch += 1;
         let record = MigrationRecord {
             epoch: self.epoch,
             reason,
-            merges: edits.merges(),
-            splits: edits.splits(),
+            merges: stats.merges,
+            splits: stats.splits,
             tuples_moved: stats.tuples_moved,
             tuples_dropped: stats.tuples_dropped,
             pause_secs: pause_start.elapsed().as_secs_f64(),
@@ -927,21 +711,26 @@ impl Session {
         Ok(())
     }
 
-    /// Read every shard's slice states and apply the edits to that data,
-    /// then swap `plans` in, close the epoch's sink ledgers from the retired
-    /// plans (each is returned, and so harvested, exactly once), restore the
-    /// migrated states into the new plans and capture the checkpoint the
-    /// caller adopts.
+    /// Read every shard's slice states, re-cut them to `spec` and re-gate
+    /// them under `workload`'s selections, then swap `plans` in, close the
+    /// epoch's sink ledgers from the retired plans (each is returned, and so
+    /// harvested, exactly once), restore the migrated states into the new
+    /// plans and capture the checkpoint the caller adopts.  Merges and
+    /// splits are per chain instance; tuple counts sum over the shards.
     fn migrate(
         &mut self,
-        edits: &ChainEditPlan,
+        workload: &QueryWorkload,
+        spec: &ChainSpec,
         plans: Vec<Plan>,
-    ) -> Result<(ChainEditStats, Checkpoint)> {
-        let mut stats = ChainEditStats::default();
+    ) -> Result<(RecutStats, Checkpoint)> {
+        let mut stats = RecutStats::default();
         let mut migrated = Vec::with_capacity(plans.len());
         for (chain, watermarks) in self.exec.window_states().into_iter().zip(&self.shard_hw) {
-            let (chain, shard_stats) = apply_chain_edits(chain, edits, *watermarks)?;
-            stats.add(&shard_stats);
+            let (mut chain, shard) = recut_chain(chain, spec, *watermarks)?;
+            (stats.merges, stats.splits) = (shard.merges, shard.splits);
+            stats.tuples_moved += shard.tuples_moved;
+            stats.tuples_dropped +=
+                shard.tuples_dropped + regate_states(&mut chain, workload, spec);
             migrated.push(chain);
         }
         for old in self.exec.swap_plans(plans)? {
@@ -997,58 +786,80 @@ mod tests {
         TimeDelta::from_secs(s)
     }
 
+    /// `spec`'s slices, each holding one A tuple per whole second of age
+    /// against a 100 s watermark, oldest first.
+    fn aged_states(spec: &ChainSpec) -> Vec<WindowState> {
+        spec.slices()
+            .iter()
+            .map(|s| {
+                let (start, end) = (s.window.start.as_secs_f64(), s.window.end.as_secs_f64());
+                WindowState {
+                    window: s.window,
+                    side_a: (start as u64..end as u64)
+                        .rev()
+                        .map(|age| keyed(100 - age, StreamId::A, 1))
+                        .collect(),
+                    side_b: Vec::new(),
+                }
+            })
+            .collect()
+    }
+
+    /// Re-cut `old`'s aged states to `new`; returns the new windows' ends
+    /// in seconds and the counters.
+    fn recut(old: &ChainSpec, new: &ChainSpec) -> (Vec<f64>, RecutStats) {
+        let watermarks = PurgeWatermarks::uniform(Timestamp::from_secs(100));
+        let (states, stats) = recut_chain(aged_states(old), new, watermarks).unwrap();
+        let ends = states.iter().map(|s| s.window.end.as_secs_f64()).collect();
+        (ends, stats)
+    }
+
     #[test]
     fn diff_emits_one_split_per_added_boundary_and_one_merge_per_dropped() {
         let old = ChainSpec::memory_optimal(&workload(&[10, 30]));
         let new = ChainSpec::memory_optimal(&workload(&[10, 20, 30]));
-        let plan = ChainEditPlan::between(&old, &new);
-        assert_eq!(plan.edits, vec![ChainEdit::Split { boundary: secs(20) }]);
-        let back = ChainEditPlan::between(&new, &old);
-        assert_eq!(back.edits, vec![ChainEdit::Merge { boundary: secs(20) }]);
-        assert!(ChainEditPlan::between(&old, &old).is_empty());
+        let (ends, stats) = recut(&old, &new);
+        assert_eq!(ends, [10.0, 20.0, 30.0]);
+        assert_eq!((stats.merges, stats.splits), (0, 1));
+        let (ends, stats) = recut(&new, &old);
+        assert_eq!(ends, [10.0, 30.0]);
+        assert_eq!((stats.merges, stats.splits), (1, 0));
+        // The same spec is the identity: nothing merges, splits or moves.
+        let watermarks = PurgeWatermarks::uniform(Timestamp::from_secs(100));
+        let (same, stats) = recut_chain(aged_states(&old), &old, watermarks).unwrap();
+        assert_eq!(same, aged_states(&old));
+        assert_eq!(stats, RecutStats::default());
     }
 
     #[test]
     fn diff_handles_coverage_changes() {
-        // Adding a query with a larger window extends the chain.
+        // Adding a query with a larger window extends the chain.  The old
+        // coverage end (20) becomes an interior boundary of the new chain:
+        // the last slice widens, then splits back at 20.
         let old = ChainSpec::memory_optimal(&workload(&[10, 20]));
         let new = ChainSpec::memory_optimal(&workload(&[10, 20, 30]));
-        let plan = ChainEditPlan::between(&old, &new);
-        // The old coverage end (20) becomes an interior boundary of the new
-        // chain: widen the last slice, then split it back at 20.
+        let (ends, stats) = recut(&old, &new);
+        assert_eq!(ends, [10.0, 20.0, 30.0]);
         assert_eq!(
-            plan.edits,
-            vec![
-                ChainEdit::Extend {
-                    from: secs(20),
-                    to: secs(30)
-                },
-                ChainEdit::Split { boundary: secs(20) },
-            ]
+            (stats.merges, stats.splits, stats.tuples_dropped),
+            (0, 1, 0)
         );
-        // Removing the largest query truncates; its boundary dies with the
-        // truncation, not with a merge.
-        let back = ChainEditPlan::between(&new, &old);
+        // Removing the largest query truncates: its boundary dies with the
+        // ten tuples aged 20..30, not with a merge.
+        let (ends, stats) = recut(&new, &old);
+        assert_eq!(ends, [10.0, 20.0]);
         assert_eq!(
-            back.edits,
-            vec![ChainEdit::Truncate {
-                from: secs(30),
-                to: secs(20)
-            }]
+            (stats.merges, stats.splits, stats.tuples_dropped),
+            (0, 0, 10)
         );
-        // Mixed: drop the middle boundary and extend past the end.
+        // Mixed: drop the middle boundary and extend past the end.  10 stays
+        // a boundary in both chains, so only 20 merges away.
         let merged = ChainSpec::from_path(&workload(&[10, 20, 40]), &[0, 1, 3]).unwrap();
-        let plan = ChainEditPlan::between(&new, &merged);
-        // 10 stays a boundary in both chains, so only 20 merges away.
+        let (ends, stats) = recut(&new, &merged);
+        assert_eq!(ends, [10.0, 40.0]);
         assert_eq!(
-            plan.edits,
-            vec![
-                ChainEdit::Merge { boundary: secs(20) },
-                ChainEdit::Extend {
-                    from: secs(30),
-                    to: secs(40)
-                },
-            ]
+            (stats.merges, stats.splits, stats.tuples_dropped),
+            (1, 0, 0)
         );
     }
 
@@ -1114,17 +925,11 @@ mod tests {
         ];
         // Re-slice to [0,20),[20,25): boundary 10 merges away, coverage
         // truncates to 25 (dropping the age-25 female), boundary 20 splits.
+        let watermarks = PurgeWatermarks::uniform(Timestamp::from_secs(100));
         let target = ChainSpec::memory_optimal(&workload(&[20, 25]));
         let source = ChainSpec::memory_optimal(&workload(&[10, 30]));
-        let plan = ChainEditPlan::between(&source, &target);
-        assert_eq!(plan.merges(), 1);
-        assert_eq!(plan.splits(), 1);
-        let (migrated, stats) = apply_chain_edits(
-            states,
-            &plan,
-            PurgeWatermarks::uniform(Timestamp::from_secs(100)),
-        )
-        .unwrap();
+        let (migrated, stats) = recut_chain(states, &target, watermarks).unwrap();
+        assert_eq!((stats.merges, stats.splits), (1, 1));
         assert_eq!(migrated.len(), 2);
         assert_eq!(migrated[0].window, SliceWindow::from_secs(0, 20));
         assert_eq!(migrated[1].window, SliceWindow::from_secs(20, 25));
@@ -1132,16 +937,14 @@ mod tests {
         assert_eq!(migrated[0].side_a.len(), 2);
         assert_eq!(migrated[1].side_a.len(), 0);
         assert_eq!(stats.tuples_dropped, 1);
-        assert!(stats.tuples_moved >= 2);
+        assert_eq!(stats.tuples_moved, 2, "each kept tuple counts once");
         // Growing the coverage back widens the last slice, which keeps its
         // state; the widened range starts empty.
-        let wider = ChainEditPlan::between(&target, &source);
-        let (extended, _) = apply_chain_edits(
-            migrated,
-            &wider,
-            PurgeWatermarks::uniform(Timestamp::from_secs(100)),
-        )
-        .unwrap();
+        let (extended, stats) = recut_chain(migrated, &source, watermarks).unwrap();
+        assert_eq!(
+            (stats.merges, stats.splits, stats.tuples_dropped),
+            (1, 1, 0)
+        );
         let windows: Vec<SliceWindow> = extended.iter().map(|s| s.window).collect();
         assert_eq!(
             windows,
@@ -1151,6 +954,37 @@ mod tests {
             ]
         );
         assert_eq!(extended.iter().map(WindowState::len).sum::<usize>(), 2);
+    }
+
+    #[test]
+    fn a_removal_counts_each_merged_tuple_once() {
+        // Under these statistics CPU-Opt cuts [0,2),[2,6),[6,20) for four
+        // queries; without Q6 it cuts [0,4),[4,20), so the removal merges
+        // all three slices and splits the result at 4.
+        let cost = CostConfig {
+            lambda_a: 5.0,
+            lambda_b: 5.0,
+            sel_join: 0.1,
+            csys: 1.0,
+        };
+        let options = SessionOptions {
+            strategy: SliceStrategy::CpuOpt(cost),
+            ..test_options()
+        };
+        let mut live = Session::launch(workload(&[2, 4, 6, 20]), options).unwrap();
+        live.ingest_all(input(30)).unwrap();
+        live.drain().unwrap();
+        let sizes: Vec<usize> = live.executor().window_states()[0]
+            .iter()
+            .map(WindowState::len)
+            .collect();
+        assert_eq!(sizes.len(), 3, "precondition: three slices");
+        assert!(sizes.iter().all(|&n| n > 0), "precondition: {sizes:?}");
+        live.remove_query("Q6").unwrap();
+        let removal = migrations(live.events()).last().unwrap();
+        assert_eq!((removal.merges, removal.splits), (2, 1));
+        assert_eq!(removal.tuples_dropped, 0);
+        assert_eq!(removal.tuples_moved, sizes.iter().sum::<usize>());
     }
 
     #[test]

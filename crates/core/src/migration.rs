@@ -23,6 +23,13 @@
 //! flags and operator names belong to the plan the migrated states are
 //! restored into, never to the states.
 //!
+//! A live migration composes them in one pass: [`recut_chain`] takes a chain
+//! instance's states and the new [`ChainSpec`], concatenates the states whose
+//! shared boundary the new chain drops, cuts eagerly at every boundary it
+//! adds and at a smaller coverage end, and widens the last slice for a larger
+//! one.  It is the only place that decides how state is re-cut when the
+//! boundaries change.
+//!
 //! A third runtime primitive serves **sharded parallel execution**
 //! ([`streamkit::shard`]): [`rehash_shard_states`] redistributes the slice
 //! states of every shard's chain instance across a new shard count by
@@ -192,6 +199,88 @@ pub fn split_slice_state_eager(
     right.side_a = cut(&mut left.side_a, watermarks.male_b);
     right.side_b = cut(&mut left.side_b, watermarks.male_a);
     Ok((left, right))
+}
+
+/// Counters of one [`recut_chain`] on one chain instance.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecutStats {
+    /// Adjacent states concatenated ([`merge_slice_states`]).
+    pub merges: usize,
+    /// Cuts at a boundary the new spec adds inside a state.
+    pub splits: usize,
+    /// Kept tuples of merged or cut states, each counted once.
+    pub tuples_moved: usize,
+    /// Tuples at or beyond the new coverage end, dropped.
+    pub tuples_dropped: usize,
+}
+
+/// Re-cut the drained slice states of one chain instance, in chain order, to
+/// the slices of `new` (the runtime primitive a live migration runs).
+///
+/// One pass: **grow** the last state's end if the new coverage is larger
+/// (discarded history stays gone, so the widened range starts empty);
+/// **drop** whole states that start at or beyond the new coverage end;
+/// **merge** consecutive states until the running group ends at a boundary
+/// `new` keeps, or at or beyond its end; **cut** the group eagerly
+/// ([`split_slice_state_eager`]) — first at the new coverage end, dropping
+/// the older part, then at every new boundary strictly inside it, ascending.
+/// A boundary both chains share never moves a tuple.  `watermarks` is the
+/// instance's purge progress; the re-cut states are exactly what a chain
+/// freshly planned with `new` would hold.
+pub fn recut_chain(
+    mut states: Vec<WindowState>,
+    new: &ChainSpec,
+    watermarks: PurgeWatermarks,
+) -> Result<(Vec<WindowState>, RecutStats)> {
+    let bounds: Vec<TimeDelta> = new.slices().iter().map(|s| s.window.end).collect();
+    let end = new.covered_range();
+    let mut stats = RecutStats::default();
+    if let Some(last) = states.last_mut() {
+        last.window.end = last.window.end.max(end);
+    }
+    let beyond = states.partition_point(|s| s.window.start < end);
+    stats.tuples_dropped = states.drain(beyond..).map(|s| s.len()).sum();
+    let mut out = Vec::with_capacity(bounds.len());
+    let mut states = states.into_iter();
+    while let Some(mut group) = states.next() {
+        let mut recut = false;
+        while group.window.end < end && !bounds.contains(&group.window.end) {
+            let Some(next) = states.next() else { break };
+            group = merge_slice_states(group, next)?;
+            stats.merges += 1;
+            recut = true;
+        }
+        if group.window.end > end {
+            let (kept, dropped) = split_slice_state_eager(group, end, watermarks)?;
+            stats.tuples_dropped += dropped.len();
+            group = kept;
+            recut = true;
+        }
+        let window = group.window;
+        let inside = bounds
+            .iter()
+            .filter(|&&b| window.start < b && b < window.end);
+        if recut || inside.clone().next().is_some() {
+            stats.tuples_moved += group.len();
+        }
+        for &at in inside {
+            let (left, right) = split_slice_state_eager(group, at, watermarks)?;
+            out.push(left);
+            group = right;
+            stats.splits += 1;
+        }
+        out.push(group);
+    }
+    let tiled = out
+        .iter()
+        .map(|s| s.window)
+        .eq(new.slices().iter().map(|s| s.window));
+    if !tiled {
+        return Err(StreamError::InvalidConfig(
+            "the re-cut states do not tile the new chain".to_string(),
+        ));
+    }
+    Ok((out, stats))
 }
 
 /// Redistribute the slice states of a sharded chain across `new_shards`
@@ -535,6 +624,24 @@ mod tests {
         assert_eq!(secs_of(&right.side_a), vec![12, 15]);
         assert_eq!(secs_of(&left.side_b), Vec::<u64>::new());
         assert_eq!(secs_of(&right.side_b), vec![13, 18]);
+    }
+
+    #[test]
+    fn recut_rejects_states_that_cannot_tile_the_new_chain() {
+        let spec = ChainSpec::memory_optimal(&workload());
+        let wm = PurgeWatermarks::uniform(Timestamp::from_secs(100));
+        let empty = |start, end| state(start, end, Vec::new(), Vec::new());
+        assert!(recut_chain(Vec::new(), &spec, wm).is_err());
+        assert!(
+            recut_chain(vec![empty(5, 30)], &spec, wm).is_err(),
+            "no slice at 0"
+        );
+        assert!(
+            recut_chain(vec![empty(0, 5), empty(10, 30)], &spec, wm).is_err(),
+            "a gap"
+        );
+        let whole = recut_chain(vec![empty(0, 30)], &spec, wm).unwrap().0;
+        assert_eq!(whole.len(), spec.num_slices());
     }
 
     #[test]

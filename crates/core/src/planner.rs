@@ -243,20 +243,11 @@ pub fn merge_streams(a: Vec<Tuple>, b: Vec<Tuple>) -> Vec<Tuple> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let mut ia = a.into_iter().peekable();
     let mut ib = b.into_iter().peekable();
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (Some(x), Some(y)) => {
-                if x.ts <= y.ts {
-                    out.push(ia.next().expect("peeked"));
-                } else {
-                    out.push(ib.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => out.push(ia.next().expect("peeked")),
-            (None, Some(_)) => out.push(ib.next().expect("peeked")),
-            (None, None) => break,
-        }
-    }
+    // Take from `a` unless `b`'s head is strictly older.
+    out.extend(std::iter::from_fn(|| match ib.peek().map(|t| t.ts) {
+        Some(b_ts) => ia.next_if(|t| t.ts <= b_ts).or_else(|| ib.next()),
+        None => ia.next(),
+    }));
     out
 }
 

@@ -47,11 +47,6 @@ impl SinkOp {
         self.count
     }
 
-    /// Timestamp of the last received tuple.
-    pub fn last_timestamp(&self) -> Option<Timestamp> {
-        self.last_ts
-    }
-
     /// Number of tuples that arrived with a timestamp smaller than a
     /// previously received tuple (should be zero for order-preserving plans).
     pub fn out_of_order(&self) -> u64 {
@@ -173,7 +168,6 @@ mod tests {
         );
         assert_eq!(op.count(), 3);
         assert_eq!(op.out_of_order(), 1);
-        assert_eq!(op.last_timestamp(), Some(Timestamp::from_secs(3)));
         assert!(op.collected().is_empty());
         assert_eq!(op.num_output_ports(), 0);
     }

@@ -179,13 +179,6 @@ impl Plan {
         self.nodes.get(id.0).ok_or(StreamError::UnknownNode(id.0))
     }
 
-    /// Mutable node by id.
-    pub fn node_mut(&mut self, id: NodeId) -> Result<&mut PlanNode> {
-        self.nodes
-            .get_mut(id.0)
-            .ok_or(StreamError::UnknownNode(id.0))
-    }
-
     /// Resolve a named entry point.
     pub fn entry(&self, name: &str) -> Result<(NodeId, PortId)> {
         self.entries
@@ -265,11 +258,6 @@ impl Plan {
         }
         Ok(order)
     }
-
-    /// Total state size (in tuples) over all operators.
-    pub fn total_state_size(&self) -> usize {
-        self.nodes.iter().map(|n| n.operator.state_size()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -298,7 +286,6 @@ mod tests {
         assert_eq!(plan.sinks().count(), 1);
         assert!(plan.sink("q1").is_some());
         assert!(plan.sink("sigma").is_none());
-        assert_eq!(plan.total_state_size(), 0);
         assert!(plan.node(sink).is_ok());
         assert!(plan.node(NodeId(99)).is_err());
         let order = plan.topological_order().unwrap();

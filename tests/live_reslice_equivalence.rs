@@ -30,7 +30,7 @@ use state_slice_repro::core::{
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::window::SliceWindow;
 use state_slice_repro::streamkit::{
-    Executor, JoinCondition, ShardedExecutor, TimeDelta, Timestamp, Tuple,
+    Executor, JoinCondition, Predicate, ShardedExecutor, TimeDelta, Timestamp, Tuple,
 };
 
 /// Anchor window (seconds): always registered, so coverage never changes.
@@ -44,13 +44,21 @@ fn anchor() -> JoinQuery {
     JoinQuery::new("QA", TimeDelta::from_secs(ANCHOR_SECS))
 }
 
-fn pool_query(window_secs: u64) -> JoinQuery {
-    JoinQuery::new(format!("C{window_secs}"), TimeDelta::from_secs(window_secs))
+/// A churned query; a `filtered` one selects on stream A's key, so its chain
+/// carries a lineage annotator and lineage gates.
+fn pool_query(window_secs: u64, filtered: bool) -> JoinQuery {
+    let name = format!("C{window_secs}");
+    let window = TimeDelta::from_secs(window_secs);
+    if filtered {
+        JoinQuery::with_filter(name, window, Predicate::gt(0, (window_secs % 3) as i64))
+    } else {
+        JoinQuery::new(name, window)
+    }
 }
 
-fn workload_of(pool_windows: &[u64]) -> QueryWorkload {
+fn workload_of(pool_windows: &[u64], filtered: bool) -> QueryWorkload {
     let mut queries = vec![anchor()];
-    queries.extend(pool_windows.iter().map(|&w| pool_query(w)));
+    queries.extend(pool_windows.iter().map(|&w| pool_query(w, filtered)));
     QueryWorkload::new(queries, JoinCondition::equi(0)).unwrap()
 }
 
@@ -157,14 +165,15 @@ fn run_live(
     cuts: &[usize],
     actions: &[Action],
     shards: usize,
+    filtered: bool,
 ) -> (SessionOutcome, StateSnapshot) {
-    let mut live = Session::launch(workload_of(initial), live_options(shards)).unwrap();
+    let mut live = Session::launch(workload_of(initial, filtered), live_options(shards)).unwrap();
     let mut done = 0usize;
     for (&cut, action) in cuts.iter().zip(actions) {
         live.ingest_all(input[done..cut].to_vec()).unwrap();
         done = cut;
         match action {
-            Action::Add(w) => live.add_query(pool_query(*w)).unwrap(),
+            Action::Add(w) => live.add_query(pool_query(*w, filtered)).unwrap(),
             Action::Remove(w) => live.remove_query(&format!("C{w}")).map(|_| ()).unwrap(),
         }
     }
@@ -224,10 +233,11 @@ fn oracle_instances(
     initial: &[u64],
     cuts: &[usize],
     actions: &[Action],
+    filtered: bool,
 ) -> Vec<((String, u64), Vec<Fingerprint>)> {
     let mut active: Vec<u64> = initial.to_vec();
     // (name, added_epoch) → accumulated fingerprints.
-    let mut ledger: Vec<((String, u64), Vec<Fingerprint>)> = workload_of(initial)
+    let mut ledger: Vec<((String, u64), Vec<Fingerprint>)> = workload_of(initial, filtered)
         .queries()
         .iter()
         .map(|q| ((q.name.clone(), 0u64), Vec::new()))
@@ -241,7 +251,7 @@ fn oracle_instances(
     };
     for epoch in 0..bounds.len() - 1 {
         let (start, end) = (bounds[epoch], bounds[epoch + 1]);
-        let workload = workload_of(&active);
+        let workload = workload_of(&active, filtered);
         for (name, fps) in reference_epoch_deliveries(&workload, input, start, end) {
             let key = open
                 .iter()
@@ -302,7 +312,7 @@ fn assert_live_matches_oracle(
 /// Fresh sharded chain for the final workload over the full input; states at
 /// quiescence.
 fn reference_final_states(input: &[Tuple], final_pool: &[u64], shards: usize) -> StateSnapshot {
-    let workload = workload_of(final_pool);
+    let workload = workload_of(final_pool, false);
     let spec = ChainSpec::memory_optimal(&workload);
     let factory = ChainPlanFactory::new(
         workload,
@@ -337,10 +347,10 @@ fn check_schedule(
 ) {
     let input = build_input(arrivals);
     let (cuts, actions) = resolve_schedule(schedule, input.len(), initial);
-    let (outcome, live_states) = run_live(&input, initial, &cuts, &actions, shards);
+    let (outcome, live_states) = run_live(&input, initial, &cuts, &actions, shards, false);
     let migrations = outcome.events.iter().filter_map(SessionEvent::migration);
     assert_eq!(migrations.count(), actions.len());
-    let oracle = oracle_instances(&input, initial, &cuts, &actions);
+    let oracle = oracle_instances(&input, initial, &cuts, &actions, false);
     assert_live_matches_oracle(&outcome, &oracle);
     let fresh_states = reference_final_states(&input, &final_pool(initial, &actions), shards);
     // Exact per-shard per-slice equality with the freshly planned chain,
@@ -373,13 +383,13 @@ fn cpu_opt_replanning_matches_per_epoch_references() {
     let (cuts, actions) = resolve_schedule(&schedule, input.len(), &initial);
     let mut options = live_options(1);
     options.strategy = SliceStrategy::CpuOpt(CostConfig::default());
-    let mut live = Session::launch(workload_of(&initial), options).unwrap();
+    let mut live = Session::launch(workload_of(&initial, false), options).unwrap();
     let mut done = 0usize;
     for (&cut, action) in cuts.iter().zip(&actions) {
         live.ingest_all(input[done..cut].to_vec()).unwrap();
         done = cut;
         match action {
-            Action::Add(w) => live.add_query(pool_query(*w)).unwrap(),
+            Action::Add(w) => live.add_query(pool_query(*w, false)).unwrap(),
             Action::Remove(w) => live.remove_query(&format!("C{w}")).map(|_| ()).unwrap(),
         }
     }
@@ -387,8 +397,42 @@ fn cpu_opt_replanning_matches_per_epoch_references() {
     let outcome = live.finish().unwrap();
     // The oracle chains are Mem-Opt; result multisets are slicing-invariant
     // (Theorem 1), so the comparison still pins the migration.
-    let oracle = oracle_instances(&input, &initial, &cuts, &actions);
+    let oracle = oracle_instances(&input, &initial, &cuts, &actions, false);
     assert_live_matches_oracle(&outcome, &oracle);
+}
+
+#[test]
+fn filtered_churn_through_lineage_gates_matches_per_epoch_references() {
+    // Every churned query selects on stream A, so each chain has a lineage
+    // annotator and a gate in front of every slice but the first.  The
+    // anchor selects nothing, so no query's history is ever filtered away
+    // and the per-epoch references stay exact.  Results only: the stored
+    // tuples' lineage levels are the plan's business, not the oracle's.
+    let arrivals: Vec<(u64, bool, i64)> = (0..420)
+        .map(|i| (i % 4, i % 3 == 0, (i % 5) as i64))
+        .collect();
+    let input = build_input(&arrivals);
+    let initial = [3u64, 9];
+    let schedule = [
+        (90usize, true, 0usize),
+        (90, false, 1),
+        (90, true, 2),
+        (90, false, 0),
+    ];
+    let (cuts, actions) = resolve_schedule(&schedule, input.len(), &initial);
+    let oracle = oracle_instances(&input, &initial, &cuts, &actions, true);
+    for shards in [1, 4] {
+        let (outcome, _) = run_live(&input, &initial, &cuts, &actions, shards, true);
+        assert_eq!(
+            outcome
+                .events
+                .iter()
+                .filter_map(SessionEvent::migration)
+                .count(),
+            actions.len()
+        );
+        assert_live_matches_oracle(&outcome, &oracle);
+    }
 }
 
 #[test]

@@ -12,13 +12,19 @@
 //!   distribution once enough traffic has flowed,
 //! * `rehash_shard_states` round-trip: rehash k→k'→k reproduces the original
 //!   states bit for bit, and every intermediate shard holds only its own
-//!   keys.
+//!   keys,
+//! * `recut_chain` over random spec pairs: re-cutting to the same spec is the
+//!   identity, the output tiles the new spec, nothing is lost or duplicated,
+//!   no tuple crosses a boundary both specs share, and consistent states come
+//!   out oldest-first with every tuple in the slice its age falls in.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use state_slice_repro::core::{
-    merge_slice_states, merge_spec_slices, rehash_shard_states, split_slice_state,
+    merge_slice_states, merge_spec_slices, recut_chain, rehash_shard_states, split_slice_state,
     split_slice_state_eager, split_spec_slice, ChainSpec, JoinQuery, PurgeWatermarks,
-    QueryWorkload,
+    QueryWorkload, RecutStats,
 };
 use state_slice_repro::streamkit::checkpoint::{NodeState, WindowState};
 use state_slice_repro::streamkit::operator::{OpContext, Operator};
@@ -88,8 +94,129 @@ fn split_outputs(
     (results, forwarded)
 }
 
+/// A chain over `windows` whose interior boundary `i` is kept iff `mask[i]`.
+fn masked_spec(windows: &BTreeSet<u64>, mask: &[bool]) -> ChainSpec {
+    let windows: Vec<u64> = windows.iter().copied().collect();
+    let n = windows.len();
+    let mut path = vec![0];
+    path.extend((1..n).filter(|&i| mask[i]));
+    path.push(n);
+    ChainSpec::from_path(&workload_of(&windows), &path).unwrap()
+}
+
+/// Slice states of `spec`, oldest first per side.  Draw `i` = `(pick,
+/// per_mille, stale, stale_tenths)` puts a tuple with field 0 = `i` on side
+/// `pick % 2` of slice `pick / 2`, aged `per_mille` of the way into the
+/// slice against the opposite stream's male; with `stale_ages`, one draw in
+/// four (`stale == 0`) is aged `stale_tenths` instead, whatever its slice.
+fn aged_states(
+    spec: &ChainSpec,
+    draws: &[(usize, u64, u32, u64)],
+    wm: PurgeWatermarks,
+    stale_ages: bool,
+) -> Vec<WindowState> {
+    let mut states: Vec<WindowState> = spec
+        .slices()
+        .iter()
+        .map(|s| WindowState::empty(s.window))
+        .collect();
+    for (i, &(pick, per_mille, stale, stale_tenths)) in draws.iter().enumerate() {
+        let state = &mut states[pick / 2 % spec.num_slices()];
+        let (start, end) = (state.window.start.as_micros(), state.window.end.as_micros());
+        let age = if stale_ages && stale == 0 {
+            stale_tenths * 100_000
+        } else {
+            start + (end - start) * per_mille / 1000
+        };
+        let (stream, male, side) = if pick % 2 == 0 {
+            (StreamId::A, wm.male_b, &mut state.side_a)
+        } else {
+            (StreamId::B, wm.male_a, &mut state.side_b)
+        };
+        let ts = Timestamp::from_micros(male.as_micros() - age);
+        side.push(Tuple::of_ints(ts, stream, &[i as i64]));
+    }
+    for state in &mut states {
+        state.side_a.sort_by_key(|t| t.ts);
+        state.side_b.sort_by_key(|t| t.ts);
+    }
+    states
+}
+
+/// Tuple id (field 0) → the window of the slice holding it.
+fn placement(states: &[WindowState]) -> BTreeMap<i64, SliceWindow> {
+    states
+        .iter()
+        .flat_map(|s| s.side_a.iter().chain(&s.side_b).map(move |t| (t, s.window)))
+        .map(|(t, window)| (t.value(0).and_then(|v| v.as_int()).unwrap(), window))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `recut_chain` over random spec pairs, with and without tuples whose
+    /// age disagrees with their slice.
+    #[test]
+    fn recut_chain_re_cuts_to_the_new_spec(
+        windows in (
+            prop::collection::btree_set(1u64..13, 1..7),
+            prop::collection::btree_set(1u64..13, 1..7),
+        ),
+        masks in (
+            prop::collection::vec(proptest::bool::ANY, 6..7),
+            prop::collection::vec(proptest::bool::ANY, 6..7),
+        ),
+        draws in prop::collection::vec((0usize..64, 0u64..1000, 0u32..4, 0u64..140), 0..40),
+        males in (150u64..400, 150u64..400),
+    ) {
+        let old = masked_spec(&windows.0, &masks.0);
+        let new = masked_spec(&windows.1, &masks.1);
+        let wm = PurgeWatermarks {
+            male_a: Timestamp::from_millis(males.0 * 100),
+            male_b: Timestamp::from_millis(males.1 * 100),
+        };
+        // The same spec is the identity, stale ages included.
+        let mixed = aged_states(&old, &draws, wm, true);
+        let (same, stats) = recut_chain(mixed.clone(), &old, wm).unwrap();
+        prop_assert_eq!(&same, &mixed);
+        prop_assert_eq!(stats, RecutStats::default());
+        let ends = |spec: &ChainSpec| -> Vec<TimeDelta> {
+            spec.slices().iter().map(|s| s.window.end).collect()
+        };
+        let shared: Vec<TimeDelta> =
+            ends(&old).into_iter().filter(|b| ends(&new).contains(b)).collect();
+        for stale_ages in [true, false] {
+            let states = aged_states(&old, &draws, wm, stale_ages);
+            let before = placement(&states);
+            let (recut, stats) = recut_chain(states, &new, wm).unwrap();
+            let windows: Vec<SliceWindow> = recut.iter().map(|s| s.window).collect();
+            let expected: Vec<SliceWindow> = new.slices().iter().map(|s| s.window).collect();
+            prop_assert_eq!(windows, expected);
+            let after = placement(&recut);
+            let kept: usize = recut.iter().map(WindowState::len).sum();
+            prop_assert_eq!(after.len(), kept, "a tuple was duplicated");
+            prop_assert_eq!(kept + stats.tuples_dropped, before.len());
+            for (id, window) in &after {
+                for &b in &shared {
+                    prop_assert_eq!(before[id].end <= b, window.end <= b, "crossed {:?}", b);
+                }
+            }
+            if stale_ages {
+                continue;
+            }
+            // Consistent ages: what a chain freshly planned with `new` holds.
+            for state in &recut {
+                for (side, male) in [(&state.side_a, wm.male_b), (&state.side_b, wm.male_a)] {
+                    prop_assert!(side.windows(2).all(|w| w[0].ts <= w[1].ts), "not oldest first");
+                    for t in side {
+                        let age = male.saturating_sub(t.ts);
+                        prop_assert!(state.window.start <= age && age < state.window.end);
+                    }
+                }
+            }
+        }
+    }
 
     /// Spec level: splitting an interior boundary out of a merged chain
     /// restores the chain the merge started from, for random workloads and
