@@ -180,18 +180,21 @@ mod tests {
         (op, ctx)
     }
 
-    /// What a columnar run put on [`PORT_RESULTS`]: `Ok(rows)` per batch,
+    /// What a run put on [`PORT_RESULTS`]: its row results, all ahead of
+    /// the first batch or punctuation, then `Ok(rows)` per batch and
     /// `Err(())` per punctuation.
-    fn batches_and_punctuations(ctx: &mut OpContext) -> Vec<Result<Vec<Tuple>, ()>> {
-        ctx.take_outputs()
-            .into_iter()
-            .filter(|(port, _)| *port == PORT_RESULTS)
-            .map(|(_, item)| match item {
-                StreamItem::Batch(batch) => Ok(batch.materialize()),
-                StreamItem::Punctuation(_) => Err(()),
-                StreamItem::Tuple(t) => panic!("row result {t:?} in a columnar run"),
-            })
-            .collect()
+    fn rows_then_batches(ctx: &mut OpContext) -> (Vec<Tuple>, Vec<Result<Vec<Tuple>, ()>>) {
+        let (mut rows, mut rest) = (Vec::new(), Vec::new());
+        for (port, item) in ctx.take_outputs() {
+            match item {
+                _ if port != PORT_RESULTS => {}
+                StreamItem::Tuple(t) if rest.is_empty() => rows.push(t),
+                StreamItem::Tuple(t) => panic!("row result {t:?} after a batch or punctuation"),
+                StreamItem::Batch(batch) => rest.push(Ok(batch.materialize())),
+                StreamItem::Punctuation(_) => rest.push(Err(())),
+            }
+        }
+        (rows, rest)
     }
 
     #[test]
@@ -223,11 +226,19 @@ mod tests {
 
     #[test]
     fn the_run_after_a_dense_one_emits_batches_flushed_before_punctuations() {
-        // Run 1: 4 stored × 4 probes = 16 results, as rows (no history yet).
+        let joined = |probe: &Tuple| -> Vec<Tuple> {
+            (1..=4)
+                .map(|s| Tuple::join(&a(s, 0), probe, RESULT_STREAM))
+                .collect()
+        };
+        // Run 1: 4 stored × 4 probes = 16 results.  It opens on rows (no
+        // history yet) and switches to a batch at its 16th result.
         let (mut op, mut ctx) = slice_after_run((1..=4).map(|s| a(s, 0)).collect(), 4);
-        assert_eq!(results_of(&mut ctx).len(), 16);
-        assert_eq!(op.batch_results(), 0);
-        // Run 2 is columnar: one batch per stretch between punctuations,
+        let (rows, rest) = rows_then_batches(&mut ctx);
+        assert_eq!(rows.len(), 15);
+        assert_eq!(rest, vec![Ok(joined(&b(13, 0))[3..].to_vec()), Err(())]);
+        assert_eq!(op.batch_results(), 1);
+        // Run 2 opens columnar: one batch per stretch between punctuations,
         // each flushed before the punctuation that follows it — the
         // interleaved one and the run's coalesced one.
         let mut run = vec![
@@ -237,12 +248,8 @@ mod tests {
             b(22, 0).into(),
         ];
         op.process_batch(0, &mut run, &mut ctx);
-        let got = batches_and_punctuations(&mut ctx);
-        let joined = |probe: &Tuple| -> Vec<Tuple> {
-            (1..=4)
-                .map(|s| Tuple::join(&a(s, 0), probe, RESULT_STREAM))
-                .collect()
-        };
+        let (rows, got) = rows_then_batches(&mut ctx);
+        assert!(rows.is_empty());
         let mut before = joined(&b(20, 0));
         before.extend(joined(&b(21, 0)));
         assert_eq!(
@@ -250,34 +257,35 @@ mod tests {
             vec![Ok(before), Err(()), Ok(joined(&b(22, 0))), Err(())]
         );
         assert_eq!(op.results(), 28);
-        assert_eq!(op.batch_results(), 12);
+        assert_eq!(op.batch_results(), 13);
         // 12 < 16: run 3 is back on rows.
         op.process(0, b(23, 0).into(), &mut ctx);
         assert_eq!(results_of(&mut ctx).len(), 4);
-        assert_eq!(op.batch_results(), 12);
+        assert_eq!(op.batch_results(), 13);
     }
 
     #[test]
     fn an_arity_change_mid_run_splits_the_batch() {
         // Stored A tuples of arity 1, 1, 2, 1: every probe's results change
-        // arity twice, so a columnar run cuts its batch at each change.
+        // arity twice, so a batch is cut at each change.  5 probes give 20
+        // results; the run switches to a batch at the 16th, the last of
+        // probe 4, so probe 5's arity changes come after the switch.
         let wide = Tuple::of_ints(Timestamp::from_secs(3), StreamId::A, &[0, 9]);
         let stored = vec![a(1, 0), a(2, 0), wide, a(4, 0)];
-        let (mut op, mut ctx) = slice_after_run(stored.clone(), 4);
-        let _ = ctx.take_outputs();
-        op.process(0, b(20, 0).into(), &mut ctx);
-        let got = batches_and_punctuations(&mut ctx);
-        let row = |i: usize| Tuple::join(&stored[i], &b(20, 0), RESULT_STREAM);
+        let (op, mut ctx) = slice_after_run(stored.clone(), 5);
+        let (rows, got) = rows_then_batches(&mut ctx);
+        assert_eq!(rows.len(), 15);
+        let row = |i: usize, probe: u64| Tuple::join(&stored[i], &b(probe, 0), RESULT_STREAM);
         assert_eq!(
             got,
             vec![
-                Ok(vec![row(0), row(1)]),
-                Ok(vec![row(2)]),
-                Ok(vec![row(3)]),
+                Ok(vec![row(3, 13), row(0, 14), row(1, 14)]),
+                Ok(vec![row(2, 14)]),
+                Ok(vec![row(3, 14)]),
                 Err(())
             ]
         );
-        assert_eq!(op.batch_results(), 4);
+        assert_eq!(op.batch_results(), 5);
     }
 
     #[test]

@@ -50,8 +50,12 @@ pub const PORT_NEXT_SLICE: PortId = 1;
 pub const RESULT_STREAM: StreamId = StreamId(101);
 
 /// Result density at which a run's results travel as one [`ColumnBatch`]
-/// instead of one row [`Tuple`] each: a run goes columnar iff this
-/// operator's *previous* run produced at least this many results.
+/// instead of one row [`Tuple`] each.  A run opens columnar iff this
+/// operator's *previous* run produced at least this many results; a run
+/// that opened on rows switches to a batch at its own result number
+/// `COLUMNAR_MIN_RUN_RESULTS`, so its first `COLUMNAR_MIN_RUN_RESULTS - 1`
+/// results stay rows and the rest leave in batches.  Results are never
+/// held back to decide.
 ///
 /// A batch is one queue item, one fan-out hop and one union slot whatever
 /// its row count, and [`ColumnBatch::push_join`] allocates nothing per
@@ -69,7 +73,9 @@ pub const RESULT_STREAM: StreamId = StreamId(101);
 /// batches of a handful of rows and loses 4 %; from 32 up the dense
 /// workload's short tail runs fall back to rows, and at 64 a quarter of its
 /// capacity is gone.  16 keeps every `selective-fanout` run on rows and
-/// every `equi-chain` run on batches.
+/// every `equi-chain` run on batches.  That sweep measured the pure
+/// previous-run rule, before the in-run switch; 16 was kept for the switch,
+/// not re-tuned.
 const COLUMNAR_MIN_RUN_RESULTS: u64 = 16;
 
 /// Which streams a slice stores and which probe.
@@ -100,10 +106,11 @@ pub struct SliceJoinOp {
     chain_head: bool,
     /// Last join of a chain: discards instead of forwarding to a next slice.
     has_next: bool,
-    /// Results produced by the previous run — the observed result density
-    /// the next run's transport is chosen from (a fresh or rebuilt operator
-    /// has no history and starts on rows).
-    prev_run_results: u64,
+    /// Results of the current run so far, which switch a row run to a batch
+    /// at [`COLUMNAR_MIN_RUN_RESULTS`]; between runs, the previous run's
+    /// count — the observed result density the next run opens its transport
+    /// from (a fresh or rebuilt operator has no history and opens on rows).
+    run_results: u64,
     /// Results that left as rows of a [`ColumnBatch`].
     batch_results: u64,
 }
@@ -128,7 +135,7 @@ impl SliceJoinOp {
             results: 0,
             chain_head: false,
             has_next: true,
-            prev_run_results: 0,
+            run_results: 0,
             batch_results: 0,
         }
     }
@@ -283,18 +290,23 @@ impl SliceJoinOp {
         self.peak_state = self.peak_state.max(self.state_len());
     }
 
-    /// Emit one joined result.  `pending` is the run's open [`ColumnBatch`]
-    /// when the run is columnar (the match is appended with
-    /// [`ColumnBatch::push_join`], no per-match payload allocation) and
-    /// `None` when it is not (the match leaves as a row [`Tuple::join`]).
-    /// The result rows, their order and every counter are identical either
-    /// way; only the transport representation differs.
+    /// Emit the run's `run_result`-th joined result.  `pending` is the run's
+    /// open [`ColumnBatch`] when the run is columnar (the match is appended
+    /// with [`ColumnBatch::push_join`], no per-match payload allocation) and
+    /// `None` when it is not (the match leaves as a row [`Tuple::join`]); a
+    /// row run opens its batch at result [`COLUMNAR_MIN_RUN_RESULTS`].  The
+    /// result rows, their order and every counter are identical either way;
+    /// only the transport representation differs.
     fn emit_result(
         pending: &mut Option<ColumnBatch>,
+        run_result: u64,
         left: &Tuple,
         right: &Tuple,
         ctx: &mut OpContext,
     ) {
+        if pending.is_none() && run_result >= COLUMNAR_MIN_RUN_RESULTS {
+            *pending = Some(ColumnBatch::new());
+        }
         let Some(batch) = pending else {
             ctx.emit(PORT_RESULTS, Tuple::join(left, right, RESULT_STREAM));
             return;
@@ -362,7 +374,8 @@ impl SliceJoinOp {
                 .eval_counted(left, right, &mut ctx.counters.probe_comparisons)
             {
                 self.results += 1;
-                Self::emit_result(pending, left, right, ctx);
+                self.run_results += 1;
+                Self::emit_result(pending, self.run_results, left, right, ctx);
             }
         }
         if has_next {
@@ -441,8 +454,10 @@ impl SliceJoinOp {
     ///
     /// The run's results leave as row tuples or as one [`ColumnBatch`]
     /// (flushed before any interleaved punctuation and before the run's
-    /// coalesced one), chosen from the previous run's result count — see
-    /// [`COLUMNAR_MIN_RUN_RESULTS`].
+    /// coalesced one).  The run opens in the transport the previous run's
+    /// result count predicts, and a run that opened on rows switches to a
+    /// batch at its own [`COLUMNAR_MIN_RUN_RESULTS`]-th result: the rows
+    /// already emitted stay rows, every later result goes into the batch.
     ///
     /// The cross-purge stays interleaved per probe: a purged tuple must
     /// enter the next slice's logical queue *before* the probe whose arrival
@@ -451,9 +466,9 @@ impl SliceJoinOp {
     /// states (`tests/batch_equivalence.rs`).
     fn run(&mut self, items: impl Iterator<Item = StreamItem>, ctx: &mut OpContext) {
         let mut last_probe = None;
-        let columnar = self.prev_run_results >= COLUMNAR_MIN_RUN_RESULTS;
+        let columnar = self.run_results >= COLUMNAR_MIN_RUN_RESULTS;
         let mut pending = columnar.then(ColumnBatch::new);
-        let results_before = self.results;
+        self.run_results = 0;
         for item in items {
             match item {
                 StreamItem::Tuple(t) => self.process_tuple(t, &mut last_probe, &mut pending, ctx),
@@ -478,10 +493,14 @@ impl SliceJoinOp {
         if let Some((ts, stream)) = last_probe {
             ctx.emit(PORT_RESULTS, Punctuation::from_stream(ts, stream));
         }
-        self.prev_run_results = self.results - results_before;
-        if columnar {
-            self.batch_results += self.prev_run_results;
-        }
+        // A run that opened on rows sent the results before its switch as
+        // rows.
+        let rows_first = if columnar {
+            0
+        } else {
+            COLUMNAR_MIN_RUN_RESULTS - 1
+        };
+        self.batch_results += self.run_results.saturating_sub(rows_first);
     }
 }
 
@@ -598,13 +617,114 @@ mod tests {
             assert_eq!(fresh.results(), 0);
             fresh.process(0, tuple(31, StreamId::B).into(), &mut ctx);
             assert_eq!(fresh.results(), 20);
-            assert_eq!(fresh.batch_results(), 0);
+            // Opened on rows, switched at its 16th result.
+            assert_eq!(fresh.batch_results(), 5);
             // Dropping the index keeps every stored tuple.
             let stored = fresh.state_tuples();
             fresh.drop_index();
             assert_eq!(mode(&fresh), plain);
             assert_eq!(fresh.state_tuples(), stored);
         }
+    }
+
+    /// What a run put on [`PORT_RESULTS`], item by item.
+    #[derive(Debug, PartialEq)]
+    enum Out {
+        Row(Tuple),
+        Batch(Vec<Tuple>),
+        Punctuation,
+    }
+
+    fn results_out(ctx: &mut OpContext) -> Vec<Out> {
+        ctx.take_outputs()
+            .into_iter()
+            .filter(|(port, _)| *port == PORT_RESULTS)
+            .map(|(_, item)| match item {
+                StreamItem::Tuple(t) => Out::Row(t),
+                StreamItem::Batch(b) => Out::Batch(b.materialize()),
+                StreamItem::Punctuation(_) => Out::Punctuation,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_row_run_that_turns_dense_switches_to_a_batch_at_its_16th_result() {
+        let at =
+            |s, stream, fields: &[i64]| Tuple::of_ints(Timestamp::from_secs(s), stream, fields);
+        // Six stored A tuples, the third one wider: every probe's results
+        // change arity twice.
+        let stored: Vec<Tuple> = (1..=6)
+            .map(|s| at(s, StreamId::A, if s == 3 { &[0, 9] } else { &[0] }))
+            .collect();
+        let probe = |s| at(s, StreamId::B, &[0]);
+        let joined = |i: usize, s| Tuple::join(&stored[i], &probe(s), RESULT_STREAM);
+        // One probe's six results in a batch, cut at each arity change.
+        let batched =
+            |s| [0..2, 2..3, 3..6].map(|rows| Out::Batch(rows.map(|i| joined(i, s)).collect()));
+        let slice = || {
+            SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 100), JoinCondition::Cross)
+                .chain_head()
+                .last_in_chain()
+        };
+        // One fresh run, so it opens on rows: 4 probes × 6 stored = 24
+        // results, with a punctuation after the third probe.
+        let mut run: Vec<StreamItem> = stored.iter().cloned().map(StreamItem::from).collect();
+        run.extend([
+            probe(10).into(),
+            probe(11).into(),
+            probe(12).into(),
+            Punctuation::new(Timestamp::from_secs(12)).into(),
+            probe(13).into(),
+        ]);
+        let mut op = slice();
+        let mut ctx = OpContext::new();
+        op.process_batch(0, &mut run.clone(), &mut ctx);
+        let got = results_out(&mut ctx);
+        // Results 1–15 leave as rows; the 16th opens a batch that takes
+        // every later result, flushed before the interleaved punctuation,
+        // cut at each arity change and flushed before the run's punctuation.
+        let mut want: Vec<Out> = [10, 11]
+            .into_iter()
+            .flat_map(|s| (0..6).map(move |i| (i, s)))
+            .chain((0..3).map(|i| (i, 12)))
+            .map(|(i, s)| Out::Row(joined(i, s)))
+            .collect();
+        want.extend([
+            Out::Batch((3..6).map(|i| joined(i, 12)).collect()),
+            Out::Punctuation,
+        ]);
+        want.extend(batched(13));
+        want.push(Out::Punctuation);
+        assert_eq!(got, want);
+        assert_eq!((op.results(), op.batch_results()), (24, 9));
+        // The rows come in the order of an all-rows run: item at a time,
+        // no run reaches 16 results.
+        let mut reference = slice();
+        for item in run {
+            reference.process(0, item, &mut ctx);
+        }
+        let rows = |outs: Vec<Out>| -> Vec<Tuple> {
+            outs.into_iter()
+                .flat_map(|out| match out {
+                    Out::Row(t) => vec![t],
+                    Out::Batch(rows) => rows,
+                    Out::Punctuation => vec![],
+                })
+                .collect()
+        };
+        assert_eq!(rows(results_out(&mut ctx)), rows(got));
+        assert_eq!(reference.batch_results(), 0);
+        // A batch-predicted run that turns out sparse still leaves as a
+        // batch; the run after it opens on rows again.
+        op.process(0, probe(14).into(), &mut ctx);
+        let mut want = Vec::from(batched(14));
+        want.push(Out::Punctuation);
+        assert_eq!(results_out(&mut ctx), want);
+        op.process(0, probe(15).into(), &mut ctx);
+        let mut want: Vec<Out> = (0..6).map(|i| Out::Row(joined(i, 15))).collect();
+        want.push(Out::Punctuation);
+        assert_eq!(results_out(&mut ctx), want);
+        assert_eq!((op.results(), op.batch_results()), (36, 15));
     }
 
     #[test]

@@ -343,10 +343,10 @@ impl WorkerPool {
                 }
             }
         }
-        Ok(parked
+        parked
             .into_iter()
-            .map(|p| p.expect("received == n implies every slot is filled"))
-            .collect())
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| StreamError::WorkerFailed("a shard's park reply is missing".into()))
     }
 
     /// Per-ring peak occupancy (queued runs), by shard.

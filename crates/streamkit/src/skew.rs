@@ -111,14 +111,12 @@ impl SpaceSavingSketch {
             });
             return;
         }
-        let min = self
-            .entries
-            .iter_mut()
-            .min_by_key(|e| e.count)
-            .expect("capacity > 0");
-        min.key = key;
-        min.error = min.count;
-        min.count += 1;
+        // Full, and `new` made the capacity positive: evict the minimum.
+        if let Some(min) = self.entries.iter_mut().min_by_key(|e| e.count) {
+            min.key = key;
+            min.error = min.count;
+            min.count += 1;
+        }
     }
 
     /// `(estimated count, overestimation error)` for `key`, if tracked.  The

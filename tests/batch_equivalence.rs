@@ -14,9 +14,10 @@
 //!
 //! `items_emitted` may differ — a run coalesces the per-male union
 //! punctuations into one, which is a coarser but equally valid progress
-//! promise.  So may the results' transport: a
-//! sliced join whose previous run produced enough results emits the next
-//! run's as one column batch, which longer runs reach and a run of one
+//! promise.  So may the results' transport: a sliced join sends a run's
+//! results as one column batch once they are dense enough — from the run's
+//! start when its previous run produced 16 results, otherwise from the
+//! run's own 16th result on — which longer runs reach and a run of one
 //! usually does not; the fixed-stream test feeds a dense input to make sure
 //! the sweep crosses that threshold.
 

@@ -2,14 +2,16 @@
 //! by run, whether its results leave as row tuples or as one
 //! [`ColumnBatch`](state_slice_repro::streamkit::columnar::ColumnBatch)
 //! (carried through the order-preserving unions to the sinks without
-//! materializing row tuples), from the number of results its previous run
-//! produced.  No option selects the transport, so the two are reached here
-//! the way production reaches them — by input and run length:
+//! materializing row tuples).  A run opens in the transport the number of
+//! results its previous run produced predicts, and a run that opened on rows
+//! switches to a batch at its own 16th result.  No option selects the
+//! transport, so the two are reached here the way production reaches them —
+//! by input and run length:
 //!
 //! * the **reference** executes the plan at `batch_per_visit: 1`.  Every run
 //!   is one item, and the streams are built so that no probe matches 16
-//!   tuples ([`KEYS`]), so no run is ever dense enough to turn the next one
-//!   columnar: every result is a row tuple;
+//!   tuples ([`KEYS`]), so no run reaches 16 results, neither to switch
+//!   itself nor to open the next one columnar: every result is a row tuple;
 //! * the **subject** executes the same plan on the same stream at
 //!   `batch_per_visit` 64 or 256, where a run's matches add up past the
 //!   threshold and results travel as batches.
