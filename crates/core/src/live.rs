@@ -37,9 +37,9 @@
 //! times), and [`rescale_shards`](Session::rescale_shards) runs the same
 //! sequence with [`rehash_shard_states`] in place of the re-cut and a fresh
 //! executor over the new shard count in place of the plan swap.  Hot keys of
-//! skew routing move through the same read/write pair: the router promotes
-//! and demotes them mid-ingest ([`streamkit::skew`]), and a rescale first
-//! demotes every hot key as data — dropping the replicated probe-side copies
+//! skew routing move through the same read/write pair: the executor promotes
+//! and demotes them at the end of every run, on its parked states
+//! ([`streamkit::skew`]), and a rescale first demotes every hot key as data — dropping the replicated probe-side copies
 //! and sending the spread build-side tuples home — then re-hashes, and keeps
 //! skew routing on whenever the new executor has two or more shards.  Every
 //! fallible step on the migrated data runs before the running executor is
@@ -1296,6 +1296,49 @@ mod tests {
         // Top-line stats survive the executor replacement.
         assert_eq!(oa.report.ingested, ob.report.ingested);
         assert_eq!(oa.report.sink_counts, ob.report.sink_counts);
+    }
+
+    #[test]
+    fn a_rescale_never_carries_a_filtered_tuple_past_a_lineage_gate() {
+        // Q2's filter (A.1 > 3) gates the second slice, [2 s, 20 s).  On two
+        // shards, the shard owning key `ahead` has purged further: its B at
+        // 10 s moved A 7 s (value 9) into the second slice, while the other
+        // shard's A 4 s (value 0, fit for Q1 only) still waits in the first.
+        // Re-hashed onto one shard, moving A 4 s deeper would carry it past
+        // the gate that refuses it, and B 11 s would join it for Q2.
+        let queries = vec![
+            JoinQuery::new("Q1", secs(2)),
+            JoinQuery::with_filter("Q2", secs(20), streamkit::Predicate::gt(1, 3i64)),
+        ];
+        let workload = QueryWorkload::new(queries, JoinCondition::equi(0)).unwrap();
+        let run = |rescale: bool| {
+            let mut options = test_options();
+            options.planner.shards = 2;
+            let mut live = Session::launch(workload.clone(), options).unwrap();
+            let t = |s, stream, key, value| {
+                Tuple::of_ints(Timestamp::from_secs(s), stream, &[key, value])
+            };
+            let on = |shard| {
+                (0..).find(|&k| live.executor().shard_of(&t(0, StreamId::A, k, 0)) == shard)
+            };
+            let (ahead, behind) = (on(0).unwrap(), on(1).unwrap());
+            live.ingest(t(4, StreamId::A, behind, 0)).unwrap();
+            live.ingest(t(5, StreamId::B, behind, 0)).unwrap();
+            live.ingest(t(7, StreamId::A, ahead, 9)).unwrap();
+            live.ingest(t(10, StreamId::B, ahead, 0)).unwrap();
+            if rescale {
+                live.rescale_shards(1).unwrap();
+            }
+            live.ingest(t(11, StreamId::B, behind, 0)).unwrap();
+            let outcome = live.finish().unwrap();
+            ["Q1", "Q2"].map(|q| outcome.query(q).unwrap().count)
+        };
+        assert_eq!(
+            run(false),
+            [1, 1],
+            "B 5 s joins A 4 s for Q1, B 10 s A 7 s for Q2"
+        );
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

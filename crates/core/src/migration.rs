@@ -37,7 +37,7 @@
 //! state) and scale-down (merge shards) are the same operation with
 //! different target counts.
 
-use streamkit::checkpoint::WindowState;
+use streamkit::checkpoint::{reseat_chain, WindowState};
 use streamkit::error::{Result, StreamError};
 use streamkit::shard::ShardSpec;
 use streamkit::tuple::Tuple;
@@ -289,10 +289,10 @@ pub fn recut_chain(
 /// `shards[s]` is shard `s`'s chain instance: its slices' states in chain
 /// order.  The instances cover the same slices, and their states partition
 /// each slice by join key.  Every tuple is routed to
-/// `spec.shard_of(tuple, new_shards)`, and each new instance's sides are
-/// put in timestamp order — a stable sort, so equal timestamps keep the
-/// lower old shard first and the result is deterministic.  The union of the
-/// states is preserved exactly; only the partition changes.
+/// `spec.shard_of(tuple, new_shards)`, and each new instance is re-seated
+/// oldest-first across its slices ([`reseat_chain`]), so the result is
+/// deterministic.  The union of the states is preserved exactly; only the
+/// partition and the slice depths change.
 ///
 /// Scale-down to one shard (`new_shards == 1`) is the "merge" direction;
 /// scale-up from one shard is the "split by re-hashing keys" direction.
@@ -334,9 +334,8 @@ pub fn rehash_shard_states(
             }
         }
     }
-    for state in out.iter_mut().flatten() {
-        state.side_a.sort_by_key(|t| t.ts);
-        state.side_b.sort_by_key(|t| t.ts);
+    for chain in &mut out {
+        reseat_chain(chain);
     }
     Ok(out)
 }

@@ -21,11 +21,12 @@
 //!    captured and the replay ring is cleared — everything at or before the
 //!    checkpoint is durable, everything after it is in the ring.  A
 //!    checkpoint holds every slice's state plus the router's hot set, so a
-//!    hot key promoted after the cut is not hot after a restore: the replay
-//!    promotes it again from the restored states.  A migration (churn,
-//!    re-plan, rescale) restores its migrated slice states into the running
-//!    executor (`ShardedExecutor::restore_window_states`, the write hot-key
-//!    promotions use too) and adopts a checkpoint of the result as the
+//!    hot key promoted after the cut is not hot after a restore: the drain
+//!    after the replay promotes it again from the restored states.  A
+//!    migration (churn, re-plan, rescale) restores its migrated slice states
+//!    into the running executor (`ShardedExecutor::restore_window_states`,
+//!    the write hot-key moves at a run boundary use too) and adopts a
+//!    checkpoint of the result as the
 //!    durable cut — so the cut always has the running chain's shape and
 //!    shard count,
 //! 3. when a run fails with `WorkerFailed` — while ingesting, draining, or

@@ -41,7 +41,7 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeState {
     /// The operator holds no state that survives a drained boundary
-    /// (selections, projections, routers, transient reorder buffers).
+    /// (selections, routers, transient reorder buffers).
     Stateless,
     /// A slice join's stored tuples.
     Window(WindowState),
@@ -101,6 +101,47 @@ impl WindowState {
     pub fn is_empty(&self) -> bool {
         self.side_a.is_empty() && self.side_b.is_empty()
     }
+}
+
+/// Re-seat one chain instance's states (slices in chain order) after a move
+/// (hot key, re-hash) dropped tuples into them by slice index from a shard
+/// with other purge progress: on each side, every tuple moves up to the
+/// shallowest slice holding a tuple at least as old as it, slices in
+/// timestamp order, ties in chain order.  Else a purge could forward an
+/// older tuple behind a newer one and stall the oldest-first cross-purge
+/// (paper Section 4.2).  A tuple that lands too shallow is harmless: the
+/// next probe purges it onward, through the lineage gates, before probing.
+/// Moving the older tuples deeper instead could carry one past a gate that
+/// refuses it.
+pub fn reseat_chain(chain: &mut [WindowState]) {
+    reseat_side(chain.iter_mut().map(|s| &mut s.side_a).collect());
+    reseat_side(chain.iter_mut().map(|s| &mut s.side_b).collect());
+}
+
+fn reseat_side(mut slices: Vec<&mut Vec<Tuple>>) {
+    let oldest: Vec<_> = slices
+        .iter()
+        .map(|s| s.iter().map(|t| t.ts).min())
+        .collect();
+    let mut rest: Vec<Tuple> = slices.iter_mut().rev().flat_map(|s| s.drain(..)).collect();
+    rest.sort_by_key(|t| t.ts);
+    // Shallowest first: a slice takes what is no older than its own oldest
+    // tuple or a shallower one's.
+    let mut bound = None;
+    for (side, oldest) in slices.into_iter().zip(oldest) {
+        bound = bound.into_iter().chain(oldest).min();
+        let newer = bound.map_or(rest.len(), |b| rest.partition_point(|t| t.ts < b));
+        side.extend(rest.drain(newer..));
+    }
+}
+
+/// Whether each side of one chain instance is oldest-first read from the
+/// deepest slice up — the order the cross-purge keeps and relies on.
+pub fn chain_is_oldest_first(chain: &[WindowState]) -> bool {
+    let ordered = |side: fn(&WindowState) -> &Vec<Tuple>| {
+        chain.iter().rev().flat_map(side).map(|t| t.ts).is_sorted()
+    };
+    ordered(|s| &s.side_a) && ordered(|s| &s.side_b)
 }
 
 impl NodeState {
@@ -358,6 +399,47 @@ mod tests {
     }
 
     #[test]
+    fn reseat_moves_a_deep_tuple_up_to_a_shallower_older_one() {
+        use crate::window::SliceWindow;
+        let secs = |side: &[Tuple]| -> Vec<u64> {
+            side.iter().map(|t| t.ts.as_micros() / 1_000_000).collect()
+        };
+        let slice = |start, end, side_a: Vec<Tuple>, side_b: Vec<Tuple>| WindowState {
+            window: SliceWindow::from_secs(start, end),
+            side_a,
+            side_b,
+        };
+        // A consistent chain is left as it is.
+        let consistent = vec![
+            slice(0, 5, vec![a(9, 0)], vec![b(8, 0), b(9, 1)]),
+            slice(5, 10, vec![a(3, 0), a(4, 1)], vec![]),
+            slice(10, 20, vec![], vec![b(2, 0)]),
+        ];
+        let mut chain = consistent.clone();
+        reseat_chain(&mut chain);
+        assert_eq!(chain, consistent);
+        assert!(chain_is_oldest_first(&chain));
+        // Moved tuples landed by slice index: A 4 s and B 6 s in the first
+        // slice are older than tuples a purge already put deeper, so those
+        // deeper tuples move up; the next probe purges them onward in order.
+        let mut chain = vec![
+            slice(0, 5, vec![a(9, 0), a(4, 2)], vec![b(6, 0), b(8, 0)]),
+            slice(5, 10, vec![a(5, 1), a(3, 0)], vec![b(7, 1)]),
+            slice(10, 20, vec![], vec![b(2, 0), b(7, 2)]),
+        ];
+        assert!(!chain_is_oldest_first(&chain));
+        reseat_chain(&mut chain);
+        assert!(chain_is_oldest_first(&chain));
+        assert_eq!(secs(&chain[0].side_a), [4, 5, 9]);
+        assert_eq!(secs(&chain[1].side_a), [3]);
+        assert_eq!(secs(&chain[2].side_b), [2]);
+        assert_eq!(secs(&chain[1].side_b), Vec::<u64>::new());
+        // Equal timestamps end up in one slice, in chain order.
+        assert_eq!(secs(&chain[0].side_b), [6, 7, 7, 8]);
+        assert_eq!(chain[0].side_b[1..3], [b(7, 2), b(7, 1)]);
+    }
+
+    #[test]
     fn capture_refuses_undrained_sessions() {
         let mut exec = session(2);
         feed(&mut exec, 0..4);
@@ -465,7 +547,6 @@ mod tests {
             min_observations: 8,
             sketch_capacity: 16,
             max_hot_keys: 2,
-            demote_observations: 0,
         };
         let mut live = session(2);
         live.enable_skew(skew).unwrap();

@@ -15,7 +15,7 @@
 //! reference-counted handles, never deep copies
 //! ([`ColumnBatch::push_tuple`], [`ColumnBatch::materialize`]).
 //!
-//! Four operator kernels run as tight per-column loops:
+//! Three operator kernels run as tight per-column loops:
 //!
 //! * **predicate evaluation** ([`eval_predicate`]) produces a *selection
 //!   vector* of passing row indices.  Counting is exactly per-row
@@ -24,10 +24,6 @@
 //!   `Or` evaluates the right operand only on the left's complement, `Not`
 //!   complements.  Filter-comparison counters are therefore bit-identical to
 //!   the row path's.
-//! * **projection** ([`ColumnBatch::project`]) gathers whole columns instead
-//!   of rebuilding every row, padding out-of-range fields with `Null`
-//!   columns (the row semantics of `ProjectOp`), and drops the key memo —
-//!   the projected layout is new.
 //! * **row-range append** ([`ColumnBatch::push_rows_from`]) copies a
 //!   contiguous row range of one batch onto another with one
 //!   `extend_from_slice` per column — how the order-preserving union
@@ -497,32 +493,6 @@ impl ColumnBatch {
         }
     }
 
-    /// Columnar projection: keep the columns named by `fields`, in that
-    /// order, padding out-of-range indices with all-`Null` columns — the
-    /// row-path semantics of `ProjectOp`.  The key memo is dropped: the
-    /// projected payload has a new field layout.
-    pub fn project(&self, fields: &[usize]) -> ColumnBatch {
-        let n = self.len();
-        ColumnBatch {
-            ts: self.ts.clone(),
-            stream: self.stream.clone(),
-            origin_span: self.origin_span.clone(),
-            role: self.role.clone(),
-            lineage: self.lineage.clone(),
-            columns: fields
-                .iter()
-                .map(|&f| match self.columns.get(f) {
-                    Some(c) => c.clone(),
-                    None => TypedColumn {
-                        data: ColumnData::Mixed(vec![Value::Null; n]),
-                        validity: None,
-                    },
-                })
-                .collect(),
-            key_hash: None,
-        }
-    }
-
     /// Compute (and memoise) the canonical key classes of `field` for every
     /// row in one per-column loop — the columnar counterpart of
     /// [`crate::join_state::memoize_key`].  A no-op if the column is already
@@ -713,7 +683,6 @@ fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 mod tests {
     use super::*;
     use crate::join_state::memoize_key;
-    use crate::tuple::LINEAGE_ALL;
 
     fn t(secs: u64, vals: &[i64]) -> Tuple {
         Tuple::of_ints(Timestamp::from_secs(secs), StreamId::A, vals)
@@ -974,30 +943,6 @@ mod tests {
                 KeyClass::Hash(canonical_key_hash(&Value::Int(7)).unwrap()),
             ]
         );
-    }
-
-    #[test]
-    fn projection_pads_missing_fields_with_null() {
-        let rows = vec![t(1, &[1, 2]), t(2, &[3, 4])];
-        let mut batch = ColumnBatch::from_tuples(&rows).unwrap();
-        batch.hash_key_column(0);
-        let projected = batch.project(&[1, 5, 0]);
-        assert_eq!(projected.arity(), 3);
-        let got = projected.materialize();
-        assert_eq!(
-            got[0].values.as_ref(),
-            &[Value::Int(2), Value::Null, Value::Int(1)]
-        );
-        assert_eq!(
-            got[1].values.as_ref(),
-            &[Value::Int(4), Value::Null, Value::Int(3)]
-        );
-        // The projected layout is new: no key classes survive.
-        assert_eq!(projected.key_classes(0), None);
-        assert_eq!(got[0].key_hash, None);
-        // Row metadata is carried through unchanged.
-        assert_eq!(got[0].ts, rows[0].ts);
-        assert_eq!(got[0].lineage, LINEAGE_ALL);
     }
 
     #[test]

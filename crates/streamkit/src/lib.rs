@@ -10,8 +10,8 @@
 //! * hash-indexed window-join state ([`JoinState`]) giving O(1 + matches)
 //!   equi-join probes with a linear-scan fallback for other conditions,
 //! * a multi-port [`Operator`](operator::Operator) abstraction,
-//! * the classic continuous-query operators (selection, projection, split,
-//!   router, order-preserving union, sliding-window joins, sinks),
+//! * the classic continuous-query operators (selection, split, router,
+//!   order-preserving union, sliding-window joins, sinks),
 //! * an operator-DAG [`Plan`](plan::Plan) with per-port queues,
 //! * a round-robin [`Scheduler`](scheduler::RoundRobinScheduler) and an
 //!   [`Executor`](executor::Executor) whose one cumulative

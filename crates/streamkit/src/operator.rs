@@ -98,7 +98,7 @@ pub trait Operator: Send {
     /// The default implementation loops over [`Operator::process`].  Default
     /// trait methods are monomorphised per implementing type, so this is
     /// already one virtual call per run with a statically dispatched inner
-    /// loop — simple per-item operators (selects, projections, sinks, ...)
+    /// loop — simple per-item operators (selects, sinks, ...)
     /// need no override; only operators with genuinely amortisable work do.
     ///
     /// Overrides must be **item-at-a-time equivalent**: the emitted output

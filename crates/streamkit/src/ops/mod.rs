@@ -1,11 +1,10 @@
 //! The built-in continuous-query operators.
 //!
 //! These are the operators the paper's shared query plans are made of:
-//! selection, projection, stream split (partitioning), result routing,
+//! selection, stream split (partitioning), result routing,
 //! order-preserving union, the window join over a slice `[start, end)` —
 //! chain slices and regular `[0, W)` joins alike — and result sinks.
 
-pub mod project;
 pub mod router;
 pub mod select;
 pub mod sink;
@@ -15,7 +14,6 @@ pub mod union;
 #[cfg(test)]
 mod window_join;
 
-pub use project::ProjectOp;
 pub use router::{RouteTarget, RouterOp};
 pub use select::SelectOp;
 pub use sink::SinkOp;

@@ -34,20 +34,23 @@
 //!
 //! Pure hash routing sends every tuple of one key to one shard, so a
 //! Zipf-skewed key distribution concentrates the load on the busiest shard.
-//! With [`ShardedExecutor::enable_skew`] the router keeps a space-bounded
-//! heavy-hitter sketch ([`crate::skew`]) over canonical key hashes; when a
-//! key crosses the hot threshold the router quiesces, reads every slice's
-//! state ([`ShardedExecutor::window_states`]), replicates the key's stored
-//! probe-side (stream B) bucket to every shard as data
-//! (`skew::promote_key`) and restores the result
-//! ([`ShardedExecutor::restore_window_states`]) — the same read/write pair
-//! every session migration uses.  From then on the key's B tuples are
-//! broadcast to all shards while its A tuples are spread round-robin.
-//! Every result pair is still produced exactly once — an A tuple lives in
-//! exactly one shard and meets the replicated B bucket there — so the
-//! existing union/sink wiring needs no dedup step, and the merged report
-//! counts a broadcast tuple's ingest once.  Demotion and a shard-count
-//! rescale undo the overlap the same way ([`crate::skew::demote_key`]).
+//! With [`ShardedExecutor::enable_skew`] the router counts canonical key
+//! hashes in a space-bounded heavy-hitter sketch ([`crate::skew`]); ingest
+//! only counts and routes.  Keys move at a run boundary only: once
+//! [`run`](ShardedExecutor::run) has parked the executors, the tracker
+//! settles the hot set, and the moves read every slice's state
+//! ([`ShardedExecutor::window_states`]), re-cut it as data — a demoted key's
+//! replicas dropped and spread tuples sent home ([`crate::skew::demote_key`]),
+//! a promoted key's stored probe-side (stream B) bucket replicated to every
+//! shard (`skew::promote_key`) — and restore the result
+//! ([`ShardedExecutor::restore_window_states`]): the same read/write pair
+//! every session migration uses.  From the next ingest on a hot key's B
+//! tuples are broadcast to all shards while its A tuples are spread
+//! round-robin.  Every result pair is still produced exactly once — an A
+//! tuple lives in exactly one shard and meets the replicated B bucket there
+//! — so the existing union/sink wiring needs no dedup step, and the merged
+//! report counts a broadcast tuple's ingest once.  A shard-count rescale
+//! demotes every hot key the same way.
 //!
 //! ## Key canonicalisation
 //!
@@ -599,48 +602,34 @@ impl ShardedExecutor {
             StreamItem::Tuple(mut t) => {
                 let key_field = self.spec.key_field(t.stream);
                 let class = memoize_key(&mut t, key_field);
-                if let (Some(tracker), KeyClass::Hash(hash)) = (self.skew.as_mut(), class) {
-                    if tracker.observe(hash) {
-                        // Newly hot: replicate the key's stored probe-side
-                        // bucket before routing anything else for it.
-                        self.recut_key(hash, promote_key)?;
-                        self.stats.promotions += 1;
+                let hot = match (self.skew.as_mut(), class) {
+                    (Some(tracker), KeyClass::Hash(hash)) => {
+                        tracker.observe(hash);
+                        tracker.is_hot(hash)
                     }
-                    // Keys whose share decayed below the demotion threshold
-                    // go back to hash routing before this tuple is placed.
-                    let lost_tracker =
-                        || StreamError::Execution("skew tracker vanished mid-routing".to_string());
-                    let demoted = self
-                        .skew
-                        .as_mut()
-                        .ok_or_else(lost_tracker)?
-                        .take_demotions();
-                    for cold in demoted {
-                        self.recut_key(cold, demote_key)?;
-                        self.stats.demotions += 1;
-                    }
-                    let tracker = self.skew.as_mut().ok_or_else(lost_tracker)?;
-                    if tracker.is_hot(hash) {
-                        if t.stream == StreamId::B {
-                            // Probe side: broadcast to every shard.
-                            self.stats.hot_broadcast += 1;
-                            self.copies += self.count as u64 - 1;
-                            for shard in 0..self.count {
-                                self.stats.routed_tuples[shard] += 1;
-                                self.push_pending(shard, entry, StreamItem::Tuple(t.clone()))?;
-                            }
-                            return Ok(None);
-                        }
-                        // Build side: spread round-robin.
-                        let shard = tracker.next_spread(self.count);
-                        self.stats.hot_spread += 1;
+                    _ => false,
+                };
+                if hot && t.stream == StreamId::B {
+                    // Probe side: broadcast to every shard.
+                    self.stats.hot_broadcast += 1;
+                    self.copies += self.count as u64 - 1;
+                    for shard in 0..self.count {
                         self.stats.routed_tuples[shard] += 1;
-                        self.push_pending(shard, entry, StreamItem::Tuple(t))?;
-                        return Ok(Some(shard));
+                        self.push_pending(shard, entry, StreamItem::Tuple(t.clone()))?;
                     }
+                    return Ok(None);
                 }
-                let shard = ShardSpec::shard_for_class(class, self.count);
-                self.stats.hash_routed += 1;
+                let shard = match self.skew.as_mut().filter(|_| hot) {
+                    // Build side: spread round-robin.
+                    Some(tracker) => {
+                        self.stats.hot_spread += 1;
+                        tracker.next_spread(self.count)
+                    }
+                    None => {
+                        self.stats.hash_routed += 1;
+                        ShardSpec::shard_for_class(class, self.count)
+                    }
+                };
                 self.stats.routed_tuples[shard] += 1;
                 self.push_pending(shard, entry, StreamItem::Tuple(t))?;
                 Ok(Some(shard))
@@ -727,10 +716,11 @@ impl ShardedExecutor {
         Ok(())
     }
 
-    /// Run every shard to quiescence on the persistent workers and merge the
-    /// per-shard reports ([`ExecutionReport::merge`]).  No threads are
-    /// spawned: the pool was created with the executor and is reused across
-    /// every run and live-reslice epoch.
+    /// Run every shard to quiescence on the persistent workers, move hot keys
+    /// on the parked executors (skew routing only) and merge the per-shard
+    /// reports ([`ExecutionReport::merge`]).  No threads are spawned: the
+    /// pool was created with the executor and is reused across every run and
+    /// live-reslice epoch.
     pub fn run(&mut self) -> Result<ExecutionReport> {
         if self.count == 1 {
             // No parallelism to exploit; skip the pool machinery.
@@ -761,6 +751,7 @@ impl ShardedExecutor {
         if let Some(err) = first_err {
             return Err(err);
         }
+        self.move_hot_keys()?;
         // The executors are drained, so these run() calls are immediate and
         // only assemble the cumulative per-shard reports.
         let mut reports = Vec::with_capacity(self.count);
@@ -776,26 +767,26 @@ impl ShardedExecutor {
         Ok(merged)
     }
 
-    /// Quiesce: process everything in flight and park the executors so plan
-    /// state can be inspected or migrated.
-    fn quiesce(&mut self) -> Result<()> {
-        if self.active || self.pending_len.iter().any(|&n| n > 0) {
-            self.run()?;
+    /// The only place hot keys move: on the parked executors, the tracker
+    /// settles the hot set, and the keys' slice states are read, re-cut as
+    /// data ([`demote_key`], then [`promote_key`]) and restored.
+    fn move_hot_keys(&mut self) -> Result<()> {
+        let Some(tracker) = self.skew.as_mut() else {
+            return Ok(());
+        };
+        let (demoted, promoted) = tracker.rebalance();
+        if demoted.is_empty() && promoted.is_empty() {
+            return Ok(());
         }
-        Ok(())
-    }
-
-    /// Move `key`'s state the way every migration moves slice state:
-    /// quiesce, read every slice's window state, re-cut it as data
-    /// ([`promote_key`] / [`demote_key`]) and restore the result.
-    fn recut_key(
-        &mut self,
-        key: u64,
-        recut: fn(&mut [Vec<WindowState>], &ShardSpec, u64),
-    ) -> Result<()> {
-        self.quiesce()?;
         let mut states = self.window_states();
-        recut(&mut states, &self.spec, key);
+        for &key in &demoted {
+            demote_key(&mut states, &self.spec, key);
+        }
+        for &key in &promoted {
+            promote_key(&mut states, &self.spec, key);
+        }
+        self.stats.demotions += demoted.len() as u64;
+        self.stats.promotions += promoted.len() as u64;
         self.restore_window_states(states)
     }
 
@@ -1025,16 +1016,38 @@ mod tests {
         assert!(exec.enable_skew(SkewConfig::default()).is_err());
     }
 
-    /// A skew config that promotes a heavy key quickly and never demotes
-    /// (for the promotion-path tests).
+    /// A skew config that promotes a heavy key quickly.
     fn eager_skew() -> SkewConfig {
         SkewConfig {
             hot_share: 0.3,
             min_observations: 8,
             sketch_capacity: 16,
             max_hot_keys: 2,
-            demote_observations: 0,
         }
+    }
+
+    #[test]
+    fn ingest_only_counts_and_the_run_boundary_moves_the_key() {
+        let plans: Vec<Plan> = (0..2).map(|_| join_plan(false)).collect();
+        let mut exec = ShardedExecutor::new(plans, ShardSpec::symmetric(0)).unwrap();
+        exec.enable_skew(eager_skew()).unwrap();
+        // Key 0 is every tuple, well past `min_observations`.
+        for i in 0..20 {
+            exec.ingest("B", b(i, 0)).unwrap();
+        }
+        assert_eq!(
+            exec.router_stats().promotions,
+            0,
+            "ingest never moves a key"
+        );
+        assert!(exec.hot_keys().is_empty());
+        exec.run().unwrap();
+        assert_eq!(exec.router_stats().promotions, 1, "the run boundary does");
+        assert_eq!(exec.hot_keys().len(), 1);
+        // From the next tuple on, the key's probe side broadcasts.
+        exec.ingest("B", b(20, 0)).unwrap();
+        assert_eq!(exec.router_stats().hot_broadcast, 1);
+        assert_eq!(exec.router_stats().routed_tuples.iter().sum::<u64>(), 22);
     }
 
     fn skewed_inputs() -> (Vec<Tuple>, Vec<Tuple>) {
@@ -1051,6 +1064,20 @@ mod tests {
         all
     }
 
+    /// Feed `stream` in epochs of 16 tuples with a `run()` after each (hot
+    /// keys move only at a run boundary); returns the last report.
+    fn feed_in_epochs(exec: &mut ShardedExecutor, stream: &[Tuple]) -> ExecutionReport {
+        let mut report = Err(StreamError::Execution("no input".to_string()));
+        for epoch in stream.chunks(16) {
+            for t in epoch {
+                let entry = if t.stream == StreamId::A { "A" } else { "B" };
+                exec.ingest(entry, t.clone()).unwrap();
+            }
+            report = exec.run();
+        }
+        report.unwrap()
+    }
+
     #[test]
     fn hot_key_replication_matches_hash_only_results() {
         let (aa, bb) = skewed_inputs();
@@ -1063,16 +1090,12 @@ mod tests {
             oracle.ingest(entry, t.clone()).unwrap();
         }
         let oracle_report = oracle.run().unwrap();
-        // Skew-aware: 4 shards, hot key promoted mid-run.
+        // Skew-aware: 4 shards, hot key promoted at the first run boundary.
         let plans: Vec<Plan> = (0..4).map(|_| join_plan(true)).collect();
         let mut skewed = ShardedExecutor::new(plans, ShardSpec::symmetric(0)).unwrap();
         skewed.enable_skew(eager_skew()).unwrap();
         skewed.set_router_batch(8);
-        for t in &stream {
-            let entry = if t.stream == StreamId::A { "A" } else { "B" };
-            skewed.ingest(entry, t.clone()).unwrap();
-        }
-        let report = skewed.run().unwrap();
+        let report = feed_in_epochs(&mut skewed, &stream);
         assert!(
             !skewed.hot_keys().is_empty(),
             "the heavy key must get promoted"
@@ -1169,19 +1192,11 @@ mod tests {
                 exec.enable_skew(cfg).unwrap();
                 exec.set_router_batch(8);
             }
-            for t in &stream {
-                let entry = if t.stream == StreamId::A { "A" } else { "B" };
-                exec.ingest(entry, t.clone()).unwrap();
-            }
-            let report = exec.run().unwrap();
+            let report = feed_in_epochs(&mut exec, &stream);
             (exec, report)
         };
         let (oracle, oracle_report) = run(None, 1);
-        let cfg = SkewConfig {
-            demote_observations: 30,
-            ..eager_skew()
-        };
-        let (skewed, report) = run(Some(cfg), 4);
+        let (skewed, report) = run(Some(eager_skew()), 4);
         assert!(skewed.router_stats().promotions > 0, "key 0 promotes");
         assert!(
             skewed.router_stats().demotions > 0,
@@ -1207,11 +1222,7 @@ mod tests {
             if let Some(cfg) = skew {
                 exec.enable_skew(cfg).unwrap();
             }
-            for t in &stream {
-                let entry = if t.stream == StreamId::A { "A" } else { "B" };
-                exec.ingest(entry, t.clone()).unwrap();
-            }
-            exec.run().unwrap();
+            feed_in_epochs(&mut exec, &stream);
             exec.router_stats().clone()
         };
         let hash_only = route_all(None);

@@ -7,11 +7,11 @@
 //! frequencies do: under a Zipf-skewed key distribution one shard receives
 //! nearly every tuple and bounds the whole pool's wall clock.  The classic
 //! fix (fragment-and-replicate, here in the `BroadcastOp` idiom) is applied
-//! *per key*: the router keeps approximate frequencies in a
+//! *per key*: the router counts approximate frequencies in a
 //! [SpaceSaving](https://doi.org/10.1007/978-3-540-30570-5_27)-style sketch,
-//! and when a key's guaranteed frequency share crosses
-//! [`SkewConfig::hot_share`] it is promoted — its stored probe-side bucket is
-//! replicated to every shard and future arrivals are routed as:
+//! and a key whose guaranteed frequency share has reached
+//! [`SkewConfig::hot_share`] is promoted — its stored probe-side bucket is
+//! replicated to every shard and later arrivals are routed as:
 //!
 //! * probe side (stream B): broadcast to all shards,
 //! * build side (stream A): spread round-robin over shards.
@@ -19,13 +19,15 @@
 //! Each result pair is still produced exactly once (the A tuple lives in
 //! exactly one shard; B is everywhere), so no dedup pass is needed beyond
 //! the existing union/sink wiring.  Promotion is **not** sticky: a hot key
-//! whose guaranteed share decays below half the promotion threshold for
-//! [`SkewConfig::demote_observations`] consecutive observations is demoted
-//! ([`HotKeyTracker::take_demotions`]).  Both moves are pure functions over
-//! every shard's slice states (`promote_key`, [`demote_key`]), and the hot
-//! set is checkpoint state (`HotKeyTracker::restore_hot`).
+//! whose guaranteed share has fallen below half the promotion threshold is
+//! demoted.  Routing only counts; keys move only at a run boundary, where
+//! the chain is drained (paper Section 5.3): `HotKeyTracker::rebalance`
+//! decides, and both moves are pure functions over every shard's parked
+//! slice states (`promote_key`, [`demote_key`]) that keep each chain side
+//! oldest-first across its slices ([`reseat_chain`]).  The hot set is
+//! checkpoint state (`HotKeyTracker::restore_hot`).
 
-use crate::checkpoint::WindowState;
+use crate::checkpoint::{reseat_chain, WindowState};
 use crate::join_state::tuple_key;
 use crate::shard::ShardSpec;
 use crate::tuple::{KeyClass, Tuple};
@@ -43,12 +45,6 @@ pub struct SkewConfig {
     pub sketch_capacity: usize,
     /// Upper bound on promoted keys; replication cost grows with each.
     pub max_hot_keys: usize,
-    /// A hot key whose guaranteed share stays below `hot_share / 2` for this
-    /// many consecutive observations is demoted back to hash routing.  The
-    /// half-threshold hysteresis band keeps a key oscillating around
-    /// `hot_share` from thrashing between promotion and demotion.  `0`
-    /// disables demotion (the old sticky behaviour).
-    pub demote_observations: u64,
 }
 
 impl Default for SkewConfig {
@@ -58,7 +54,6 @@ impl Default for SkewConfig {
             min_observations: 128,
             sketch_capacity: 64,
             max_hot_keys: 4,
-            demote_observations: 256,
         }
     }
 }
@@ -144,19 +139,14 @@ impl SpaceSavingSketch {
     }
 }
 
-/// Tracks key frequencies and the hot set for the sharded router, promoting
-/// heavy keys and demoting keys whose share has decayed (see the module
-/// docs).
+/// Tracks key frequencies and the hot set for the sharded router.  Routing
+/// only counts ([`HotKeyTracker::observe`]); the hot set changes at a run
+/// boundary (`HotKeyTracker::rebalance`, see the module docs).
 #[derive(Debug, Clone)]
 pub struct HotKeyTracker {
     config: SkewConfig,
     sketch: SpaceSavingSketch,
     hot: Vec<u64>,
-    /// Per-hot-key count of consecutive observations with guaranteed share
-    /// below `hot_share / 2`, parallel to `hot`.
-    decay: Vec<u64>,
-    /// Keys demoted since the last [`HotKeyTracker::take_demotions`] call.
-    pending_demotions: Vec<u64>,
     spread_next: usize,
 }
 
@@ -168,8 +158,6 @@ impl HotKeyTracker {
             config,
             sketch,
             hot: Vec::new(),
-            decay: Vec::new(),
-            pending_demotions: Vec::new(),
             spread_next: 0,
         }
     }
@@ -179,80 +167,41 @@ impl HotKeyTracker {
         &self.config
     }
 
-    /// Observe one keyed tuple.  Returns `true` exactly when this
-    /// observation promotes `key` to the hot set (the caller must then
-    /// replicate the key's stored bucket before routing anything else).
-    /// Every observation also advances the demotion decay counters of the
-    /// current hot keys; demoted keys queue up in
-    /// [`HotKeyTracker::take_demotions`] and may be re-promoted later if
-    /// their share recovers.
-    pub fn observe(&mut self, key: u64) -> bool {
+    /// Observe one keyed tuple: count it in the sketch, nothing more.
+    pub fn observe(&mut self, key: u64) {
         self.sketch.observe(key);
-        self.update_decay();
-        if self.hot.contains(&key) || self.hot.len() >= self.config.max_hot_keys {
-            return false;
-        }
-        if self.sketch.total() < self.config.min_observations {
-            return false;
-        }
-        let Some((count, error)) = self.sketch.estimate(key) else {
-            return false;
+    }
+
+    /// Settle the hot set at a run boundary.  First every hot key whose
+    /// guaranteed share fell below `hot_share / 2` is demoted; then, once
+    /// [`SkewConfig::min_observations`] are in, the tracked keys at or above
+    /// `hot_share` are promoted, heaviest first, up to
+    /// [`SkewConfig::max_hot_keys`].  Returns the demoted and the promoted
+    /// keys; the caller moves their state ([`demote_key`], `promote_key`).
+    /// The gap between the two thresholds is the hysteresis that keeps a key
+    /// near `hot_share` from flapping.
+    pub(crate) fn rebalance(&mut self) -> (Vec<u64>, Vec<u64>) {
+        let (sketch, config) = (&self.sketch, &self.config);
+        let share = |key: u64| {
+            let guaranteed = sketch.estimate(key).map_or(0, |(c, e)| c.saturating_sub(e));
+            guaranteed as f64 / sketch.total().max(1) as f64
         };
-        let guaranteed = count.saturating_sub(error) as f64;
-        if guaranteed / self.sketch.total() as f64 >= self.config.hot_share {
-            self.hot.push(key);
-            self.decay.push(0);
-            true
-        } else {
-            false
-        }
+        let cold = |key: &mut u64| share(*key) < config.hot_share / 2.0;
+        let demoted: Vec<u64> = self.hot.extract_if(.., cold).collect();
+        let counted = sketch.total() >= config.min_observations;
+        let hot = |key: &u64| counted && share(*key) >= config.hot_share;
+        let mut heavy: Vec<u64> = sketch.entries.iter().map(|e| e.key).filter(hot).collect();
+        heavy.retain(|key| !self.hot.contains(key));
+        heavy.sort_by(|a, b| share(*b).total_cmp(&share(*a)));
+        heavy.truncate(config.max_hot_keys.saturating_sub(self.hot.len()));
+        self.hot.extend(&heavy);
+        (demoted, heavy)
     }
 
-    /// Advance every hot key's decay counter: below half the promotion
-    /// threshold the counter grows, at or above it the counter resets, and a
-    /// counter reaching [`SkewConfig::demote_observations`] demotes the key.
-    fn update_decay(&mut self) {
-        if self.config.demote_observations == 0 || self.hot.is_empty() {
-            return;
-        }
-        let total = self.sketch.total() as f64;
-        let threshold = self.config.hot_share / 2.0;
-        let mut i = 0;
-        while i < self.hot.len() {
-            let key = self.hot[i];
-            let guaranteed = self
-                .sketch
-                .estimate(key)
-                .map_or(0.0, |(count, error)| count.saturating_sub(error) as f64);
-            if guaranteed / total < threshold {
-                self.decay[i] += 1;
-            } else {
-                self.decay[i] = 0;
-            }
-            if self.decay[i] >= self.config.demote_observations {
-                self.hot.remove(i);
-                self.decay.remove(i);
-                self.pending_demotions.push(key);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Keys demoted since the last call, in demotion order.  The caller must
-    /// migrate each key's replicated state back to hash routing
-    /// ([`demote_key`]).
-    pub fn take_demotions(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.pending_demotions)
-    }
-
-    /// Reset the hot set to exactly `keys` (a restored checkpoint's), with
-    /// fresh demotion counters and no pending demotions.  The sketch keeps
-    /// its counts.
+    /// Reset the hot set to exactly `keys` (a restored checkpoint's).  The
+    /// sketch keeps its counts.
     pub(crate) fn restore_hot(&mut self, keys: &[u64]) {
         self.hot = keys.to_vec();
-        self.decay = vec![0; keys.len()];
-        self.pending_demotions.clear();
     }
 
     /// Whether `key` is in the hot set.
@@ -275,9 +224,10 @@ impl HotKeyTracker {
 
 /// Promote `key` in `states` (one chain per shard, slices in chain order):
 /// copy its stored probe-side (B) tuples from its hash home into every other
-/// shard, in timestamp order.  Its A tuples stay home, where broadcast B
-/// tuples probe them, and spread A tuples meet the copies wherever they
-/// land, so each result pair is still produced exactly once.
+/// shard, re-seated oldest-first ([`reseat_chain`]).  Its A tuples stay
+/// home, where broadcast B tuples probe them, and spread A tuples meet the
+/// copies wherever they land, so each result pair is still produced exactly
+/// once.
 pub(crate) fn promote_key(states: &mut [Vec<WindowState>], spec: &ShardSpec, key: u64) {
     let home = ShardSpec::shard_for_class(KeyClass::Hash(key), states.len());
     let bucket = |s: &WindowState| -> Vec<Tuple> {
@@ -290,14 +240,15 @@ pub(crate) fn promote_key(states: &mut [Vec<WindowState>], spec: &ShardSpec, key
     let copies: Vec<Vec<Tuple>> = states[home].iter().map(bucket).collect();
     for (_, chain) in states.iter_mut().enumerate().filter(|(s, _)| *s != home) {
         for (state, copy) in chain.iter_mut().zip(&copies) {
-            insert_by_ts(&mut state.side_b, copy.clone());
+            state.side_b.extend_from_slice(copy);
         }
+        reseat_chain(chain);
     }
 }
 
 /// Demote `key` in `states`, undoing `promote_key`: drop the B copies from
 /// every shard but the key's hash home, which kept the originals, and move
-/// its A tuples, spread while it was hot, home.
+/// its A tuples, spread while it was hot, home ([`reseat_chain`]).
 pub fn demote_key(states: &mut [Vec<WindowState>], spec: &ShardSpec, key: u64) {
     let home = ShardSpec::shard_for_class(KeyClass::Hash(key), states.len());
     let mut spread = vec![Vec::new(); states[home].len()];
@@ -308,21 +259,13 @@ pub fn demote_key(states: &mut [Vec<WindowState>], spec: &ShardSpec, key: u64) {
         }
     }
     for (state, spread) in states[home].iter_mut().zip(spread) {
-        insert_by_ts(&mut state.side_a, spread);
+        state.side_a.extend(spread);
     }
+    reseat_chain(&mut states[home]);
 }
 
 fn has_key(spec: &ShardSpec, t: &Tuple, key: u64) -> bool {
     tuple_key(t, spec.key_field(t.stream)) == KeyClass::Hash(key)
-}
-
-/// Add `extra` to a timestamp-ordered state side; the stable sort keeps
-/// arrival order within equal timestamps.
-fn insert_by_ts(side: &mut Vec<Tuple>, extra: Vec<Tuple>) {
-    if !extra.is_empty() {
-        side.extend(extra);
-        side.sort_by_key(|t| t.ts);
-    }
 }
 
 #[cfg(test)]
@@ -368,14 +311,18 @@ mod tests {
             min_observations: 10,
             sketch_capacity: 8,
             max_hot_keys: 2,
-            demote_observations: 0,
         });
         for _ in 0..9 {
-            assert!(!t.observe(42), "no promotion before min observations");
+            t.observe(42);
         }
-        assert!(t.observe(42), "10th observation promotes at share 1.0");
+        let none: (Vec<u64>, Vec<u64>) = (vec![], vec![]);
+        assert_eq!(t.rebalance(), none, "no promotion before min observations");
+        assert!(!t.is_hot(42), "observing alone never promotes");
+        t.observe(42);
+        assert!(!t.is_hot(42), "observing alone never promotes");
+        assert_eq!(t.rebalance(), (vec![], vec![42]), "share 1.0 promotes");
         assert!(t.is_hot(42));
-        assert!(!t.observe(42), "promotion fires exactly once");
+        assert_eq!(t.rebalance(), none, "promotion fires exactly once");
     }
 
     #[test]
@@ -385,30 +332,33 @@ mod tests {
             min_observations: 4,
             sketch_capacity: 8,
             max_hot_keys: 1,
-            demote_observations: 0,
         });
-        // Interleave two keys at 50% each: first to cross gets the only slot.
-        let mut promotions = 0;
+        // Two keys at 50% each, one of them heavier: the heaviest gets the
+        // only slot.
         for _ in 0..20 {
-            if t.observe(1) {
-                promotions += 1;
-            }
-            if t.observe(2) {
-                promotions += 1;
-            }
+            t.observe(1);
+            t.observe(2);
         }
-        assert_eq!(promotions, 1, "max_hot_keys caps the hot set");
-        assert_eq!(t.hot_keys().len(), 1);
+        t.observe(2);
+        assert_eq!(
+            t.rebalance(),
+            (vec![], vec![2]),
+            "max_hot_keys caps the hot set"
+        );
+        assert_eq!(t.hot_keys(), &[2]);
+        assert_eq!(t.rebalance(), (vec![], vec![]), "no room for key 1");
         // A key with a tiny share never promotes even with room.
         let mut t = HotKeyTracker::new(SkewConfig {
             hot_share: 0.4,
             min_observations: 4,
             sketch_capacity: 8,
             max_hot_keys: 4,
-            demote_observations: 0,
         });
         for i in 0..100u64 {
-            assert!(!t.observe(i % 10), "10% share below 40% threshold");
+            t.observe(i % 10);
+            if i % 10 == 9 {
+                assert_eq!(t.rebalance(), (vec![], vec![]), "10% share below 40%");
+            }
         }
         assert!(t.hot_keys().is_empty());
     }
@@ -420,55 +370,28 @@ mod tests {
             min_observations: 4,
             sketch_capacity: 8,
             max_hot_keys: 2,
-            demote_observations: 10,
-        });
-        for i in 0..4 {
-            let promoted = t.observe(7);
-            assert_eq!(promoted, i == 3, "promotion on the 4th observation");
-        }
-        assert!(t.is_hot(7));
-        // A cold-key flood decays 7's share: guaranteed 4/total drops below
-        // hot_share/2 = 0.25 past 16 observations, and 10 consecutive
-        // low-share observations demote.
-        for i in 0..40u64 {
-            assert!(!t.observe(100 + (i % 4)));
-            if !t.is_hot(7) {
-                break;
-            }
-        }
-        assert!(!t.is_hot(7), "decayed key must be demoted");
-        assert_eq!(t.take_demotions(), vec![7]);
-        assert!(t.take_demotions().is_empty(), "demotions drain once");
-        // The demoted key can re-promote when its share recovers.
-        let mut repromoted = false;
-        for _ in 0..400 {
-            if t.observe(7) {
-                repromoted = true;
-                break;
-            }
-        }
-        assert!(repromoted, "a recovered key promotes again");
-        assert!(t.is_hot(7));
-    }
-
-    #[test]
-    fn demotion_disabled_keeps_promotions_sticky() {
-        let mut t = HotKeyTracker::new(SkewConfig {
-            hot_share: 0.5,
-            min_observations: 4,
-            sketch_capacity: 8,
-            max_hot_keys: 2,
-            demote_observations: 0,
         });
         for _ in 0..4 {
             t.observe(7);
         }
-        assert!(t.is_hot(7));
-        for i in 0..200u64 {
+        assert_eq!(t.rebalance(), (vec![], vec![7]));
+        // A cold-key flood decays 7's share.  Guaranteed 4/total stays at or
+        // above hot_share/2 = 0.25 up to 16 observations: the hysteresis band
+        // keeps the key hot.
+        for i in 0..12u64 {
             t.observe(100 + (i % 4));
         }
-        assert!(t.is_hot(7), "demote_observations = 0 is sticky");
-        assert!(t.take_demotions().is_empty());
+        assert_eq!(t.rebalance(), (vec![], vec![]), "4/16 is still hot");
+        t.observe(100);
+        assert_eq!(t.rebalance(), (vec![7], vec![]), "4/17 demotes");
+        assert!(!t.is_hot(7), "decayed key must be demoted");
+        assert_eq!(t.rebalance(), (vec![], vec![]), "demotions fire once");
+        // The demoted key can re-promote when its share recovers.
+        for _ in 0..20 {
+            t.observe(7);
+        }
+        assert_eq!(t.rebalance(), (vec![], vec![7]), "24/37 promotes again");
+        assert!(t.is_hot(7));
     }
 
     #[test]
@@ -508,6 +431,46 @@ mod tests {
         placed[home][0].side_a.push(spread);
         demote_key(&mut states, &spec, key);
         assert_eq!(states, placed);
+    }
+
+    #[test]
+    fn promoting_into_a_shard_whose_chain_is_ahead_keeps_it_oldest_first() {
+        use crate::checkpoint::chain_is_oldest_first;
+        use crate::time::Timestamp;
+        use crate::tuple::StreamId;
+        use crate::window::SliceWindow;
+        let spec = ShardSpec::symmetric(0);
+        let b = |s, key| Tuple::of_ints(Timestamp::from_secs(s), StreamId::B, &[key]);
+        let shard_of = |key| spec.shard_of(&b(0, key), 2);
+        let KeyClass::Hash(hot) = tuple_key(&b(0, 7), 0) else {
+            panic!("an int key hashes");
+        };
+        let home = shard_of(7);
+        let ahead = 1 - home;
+        let cold = (0..).find(|&k| shard_of(k) == ahead).unwrap();
+        let chain = || {
+            let slice = |start, end| WindowState::empty(SliceWindow::from_secs(start, end));
+            vec![slice(0, 5), slice(5, 20)]
+        };
+        let mut states = vec![chain(), chain()];
+        // The home shard's purge is behind: the hot key's 10 s probe tuple
+        // is still in the first slice.
+        states[home][0].side_b.push(b(10, 7));
+        // The other shard is ahead: a male at 18 s purged its 12 s tuple
+        // into the second slice.
+        states[ahead][1].side_b.push(b(12, cold));
+        states[ahead][0].side_b.push(b(16, cold));
+        promote_key(&mut states, &spec, hot);
+        // The copy is older than the 12 s tuple, which moves back up behind
+        // it: any later probe there is at least 18 s and purges both onward,
+        // oldest first, before it probes.
+        let secs = |side: &[Tuple]| -> Vec<u64> {
+            side.iter().map(|t| t.ts.as_micros() / 1_000_000).collect()
+        };
+        assert_eq!(secs(&states[ahead][0].side_b), [10, 12, 16]);
+        assert!(states[ahead][1].side_b.is_empty());
+        assert_eq!(secs(&states[home][0].side_b), [10]);
+        assert!(states.iter().all(|chain| chain_is_oldest_first(chain)));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   into slices — **fills the right half up** to exactly the eager
 //!   distribution once enough traffic has flowed,
 //! * `rehash_shard_states` round-trip: rehash k→k'→k reproduces the original
-//!   states bit for bit, and every intermediate shard holds only its own
-//!   keys,
+//!   two-slice chain bit for bit, every intermediate shard holds only its
+//!   own keys, and every chain is oldest-first across its slices,
 //! * `recut_chain` over random spec pairs: re-cutting to the same spec is the
 //!   identity, the output tiles the new spec, nothing is lost or duplicated,
 //!   no tuple crosses a boundary both specs share, and consistent states come
@@ -26,7 +26,7 @@ use state_slice_repro::core::{
     split_slice_state_eager, split_spec_slice, ChainSpec, JoinQuery, PurgeWatermarks,
     QueryWorkload, RecutStats,
 };
-use state_slice_repro::streamkit::checkpoint::{NodeState, WindowState};
+use state_slice_repro::streamkit::checkpoint::{chain_is_oldest_first, NodeState, WindowState};
 use state_slice_repro::streamkit::operator::{OpContext, Operator};
 use state_slice_repro::streamkit::ops::SliceJoinOp;
 use state_slice_repro::streamkit::tuple::{StreamId, Tuple, TupleRole};
@@ -345,8 +345,9 @@ proptest! {
         prop_assert_eq!(eager_l.len() + eager_r.len(), state_a.len() + state_b.len());
     }
 
-    /// Rehash round-trip: k → k' → k reproduces the original states exactly,
-    /// and each intermediate shard holds only tuples of its own keys.
+    /// Rehash round-trip: k → k' → k reproduces the original two-slice
+    /// chain exactly, each intermediate shard holds only tuples of its own
+    /// keys, and every chain comes out oldest-first across its slices.
     /// (Deltas start at 1: tuples with *equal* timestamps may legitimately
     /// come back reordered by shard index, so the bit-exact round-trip is
     /// asserted over strictly increasing per-side timestamps.)
@@ -355,27 +356,35 @@ proptest! {
         arrivals_a in prop::collection::vec((1u64..9, 0i64..12), 1..40),
         arrivals_b in prop::collection::vec((1u64..9, 0i64..12), 1..40),
         mid_shards in 2usize..7,
+        purged in 0usize..40,
     ) {
         let cond = JoinCondition::equi(0);
         let spec = state_slice_repro::streamkit::ShardSpec::from_condition(&cond).unwrap();
-        let window = SliceWindow::from_secs(0, 50);
-        let state_a = ordered_state(&arrivals_a, StreamId::A);
-        let state_b = ordered_state(&arrivals_b, StreamId::B);
-        let original = WindowState { window, side_a: state_a, side_b: state_b };
-        let shards = rehash_shard_states(vec![vec![original.clone()]], mid_shards, &spec).unwrap();
+        // The `purged` oldest tuples of each side sit in the deeper slice.
+        let slices = |side: Vec<Tuple>| {
+            let mut old = side;
+            let new = old.split_off(purged.min(old.len()));
+            (new, old)
+        };
+        let (new_a, old_a) = slices(ordered_state(&arrivals_a, StreamId::A));
+        let (new_b, old_b) = slices(ordered_state(&arrivals_b, StreamId::B));
+        let original = vec![
+            WindowState { window: SliceWindow::from_secs(0, 25), side_a: new_a, side_b: new_b },
+            WindowState { window: SliceWindow::from_secs(25, 50), side_a: old_a, side_b: old_b },
+        ];
+        let shards = rehash_shard_states(vec![original.clone()], mid_shards, &spec).unwrap();
         prop_assert_eq!(shards.len(), mid_shards);
         let total: usize = shards.iter().flatten().map(WindowState::len).sum();
-        prop_assert_eq!(total, original.len());
+        prop_assert_eq!(total, original.iter().map(WindowState::len).sum::<usize>());
         for (i, chain) in shards.iter().enumerate() {
-            let shard = &chain[0];
-            for t in shard.side_a.iter().chain(&shard.side_b) {
+            for t in chain.iter().flat_map(|s| s.side_a.iter().chain(&s.side_b)) {
                 prop_assert_eq!(spec.shard_of(t, mid_shards), i, "tuple on wrong shard");
             }
-            prop_assert!(shard.side_a.windows(2).all(|w| w[0].ts <= w[1].ts));
-            prop_assert!(shard.side_b.windows(2).all(|w| w[0].ts <= w[1].ts));
+            prop_assert!(chain_is_oldest_first(chain));
         }
         let back = rehash_shard_states(shards, 1, &spec).unwrap();
-        prop_assert_eq!(back, vec![vec![original]]);
+        prop_assert!(chain_is_oldest_first(&back[0]));
+        prop_assert_eq!(back, vec![original]);
     }
 }
 

@@ -35,7 +35,9 @@ use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
     ChainSpec, JoinQuery, QueryWorkload, Session, SessionEvent, SessionOptions, SharedChainPlan,
 };
-use state_slice_repro::streamkit::checkpoint::{Checkpoint, ShardCheckpoint};
+use state_slice_repro::streamkit::checkpoint::{
+    chain_is_oldest_first, Checkpoint, ShardCheckpoint,
+};
 use state_slice_repro::streamkit::fault::FaultPlan;
 use state_slice_repro::streamkit::predicate::CmpOp;
 use state_slice_repro::streamkit::punctuation::Punctuation;
@@ -157,6 +159,16 @@ enum Step {
 /// Per query instance `(name, added epoch)`, the sorted result fingerprints.
 type Instances = Vec<((String, u64), Vec<Fingerprint>)>;
 
+/// Every shard's chain is oldest-first across its slices on both sides,
+/// which every state move (re-cut, re-hash, hot key, restore) must keep.
+fn assert_oldest_first(session: &Session) {
+    let chains = session.executor().window_states();
+    assert!(
+        chains.iter().all(|chain| chain_is_oldest_first(chain)),
+        "a chain side is out of order: {chains:?}"
+    );
+}
+
 /// Drain positions as steps: a drain after second `c` runs before `c + 1`.
 fn drains(cuts: &[usize]) -> impl Iterator<Item = (usize, Step)> + '_ {
     cuts.iter().map(|&c| (c + 1, Step::Drain))
@@ -191,6 +203,7 @@ fn drive(
                     }
                 }
             }
+            assert_oldest_first(&session);
         }
         if let Some(s) = seconds.get(t) {
             let ts = Timestamp::from_secs(t as u64);
@@ -209,6 +222,7 @@ fn drive(
             assert!(op.index_matches_rebuild(), "index diverged from a rebuild");
         }
     }
+    assert_oldest_first(&session);
     let states = Checkpoint::capture(session.executor(), 0, Timestamp::ZERO)
         .unwrap()
         .shards;
@@ -365,12 +379,13 @@ fn a_crash_after_a_rescale_recovers_at_the_new_shard_count() {
 
 /// Skew routing promotes a key after the last checkpoint, then a worker
 /// crashes.  The restored cut predates the promotion, so it must also
-/// restore the hot set it was taken with (empty): the replay then promotes
-/// the key again from the restored states, instead of spreading its build
-/// side to shards that never received its earlier probe-side tuples.  The
-/// replay promotes at another moment than the uninterrupted run, so spread
-/// build-side tuples may sit on other shards; only the per-query result
-/// multisets are compared, against the 1-shard oracle.
+/// restore the hot set it was taken with (empty): the drain after the
+/// replay promotes the key again from the restored states, instead of
+/// spreading its build side to shards that never received its earlier
+/// probe-side tuples.  The replay promotes at another moment than the
+/// uninterrupted run, so spread build-side tuples may sit on other shards;
+/// only the per-query result multisets are compared, against the 1-shard
+/// oracle.
 #[test]
 fn a_crash_after_a_hot_key_promotion_recovers_exactly() {
     let run = |shards: usize, crash_on: Option<usize>| {
@@ -397,7 +412,6 @@ fn a_crash_after_a_hot_key_promotion_recovers_exactly() {
                 min_observations: 8,
                 sketch_capacity: 16,
                 max_hot_keys: 2,
-                demote_observations: 0,
             };
             session.executor_mut().enable_skew(skew).unwrap();
         }
@@ -424,6 +438,7 @@ fn a_crash_after_a_hot_key_promotion_recovers_exactly() {
             let end = Timestamp::from_millis(t * 1000 + 999);
             session.ingest(Punctuation::new(end)).unwrap();
             session.drain().unwrap();
+            assert_oldest_first(&session);
         }
         let promotions = session.executor().router_stats().promotions;
         let outcome = session.finish().unwrap();

@@ -23,6 +23,12 @@
 //! lazily on local arrivals, so they can only retain more than the
 //! reference, never less).
 //!
+//! Hot keys move only at a run boundary, so the skew-aware run is fed in
+//! epochs with a `run()` after each; after every run, and after every
+//! session drain and action, each shard's chain must be oldest-first across
+//! its slices on both sides (`chain_is_oldest_first`), the order the
+//! cross-purge relies on and every state move must keep.
+//!
 //! Two cross-axis cases drive a [`Session`] with skew routing on and compare
 //! every query's result multiset with a 1-shard session without it: a
 //! rescale to one more shard and back while a key is hot (the rescale
@@ -40,10 +46,12 @@ use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
     ChainPlanFactory, ChainSpec, JoinQuery, QueryWorkload, Session, SessionOptions,
 };
+use state_slice_repro::streamkit::checkpoint::chain_is_oldest_first;
 use state_slice_repro::streamkit::join_state::tuple_key;
 use state_slice_repro::streamkit::tuple::{KeyClass, StreamId};
 use state_slice_repro::streamkit::{
-    CostCounters, JoinCondition, Predicate, SkewConfig, TimeDelta, Timestamp, Tuple,
+    CostCounters, JoinCondition, Predicate, ShardedExecutor, SkewConfig, TimeDelta, Timestamp,
+    Tuple,
 };
 use std::collections::HashMap;
 
@@ -67,7 +75,6 @@ fn eager_skew() -> SkewConfig {
         min_observations: 12,
         sketch_capacity: 8,
         max_hot_keys: 2,
-        demote_observations: 0,
     }
 }
 
@@ -83,8 +90,12 @@ struct Outcome {
     hot_state_b: Vec<Vec<StateFp>>,
 }
 
-/// Run `input` on `shards` chain instances, optionally with skew-aware
-/// routing, and harvest results, counters and final hot-key B state.
+/// Input tuples between two runs of the skew-aware executor.
+const EPOCH: usize = 20;
+
+/// Run `input` on `shards` chain instances in epochs of [`EPOCH`] tuples,
+/// optionally with skew-aware routing, and harvest results, counters and
+/// final hot-key B state.
 fn run_with_policy(
     workload: &QueryWorkload,
     spec: &ChainSpec,
@@ -105,9 +116,16 @@ fn run_with_policy(
     if let Some(config) = skew {
         exec.enable_skew(config).expect("skew routing enables");
     }
-    exec.ingest_all(CHAIN_ENTRY, input.to_vec())
-        .expect("ingest");
-    let report = exec.run().expect("run");
+    // Hot keys move only at a run boundary: run after every epoch, and check
+    // after each that the moves left every chain oldest-first.
+    let mut report = None;
+    for epoch in input.chunks(EPOCH) {
+        exec.ingest_all(CHAIN_ENTRY, epoch.to_vec())
+            .expect("ingest");
+        report = Some(exec.run().expect("run"));
+        assert_oldest_first(&exec);
+    }
+    let report = report.expect("the input is not empty");
     let results = workload
         .queries()
         .iter()
@@ -136,12 +154,18 @@ fn run_with_policy(
     }
 }
 
+/// Every shard's chain is oldest-first across its slices on both sides.
+fn assert_oldest_first(exec: &ShardedExecutor) {
+    let chains = exec.window_states();
+    assert!(
+        chains.iter().all(|chain| chain_is_oldest_first(chain)),
+        "a chain side is out of order: {chains:?}"
+    );
+}
+
 /// Read every sliced join of every shard and keep the probe-side tuples
 /// whose key hash is in `hot`, fingerprinted and sorted per shard.
-fn harvest_hot_state_b(
-    exec: &state_slice_repro::streamkit::ShardedExecutor,
-    hot: &[u64],
-) -> Vec<Vec<StateFp>> {
+fn harvest_hot_state_b(exec: &ShardedExecutor, hot: &[u64]) -> Vec<Vec<StateFp>> {
     let mut per_shard = Vec::new();
     for shard in exec.shards() {
         let mut fps: Vec<StateFp> = Vec::new();
@@ -287,7 +311,8 @@ fn skewed_stream_with_hot_keys_matches_the_reference() {
 fn key_becoming_hot_mid_run_matches_the_reference() {
     let workload = two_query_workload();
     // Key 5 is absent for the first half, then dominates the second half:
-    // promotion happens mid-run and must migrate the already-routed state.
+    // promotion happens at a run boundary mid-stream and must migrate the
+    // already-routed state.
     // The first half rotates through 16 keys so no cold key's early share
     // ever reaches the 0.2 promotion threshold.
     let mut a = Vec::new();
@@ -374,6 +399,7 @@ fn run_session(
     for (k, chunk) in chunks.iter().enumerate() {
         live.ingest_all(chunk.clone()).unwrap();
         live.drain().unwrap();
+        assert_oldest_first(live.executor());
         let Some(&action) = actions.get(k) else {
             continue;
         };
@@ -388,6 +414,7 @@ fn run_session(
             Action::Rescale(n) if skew_shards.is_some() => live.rescale_shards(n).unwrap(),
             Action::Rescale(_) => {}
         }
+        assert_oldest_first(live.executor());
     }
     let hot = live.executor().hot_keys().to_vec();
     let outcome = live.finish().unwrap();

@@ -201,11 +201,10 @@ fn rescale_with_hot_keys_demotes_them_and_the_session_survives() {
         min_observations: 8,
         sketch_capacity: 16,
         max_hot_keys: 2,
-        demote_observations: 0,
     };
     live.executor_mut().enable_skew(skew).unwrap();
 
-    // Key 0 dominates both streams: promoted almost immediately.
+    // Key 0 dominates both streams: promoted at the first drain.
     let skewed = |from: u64, to: u64| -> Vec<Tuple> {
         let mut items = Vec::new();
         for i in from..to {
