@@ -80,12 +80,12 @@ pub struct RunPerf {
     pub total_outputs: u64,
     /// Peak join-state size in tuples.
     pub peak_state_tuples: usize,
-    /// Peak live join-state bytes (arena bookkeeping).
+    /// Peak live join-state bytes (join-state byte bookkeeping).
     pub peak_state_bytes: usize,
     /// Time-averaged live join-state bytes.
     pub avg_state_bytes: f64,
-    /// Peak arena-capacity bytes (live bytes plus purged-but-unreleased and
-    /// unfilled arena slots — what the allocator actually holds).
+    /// Peak join-state capacity bytes (live bytes plus unfilled queue slots
+    /// — what the allocator actually holds).
     pub peak_capacity_bytes: usize,
 }
 

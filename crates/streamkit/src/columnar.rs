@@ -15,7 +15,7 @@
 //! reference-counted handles, never deep copies
 //! ([`ColumnBatch::push_tuple`], [`ColumnBatch::materialize`]).
 //!
-//! Three operator kernels run as tight per-column loops:
+//! Two operator kernels run as tight per-column loops:
 //!
 //! * **predicate evaluation** ([`eval_predicate`]) produces a *selection
 //!   vector* of passing row indices.  Counting is exactly per-row
@@ -29,19 +29,13 @@
 //!   `extend_from_slice` per column — how the order-preserving union
 //!   re-coalesces what it releases — leaving exactly the columns, masks and
 //!   `Mixed` degradations appending the rows one by one would.
-//! * **canonical key hashing** ([`ColumnBatch::hash_key_column`]) computes
-//!   the [`canonical_key_hash`] class of one field for all rows in one loop,
-//!   memoised as a `key_hash` column.  Materializing a row forwards its
-//!   class into [`Tuple::key_hash`], so the one-hash-per-tuple path of
-//!   [`crate::join_state`] is fed unchanged.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::join_state::canonical_key_hash;
 use crate::predicate::{CmpOp, Predicate};
 use crate::time::{TimeDelta, Timestamp};
-use crate::tuple::{KeyClass, StreamId, Tuple, TupleRole, Value};
+use crate::tuple::{StreamId, Tuple, TupleRole, Value};
 
 /// Typed storage of one payload field across the rows of a batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -234,18 +228,6 @@ impl TypedColumn {
     }
 }
 
-/// The canonical key classes of one payload field across a batch's rows —
-/// the columnar counterpart of [`Tuple::key_hash`], and like it a cache: it
-/// is excluded from batch equality and dropped by any mutation that changes
-/// the payload layout.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KeyHashColumn {
-    /// The payload field the classes were computed over.
-    pub field: usize,
-    /// One class per row.
-    pub classes: Vec<KeyClass>,
-}
-
 /// A timestamp-contiguous run of tuples in column-major layout.
 ///
 /// Rows must be appended in timestamp order (the same operator contract as
@@ -253,7 +235,7 @@ pub struct KeyHashColumn {
 /// position in the global order.  All rows share one payload arity — an
 /// append of a different arity is rejected (`false`) so the caller can flush
 /// the batch and start a new one.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnBatch {
     ts: Vec<Timestamp>,
     stream: Vec<StreamId>,
@@ -261,20 +243,6 @@ pub struct ColumnBatch {
     role: Vec<TupleRole>,
     lineage: Vec<u32>,
     columns: Vec<TypedColumn>,
-    key_hash: Option<KeyHashColumn>,
-}
-
-/// Row equality only — the memoised `key_hash` column is a cache, exactly
-/// like [`Tuple::key_hash`].
-impl PartialEq for ColumnBatch {
-    fn eq(&self, other: &ColumnBatch) -> bool {
-        self.ts == other.ts
-            && self.stream == other.stream
-            && self.origin_span == other.origin_span
-            && self.role == other.role
-            && self.lineage == other.lineage
-            && self.columns == other.columns
-    }
 }
 
 impl ColumnBatch {
@@ -364,7 +332,6 @@ impl ColumnBatch {
     /// The row-at-a-time reference [`ColumnBatch::push_rows_from`] is tested
     /// against.
     pub fn push_row_from(&mut self, src: &ColumnBatch, i: usize) -> bool {
-        self.key_hash = None;
         if self.ts.is_empty() {
             self.columns = src
                 .columns
@@ -407,7 +374,6 @@ impl ColumnBatch {
         } else if src.columns.len() != self.columns.len() {
             return false;
         }
-        self.key_hash = None;
         for (dst, sc) in self.columns.iter_mut().zip(&src.columns) {
             dst.extend_from(sc, rest.clone());
         }
@@ -421,7 +387,6 @@ impl ColumnBatch {
     }
 
     fn push_payload<'a>(&mut self, values: impl Iterator<Item = &'a Value>, arity: usize) -> bool {
-        self.key_hash = None;
         if self.ts.is_empty() {
             self.columns = values.map(TypedColumn::with_first).collect();
             true
@@ -450,12 +415,10 @@ impl ColumnBatch {
         Some(batch)
     }
 
-    /// Materialize row `i` as a [`Tuple`].  If a key-hash column is present,
-    /// the row's class is forwarded into the tuple's key memo, so downstream
-    /// consumers keying on the same field never rehash.
+    /// Materialize row `i` as a [`Tuple`].
     pub fn row(&self, i: usize) -> Tuple {
         let values: Arc<[Value]> = self.columns.iter().map(|c| c.value_at(i)).collect();
-        let mut t = Tuple {
+        Tuple {
             ts: self.ts[i],
             stream: self.stream[i],
             values,
@@ -463,11 +426,7 @@ impl ColumnBatch {
             role: self.role[i],
             lineage: self.lineage[i],
             key_hash: None,
-        };
-        if let Some(k) = &self.key_hash {
-            t.set_key_memo(k.field, k.classes[i]);
         }
-        t
     }
 
     /// Materialize every row, in order.
@@ -475,9 +434,7 @@ impl ColumnBatch {
         (0..self.len()).map(|i| self.row(i)).collect()
     }
 
-    /// Gather the given rows (ascending batch indices) into a new batch.  A
-    /// memoised key-hash column survives: filtering does not change the
-    /// payload layout.
+    /// Gather the given rows (ascending batch indices) into a new batch.
     pub fn gather(&self, rows: &[u32]) -> ColumnBatch {
         ColumnBatch {
             ts: rows.iter().map(|&r| self.ts[r as usize]).collect(),
@@ -486,53 +443,7 @@ impl ColumnBatch {
             role: rows.iter().map(|&r| self.role[r as usize]).collect(),
             lineage: rows.iter().map(|&r| self.lineage[r as usize]).collect(),
             columns: self.columns.iter().map(|c| c.gather(rows)).collect(),
-            key_hash: self.key_hash.as_ref().map(|k| KeyHashColumn {
-                field: k.field,
-                classes: rows.iter().map(|&r| k.classes[r as usize]).collect(),
-            }),
         }
-    }
-
-    /// Compute (and memoise) the canonical key classes of `field` for every
-    /// row in one per-column loop — the columnar counterpart of
-    /// [`crate::join_state::memoize_key`].  A no-op if the column is already
-    /// computed for the same field.
-    pub fn hash_key_column(&mut self, field: usize) {
-        if self.key_hash.as_ref().is_some_and(|k| k.field == field) {
-            return;
-        }
-        let n = self.len();
-        let mut classes = Vec::with_capacity(n);
-        match self.columns.get(field) {
-            // All rows share the batch arity, so a missing key attribute is
-            // missing for every row.
-            None => classes.resize(n, KeyClass::Missing),
-            Some(col) => match (&col.data, &col.validity) {
-                (ColumnData::Int(xs), None) => {
-                    classes.extend(xs.iter().map(|&x| class_of(&Value::Int(x))));
-                }
-                (ColumnData::Float(xs), None) => {
-                    classes.extend(xs.iter().map(|&x| class_of(&Value::Float(x))));
-                }
-                _ => classes.extend((0..n).map(|i| class_of(&col.value_at(i)))),
-            },
-        }
-        self.key_hash = Some(KeyHashColumn { field, classes });
-    }
-
-    /// The memoised key classes, if computed for `field`.
-    pub fn key_classes(&self, field: usize) -> Option<&[KeyClass]> {
-        match &self.key_hash {
-            Some(k) if k.field == field => Some(&k.classes),
-            _ => None,
-        }
-    }
-}
-
-fn class_of(v: &Value) -> KeyClass {
-    match canonical_key_hash(v) {
-        Some(hash) => KeyClass::Hash(hash),
-        None => KeyClass::Nan,
     }
 }
 
@@ -682,7 +593,6 @@ fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join_state::memoize_key;
 
     fn t(secs: u64, vals: &[i64]) -> Tuple {
         Tuple::of_ints(Timestamp::from_secs(secs), StreamId::A, vals)
@@ -853,16 +763,12 @@ mod tests {
         assert!(matches!(dst.columns()[0].data(), ColumnData::Mixed(_)));
         assert!(matches!(dst.columns()[1].data(), ColumnData::Float(_)));
 
-        // Arity mismatch: rejected, nothing appended, the memo kept.
-        dst.hash_key_column(1);
+        // Arity mismatch: rejected, nothing appended.
         let before = dst.clone();
         let narrow = ColumnBatch::from_tuples(&[t(9, &[1])]).unwrap();
         assert!(!dst.push_rows_from(&narrow, 0..1));
         assert_eq!(dst, before);
-        assert!(dst.key_classes(1).is_some());
-        // An append drops the memo, as every payload mutation does.
         assert!(dst.push_rows_from(&typed, 5..6));
-        assert_eq!(dst.key_classes(1), None);
         assert_eq!(dst.len(), before.len() + 1);
     }
 
@@ -927,57 +833,14 @@ mod tests {
     #[test]
     fn gather_subsets_rows_and_keeps_key_classes() {
         let rows = vec![t(1, &[7, 0]), t(2, &[8, 1]), t(3, &[7, 2]), t(4, &[9, 3])];
-        let mut batch = ColumnBatch::from_tuples(&rows).unwrap();
-        batch.hash_key_column(0);
+        let batch = ColumnBatch::from_tuples(&rows).unwrap();
         let sub = batch.gather(&[0, 2]);
         assert_eq!(
             sub.materialize(),
             vec![batch.row(0), batch.row(2)],
             "gathered rows"
         );
-        let classes = sub.key_classes(0).expect("classes survive gather");
-        assert_eq!(
-            classes,
-            &[
-                KeyClass::Hash(canonical_key_hash(&Value::Int(7)).unwrap()),
-                KeyClass::Hash(canonical_key_hash(&Value::Int(7)).unwrap()),
-            ]
-        );
-    }
-
-    #[test]
-    fn key_hash_column_matches_the_row_path_memo() {
-        let rows = vec![
-            tv(1, vec![Value::Int(3)]),
-            tv(2, vec![Value::Float(3.0)]),
-            tv(3, vec![Value::Float(f64::NAN)]),
-            tv(4, vec![Value::Null]),
-            tv(5, vec![Value::str("k")]),
-        ];
-        let mut batch = ColumnBatch::from_tuples(&rows).unwrap();
-        assert_eq!(batch.key_classes(0), None);
-        batch.hash_key_column(0);
-        let classes = batch.key_classes(0).unwrap().to_vec();
-        for (i, row) in rows.iter().enumerate() {
-            let mut reference = row.clone();
-            let want = memoize_key(&mut reference, 0);
-            assert_eq!(classes[i], want, "row {i}");
-            // Materialized rows carry the memo the row path would compute.
-            assert_eq!(batch.row(i).memoized_key(0), Some(want), "row {i} memo");
-        }
-        // Out-of-range key field: every row is Missing.
-        batch.hash_key_column(9);
-        assert_eq!(batch.key_classes(9).unwrap(), &[KeyClass::Missing; 5]);
-        // The memo is a cache: it does not participate in equality (checked
-        // on NaN-free rows — NaN payloads never compare equal, same as the
-        // row path)...
-        let rows = vec![tv(1, vec![Value::Int(3)]), tv(2, vec![Value::Int(4)])];
-        let plain = ColumnBatch::from_tuples(&rows).unwrap();
-        let mut hashed = plain.clone();
-        hashed.hash_key_column(0);
-        assert_eq!(hashed, plain);
-        // ...and any payload mutation drops it.
-        assert!(hashed.push_tuple(&tv(6, vec![Value::Int(8)])));
-        assert_eq!(hashed.key_classes(0), None);
+        // The key column keeps its type and the gathered rows' values.
+        assert_eq!(sub.columns()[0].data(), &ColumnData::Int(vec![7, 7]));
     }
 }

@@ -960,7 +960,7 @@ mod tests {
         assert!(report.rounds >= 1);
         assert_eq!(report.node_stats.len(), 2);
         // Byte accounting: the join's window state is sampled in real bytes,
-        // and arena capacity is never below the live footprint.
+        // and the held capacity is never below the live footprint.
         assert!(report.memory.peak_state_bytes > 0);
         assert!(report.memory.peak_capacity_bytes >= report.memory.peak_state_bytes);
         assert!(report.memory.avg_state_bytes > 0.0);

@@ -8,13 +8,12 @@
 //!    pops from the front until the first still-valid tuple), and
 //! 2. **probed** by every arrival of the opposite stream.
 //!
-//! [`JoinState`] packages both access paths: a time-ordered segmented bump
-//! arena ([`TupleArena`]) for O(1) oldest-first purging with whole-segment
-//! deallocation, plus — for equi-join conditions — a hash index `key →
-//! bucket of entries`.  Every bucket is in time order and purging is
-//! oldest-first, so a purged tuple is always the front of its bucket: a push
-//! appends to the bucket and a purge pops its front, dropping the bucket once
-//! it empties.  An equi probe then touches only its key bucket, so the probe
+//! [`JoinState`] packages both access paths: the window itself, one
+//! time-ordered `VecDeque` for O(1) oldest-first purging, plus — for
+//! equi-join conditions — a hash index `key → bucket of entries`.  Every
+//! bucket is in time order and purging is oldest-first, so a purged tuple is
+//! always the front of its bucket: a push appends to the bucket and a purge
+//! pops its front, dropping the bucket once it empties.  An equi probe then touches only its key bucket, so the probe
 //! cost is O(1 + matches) instead of O(|state|); the `probe_comparisons`
 //! counters incremented by the callers consequently scale with the *output*
 //! size, not with the state size (the dominant cost in the paper's Figures
@@ -80,7 +79,6 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use crate::arena::{ArenaIter, TupleArena};
 use crate::predicate::{band_bounds, BandProbe, JoinCondition};
 use crate::tuple::{KeyClass, Tuple, Value};
 
@@ -437,22 +435,28 @@ impl Index {
     }
 }
 
-/// One stream's window-join state: an arena-backed, time-ordered tuple store
-/// with an optional index — hash buckets on the equi-join key, or the
-/// value-ordered band index.
+/// One stream's window-join state: a time-ordered tuple queue with an
+/// optional index — hash buckets on the equi-join key, or the value-ordered
+/// band index.
 ///
-/// Entries live in a segmented bump arena ([`TupleArena`]) under stable,
-/// increasing sequence numbers, which the index stores.  A push adds the new
-/// tuple's entry and a purge drops the purged tuple's entry at once, so after
-/// every operation the index references exactly the live tuples: no probe
-/// skips a dead entry and nothing is rebuilt on the purge path.
+/// Every stored tuple has a sequence number, increasing in arrival order,
+/// which the index stores: `tuples[i]` has number `head_seq + i`.  A push
+/// adds the new tuple's entry and a purge drops the purged tuple's entry at
+/// once, so after every operation the index references exactly the live
+/// tuples: no probe skips a dead entry and nothing is rebuilt on the purge
+/// path.
 ///
 /// Buckets are keyed by the canonical 64-bit key hash; each stored tuple
 /// carries its key class as a memo ([`memoize_key`]), so a purge never
 /// rehashes a key that was hashed on insert.
 #[derive(Debug, Default)]
 pub struct JoinState {
-    arena: TupleArena,
+    /// The window, oldest first.
+    tuples: VecDeque<Tuple>,
+    /// Sequence number of `tuples[0]`.
+    head_seq: u64,
+    /// Heap payload bytes of the stored tuples ([`Tuple::heap_bytes`]).
+    heap_bytes: usize,
     index: Index,
 }
 
@@ -467,13 +471,13 @@ impl JoinState {
     /// probed with `probe_key_field` of arriving tuples.
     pub fn indexed(stored_key_field: usize, probe_key_field: usize) -> JoinState {
         JoinState {
-            arena: TupleArena::default(),
             index: Index::Hash {
                 stored_field: stored_key_field,
                 probe_field: probe_key_field,
                 buckets: Buckets::default(),
                 nan: VecDeque::new(),
             },
+            ..JoinState::default()
         }
     }
 
@@ -481,8 +485,8 @@ impl JoinState {
     /// answering range probes bounded by the probe-tuple fields in `spec`.
     pub fn band_indexed(spec: BandProbe) -> JoinState {
         JoinState {
-            arena: TupleArena::default(),
             index: Index::Band(BandIndexState::new(spec)),
+            ..JoinState::default()
         }
     }
 
@@ -521,40 +525,45 @@ impl JoinState {
 
     /// Number of stored tuples.
     pub fn len(&self) -> usize {
-        self.arena.len()
+        self.tuples.len()
     }
 
     /// `true` if no tuples are stored.
     pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
+        self.tuples.is_empty()
     }
 
     /// The oldest stored tuple.
     pub fn front(&self) -> Option<&Tuple> {
-        self.arena.front()
+        self.tuples.front()
     }
 
     /// The newest stored tuple.
     pub fn back(&self) -> Option<&Tuple> {
-        self.arena.back()
+        self.tuples.back()
     }
 
     /// All stored tuples, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.arena.iter()
+        self.tuples.iter()
+    }
+
+    /// The stored tuple with sequence number `seq`.
+    fn get(&self, seq: u64) -> Option<&Tuple> {
+        self.tuples.get(seq.checked_sub(self.head_seq)? as usize)
     }
 
     /// Estimated bytes resident in the stored tuples (inline slots + heap
-    /// payloads; see [`crate::arena::tuple_heap_bytes`] for the Arc-sharing
-    /// caveat).
+    /// payloads; see [`Tuple::heap_bytes`] for the Arc-sharing caveat).
     pub fn live_bytes(&self) -> usize {
-        self.arena.live_bytes()
+        self.tuples.len() * std::mem::size_of::<Tuple>() + self.heap_bytes
     }
 
-    /// Estimated bytes the backing arena currently holds on to, including
-    /// purged-but-not-yet-released slots and unfilled tail capacity.
+    /// Estimated bytes the state currently holds on to: every slot the queue
+    /// has allocated, filled or not, plus the stored heap payloads.  The
+    /// queue keeps its high-water buffer until the state is reloaded.
     pub fn capacity_bytes(&self) -> usize {
-        self.arena.capacity_bytes()
+        self.tuples.capacity() * std::mem::size_of::<Tuple>() + self.heap_bytes
     }
 
     /// Insert a tuple at the back.  Tuples must arrive in timestamp order
@@ -563,8 +572,10 @@ impl JoinState {
     /// computed — and memoised on the stored copy — otherwise, so that a
     /// purge forwarding this tuple to the next slice ships the hash along.
     pub fn push(&mut self, mut tuple: Tuple) {
-        self.index.insert(self.arena.next_seq(), &mut tuple);
-        self.arena.push(tuple);
+        let seq = self.head_seq + self.tuples.len() as u64;
+        self.index.insert(seq, &mut tuple);
+        self.heap_bytes += tuple.heap_bytes();
+        self.tuples.push_back(tuple);
     }
 
     /// Remove and return the oldest tuple, dropping its index entry at once:
@@ -572,9 +583,10 @@ impl JoinState {
     /// or of the `NaN` list, or one entry of the band index's order set or
     /// the front of its side list.
     pub fn pop_front(&mut self) -> Option<Tuple> {
-        let seq = self.arena.head_seq();
-        let tuple = self.arena.pop_front()?;
-        self.index.remove(seq, &tuple);
+        let tuple = self.tuples.pop_front()?;
+        self.index.remove(self.head_seq, &tuple);
+        self.head_seq += 1;
+        self.heap_bytes -= tuple.heap_bytes();
         Some(tuple)
     }
 
@@ -585,7 +597,7 @@ impl JoinState {
     /// keeps.
     pub fn index_matches_rebuild(&self) -> bool {
         let mut fresh = self.index.emptied();
-        for (seq, tuple) in (self.arena.head_seq()..).zip(self.arena.iter()) {
+        for (seq, tuple) in (self.head_seq..).zip(&self.tuples) {
             fresh.insert(seq, &mut tuple.clone());
         }
         fresh == self.index
@@ -610,7 +622,7 @@ impl JoinState {
     /// memo when present.
     pub fn probe_candidates(&self, probe: &Tuple) -> Candidates<'_> {
         match &self.index {
-            Index::Linear => Candidates::all(&self.arena),
+            Index::Linear => Candidates::all(self),
             Index::Hash {
                 probe_field,
                 buckets,
@@ -618,10 +630,10 @@ impl JoinState {
                 ..
             } => match tuple_key(probe, *probe_field) {
                 KeyClass::Missing => Candidates::empty(),
-                KeyClass::Nan => Candidates::all(&self.arena), // NaN probe
+                KeyClass::Nan => Candidates::all(self), // NaN probe
                 KeyClass::Hash(hash) => Candidates {
                     inner: CandidatesInner::Indexed {
-                        arena: &self.arena,
+                        state: self,
                         bucket: buckets.get(&hash).map(|b| b.iter()),
                         extra: nan.iter(),
                     },
@@ -646,7 +658,7 @@ impl JoinState {
                         // Non-numeric (or NaN) bound: under the cross-type
                         // total order the matching keys are not one
                         // contiguous bits range, so degrade to a full scan.
-                        None => return Candidates::all(&self.arena),
+                        None => return Candidates::all(self),
                         // Endpoints are always *inclusive* at f64-bucket
                         // granularity, even for strict thetas: the monotone
                         // (non-strict) i64 → f64 cast can collapse distinct
@@ -668,7 +680,7 @@ impl JoinState {
         };
         Candidates {
             inner: CandidatesInner::Band {
-                arena: &self.arena,
+                state: self,
                 range,
                 extra: band.side.iter(),
             },
@@ -703,19 +715,24 @@ impl JoinState {
     /// [`SliceJoinOp::drop_index`](crate::ops::SliceJoinOp::drop_index)).
     pub fn drain_ordered(&mut self) -> Vec<Tuple> {
         self.index = self.index.emptied();
-        self.arena.drain()
+        self.heap_bytes = 0;
+        std::mem::take(&mut self.tuples).into()
     }
 
     /// Replace the contents with `tuples` (which must be in timestamp
-    /// order), rebuilding the index.
+    /// order) in a fresh queue sized to them, rebuilding the index.
     /// The rebuild is deterministic: pushing the same ordered tuples always
     /// yields the same index (equal band keys order by sequence number, i.e.
     /// by time), so a state restored from a checkpoint probes identically —
     /// same candidates, same comparison counts — to the
     /// incrementally-maintained original.
     pub fn load_ordered(&mut self, tuples: Vec<Tuple>) {
-        self.index = self.index.emptied();
-        self.arena.clear();
+        *self = JoinState {
+            tuples: VecDeque::with_capacity(tuples.len()),
+            head_seq: 0,
+            heap_bytes: 0,
+            index: self.index.emptied(),
+        };
         for t in tuples {
             self.push(t);
         }
@@ -731,14 +748,14 @@ pub struct Candidates<'a> {
 #[derive(Debug)]
 enum CandidatesInner<'a> {
     Empty,
-    All(ArenaIter<'a>),
+    All(std::collections::vec_deque::Iter<'a, Tuple>),
     Indexed {
-        arena: &'a TupleArena,
+        state: &'a JoinState,
         bucket: Option<std::collections::vec_deque::Iter<'a, u64>>,
         extra: std::collections::vec_deque::Iter<'a, u64>,
     },
     Band {
-        arena: &'a TupleArena,
+        state: &'a JoinState,
         range: std::collections::btree_set::Range<'a, (u64, u64)>,
         extra: std::collections::vec_deque::Iter<'a, u64>,
     },
@@ -751,9 +768,9 @@ impl<'a> Candidates<'a> {
         }
     }
 
-    fn all(arena: &'a TupleArena) -> Candidates<'a> {
+    fn all(state: &'a JoinState) -> Candidates<'a> {
         Candidates {
-            inner: CandidatesInner::All(arena.iter()),
+            inner: CandidatesInner::All(state.tuples.iter()),
         }
     }
 }
@@ -766,7 +783,7 @@ impl<'a> Iterator for Candidates<'a> {
             CandidatesInner::Empty => None,
             CandidatesInner::All(iter) => iter.next(),
             CandidatesInner::Indexed {
-                arena,
+                state,
                 bucket,
                 extra,
             } => {
@@ -776,10 +793,10 @@ impl<'a> Iterator for Candidates<'a> {
                     .as_mut()
                     .and_then(Iterator::next)
                     .or_else(|| extra.next())?;
-                arena.get(*seq)
+                state.get(*seq)
             }
             CandidatesInner::Band {
-                arena,
+                state,
                 range,
                 extra,
             } => {
@@ -790,7 +807,7 @@ impl<'a> Iterator for Candidates<'a> {
                     Some(&(_, seq)) => seq,
                     None => *extra.next()?,
                 };
-                arena.get(seq)
+                state.get(seq)
             }
         }
     }
@@ -954,8 +971,12 @@ mod tests {
         let mut s = JoinState::linear();
         s.push(t(1, 7));
         s.push(t(2, 8));
+        s.push(t(3, 9));
         assert!(!s.is_indexed());
-        assert_eq!(candidate_secs(&s, &t(9, 7)), vec![1, 2]);
+        assert_eq!(candidate_secs(&s, &t(9, 7)), vec![1, 2, 3]);
+        // A purged tuple is gone from the scan, which starts at the survivor.
+        s.pop_front();
+        assert_eq!(candidate_secs(&s, &t(9, 7)), vec![2, 3]);
     }
 
     #[test]
@@ -1123,17 +1144,25 @@ mod tests {
 
     #[test]
     fn byte_accounting_follows_pushes_and_purges() {
+        let tuple = std::mem::size_of::<Tuple>();
+        let value = std::mem::size_of::<Value>();
         let mut s = JoinState::indexed(0, 0);
         assert_eq!(s.live_bytes(), 0);
+        assert_eq!(s.capacity_bytes(), 0);
         s.push(t(1, 7));
-        s.push(t(2, 8));
+        s.push(tv(2, Value::str("hello")));
+        // Inline slots plus payloads, string bytes included.
         let two = s.live_bytes();
-        assert!(two > 0);
+        assert_eq!(two, 2 * tuple + 2 * value + 5);
         assert!(s.capacity_bytes() >= two);
         s.pop_front();
-        assert!(s.live_bytes() < two);
+        assert_eq!(s.live_bytes(), tuple + value + 5);
+        assert!(s.capacity_bytes() >= s.live_bytes());
         s.pop_front();
         assert_eq!(s.live_bytes(), 0);
+        s.push(t(3, 9));
+        assert_eq!(s.drain_ordered().len(), 1);
+        assert_eq!((s.live_bytes(), s.capacity_bytes()), (0, 0));
     }
 
     /// `lo ≤ stored.0 ≤ hi` with the bounds in probe fields 0 and 1.

@@ -30,7 +30,6 @@
 //!
 //! [Wang et al., VLDB 2006]: https://dl.acm.org/doi/10.5555/1182635.1164186
 
-pub mod arena;
 pub mod checkpoint;
 pub mod columnar;
 pub mod error;
@@ -52,7 +51,6 @@ pub mod time;
 pub mod tuple;
 pub mod window;
 
-pub use arena::TupleArena;
 pub use checkpoint::{Checkpoint, NodeState, ShardCheckpoint, WindowState, CHECKPOINT_VERSION};
 pub use columnar::ColumnBatch;
 pub use error::{Result, StreamError};

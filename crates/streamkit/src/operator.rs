@@ -125,15 +125,15 @@ pub trait Operator: Send {
 
     /// Estimated live bytes of this operator's window state (inline tuple
     /// slots plus heap payloads).  Join operators report their
-    /// [`JoinState`](crate::join_state::JoinState) arena bookkeeping;
+    /// [`JoinState`](crate::join_state::JoinState) byte bookkeeping;
     /// stateless and transient-buffer operators keep the zero default.
     fn state_bytes(&self) -> usize {
         0
     }
 
     /// Estimated bytes the operator's state storage currently *holds on to*,
-    /// including purged-but-unreleased arena slots and unfilled tail
-    /// capacity — what the allocator sees, as opposed to what is live.
+    /// including the unfilled slots of its queues — what the allocator
+    /// sees, as opposed to what is live.
     /// Defaults to [`Operator::state_bytes`].
     fn state_capacity_bytes(&self) -> usize {
         self.state_bytes()

@@ -755,8 +755,8 @@ mod tests {
             (op.state_bytes(), op.state_capacity_bytes(), candidates)
         };
         // 300 A tuples, then a B probe at 300 s that purges the 251 older
-        // than the 50 s window: the 49 survivors straddle two arena segments,
-        // the first one mostly purged slack.
+        // than the 50 s window: the queue keeps the buffer it grew for 300
+        // tuples, so it holds slack beyond the 49 survivors.
         let mut setup: Vec<StreamItem> = (0..300)
             .map(|s| tuple(s, StreamId::A, (s % 7) as i64).into())
             .collect();

@@ -73,10 +73,10 @@ impl CostCounters {
 ///
 /// Tuple counts are the paper's own metric (Section 7 reports state memory
 /// as tuple counts); the byte figures quantify the same curves in real
-/// memory, sampled from the join states' arena bookkeeping
-/// ([`crate::arena::TupleArena`]): *live* bytes are the estimated resident
-/// footprint of the stored tuples, *capacity* bytes additionally count
-/// purged-but-unreleased slots and unfilled tail capacity the arenas hold.
+/// memory, sampled from the join states' byte bookkeeping
+/// ([`crate::join_state::JoinState`]): *live* bytes are the estimated
+/// resident footprint of the stored tuples, *capacity* bytes additionally
+/// count the unfilled slots the states' queues have allocated.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemoryStats {
     /// Largest total state size observed across all stateful operators.
@@ -91,8 +91,8 @@ pub struct MemoryStats {
     pub avg_state_bytes: f64,
     /// Final total live state bytes when execution finished.
     pub final_state_bytes: usize,
-    /// Largest total arena-capacity bytes observed (live bytes plus
-    /// unreleased/unfilled arena slots — what the allocator actually holds).
+    /// Largest total capacity bytes observed (live bytes plus unfilled
+    /// queue slots — what the allocator actually holds).
     pub peak_capacity_bytes: usize,
     /// Largest total queue length observed.
     pub peak_queue_items: usize,

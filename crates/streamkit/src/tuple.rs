@@ -363,6 +363,27 @@ impl Tuple {
         });
     }
 
+    /// Estimated heap bytes owned by this tuple's payload: the shared value
+    /// slice plus the bytes of any string values.
+    ///
+    /// This is an **upper bound** under sharing: reference copies
+    /// (male/female) and fan-out clones share one `Arc<[Value]>`, but each
+    /// stored copy counts the payload in full.  That is the honest figure for
+    /// a *state-memory* metric — every stored reference pins the payload for
+    /// its own lifetime — and it makes per-slice byte counts add up the same
+    /// way the paper's per-slice tuple counts do.
+    pub fn heap_bytes(&self) -> usize {
+        let strings: usize = self
+            .values
+            .iter()
+            .map(|v| match v {
+                Value::Str(s) => s.len(),
+                _ => 0,
+            })
+            .sum();
+        self.values.len() * std::mem::size_of::<Value>() + strings
+    }
+
     /// Build a tuple with integer payloads (convenient in tests).
     pub fn of_ints(ts: Timestamp, stream: StreamId, ints: &[i64]) -> Self {
         Tuple::new(ts, stream, ints.iter().copied().map(Value::Int).collect())
@@ -534,6 +555,23 @@ mod tests {
         // ...but a join result has a new layout and drops it.
         let j = Tuple::join(&a, &plain, StreamId(9));
         assert_eq!(j.key_hash, None);
+    }
+
+    #[test]
+    fn heap_bytes_count_values_and_string_payloads() {
+        let plain = Tuple::of_ints(Timestamp::from_secs(1), StreamId::A, &[7]);
+        assert_eq!(plain.heap_bytes(), std::mem::size_of::<Value>());
+        let stringy = Tuple::new(
+            Timestamp::from_secs(1),
+            StreamId::A,
+            vec![Value::str("abcd"), Value::Int(1)],
+        );
+        assert_eq!(stringy.heap_bytes(), 2 * std::mem::size_of::<Value>() + 4);
+        // A reference copy shares the payload but counts it in full.
+        assert_eq!(
+            stringy.with_role(TupleRole::Male).heap_bytes(),
+            stringy.heap_bytes()
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   progress; sink `collected` compared as multisets, since candidate
 //!   *iteration order* — value order vs insertion order — is the one thing
 //!   the index legitimately changes within a probe batch);
-//! * **purge counts** — cross-purging walks the arena front by timestamp and
+//! * **purge counts** — cross-purging walks the state front by timestamp and
 //!   never consults the index, so `purge_comparisons` match exactly, as do
 //!   the output-scaling route/union/filter/split counters.  Probe
 //!   comparisons are the point of the index: `indexed ≤ scan`.
