@@ -24,10 +24,11 @@
 //!    and a boundary both chains share moves nothing; the stored tuples'
 //!    selection lineage is then re-derived for the new query set, as the new
 //!    chain's lineage annotator and gates would have left it,
-//! 3. **swap in** fresh plans for the new workload — the union/router/sink
-//!    graph of the added/removed query, and each slice's index mode, chain
-//!    flags and name — and **restore** the migrated states into them
-//!    ([`ShardedExecutor::restore_window_states`]),
+//! 3. **replace** the plans with fresh ones for the new workload
+//!    ([`ShardedExecutor::replace_plans`], the call crash recovery makes
+//!    too) — the union/router/sink graph of the added/removed query, and
+//!    each slice's index mode, chain flags and name — and **restore** the
+//!    migrated states into them ([`ShardedExecutor::restore_window_states`]),
 //! 4. **adopt** a checkpoint of the migrated executor as the durable cut, and
 //!    **resume**.
 //!
@@ -36,14 +37,14 @@
 //! partition, so the per-shard re-cut is exactly the single-chain protocol N
 //! times), and [`rescale_shards`](Session::rescale_shards) runs the same
 //! sequence with [`rehash_shard_states`] in place of the re-cut and a fresh
-//! executor over the new shard count in place of the plan swap.  Hot keys of
-//! skew routing move through the same read/write pair: the executor promotes
-//! and demotes them at the end of every run, on its parked states
-//! ([`streamkit::skew`]), and a rescale first demotes every hot key as data — dropping the replicated probe-side copies
-//! and sending the spread build-side tuples home — then re-hashes, and keeps
-//! skew routing on whenever the new executor has two or more shards.  Every
-//! fallible step on the migrated data runs before the running executor is
-//! touched.
+//! executor over the new shard count in place of the plan replacement.  Hot
+//! keys of skew routing move through the same read/write pair: the executor
+//! promotes and demotes them at the end of every run, on its parked states
+//! ([`streamkit::skew`]), and a rescale first demotes every hot key as data
+//! — dropping the replicated probe-side copies and sending the spread
+//! build-side tuples home — then re-hashes, and keeps skew routing on
+//! whenever the new executor has two or more shards.  Every fallible step on
+//! the migrated data runs before the running executor is touched.
 //!
 //! Crash recovery and adaptive re-optimization share that boundary.  One
 //! [`drain`](Session::drain) runs the whole sequence: run the executor to a
@@ -78,7 +79,6 @@
 //! results are pairs whose timestamp span exceeds the coverage at add time.
 
 use std::collections::HashMap;
-use std::panic::AssertUnwindSafe;
 use std::time::Instant;
 
 use streamkit::checkpoint::{Checkpoint, WindowState};
@@ -96,7 +96,7 @@ use crate::lineage::regate_states;
 use crate::migration::{recut_chain, rehash_shard_states, PurgeWatermarks, RecutStats};
 use crate::planner::{PlannerOptions, CHAIN_ENTRY};
 use crate::query::{JoinQuery, QueryWorkload};
-use crate::recovery::{caught, CheckpointRecord, Recovery, RecoveryConfig, RecoveryRecord};
+use crate::recovery::{CheckpointRecord, Recovery, RecoveryConfig, RecoveryRecord};
 
 /// Which chain buildup re-planning uses after every workload change.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -407,9 +407,10 @@ impl Session {
 
     /// Ingest one item into the chain entry (tuples are hash-routed to their
     /// shard, punctuations broadcast), recording it in the replay ring
-    /// first.  A single-shard session executes inline, so an injected fault
-    /// can surface right here; it is recovered like a failed drain (the
-    /// failing item is already in the ring, so the replay re-delivers it).
+    /// first.  A single-shard session ingests on the caller's thread, so an
+    /// injected fault can surface right here; it is recovered like a failed
+    /// drain (the failing item is already in the ring, so the replay
+    /// re-delivers it).
     pub fn ingest(&mut self, item: impl Into<StreamItem>) -> Result<()> {
         let item = item.into();
         if self.recovery.is_full() {
@@ -422,10 +423,9 @@ impl Session {
             }
         }
         self.recovery.record(&item);
-        match caught(AssertUnwindSafe(|| self.route(item))) {
-            Ok(()) => Ok(()),
+        match self.route(item) {
             Err(StreamError::WorkerFailed(trigger)) => self.recover(trigger),
-            Err(other) => Err(other),
+            other => other,
         }
     }
 
@@ -441,18 +441,25 @@ impl Session {
         Ok(())
     }
 
-    /// Hand one item to the executor, advancing the receiving shard's purge
-    /// watermark.  Ingest-side batches are not part of the chain protocol
-    /// (the sharded executor scatters their rows); they do not advance it.
+    /// Hand one item to the executor, advancing the purge watermark of the
+    /// shard a tuple went to, or of every shard for a broadcast hot-key
+    /// tuple (it is a male on each).  Ingest-side batches are not part of
+    /// the chain protocol (the sharded executor scatters their rows); they
+    /// do not advance it.
     fn route(&mut self, item: StreamItem) -> Result<()> {
         let mark = match &item {
             StreamItem::Tuple(t) => Some((t.stream, t.ts)),
             StreamItem::Batch(_) | StreamItem::Punctuation(_) => None,
         };
-        if let (Some(shard), Some((stream, ts))) =
-            (self.exec.ingest_routed(CHAIN_ENTRY, item)?, mark)
-        {
-            self.shard_hw[shard].observe(stream, ts);
+        let routed = self.exec.ingest_routed(CHAIN_ENTRY, item)?;
+        if let Some((stream, ts)) = mark {
+            let shards = match routed {
+                Some(shard) => shard..shard + 1,
+                None => 0..self.shard_hw.len(),
+            };
+            for hw in &mut self.shard_hw[shards] {
+                hw.observe(stream, ts);
+            }
         }
         Ok(())
     }
@@ -489,7 +496,7 @@ impl Session {
     /// session's own operations stops here, short of the adaptive policy.
     /// Returns the cumulative report so far.
     fn settle(&mut self) -> Result<ExecutionReport> {
-        let report = match caught(AssertUnwindSafe(|| self.exec.run())) {
+        let report = match self.exec.run() {
             Ok(report) => report,
             Err(StreamError::WorkerFailed(trigger)) => {
                 self.recover(trigger)?;
@@ -712,17 +719,24 @@ impl Session {
     }
 
     /// Read every shard's slice states, re-cut them to `spec` and re-gate
-    /// them under `workload`'s selections, then swap `plans` in, close the
-    /// epoch's sink ledgers from the retired plans (each is returned, and so
-    /// harvested, exactly once), restore the migrated states into the new
-    /// plans and capture the checkpoint the caller adopts.  Merges and
-    /// splits are per chain instance; tuple counts sum over the shards.
+    /// them under `workload`'s selections, then replace the plans with
+    /// `plans`, close the epoch's sink ledgers from the retired plans (each
+    /// is returned, and so harvested, exactly once), restore the migrated
+    /// states into the new plans and capture the checkpoint the caller
+    /// adopts.  Merges and splits are per chain instance; tuple counts sum
+    /// over the shards.  An executor with queued items is refused before
+    /// anything is touched: replacing its plans would drop them.
     fn migrate(
         &mut self,
         workload: &QueryWorkload,
         spec: &ChainSpec,
         plans: Vec<Plan>,
     ) -> Result<(RecutStats, Checkpoint)> {
+        if !self.exec.is_drained() {
+            return Err(StreamError::Execution(
+                "cannot migrate with items still queued; settle first".to_string(),
+            ));
+        }
         let mut stats = RecutStats::default();
         let mut migrated = Vec::with_capacity(plans.len());
         for (chain, watermarks) in self.exec.window_states().into_iter().zip(&self.shard_hw) {
@@ -733,7 +747,8 @@ impl Session {
                 shard.tuples_dropped + regate_states(&mut chain, workload, spec);
             migrated.push(chain);
         }
-        for old in self.exec.swap_plans(plans)? {
+        let (retired, _) = self.exec.replace_plans(plans)?;
+        for old in retired {
             credit_sinks(&mut self.active, &old);
         }
         self.exec.restore_window_states(migrated)?;
@@ -1149,7 +1164,7 @@ mod tests {
             "the policy ran inside the add's drain: {added:?}"
         );
         live.drain().unwrap();
-        // A crash a few epochs into the next window, recovered inline.
+        // A crash a few epochs into the next window, recovered by the drain.
         live.executor_mut()
             .arm_fault(0, FaultPlan::panic_at(45))
             .unwrap();

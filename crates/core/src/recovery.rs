@@ -29,11 +29,12 @@
 //!    checkpoint of the result as the
 //!    durable cut — so the cut always has the running chain's shape and
 //!    shard count,
-//! 3. when a run fails with `WorkerFailed` — while ingesting, draining, or
-//!    in the drain a migration starts with — the session rebuilds every
-//!    shard's plan fresh for its *current* workload, slicing and shard count
-//!    ([`ShardedExecutor::recover_reset`], dropping the crash's partial
-//!    work), restores the last checkpoint inside an executor pause, replays
+//! 3. when a run fails with `WorkerFailed` — in any drain, the one a full
+//!    ring forces and the one a migration starts with included — the
+//!    session replaces every shard's plan with a fresh one for its *current*
+//!    workload, slicing and shard count ([`ShardedExecutor::replace_plans`],
+//!    the call a migration makes too, dropping the crash's partial work),
+//!    restores the last checkpoint inside an executor pause, replays
 //!    the ring in order through its ordinary ingest path, and re-drains — on
 //!    the same worker pool, no threads are respawned.
 //!
@@ -50,10 +51,9 @@
 //! its migrations and adaptation decisions.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use streamkit::checkpoint::Checkpoint;
-use streamkit::error::{panic_message, Result, StreamError};
+use streamkit::error::{Result, StreamError};
 use streamkit::queue::StreamItem;
 use streamkit::shard::ShardedExecutor;
 use streamkit::{Plan, Timestamp};
@@ -243,30 +243,19 @@ impl Recovery {
         record
     }
 
-    /// Reset a failed executor onto fresh `plans` and restore the last
-    /// checkpoint into them.  The stall is an executor pause, excluded from
-    /// the service-rate denominator like a migration pause.  Returns the
-    /// number of in-flight items the crash's partial work dropped.
+    /// Replace a failed executor's plans with fresh `plans` and restore the
+    /// last checkpoint into them.  The stall is an executor pause, excluded
+    /// from the service-rate denominator like a migration pause.  Returns
+    /// the number of in-flight items the crash's partial work dropped.
     pub(crate) fn restore(&self, exec: &mut ShardedExecutor, plans: Vec<Plan>) -> Result<u64> {
         exec.pause();
-        let restored = exec
-            .recover_reset(plans)
-            .and_then(|dropped| self.last.restore(exec).map(|()| dropped));
+        // The crashed plans are freed before the restore allocates anew.
+        let restored = exec.replace_plans(plans).and_then(|(crashed, dropped)| {
+            drop(crashed);
+            self.last.restore(exec).map(|()| dropped)
+        });
         exec.resume();
         restored
-    }
-}
-
-/// Run an executor step, converting an escaped panic (the single-shard
-/// inline path has no worker-loop harness) into a typed
-/// [`StreamError::WorkerFailed`].
-pub(crate) fn caught<T>(step: AssertUnwindSafe<impl FnOnce() -> Result<T>>) -> Result<T> {
-    match catch_unwind(step) {
-        Ok(outcome) => outcome,
-        Err(payload) => Err(StreamError::WorkerFailed(format!(
-            "inline execution panicked: {}",
-            panic_message(payload)
-        ))),
     }
 }
 

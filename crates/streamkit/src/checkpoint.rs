@@ -7,23 +7,26 @@
 //! consistent cut: capturing (a) each plan node's own [`NodeState`] — a
 //! slice's stored tuples, a union's per-port watermarks, a sink's cumulative
 //! counters — through [`Operator::node_state`](crate::Operator::node_state),
-//! (b) each shard executor's ingest counters, plus the router's hot set and
-//! broadcast-copy count, fully determines the session, because everything
-//! in flight has either been absorbed into a window state or delivered to a
-//! sink.  The hot set belongs to the cut because the states replicate
-//! exactly those keys' probe-side buckets: restoring one without the other
-//! would spread a key's build side to shards that lack its probe bucket.
+//! (b) each shard executor's ingest counters and the sink deliveries of the
+//! plans it retired, plus the router's hot set and broadcast-copy count,
+//! fully determines the session, because everything in flight has either
+//! been absorbed into a window state or delivered to a sink.  The hot set
+//! belongs to the cut because the states replicate exactly those keys'
+//! probe-side buckets: restoring one without the other would spread a key's
+//! build side to shards that lack its probe bucket.
 //!
 //! [`Checkpoint::capture`] takes such a snapshot from a drained
 //! [`ShardedExecutor`] without disturbing it; [`Checkpoint::restore`] loads
 //! it back, node by node through
 //! [`Operator::restore_state`](crate::Operator::restore_state), into a
-//! session whose plans were rebuilt fresh (see
-//! `ShardedExecutor::recover_reset`).  Restoration is **absolute**, not
-//! additive: sink counts, ingest counters and the hot set are overwritten
-//! with the checkpointed values, and crash recovery then replays the
-//! post-checkpoint input, which re-delivers the post-checkpoint results
-//! exactly once (`core::recovery`).
+//! session whose plans were replaced with fresh instances
+//! ([`ShardedExecutor::replace_plans`]).  Restoration is **absolute**, not
+//! additive: sink counts, retired-plan deliveries, ingest counters and the
+//! hot set are overwritten with the checkpointed values, and crash recovery
+//! then replays the post-checkpoint input, which re-delivers the
+//! post-checkpoint results exactly once (`core::recovery`).
+
+use std::collections::HashMap;
 
 use crate::error::{Result, StreamError};
 use crate::executor::Executor;
@@ -161,7 +164,8 @@ impl NodeState {
 }
 
 /// Snapshot of one shard: its plan nodes plus the executor's ingest
-/// counters (restored absolutely so replayed input is counted exactly once).
+/// counters and retired-plan deliveries (restored absolutely so replayed
+/// input and results are counted exactly once).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCheckpoint {
     /// Per-node state in plan node-id order.
@@ -175,6 +179,9 @@ pub struct ShardCheckpoint {
     /// Punctuation epochs observed (the clock faults and checkpoints
     /// align to).
     pub punct_epochs: u64,
+    /// Sink deliveries of the plans the executor retired
+    /// ([`Executor::replace_plan`]), by sink name.
+    pub retired_sinks: HashMap<String, u64>,
 }
 
 impl ShardCheckpoint {
@@ -202,6 +209,7 @@ impl ShardCheckpoint {
             ingested_by_stream,
             ingest_max_ts_secs,
             punct_epochs,
+            retired_sinks: exec.carried_sinks.clone(),
         })
     }
 
@@ -234,6 +242,7 @@ impl ShardCheckpoint {
             self.ingest_max_ts_secs,
             self.punct_epochs,
         );
+        exec.carried_sinks = self.retired_sinks.clone();
         Ok(())
     }
 }
@@ -296,11 +305,12 @@ impl Checkpoint {
         })
     }
 
-    /// Load this snapshot into a session whose plans were rebuilt fresh
-    /// (e.g. via `ShardedExecutor::recover_reset`).  The shard count and
-    /// plan shape must match the captured session, and a non-empty hot set
-    /// needs a session with skew routing.  The router's hot set becomes
-    /// exactly the checkpoint's; its frequency sketch is kept.
+    /// Load this snapshot into a session whose plans were replaced with
+    /// fresh instances ([`ShardedExecutor::replace_plans`]).  The shard
+    /// count and plan shape must match the captured session, and a
+    /// non-empty hot set needs a session with skew routing.  The router's
+    /// hot set becomes exactly the checkpoint's; its frequency sketch is
+    /// kept.
     pub fn restore(&self, session: &mut ShardedExecutor) -> Result<()> {
         if self.version != CHECKPOINT_VERSION {
             return Err(StreamError::Checkpoint(format!(

@@ -220,12 +220,13 @@ pub struct Executor {
     pause_started: Option<Instant>,
     /// Scheduler rounds accumulated over every run.
     total_rounds: u64,
-    /// Counters of operators retired by [`Executor::swap_plan`], folded into
-    /// every subsequent report's totals.
+    /// Counters of operators retired by [`Executor::replace_plan`], folded
+    /// into every subsequent report's totals.
     carried_totals: CostCounters,
-    /// Sink deliveries of plans retired by [`Executor::swap_plan`], folded
-    /// into every subsequent report's sink counts.
-    carried_sinks: HashMap<String, u64>,
+    /// Sink deliveries of plans retired by [`Executor::replace_plan`],
+    /// folded into every subsequent report's sink counts.  A checkpoint
+    /// captures and restores them absolutely, like the sinks themselves.
+    pub(crate) carried_sinks: HashMap<String, u64>,
     /// Data tuples ingested per stream (A, B); tuples of other streams and
     /// pre-built columnar batches count only into `ingested`.
     ingested_by_stream: [u64; 2],
@@ -351,64 +352,31 @@ impl Executor {
         }
     }
 
-    /// Replace the executed plan with a new one, returning the old plan (so
-    /// the caller can harvest operator state — the online chain migration
-    /// path drains the old slices' states into the new plan's slices).
+    /// Replace the executed plan with `plan`, returning the old plan (so
+    /// the caller can harvest its sinks) and the number of queued items
+    /// dropped with it: queued items belong to the old plan's topology and
+    /// cannot be re-addressed.  A migration replaces a drained executor and
+    /// drops nothing; crash recovery replaces a suspect one, whose queued
+    /// items are work the crash lost (the session replays them).
     ///
-    /// Requires every input queue to be drained: in-flight items belong to
-    /// the old plan's topology and cannot be re-addressed.  Statistics
-    /// continuity: the old plan's operator counters and sink deliveries are
-    /// folded into carried totals so subsequent reports remain cumulative
-    /// over the executor's whole lifetime; per-node statistics and peaks
-    /// restart with the new plan (the node lists are not comparable).
-    pub fn swap_plan(&mut self, plan: Plan) -> Result<Plan> {
-        if self.total_backlog != 0 {
-            return Err(StreamError::Execution(format!(
-                "cannot swap the plan with {} items still queued; drain first",
-                self.total_backlog
-            )));
+    /// The old operators' counters and sink deliveries are folded into the
+    /// carried totals, so reports stay cumulative over the executor's whole
+    /// lifetime; a checkpoint restore overwrites the carried deliveries, so
+    /// a crashed plan's are not counted twice.  Per-node statistics and
+    /// peaks restart with the new plan (the node lists are not comparable),
+    /// and an armed mid-run poison clears.  The memory-sampling counter
+    /// restarts only when queued items were dropped, so a migration keeps
+    /// its sampling cadence.
+    pub fn replace_plan(&mut self, plan: Plan) -> (Plan, usize) {
+        let dropped = self.total_backlog;
+        for counters in &self.node_counters {
+            self.carried_totals.add(counters);
         }
         for sink in self.plan.sinks() {
             *self
                 .carried_sinks
                 .entry(sink.name().to_string())
                 .or_insert(0) += sink.count();
-        }
-        Ok(self.install_plan(plan))
-    }
-
-    /// Crash-recovery variant of [`Executor::swap_plan`]: replace the plan
-    /// of an executor whose state is *suspect* (a caught worker panic may
-    /// have interrupted it mid-run).  Unlike `swap_plan` it
-    ///
-    /// * tolerates queued items — they belong to work the crash lost and
-    ///   are dropped (the session re-delivers everything since the
-    ///   checkpoint from its replay ring),
-    /// * folds the old operators' cost counters into the carried totals
-    ///   (the CPU work genuinely happened; replayed work is then honestly
-    ///   counted a second time and reported separately as replay volume),
-    /// * does **not** fold the old sinks' delivery counts — the checkpoint
-    ///   restores sink state absolutely, and replay re-delivers the
-    ///   post-checkpoint results, so carrying the crashed plan's counts
-    ///   would double-count them.
-    ///
-    /// Returns the number of queued items that were dropped.
-    pub fn recover_plan(&mut self, plan: Plan) -> usize {
-        let dropped = self.total_backlog;
-        self.install_plan(plan);
-        self.processed_since_sample = 0;
-        self.fault_poison_armed = false;
-        dropped
-    }
-
-    /// The plan install both [`Executor::swap_plan`] and
-    /// [`Executor::recover_plan`] end with: fold the retiring operators'
-    /// counters into the carried totals, then rebuild queues and routing
-    /// and restart per-node counters, peaks and backlog for `plan`.
-    /// Returns the retired plan.
-    fn install_plan(&mut self, plan: Plan) -> Plan {
-        for counters in &self.node_counters {
-            self.carried_totals.add(counters);
         }
         let old = std::mem::replace(&mut self.plan, plan);
         self.queues = Self::build_queues(&self.plan);
@@ -419,7 +387,11 @@ impl Executor {
         self.peak_state_bytes = vec![0; n];
         self.node_backlog = vec![0; n];
         self.total_backlog = 0;
-        old
+        if dropped > 0 {
+            self.processed_since_sample = 0;
+        }
+        self.fault_poison_armed = false;
+        (old, dropped)
     }
 
     /// Track per-stream ingest counts and stream-time progress
@@ -1130,8 +1102,9 @@ mod tests {
         let second = exec.run().unwrap();
         assert_eq!(second.ingested_by_stream, [11, 5]);
         assert_eq!(second.ingest_max_ts_secs, 12.0);
-        // A plan swap restarts the per-node statistics, not the stream's.
-        exec.swap_plan(join_plan()).unwrap();
+        // A plan replacement restarts the per-node statistics, not the
+        // stream's.
+        exec.replace_plan(join_plan());
         let third = exec.run().unwrap();
         assert_eq!(third.ingested_by_stream, [11, 5]);
         assert_eq!(third.ingest_max_ts_secs, 12.0);
@@ -1146,7 +1119,8 @@ mod tests {
         assert_eq!(before.sink_count("q1"), 1);
         assert!(before.totals.probe_comparisons > 0);
         assert!(exec.is_drained());
-        let old = exec.swap_plan(join_plan()).unwrap();
+        let (old, dropped) = exec.replace_plan(join_plan());
+        assert_eq!(dropped, 0);
         // The old plan is handed back for state harvesting.
         assert!(old.sink("q1").is_some());
         assert_eq!(old.sink("q1").unwrap().count(), 1);
@@ -1161,13 +1135,16 @@ mod tests {
     }
 
     #[test]
-    fn swap_plan_refuses_undrained_queues() {
+    fn replace_plan_drops_and_counts_queued_items() {
         let mut exec = Executor::new(join_plan());
         exec.ingest("A", a(1, 7)).unwrap();
+        exec.ingest("B", b(2, 7)).unwrap();
         assert!(!exec.is_drained());
-        assert!(exec.swap_plan(join_plan()).is_err());
-        exec.run().unwrap();
-        assert!(exec.swap_plan(join_plan()).is_ok());
+        let (_, dropped) = exec.replace_plan(join_plan());
+        assert_eq!(dropped, 2);
+        assert!(exec.is_drained());
+        // The dropped items never reach the fresh plan's sink.
+        assert_eq!(exec.run().unwrap().sink_count("q1"), 0);
     }
 
     fn synthetic_report(

@@ -20,8 +20,8 @@
 //!   barriers.  [`Job::Adopt`] moves an executor to its worker, [`Job::Run`]
 //!   feeds it a run of [`StreamItem`]s to ingest and process, and
 //!   [`Job::Park`] finishes outstanding work and hands the executor back
-//!   through a reply channel.  While parked, `pause`/`resume`/`swap_plans`
-//!   and live-reslice plan surgery operate on the executors directly, with no
+//!   through a reply channel.  While parked, `pause`/`resume`/`replace_plans`
+//!   and the state moves operate on the executors directly, with no
 //!   locking — the workers never touch a parked executor.
 //! * **Run granularity matches [`crate::queue::Queue::pop_run_into`].**  A
 //!   `Job::Run` carries a timestamp-ordered batch; items with equal
@@ -371,8 +371,9 @@ impl Drop for WorkerPool {
 /// executor's in-memory state after a caught panic is *suspect* (the panic
 /// may have interrupted processing mid-tuple); recovery discards it and
 /// restores from the last checkpoint, so handing the executor back anyway is
-/// safe and keeps the shard slot occupied.
-fn run_caught(shard: usize, step: impl FnOnce() -> Result<()>) -> Result<()> {
+/// safe and keeps the shard slot occupied.  A single shard, whose worker is
+/// the caller's thread, runs behind the same barrier.
+pub(crate) fn run_caught<T>(shard: usize, step: impl FnOnce() -> Result<T>) -> Result<T> {
     match catch_unwind(AssertUnwindSafe(step)) {
         Ok(outcome) => outcome,
         Err(payload) => Err(StreamError::WorkerFailed(format!(
@@ -618,7 +619,7 @@ mod tests {
     #[test]
     fn run_caught_converts_panics_to_worker_failed() {
         assert!(run_caught(0, || Ok(())).is_ok());
-        let err = with_quiet_panics(|| run_caught(3, || panic!("boom {}", 42)));
+        let err = with_quiet_panics(|| run_caught::<()>(3, || panic!("boom {}", 42)));
         match err {
             Err(StreamError::WorkerFailed(msg)) => {
                 assert!(msg.contains("shard 3"), "got: {msg}");

@@ -19,14 +19,20 @@
 //!
 //! Execution runs on a [`WorkerPool`](crate::pool::WorkerPool) created once
 //! at construction: one long-lived worker per shard, fed by a bounded SPSC
-//! ring of timestamp-ordered runs.  `run` never spawns threads.  Between
-//! runs the executors are **parked** inside this wrapper, so
-//! `pause`/`resume`/`swap_plans` and live-reslice plan surgery work on them
+//! ring of timestamp-ordered runs.  `run` never spawns threads.  A single
+//! shard has no parallelism to exploit, so its worker is the caller's
+//! thread: `ingest` hands it each item and `run` runs it — a worker thread
+//! would only move the shard's state to another core at every run.  Every
+//! executor step runs behind the pool's panic barrier, so a panic in one
+//! comes back as [`StreamError::WorkerFailed`], while a panic in the
+//! router, or in a hot-key move on the parked states, unwinds to the
+//! caller.  Between runs the executors are **parked** inside this wrapper,
+//! so `pause`/`resume`/`replace_plans` and the state moves work on them
 //! directly; a `run` call checks all executors out to their workers
 //! ([`crate::pool::Job::Adopt`]), streams the buffered input runs, then
 //! parks them back and merges reports.  The router buffers up to
-//! [`ShardedExecutor::set_router_batch`] items per shard before forwarding a
-//! run; a full ring blocks the router and is accounted in
+//! [`ShardedExecutor::set_router_batch`] items per shard before forwarding
+//! a run; a full ring blocks the router and is accounted in
 //! [`crate::CostCounters::router_stalls`], with ring high-water marks in
 //! [`crate::MemoryStats::peak_ring_runs`].
 //!
@@ -75,7 +81,7 @@ use crate::fault::FaultPlan;
 use crate::join_state::{equi_key_fields, memoize_key, tuple_key};
 use crate::ops::SliceJoinOp;
 use crate::plan::Plan;
-use crate::pool::{Job, WorkerPool, DEFAULT_RING_CAPACITY};
+use crate::pool::{run_caught, Job, WorkerPool, DEFAULT_RING_CAPACITY};
 use crate::predicate::JoinCondition;
 use crate::queue::StreamItem;
 use crate::skew::{demote_key, promote_key, HotKeyTracker, SkewConfig};
@@ -84,12 +90,6 @@ use crate::tuple::{KeyClass, StreamId, Tuple};
 /// Default number of items the router buffers per shard before forwarding
 /// them to the shard's worker as one run.
 pub const DEFAULT_ROUTER_BATCH: usize = 128;
-
-/// Every multi-shard session holds its worker pool for life; a missing pool
-/// is an internal invariant breach, reported typed instead of panicking.
-fn lost_pool() -> StreamError {
-    StreamError::Execution("multi-shard session lost its worker pool".to_string())
-}
 
 /// How to extract the partitioning key from an input tuple: one key field
 /// per join side, stream A's and stream B's (they differ for equi
@@ -209,7 +209,8 @@ pub struct ShardedExecutor {
     shards: Vec<Executor>,
     count: usize,
     spec: ShardSpec,
-    /// The persistent workers; `None` only for the 1-shard fast path.
+    /// The persistent workers, one per shard; `None` for a single shard,
+    /// whose worker is the caller's thread.
     pool: Option<WorkerPool>,
     /// Whether the executors are currently checked out to the workers.
     active: bool,
@@ -253,11 +254,7 @@ impl ShardedExecutor {
     pub fn with_config(plans: Vec<Plan>, spec: ShardSpec, config: ExecutorConfig) -> Result<Self> {
         Self::validate_instances(&plans)?;
         let count = plans.len();
-        let entry_names = plans[0]
-            .entry_names()
-            .into_iter()
-            .map(String::from)
-            .collect();
+        let entry_names = Self::entry_names(&plans[0]);
         Ok(ShardedExecutor {
             shards: plans
                 .into_iter()
@@ -265,8 +262,8 @@ impl ShardedExecutor {
                 .collect(),
             count,
             spec,
-            // One persistent worker per shard, created exactly once; the
-            // 1-shard case runs inline and needs no pool.
+            // A single shard has no parallelism to exploit, and a worker
+            // thread would only move its state to another core at every run.
             pool: (count > 1).then(|| WorkerPool::new(count, DEFAULT_RING_CAPACITY)),
             active: false,
             pending: vec![Vec::new(); count],
@@ -300,6 +297,10 @@ impl ShardedExecutor {
             ));
         }
         Ok(())
+    }
+
+    fn entry_names(plan: &Plan) -> Vec<String> {
+        plan.entry_names().into_iter().map(String::from).collect()
     }
 
     /// Number of shards.
@@ -376,8 +377,7 @@ impl ShardedExecutor {
     pub fn ring_peaks(&self) -> Vec<usize> {
         self.pool
             .as_ref()
-            .map(|pool| pool.ring_peaks())
-            .unwrap_or_else(|| vec![0; self.count])
+            .map_or_else(|| vec![0; self.count], WorkerPool::ring_peaks)
     }
 
     fn expect_parked(&self, what: &str) {
@@ -465,37 +465,6 @@ impl ShardedExecutor {
         }
     }
 
-    /// Replace every shard's plan with a fresh instance, returning the old
-    /// plans in shard order for sink harvesting.  All shards must be drained;
-    /// the instance count must match the shard count (rescaling the shard
-    /// count builds a new executor instead).  Statistics stay cumulative per
-    /// shard ([`Executor::swap_plan`]).
-    pub fn swap_plans(&mut self, plans: Vec<Plan>) -> Result<Vec<Plan>> {
-        if plans.len() != self.count {
-            return Err(StreamError::InvalidConfig(format!(
-                "got {} plan instances for {} shards",
-                plans.len(),
-                self.count
-            )));
-        }
-        Self::validate_instances(&plans)?;
-        if !self.is_drained() {
-            return Err(StreamError::Execution(
-                "cannot swap plans with items still queued; drain first".to_string(),
-            ));
-        }
-        self.entry_names = plans[0]
-            .entry_names()
-            .into_iter()
-            .map(String::from)
-            .collect();
-        let mut old = Vec::with_capacity(plans.len());
-        for (shard, plan) in self.shards.iter_mut().zip(plans) {
-            old.push(shard.swap_plan(plan)?);
-        }
-        Ok(old)
-    }
-
     /// Arm a deterministic fault on one shard's executor (see
     /// [`crate::fault`]).  Panics while a run is in flight, like the other
     /// parked-state accessors.
@@ -511,16 +480,16 @@ impl ShardedExecutor {
         Ok(())
     }
 
-    /// Reset the session after a failed run so a checkpoint can be
-    /// restored: drop the router-side buffered runs (they belong to work
-    /// the crash lost) and replace every shard's plan with a fresh instance
-    /// via [`Executor::recover_plan`] — which, unlike
-    /// [`ShardedExecutor::swap_plans`], tolerates the queued items a caught
-    /// worker panic leaves behind and drops them too.  Returns the total
-    /// number of items dropped (router-side plus in-executor); the session
-    /// re-delivers everything since the checkpoint from its replay ring.
-    pub fn recover_reset(&mut self, plans: Vec<Plan>) -> Result<u64> {
-        self.expect_parked("recover_reset()");
+    /// Replace every shard's plan with a fresh instance
+    /// ([`Executor::replace_plan`]) and drop the router-side buffered runs.
+    /// Returns the old plans in shard order, for sink harvesting, and the
+    /// items dropped, router-side and queued in the shards.  A migration
+    /// replaces settled plans and drops nothing; crash recovery drops the
+    /// crash's partial work, which the session replays from its ring.  The
+    /// instance count must match the shard count (rescaling the shard count
+    /// builds a new executor instead).  Panics while a run is in flight.
+    pub fn replace_plans(&mut self, plans: Vec<Plan>) -> Result<(Vec<Plan>, u64)> {
+        self.expect_parked("replace_plans()");
         if plans.len() != self.count {
             return Err(StreamError::InvalidConfig(format!(
                 "got {} plan instances for {} shards",
@@ -530,21 +499,16 @@ impl ShardedExecutor {
         }
         Self::validate_instances(&plans)?;
         let mut dropped: u64 = self.pending_len.iter().map(|&n| n as u64).sum();
-        for buf in &mut self.pending {
-            buf.clear();
-        }
-        for n in &mut self.pending_len {
-            *n = 0;
-        }
-        self.entry_names = plans[0]
-            .entry_names()
-            .into_iter()
-            .map(String::from)
-            .collect();
+        self.pending.iter_mut().for_each(Vec::clear);
+        self.pending_len.fill(0);
+        self.entry_names = Self::entry_names(&plans[0]);
+        let mut old = Vec::with_capacity(self.count);
         for (shard, plan) in self.shards.iter_mut().zip(plans) {
-            dropped += shard.recover_plan(plan) as u64;
+            let (retired, queued) = shard.replace_plan(plan);
+            old.push(retired);
+            dropped += queued as u64;
         }
-        Ok(dropped)
+        Ok((old, dropped))
     }
 
     /// The shard a tuple routes to under plain hash routing (hot keys
@@ -573,30 +537,6 @@ impl ShardedExecutor {
         item: impl Into<StreamItem>,
     ) -> Result<Option<usize>> {
         let item = item.into();
-        if self.count == 1 {
-            // Fast path: no routing, no pool.
-            return match item {
-                StreamItem::Tuple(mut t) => {
-                    self.spec.route(&mut t, 1);
-                    self.stats.routed_tuples[0] += 1;
-                    self.stats.hash_routed += 1;
-                    self.shards[0].ingest(entry, t)?;
-                    Ok(Some(0))
-                }
-                StreamItem::Batch(b) => {
-                    // Ingest-side batches are routed row by row (routing may
-                    // scatter a batch's rows across shards in general).
-                    for t in b.materialize() {
-                        self.ingest_routed(entry, t)?;
-                    }
-                    Ok(None)
-                }
-                StreamItem::Punctuation(p) => {
-                    self.shards[0].ingest(entry, p)?;
-                    Ok(None)
-                }
-            };
-        }
         self.check_entry(entry)?;
         match item {
             StreamItem::Tuple(mut t) => {
@@ -672,8 +612,13 @@ impl ShardedExecutor {
     }
 
     /// Buffer an item for `shard`, forwarding a run to the worker when the
-    /// shard's buffer reaches the router batch size.
+    /// shard's buffer reaches the router batch size.  A single shard takes
+    /// the item directly, on the caller's thread.
     fn push_pending(&mut self, shard: usize, entry: &str, item: StreamItem) -> Result<()> {
+        if self.pool.is_none() {
+            let exec = &mut self.shards[shard];
+            return run_caught(shard, || exec.ingest(entry, item));
+        }
         let buf = &mut self.pending[shard];
         match buf.last_mut() {
             Some((e, items)) if e == entry => items.push(item),
@@ -686,12 +631,15 @@ impl ShardedExecutor {
         Ok(())
     }
 
-    /// Check all executors out to their workers.
+    /// Check all executors out to their workers (a single shard stays
+    /// parked: its worker is the caller's thread).
     fn ensure_active(&mut self) -> Result<()> {
+        let Some(pool) = &self.pool else {
+            return Ok(());
+        };
         if self.active {
             return Ok(());
         }
-        let pool = self.pool.as_ref().ok_or_else(lost_pool)?;
         for (shard, exec) in self.shards.drain(..).enumerate() {
             pool.send(shard, Job::Adopt(Box::new(exec)))?;
         }
@@ -699,15 +647,18 @@ impl ShardedExecutor {
         Ok(())
     }
 
-    /// Forward `shard`'s buffered runs to its worker.
+    /// Forward `shard`'s buffered runs to its worker (a single shard
+    /// buffers nothing).
     fn flush_shard(&mut self, shard: usize) -> Result<()> {
         if self.pending_len[shard] == 0 {
             return Ok(());
         }
         self.ensure_active()?;
+        let Some(pool) = &self.pool else {
+            return Ok(());
+        };
         let runs = std::mem::take(&mut self.pending[shard]);
         self.pending_len[shard] = 0;
-        let pool = self.pool.as_ref().ok_or_else(lost_pool)?;
         for (entry, items) in runs {
             if pool.send(shard, Job::Run { entry, items })? {
                 self.stats.stalls += 1;
@@ -720,17 +671,17 @@ impl ShardedExecutor {
     /// on the parked executors (skew routing only) and merge the per-shard
     /// reports ([`ExecutionReport::merge`]).  No threads are spawned: the
     /// pool was created with the executor and is reused across every run and
-    /// live-reslice epoch.
+    /// live-reslice epoch.  A single shard runs on the caller's thread,
+    /// behind the same panic barrier.
     pub fn run(&mut self) -> Result<ExecutionReport> {
-        if self.count == 1 {
-            // No parallelism to exploit; skip the pool machinery.
-            return self.shards[0].run();
-        }
         self.ensure_active()?;
         for shard in 0..self.count {
             self.flush_shard(shard)?;
         }
-        let parked = self.pool.as_ref().ok_or_else(lost_pool)?.park_all()?;
+        let Some(pool) = &self.pool else {
+            return run_caught(0, || self.shards[0].run());
+        };
+        let parked = pool.park_all()?;
         self.active = false;
         let mut first_err: Option<StreamError> = None;
         let mut executors = Vec::with_capacity(self.count);
@@ -806,6 +757,7 @@ impl ShardedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::ops::{SinkOp, SliceJoinOp};
     use crate::predicate::JoinCondition;
     use crate::punctuation::Punctuation;
@@ -958,17 +910,16 @@ mod tests {
         );
         // Unknown entries are rejected at the router.
         assert!(exec.ingest("nope", a(1, 1)).is_err());
-        // Swapping while undrained is refused; after a run it succeeds.
+        // Replacing undrained plans drops the buffered tuple and both
+        // punctuation copies, and counts them.
         let fresh: Vec<Plan> = (0..2).map(|_| join_plan(false)).collect();
         assert!(!exec.is_drained());
-        assert!(exec.swap_plans(fresh).is_err());
-        exec.run().unwrap();
+        let (old, dropped) = exec.replace_plans(fresh).unwrap();
+        assert_eq!((old.len(), dropped), (2, 3));
         assert!(exec.is_drained());
-        let fresh: Vec<Plan> = (0..2).map(|_| join_plan(false)).collect();
-        let old = exec.swap_plans(fresh).unwrap();
-        assert_eq!(old.len(), 2);
+        assert_eq!(exec.run().unwrap().ingested, 0);
         // Wrong instance count is rejected up front.
-        assert!(exec.swap_plans(vec![join_plan(false)]).is_err());
+        assert!(exec.replace_plans(vec![join_plan(false)]).is_err());
         // Pause/resume fan out to every shard.
         exec.pause();
         exec.resume();
@@ -1007,6 +958,38 @@ mod tests {
         // And a third, empty run still works.
         let third = exec.run().unwrap();
         assert_eq!(third.ingested, second.ingested);
+    }
+
+    #[test]
+    fn a_single_shard_runs_on_the_callers_thread_behind_the_panic_barrier() {
+        let mut exec =
+            ShardedExecutor::new(vec![join_plan(false)], ShardSpec::symmetric(0)).unwrap();
+        exec.set_router_batch(4);
+        let (aa, bb) = inputs();
+        exec.ingest_all("A", aa).unwrap();
+        exec.ingest_all("B", bb).unwrap();
+        // The items wait in the shard's own queues: no worker took them.
+        assert!(!exec.is_drained());
+        let report = exec.run().unwrap();
+        assert!(exec.is_drained());
+        assert_eq!(exec.ring_peaks(), vec![0]);
+        assert_eq!(report.memory.peak_ring_runs, 0);
+        let (two_shards, _) = run_with_shards(2);
+        assert_eq!(report.sink_count("q1"), two_shards.sink_count("q1"));
+        // A panic in the shard's ingest or run comes back typed, as a
+        // worker's would, and leaves the executor parked for recovery.
+        let worker_failed = |outcome: Result<()>| match outcome {
+            Err(StreamError::WorkerFailed(msg)) => assert!(msg.contains("shard 0"), "got: {msg}"),
+            other => panic!("expected WorkerFailed, got {other:?}"),
+        };
+        exec.arm_fault(0, FaultPlan::panic_at(1)).unwrap();
+        worker_failed(exec.ingest("A", Punctuation::new(Timestamp::from_secs(70))));
+        exec.arm_fault(0, FaultPlan::poison_at(2)).unwrap();
+        exec.ingest("A", a(71, 1)).unwrap();
+        exec.ingest("A", Punctuation::new(Timestamp::from_secs(72)))
+            .unwrap();
+        worker_failed(exec.run().map(|_| ()));
+        assert!(exec.is_parked());
     }
 
     #[test]

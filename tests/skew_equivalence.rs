@@ -464,6 +464,48 @@ fn query_churn_with_a_hot_key_matches_the_reference() {
     assert_eq!(skewed, oracle);
 }
 
+#[test]
+fn a_recut_after_hot_broadcasts_ages_every_shard_against_them() {
+    let options = SessionOptions {
+        planner: PlannerOptions {
+            retain_results: false,
+            shards: test_shards(),
+        },
+        ..SessionOptions::default()
+    };
+    let queries = vec![
+        JoinQuery::new("QA", TimeDelta::from_secs(15)),
+        JoinQuery::new("C5", TimeDelta::from_secs(5)),
+    ];
+    let workload = QueryWorkload::new(queries, JoinCondition::equi(0)).unwrap();
+    let mut live = Session::launch(workload, options).unwrap();
+    live.executor_mut().enable_skew(eager_skew()).unwrap();
+    // Seconds 0-6 dominated by key 0: the drain promotes it.
+    live.ingest_all(dominant_key_chunk(0, 31)).unwrap();
+    live.drain().unwrap();
+    assert!(!live.executor().hot_keys().is_empty(), "key 0 is hot");
+    // Seconds 7-12: only key-0 B tuples, each broadcast to every shard,
+    // where it is a male that ages the stored A tuples.
+    live.ingest_all((70..=120).map(|tenths| tuple(StreamId::B, tenths, 0, 0)))
+        .unwrap();
+    live.drain().unwrap();
+    live.add_query(JoinQuery::new("C10", TimeDelta::from_secs(10)))
+        .unwrap();
+    let newest_b = Timestamp::from_secs(12);
+    for (shard, chain) in live.executor().window_states().iter().enumerate() {
+        for state in chain {
+            for t in &state.side_a {
+                assert!(
+                    newest_b.saturating_sub(t.ts) < state.window.end,
+                    "shard {shard}: A tuple at {} sits in {} though the newest B is {newest_b}",
+                    t.ts,
+                    state.window
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

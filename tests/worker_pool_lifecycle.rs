@@ -2,7 +2,7 @@
 //!
 //! The sharded executor creates its worker threads once (one per shard,
 //! each fed by a bounded SPSC ring) and reuses them across every
-//! `run`/`pause`/`resume`/`swap_plans` cycle the [`Session`] drives.
+//! `run`/`pause`/`resume`/`replace_plans` cycle the [`Session`] drives.
 //! This suite pins the lifecycle invariants:
 //!
 //! * **no worker leaks** — the process thread count (via `/proc/self/task`)
