@@ -19,8 +19,10 @@
 //!    slices in one pass ([`recut_chain`]): states whose shared boundary the
 //!    new chain drops are concatenated
 //!    ([`merge_slice_states`](crate::migration::merge_slice_states)), states
-//!    a new boundary falls inside are re-cut by tuple age
-//!    ([`split_slice_state_eager`](crate::migration::split_slice_state_eager)),
+//!    a new boundary falls inside are re-cut by tuple age against the shard
+//!    executor's own purge watermarks
+//!    ([`split_slice_state_eager`](crate::migration::split_slice_state_eager),
+//!    [`Executor::progress`](streamkit::Executor::progress)),
 //!    and a boundary both chains share moves nothing; the stored tuples'
 //!    selection lineage is then re-derived for the new query set, as the new
 //!    chain's lineage annotator and gates would have left it,
@@ -37,7 +39,8 @@
 //! partition, so the per-shard re-cut is exactly the single-chain protocol N
 //! times), and [`rescale_shards`](Session::rescale_shards) runs the same
 //! sequence with [`rehash_shard_states`] in place of the re-cut and a fresh
-//! executor over the new shard count in place of the plan replacement.  Hot
+//! executor over the new shard count in place of the plan replacement, whose
+//! shards start their clocks at the old shards' latest males.  Hot
 //! keys of skew routing move through the same read/write pair: the executor
 //! promotes and demotes them at the end of every run, on its parked states
 //! ([`streamkit::skew`]), and a rescale first demotes every hot key as data
@@ -86,8 +89,8 @@ use streamkit::error::{Result, StreamError};
 use streamkit::queue::StreamItem;
 use streamkit::shard::ShardedExecutor;
 use streamkit::skew::demote_key;
-use streamkit::tuple::Tuple;
-use streamkit::{ExecutionReport, ExecutorConfig, Plan, TimeDelta, Timestamp};
+use streamkit::tuple::{StreamId, Tuple};
+use streamkit::{ExecutionReport, Executor, ExecutorConfig, IngestProgress, Plan, TimeDelta};
 
 use crate::adaptive::{AdaptationRecord, Remedy, Supervisor, SupervisorConfig};
 use crate::builder::{ChainBuilder, ChainPlanFactory, CostConfig};
@@ -273,8 +276,6 @@ pub struct Session {
     spec: ChainSpec,
     options: SessionOptions,
     exec: ShardedExecutor,
-    /// Per-shard purge progress: last male per stream routed to the shard.
-    shard_hw: Vec<PurgeWatermarks>,
     active: HashMap<String, QueryResults>,
     finished: Vec<QueryResults>,
     /// Every boundary event, in the order it happened.
@@ -304,7 +305,6 @@ impl Session {
             .map(|q| (q.name.clone(), Self::fresh_results(q, 0)))
             .collect();
         Ok(Session {
-            shard_hw: vec![PurgeWatermarks::default(); exec.num_shards()],
             workload,
             spec,
             options,
@@ -423,7 +423,7 @@ impl Session {
             }
         }
         self.recovery.record(&item);
-        match self.route(item) {
+        match self.exec.ingest(CHAIN_ENTRY, item) {
             Err(StreamError::WorkerFailed(trigger)) => self.recover(trigger),
             other => other,
         }
@@ -437,29 +437,6 @@ impl Session {
     {
         for item in items {
             self.ingest(item)?;
-        }
-        Ok(())
-    }
-
-    /// Hand one item to the executor, advancing the purge watermark of the
-    /// shard a tuple went to, or of every shard for a broadcast hot-key
-    /// tuple (it is a male on each).  Ingest-side batches are not part of
-    /// the chain protocol (the sharded executor scatters their rows); they
-    /// do not advance it.
-    fn route(&mut self, item: StreamItem) -> Result<()> {
-        let mark = match &item {
-            StreamItem::Tuple(t) => Some((t.stream, t.ts)),
-            StreamItem::Batch(_) | StreamItem::Punctuation(_) => None,
-        };
-        let routed = self.exec.ingest_routed(CHAIN_ENTRY, item)?;
-        if let Some((stream, ts)) = mark {
-            let shards = match routed {
-                Some(shard) => shard..shard + 1,
-                None => 0..self.shard_hw.len(),
-            };
-            for hw in &mut self.shard_hw[shards] {
-                hw.observe(stream, ts);
-            }
         }
         Ok(())
     }
@@ -539,7 +516,7 @@ impl Session {
         let replay = self.recovery.replay();
         let replayed = replay.len() as u64;
         for item in replay {
-            self.route(item)?;
+            self.exec.ingest(CHAIN_ENTRY, item)?;
         }
         self.exec.run()?;
         let cut = self.recovery.last_checkpoint();
@@ -638,6 +615,22 @@ impl Session {
             fresh.enable_skew(skew)?;
         }
         fresh.restore_window_states(rehashed)?;
+        // Which of the old shards' males a new shard would have seen cannot
+        // be reconstructed from the surviving state, so every new shard
+        // starts its clock at the latest per-stream males and punctuation.
+        // Future tuples are at least this new, so eager re-cuts stay
+        // result-safe; only per-slice placement parity with a
+        // freshly-planned sharded chain is weakened until traffic catches up.
+        let mut clock = IngestProgress::default();
+        for progress in self.exec.shards().iter().map(Executor::progress) {
+            let PurgeWatermarks { male_a, male_b } = progress.watermarks;
+            clock.watermarks.observe(StreamId::A, male_a);
+            clock.watermarks.observe(StreamId::B, male_b);
+            clock.punctuation = clock.punctuation.max(progress.punctuation);
+        }
+        for shard in fresh.shards_mut() {
+            shard.restore_progress(clock);
+        }
         let cut = self.recovery.capture(&fresh)?;
         // Retire the old executor (its cumulative report was taken above),
         // closing the epoch's sink ledgers from its plans.
@@ -645,21 +638,6 @@ impl Session {
         for shard in old.shards() {
             credit_sinks(&mut self.active, shard.plan());
         }
-        // A new shard's per-stream last-male timestamps cannot be
-        // reconstructed from the surviving state, so every shard
-        // conservatively adopts the global per-stream maxima.  Future tuples
-        // are at least this new, so eager re-cuts stay result-safe; only
-        // per-slice placement parity with a freshly-planned sharded chain is
-        // weakened until traffic catches up.
-        let male_a = self.shard_hw.iter().map(|wm| wm.male_a).max();
-        let male_b = self.shard_hw.iter().map(|wm| wm.male_b).max();
-        self.shard_hw = vec![
-            PurgeWatermarks {
-                male_a: male_a.unwrap_or(Timestamp::ZERO),
-                male_b: male_b.unwrap_or(Timestamp::ZERO),
-            };
-            new_shards
-        ];
         self.retired = Some(report);
         self.epoch += 1;
         let record = MigrationRecord {
@@ -739,8 +717,9 @@ impl Session {
         }
         let mut stats = RecutStats::default();
         let mut migrated = Vec::with_capacity(plans.len());
-        for (chain, watermarks) in self.exec.window_states().into_iter().zip(&self.shard_hw) {
-            let (mut chain, shard) = recut_chain(chain, spec, *watermarks)?;
+        let clocks = self.exec.shards().iter().map(|e| e.progress().watermarks);
+        for (chain, watermarks) in self.exec.window_states().into_iter().zip(clocks) {
+            let (mut chain, shard) = recut_chain(chain, spec, watermarks)?;
             (stats.merges, stats.splits) = (shard.merges, shard.splits);
             stats.tuples_moved += shard.tuples_moved;
             stats.tuples_dropped +=
@@ -786,8 +765,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamkit::tuple::StreamId;
-    use streamkit::{JoinCondition, MemoryStats};
+    use streamkit::{JoinCondition, MemoryStats, Timestamp};
 
     fn workload(windows: &[u64]) -> QueryWorkload {
         let queries = windows
@@ -1099,7 +1077,7 @@ mod tests {
                 cut.state_tuples() > 0,
                 "{name}: the migration kept no state"
             );
-            let after = Checkpoint::capture(live.executor(), cut.seq, cut.watermark).unwrap();
+            let after = Checkpoint::capture(live.executor(), cut.seq).unwrap();
             assert_eq!(
                 after.shards, cut.shards,
                 "{name}: the cut is not the running state"

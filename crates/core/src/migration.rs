@@ -39,6 +39,9 @@
 
 use streamkit::checkpoint::{reseat_chain, WindowState};
 use streamkit::error::{Result, StreamError};
+/// The clock an eager cut ages tuples against: each shard executor keeps
+/// its own ([`streamkit::Executor::progress`]).
+pub use streamkit::executor::PurgeWatermarks;
 use streamkit::shard::ShardSpec;
 use streamkit::tuple::Tuple;
 use streamkit::{TimeDelta, Timestamp};
@@ -132,41 +135,6 @@ pub fn split_slice_state(state: WindowState, at: TimeDelta) -> Result<(WindowSta
         },
         WindowState::empty(right),
     ))
-}
-
-/// A chain instance's purge progress: the timestamp of the last *male* tuple
-/// seen from each stream.  Purging is **cross**-purging (Fig. 9): a male from
-/// stream B purges the A-side state and vice versa, so each side's "age" is
-/// measured against the *opposite* stream's last male, not a single global
-/// watermark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PurgeWatermarks {
-    /// Timestamp of the last male from stream A (drives B-side purges).
-    pub male_a: Timestamp,
-    /// Timestamp of the last male from stream B (drives A-side purges).
-    pub male_b: Timestamp,
-}
-
-impl PurgeWatermarks {
-    /// Fold one processed tuple (every arrival's male copy is a purge
-    /// driver) into the watermarks.
-    pub fn observe(&mut self, stream: streamkit::tuple::StreamId, ts: Timestamp) {
-        if stream == streamkit::tuple::StreamId::B {
-            if ts > self.male_b {
-                self.male_b = ts;
-            }
-        } else if ts > self.male_a {
-            self.male_a = ts;
-        }
-    }
-
-    /// Both sides pinned to the same timestamp.
-    pub fn uniform(ts: Timestamp) -> PurgeWatermarks {
-        PurgeWatermarks {
-            male_a: ts,
-            male_b: ts,
-        }
-    }
 }
 
 /// Split one slice's state at window offset `at`, **eagerly** moving the

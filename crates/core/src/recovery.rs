@@ -38,11 +38,12 @@
 //!    the ring in order through its ordinary ingest path, and re-drains — on
 //!    the same worker pool, no threads are respawned.
 //!
-//! Because the checkpoint restores sink counts and ingest counters
-//! *absolutely* and the ring holds *exactly* the post-checkpoint input, the
-//! recovered session's results are equal — as multisets, per sink — to an
-//! uninterrupted run's (`tests/recovery_equivalence.rs` pins this property
-//! under arbitrary fault epochs, re-plans and rescales).
+//! Because the checkpoint restores sink counts and each shard's ingest
+//! progress — purge watermarks included — *absolutely* and the ring holds
+//! *exactly* the post-checkpoint input, the recovered session's results are
+//! equal — as multisets, per sink — to an uninterrupted run's
+//! (`tests/recovery_equivalence.rs` pins this property under arbitrary fault
+//! epochs, re-plans and rescales).
 //!
 //! A full ring never drops an item: the session drains and forces an early
 //! checkpoint, which empties the ring, so recovery stays exact however
@@ -86,7 +87,7 @@ pub struct CheckpointRecord {
     pub seq: u64,
     /// Punctuation epoch the checkpoint is aligned to.
     pub epoch: u64,
-    /// Input watermark covered by the checkpoint.
+    /// The newest tuple or punctuation the checkpoint covers.
     pub watermark: Timestamp,
     /// Tuples held in window states across all shards.
     pub state_tuples: u64,
@@ -145,8 +146,6 @@ pub struct Recovery {
     /// before the first interval checkpoint recovers to empty state + full
     /// replay.
     last: Checkpoint,
-    /// Largest tuple/punctuation timestamp ingested so far.
-    watermark: Timestamp,
 }
 
 impl Recovery {
@@ -166,13 +165,12 @@ impl Recovery {
                 "replay_capacity must be at least 1".to_string(),
             ));
         }
-        let last = Checkpoint::capture(exec, 0, Timestamp::ZERO)?;
+        let last = Checkpoint::capture(exec, 0)?;
         let launched = CheckpointRecord::of(&last, 0, false);
         let recovery = Recovery {
             config,
             ring: VecDeque::new(),
             last,
-            watermark: Timestamp::ZERO,
         };
         Ok((recovery, launched))
     }
@@ -195,7 +193,6 @@ impl Recovery {
 
     /// Append one ingested item to the ring.
     pub(crate) fn record(&mut self, item: &StreamItem) {
-        self.watermark = self.watermark.max(item.timestamp());
         self.ring.push_back(item.clone());
     }
 
@@ -210,7 +207,7 @@ impl Recovery {
         let epoch = exec
             .shards()
             .iter()
-            .map(|e| e.punctuation_epochs())
+            .map(|e| e.progress().epochs)
             .max()
             .unwrap_or(0);
         epoch.saturating_sub(self.last.epoch) >= self.config.checkpoint_every_epochs
@@ -231,7 +228,7 @@ impl Recovery {
     /// it the durable cut yet.  Every checkpoint becomes the cut once it is
     /// logged, so the cut's successor is the next in sequence.
     pub(crate) fn capture(&self, exec: &ShardedExecutor) -> Result<Checkpoint> {
-        Checkpoint::capture(exec, self.last.seq + 1, self.watermark)
+        Checkpoint::capture(exec, self.last.seq + 1)
     }
 
     /// Make `ckpt` — a capture of the running executor — the durable cut and

@@ -7,8 +7,8 @@
 //! consistent cut: capturing (a) each plan node's own [`NodeState`] — a
 //! slice's stored tuples, a union's per-port watermarks, a sink's cumulative
 //! counters — through [`Operator::node_state`](crate::Operator::node_state),
-//! (b) each shard executor's ingest counters and the sink deliveries of the
-//! plans it retired, plus the router's hot set and broadcast-copy count,
+//! (b) each shard executor's [`IngestProgress`] and the sink deliveries of
+//! the plans it retired, plus the router's hot set and broadcast-copy count,
 //! fully determines the session, because everything in flight has either
 //! been absorbed into a window state or delivered to a sink.  The hot set
 //! belongs to the cut because the states replicate exactly those keys'
@@ -16,20 +16,22 @@
 //! build side to shards that lack its probe bucket.
 //!
 //! [`Checkpoint::capture`] takes such a snapshot from a drained
-//! [`ShardedExecutor`] without disturbing it; [`Checkpoint::restore`] loads
+//! [`ShardedExecutor`] without disturbing it, and stamps it with the newest
+//! tuple or punctuation any shard ingested; [`Checkpoint::restore`] loads
 //! it back, node by node through
 //! [`Operator::restore_state`](crate::Operator::restore_state), into a
 //! session whose plans were replaced with fresh instances
 //! ([`ShardedExecutor::replace_plans`]).  Restoration is **absolute**, not
-//! additive: sink counts, retired-plan deliveries, ingest counters and the
-//! hot set are overwritten with the checkpointed values, and crash recovery
-//! then replays the post-checkpoint input, which re-delivers the
-//! post-checkpoint results exactly once (`core::recovery`).
+//! additive: sink counts, retired-plan deliveries, ingest progress (purge
+//! watermarks included) and the hot set are overwritten with the
+//! checkpointed values, and crash recovery then replays the post-checkpoint
+//! input, which re-delivers the post-checkpoint results exactly once
+//! (`core::recovery`).
 
 use std::collections::HashMap;
 
 use crate::error::{Result, StreamError};
-use crate::executor::Executor;
+use crate::executor::{Executor, IngestProgress};
 use crate::shard::ShardedExecutor;
 use crate::time::Timestamp;
 use crate::tuple::Tuple;
@@ -164,21 +166,14 @@ impl NodeState {
 }
 
 /// Snapshot of one shard: its plan nodes plus the executor's ingest
-/// counters and retired-plan deliveries (restored absolutely so replayed
+/// progress and retired-plan deliveries (restored absolutely so replayed
 /// input and results are counted exactly once).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCheckpoint {
     /// Per-node state in plan node-id order.
     pub nodes: Vec<NodeState>,
-    /// Tuples ingested by this shard's executor.
-    pub ingested: u64,
-    /// Per-stream ingest counts.
-    pub ingested_by_stream: [u64; 2],
-    /// Largest ingested tuple timestamp, in seconds.
-    pub ingest_max_ts_secs: f64,
-    /// Punctuation epochs observed (the clock faults and checkpoints
-    /// align to).
-    pub punct_epochs: u64,
+    /// What this shard's executor had ingested.
+    pub progress: IngestProgress,
     /// Sink deliveries of the plans the executor retired
     /// ([`Executor::replace_plan`]), by sink name.
     pub retired_sinks: HashMap<String, u64>,
@@ -195,8 +190,6 @@ impl ShardCheckpoint {
                     .to_string(),
             ));
         }
-        let (ingested, ingested_by_stream, ingest_max_ts_secs, punct_epochs) =
-            exec.ingest_progress();
         let nodes = exec
             .plan()
             .nodes()
@@ -205,10 +198,7 @@ impl ShardCheckpoint {
             .collect::<Result<_>>()?;
         Ok(ShardCheckpoint {
             nodes,
-            ingested,
-            ingested_by_stream,
-            ingest_max_ts_secs,
-            punct_epochs,
+            progress: exec.progress(),
             retired_sinks: exec.carried_sinks.clone(),
         })
     }
@@ -236,12 +226,7 @@ impl ShardCheckpoint {
         {
             node.operator.restore_state(state.clone())?;
         }
-        exec.restore_ingest_progress(
-            self.ingested,
-            self.ingested_by_stream,
-            self.ingest_max_ts_secs,
-            self.punct_epochs,
-        );
+        exec.restore_progress(self.progress);
         exec.carried_sinks = self.retired_sinks.clone();
         Ok(())
     }
@@ -257,7 +242,7 @@ pub struct Checkpoint {
     pub seq: u64,
     /// Largest punctuation epoch across shards at capture time.
     pub epoch: u64,
-    /// The punctuation watermark this checkpoint is aligned to: input with
+    /// The newest tuple or punctuation any shard had ingested: input with
     /// larger timestamps is not covered and must be replayed after restore.
     pub watermark: Timestamp,
     /// Per-shard snapshots in shard index order.
@@ -274,11 +259,7 @@ impl Checkpoint {
     /// Capture a drained session.  Fails with [`StreamError::Checkpoint`] if
     /// any input is still queued (router-side or in a shard), or if an
     /// operator holds state it cannot capture.
-    pub fn capture(
-        session: &ShardedExecutor,
-        seq: u64,
-        watermark: Timestamp,
-    ) -> Result<Checkpoint> {
+    pub fn capture(session: &ShardedExecutor, seq: u64) -> Result<Checkpoint> {
         if !session.is_drained() {
             return Err(StreamError::Checkpoint(
                 "cannot checkpoint an undrained session; run() to a \
@@ -286,11 +267,12 @@ impl Checkpoint {
                     .to_string(),
             ));
         }
-        let mut epoch = 0;
+        let (mut epoch, mut watermark) = (0, Timestamp::ZERO);
         let mut shards = Vec::with_capacity(session.num_shards());
         for exec in session.shards() {
             let shard = ShardCheckpoint::capture(exec)?;
-            epoch = epoch.max(shard.punct_epochs);
+            epoch = epoch.max(shard.progress.epochs);
+            watermark = watermark.max(shard.progress.newest());
             shards.push(shard);
         }
         let (hot_keys, broadcast_copies) = session.router_state();
@@ -453,7 +435,7 @@ mod tests {
     fn capture_refuses_undrained_sessions() {
         let mut exec = session(2);
         feed(&mut exec, 0..4);
-        let err = Checkpoint::capture(&exec, 0, Timestamp::from_secs(4)).unwrap_err();
+        let err = Checkpoint::capture(&exec, 0).unwrap_err();
         assert!(matches!(err, StreamError::Checkpoint(_)));
     }
 
@@ -470,8 +452,9 @@ mod tests {
         let mut live = session(3);
         feed(&mut live, 0..15);
         live.run().unwrap();
-        let ckpt = Checkpoint::capture(&live, 1, Timestamp::from_secs(14)).unwrap();
+        let ckpt = Checkpoint::capture(&live, 1).unwrap();
         assert_eq!(ckpt.version, CHECKPOINT_VERSION);
+        assert_eq!(ckpt.watermark, Timestamp::from_secs(14));
         assert!(ckpt.state_tuples() > 0);
         // Capture must not disturb the live session: finishing it still
         // matches the oracle.
@@ -493,8 +476,9 @@ mod tests {
         live.ingest("A", Punctuation::new(Timestamp::from_secs(6)))
             .unwrap();
         live.run().unwrap();
-        let mut ckpt = Checkpoint::capture(&live, 0, Timestamp::from_secs(6)).unwrap();
+        let mut ckpt = Checkpoint::capture(&live, 0).unwrap();
         assert!(ckpt.epoch >= 1);
+        assert_eq!(ckpt.watermark, Timestamp::from_secs(6));
 
         // Wrong shard count.
         let mut narrow = session(1);
@@ -517,7 +501,7 @@ mod tests {
         let mut live = session_of(1, 20);
         feed(&mut live, 0..10);
         live.run().unwrap();
-        let ckpt = Checkpoint::capture(&live, 0, Timestamp::from_secs(9)).unwrap();
+        let ckpt = Checkpoint::capture(&live, 0).unwrap();
         let mut wider = session_of(1, 30);
         assert!(matches!(
             ckpt.restore(&mut wider).unwrap_err(),
@@ -567,7 +551,7 @@ mod tests {
         let report = live.run().unwrap();
         // Broadcast B tuples reached both shards but count once.
         assert_eq!(report.ingested_by_stream, [40, 40]);
-        let ckpt = Checkpoint::capture(&live, 0, Timestamp::from_secs(39)).unwrap();
+        let ckpt = Checkpoint::capture(&live, 0).unwrap();
         assert!(!ckpt.hot_keys.is_empty());
         assert_eq!(ckpt.hot_keys, live.hot_keys());
         // A session without skew routing cannot hold a hot set.
@@ -610,21 +594,18 @@ mod tests {
         let mut live = session(2);
         feed(&mut live, 0..10);
         let report = live.run().unwrap();
-        let ckpt = Checkpoint::capture(&live, 2, Timestamp::from_secs(9)).unwrap();
+        let ckpt = Checkpoint::capture(&live, 2).unwrap();
 
         let mut recovered = session(2);
         ckpt.restore(&mut recovered).unwrap();
         let restored_report = recovered.run().unwrap();
         assert_eq!(restored_report.sink_count("q1"), report.sink_count("q1"));
         let (live_prog, rec_prog): (Vec<_>, Vec<_>) = (
-            live.shards_mut()
-                .iter()
-                .map(|e| e.ingest_progress())
-                .collect(),
+            live.shards_mut().iter().map(|e| e.progress()).collect(),
             recovered
                 .shards_mut()
                 .iter()
-                .map(|e| e.ingest_progress())
+                .map(|e| e.progress())
                 .collect(),
         );
         assert_eq!(live_prog, rec_prog);

@@ -16,6 +16,7 @@ use crate::plan::Plan;
 use crate::queue::{Queue, StreamItem};
 use crate::scheduler::{RoundRobinScheduler, Scheduler};
 use crate::stats::{CostCounters, MemoryStats, NodeStats};
+use crate::time::Timestamp;
 use crate::tuple::StreamId;
 
 /// Executor tuning knobs.
@@ -64,8 +65,9 @@ pub struct ExecutionReport {
     /// Data tuples ingested per stream (A, B); tuples of other streams and
     /// pre-built columnar batches count only into `ingested`.
     pub ingested_by_stream: [u64; 2],
-    /// Largest ingested tuple timestamp, in seconds: the stream-time clock
-    /// measured arrival rates are computed against.
+    /// Largest ingested tuple timestamp, in seconds (the later of the two
+    /// purge watermarks): the stream-time clock measured arrival rates are
+    /// computed against.
     pub ingest_max_ts_secs: f64,
     /// Wall-clock running time in seconds, accumulated over every
     /// [`Executor::run`] call of this executor's lifetime.  Incremental
@@ -197,6 +199,70 @@ impl ExecutionReport {
     }
 }
 
+/// A chain instance's purge progress: the timestamp of the last *male* tuple
+/// seen from each stream.  Purging is **cross**-purging (Fig. 9): a male from
+/// stream B purges the A-side state and vice versa, so each side's "age" is
+/// measured against the *opposite* stream's last male, not a single global
+/// watermark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PurgeWatermarks {
+    /// Timestamp of the last male from stream A (drives B-side purges).
+    pub male_a: Timestamp,
+    /// Timestamp of the last male from stream B (drives A-side purges).
+    pub male_b: Timestamp,
+}
+
+impl PurgeWatermarks {
+    /// Fold one processed tuple (every arrival's male copy is a purge
+    /// driver) into the watermarks.
+    pub fn observe(&mut self, stream: StreamId, ts: Timestamp) {
+        if stream == StreamId::B {
+            self.male_b = self.male_b.max(ts);
+        } else {
+            self.male_a = self.male_a.max(ts);
+        }
+    }
+
+    /// Both sides pinned to the same timestamp.
+    pub fn uniform(ts: Timestamp) -> PurgeWatermarks {
+        PurgeWatermarks {
+            male_a: ts,
+            male_b: ts,
+        }
+    }
+
+    /// The later of the two males: the newest tuple observed.
+    pub fn latest(&self) -> Timestamp {
+        self.male_a.max(self.male_b)
+    }
+}
+
+/// What an executor has ingested: the counters its reports carry and the
+/// clock migrations re-cut by and checkpoints are stamped from.  A
+/// checkpoint captures it and restores it absolutely ([`Executor::progress`]
+/// / [`Executor::restore_progress`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IngestProgress {
+    /// Data items ingested ([`ExecutionReport::ingested`]).
+    pub items: u64,
+    /// Data tuples ingested per stream ([`ExecutionReport::ingested_by_stream`]).
+    pub by_stream: [u64; 2],
+    /// Last male per stream among the ingested tuples.
+    pub watermarks: PurgeWatermarks,
+    /// Largest ingested punctuation watermark.
+    pub punctuation: Timestamp,
+    /// Punctuation epochs ingested (each punctuation is one epoch boundary)
+    /// — the clock faults and checkpoints align to.
+    pub epochs: u64,
+}
+
+impl IngestProgress {
+    /// The newest ingested tuple or punctuation timestamp.
+    pub fn newest(&self) -> Timestamp {
+        self.watermarks.latest().max(self.punctuation)
+    }
+}
+
 /// Runs a [`Plan`] to quiescence over externally ingested input.
 pub struct Executor {
     plan: Plan,
@@ -210,7 +276,7 @@ pub struct Executor {
     peak_state: Vec<usize>,
     peak_state_bytes: Vec<usize>,
     memory: MemoryStats,
-    ingested: u64,
+    progress: IngestProgress,
     processed_since_sample: u64,
     /// Cumulative in-run wall clock over this executor's lifetime.
     active_secs: f64,
@@ -227,11 +293,6 @@ pub struct Executor {
     /// folded into every subsequent report's sink counts.  A checkpoint
     /// captures and restores them absolutely, like the sinks themselves.
     pub(crate) carried_sinks: HashMap<String, u64>,
-    /// Data tuples ingested per stream (A, B); tuples of other streams and
-    /// pre-built columnar batches count only into `ingested`.
-    ingested_by_stream: [u64; 2],
-    /// Largest ingested tuple timestamp seen so far, in seconds.
-    ingest_max_ts_secs: f64,
     /// Per-node queued-item counts, maintained incrementally on every push
     /// and pop so a scheduler round never rescans the queues.
     node_backlog: Vec<usize>,
@@ -247,9 +308,6 @@ pub struct Executor {
     scratch_group: Vec<StreamItem>,
     /// Reusable per-round buffer.
     order_buf: Vec<usize>,
-    /// Punctuation epochs seen at ingest (each ingested punctuation is one
-    /// epoch boundary) — the clock faults and checkpoints align to.
-    punct_epochs: u64,
     /// Whether the armed fault (if any) has already fired.  Survives
     /// checkpoint restore and replay, so recovery never re-triggers the
     /// crash it is recovering from.
@@ -279,7 +337,7 @@ impl Executor {
             peak_state: vec![0; n],
             peak_state_bytes: vec![0; n],
             memory: MemoryStats::default(),
-            ingested: 0,
+            progress: IngestProgress::default(),
             processed_since_sample: 0,
             active_secs: 0.0,
             paused_secs: 0.0,
@@ -287,8 +345,6 @@ impl Executor {
             total_rounds: 0,
             carried_totals: CostCounters::default(),
             carried_sinks: HashMap::new(),
-            ingested_by_stream: [0, 0],
-            ingest_max_ts_secs: 0.0,
             node_backlog: vec![0; n],
             total_backlog: 0,
             scratch_ctx: OpContext::new(),
@@ -296,7 +352,6 @@ impl Executor {
             scratch_run: Vec::new(),
             scratch_group: Vec::new(),
             order_buf: Vec::new(),
-            punct_epochs: 0,
             fault_fired: false,
             fault_poison_armed: false,
         }
@@ -394,20 +449,18 @@ impl Executor {
         (old, dropped)
     }
 
-    /// Track per-stream ingest counts and stream-time progress
-    /// ([`ExecutionReport::ingested_by_stream`],
-    /// [`ExecutionReport::ingest_max_ts_secs`]).
+    /// Count one data item and fold a tuple into the per-stream counts and
+    /// the purge watermarks; tuples of other streams and pre-built columnar
+    /// batches count only as items.
     fn meter_ingest(&mut self, item: &StreamItem) {
+        self.progress.items += 1;
         if let StreamItem::Tuple(t) = item {
             if t.stream == StreamId::A {
-                self.ingested_by_stream[0] += 1;
+                self.progress.by_stream[0] += 1;
             } else if t.stream == StreamId::B {
-                self.ingested_by_stream[1] += 1;
+                self.progress.by_stream[1] += 1;
             }
-            let secs = t.ts.as_micros() as f64 / 1e6;
-            if secs > self.ingest_max_ts_secs {
-                self.ingest_max_ts_secs = secs;
-            }
+            self.progress.watermarks.observe(t.stream, t.ts);
         }
     }
 
@@ -419,62 +472,43 @@ impl Executor {
         self.fault_poison_armed = false;
     }
 
-    /// Punctuation epochs ingested so far (each punctuation is one epoch).
-    pub fn punctuation_epochs(&self) -> u64 {
-        self.punct_epochs
-    }
-
     /// Whether the armed fault (if any) has already fired.
     pub fn fault_fired(&self) -> bool {
         self.fault_fired
     }
 
-    /// Ingest-progress counters a checkpoint captures: `(ingested tuples,
-    /// per-stream ingest counts, max ingested timestamp in seconds,
-    /// punctuation epochs)`.
-    pub fn ingest_progress(&self) -> (u64, [u64; 2], f64, u64) {
-        (
-            self.ingested,
-            self.ingested_by_stream,
-            self.ingest_max_ts_secs,
-            self.punct_epochs,
-        )
+    /// What this executor has ingested so far.
+    pub fn progress(&self) -> IngestProgress {
+        self.progress
     }
 
     /// Restore checkpointed ingest progress (absolute: replay re-counts the
     /// post-checkpoint input exactly once, so the next report is where an
     /// uninterrupted run has it).
-    pub fn restore_ingest_progress(
-        &mut self,
-        ingested: u64,
-        by_stream: [u64; 2],
-        max_ts_secs: f64,
-        punct_epochs: u64,
-    ) {
-        self.ingested = ingested;
-        self.ingested_by_stream = by_stream;
-        self.ingest_max_ts_secs = max_ts_secs;
-        self.punct_epochs = punct_epochs;
+    pub fn restore_progress(&mut self, progress: IngestProgress) {
+        self.progress = progress;
     }
 
-    /// Advance the punctuation-epoch clock and fire the armed fault when
-    /// its trigger epoch is reached.  `Panic` unwinds right here, inside
-    /// the worker's ingest (caught by the pool's `catch_unwind` barrier);
-    /// `Stall` sleeps so the shard's bounded ring fills behind it;
-    /// `PoisonRun` arms a panic for the middle of the next run.
-    fn note_punctuation(&mut self) {
-        self.punct_epochs += 1;
+    /// Record a punctuation's watermark, advance the epoch clock and fire
+    /// the armed fault when its trigger epoch is reached.  `Panic` unwinds
+    /// right here, inside the worker's ingest (caught by the pool's
+    /// `catch_unwind` barrier); `Stall` sleeps so the shard's bounded ring
+    /// fills behind it; `PoisonRun` arms a panic for the middle of the next
+    /// run.
+    fn note_punctuation(&mut self, watermark: Timestamp) {
+        self.progress.punctuation = self.progress.punctuation.max(watermark);
+        self.progress.epochs += 1;
         let Some(fault) = self.config.fault else {
             return;
         };
-        if self.fault_fired || self.punct_epochs < fault.at_epoch {
+        if self.fault_fired || self.progress.epochs < fault.at_epoch {
             return;
         }
         self.fault_fired = true;
         match fault.kind {
             FaultKind::Panic => panic!(
                 "{FAULT_PANIC_PREFIX}: injected worker panic at punctuation epoch {}",
-                self.punct_epochs
+                self.progress.epochs
             ),
             FaultKind::Stall { millis } => {
                 std::thread::sleep(std::time::Duration::from_millis(millis));
@@ -519,30 +553,16 @@ impl Executor {
         Ok(())
     }
 
-    /// Push an item into a named entry point.
-    ///
-    /// Only data tuples count towards [`ExecutionReport::ingested`] (and thus
-    /// the service-rate denominator's throughput term); punctuations are
-    /// progress metadata, not workload.
+    /// Push an item into a named entry point (see [`Executor::ingest_all`]).
     pub fn ingest(&mut self, entry: &str, item: impl Into<StreamItem>) -> Result<()> {
-        let (node, port) = self.plan.entry(entry)?;
-        let item = item.into();
-        let is_punct = item.is_punctuation();
-        if !is_punct {
-            self.ingested += 1;
-            self.meter_ingest(&item);
-        }
-        self.queues[node.0][port].push(item);
-        self.node_backlog[node.0] += 1;
-        self.total_backlog += 1;
-        if is_punct {
-            self.note_punctuation();
-        }
-        Ok(())
+        self.ingest_all(entry, std::iter::once(item))
     }
 
-    /// Push a batch of items into a named entry point.  Like
-    /// [`Executor::ingest`], punctuations are not counted as ingested tuples.
+    /// Push a sequence of items into a named entry point.
+    ///
+    /// Only data items count towards [`ExecutionReport::ingested`] (and thus
+    /// the service-rate denominator's throughput term); punctuations are
+    /// progress metadata, not workload.
     pub fn ingest_all<I>(&mut self, entry: &str, items: I) -> Result<()>
     where
         I: IntoIterator,
@@ -552,20 +572,22 @@ impl Executor {
         let mut pushed = 0usize;
         for item in items {
             let item = item.into();
-            let is_punct = item.is_punctuation();
-            if !is_punct {
-                self.ingested += 1;
-                self.meter_ingest(&item);
-            }
+            let punctuation = match &item {
+                StreamItem::Punctuation(p) => Some(p.watermark),
+                data => {
+                    self.meter_ingest(data);
+                    None
+                }
+            };
             self.queues[node.0][port].push(item);
             pushed += 1;
-            if is_punct {
+            if let Some(watermark) = punctuation {
                 // Settle backlog accounting before the epoch hook: an
                 // injected panic must not leave pushed items uncounted.
                 self.node_backlog[node.0] += pushed;
                 self.total_backlog += pushed;
                 pushed = 0;
-                self.note_punctuation();
+                self.note_punctuation(watermark);
             }
         }
         self.node_backlog[node.0] += pushed;
@@ -869,9 +891,9 @@ impl Executor {
             node_stats,
             memory: self.memory,
             sink_counts,
-            ingested: self.ingested,
-            ingested_by_stream: self.ingested_by_stream,
-            ingest_max_ts_secs: self.ingest_max_ts_secs,
+            ingested: self.progress.items,
+            ingested_by_stream: self.progress.by_stream,
+            ingest_max_ts_secs: self.progress.watermarks.latest().as_secs_f64(),
             elapsed_secs: self.active_secs,
             paused_secs: self.paused_secs,
             rounds: self.total_rounds,

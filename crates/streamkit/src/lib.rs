@@ -16,7 +16,9 @@
 //! * a round-robin [`Scheduler`](scheduler::RoundRobinScheduler) and an
 //!   [`Executor`](executor::Executor) whose one cumulative
 //!   [`ExecutionReport`] carries the statistics (state memory, comparison
-//!   counts, throughput / service rate, per-stream ingest progress),
+//!   counts, throughput / service rate, per-stream ingest progress) and
+//!   whose [`IngestProgress`] is the one clock its purge watermarks,
+//!   migrations and checkpoints read,
 //! * a [`ShardedExecutor`](shard::ShardedExecutor) running N instances of
 //!   one plan on a persistent [`WorkerPool`](pool::WorkerPool) — one
 //!   long-lived worker per shard, fed by bounded SPSC rings — over input
@@ -54,7 +56,7 @@ pub mod window;
 pub use checkpoint::{Checkpoint, NodeState, ShardCheckpoint, WindowState, CHECKPOINT_VERSION};
 pub use columnar::ColumnBatch;
 pub use error::{Result, StreamError};
-pub use executor::{ExecutionReport, Executor, ExecutorConfig};
+pub use executor::{ExecutionReport, Executor, ExecutorConfig, IngestProgress, PurgeWatermarks};
 pub use fault::{FaultKind, FaultPlan, FAULT_PANIC_PREFIX};
 pub use join_state::JoinState;
 pub use operator::{OpContext, Operator, PortId};

@@ -13,7 +13,9 @@
 //! instances of the same [`Plan`], routes every ingested tuple to the shard
 //! owning its key ([`ShardSpec`]), broadcasts punctuations to all shards,
 //! and merges the per-shard [`ExecutionReport`]s into one report with the
-//! usual schema ([`ExecutionReport::merge`]).
+//! usual schema ([`ExecutionReport::merge`]).  Each shard's executor meters
+//! what reaches it ([`Executor::progress`]), so its purge watermarks are
+//! the one clock migrations re-cut by and checkpoints are stamped from.
 //!
 //! ## Persistent worker pool
 //!
@@ -224,7 +226,7 @@ pub struct ShardedExecutor {
     stats: RouterStats,
     /// Broadcast copies of hot probe-side tuples beyond the first.  Every
     /// shard meters its copy as ingest, so the merged report takes these off
-    /// again; a checkpoint restores them with the shards' ingest counters.
+    /// again; a checkpoint restores them with the shards' ingest progress.
     copies: u64,
 }
 
@@ -521,21 +523,10 @@ impl ShardedExecutor {
     /// punctuations are broadcast to every shard (a progress promise holds
     /// for all partitions of the stream).  The canonical key hash computed
     /// for routing is memoised on the tuple, so the shard's join states
-    /// never recompute it.
+    /// never recompute it.  Each shard's executor meters what it ingests
+    /// ([`Executor::progress`]), so a broadcast tuple advances every shard's
+    /// purge clock and a column batch's rows advance their shards'.
     pub fn ingest(&mut self, entry: &str, item: impl Into<StreamItem>) -> Result<()> {
-        self.ingest_routed(entry, item).map(|_| ())
-    }
-
-    /// Like [`ShardedExecutor::ingest`], but reports where the item went:
-    /// `Some(shard index)` for a tuple placed on one shard, `None` for a
-    /// broadcast item (punctuations, and hot-key probe-side tuples under
-    /// skew-aware routing).  Live chain migration uses this to maintain
-    /// per-shard progress watermarks without re-deriving the routing.
-    pub fn ingest_routed(
-        &mut self,
-        entry: &str,
-        item: impl Into<StreamItem>,
-    ) -> Result<Option<usize>> {
         let item = item.into();
         self.check_entry(entry)?;
         match item {
@@ -557,7 +548,7 @@ impl ShardedExecutor {
                         self.stats.routed_tuples[shard] += 1;
                         self.push_pending(shard, entry, StreamItem::Tuple(t.clone()))?;
                     }
-                    return Ok(None);
+                    return Ok(());
                 }
                 let shard = match self.skew.as_mut().filter(|_| hot) {
                     // Build side: spread round-robin.
@@ -571,22 +562,21 @@ impl ShardedExecutor {
                     }
                 };
                 self.stats.routed_tuples[shard] += 1;
-                self.push_pending(shard, entry, StreamItem::Tuple(t))?;
-                Ok(Some(shard))
+                self.push_pending(shard, entry, StreamItem::Tuple(t))
             }
             StreamItem::Batch(b) => {
                 // Routing may scatter a batch's rows across shards: route
                 // each row individually.
                 for t in b.materialize() {
-                    self.ingest_routed(entry, t)?;
+                    self.ingest(entry, t)?;
                 }
-                Ok(None)
+                Ok(())
             }
             StreamItem::Punctuation(p) => {
                 for shard in 0..self.count {
                     self.push_pending(shard, entry, StreamItem::Punctuation(p))?;
                 }
-                Ok(None)
+                Ok(())
             }
         }
     }
@@ -902,12 +892,13 @@ mod tests {
         let mut exec = ShardedExecutor::new(plans, ShardSpec::symmetric(0)).unwrap();
         let t = a(1, 4);
         let expected = exec.shard_of(&t);
-        assert_eq!(exec.ingest_routed("A", t).unwrap(), Some(expected));
-        assert_eq!(
-            exec.ingest_routed("A", Punctuation::new(Timestamp::from_secs(2)))
-                .unwrap(),
-            None
-        );
+        exec.ingest("A", t).unwrap();
+        exec.ingest("A", Punctuation::new(Timestamp::from_secs(2)))
+            .unwrap();
+        // The tuple went to its key's shard; punctuations are not counted.
+        let mut placed = vec![0; 2];
+        placed[expected] = 1;
+        assert_eq!(exec.router_stats().routed_tuples, placed);
         // Unknown entries are rejected at the router.
         assert!(exec.ingest("nope", a(1, 1)).is_err());
         // Replacing undrained plans drops the buffered tuple and both

@@ -30,7 +30,7 @@ use state_slice_repro::core::{
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::window::SliceWindow;
 use state_slice_repro::streamkit::{
-    Executor, JoinCondition, Predicate, ShardedExecutor, TimeDelta, Timestamp, Tuple,
+    ColumnBatch, Executor, JoinCondition, Predicate, ShardedExecutor, TimeDelta, Timestamp, Tuple,
 };
 
 /// Anchor window (seconds): always registered, so coverage never changes.
@@ -486,6 +486,69 @@ fn window_extension_ramps_up_instead_of_resurrecting_history() {
         missing.iter().all(|(_, span, _)| *span >= old_coverage),
         "only pairs wider than the old coverage may be missing: {missing:?}"
     );
+}
+
+/// One A tuple at 0 s and one B tuple at 12 s, both with key 1.
+fn a_and_a_newer_b() -> [Tuple; 2] {
+    let key = |secs, stream| Tuple::of_ints(Timestamp::from_secs(secs), stream, &[1]);
+    [key(0, StreamId::A), key(12, StreamId::B)]
+}
+
+/// Add C10 to a session launched with QA 15 s and C5 5 s that holds
+/// [`a_and_a_newer_b`]: B at 12 s purged A at 0 s out of [0 s, 5 s) into
+/// [5 s, 15 s), and the re-cut must move A by its 12 s age into
+/// [10 s, 15 s), as a chain freshly planned with C10 would hold it.  The
+/// checkpoint the migration ends in is stamped 12 s.
+fn assert_c10_recut_ages_against_the_b(mut live: Session, label: &str) {
+    let newest = Timestamp::from_secs(12);
+    live.add_query(pool_query(10, false)).unwrap();
+    let stored: Vec<_> = live
+        .executor()
+        .window_states()
+        .into_iter()
+        .flatten()
+        .flat_map(|state| state.side_a.into_iter().map(move |t| (state.window, t)))
+        .collect();
+    assert_eq!(stored.len(), 1, "{label}");
+    for (window, t) in stored {
+        let age = newest.saturating_sub(t.ts);
+        assert!(
+            window.start <= age && age < window.end,
+            "{label}: A at {:?} aged {age} sits in {window}",
+            t.ts
+        );
+    }
+    let cut = live
+        .events()
+        .iter()
+        .rev()
+        .find_map(SessionEvent::checkpoint)
+        .unwrap();
+    assert_eq!(cut.watermark, newest, "{label}");
+}
+
+#[test]
+fn a_recut_after_batch_ingest_ages_against_the_batch_rows() {
+    // A column batch's rows are males like any tuple's.
+    for shards in [1, 2] {
+        let mut live = Session::launch(workload_of(&[5], false), live_options(shards)).unwrap();
+        live.ingest(ColumnBatch::from_tuples(&a_and_a_newer_b()).unwrap())
+            .unwrap();
+        live.drain().unwrap();
+        assert_c10_recut_ages_against_the_b(live, &format!("{shards} shard(s)"));
+    }
+}
+
+#[test]
+fn a_recut_after_a_rescale_ages_against_the_old_shards_males() {
+    // The new shards have seen no tuple yet: their clocks start at the old
+    // shards' latest males.
+    for (from, to) in [(1, 2), (2, 3), (3, 1)] {
+        let mut live = Session::launch(workload_of(&[5], false), live_options(from)).unwrap();
+        live.ingest_all(a_and_a_newer_b()).unwrap();
+        live.rescale_shards(to).unwrap();
+        assert_c10_recut_ages_against_the_b(live, &format!("{from} -> {to} shards"));
+    }
 }
 
 proptest! {

@@ -223,9 +223,7 @@ fn drive(
         }
     }
     assert_oldest_first(&session);
-    let states = Checkpoint::capture(session.executor(), 0, Timestamp::ZERO)
-        .unwrap()
-        .shards;
+    let states = Checkpoint::capture(session.executor(), 0).unwrap().shards;
     let outcome = session.finish().unwrap();
     let mut results: Instances = outcome
         .queries
