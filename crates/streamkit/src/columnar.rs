@@ -287,6 +287,11 @@ impl ColumnBatch {
         &self.ts
     }
 
+    /// The rows' streams, in row order.
+    pub fn streams(&self) -> &[StreamId] {
+        &self.stream
+    }
+
     /// The rows' origin spans (`|Ta - Tb|` of joined rows), in row order.
     pub fn origin_spans(&self) -> &[TimeDelta] {
         &self.origin_span

@@ -4,6 +4,25 @@
 //! statistics the paper's evaluation reports: state memory (tuples), the
 //! comparison-count breakdown, per-query sink throughput and wall-clock
 //! service rate (total throughput / running time, Section 7.1).
+//!
+//! ## Direct hand-off
+//!
+//! A scheduler visit pops a run from a node's queues and hands it to the
+//! operator.  The outputs of a *direct* port — one with exactly one
+//! destination, a node with no other incoming edge and no entry point —
+//! skip the destination's queue: the executor calls the destination with
+//! them at once, in emission order, and so on down the plan.  In a sliced
+//! chain those are the hops lineage → slice 0, slice → gate → slice and
+//! union → sink, so one visit of the chain's first node carries its run
+//! through every slice (the operator-chain idea of block-at-a-time engines:
+//! operators in one block call each other, and queues sit only where
+//! streams meet).  What [`Operator::flush`] emits takes the same path, so
+//! the queue of a direct destination's port is never used.  Queues stay at
+//! entry points and at fan-in — the per-query unions, which take each
+//! port's queue whole ([`Operator::merges_ports_by_timestamp`]).  Counters
+//! are attributed per node and per call, so every report reads as if each
+//! hop had been a scheduler visit; memory is sampled between visits, when
+//! every output sits in a queue.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -22,7 +41,9 @@ use crate::tuple::StreamId;
 /// Executor tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
-    /// Maximum items an operator consumes per scheduler visit.
+    /// Maximum items an operator consumes from its queues per scheduler
+    /// visit.  The nodes its direct ports reach (see the module docs) take
+    /// whatever the visit's runs emit, without a budget of their own.
     pub batch_per_visit: usize,
     /// Sample the total state size every this many processed tuples (rows
     /// of a column batch count one each, punctuations do not count).
@@ -39,7 +60,9 @@ impl Default for ExecutorConfig {
         // A small per-visit batch keeps the round-robin interleaving close to
         // the paper's CAPE setup (no operator races far ahead of the rest of
         // the plan, so state sizes stay representative) while amortising the
-        // per-round scheduling overhead across a few tuples.
+        // per-round scheduling overhead across a few tuples.  A visit
+        // carries its run down the chain by direct calls, so the 64 items
+        // bound how far the whole chain moves per visit, not one hop.
         ExecutorConfig {
             batch_per_visit: 64,
             memory_sample_every: 256,
@@ -62,8 +85,8 @@ pub struct ExecutionReport {
     pub sink_counts: HashMap<String, u64>,
     /// Number of external items ingested.
     pub ingested: u64,
-    /// Data tuples ingested per stream (A, B); tuples of other streams and
-    /// pre-built columnar batches count only into `ingested`.
+    /// Data tuples ingested per stream (A, B), rows of an ingested column
+    /// batch included; tuples of other streams count only into `ingested`.
     pub ingested_by_stream: [u64; 2],
     /// Largest ingested tuple timestamp, in seconds (the later of the two
     /// purge watermarks): the stream-time clock measured arrival rates are
@@ -272,6 +295,10 @@ pub struct Executor {
     /// Precomputed routing table: `routing[node][out_port]` lists the
     /// destination `(node index, input port)` pairs.
     routing: Vec<Vec<Vec<(usize, PortId)>>>,
+    /// `direct[node]` lists the node's direct output ports (see the module
+    /// docs) with their one destination: `(out_port, node index, input
+    /// port)`, in port order.
+    direct: Vec<Vec<(PortId, usize, PortId)>>,
     node_counters: Vec<CostCounters>,
     peak_state: Vec<usize>,
     peak_state_bytes: Vec<usize>,
@@ -298,12 +325,14 @@ pub struct Executor {
     node_backlog: Vec<usize>,
     /// Total queued items across all nodes (the sum of `node_backlog`).
     total_backlog: usize,
-    /// Reusable operator context (output buffer + counters) for the hot loop.
+    /// Reusable operator context (output buffer + counters).  One is
+    /// enough: a call moves its outputs out before it calls on.
     scratch_ctx: OpContext,
-    /// Reusable output staging buffer.
-    scratch_out: Vec<(PortId, StreamItem)>,
-    /// Reusable run buffer.
-    scratch_run: Vec<StreamItem>,
+    /// Output buffers, one taken per operator call on the current path of
+    /// direct calls and put back when the call returns.
+    out_pool: Vec<Vec<(PortId, StreamItem)>>,
+    /// Run buffers, pooled like `out_pool`.
+    run_pool: Vec<Vec<StreamItem>>,
     /// Reusable fan-out grouping buffer for output dispatch.
     scratch_group: Vec<StreamItem>,
     /// Reusable per-round buffer.
@@ -327,12 +356,14 @@ impl Executor {
     pub fn with_config(plan: Plan, config: ExecutorConfig) -> Self {
         let queues = Self::build_queues(&plan);
         let routing = Self::build_routing(&plan);
+        let direct = Self::build_direct(&plan, &routing);
         let n = plan.num_nodes();
         Executor {
             plan,
             config,
             queues,
             routing,
+            direct,
             node_counters: vec![CostCounters::default(); n],
             peak_state: vec![0; n],
             peak_state_bytes: vec![0; n],
@@ -348,8 +379,8 @@ impl Executor {
             node_backlog: vec![0; n],
             total_backlog: 0,
             scratch_ctx: OpContext::new(),
-            scratch_out: Vec::new(),
-            scratch_run: Vec::new(),
+            out_pool: Vec::new(),
+            run_pool: Vec::new(),
             scratch_group: Vec::new(),
             order_buf: Vec::new(),
             fault_fired: false,
@@ -378,6 +409,37 @@ impl Executor {
                             .into_iter()
                             .map(|(to, to_port)| (to.0, to_port))
                             .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The direct ports of every node: an output port with exactly one
+    /// destination, when that node has no other incoming edge and no entry
+    /// point, so nothing else can ever queue items for it during a run.
+    fn build_direct(
+        plan: &Plan,
+        routing: &[Vec<Vec<(usize, PortId)>>],
+    ) -> Vec<Vec<(PortId, usize, PortId)>> {
+        let mut incoming = vec![0usize; plan.num_nodes()];
+        for edge in plan.edges() {
+            incoming[edge.to.0] += 1;
+        }
+        for name in plan.entry_names() {
+            if let Ok((node, _)) = plan.entry(name) {
+                incoming[node.0] += 1;
+            }
+        }
+        routing
+            .iter()
+            .map(|ports| {
+                ports
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(out_port, destinations)| match destinations[..] {
+                        [(to, to_port)] if incoming[to] == 1 => Some((out_port, to, to_port)),
+                        _ => None,
                     })
                     .collect()
             })
@@ -436,6 +498,7 @@ impl Executor {
         let old = std::mem::replace(&mut self.plan, plan);
         self.queues = Self::build_queues(&self.plan);
         self.routing = Self::build_routing(&self.plan);
+        self.direct = Self::build_direct(&self.plan, &self.routing);
         let n = self.plan.num_nodes();
         self.node_counters = vec![CostCounters::default(); n];
         self.peak_state = vec![0; n];
@@ -449,19 +512,30 @@ impl Executor {
         (old, dropped)
     }
 
-    /// Count one data item and fold a tuple into the per-stream counts and
-    /// the purge watermarks; tuples of other streams and pre-built columnar
-    /// batches count only as items.
+    /// Count one data item — a column batch counts each of its rows, read
+    /// from its columns — and fold each tuple into the per-stream counts and
+    /// the purge watermarks, as the sharded router meters a batch it routes
+    /// row by row; tuples of other streams count only as items.
     fn meter_ingest(&mut self, item: &StreamItem) {
-        self.progress.items += 1;
-        if let StreamItem::Tuple(t) = item {
-            if t.stream == StreamId::A {
-                self.progress.by_stream[0] += 1;
-            } else if t.stream == StreamId::B {
-                self.progress.by_stream[1] += 1;
+        match item {
+            StreamItem::Tuple(t) => self.meter_row(t.stream, t.ts),
+            StreamItem::Batch(batch) => {
+                for (&stream, &ts) in batch.streams().iter().zip(batch.timestamps()) {
+                    self.meter_row(stream, ts);
+                }
             }
-            self.progress.watermarks.observe(t.stream, t.ts);
+            StreamItem::Punctuation(_) => {}
         }
+    }
+
+    fn meter_row(&mut self, stream: StreamId, ts: Timestamp) {
+        self.progress.items += 1;
+        if stream == StreamId::A {
+            self.progress.by_stream[0] += 1;
+        } else if stream == StreamId::B {
+            self.progress.by_stream[1] += 1;
+        }
+        self.progress.watermarks.observe(stream, ts);
     }
 
     /// Arm a deterministic fault on this executor (overrides any fault the
@@ -734,58 +808,99 @@ impl Executor {
         }
     }
 
-    /// Run one visit of the given node, consuming at most `batch` items.
-    /// Returns the number of items consumed.
+    /// Run one visit of the given node, consuming at most `batch` items of
+    /// its queues.  Returns the number of items consumed.
     ///
-    /// Each iteration pops a whole timestamp-contiguous run from one port and
-    /// hands it to [`Operator::process_batch`](crate::operator::Operator);
-    /// single-input operators — every node of a sliced chain — consume the
-    /// entire visit budget in one call.
+    /// Each run popped goes to [`Executor::call`], which carries it on down
+    /// the node's direct ports.  A node that merges its ports itself (the
+    /// union) takes each port's queue whole, port after port; every other
+    /// node takes timestamp-contiguous runs that never overtake another
+    /// port's head, so single-input operators — every node of a sliced
+    /// chain — consume the entire visit budget in one call.
     fn visit_node(&mut self, idx: usize, batch: usize) -> usize {
         if self.node_backlog[idx] == 0 {
-            // Nothing queued: skip the context churn a no-op visit would pay.
+            // Nothing queued: skip the buffer churn a no-op visit would pay.
             return 0;
         }
+        let merges = self.plan.nodes()[idx].operator.merges_ports_by_timestamp();
+        let mut run = self.run_pool.pop().unwrap_or_default();
         let mut consumed = 0;
-        self.scratch_ctx.reset_counters();
         while consumed < batch {
-            let Some((port, bound)) = Self::choose_run(&self.queues[idx]) else {
+            let next = if merges {
+                let port = self.queues[idx].iter().position(|q| !q.is_empty());
+                port.map(|port| (port, None))
+            } else {
+                Self::choose_run(&self.queues[idx])
+            };
+            let Some((port, bound)) = next else {
                 break;
             };
-            let popped =
-                self.queues[idx][port].pop_run_into(batch - consumed, bound, &mut self.scratch_run);
+            let popped = self.queues[idx][port].pop_run_into(batch - consumed, bound, &mut run);
             debug_assert!(popped > 0, "a chosen run is never empty");
-            let node = &mut self.plan.nodes_mut_internal()[idx];
-            node.operator
-                .process_batch(port, &mut self.scratch_run, &mut self.scratch_ctx);
-            debug_assert!(
-                self.scratch_run.is_empty(),
-                "process_batch drains its input"
-            );
-            self.scratch_run.clear();
             consumed += popped;
-            self.scratch_ctx.swap_outputs(&mut self.scratch_out);
-            Self::dispatch_outputs(
-                &self.routing,
-                &mut self.queues,
-                &mut self.node_backlog,
-                &mut self.total_backlog,
-                idx,
-                &mut self.scratch_out,
-                &mut self.scratch_group,
-            );
+            self.node_backlog[idx] -= popped;
+            self.total_backlog -= popped;
+            self.call(idx, port, &mut run);
         }
-        self.node_backlog[idx] -= consumed;
-        self.total_backlog -= consumed;
-        self.node_counters[idx].add(&self.scratch_ctx.counters);
-        // Tuples, not queue items: a several-hundred-row batch is one item,
-        // and must not make the samples that much sparser.
-        self.processed_since_sample += self.scratch_ctx.counters.tuples_processed;
+        self.run_pool.push(run);
+        // Sample only here, once every output of the visit's calls sits in
+        // a queue: mid-chain, the outputs still held up the chain would go
+        // uncounted.
         if self.processed_since_sample >= self.config.memory_sample_every {
             self.processed_since_sample = 0;
             self.sample_memory();
         }
         consumed
+    }
+
+    /// Hand `run` (drained) to the node's operator, attribute the call's
+    /// counters to the node and pass its outputs on with
+    /// [`Executor::hand_off`].
+    fn call(&mut self, idx: usize, port: PortId, run: &mut Vec<StreamItem>) {
+        self.scratch_ctx.reset_counters();
+        self.plan.nodes_mut_internal()[idx].operator.process_batch(
+            port,
+            run,
+            &mut self.scratch_ctx,
+        );
+        debug_assert!(run.is_empty(), "process_batch drains its input");
+        run.clear();
+        let counters = self.scratch_ctx.counters;
+        self.node_counters[idx].add(&counters);
+        // Tuples, not queue items: a several-hundred-row batch is one item,
+        // and must not make the samples that much sparser.
+        self.processed_since_sample += counters.tuples_processed;
+        self.hand_off(idx);
+    }
+
+    /// Pass on what the node just emitted into the context: call each
+    /// direct port's destination with that port's outputs, in emission
+    /// order, and queue the rest.  Every output of a direct port takes this
+    /// path, so the queue of a direct destination's port stays empty.  The
+    /// recursion is bounded by the plan's depth.
+    fn hand_off(&mut self, idx: usize) {
+        let mut outputs = self.out_pool.pop().unwrap_or_default();
+        self.scratch_ctx.swap_outputs(&mut outputs);
+        for i in 0..self.direct[idx].len() {
+            let (out_port, to, to_port) = self.direct[idx][i];
+            let mut next = self.run_pool.pop().unwrap_or_default();
+            let emitted = outputs.extract_if(.., |(p, _)| *p == out_port);
+            next.extend(emitted.map(|(_, item)| item));
+            if !next.is_empty() {
+                self.call(to, to_port, &mut next);
+            }
+            self.run_pool.push(next);
+        }
+        Self::dispatch_outputs(
+            &self.routing,
+            &mut self.queues,
+            &mut self.node_backlog,
+            &mut self.total_backlog,
+            idx,
+            &mut outputs,
+            &mut self.scratch_group,
+        );
+        self.out_pool.push(outputs);
     }
 
     /// Run until every queue is empty, then flush all operators (in
@@ -846,16 +961,7 @@ impl Executor {
                 .operator
                 .flush(&mut self.scratch_ctx);
             self.node_counters[id.0].add(&self.scratch_ctx.counters);
-            self.scratch_ctx.swap_outputs(&mut self.scratch_out);
-            Self::dispatch_outputs(
-                &self.routing,
-                &mut self.queues,
-                &mut self.node_backlog,
-                &mut self.total_backlog,
-                id.0,
-                &mut self.scratch_out,
-                &mut self.scratch_group,
-            );
+            self.hand_off(id.0);
             // Drain downstream work created by this flush before moving on.
             while self.total_backlog > 0 {
                 for idx in 0..self.plan.num_nodes() {
@@ -914,7 +1020,7 @@ mod tests {
     use crate::predicate::{JoinCondition, Predicate};
     use crate::scheduler::{LongestQueueFirstScheduler, ReverseScheduler};
     use crate::time::Timestamp;
-    use crate::tuple::{StreamId, Tuple};
+    use crate::tuple::{StreamId, Tuple, Value};
     use crate::window::WindowSpec;
 
     fn a(secs: u64, key: i64) -> Tuple {
@@ -1257,6 +1363,157 @@ mod tests {
         // the visit that brings the processed tuples to 512.
         assert_eq!(by_row.memory.samples, 3);
         assert_eq!(by_batch.memory.samples, by_row.memory.samples);
+    }
+
+    #[test]
+    fn an_ingested_batch_meters_each_row() {
+        let mut exec = Executor::new(join_plan());
+        let batch = crate::columnar::ColumnBatch::from_tuples(&[a(3, 1), b(7, 1)]).unwrap();
+        exec.ingest("A", batch).unwrap();
+        let progress = exec.progress();
+        assert_eq!(progress.items, 2);
+        assert_eq!(progress.by_stream, [1, 1]);
+        assert_eq!(progress.watermarks.male_a, Timestamp::from_secs(3));
+        assert_eq!(progress.watermarks.male_b, Timestamp::from_secs(7));
+        let report = exec.run().unwrap();
+        assert_eq!(report.ingested, 2);
+        assert_eq!(report.ingested_by_stream, [1, 1]);
+        assert_eq!(report.ingest_max_ts_secs, 7.0);
+    }
+
+    /// A Mem-Opt chain of three slices, `[0, 2)`, `[2, 4)` and `[4, 6)` s,
+    /// for queries of windows 2, 4 and 6 s: slice `k` feeds the union of
+    /// every query `q ≥ k`, and each union a retaining sink.
+    fn three_slice_chain() -> Plan {
+        let mut builder = Plan::builder();
+        let slices: Vec<_> = (0..3u64)
+            .map(|k| {
+                let mut op = SliceJoinOp::for_ab(
+                    format!("slice_{k}"),
+                    crate::window::SliceWindow::from_secs(2 * k, 2 * k + 2),
+                    JoinCondition::equi(0),
+                );
+                if k == 0 {
+                    op = op.chain_head();
+                }
+                if k == 2 {
+                    op = op.last_in_chain();
+                }
+                builder.add_op(op)
+            })
+            .collect();
+        builder.entry("in", slices[0], 0);
+        for pair in slices.windows(2) {
+            builder.connect(pair[0], crate::ops::slice_join::PORT_NEXT_SLICE, pair[1], 0);
+        }
+        for q in 0..3 {
+            let union = builder.add_op(UnionOp::new(format!("union_q{q}"), q + 1));
+            for (port, &slice) in slices[..=q].iter().enumerate() {
+                builder.connect(slice, crate::ops::slice_join::PORT_RESULTS, union, port);
+            }
+            let sink = builder.add_op(SinkOp::retaining(format!("q{q}")));
+            builder.connect(union, 0, sink, 0);
+        }
+        builder.build().unwrap()
+    }
+
+    /// One stream of `n` tuples a second apart: A at even seconds keyed by
+    /// its timestamp, B at odd ones.  Every other B matches the A that came
+    /// 1, 3 or 5 s before it (in turn), one result per four tuples, spread
+    /// over the three slices.
+    fn chain_input(n: u64) -> Vec<Tuple> {
+        (0..n)
+            .map(|t| {
+                if t % 2 == 0 {
+                    a(t, t as i64)
+                } else if (t / 2) % 2 == 0 {
+                    let gap = [1, 3, 5][((t / 4) % 3) as usize];
+                    b(t, t.saturating_sub(gap) as i64)
+                } else {
+                    b(t, -1)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_head_visit_carries_its_run_down_the_chain() {
+        let config = ExecutorConfig {
+            batch_per_visit: 4,
+            ..ExecutorConfig::default()
+        };
+        let sequences = |exec: &Executor| -> Vec<Vec<(Timestamp, Vec<Value>)>> {
+            (0..3)
+                .map(|q| {
+                    let sink = exec.plan().sink(&format!("q{q}")).unwrap();
+                    sink.collected()
+                        .iter()
+                        .map(|t| (t.ts, t.values.to_vec()))
+                        .collect()
+                })
+                .collect()
+        };
+        let mut exec = Executor::with_config(three_slice_chain(), config.clone());
+        exec.ingest_all("in", chain_input(60)).unwrap();
+        let report = exec.run().unwrap();
+        // 60 tuples, 4 per visit: the head's 15 visits are the only rounds.
+        // Each carries its run through all three slices, and the unions,
+        // visited later in the same round, keep up with what it emits.
+        assert_eq!(report.rounds, 15);
+        let want = sequences(&exec);
+        // Window 2 s sees the 1 s matches, 4 s adds the 3 s ones, 6 s all.
+        let counts: Vec<usize> = want.iter().map(Vec::len).collect();
+        assert_eq!(counts, vec![5, 10, 15]);
+        assert!(report
+            .node_stats
+            .iter()
+            .filter(|n| n.name.starts_with("slice_"))
+            .all(|n| n.counters.tuples_processed > 0));
+        // Same per-query sequences under the other schedulers.
+        let mut reverse = Executor::with_config(three_slice_chain(), config.clone());
+        reverse.ingest_all("in", chain_input(60)).unwrap();
+        reverse.run_with_scheduler(&mut ReverseScheduler).unwrap();
+        assert_eq!(sequences(&reverse), want);
+        let mut longest = Executor::with_config(three_slice_chain(), config);
+        longest.ingest_all("in", chain_input(60)).unwrap();
+        longest
+            .run_with_scheduler(&mut LongestQueueFirstScheduler)
+            .unwrap();
+        assert_eq!(sequences(&longest), want);
+    }
+
+    #[test]
+    fn memory_samples_count_what_a_chain_walk_queues() {
+        /// Reverse order, so every union visit of a round comes before the
+        /// head visit that fills the union queues; records the total backlog
+        /// each round starts with.
+        struct Recording(Vec<usize>);
+        impl Scheduler for Recording {
+            fn next_round(&mut self, backlog: &[usize], order: &mut Vec<usize>) {
+                self.0.push(backlog.iter().sum());
+                ReverseScheduler.next_round(backlog, order);
+            }
+        }
+        let config = ExecutorConfig {
+            memory_sample_every: 1,
+            ..ExecutorConfig::default()
+        };
+        let mut exec = Executor::with_config(three_slice_chain(), config);
+        // One key: every B joins the As of the last 6 s, so the results the
+        // head visit's walk leaves in the union queues outnumber the input.
+        let input: Vec<Tuple> = (0..12)
+            .map(|t| if t % 2 == 0 { a(t, 1) } else { b(t, 1) })
+            .collect();
+        exec.ingest_all("in", input).unwrap();
+        let mut scheduler = Recording(Vec::new());
+        let report = exec.run_with_scheduler(&mut scheduler).unwrap();
+        let most_queued = scheduler.0.iter().copied().max().unwrap();
+        assert!(most_queued > 12, "the walk queued {most_queued} items");
+        assert!(
+            report.memory.peak_queue_items >= most_queued,
+            "peak {} < {most_queued} queued after the head visit",
+            report.memory.peak_queue_items
+        );
     }
 
     #[test]

@@ -10,10 +10,14 @@
 //!
 //! [`JoinState`] packages both access paths: the window itself, one
 //! time-ordered `VecDeque` for O(1) oldest-first purging, plus — for
-//! equi-join conditions — a hash index `key → bucket of entries`.  Every
-//! bucket is in time order and purging is oldest-first, so a purged tuple is
-//! always the front of its bucket: a push appends to the bucket and a purge
-//! pops its front, dropping the bucket once it empties.  An equi probe then touches only its key bucket, so the probe
+//! equi-join conditions — a hash index `key → chain of entries`.  A key's
+//! entries are chained oldest to newest through one link per stored tuple
+//! (a `next` deque aligned with the window), and the map holds only each
+//! chain's oldest and newest entry, so indexing a tuple allocates nothing of
+//! its own.  Purging is oldest-first, so a purged tuple is always the oldest
+//! entry of its chain: a push links the new entry after the chain's newest
+//! and a purge advances the chain's oldest, dropping the chain when it held
+//! only that entry.  An equi probe walks only its key's chain, so the probe
 //! cost is O(1 + matches) instead of O(|state|); the `probe_comparisons`
 //! counters incremented by the callers consequently scale with the *output*
 //! size, not with the state size (the dominant cost in the paper's Figures
@@ -63,13 +67,13 @@
 //!
 //! ## One hash per tuple
 //!
-//! Buckets are keyed directly by the 64-bit [`canonical_key_hash`] (the map
+//! Chains are keyed directly by the 64-bit [`canonical_key_hash`] (the map
 //! uses an identity hasher), and that hash is computed **once per tuple**:
 //! [`memoize_key`] stores it on the tuple ([`Tuple::key_hash`]), every
 //! insert/probe reuses the memo when its key field matches, and each stored
 //! entry remembers its hash so purging never rehashes the key it hashed on
 //! insert.  A chain of N slices and a hash-sharded router therefore share one
-//! hash per tuple instead of recomputing it at every hop.  Keying buckets by
+//! hash per tuple instead of recomputing it at every hop.  Keying chains by
 //! the hash can in principle alias two distinct key classes (a 64-bit
 //! collision); that only widens a candidate set, and callers re-evaluate the
 //! condition per candidate, so correctness is unaffected.
@@ -202,8 +206,23 @@ impl Hasher for IdentityHasher {
 
 type IdentityBuild = BuildHasherDefault<IdentityHasher>;
 
-/// Hash buckets: canonical key hash → sequence numbers in insertion order.
-type Buckets = HashMap<u64, VecDeque<u64>, IdentityBuild>;
+/// One key's entries, chained oldest to newest through the hash index's
+/// `next` links: the sequence numbers of the chain's oldest and newest entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Chain {
+    first: u64,
+    last: u64,
+}
+
+/// Hash buckets: canonical key hash → the chain of that key's entries.
+type Buckets = HashMap<u64, Chain, IdentityBuild>;
+
+/// The `next` link of a chain's newest entry and of a `NaN` entry.
+const NO_NEXT: u64 = u64::MAX;
+
+/// Capacity, in stored tuples, below which a state never gives memory back:
+/// a slice whose window empties and refills must not reallocate each time.
+const MIN_KEPT_SLOTS: usize = 64;
 
 /// Deterministic hash of a join-key value over the *same* equivalence
 /// classes as the [`JoinState`] bucket mapping: two key values that
@@ -345,15 +364,19 @@ enum Index {
     /// No index: every probe scans the whole state.
     #[default]
     Linear,
-    /// Hash buckets on the equi key.
+    /// Hash chains on the equi key.
     Hash {
-        /// Field of *stored* tuples the buckets are keyed on.
+        /// Field of *stored* tuples the chains are keyed on.
         stored_field: usize,
         /// Field of *probing* tuples holding the lookup key.
         probe_field: usize,
         buckets: Buckets,
+        /// `next[seq - head_seq]` is the next newer entry with entry `seq`'s
+        /// key, or [`NO_NEXT`]: one link per stored tuple, aligned with the
+        /// state's window (a `NaN` entry holds a `NO_NEXT` slot).
+        next: VecDeque<u64>,
         /// Sequence numbers of entries with unindexable (`NaN`) keys, in
-        /// time order; scanned by every probe in addition to its bucket.
+        /// time order; scanned by every probe in addition to its chain.
         nan: VecDeque<u64>,
     },
     /// The value-ordered band index.
@@ -371,53 +394,85 @@ impl Index {
         }
     }
 
-    /// Add the entry of tuple `seq`, memoising its key class on a hash
-    /// index's stored tuple ([`memoize_key`]).
-    fn insert(&mut self, seq: u64, tuple: &mut Tuple) {
+    /// Add the entry of tuple `seq`, the newest of a state whose oldest is
+    /// `head_seq`, memoising its key class on a hash index's stored tuple
+    /// ([`memoize_key`]).  A hash entry is linked after its chain's newest.
+    fn insert(&mut self, seq: u64, head_seq: u64, tuple: &mut Tuple) {
         match self {
             Index::Linear => {}
             Index::Hash {
                 stored_field,
                 buckets,
+                next,
                 nan,
                 ..
-            } => match Self::bucket_hash(memoize_key(tuple, *stored_field)) {
-                Some(hash) => buckets.entry(hash).or_default().push_back(seq),
-                None => nan.push_back(seq),
-            },
+            } => {
+                next.push_back(NO_NEXT);
+                match Self::bucket_hash(memoize_key(tuple, *stored_field)) {
+                    Some(hash) => match buckets.entry(hash) {
+                        Entry::Occupied(mut chain) => {
+                            let chain = chain.get_mut();
+                            if let Some(link) = next.get_mut((chain.last - head_seq) as usize) {
+                                *link = seq;
+                            }
+                            chain.last = seq;
+                        }
+                        Entry::Vacant(slot) => {
+                            slot.insert(Chain {
+                                first: seq,
+                                last: seq,
+                            });
+                        }
+                    },
+                    None => nan.push_back(seq),
+                }
+            }
             Index::Band(band) => band.insert(seq, tuple),
         }
     }
 
-    /// Drop the entry of the purged tuple `seq`.  Purging is oldest-first and
-    /// every bucket and the `NaN` list are in time order, so a hash entry is
-    /// always the front of its list, found through the tuple's key memo (no
-    /// rehash); a bucket is dropped once it empties.
+    /// Drop the entry of the purged tuple `seq`, the state's oldest.
+    /// Purging is oldest-first and every chain and the `NaN` list are in
+    /// time order, so a hash entry is always the oldest of its chain, found
+    /// through the tuple's key memo (no rehash): the chain advances to the
+    /// purged entry's link, or goes when it held only that entry.
     fn remove(&mut self, seq: u64, tuple: &Tuple) {
         match self {
             Index::Linear => {}
             Index::Hash {
                 stored_field,
                 buckets,
+                next,
                 nan,
                 ..
             } => {
-                let front = match Self::bucket_hash(tuple_key(tuple, *stored_field)) {
+                let link = next.pop_front().unwrap_or(NO_NEXT);
+                let oldest = match Self::bucket_hash(tuple_key(tuple, *stored_field)) {
                     Some(hash) => match buckets.entry(hash) {
-                        Entry::Occupied(mut bucket) => {
-                            let front = bucket.get_mut().pop_front();
-                            if bucket.get().is_empty() {
-                                bucket.remove();
+                        Entry::Occupied(mut chain) => {
+                            let first = chain.get().first;
+                            if first == chain.get().last {
+                                chain.remove();
+                            } else {
+                                chain.get_mut().first = link;
                             }
-                            front
+                            Some(first)
                         }
                         Entry::Vacant(_) => None,
                     },
                     None => nan.pop_front(),
                 };
-                debug_assert_eq!(front, Some(seq), "hash bucket out of time order");
+                debug_assert_eq!(oldest, Some(seq), "hash chain out of time order");
             }
             Index::Band(band) => band.remove(seq, tuple),
+        }
+    }
+
+    /// Shrink the hash links to hold at most `slots` entries' worth, the
+    /// capacity the state's window keeps ([`JoinState::purge_expired`]).
+    fn shrink_to(&mut self, slots: usize) {
+        if let Index::Hash { next, .. } = self {
+            next.shrink_to(slots);
         }
     }
 
@@ -446,8 +501,8 @@ impl Index {
 /// tuples: no probe skips a dead entry and nothing is rebuilt on the purge
 /// path.
 ///
-/// Buckets are keyed by the canonical 64-bit key hash; each stored tuple
-/// carries its key class as a memo ([`memoize_key`]), so a purge never
+/// Hash chains are keyed by the canonical 64-bit key hash; each stored
+/// tuple carries its key class as a memo ([`memoize_key`]), so a purge never
 /// rehashes a key that was hashed on insert.
 #[derive(Debug, Default)]
 pub struct JoinState {
@@ -475,6 +530,7 @@ impl JoinState {
                 stored_field: stored_key_field,
                 probe_field: probe_key_field,
                 buckets: Buckets::default(),
+                next: VecDeque::new(),
                 nan: VecDeque::new(),
             },
             ..JoinState::default()
@@ -560,8 +616,9 @@ impl JoinState {
     }
 
     /// Estimated bytes the state currently holds on to: every slot the queue
-    /// has allocated, filled or not, plus the stored heap payloads.  The
-    /// queue keeps its high-water buffer until the state is reloaded.
+    /// has allocated, filled or not, plus the stored heap payloads.  A purge
+    /// gives slots back once the window fills under a quarter of them
+    /// ([`JoinState::purge_expired`]).
     pub fn capacity_bytes(&self) -> usize {
         self.tuples.capacity() * std::mem::size_of::<Tuple>() + self.heap_bytes
     }
@@ -573,15 +630,15 @@ impl JoinState {
     /// purge forwarding this tuple to the next slice ships the hash along.
     pub fn push(&mut self, mut tuple: Tuple) {
         let seq = self.head_seq + self.tuples.len() as u64;
-        self.index.insert(seq, &mut tuple);
+        self.index.insert(seq, self.head_seq, &mut tuple);
         self.heap_bytes += tuple.heap_bytes();
         self.tuples.push_back(tuple);
     }
 
     /// Remove and return the oldest tuple, dropping its index entry at once:
-    /// it is the front of its hash bucket (the bucket goes once it empties)
-    /// or of the `NaN` list, or one entry of the band index's order set or
-    /// the front of its side list.
+    /// it is the oldest of its hash chain (the chain goes once it empties)
+    /// or the front of the `NaN` list, or one entry of the band index's
+    /// order set or the front of its side list.
     pub fn pop_front(&mut self) -> Option<Tuple> {
         let tuple = self.tuples.pop_front()?;
         self.index.remove(self.head_seq, &tuple);
@@ -598,7 +655,7 @@ impl JoinState {
     pub fn index_matches_rebuild(&self) -> bool {
         let mut fresh = self.index.emptied();
         for (seq, tuple) in (self.head_seq..).zip(&self.tuples) {
-            fresh.insert(seq, &mut tuple.clone());
+            fresh.insert(seq, self.head_seq, &mut tuple.clone());
         }
         fresh == self.index
     }
@@ -607,8 +664,8 @@ impl JoinState {
     /// against:
     ///
     /// * linear mode — every stored tuple, oldest first,
-    /// * hash-indexed mode — the probe key's bucket plus the `NaN` side
-    ///   list; a `NaN` probe key degrades to a full scan and a missing probe
+    /// * hash-indexed mode — the probe key's chain, oldest first, plus the
+    ///   `NaN` side list; a `NaN` probe key degrades to a full scan and a missing probe
     ///   attribute yields no candidates (it can never satisfy the condition),
     /// * band-indexed mode — the tree range between the probe tuple's bound
     ///   values (binary search + contiguous walk, value order) plus the
@@ -626,6 +683,7 @@ impl JoinState {
             Index::Hash {
                 probe_field,
                 buckets,
+                next,
                 nan,
                 ..
             } => match tuple_key(probe, *probe_field) {
@@ -634,7 +692,8 @@ impl JoinState {
                 KeyClass::Hash(hash) => Candidates {
                     inner: CandidatesInner::Indexed {
                         state: self,
-                        bucket: buckets.get(&hash).map(|b| b.iter()),
+                        links: next,
+                        cursor: buckets.get(&hash).map_or(NO_NEXT, |chain| chain.first),
                         extra: nan.iter(),
                     },
                 },
@@ -693,6 +752,13 @@ impl JoinState {
     /// Returns the number of front checks performed — the purge
     /// timestamp-comparison count of the paper's cost model: one per popped
     /// tuple plus one for the first survivor.
+    ///
+    /// A purge that leaves the window under a quarter of the queue's
+    /// capacity shrinks the queue (and the hash links beside it) to twice
+    /// the window, never below `MIN_KEPT_SLOTS` (64), so a slice that bursts
+    /// once does not hold its high-water buffer for the rest of the run.
+    /// The quarter, the factor two and the floor are untuned: no benchmark
+    /// metric yet reads what a state holds after a burst.
     pub fn purge_expired(
         &mut self,
         mut is_expired: impl FnMut(&Tuple) -> bool,
@@ -706,6 +772,12 @@ impl JoinState {
             }
             let Some(tuple) = self.pop_front() else { break };
             on_expired(tuple);
+        }
+        let capacity = self.tuples.capacity();
+        if comparisons > 1 && capacity > MIN_KEPT_SLOTS && self.tuples.len() < capacity / 4 {
+            let keep = (self.tuples.len() * 2).max(MIN_KEPT_SLOTS);
+            self.tuples.shrink_to(keep);
+            self.index.shrink_to(keep);
         }
         comparisons
     }
@@ -751,7 +823,10 @@ enum CandidatesInner<'a> {
     All(std::collections::vec_deque::Iter<'a, Tuple>),
     Indexed {
         state: &'a JoinState,
-        bucket: Option<std::collections::vec_deque::Iter<'a, u64>>,
+        /// The hash index's `next` links.
+        links: &'a VecDeque<u64>,
+        /// The next chain entry to yield, or [`NO_NEXT`] past the chain.
+        cursor: u64,
         extra: std::collections::vec_deque::Iter<'a, u64>,
     },
     Band {
@@ -784,16 +859,21 @@ impl<'a> Iterator for Candidates<'a> {
             CandidatesInner::All(iter) => iter.next(),
             CandidatesInner::Indexed {
                 state,
-                bucket,
+                links,
+                cursor,
                 extra,
             } => {
-                // The key's bucket (time order), then the `NaN` list.  Both
+                // The key's chain (time order), then the `NaN` list.  Both
                 // hold live entries only, so every sequence number resolves.
-                let seq = bucket
-                    .as_mut()
-                    .and_then(Iterator::next)
-                    .or_else(|| extra.next())?;
-                state.get(*seq)
+                if *cursor == NO_NEXT {
+                    return state.get(*extra.next()?);
+                }
+                let seq = *cursor;
+                *cursor = links
+                    .get((seq - state.head_seq) as usize)
+                    .copied()
+                    .unwrap_or(NO_NEXT);
+                state.get(seq)
             }
             CandidatesInner::Band {
                 state,
@@ -842,10 +922,29 @@ mod tests {
         }
     }
 
-    /// Bucket references plus `NaN` list entries of a hash-indexed state.
+    /// Chain entries plus `NaN` list entries of a hash-indexed state,
+    /// counted by walking every chain from its oldest to its newest entry.
     fn hash_references(s: &mut JoinState) -> usize {
-        let (buckets, nan) = hash_parts(s);
-        buckets.values().map(VecDeque::len).sum::<usize>() + nan.len()
+        let head = s.head_seq;
+        let Index::Hash {
+            buckets, next, nan, ..
+        } = &s.index
+        else {
+            panic!("not a hash-indexed state");
+        };
+        let chained: usize = buckets
+            .values()
+            .map(|chain| {
+                let mut seq = chain.first;
+                let mut entries = 1;
+                while seq != chain.last {
+                    seq = next[(seq - head) as usize];
+                    entries += 1;
+                }
+                entries
+            })
+            .sum();
+        chained + nan.len()
     }
 
     /// The band index of a band-indexed state.
@@ -1140,6 +1239,71 @@ mod tests {
         }
         let (buckets, nan) = hash_parts(&mut s);
         assert!(buckets.is_empty() && nan.is_empty());
+    }
+
+    #[test]
+    fn interleaved_keys_chain_in_time_order_under_push_and_purge() {
+        // Three keys pushed round-robin with purges in between: every
+        // probe walks its key's chain oldest first, through entries of the
+        // other keys, and a chain emptied by purges comes back fresh.
+        let mut s = JoinState::indexed(0, 0);
+        for secs in 0..12u64 {
+            s.push(t(secs, (secs % 3) as i64));
+        }
+        assert_eq!(candidate_secs(&s, &t(99, 0)), vec![0, 3, 6, 9]);
+        assert_eq!(candidate_secs(&s, &t(99, 1)), vec![1, 4, 7, 10]);
+        assert_eq!(candidate_secs(&s, &t(99, 2)), vec![2, 5, 8, 11]);
+        for _ in 0..5 {
+            s.pop_front();
+        }
+        // Purged 0..=4: each chain starts at its oldest survivor.
+        assert_eq!(candidate_secs(&s, &t(99, 0)), vec![6, 9]);
+        assert_eq!(candidate_secs(&s, &t(99, 1)), vec![7, 10]);
+        assert_eq!(candidate_secs(&s, &t(99, 2)), vec![5, 8, 11]);
+        s.push(t(12, 1));
+        s.push(t(13, 1));
+        assert_eq!(candidate_secs(&s, &t(99, 1)), vec![7, 10, 12, 13]);
+        // Purge key 0's whole chain (6 and 9) and push it again.
+        while s.front().is_some_and(|f| f.ts <= Timestamp::from_secs(9)) {
+            s.pop_front();
+        }
+        assert_eq!(candidate_secs(&s, &t(99, 0)), Vec::<u64>::new());
+        s.push(t(14, 0));
+        assert_eq!(candidate_secs(&s, &t(99, 0)), vec![14]);
+        assert_eq!(candidate_secs(&s, &t(99, 1)), vec![10, 12, 13]);
+        assert_eq!(candidate_secs(&s, &t(99, 2)), vec![11]);
+        assert_eq!(hash_references(&mut s), s.len());
+        assert!(s.index_matches_rebuild());
+    }
+
+    #[test]
+    fn a_purge_gives_back_a_burst_high_water_buffer() {
+        let mut s = JoinState::indexed(0, 0);
+        for secs in 0..1_000u64 {
+            s.push(t(secs, (secs % 5) as i64));
+        }
+        let burst = s.capacity_bytes();
+        // A purge that leaves 100 of 1 000 tuples shrinks the window's
+        // queue to twice what is left.
+        let purged = s.purge_expired(|f| f.ts < Timestamp::from_secs(900), |_| {});
+        assert_eq!(purged, 901);
+        assert_eq!(s.len(), 100);
+        assert!(
+            s.capacity_bytes() * 4 < burst,
+            "{} of {burst} bytes kept",
+            s.capacity_bytes()
+        );
+        assert!(s.index_matches_rebuild());
+        assert_eq!(candidate_secs(&s, &t(9_999, 2)).len(), 20);
+        // A small window keeps its floor of slots, so emptying and
+        // refilling it does not reallocate.
+        s.purge_expired(|_| true, |_| {});
+        assert!(s.is_empty());
+        let floor = s.capacity_bytes();
+        assert!(floor >= MIN_KEPT_SLOTS * std::mem::size_of::<Tuple>());
+        s.push(t(2_000, 1));
+        s.purge_expired(|_| true, |_| {});
+        assert_eq!(s.capacity_bytes(), floor);
     }
 
     #[test]
@@ -1482,16 +1646,19 @@ mod tests {
         let first = *order.first().unwrap();
         order.remove(&first);
         assert!(!band.index_matches_rebuild());
-        // ...a lost hash bucket reference...
+        // ...a lost hash chain...
         let key = canonical_key_hash(&Value::Int(2)).unwrap();
-        let lost = hash_parts(&mut hash).0.get_mut(&key).unwrap().pop_front();
+        let lost = hash_parts(&mut hash).0.remove(&key).unwrap();
         assert!(!hash.index_matches_rebuild());
-        // ...and, once it is back, an extra (dead) one are all caught.
-        let buckets = hash_parts(&mut hash).0;
-        buckets.get_mut(&key).unwrap().push_back(lost.unwrap());
+        // ...and, once it is back, a chain that starts at a purged (dead)
+        // entry or runs on into another key's entry are all caught.
+        hash_parts(&mut hash).0.insert(key, lost);
         assert!(hash.index_matches_rebuild());
-        let buckets = hash_parts(&mut hash).0;
-        buckets.get_mut(&key).unwrap().push_front(0);
+        hash_parts(&mut hash).0.get_mut(&key).unwrap().first = 0;
+        assert!(!hash.index_matches_rebuild());
+        hash_parts(&mut hash)
+            .0
+            .insert(key, Chain { last: 3, ..lost });
         assert!(!hash.index_matches_rebuild());
     }
 }

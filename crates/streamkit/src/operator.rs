@@ -114,6 +114,15 @@ pub trait Operator: Send {
         }
     }
 
+    /// `true` if this operator orders the items of its input ports by
+    /// timestamp itself (the order-preserving union), so the executor may
+    /// hand it each port's queue whole, port by port, instead of the
+    /// timestamp-bounded runs [`Queue::pop_run_into`](crate::queue::Queue::pop_run_into)
+    /// cuts for every other operator.
+    fn merges_ports_by_timestamp(&self) -> bool {
+        false
+    }
+
     /// Called once when all input is exhausted, so operators can flush
     /// buffered output (e.g. the order-preserving union).
     fn flush(&mut self, _ctx: &mut OpContext) {}

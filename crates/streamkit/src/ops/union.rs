@@ -15,6 +15,11 @@
 //! released tuple costs one merge comparison, matching the paper's union cost
 //! model ("a one-time merge sort on timestamps").
 //!
+//! Because the union orders its ports itself, it tells the executor so
+//! ([`Operator::merges_ports_by_timestamp`]), and the executor hands it each
+//! port's queue whole, port after port, instead of cutting timestamp-bounded
+//! runs across the ports.
+//!
 //! [1]: Abadi et al., "Aurora: A new model and architecture for data stream
 //! management", VLDB Journal 2003.
 
@@ -286,6 +291,10 @@ impl Operator for UnionOp {
 
     fn process_batch(&mut self, port: PortId, items: &mut Vec<StreamItem>, ctx: &mut OpContext) {
         self.absorb(port, items.drain(..), ctx);
+    }
+
+    fn merges_ports_by_timestamp(&self) -> bool {
+        true
     }
 
     fn flush(&mut self, ctx: &mut OpContext) {
@@ -645,6 +654,70 @@ mod tests {
         assert!(out
             .iter()
             .all(|(_, item)| !matches!(item, StreamItem::Batch(b) if Arc::ptr_eq(b, &sent))));
+    }
+
+    #[test]
+    fn port_major_intake_releases_what_timestamp_interleaved_intake_does() {
+        // Per port, in stream order: rows, batches with ties inside and
+        // across ports, and punctuations.  Tags name the port (tens) and the
+        // position.  Two visits' worth, so rows buffered by the first visit
+        // meet the second's.
+        let row = |s: u64, v: i64| StreamItem::from(tup(s, v));
+        let punct = |s: u64| StreamItem::from(Punctuation::new(Timestamp::from_secs(s)));
+        let visits: Vec<Vec<Vec<StreamItem>>> = vec![
+            vec![
+                vec![row(1, 0), batch_of(&[(2, 1), (2, 2), (5, 3)]), punct(5)],
+                vec![row(2, 10), row(3, 11), batch_of(&[(5, 12), (5, 13)])],
+                vec![batch_of(&[(1, 20), (2, 21)]), row(5, 22), punct(6)],
+            ],
+            vec![
+                vec![row(7, 4), batch_of(&[(8, 5), (9, 6)])],
+                vec![batch_of(&[(6, 14), (8, 15)]), punct(9)],
+                vec![row(6, 23), row(8, 24), row(9, 25), punct(12)],
+            ],
+        ];
+        // Timestamp-interleaved: one item at a time, the oldest head first,
+        // ties to the lowest port — the order timestamp-bounded runs take.
+        let mut interleaved = UnionOp::new("union", 3);
+        let mut by_ts = OpContext::new();
+        let mut released_by_ts = Vec::new();
+        // Port-major: each port's queue whole, in port order.
+        let mut port_major = UnionOp::new("union", 3);
+        let mut whole = OpContext::new();
+        let mut released_whole = Vec::new();
+        assert!(port_major.merges_ports_by_timestamp());
+        for visit in &visits {
+            let mut queues: Vec<VecDeque<StreamItem>> =
+                visit.iter().map(|q| q.iter().cloned().collect()).collect();
+            loop {
+                let next = queues
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(port, q)| q.front().map(|item| (item.timestamp(), port)))
+                    .min();
+                let Some((_, port)) = next else { break };
+                let item = queues[port].pop_front().unwrap();
+                interleaved.process(port, item, &mut by_ts);
+            }
+            released_by_ts.extend(tags(&by_ts.take_outputs()));
+            for (port, queue) in visit.iter().enumerate() {
+                port_major.process_batch(port, &mut queue.clone(), &mut whole);
+            }
+            released_whole.extend(tags(&whole.take_outputs()));
+            assert_eq!(released_whole, released_by_ts);
+            assert_eq!(port_major.buffered_len(), interleaved.buffered_len());
+            assert!(!released_whole.is_empty());
+        }
+        interleaved.flush(&mut by_ts);
+        port_major.flush(&mut whole);
+        released_by_ts.extend(tags(&by_ts.take_outputs()));
+        released_whole.extend(tags(&whole.take_outputs()));
+        assert_eq!(released_whole, released_by_ts);
+        assert_eq!(released_whole.len(), 19);
+        assert_eq!(
+            whole.counters.union_comparisons,
+            by_ts.counters.union_comparisons
+        );
     }
 
     #[test]
