@@ -182,7 +182,7 @@ pub fn run_strategy(scenario: &Scenario, strategy: Strategy) -> Result<RunMetric
                 _ => builder.cpu_optimal(&cost_config(scenario))?.spec,
             };
             let shared = SharedChainPlan::build(&workload, &spec, &PlannerOptions::default())?;
-            num_operators = shared.plan.num_nodes();
+            num_operators = spec.num_operators(&workload);
             let mut exec = Executor::with_config(shared.plan, executor_config());
             exec.ingest_all(
                 CHAIN_ENTRY,

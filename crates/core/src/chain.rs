@@ -117,6 +117,22 @@ impl ChainSpec {
             .expect("every query ends in some slice")
     }
 
+    /// The paper's logical operators in this chain's shared plan for
+    /// `workload` (Figure 19's operator axis): one sliced join per slice,
+    /// one lineage gate in front of every slice but the first when
+    /// selections are pushed down, one router per merged slice and one
+    /// union per query.  The executable plan runs them all inside one
+    /// chain operator, so its node count does not show them.
+    pub fn num_operators(&self, workload: &QueryWorkload) -> usize {
+        let gates = if workload.has_selections() {
+            self.num_slices() - 1
+        } else {
+            0
+        };
+        let routers = self.slices.iter().filter(|s| s.needs_router()).count();
+        self.num_slices() + gates + routers + workload.len()
+    }
+
     /// Total window range covered by the chain (must equal the workload's
     /// largest window).
     pub fn covered_range(&self) -> TimeDelta {

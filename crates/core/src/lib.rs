@@ -20,7 +20,8 @@
 //!   buildup, the latter via [`dijkstra`] over the slice-merge DAG,
 //! * [`lineage`] — selection push-down with tuple lineage (Section 6),
 //! * [`planner`] — turning a chain spec into an executable
-//!   [`streamkit`] plan with per-query unions, routers and sinks,
+//!   [`streamkit`] plan: one chain operator (slices, gates, window splits
+//!   and per-query merges) feeding one sink per query,
 //! * [`migration`] — online merging / splitting of slices (Section 5.3),
 //! * [`live`] — the [`live::Session`], the one owner of a running executor:
 //!   query churn via chain re-slicing, re-plans, shard rescales, crash
@@ -84,7 +85,7 @@ pub use adaptive::{AdaptationAction, AdaptationRecord, DriftKind, SupervisorConf
 pub use builder::{BuiltChain, ChainBuilder, ChainPlanFactory, CostConfig};
 pub use chain::{ChainSpec, SliceSpec};
 pub use dijkstra::{shortest_path, ShortestPath};
-pub use lineage::{LineageAnnotatorOp, LineageGateOp};
+pub use lineage::LineageAnnotatorOp;
 pub use live::{
     MigrationRecord, QueryResults, Session, SessionEvent, SessionOptions, SessionOutcome,
     SliceStrategy,

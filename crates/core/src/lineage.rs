@@ -8,10 +8,12 @@
 //! until the k-th sliced join and no further".
 //!
 //! [`LineageAnnotatorOp`] performs that one-time evaluation on the filtered
-//! stream (stream A in the paper's running example).  [`LineageGateOp`] sits
-//! on the chain between slice `i-1` and slice `i` and drops tuples of the
-//! filtered stream whose lineage is below `i` — a zero-comparison check, which
-//! is exactly the saving the lineage trick buys.
+//! stream (stream A in the paper's running example).  The gate between slice
+//! `i-1` and slice `i` runs inside the chain operator
+//! ([`ChainJoinOp::gate`](streamkit::ops::ChainJoinOp::gate)) and drops
+//! tuples of the filtered stream whose lineage is below `i` — a
+//! zero-comparison check, which is exactly the saving the lineage trick
+//! buys.
 
 use streamkit::checkpoint::WindowState;
 use streamkit::operator::{OpContext, Operator, PortId};
@@ -132,68 +134,11 @@ pub(crate) fn regate_states(
     dropped
 }
 
-/// Drops tuples of the filtered stream whose lineage level is below
-/// `min_level`; everything else passes through untouched.
-#[derive(Debug)]
-pub struct LineageGateOp {
-    name: String,
-    min_level: u32,
-    stream: StreamId,
-    dropped: u64,
-}
-
-impl LineageGateOp {
-    /// Build a gate requiring lineage `>= min_level` for tuples of `stream`.
-    pub fn new(name: impl Into<String>, min_level: u32, stream: StreamId) -> Self {
-        LineageGateOp {
-            name: name.into(),
-            min_level,
-            stream,
-            dropped: 0,
-        }
-    }
-
-    /// Number of tuples dropped by this gate.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The gate's minimum lineage level.
-    pub fn min_level(&self) -> u32 {
-        self.min_level
-    }
-}
-
-impl Operator for LineageGateOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, _port: PortId, item: StreamItem, ctx: &mut OpContext) {
-        match item {
-            StreamItem::Tuple(t) => {
-                ctx.counters.tuples_processed += 1;
-                if t.stream == self.stream && t.lineage < self.min_level {
-                    self.dropped += 1;
-                } else {
-                    ctx.emit(0, t);
-                }
-            }
-            StreamItem::Batch(b) => {
-                // Row fallback: gating inspects per-row lineage.
-                for t in b.materialize() {
-                    self.process(_port, StreamItem::Tuple(t), ctx);
-                }
-            }
-            p @ StreamItem::Punctuation(_) => ctx.emit(0, p),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamkit::tuple::{Tuple, LINEAGE_ALL};
+    use streamkit::ops::{ChainJoinOp, SliceJoinOp};
+    use streamkit::tuple::LINEAGE_ALL;
     use streamkit::Timestamp;
 
     fn a(v: i64) -> Tuple {
@@ -276,30 +221,69 @@ mod tests {
         assert_eq!(ctx.counters.filter_comparisons, 0);
     }
 
+    /// A one-query-per-slice chain of `[0, 5)` and `[5, 10)` s whose second
+    /// slice is gated at `min_level`.
+    fn gated_chain(min_level: u32) -> ChainJoinOp {
+        use streamkit::window::SliceWindow;
+        use streamkit::JoinCondition;
+        let slice = |k: u64| {
+            SliceJoinOp::for_ab(
+                format!("slice_{k}"),
+                SliceWindow::from_secs(5 * k, 5 * k + 5),
+                JoinCondition::Cross,
+            )
+        };
+        let slices = vec![slice(0).chain_head(), slice(1).last_in_chain()];
+        ChainJoinOp::new("chain", slices, 2)
+            .gate(1, min_level)
+            .branch(0, 0, None, None)
+            .branch(1, 1, None, None)
+    }
+
     #[test]
     fn gate_drops_below_level_without_comparisons() {
-        let mut gate = LineageGateOp::new("gate2", 2, StreamId::A);
-        assert_eq!(gate.min_level(), 2);
+        let mut chain = gated_chain(2);
+        assert_eq!(chain.min_level(1), 2);
         let mut ctx = OpContext::new();
-        gate.process(0, a(5).with_lineage(1).into(), &mut ctx);
-        gate.process(0, a(50).with_lineage(2).into(), &mut ctx);
-        gate.process(0, a(500).with_lineage(3).into(), &mut ctx);
-        gate.process(0, b(1).into(), &mut ctx);
-        let out = ctx.take_outputs();
-        assert_eq!(out.len(), 3);
-        assert_eq!(gate.dropped(), 1);
+        // Four tuples stored in the first slice; a B probe 7 s later purges
+        // them into the gate of the second, where it then probes.
+        for t in [
+            a(5).with_lineage(1),
+            a(50).with_lineage(2),
+            a(500).with_lineage(3),
+            b(1),
+        ] {
+            chain.process(0, t.into(), &mut ctx);
+        }
+        let probe = Tuple::of_ints(Timestamp::from_secs(8), StreamId::B, &[0]);
+        chain.process(0, probe.into(), &mut ctx);
+        let second = &chain.slice_joins()[1];
+        // The lineage-1 A tuple was dropped and the other two passed; the
+        // B tuples' female copies stay in the first slice.
+        assert_eq!(second.state_a_len(), 2);
+        assert_eq!(second.state_b_len(), 0);
         assert_eq!(ctx.counters.filter_comparisons, 0);
+        let second_results = ctx
+            .take_outputs()
+            .into_iter()
+            .filter(|(port, _)| *port == 1)
+            .count();
+        assert_eq!(second_results, 2, "the probe joins both admitted A tuples");
     }
 
     #[test]
     fn punctuations_pass_both_operators() {
         let mut ann = LineageAnnotatorOp::new("lineage", vec![Predicate::True], StreamId::A);
-        let mut gate = LineageGateOp::new("gate", 1, StreamId::A);
         let mut ctx = OpContext::new();
         let p = streamkit::Punctuation::new(Timestamp::from_secs(3));
         ann.process(0, p.into(), &mut ctx);
-        gate.process(0, p.into(), &mut ctx);
-        assert_eq!(ctx.take_outputs().len(), 2);
+        assert_eq!(ctx.take_outputs().len(), 1);
+        // Through the chain's gate a punctuation reaches the gated slice,
+        // and as the chain holds nothing back it emits no punctuation.
+        let mut chain = gated_chain(1);
+        chain.process(0, p.into(), &mut ctx);
+        assert!(ctx.take_outputs().is_empty());
+        assert_eq!(chain.slice_joins()[1].state_len(), 0);
     }
 
     #[test]

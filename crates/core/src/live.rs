@@ -28,7 +28,8 @@
 //!    chain's lineage annotator and gates would have left it,
 //! 3. **replace** the plans with fresh ones for the new workload
 //!    ([`ShardedExecutor::replace_plans`], the call crash recovery makes
-//!    too) — the union/router/sink graph of the added/removed query, and
+//!    too) — the chain operator's branches and sinks for the added/removed
+//!    query, and
 //!    each slice's index mode, chain flags and name — and **restore** the
 //!    migrated states into them ([`ShardedExecutor::restore_window_states`]),
 //! 4. **adopt** a checkpoint of the migrated executor as the durable cut, and
@@ -659,7 +660,7 @@ impl Session {
         //    a crash first.  This is ordinary execution, not stall time.
         self.settle()?;
         // 2. Re-plan and diff, and materialise the new plan instances (fresh
-        //    union/router/sink wiring for the changed query set).  All the
+        //    chain branches and sinks for the changed query set).  All the
         //    user-input-fallible work happens here, *before* anything is
         //    mutated, so a failed add/remove leaves the session untouched.
         let new_spec = self.options.strategy.spec_for(&new_workload)?;

@@ -1,38 +1,41 @@
 //! Turn a [`ChainSpec`] into an executable shared query plan.
 //!
-//! The generated plan follows Figures 10, 12, 13 and 15 of the paper:
+//! The generated plan follows Figures 10, 12, 13 and 15 of the paper, with
+//! the whole chain run by one operator ([`ChainJoinOp`]):
 //!
 //! ```text
-//!  A+B ─► [lineage annotator] ─► slice_0 ─► [gate_1] ─► slice_1 ─► ... ─► slice_k
-//!                                   │                      │                 │
-//!                                   ▼ results              ▼ results         ▼
-//!                              (router if merged)     (router if merged)    ...
-//!                                   │                      │
-//!                   ┌───────────────┴───────┬──────────────┘
-//!                   ▼                       ▼
-//!               union_Q1 ─► σ_Q1? ─► Q1  union_Q2 ─► σ_Q2? ─► Q2   ...
+//!             ┌──────────────────────────── chain ─────────────────────────────┐
+//!  A+B ─► [lineage] ─► slice_0 ─► [gate_1] ─► slice_1 ─► ... ─► slice_k       │
+//!             │           │                     │                 │           │
+//!             │           ▼ (split if merged)   ▼                 ▼           │
+//!             │      per-query lists, σ_Q on the branches that need it        │
+//!             │           │                                                   │
+//!             │           ▼ merge by timestamp at the end of each run         │
+//!             └─────── port Q1 ─────────── port Q2 ──────── ... ──────────────┘
+//!                         ▼                   ▼
+//!                         Q1                  Q2                 ...
 //! ```
 //!
 //! * The single entry point [`CHAIN_ENTRY`] carries both streams merged in
 //!   timestamp order (the paper's logical queue); use [`merge_streams`] to
 //!   interleave two per-stream tuple vectors.
-//! * The lineage annotator and the per-slice lineage gates implement the
-//!   selection push-down of Section 6 and appear only when some query has a
-//!   selection.
-//! * A router appears after a slice only when that slice is a merge of
-//!   several Mem-Opt slices (CPU-Opt chains, Figure 13(b)).
-//! * Each query gets an order-preserving union over the slices it needs, an
-//!   optional residual selection, and a sink named after the query.
+//! * The lineage annotator (its own node in front of the chain) and the
+//!   per-slice lineage gates implement the selection push-down of Section 6
+//!   and appear only when some query has a selection.
+//! * A window split of a slice's results appears only when that slice is a
+//!   merge of several Mem-Opt slices (CPU-Opt chains, Figure 13(b)).
+//! * Each query's results are merged by timestamp from the slices it needs,
+//!   filtered by its residual selection on the branches whose gate does not
+//!   imply it, and delivered on the chain's output port for the query, wired
+//!   to a sink named after the query.
 
 use streamkit::error::Result;
-use streamkit::ops::slice_join::{PORT_NEXT_SLICE, PORT_RESULTS};
-use streamkit::ops::{RouteTarget, RouterOp, SelectOp, SinkOp, SliceJoinOp, UnionOp};
-use streamkit::plan::{NodeId, Plan};
+use streamkit::ops::{ChainJoinOp, SinkOp, SliceJoinOp};
+use streamkit::plan::Plan;
 use streamkit::tuple::{StreamId, Tuple};
-use streamkit::PortId;
 
 use crate::chain::ChainSpec;
-use crate::lineage::{LineageAnnotatorOp, LineageGateOp};
+use crate::lineage::LineageAnnotatorOp;
 use crate::query::QueryWorkload;
 
 /// Name of the single external entry point of a chain plan (the merged
@@ -96,84 +99,38 @@ impl SharedChainPlan {
         let has_selections = workload.has_selections();
         let mut b = Plan::builder();
 
-        // 1. Optional lineage annotator in front of the chain.
-        let annotator = if has_selections {
-            let node = b.add_op(LineageAnnotatorOp::new(
-                "lineage",
-                workload.filters(),
-                StreamId::A,
-            ));
-            b.entry(CHAIN_ENTRY, node, 0);
-            Some(node)
-        } else {
-            None
-        };
-
-        // 2. The chain of sliced binary joins with optional lineage gates.
+        // 1. The chain's slices, with their lineage gates (σ'_k = cond_k ∨
+        //    ... ∨ cond_N) when some query has a selection.
         let last = spec.num_slices() - 1;
-        let mut slice_nodes: Vec<NodeId> = Vec::with_capacity(spec.num_slices());
-        for (k, slice) in spec.slices().iter().enumerate() {
-            let mut op = SliceJoinOp::for_ab(
-                format!("slice_{k}"),
-                slice.window,
-                workload.join_condition().clone(),
-            );
-            if k == 0 {
-                op = op.chain_head();
-            }
-            if k == last {
-                op = op.last_in_chain();
-            }
-            let node = b.add_op(op);
-            if k == 0 {
-                match annotator {
-                    Some(a) => b.connect(a, 0, node, 0),
-                    None => b.entry(CHAIN_ENTRY, node, 0),
+        let slices = spec
+            .slices()
+            .iter()
+            .enumerate()
+            .map(|(k, slice)| {
+                let mut op = SliceJoinOp::for_ab(
+                    format!("slice_{k}"),
+                    slice.window,
+                    workload.join_condition().clone(),
+                );
+                if k == 0 {
+                    op = op.chain_head();
                 }
-            } else {
-                let prev = slice_nodes[k - 1];
-                if has_selections {
-                    // σ'_k = cond_k ∨ ... ∨ cond_N, realised as a lineage gate.
-                    let gate = b.add_op(LineageGateOp::new(
-                        format!("gate_{k}"),
-                        (slice.query_lo + 1) as u32,
-                        StreamId::A,
-                    ));
-                    b.connect(prev, PORT_NEXT_SLICE, gate, 0);
-                    b.connect(gate, 0, node, 0);
-                } else {
-                    b.connect(prev, PORT_NEXT_SLICE, node, 0);
+                if k == last {
+                    op = op.last_in_chain();
                 }
+                op
+            })
+            .collect();
+        let mut chain = ChainJoinOp::new("chain", slices, workload.len());
+        if has_selections {
+            for (k, slice) in spec.slices().iter().enumerate().skip(1) {
+                chain = chain.gate(k, (slice.query_lo + 1) as u32);
             }
-            slice_nodes.push(node);
         }
 
-        // 3. Routers for merged slices (CPU-Opt chains).
-        //    routed[(slice, query)] = (router node, router output port).
-        type RoutedSlice = Option<(NodeId, Vec<(usize, PortId)>)>;
-        let mut routed: Vec<RoutedSlice> = vec![None; spec.num_slices()];
-        for (k, slice) in spec.slices().iter().enumerate() {
-            let partial_queries: Vec<usize> = (slice.query_lo..=slice.query_hi)
-                .filter(|&q| workload.query(q).window < slice.window.end)
-                .collect();
-            if partial_queries.is_empty() {
-                continue;
-            }
-            let targets: Vec<RouteTarget> = partial_queries
-                .iter()
-                .map(|&q| RouteTarget::window_only(workload.query(q).window))
-                .collect();
-            let router = b.add_op(RouterOp::new(format!("router_{k}"), targets));
-            b.connect(slice_nodes[k], PORT_RESULTS, router, 0);
-            let ports = partial_queries
-                .iter()
-                .enumerate()
-                .map(|(port, &q)| (q, port))
-                .collect();
-            routed[k] = Some((router, ports));
-        }
-
-        // 4. Per-query unions, residual selections and sinks.
+        // 2. Each query's branches: every slice up to the one its window
+        //    ends in, split by the query's window when the slice reaches
+        //    past it (CPU-Opt merged slices).
         //
         //    A result produced by slice `k` already involves an A tuple that
         //    passed slice `k`'s lineage gate, i.e. it satisfies the
@@ -182,49 +139,46 @@ impl SharedChainPlan {
         //    not already imply the query's own predicate — in the paper's
         //    running example, σ'_A filters only the first slice's results for
         //    Q2 (Figure 10).
-        let mut sink_names = Vec::with_capacity(workload.len());
         for (q_idx, query) in workload.queries().iter().enumerate() {
-            let last_slice = spec.last_slice_for_query(q_idx);
-            let feeding = last_slice + 1;
-            let union = b.add_op(UnionOp::new(format!("union_{}", query.name), feeding));
-            for (port, k) in (0..=last_slice).enumerate() {
+            for k in 0..=spec.last_slice_for_query(q_idx) {
                 let slice = &spec.slices()[k];
-                // Source of this branch: the slice's results, or its router
-                // port when the query only needs part of the slice's range.
-                let (src, src_port) = if query.window >= slice.window.end {
-                    (slice_nodes[k], PORT_RESULTS)
-                } else {
-                    let (router, ports) = routed[k]
-                        .as_ref()
-                        .expect("a slice with partial queries has a router");
-                    let (_, router_port) = ports
-                        .iter()
-                        .find(|(q, _)| *q == q_idx)
-                        .expect("partial query registered with the router");
-                    (*router, *router_port)
-                };
+                let split = (query.window < slice.window.end).then_some(query.window);
                 let gate_implies_filter = workload
                     .queries()
                     .iter()
                     .skip(slice.query_lo)
                     .all(|other| other.filter_a == query.filter_a);
-                if query.has_filter() && !gate_implies_filter {
-                    let select = b.add_op(SelectOp::new(
-                        format!("sigma_{}_{k}", query.name),
-                        query.filter_a.clone(),
-                    ));
-                    b.connect(src, src_port, select, 0);
-                    b.connect(select, 0, union, port);
-                } else {
-                    b.connect(src, src_port, union, port);
-                }
+                let filter =
+                    (query.has_filter() && !gate_implies_filter).then(|| query.filter_a.clone());
+                chain = chain.branch(k, q_idx, split, filter);
             }
+        }
+
+        // 3. The lineage annotator in front of the chain, and one sink per
+        //    query on the chain's port for it.
+        let annotator = has_selections.then(|| {
+            b.add_op(LineageAnnotatorOp::new(
+                "lineage",
+                workload.filters(),
+                StreamId::A,
+            ))
+        });
+        let chain = b.add_op(chain);
+        match annotator {
+            Some(annotator) => {
+                b.entry(CHAIN_ENTRY, annotator, 0);
+                b.connect(annotator, 0, chain, 0);
+            }
+            None => b.entry(CHAIN_ENTRY, chain, 0),
+        }
+        let mut sink_names = Vec::with_capacity(workload.len());
+        for (q_idx, query) in workload.queries().iter().enumerate() {
             let sink = if options.retain_results {
                 b.add_op(SinkOp::retaining(query.name.clone()))
             } else {
                 b.add_op(SinkOp::new(query.name.clone()))
             };
-            b.connect(union, 0, sink, 0);
+            b.connect(chain, q_idx, sink, 0);
             sink_names.push(query.name.clone());
         }
 
@@ -255,7 +209,8 @@ pub fn merge_streams(a: Vec<Tuple>, b: Vec<Tuple>) -> Vec<Tuple> {
 mod tests {
     use super::*;
     use crate::query::JoinQuery;
-    use streamkit::{Executor, JoinCondition, Predicate, TimeDelta, Timestamp};
+    use streamkit::plan::NodeId;
+    use streamkit::{Executor, JoinCondition, Operator, Predicate, TimeDelta, Timestamp};
 
     fn a(secs: u64, key: i64, value: i64) -> Tuple {
         Tuple::of_ints(Timestamp::from_secs(secs), StreamId::A, &[key, value])
@@ -299,9 +254,21 @@ mod tests {
         let shared = SharedChainPlan::build(&w, &spec, &PlannerOptions::default()).unwrap();
         assert_eq!(shared.num_slices, 2);
         assert_eq!(shared.sink_names, vec!["Q1", "Q2"]);
-        // 2 slices + 2 unions + 2 sinks, no selections, no routers.
-        assert_eq!(shared.plan.num_nodes(), 6);
+        // One chain operator running both slices, and 2 sinks: no
+        // annotator without selections, no union, gate or router nodes.
+        assert_eq!(shared.plan.num_nodes(), 3);
+        let names: Vec<&str> = shared
+            .plan
+            .nodes()
+            .iter()
+            .map(|n| n.operator.name())
+            .collect();
+        assert_eq!(names, ["chain", "Q1", "Q2"]);
+        let slices: Vec<&str> = shared.plan.slice_joins().map(|s| s.name()).collect();
+        assert_eq!(slices, ["slice_0", "slice_1"]);
         assert_eq!(shared.plan.entry_names(), vec![CHAIN_ENTRY]);
+        // The chain feeds each sink from its own port.
+        assert_eq!(shared.plan.downstream(NodeId(0), 1), vec![(NodeId(2), 0)]);
     }
 
     #[test]
@@ -384,17 +351,16 @@ mod tests {
         .unwrap();
         let spec = ChainSpec::memory_optimal(&w);
         let shared = SharedChainPlan::build(&w, &spec, &PlannerOptions::default()).unwrap();
-        // The plan contains the lineage annotator and one gate.
-        assert!(shared
+        // The plan is the lineage annotator in front of the chain, whose
+        // second slice is gated inside it, and the two sinks.
+        let names: Vec<&str> = shared
             .plan
             .nodes()
             .iter()
-            .any(|n| n.operator.name() == "lineage"));
-        assert!(shared
-            .plan
-            .nodes()
-            .iter()
-            .any(|n| n.operator.name() == "gate_1"));
+            .map(|n| n.operator.name())
+            .collect();
+        assert_eq!(names, ["lineage", "chain", "Q1", "Q2"]);
+        assert_eq!(shared.plan.slice_joins().count(), 2);
         let mut exec = Executor::new(shared.plan);
         let input = merge_streams(
             vec![a(1, 7, 5), a(2, 7, 50), a(3, 7, 5)],

@@ -5,8 +5,8 @@
 //! buffer is empty and every join state holds exactly the tuples inside its
 //! slice window.  Such a **drained punctuation boundary** is therefore a
 //! consistent cut: capturing (a) each plan node's own [`NodeState`] — a
-//! slice's stored tuples, a union's per-port watermarks, a sink's cumulative
-//! counters — through [`Operator::node_state`](crate::Operator::node_state),
+//! slice's or a whole chain's stored tuples, a union's per-port watermarks,
+//! a sink's cumulative counters — through [`Operator::node_state`](crate::Operator::node_state),
 //! (b) each shard executor's [`IngestProgress`] and the sink deliveries of
 //! the plans it retired, plus the router's hot set and broadcast-copy count,
 //! fully determines the session, because everything in flight has either
@@ -50,6 +50,9 @@ pub enum NodeState {
     Stateless,
     /// A slice join's stored tuples.
     Window(WindowState),
+    /// A sliced chain's stored tuples, one window state per slice in chain
+    /// order.
+    Chain(Vec<WindowState>),
     /// An order-preserving union's punctuation progress.  Its tuple buffers
     /// are provably empty at a drained boundary, so only the monotone
     /// watermarks need to survive.
@@ -156,6 +159,7 @@ impl NodeState {
         let kind = match self {
             NodeState::Stateless => "no state",
             NodeState::Window(_) => "window state",
+            NodeState::Chain(_) => "chain state",
             NodeState::Union { .. } => "union progress",
             NodeState::Sink { .. } => "sink counters",
         };
@@ -327,6 +331,7 @@ impl Checkpoint {
             .flat_map(|s| s.nodes.iter())
             .map(|n| match n {
                 NodeState::Window(state) => state.len() as u64,
+                NodeState::Chain(states) => states.iter().map(|s| s.len() as u64).sum(),
                 _ => 0,
             })
             .sum()

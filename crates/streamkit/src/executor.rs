@@ -11,18 +11,21 @@
 //! operator.  The outputs of a *direct* port — one with exactly one
 //! destination, a node with no other incoming edge and no entry point —
 //! skip the destination's queue: the executor calls the destination with
-//! them at once, in emission order, and so on down the plan.  In a sliced
-//! chain those are the hops lineage → slice 0, slice → gate → slice and
-//! union → sink, so one visit of the chain's first node carries its run
-//! through every slice (the operator-chain idea of block-at-a-time engines:
+//! them at once, in emission order, and so on down the plan.  A sliced
+//! chain's slices, gates and per-query merges run inside one operator
+//! ([`ChainJoinOp`](crate::ops::ChainJoinOp)), so its hops are calls inside
+//! that operator, not plan edges; the edges left, lineage → chain and
+//! chain → sink, are direct, and one visit of the chain's entry carries its
+//! run to every sink (the operator-chain idea of block-at-a-time engines:
 //! operators in one block call each other, and queues sit only where
 //! streams meet).  What [`Operator::flush`] emits takes the same path, so
 //! the queue of a direct destination's port is never used.  Queues stay at
-//! entry points and at fan-in — the per-query unions, which take each
-//! port's queue whole ([`Operator::merges_ports_by_timestamp`]).  Counters
-//! are attributed per node and per call, so every report reads as if each
-//! hop had been a scheduler visit; memory is sampled between visits, when
-//! every output sits in a queue.
+//! entry points and at fan-in, which only the baselines' plans have.
+//! Counters are attributed per node and per call, so every report reads as
+//! if each hop had been a scheduler visit; an operator that runs parts the
+//! report lists on their own (a chain's slices, [`Operator::part_counters`])
+//! is reported as its own share plus one entry per part.  Memory is sampled
+//! between visits, when every output sits in a queue or a sink.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -77,7 +80,8 @@ impl Default for ExecutorConfig {
 pub struct ExecutionReport {
     /// Global comparison counters summed over all operators.
     pub totals: CostCounters,
-    /// Per-operator statistics, in node-id order.
+    /// Per-operator statistics, in node-id order; a sliced chain's entry is
+    /// followed by one entry per slice, named after the slice.
     pub node_stats: Vec<NodeStats>,
     /// State-memory statistics sampled during the run.
     pub memory: MemoryStats,
@@ -299,9 +303,14 @@ pub struct Executor {
     /// docs) with their one destination: `(out_port, node index, input
     /// port)`, in port order.
     direct: Vec<Vec<(PortId, usize, PortId)>>,
+    /// The nodes in topological order: the order a run's end flushes them.
+    flush_order: Vec<usize>,
     node_counters: Vec<CostCounters>,
     peak_state: Vec<usize>,
     peak_state_bytes: Vec<usize>,
+    /// `part_peaks[node][part]`: the sampled peak state tuples and bytes of
+    /// each part a node reports on its own ([`Operator::part_counters`]).
+    part_peaks: Vec<Vec<(usize, usize)>>,
     memory: MemoryStats,
     progress: IngestProgress,
     processed_since_sample: u64,
@@ -357,6 +366,8 @@ impl Executor {
         let queues = Self::build_queues(&plan);
         let routing = Self::build_routing(&plan);
         let direct = Self::build_direct(&plan, &routing);
+        let flush_order = Self::build_flush_order(&plan);
+        let part_peaks = Self::build_part_peaks(&plan);
         let n = plan.num_nodes();
         Executor {
             plan,
@@ -364,9 +375,11 @@ impl Executor {
             queues,
             routing,
             direct,
+            flush_order,
             node_counters: vec![CostCounters::default(); n],
             peak_state: vec![0; n],
             peak_state_bytes: vec![0; n],
+            part_peaks,
             memory: MemoryStats::default(),
             progress: IngestProgress::default(),
             processed_since_sample: 0,
@@ -412,6 +425,22 @@ impl Executor {
                     })
                     .collect()
             })
+            .collect()
+    }
+
+    /// The nodes in topological order.  A built plan has been checked to be
+    /// acyclic, so the node-id fallback is never taken.
+    fn build_flush_order(plan: &Plan) -> Vec<usize> {
+        plan.topological_order().map_or_else(
+            |_| (0..plan.num_nodes()).collect(),
+            |order| order.into_iter().map(|id| id.0).collect(),
+        )
+    }
+
+    fn build_part_peaks(plan: &Plan) -> Vec<Vec<(usize, usize)>> {
+        plan.nodes()
+            .iter()
+            .map(|n| vec![(0, 0); n.operator.part_counters().len()])
             .collect()
     }
 
@@ -499,6 +528,8 @@ impl Executor {
         self.queues = Self::build_queues(&self.plan);
         self.routing = Self::build_routing(&self.plan);
         self.direct = Self::build_direct(&self.plan, &self.routing);
+        self.flush_order = Self::build_flush_order(&self.plan);
+        self.part_peaks = Self::build_part_peaks(&self.plan);
         let n = self.plan.num_nodes();
         self.node_counters = vec![CostCounters::default(); n];
         self.peak_state = vec![0; n];
@@ -704,6 +735,13 @@ impl Executor {
         for (i, node) in self.plan.nodes().iter().enumerate() {
             self.peak_state[i] = self.peak_state[i].max(node.operator.state_size());
             self.peak_state_bytes[i] = self.peak_state_bytes[i].max(node.operator.state_bytes());
+            for (peak, part) in self.part_peaks[i]
+                .iter_mut()
+                .zip(node.operator.slice_joins())
+            {
+                peak.0 = peak.0.max(part.state_size());
+                peak.1 = peak.1.max(part.state_bytes());
+            }
         }
     }
 
@@ -812,27 +850,18 @@ impl Executor {
     /// its queues.  Returns the number of items consumed.
     ///
     /// Each run popped goes to [`Executor::call`], which carries it on down
-    /// the node's direct ports.  A node that merges its ports itself (the
-    /// union) takes each port's queue whole, port after port; every other
-    /// node takes timestamp-contiguous runs that never overtake another
-    /// port's head, so single-input operators — every node of a sliced
-    /// chain — consume the entire visit budget in one call.
+    /// the node's direct ports.  A node takes timestamp-contiguous runs that
+    /// never overtake another port's head, so single-input operators — the
+    /// sliced chain — consume the entire visit budget in one call.
     fn visit_node(&mut self, idx: usize, batch: usize) -> usize {
         if self.node_backlog[idx] == 0 {
             // Nothing queued: skip the buffer churn a no-op visit would pay.
             return 0;
         }
-        let merges = self.plan.nodes()[idx].operator.merges_ports_by_timestamp();
         let mut run = self.run_pool.pop().unwrap_or_default();
         let mut consumed = 0;
         while consumed < batch {
-            let next = if merges {
-                let port = self.queues[idx].iter().position(|q| !q.is_empty());
-                port.map(|port| (port, None))
-            } else {
-                Self::choose_run(&self.queues[idx])
-            };
-            let Some((port, bound)) = next else {
+            let Some((port, bound)) = Self::choose_run(&self.queues[idx]) else {
                 break;
             };
             let popped = self.queues[idx][port].pop_run_into(batch - consumed, bound, &mut run);
@@ -952,16 +981,17 @@ impl Executor {
                 ));
             }
         }
-        // Flush operators so buffered results (e.g. union reorder buffers)
-        // are emitted, then drain any output that produced.
-        let order = self.plan.topological_order()?;
-        for id in order {
+        // Flush operators so buffered results (a chain's rows held at the
+        // newest timestamp, union reorder buffers) are emitted, then drain
+        // any output that produced.
+        for i in 0..self.flush_order.len() {
+            let id = self.flush_order[i];
             self.scratch_ctx.reset_counters();
-            self.plan.nodes_mut_internal()[id.0]
+            self.plan.nodes_mut_internal()[id]
                 .operator
                 .flush(&mut self.scratch_ctx);
-            self.node_counters[id.0].add(&self.scratch_ctx.counters);
-            self.hand_off(id.0);
+            self.node_counters[id].add(&self.scratch_ctx.counters);
+            self.hand_off(id);
             // Drain downstream work created by this flush before moving on.
             while self.total_backlog > 0 {
                 for idx in 0..self.plan.num_nodes() {
@@ -983,14 +1013,40 @@ impl Executor {
         let mut node_stats = Vec::with_capacity(self.plan.num_nodes());
         for (i, node) in self.plan.nodes().iter().enumerate() {
             totals.add(&self.node_counters[i]);
+            let op = &node.operator;
+            let parts = op.part_counters();
+            if parts.is_empty() {
+                node_stats.push(NodeStats {
+                    name: op.name().to_string(),
+                    counters: self.node_counters[i],
+                    state_tuples: op.state_size(),
+                    peak_state_tuples: self.peak_state[i].max(op.state_size()),
+                    state_bytes: op.state_bytes(),
+                    peak_state_bytes: self.peak_state_bytes[i].max(op.state_bytes()),
+                });
+                continue;
+            }
+            // The node's own share holds what its parts do not; its state
+            // is all in the parts.
+            let mut own = self.node_counters[i];
+            parts.iter().for_each(|part| own.subtract(part));
             node_stats.push(NodeStats {
-                name: node.operator.name().to_string(),
-                counters: self.node_counters[i],
-                state_tuples: node.operator.state_size(),
-                peak_state_tuples: self.peak_state[i].max(node.operator.state_size()),
-                state_bytes: node.operator.state_bytes(),
-                peak_state_bytes: self.peak_state_bytes[i].max(node.operator.state_bytes()),
+                name: op.name().to_string(),
+                counters: own,
+                ..NodeStats::default()
             });
+            for ((part, counters), &(peak, peak_bytes)) in
+                op.slice_joins().iter().zip(parts).zip(&self.part_peaks[i])
+            {
+                node_stats.push(NodeStats {
+                    name: part.name().to_string(),
+                    counters: *counters,
+                    state_tuples: part.state_size(),
+                    peak_state_tuples: peak.max(part.state_size()),
+                    state_bytes: part.state_bytes(),
+                    peak_state_bytes: peak_bytes.max(part.state_bytes()),
+                });
+            }
         }
         Ok(ExecutionReport {
             totals,
@@ -1514,6 +1570,100 @@ mod tests {
             "peak {} < {most_queued} queued after the head visit",
             report.memory.peak_queue_items
         );
+    }
+
+    /// [`three_slice_chain`] as one [`ChainJoinOp`](crate::ops::ChainJoinOp)
+    /// feeding the three sinks.
+    fn three_slice_chain_op() -> Plan {
+        let slices = (0..3u64)
+            .map(|k| {
+                let op = SliceJoinOp::for_ab(
+                    format!("slice_{k}"),
+                    crate::window::SliceWindow::from_secs(2 * k, 2 * k + 2),
+                    JoinCondition::equi(0),
+                );
+                match k {
+                    0 => op.chain_head(),
+                    2 => op.last_in_chain(),
+                    _ => op,
+                }
+            })
+            .collect();
+        let mut chain = crate::ops::ChainJoinOp::new("chain", slices, 3);
+        for q in 0..3 {
+            for k in 0..=q {
+                chain = chain.branch(k, q, None, None);
+            }
+        }
+        let mut builder = Plan::builder();
+        let chain = builder.add_op(chain);
+        builder.entry("in", chain, 0);
+        for q in 0..3 {
+            let sink = builder.add_op(SinkOp::retaining(format!("q{q}")));
+            builder.connect(chain, q, sink, 0);
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn a_chain_reports_each_slice_and_its_own_share() {
+        let collected = |exec: &Executor| -> Vec<Vec<Tuple>> {
+            (0..3)
+                .map(|q| {
+                    exec.plan()
+                        .sink(&format!("q{q}"))
+                        .unwrap()
+                        .collected()
+                        .to_vec()
+                })
+                .collect()
+        };
+        let mut unions = Executor::new(three_slice_chain());
+        unions.ingest_all("in", chain_input(120)).unwrap();
+        let by_unions = unions.run().unwrap();
+        let mut exec = Executor::new(three_slice_chain_op());
+        exec.ingest_all("in", chain_input(120)).unwrap();
+        let report = exec.run().unwrap();
+        assert_eq!(collected(&exec), collected(&unions));
+        let names: Vec<&str> = report.node_stats.iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["chain", "slice_0", "slice_1", "slice_2", "q0", "q1", "q2"]
+        );
+        // Every entry's counters add up to the report's totals, and the
+        // slices' to all of the chain's join work.
+        let mut sum = CostCounters::default();
+        report.node_stats.iter().for_each(|n| sum.add(&n.counters));
+        assert_eq!(sum, report.totals);
+        let slices = &report.node_stats[1..4];
+        let mut joins = CostCounters::default();
+        slices.iter().for_each(|n| joins.add(&n.counters));
+        let t = report.totals;
+        assert_eq!(joins.probe_comparisons, t.probe_comparisons);
+        assert_eq!(joins.purge_comparisons, t.purge_comparisons);
+        assert_eq!(
+            report.node_stats[0].counters.union_comparisons,
+            t.union_comparisons
+        );
+        // The same per-slice work as the plan of separate slices.
+        for (fused, alone) in slices.iter().zip(&by_unions.node_stats[..3]) {
+            assert_eq!(fused.name, alone.name);
+            assert_eq!(
+                fused.counters.tuples_processed,
+                alone.counters.tuples_processed
+            );
+            assert_eq!(
+                fused.counters.probe_comparisons,
+                alone.counters.probe_comparisons
+            );
+            assert_eq!(fused.state_tuples, alone.state_tuples);
+            assert!(fused.peak_state_tuples >= fused.state_tuples);
+            assert!(fused.peak_state_bytes > 0);
+        }
+        // The chain's state is all in its slices.
+        assert_eq!(report.node_stats[0].state_tuples, 0);
+        let state: usize = slices.iter().map(|n| n.state_tuples).sum();
+        assert_eq!(state, report.memory.final_state_tuples);
     }
 
     #[test]

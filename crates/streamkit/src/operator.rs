@@ -71,7 +71,7 @@ impl OpContext {
 /// [`Operator::restore_state`]) — the path checkpoints and hot-key
 /// replication reach a node's state by.  Code that needs a concrete operator
 /// asks through the typed accessors ([`Operator::as_sink`],
-/// [`Operator::as_slice_join`]).
+/// [`Operator::slice_joins`]).
 pub trait Operator: Send {
     /// Human-readable operator name (used in reports).
     fn name(&self) -> &str;
@@ -112,15 +112,6 @@ pub trait Operator: Send {
         for item in items.drain(..) {
             self.process(port, item, ctx);
         }
-    }
-
-    /// `true` if this operator orders the items of its input ports by
-    /// timestamp itself (the order-preserving union), so the executor may
-    /// hand it each port's queue whole, port by port, instead of the
-    /// timestamp-bounded runs [`Queue::pop_run_into`](crate::queue::Queue::pop_run_into)
-    /// cuts for every other operator.
-    fn merges_ports_by_timestamp(&self) -> bool {
-        false
     }
 
     /// Called once when all input is exhausted, so operators can flush
@@ -190,14 +181,25 @@ pub trait Operator: Send {
         None
     }
 
-    /// This operator as a slice join, if it is one.
-    fn as_slice_join(&self) -> Option<&SliceJoinOp> {
-        None
+    /// The slice joins this operator runs, in chain order: itself for a
+    /// standalone slice, its slice cores for a sliced chain, none otherwise.
+    fn slice_joins(&self) -> &[SliceJoinOp] {
+        &[]
     }
 
-    /// This operator as a mutable slice join, if it is one.
-    fn as_slice_join_mut(&mut self) -> Option<&mut SliceJoinOp> {
-        None
+    /// The slice joins this operator runs, mutably (see
+    /// [`Operator::slice_joins`]).
+    fn slice_joins_mut(&mut self) -> &mut [SliceJoinOp] {
+        &mut []
+    }
+
+    /// Cumulative counters of the parts of this operator that reports list
+    /// as nodes of their own — one per [`Operator::slice_joins`] entry for a
+    /// sliced chain — or none when the operator reports as one node.  The
+    /// executor attributes each call's whole counters to the node and
+    /// reports the node's share net of its parts.
+    fn part_counters(&self) -> &[CostCounters] {
+        &[]
     }
 }
 

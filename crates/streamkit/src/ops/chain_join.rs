@@ -1,0 +1,932 @@
+//! A sliced chain as one operator.
+//!
+//! The paper's shared plan (Figure 9) is a chain of sliced joins whose
+//! outputs each query unions back together.  [`ChainJoinOp`] runs that whole
+//! chain inside one operator, the way block-at-a-time engines fuse the
+//! operators of a block into one value whose calls are static:
+//!
+//! * the slices are [`SliceJoinOp`] cores, walked slice-major over each run
+//!   ([`SliceJoinOp::run_into`]); a slice's purged and propagated tuples are
+//!   the next slice's input, handed over as a vector;
+//! * the lineage gate in front of slice `k` (Section 6's σ'_k) drops the
+//!   stream-A tuples whose lineage is below its level, at no comparison;
+//! * each slice's results go to the queries it serves — split by window
+//!   when a query's window ends inside the slice (a CPU-Opt merged slice,
+//!   Figure 13(b), one `route_comparisons` per result and split) and
+//!   filtered by the query's residual selection when the gate does not
+//!   imply it (one `filter_comparisons` per evaluated comparison);
+//! * at the end of the call every query's per-slice lists, each already in
+//!   timestamp order, are k-way merged by timestamp and leave on the query's
+//!   output port: the paper's "one-time merge sort on timestamps"
+//!   (Section 4.3), one `union_comparisons` per delivered row.  Ties go to
+//!   the lower slice.
+//!
+//! A run's results are complete when the call returns, so the merge needs
+//! no watermarks and no punctuations, and the chain emits none.  One thing
+//! waits: a query fed by several slices keeps its rows at the newest input
+//! timestamp until a later call's input moves past it (or the end-of-run
+//! flush), because the next run may still bring tuples of that timestamp
+//! and their rows must merge with these for ties to go to the lower slice
+//! however the runs are cut.
+
+use std::sync::Arc;
+
+use crate::checkpoint::NodeState;
+use crate::columnar::{eval_predicate_into, ColumnBatch};
+use crate::error::{Result, StreamError};
+use crate::operator::{OpContext, Operator, PortId};
+use crate::ops::slice_join::{SliceJoinOp, COLUMNAR_MIN_RUN_RESULTS};
+use crate::predicate::Predicate;
+use crate::queue::StreamItem;
+use crate::stats::CostCounters;
+use crate::time::{TimeDelta, Timestamp};
+use crate::tuple::{StreamId, Tuple};
+
+/// One query's share of one slice's results.
+#[derive(Debug)]
+struct Branch {
+    query: usize,
+    /// The query's window when it ends inside the slice: only results with
+    /// `|Ta - Tb| < split` belong to the query.
+    split: Option<TimeDelta>,
+    /// The query's residual selection on the slice's results.
+    filter: Option<Predicate>,
+}
+
+/// A chain of sliced joins with its lineage gates, window splits, residual
+/// selections and per-query merges, as one operator with one input port
+/// (the chain's logical queue) and one output port per query.
+#[derive(Debug)]
+pub struct ChainJoinOp {
+    name: String,
+    slices: Vec<SliceJoinOp>,
+    /// `min_level[k]`: the lineage a stream-A tuple needs to enter slice `k`
+    /// (0: slice `k` has no gate).
+    min_level: Vec<u32>,
+    /// `branches[k]`: the queries slice `k`'s results feed.
+    branches: Vec<Vec<Branch>>,
+    /// Cumulative counters of each slice, reported as nodes of their own.
+    slice_counters: Vec<CostCounters>,
+    /// `lists[q][k]`: query `q`'s results from slice `k` not yet delivered,
+    /// in timestamp order.
+    lists: Vec<Vec<Vec<StreamItem>>>,
+    /// `feeds[q]`: how many slices feed query `q`.
+    feeds: Vec<usize>,
+    /// The newest input tuple timestamp seen: rows at it may still tie with
+    /// the next call's.
+    newest: Option<Timestamp>,
+    /// Buffers reused across calls: a slice's input, what it forwards, its
+    /// results, the queries a row goes to, and row selections.
+    input: Vec<StreamItem>,
+    next: Vec<StreamItem>,
+    results: Vec<StreamItem>,
+    accepted: Vec<usize>,
+    all_rows: Vec<u32>,
+    in_window: Vec<u32>,
+    kept: Vec<u32>,
+    /// `offsets[q][k]`: rows of `lists[q][k]`'s first item, a batch,
+    /// already delivered.
+    offsets: Vec<Vec<usize>>,
+}
+
+impl ChainJoinOp {
+    /// A chain over `slices` (head first; the head should be
+    /// [`SliceJoinOp::chain_head`] and the last
+    /// [`SliceJoinOp::last_in_chain`]) with one output port per query, no
+    /// gates and no branches.
+    pub fn new(name: impl Into<String>, slices: Vec<SliceJoinOp>, queries: usize) -> Self {
+        let n = slices.len();
+        ChainJoinOp {
+            name: name.into(),
+            min_level: vec![0; n],
+            branches: (0..n).map(|_| Vec::new()).collect(),
+            slice_counters: vec![CostCounters::default(); n],
+            lists: vec![vec![Vec::new(); n]; queries],
+            feeds: vec![0; queries],
+            newest: None,
+            slices,
+            input: Vec::new(),
+            next: Vec::new(),
+            results: Vec::new(),
+            accepted: Vec::new(),
+            all_rows: Vec::new(),
+            in_window: Vec::new(),
+            kept: Vec::new(),
+            offsets: vec![vec![0; n]; queries],
+        }
+    }
+
+    /// Gate slice `slice`: a stream-A tuple enters it only with lineage
+    /// `>= min_level`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain has no slice `slice`: a plan construction bug.
+    pub fn gate(mut self, slice: usize, min_level: u32) -> Self {
+        self.min_level[slice] = min_level;
+        self
+    }
+
+    /// Send slice `slice`'s results to query `query`'s output port: only
+    /// those with `|Ta - Tb| < split` when `split` is given, and only those
+    /// passing `filter` when it is given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain has no slice `slice` or no port `query`, so a
+    /// mis-wired plan fails when it is built, not while it runs.
+    pub fn branch(
+        mut self,
+        slice: usize,
+        query: usize,
+        split: Option<TimeDelta>,
+        filter: Option<Predicate>,
+    ) -> Self {
+        assert!(
+            slice < self.slices.len() && query < self.lists.len(),
+            "chain '{}' has no slice {slice} or no query port {query}",
+            self.name
+        );
+        self.feeds[query] += 1;
+        self.branches[slice].push(Branch {
+            query,
+            split,
+            filter,
+        });
+        self
+    }
+
+    /// The lineage level slice `slice`'s gate requires (0: no gate).
+    pub fn min_level(&self, slice: usize) -> u32 {
+        self.min_level[slice]
+    }
+
+    /// Run `input` through the chain and deliver each query's merged
+    /// results.
+    fn run(&mut self, items: &mut Vec<StreamItem>, ctx: &mut OpContext) {
+        let mut input = std::mem::take(&mut self.input);
+        std::mem::swap(&mut input, items);
+        let newest = input.iter().rev().find_map(|item| match item {
+            StreamItem::Tuple(t) => Some(t.ts),
+            StreamItem::Batch(batch) => batch.last_ts(),
+            StreamItem::Punctuation(_) => None,
+        });
+        self.newest = self.newest.max(newest);
+        let mut next = std::mem::take(&mut self.next);
+        let mut results = std::mem::take(&mut self.results);
+        for k in 0..self.slices.len() {
+            let min_level = self.min_level[k];
+            if min_level > 0 {
+                // Slices forward row tuples and punctuations only.
+                let mut seen = 0;
+                input.retain(|item| match item {
+                    StreamItem::Tuple(t) => {
+                        seen += 1;
+                        t.stream != StreamId::A || t.lineage >= min_level
+                    }
+                    _ => true,
+                });
+                ctx.counters.tuples_processed += seen;
+            }
+            let mut counters = CostCounters::default();
+            self.slices[k].run_into(input.drain(..), &mut results, &mut next, &mut counters);
+            counters.items_emitted += (results.len() + next.len()) as u64;
+            self.slice_counters[k].add(&counters);
+            ctx.counters.add(&counters);
+            self.distribute(k, &mut results, &mut ctx.counters);
+            std::mem::swap(&mut input, &mut next);
+        }
+        input.clear();
+        (self.input, self.next, self.results) = (input, next, results);
+        for q in 0..self.lists.len() {
+            let held_from = (self.feeds[q] > 1).then_some(self.newest).flatten();
+            self.merge(q, held_from, ctx);
+        }
+    }
+
+    /// Append slice `k`'s results (drained) to the lists of the queries
+    /// they belong to.
+    fn distribute(&mut self, k: usize, results: &mut Vec<StreamItem>, counters: &mut CostCounters) {
+        let ChainJoinOp {
+            branches,
+            lists,
+            accepted,
+            all_rows,
+            in_window,
+            kept,
+            ..
+        } = self;
+        let branches = &branches[k];
+        let splits = branches.iter().filter(|b| b.split.is_some()).count() as u64;
+        for item in results.drain(..) {
+            match item {
+                StreamItem::Punctuation(_) => {}
+                StreamItem::Tuple(t) => {
+                    if splits > 0 {
+                        counters.tuples_processed += 1;
+                        counters.route_comparisons += splits;
+                    }
+                    accepted.clear();
+                    for branch in branches {
+                        if branch.split.is_some_and(|window| t.origin_span >= window) {
+                            continue;
+                        }
+                        if let Some(filter) = &branch.filter {
+                            counters.tuples_processed += 1;
+                            if !filter.eval_counted(&t, &mut counters.filter_comparisons) {
+                                continue;
+                            }
+                        }
+                        accepted.push(branch.query);
+                    }
+                    if let Some((&last, rest)) = accepted.split_last() {
+                        for &q in rest {
+                            lists[q][k].push(t.clone().into());
+                        }
+                        lists[last][k].push(t.into());
+                    }
+                }
+                StreamItem::Batch(batch) => {
+                    let rows = batch.len();
+                    if splits > 0 {
+                        counters.tuples_processed += rows as u64;
+                        counters.route_comparisons += rows as u64 * splits;
+                    }
+                    for branch in branches {
+                        let list = &mut lists[branch.query][k];
+                        let mut selection: &[u32] = match (branch.split, &branch.filter) {
+                            (None, None) => {
+                                list.push(Arc::clone(&batch).into());
+                                continue;
+                            }
+                            (Some(window), _) => {
+                                in_window.clear();
+                                in_window.extend(
+                                    (0u32..)
+                                        .zip(batch.origin_spans())
+                                        .filter(|(_, span)| **span < window)
+                                        .map(|(row, _)| row),
+                                );
+                                in_window
+                            }
+                            (None, Some(_)) => {
+                                all_rows.clear();
+                                all_rows.extend(0..rows as u32);
+                                all_rows
+                            }
+                        };
+                        if let Some(filter) = &branch.filter {
+                            counters.tuples_processed += selection.len() as u64;
+                            let comparisons = &mut counters.filter_comparisons;
+                            eval_predicate_into(filter, &batch, selection, kept, comparisons);
+                            selection = kept;
+                        }
+                        if selection.len() == rows {
+                            list.push(Arc::clone(&batch).into());
+                        } else if !selection.is_empty() {
+                            list.push(batch.gather(selection).into());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Merge query `q`'s per-slice lists by timestamp, ties to the lower
+    /// slice, and emit the rows older than `held_from` (all rows when
+    /// `None`) on port `q`: a single list's rows as they are, otherwise one
+    /// [`ColumnBatch`] when at least [`COLUMNAR_MIN_RUN_RESULTS`] rows are
+    /// delivered and row tuples when fewer.  The rest stay in the lists, a
+    /// batch the merge has taken rows from with its offset.
+    fn merge(&mut self, q: usize, held_from: Option<Timestamp>, ctx: &mut OpContext) {
+        let lists = &mut self.lists[q];
+        let offsets = &mut self.offsets[q];
+        let released = |ts: Timestamp| held_from.is_none_or(|held| ts < held);
+        // Rows a list can deliver, and whether that is all it holds.
+        let releasable = |list: &Vec<StreamItem>, offset: usize| {
+            let mut rows = 0;
+            for (i, item) in list.iter().enumerate() {
+                let skip = if i == 0 { offset } else { 0 };
+                match item {
+                    StreamItem::Tuple(t) if released(t.ts) => rows += 1,
+                    StreamItem::Batch(batch) => {
+                        let ts = &batch.timestamps()[skip..];
+                        let older = ts.partition_point(|&ts| released(ts));
+                        rows += older;
+                        if older < ts.len() {
+                            return (rows, false);
+                        }
+                    }
+                    _ => return (rows, false),
+                }
+            }
+            (rows, true)
+        };
+        let mut total = 0;
+        // The one list with rows to deliver, if only one has, and whether
+        // it delivers every row it holds.
+        let mut source = None;
+        let mut sources = 0;
+        for (k, list) in lists.iter().enumerate() {
+            let (rows, all) = releasable(list, offsets[k]);
+            if rows > 0 {
+                total += rows;
+                sources += 1;
+                source = Some((k, all && offsets[k] == 0));
+            }
+        }
+        if total == 0 {
+            return;
+        }
+        ctx.counters.tuples_processed += total as u64;
+        ctx.counters.union_comparisons += total as u64;
+        if let (1, Some((k, true))) = (sources, source) {
+            for item in lists[k].drain(..) {
+                ctx.emit(q, item);
+            }
+            return;
+        }
+        // Heads at the back, so a list gives up its head by `pop`.
+        for list in lists.iter_mut() {
+            list.reverse();
+        }
+        let head_ts = |item: &StreamItem, offset: usize| match item {
+            StreamItem::Batch(batch) => batch.ts_at(offset),
+            other => other.timestamp(),
+        };
+        // The newest timestamp this merge delivers.
+        let cap = match held_from {
+            // `total > 0`, so some row is older than `held`.
+            Some(held) => Timestamp::from_micros(held.as_micros() - 1),
+            None => Timestamp::MAX,
+        };
+        let mut out = (total >= COLUMNAR_MIN_RUN_RESULTS as usize).then(ColumnBatch::new);
+        loop {
+            // The oldest head, and the newest timestamp its list may give
+            // before another list's head comes first: a lower slice's head
+            // bounds strictly (the tick before it), a higher one's
+            // inclusively.
+            let mut best: Option<(usize, Timestamp)> = None;
+            let mut bound = cap;
+            for (k, list) in lists.iter().enumerate() {
+                let Some(head) = list.last() else { continue };
+                let ts = head_ts(head, offsets[k]);
+                match best {
+                    Some((_, best_ts)) if best_ts <= ts => bound = bound.min(ts),
+                    Some((_, best_ts)) => {
+                        // `best_ts` > `ts` ≥ 0, so the tick before exists.
+                        bound = bound.min(Timestamp::from_micros(best_ts.as_micros() - 1));
+                        best = Some((k, ts));
+                    }
+                    None => best = Some((k, ts)),
+                }
+            }
+            let Some((k, ts)) = best else { break };
+            if ts > cap {
+                break;
+            }
+            let list = &mut lists[k];
+            while let Some(head) = list.pop() {
+                match head {
+                    StreamItem::Tuple(t) if t.ts <= bound => match &mut out {
+                        Some(batch) => push_row(batch, &t, ctx, q),
+                        None => ctx.emit(q, t),
+                    },
+                    StreamItem::Batch(batch) => {
+                        let start = offsets[k];
+                        let taken = batch.timestamps()[start..]
+                            .iter()
+                            .take_while(|&&ts| ts <= bound)
+                            .count();
+                        let end = start + taken;
+                        match &mut out {
+                            Some(merged) => push_rows(merged, &batch, start..end, ctx, q),
+                            None => (start..end).for_each(|i| ctx.emit(q, batch.row(i))),
+                        }
+                        if end < batch.len() {
+                            offsets[k] = end;
+                            list.push(StreamItem::Batch(batch));
+                            break;
+                        }
+                        offsets[k] = 0;
+                    }
+                    other => {
+                        list.push(other);
+                        break;
+                    }
+                }
+            }
+        }
+        if let Some(batch) = out.filter(|batch| !batch.is_empty()) {
+            ctx.emit(q, batch);
+        }
+        // What is left waits for the next call, heads first again.
+        for list in lists.iter_mut() {
+            list.reverse();
+        }
+    }
+
+    /// Rows of results not yet delivered.
+    fn held_rows(&self) -> usize {
+        let lists = self.lists.iter().flatten();
+        let offsets = self.offsets.iter().flatten();
+        lists
+            .zip(offsets)
+            .map(|(list, offset)| list.iter().map(item_rows).sum::<usize>() - offset)
+            .sum()
+    }
+}
+
+/// Rows of a result item.
+fn item_rows(item: &StreamItem) -> usize {
+    match item {
+        StreamItem::Tuple(_) => 1,
+        StreamItem::Batch(batch) => batch.len(),
+        StreamItem::Punctuation(_) => 0,
+    }
+}
+
+/// Append one row tuple to the merged batch, emitting the batch first when
+/// the row's arity differs from it.
+fn push_row(merged: &mut ColumnBatch, row: &Tuple, ctx: &mut OpContext, q: PortId) {
+    if !merged.push_tuple(row) {
+        ctx.emit(q, std::mem::take(merged));
+        let ok = merged.push_tuple(row);
+        debug_assert!(ok, "a fresh batch accepts any arity");
+    }
+}
+
+/// Append rows `range` of `src` to the merged batch, emitting the batch
+/// first when the arities differ.
+fn push_rows(
+    merged: &mut ColumnBatch,
+    src: &ColumnBatch,
+    range: std::ops::Range<usize>,
+    ctx: &mut OpContext,
+    q: PortId,
+) {
+    if !merged.push_rows_from(src, range.clone()) {
+        ctx.emit(q, std::mem::take(merged));
+        let ok = merged.push_rows_from(src, range);
+        debug_assert!(ok, "a fresh batch accepts any arity");
+    }
+}
+
+impl Operator for ChainJoinOp {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn num_output_ports(&self) -> usize {
+        self.lists.len()
+    }
+
+    fn process(&mut self, _port: PortId, item: StreamItem, ctx: &mut OpContext) {
+        self.run(&mut vec![item], ctx);
+    }
+
+    fn process_batch(&mut self, _port: PortId, items: &mut Vec<StreamItem>, ctx: &mut OpContext) {
+        self.run(items, ctx);
+    }
+
+    /// Deliver the rows held at the newest timestamp: the run is over.
+    fn flush(&mut self, ctx: &mut OpContext) {
+        for q in 0..self.lists.len() {
+            self.merge(q, None, ctx);
+        }
+    }
+
+    fn state_size(&self) -> usize {
+        self.slices.iter().map(SliceJoinOp::state_len).sum()
+    }
+
+    fn state_bytes(&self) -> usize {
+        self.slices.iter().map(|s| s.state_bytes()).sum()
+    }
+
+    fn state_capacity_bytes(&self) -> usize {
+        self.slices.iter().map(|s| s.state_capacity_bytes()).sum()
+    }
+
+    /// The slices' window states.  Rows still held for the merge mean the
+    /// cut is not at a flushed run boundary and are refused.
+    fn node_state(&self) -> Result<NodeState> {
+        let held = self.held_rows();
+        if held != 0 {
+            return Err(StreamError::Checkpoint(format!(
+                "chain '{}' still holds {held} result rows at the checkpoint boundary \
+                 — the cut is not at a flushed run boundary",
+                self.name
+            )));
+        }
+        Ok(NodeState::Chain(
+            self.slices.iter().map(SliceJoinOp::window_state).collect(),
+        ))
+    }
+
+    /// Restore every slice's window state, refusing a chain cut into other
+    /// slices before touching any slice.
+    fn restore_state(&mut self, state: NodeState) -> Result<()> {
+        let NodeState::Chain(states) = state else {
+            return Err(state.mismatch(&self.name));
+        };
+        if states.len() != self.slices.len() {
+            return Err(StreamError::Checkpoint(format!(
+                "chain '{}' has {} slices but the checkpoint holds {}",
+                self.name,
+                self.slices.len(),
+                states.len()
+            )));
+        }
+        for (slice, state) in self.slices.iter().zip(&states) {
+            if slice.window() != state.window {
+                return Err(StreamError::Checkpoint(format!(
+                    "window state of slice {} cannot restore into '{}' of chain '{}' over {}",
+                    state.window,
+                    slice.name(),
+                    self.name,
+                    slice.window()
+                )));
+            }
+        }
+        for (slice, state) in self.slices.iter_mut().zip(states) {
+            slice.restore_state(NodeState::Window(state))?;
+        }
+        Ok(())
+    }
+
+    fn slice_joins(&self) -> &[SliceJoinOp] {
+        &self.slices
+    }
+
+    fn slice_joins_mut(&mut self) -> &mut [SliceJoinOp] {
+        &mut self.slices
+    }
+
+    fn part_counters(&self) -> &[CostCounters] {
+        &self.slice_counters
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::slice_join::{PORT_NEXT_SLICE, PORT_RESULTS};
+    use crate::ops::{RouteTarget, RouterOp, SelectOp, UnionOp};
+    use crate::predicate::JoinCondition;
+    use crate::punctuation::Punctuation;
+    use crate::tuple::Tuple;
+    use crate::window::SliceWindow;
+
+    /// Slices `[0, 2)`, `[2, 4)` and the CPU-Opt merge `[4, 8)` s; queries
+    /// of windows 2, 4, 6 and 8 s.  Q1 keeps only A values above 40 and the
+    /// gate in front of slice 1 does not imply it; Q2's window ends inside
+    /// the merged slice.
+    const WINDOWS: [u64; 4] = [2, 4, 6, 8];
+    const CUTS: [(u64, u64); 3] = [(0, 2), (2, 4), (4, 8)];
+    /// `GATES[k]`: the lineage a stream-A tuple needs to enter slice `k`.
+    const GATES: [u32; 3] = [0, 2, 3];
+
+    fn q1_filter() -> Predicate {
+        Predicate::gt(1, 40i64)
+    }
+
+    fn slices() -> Vec<SliceJoinOp> {
+        let last = CUTS.len() - 1;
+        CUTS.iter()
+            .enumerate()
+            .map(|(k, &(start, end))| {
+                let op = SliceJoinOp::for_ab(
+                    format!("slice_{k}"),
+                    SliceWindow::from_secs(start, end),
+                    JoinCondition::equi(0),
+                );
+                match k {
+                    0 => op.chain_head(),
+                    k if k == last => op.last_in_chain(),
+                    _ => op,
+                }
+            })
+            .collect()
+    }
+
+    /// The queries slice `k` feeds: `(query, split, filter)`.
+    fn branches_of(k: usize) -> Vec<(usize, Option<TimeDelta>, Option<Predicate>)> {
+        let end = CUTS[k].1;
+        (0..WINDOWS.len())
+            .filter(|&q| WINDOWS[q] > CUTS[k].0)
+            .map(|q| {
+                let split = (WINDOWS[q] < end).then(|| TimeDelta::from_secs(WINDOWS[q]));
+                let filter = (q == 1 && k == 0).then(q1_filter);
+                (q, split, filter)
+            })
+            .collect()
+    }
+
+    fn chain() -> ChainJoinOp {
+        let mut chain = ChainJoinOp::new("chain", slices(), WINDOWS.len());
+        for (k, &level) in GATES.iter().enumerate().skip(1) {
+            chain = chain.gate(k, level);
+        }
+        for k in 0..CUTS.len() {
+            for (q, split, filter) in branches_of(k) {
+                chain = chain.branch(k, q, split, filter);
+            }
+        }
+        chain
+    }
+
+    /// A and B tuples in pairs of equal timestamps half a second apart, on
+    /// two keys: dense enough that the first slice's runs turn columnar, and
+    /// every probe ties with the other stream's tuple of its timestamp.
+    fn input() -> Vec<StreamItem> {
+        let mut items = Vec::new();
+        for i in 0..160u64 {
+            let ts = Timestamp::from_millis(i * 500);
+            let a = Tuple::of_ints(ts, StreamId::A, &[(i % 2) as i64, (i * 37 % 100) as i64]);
+            items.push(a.with_lineage((i % 4) as u32 + 1).into());
+            items.push(Tuple::of_ints(ts, StreamId::B, &[(i / 2 % 2) as i64, 0]).into());
+            if i % 10 == 9 {
+                items.push(Punctuation::new(ts).into());
+            }
+        }
+        items
+    }
+
+    /// What a port delivered: rows in order, and how many batches.
+    fn rows_of(items: impl IntoIterator<Item = StreamItem>) -> (Vec<Tuple>, usize) {
+        let mut rows = Vec::new();
+        let mut batches = 0;
+        for item in items {
+            match item {
+                StreamItem::Tuple(t) => rows.push(t),
+                StreamItem::Batch(b) => {
+                    batches += 1;
+                    rows.extend(b.materialize());
+                }
+                StreamItem::Punctuation(_) => {}
+            }
+        }
+        (rows, batches)
+    }
+
+    /// The plan the chain replaces, driven by hand as the executor drove it:
+    /// each run through every slice, lineage gates in between, a router on
+    /// the merged slice, selections on the σ branches, and each query's
+    /// union taking each port's run whole, port after port.
+    fn reference(runs: &[Vec<StreamItem>]) -> (Vec<Vec<Tuple>>, CostCounters) {
+        let mut slices = slices();
+        let mut ctx = OpContext::new();
+        let feeding: Vec<Vec<usize>> = (0..WINDOWS.len())
+            .map(|q| {
+                (0..CUTS.len())
+                    .filter(|&k| WINDOWS[q] > CUTS[k].0)
+                    .collect()
+            })
+            .collect();
+        let mut unions: Vec<UnionOp> = feeding
+            .iter()
+            .enumerate()
+            .map(|(q, from)| UnionOp::new(format!("union_{q}"), from.len()))
+            .collect();
+        let targets: Vec<RouteTarget> = branches_of(2)
+            .into_iter()
+            .filter_map(|(_, split, _)| split.map(RouteTarget::window_only))
+            .collect();
+        let mut router = RouterOp::new("router", targets);
+        let mut select = SelectOp::new("sigma", q1_filter());
+        let mut delivered = vec![Vec::new(); WINDOWS.len()];
+        for run in runs {
+            let mut input = run.clone();
+            // port_runs[q][port]: this run's items for query q's union port.
+            let mut port_runs: Vec<Vec<Vec<StreamItem>>> =
+                feeding.iter().map(|f| vec![Vec::new(); f.len()]).collect();
+            for k in 0..CUTS.len() {
+                if GATES[k] > 0 {
+                    input.retain(|item| match item {
+                        StreamItem::Tuple(t) => t.stream != StreamId::A || t.lineage >= GATES[k],
+                        _ => true,
+                    });
+                }
+                slices[k].process_batch(0, &mut input, &mut ctx);
+                let (mut results, mut next) = (Vec::new(), Vec::new());
+                for (port, item) in ctx.take_outputs() {
+                    match port {
+                        PORT_RESULTS => results.push(item),
+                        PORT_NEXT_SLICE => next.push(item),
+                        _ => unreachable!(),
+                    }
+                }
+                input = next;
+                for (q, split, filter) in branches_of(k) {
+                    let mut items = results.clone();
+                    if split.is_some() {
+                        // The router's port for q (the only split target).
+                        router.process_batch(0, &mut items, &mut ctx);
+                        items = ctx.take_outputs().into_iter().map(|(_, i)| i).collect();
+                    }
+                    if filter.is_some() {
+                        select.process_batch(0, &mut items, &mut ctx);
+                        items = ctx.take_outputs().into_iter().map(|(_, i)| i).collect();
+                    }
+                    let port = feeding[q].iter().position(|&f| f == k).unwrap();
+                    port_runs[q][port] = items;
+                }
+            }
+            for (q, ports) in port_runs.into_iter().enumerate() {
+                for (port, mut items) in ports.into_iter().enumerate() {
+                    unions[q].process_batch(port, &mut items, &mut ctx);
+                }
+                delivered[q].extend(ctx.take_outputs().into_iter().map(|(_, i)| i));
+            }
+        }
+        for (q, union) in unions.iter_mut().enumerate() {
+            union.flush(&mut ctx);
+            delivered[q].extend(ctx.take_outputs().into_iter().map(|(_, i)| i));
+        }
+        let rows = delivered
+            .into_iter()
+            .map(|items| rows_of(items).0)
+            .collect();
+        (rows, ctx.counters)
+    }
+
+    /// `items` cut into runs of about `len` items, never between two items
+    /// of one timestamp.
+    fn runs_of(items: &[StreamItem], len: usize) -> Vec<Vec<StreamItem>> {
+        let mut runs: Vec<Vec<StreamItem>> = Vec::new();
+        for item in items {
+            match runs.last_mut() {
+                Some(run)
+                    if run.len() < len
+                        || run
+                            .last()
+                            .is_some_and(|l| l.timestamp() == item.timestamp()) =>
+                {
+                    run.push(item.clone())
+                }
+                _ => runs.push(vec![item.clone()]),
+            }
+        }
+        runs
+    }
+
+    /// The unions' order at equal timestamps depends on where the runs cut
+    /// a timestamp (a run's last probe releases its rows at once); the
+    /// chain's does not, as it holds the newest timestamp's rows back.  So
+    /// the runs compared here cut between timestamps only, where both give
+    /// every timestamp's rows slice by slice.
+    #[test]
+    fn the_chain_delivers_what_slices_gates_router_and_unions_deliver() {
+        let items = input();
+        for run_len in [1, 7, 64] {
+            let runs = runs_of(&items, run_len);
+            let (want, reference_counters) = reference(&runs);
+            let mut chain = chain();
+            let mut ctx = OpContext::new();
+            let mut delivered = vec![Vec::new(); WINDOWS.len()];
+            for run in &runs {
+                chain.process_batch(0, &mut run.clone(), &mut ctx);
+                for (port, item) in ctx.take_outputs() {
+                    delivered[port].push(item);
+                }
+            }
+            chain.flush(&mut ctx);
+            for (port, item) in ctx.take_outputs() {
+                delivered[port].push(item);
+            }
+            let mut batches = 0;
+            for (q, items) in delivered.into_iter().enumerate() {
+                let (rows, batched) = rows_of(items);
+                batches += batched;
+                assert!(!rows.is_empty(), "Q{q}");
+                let brief = |t: &Tuple| {
+                    (
+                        t.ts.as_micros(),
+                        t.origin_span.as_micros(),
+                        t.values[1].clone(),
+                    )
+                };
+                let first_difference = rows
+                    .iter()
+                    .zip(&want[q])
+                    .position(|(a, b)| a != b)
+                    .map(|i| (i, brief(&rows[i]), brief(&want[q][i])));
+                assert_eq!(
+                    (rows.len(), first_difference),
+                    (want[q].len(), None),
+                    "Q{q}, runs of {run_len}"
+                );
+            }
+            // Runs of one timestamp leave as rows, runs of 64 items carry
+            // enough results to leave as batches.
+            match run_len {
+                1 => assert_eq!(batches, 0),
+                64 => assert!(batches > 0),
+                _ => {}
+            }
+            let c = ctx.counters;
+            let r = reference_counters;
+            assert_eq!(
+                (
+                    c.probe_comparisons,
+                    c.purge_comparisons,
+                    c.filter_comparisons
+                ),
+                (
+                    r.probe_comparisons,
+                    r.purge_comparisons,
+                    r.filter_comparisons
+                ),
+            );
+            assert_eq!(c.route_comparisons, r.route_comparisons);
+            assert_eq!(c.union_comparisons, r.union_comparisons);
+            assert!(c.route_comparisons > 0 && c.filter_comparisons > 0);
+            // Each slice's share adds up to the chain's join work.
+            let mut parts = CostCounters::default();
+            chain.part_counters().iter().for_each(|p| parts.add(p));
+            assert_eq!(parts.probe_comparisons, c.probe_comparisons);
+            assert_eq!(parts.union_comparisons, 0);
+            assert_eq!(chain.held_rows(), 0);
+        }
+    }
+
+    #[test]
+    fn a_chain_checkpoint_restores_into_the_same_slicing_only() {
+        let items = input();
+        let (first, rest) = items.split_at(150);
+        let mut live = chain();
+        let mut ctx = OpContext::new();
+        live.process_batch(0, &mut first.to_vec(), &mut ctx);
+        // Rows at the newest timestamp still wait for the merge.
+        assert!(live.node_state().is_err());
+        live.flush(&mut ctx);
+        ctx.take_outputs();
+        let state = live.node_state().unwrap();
+        let NodeState::Chain(windows) = &state else {
+            panic!("a chain captures a chain state");
+        };
+        assert_eq!(windows.len(), 3);
+        assert!(windows.iter().all(|w| !w.is_empty()));
+        let mut twin = chain();
+        twin.restore_state(state.clone()).unwrap();
+        for (a, b) in twin.slice_joins().iter().zip(live.slice_joins()) {
+            assert_eq!(a.state_tuples(), b.state_tuples());
+        }
+        // Both go on alike.
+        let go_on = |op: &mut ChainJoinOp| {
+            let mut ctx = OpContext::new();
+            op.process_batch(0, &mut rest.to_vec(), &mut ctx);
+            op.flush(&mut ctx);
+            let outputs = ctx.take_outputs();
+            (
+                rows_of(outputs.into_iter().map(|(_, item)| item)).0,
+                ctx.counters,
+            )
+        };
+        let (twin_rows, mut twin_counters) = go_on(&mut twin);
+        let (live_rows, mut live_counters) = go_on(&mut live);
+        // The restored slices have no emission history, so their first runs
+        // open on rows: only the transport, and with it the item count,
+        // differs.
+        (twin_counters.items_emitted, live_counters.items_emitted) = (0, 0);
+        assert_eq!(twin_counters, live_counters);
+        assert_eq!(twin_rows.len(), live_rows.len());
+        let d = twin_rows.iter().zip(&live_rows).position(|(a, b)| a != b);
+        assert_eq!(d.map(|i| (&twin_rows[i], &live_rows[i])), None);
+        // A chain cut into other slices refuses the state, naming the slice,
+        // and keeps its own.
+        let other = vec![
+            SliceJoinOp::for_ab(
+                "slice_0",
+                SliceWindow::from_secs(0, 2),
+                JoinCondition::equi(0),
+            )
+            .chain_head(),
+            SliceJoinOp::for_ab(
+                "slice_1",
+                SliceWindow::from_secs(2, 8),
+                JoinCondition::equi(0),
+            )
+            .last_in_chain(),
+        ];
+        let mut coarser = ChainJoinOp::new("chain", other, WINDOWS.len());
+        let err = coarser.restore_state(state.clone()).unwrap_err();
+        assert!(
+            matches!(err, StreamError::Checkpoint(ref m) if m.contains("3")),
+            "{err}"
+        );
+        let mut shifted = chain();
+        shifted.slices[1] = SliceJoinOp::for_ab(
+            "slice_1",
+            SliceWindow::from_secs(2, 5),
+            JoinCondition::equi(0),
+        );
+        let err = shifted.restore_state(state).unwrap_err();
+        assert!(
+            matches!(err, StreamError::Checkpoint(ref m) if m.contains("'slice_1'")),
+            "{err}"
+        );
+        assert!(shifted.slice_joins().iter().all(|s| s.state_len() == 0));
+    }
+}

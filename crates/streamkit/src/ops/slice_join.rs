@@ -28,6 +28,12 @@
 //! Section 4.3 observation that male tuples act as punctuations for the
 //! order-preserving union) — and [`PORT_NEXT_SLICE`], the logical queue
 //! feeding the next slice.
+//!
+//! One implementation runs a slice: [`SliceJoinOp::run_into`] writes a run's
+//! results and forwarded tuples into caller-owned vectors.  The sliced chain
+//! ([`ChainJoinOp`](crate::ops::ChainJoinOp)) calls it on each of its slice
+//! cores; the [`Operator`] impl is a thin wrapper that emits the two vectors
+//! on the two ports, for the baselines and standalone slices.
 
 use crate::checkpoint::{NodeState, WindowState};
 use crate::columnar::ColumnBatch;
@@ -37,6 +43,7 @@ use crate::operator::{OpContext, Operator, PortId};
 use crate::predicate::JoinCondition;
 use crate::punctuation::Punctuation;
 use crate::queue::StreamItem;
+use crate::stats::CostCounters;
 use crate::time::Timestamp;
 use crate::tuple::{StreamId, Tuple, TupleRole};
 use crate::window::{SliceWindow, WindowSpec};
@@ -76,7 +83,7 @@ pub const RESULT_STREAM: StreamId = StreamId(101);
 /// every `equi-chain` run on batches.  That sweep measured the pure
 /// previous-run rule, before the in-run switch; 16 was kept for the switch,
 /// not re-tuned.
-const COLUMNAR_MIN_RUN_RESULTS: u64 = 16;
+pub(crate) const COLUMNAR_MIN_RUN_RESULTS: u64 = 16;
 
 /// Which streams a slice stores and which probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,6 +120,18 @@ pub struct SliceJoinOp {
     run_results: u64,
     /// Results that left as rows of a [`ColumnBatch`].
     batch_results: u64,
+    /// The [`Operator`] wrapper's result and next-slice buffers, reused
+    /// across calls.
+    emit_buf: (Vec<StreamItem>, Vec<StreamItem>),
+}
+
+/// Where one run of a slice writes: its results (rows, batches and
+/// punctuations, in emission order), the tuples and punctuations it
+/// forwards to the next slice, and the comparison counters.
+struct RunOut<'a> {
+    results: &'a mut Vec<StreamItem>,
+    next: &'a mut Vec<StreamItem>,
+    counters: &'a mut CostCounters,
 }
 
 impl SliceJoinOp {
@@ -137,6 +156,7 @@ impl SliceJoinOp {
             has_next: true,
             run_results: 0,
             batch_results: 0,
+            emit_buf: (Vec::new(), Vec::new()),
         }
     }
 
@@ -302,13 +322,13 @@ impl SliceJoinOp {
         run_result: u64,
         left: &Tuple,
         right: &Tuple,
-        ctx: &mut OpContext,
+        results: &mut Vec<StreamItem>,
     ) {
         if pending.is_none() && run_result >= COLUMNAR_MIN_RUN_RESULTS {
             *pending = Some(ColumnBatch::new());
         }
         let Some(batch) = pending else {
-            ctx.emit(PORT_RESULTS, Tuple::join(left, right, RESULT_STREAM));
+            results.push(Tuple::join(left, right, RESULT_STREAM).into());
             return;
         };
         if batch.push_join(left, right, RESULT_STREAM) {
@@ -316,17 +336,17 @@ impl SliceJoinOp {
         }
         // Result arity changed mid-run, so the batch holds rows: flush it
         // and start a fresh one.
-        ctx.emit(PORT_RESULTS, std::mem::take(batch));
+        results.push(std::mem::take(batch).into());
         let ok = batch.push_join(left, right, RESULT_STREAM);
         debug_assert!(ok, "a fresh batch accepts any arity");
     }
 
     /// Emit a columnar run's open batch, if it holds any rows, leaving a
     /// fresh one open.
-    fn flush_results(pending: &mut Option<ColumnBatch>, ctx: &mut OpContext) {
+    fn flush_results(pending: &mut Option<ColumnBatch>, results: &mut Vec<StreamItem>) {
         if let Some(batch) = pending {
             if !batch.is_empty() {
-                ctx.emit(PORT_RESULTS, std::mem::take(batch));
+                results.push(std::mem::take(batch).into());
             }
         }
     }
@@ -342,7 +362,7 @@ impl SliceJoinOp {
     /// join fed on two ports can hold tuples *newer* than the probe — when
     /// one port lags the other — so while the opposite state's newest tuple
     /// is ahead of the probe, candidates a whole window ahead are skipped.
-    fn probe(&mut self, probe: Tuple, pending: &mut Option<ColumnBatch>, ctx: &mut OpContext) {
+    fn probe(&mut self, probe: Tuple, pending: &mut Option<ColumnBatch>, out: &mut RunOut) {
         let probe_is_a = probe.stream == StreamId::A;
         let opposite = if probe_is_a {
             &mut self.state_b
@@ -354,11 +374,11 @@ impl SliceJoinOp {
             |front| window.expired(probe.ts, front.ts),
             |expired| {
                 if has_next {
-                    ctx.emit(PORT_NEXT_SLICE, expired);
+                    out.next.push(expired.into());
                 }
             },
         );
-        ctx.counters.purge_comparisons += comparisons;
+        out.counters.purge_comparisons += comparisons;
         let ahead = opposite.back().is_some_and(|newest| newest.ts > probe.ts);
         for stored in opposite.probe_candidates(&probe) {
             if ahead && stored.ts.saturating_sub(probe.ts) >= window.end {
@@ -371,15 +391,15 @@ impl SliceJoinOp {
             };
             if self
                 .condition
-                .eval_counted(left, right, &mut ctx.counters.probe_comparisons)
+                .eval_counted(left, right, &mut out.counters.probe_comparisons)
             {
                 self.results += 1;
                 self.run_results += 1;
-                Self::emit_result(pending, self.run_results, left, right, ctx);
+                Self::emit_result(pending, self.run_results, left, right, out.results);
             }
         }
         if has_next {
-            ctx.emit(PORT_NEXT_SLICE, probe);
+            out.next.push(probe.into());
         }
     }
 
@@ -415,9 +435,9 @@ impl SliceJoinOp {
         mut t: Tuple,
         last_probe: &mut Option<(Timestamp, StreamId)>,
         pending: &mut Option<ColumnBatch>,
-        ctx: &mut OpContext,
+        out: &mut RunOut,
     ) {
-        ctx.counters.tuples_processed += 1;
+        out.counters.tuples_processed += 1;
         if self.chain_head {
             if let Some(field) = self.key_field_of(t.stream) {
                 memoize_key(&mut t, field);
@@ -433,7 +453,7 @@ impl SliceJoinOp {
         }
         *last_probe = Some((t.ts, t.stream));
         if role == TupleRole::Male {
-            return self.probe(t, pending, ctx);
+            return self.probe(t, pending, out);
         }
         // Split a regular tuple into reference copies: the male purges and
         // probes first, then the female fills the state — this matches
@@ -443,14 +463,17 @@ impl SliceJoinOp {
         // same way keeps standalone use working.
         let male = t.with_role(TupleRole::Male);
         t.role = TupleRole::Female;
-        self.probe(male, pending, ctx);
+        self.probe(male, pending, out);
         self.store(t);
     }
 
-    /// Process one run: a statically dispatched tight loop with the per-probe
-    /// union punctuations coalesced into **one punctuation per run** (a
-    /// punctuation is a monotone progress promise, so the run's last probe
-    /// promises everything the per-probe punctuations would).
+    /// Process one run, writing its results to `results` and what it
+    /// forwards to the next slice to `next` (both appended to, in emission
+    /// order) and its comparisons to `counters`: a statically dispatched
+    /// tight loop with the per-probe union punctuations coalesced into **one
+    /// punctuation per run** at the end of `results` (a punctuation is a
+    /// monotone progress promise, so the run's last probe promises
+    /// everything the per-probe punctuations would).
     ///
     /// The run's results leave as row tuples or as one [`ColumnBatch`]
     /// (flushed before any interleaved punctuation and before the run's
@@ -464,34 +487,48 @@ impl SliceJoinOp {
     /// expired it (Fig. 9's emission order), or results would shift between
     /// slices.  Run length is invisible in results, counters and final
     /// states (`tests/batch_equivalence.rs`).
-    fn run(&mut self, items: impl Iterator<Item = StreamItem>, ctx: &mut OpContext) {
+    pub fn run_into(
+        &mut self,
+        items: impl Iterator<Item = StreamItem>,
+        results: &mut Vec<StreamItem>,
+        next: &mut Vec<StreamItem>,
+        counters: &mut CostCounters,
+    ) {
+        let mut out = RunOut {
+            results,
+            next,
+            counters,
+        };
         let mut last_probe = None;
         let columnar = self.run_results >= COLUMNAR_MIN_RUN_RESULTS;
         let mut pending = columnar.then(ColumnBatch::new);
         self.run_results = 0;
         for item in items {
             match item {
-                StreamItem::Tuple(t) => self.process_tuple(t, &mut last_probe, &mut pending, ctx),
+                StreamItem::Tuple(t) => {
+                    self.process_tuple(t, &mut last_probe, &mut pending, &mut out)
+                }
                 StreamItem::Batch(b) => {
                     // Roles travel per row: process an input batch's rows
                     // one by one.
                     for t in b.materialize() {
-                        self.process_tuple(t, &mut last_probe, &mut pending, ctx);
+                        self.process_tuple(t, &mut last_probe, &mut pending, &mut out);
                     }
                 }
                 StreamItem::Punctuation(p) => {
                     // Keep result rows ordered relative to the progress marker.
-                    Self::flush_results(&mut pending, ctx);
-                    ctx.emit(PORT_RESULTS, p);
+                    Self::flush_results(&mut pending, out.results);
+                    out.results.push(p.into());
                     if self.has_next {
-                        ctx.emit(PORT_NEXT_SLICE, p);
+                        out.next.push(p.into());
                     }
                 }
             }
         }
-        Self::flush_results(&mut pending, ctx);
+        Self::flush_results(&mut pending, out.results);
         if let Some((ts, stream)) = last_probe {
-            ctx.emit(PORT_RESULTS, Punctuation::from_stream(ts, stream));
+            out.results
+                .push(Punctuation::from_stream(ts, stream).into());
         }
         // A run that opened on rows sent the results before its switch as
         // rows.
@@ -501,6 +538,20 @@ impl SliceJoinOp {
             COLUMNAR_MIN_RUN_RESULTS - 1
         };
         self.batch_results += self.run_results.saturating_sub(rows_first);
+    }
+
+    /// The [`Operator`] path: run the items, then emit the results on
+    /// [`PORT_RESULTS`] and the forwarded items on [`PORT_NEXT_SLICE`].
+    fn run(&mut self, items: impl Iterator<Item = StreamItem>, ctx: &mut OpContext) {
+        let (mut results, mut next) = std::mem::take(&mut self.emit_buf);
+        self.run_into(items, &mut results, &mut next, &mut ctx.counters);
+        for item in results.drain(..) {
+            ctx.emit(PORT_RESULTS, item);
+        }
+        for item in next.drain(..) {
+            ctx.emit(PORT_NEXT_SLICE, item);
+        }
+        self.emit_buf = (results, next);
     }
 }
 
@@ -555,12 +606,12 @@ impl Operator for SliceJoinOp {
         }
     }
 
-    fn as_slice_join(&self) -> Option<&SliceJoinOp> {
-        Some(self)
+    fn slice_joins(&self) -> &[SliceJoinOp] {
+        std::slice::from_ref(self)
     }
 
-    fn as_slice_join_mut(&mut self) -> Option<&mut SliceJoinOp> {
-        Some(self)
+    fn slice_joins_mut(&mut self) -> &mut [SliceJoinOp] {
+        std::slice::from_mut(self)
     }
 }
 

@@ -15,10 +15,9 @@
 //! released tuple costs one merge comparison, matching the paper's union cost
 //! model ("a one-time merge sort on timestamps").
 //!
-//! Because the union orders its ports itself, it tells the executor so
-//! ([`Operator::merges_ports_by_timestamp`]), and the executor hands it each
-//! port's queue whole, port after port, instead of cutting timestamp-bounded
-//! runs across the ports.
+//! A sliced chain merges its per-query results inside
+//! [`ChainJoinOp`](crate::ops::ChainJoinOp); this operator serves the
+//! baseline plans whose branches meet in separate operators.
 //!
 //! [1]: Abadi et al., "Aurora: A new model and architecture for data stream
 //! management", VLDB Journal 2003.
@@ -291,10 +290,6 @@ impl Operator for UnionOp {
 
     fn process_batch(&mut self, port: PortId, items: &mut Vec<StreamItem>, ctx: &mut OpContext) {
         self.absorb(port, items.drain(..), ctx);
-    }
-
-    fn merges_ports_by_timestamp(&self) -> bool {
-        true
     }
 
     fn flush(&mut self, ctx: &mut OpContext) {
@@ -685,7 +680,6 @@ mod tests {
         let mut port_major = UnionOp::new("union", 3);
         let mut whole = OpContext::new();
         let mut released_whole = Vec::new();
-        assert!(port_major.merges_ports_by_timestamp());
         for visit in &visits {
             let mut queues: Vec<VecDeque<StreamItem>> =
                 visit.iter().map(|q| q.iter().cloned().collect()).collect();

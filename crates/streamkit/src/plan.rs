@@ -215,14 +215,14 @@ impl Plan {
 
     /// Every slice join, in node order (a chain's slices in chain order).
     pub fn slice_joins(&self) -> impl Iterator<Item = &SliceJoinOp> {
-        self.nodes.iter().filter_map(|n| n.operator.as_slice_join())
+        self.nodes.iter().flat_map(|n| n.operator.slice_joins())
     }
 
     /// Every slice join, mutably, in node order.
     pub fn slice_joins_mut(&mut self) -> impl Iterator<Item = &mut SliceJoinOp> {
         self.nodes
             .iter_mut()
-            .filter_map(|n| n.operator.as_slice_join_mut())
+            .flat_map(|n| n.operator.slice_joins_mut())
     }
 
     /// Internal mutable access to the node list (used by the executor to

@@ -54,6 +54,33 @@ impl CostCounters {
             + self.union_comparisons
     }
 
+    /// Element-wise saturating subtraction: what is left of these counters
+    /// once `other`, a part of them, is taken out.
+    pub fn subtract(&mut self, other: &CostCounters) {
+        self.probe_comparisons = self
+            .probe_comparisons
+            .saturating_sub(other.probe_comparisons);
+        self.purge_comparisons = self
+            .purge_comparisons
+            .saturating_sub(other.purge_comparisons);
+        self.route_comparisons = self
+            .route_comparisons
+            .saturating_sub(other.route_comparisons);
+        self.filter_comparisons = self
+            .filter_comparisons
+            .saturating_sub(other.filter_comparisons);
+        self.split_comparisons = self
+            .split_comparisons
+            .saturating_sub(other.split_comparisons);
+        self.union_comparisons = self
+            .union_comparisons
+            .saturating_sub(other.union_comparisons);
+        self.tuples_processed = self.tuples_processed.saturating_sub(other.tuples_processed);
+        self.items_emitted = self.items_emitted.saturating_sub(other.items_emitted);
+        self.items_dropped = self.items_dropped.saturating_sub(other.items_dropped);
+        self.router_stalls = self.router_stalls.saturating_sub(other.router_stalls);
+    }
+
     /// Element-wise accumulation.
     pub fn add(&mut self, other: &CostCounters) {
         self.probe_comparisons += other.probe_comparisons;

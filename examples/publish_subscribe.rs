@@ -79,7 +79,7 @@ fn main() {
     for (label, spec) in [("Mem-Opt", &mem_opt), ("CPU-Opt", &cpu_opt.spec)] {
         let shared =
             SharedChainPlan::build(&workload, spec, &PlannerOptions::default()).expect("plan");
-        let operators = shared.plan.num_nodes();
+        let operators = spec.num_operators(&workload);
         let mut exec = Executor::new(shared.plan);
         exec.ingest_all(
             CHAIN_ENTRY,

@@ -70,7 +70,11 @@ fn main() {
     }
     let shared =
         SharedChainPlan::build(&workload, &chain, &PlannerOptions::default()).expect("plan");
-    println!("shared plan has {} operators", shared.plan.num_nodes());
+    println!(
+        "shared plan: {} operators of the paper in {} plan nodes",
+        chain.num_operators(&workload),
+        shared.plan.num_nodes()
+    );
 
     // 4. Feed a small synthetic sensor trace: one reading per second per
     //    stream, 10 locations, temperatures 0..100.

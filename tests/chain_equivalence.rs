@@ -50,6 +50,8 @@ fn run_chain(workload: &QueryWorkload, spec: &ChainSpec, input: &[Tuple]) -> Que
         .iter()
         .map(|q| {
             let sink = exec.plan().sink(&q.name).expect("sink exists");
+            // The chain's per-query merge delivers in timestamp order.
+            assert_eq!(sink.out_of_order(), 0, "{} out of order", q.name);
             (q.name.clone(), collected_fingerprints(sink.collected()))
         })
         .collect()
@@ -127,6 +129,49 @@ fn merged_chains_match_oracle_too() {
             reference,
             "slicing {path:?} diverged from the oracle"
         );
+    }
+}
+
+#[test]
+fn every_sink_receives_its_rows_in_timestamp_order() {
+    // Mem-Opt and CPU-Opt merged slicings, with and without selections;
+    // `run_chain` checks every sink's order, the oracle every result.
+    let filtered = || Predicate::gt(1, 30i64);
+    for with_selections in [false, true] {
+        let query = |name: &str, secs: u64| {
+            let window = TimeDelta::from_secs(secs);
+            if with_selections && secs > 2 {
+                JoinQuery::with_filter(name, window, filtered())
+            } else {
+                JoinQuery::new(name, window)
+            }
+        };
+        let workload = QueryWorkload::new(
+            vec![query("Q1", 2), query("Q2", 4), query("Q3", 7)],
+            JoinCondition::equi(0),
+        )
+        .unwrap();
+        let mut a = Vec::new();
+        let mut b = Vec::new();
+        for i in 0..200u64 {
+            // Equal timestamps across the streams, so results tie.
+            a.push(tuple(
+                StreamId::A,
+                i * 2,
+                (i % 3) as i64,
+                (i * 17 % 100) as i64,
+            ));
+            b.push(tuple(StreamId::B, i * 2, (i % 2) as i64, 0));
+        }
+        let input = merge_streams(a, b);
+        let reference = oracle(&workload, &input);
+        for spec in [
+            ChainSpec::memory_optimal(&workload),
+            ChainSpec::fully_merged(&workload),
+            ChainSpec::from_path(&workload, &[0, 2, 3]).unwrap(),
+        ] {
+            assert_eq!(run_chain(&workload, &spec, &input), reference);
+        }
     }
 }
 
