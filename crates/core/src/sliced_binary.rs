@@ -169,8 +169,8 @@ mod tests {
         assert_eq!(results_of(&mut ctx), vec![(4, 3)]);
     }
 
-    /// A cross-join slice whose A state holds `stored` tuples, left with the
-    /// result history of the run that stored them plus `probes` B probes.
+    /// A cross-join slice whose A state holds `stored` tuples, after one
+    /// run that stores them and then probes them with `probes` B tuples.
     fn slice_after_run(stored: Vec<Tuple>, probes: u64) -> (SliceJoinOp, OpContext) {
         let mut op = only_slice(100, JoinCondition::Cross);
         let mut ctx = OpContext::new();
@@ -231,14 +231,17 @@ mod tests {
                 .map(|s| Tuple::join(&a(s, 0), probe, RESULT_STREAM))
                 .collect()
         };
-        // Run 1: 4 stored × 4 probes = 16 results.  It opens on rows (no
-        // history yet) and switches to a batch at its 16th result.
+        let joined_all = |probes: &[u64]| -> Vec<Tuple> {
+            probes.iter().flat_map(|&s| joined(&b(s, 0))).collect()
+        };
+        // Run 1: 4 stored × 4 probes = 16 results, a dense run from its
+        // first result: one batch, then the run's punctuation.
         let (mut op, mut ctx) = slice_after_run((1..=4).map(|s| a(s, 0)).collect(), 4);
         let (rows, rest) = rows_then_batches(&mut ctx);
-        assert_eq!(rows.len(), 15);
-        assert_eq!(rest, vec![Ok(joined(&b(13, 0))[3..].to_vec()), Err(())]);
-        assert_eq!(op.batch_results(), 1);
-        // Run 2 opens columnar: one batch per stretch between punctuations,
+        assert!(rows.is_empty());
+        assert_eq!(rest, vec![Ok(joined_all(&[10, 11, 12, 13])), Err(())]);
+        assert_eq!(op.batch_results(), 16);
+        // Run 2 is dense too: one batch per stretch between punctuations,
         // each flushed before the punctuation that follows it — the
         // interleaved one and the run's coalesced one.
         let mut run = vec![
@@ -246,46 +249,52 @@ mod tests {
             b(21, 0).into(),
             Punctuation::new(Timestamp::from_secs(21)).into(),
             b(22, 0).into(),
+            b(23, 0).into(),
         ];
         op.process_batch(0, &mut run, &mut ctx);
         let (rows, got) = rows_then_batches(&mut ctx);
         assert!(rows.is_empty());
-        let mut before = joined(&b(20, 0));
-        before.extend(joined(&b(21, 0)));
         assert_eq!(
             got,
-            vec![Ok(before), Err(()), Ok(joined(&b(22, 0))), Err(())]
+            vec![
+                Ok(joined_all(&[20, 21])),
+                Err(()),
+                Ok(joined_all(&[22, 23])),
+                Err(())
+            ]
         );
-        assert_eq!(op.results(), 28);
-        assert_eq!(op.batch_results(), 13);
-        // 12 < 16: run 3 is back on rows.
-        op.process(0, b(23, 0).into(), &mut ctx);
+        assert_eq!(op.results(), 32);
+        assert_eq!(op.batch_results(), 32);
+        // 4 < 16: run 3 is on rows, whatever came before it.
+        op.process(0, b(24, 0).into(), &mut ctx);
         assert_eq!(results_of(&mut ctx).len(), 4);
-        assert_eq!(op.batch_results(), 13);
+        assert_eq!(op.batch_results(), 32);
     }
 
     #[test]
     fn an_arity_change_mid_run_splits_the_batch() {
         // Stored A tuples of arity 1, 1, 2, 1: every probe's results change
-        // arity twice, so a batch is cut at each change.  5 probes give 20
-        // results; the run switches to a batch at the 16th, the last of
-        // probe 4, so probe 5's arity changes come after the switch.
+        // arity twice.  5 probes give 20 results, all in batches, cut at
+        // each arity change; rows of one arity from consecutive probes share
+        // a batch.
         let wide = Tuple::of_ints(Timestamp::from_secs(3), StreamId::A, &[0, 9]);
         let stored = vec![a(1, 0), a(2, 0), wide, a(4, 0)];
         let (op, mut ctx) = slice_after_run(stored.clone(), 5);
         let (rows, got) = rows_then_batches(&mut ctx);
-        assert_eq!(rows.len(), 15);
+        assert!(rows.is_empty());
         let row = |i: usize, probe: u64| Tuple::join(&stored[i], &b(probe, 0), RESULT_STREAM);
-        assert_eq!(
-            got,
-            vec![
-                Ok(vec![row(3, 13), row(0, 14), row(1, 14)]),
-                Ok(vec![row(2, 14)]),
-                Ok(vec![row(3, 14)]),
-                Err(())
-            ]
-        );
-        assert_eq!(op.batch_results(), 5);
+        let mut want: Vec<Result<Vec<Tuple>, ()>> = Vec::new();
+        for t in (10..15).flat_map(|probe| (0..4).map(move |i| (i, probe))) {
+            let t = row(t.0, t.1);
+            match want.last_mut() {
+                Some(Ok(batch)) if batch[0].arity() == t.arity() => batch.push(t),
+                _ => want.push(Ok(vec![t])),
+            }
+        }
+        want.push(Err(()));
+        assert_eq!(want.len(), 12);
+        assert_eq!(got, want);
+        assert_eq!(op.batch_results(), 20);
     }
 
     #[test]

@@ -59,8 +59,6 @@ pub enum NodeState {
     Union {
         /// Per-input-port punctuation watermarks.
         watermarks: Vec<Timestamp>,
-        /// Largest watermark up to which output has been released.
-        emitted_watermark: Timestamp,
     },
     /// A sink's cumulative result counters (and retained tuples, if any).
     Sink {
@@ -520,7 +518,6 @@ mod tests {
     fn restoring_another_kind_of_state_is_refused() {
         let union = NodeState::Union {
             watermarks: vec![Timestamp::ZERO],
-            emitted_watermark: Timestamp::ZERO,
         };
         let sink = NodeState::Sink {
             count: 1,

@@ -24,13 +24,13 @@
 //!   `Or` evaluates the right operand only on the left's complement, `Not`
 //!   complements.  Filter-comparison counters are therefore bit-identical to
 //!   the row path's.
-//! * **row-range append** ([`ColumnBatch::push_rows_from`]) copies a
-//!   contiguous row range of one batch onto another with one
-//!   `extend_from_slice` per column — how the order-preserving union
-//!   re-coalesces what it releases — leaving exactly the columns, masks and
-//!   `Mixed` degradations appending the rows one by one would.
+//! * **multi-source gather** ([`gather_rows`]) fills batches of exact size
+//!   with rows picked from several batches in any order, a column at a
+//!   time — how a sliced chain builds each query's delivery from its
+//!   slices' result buffers and the order-preserving union re-coalesces
+//!   what it releases — leaving exactly the columns, masks and `Mixed`
+//!   degradations appending the rows one by one would.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use crate::predicate::{CmpOp, Predicate};
@@ -81,6 +81,26 @@ impl TypedColumn {
         col
     }
 
+    /// Make `v` the column's only row, exactly as [`TypedColumn::with_first`]
+    /// would, but in the column's own storage when `v` picks its type.
+    fn restart(&mut self, v: &Value) {
+        let same_type = matches!(
+            (&self.data, v),
+            (ColumnData::Int(_), Value::Int(_))
+                | (ColumnData::Float(_), Value::Float(_))
+                | (ColumnData::Str(_), Value::Str(_))
+                | (ColumnData::Bool(_), Value::Bool(_))
+                | (ColumnData::Mixed(_), Value::Null)
+        );
+        if same_type {
+            // A column of an empty batch holds no rows.
+            self.validity = None;
+            self.push(v);
+        } else {
+            *self = TypedColumn::with_first(v);
+        }
+    }
+
     fn len(&self) -> usize {
         match &self.data {
             ColumnData::Int(xs) => xs.len(),
@@ -91,88 +111,65 @@ impl TypedColumn {
         }
     }
 
-    /// Append a value, degrading to `Mixed` if it does not fit the column
-    /// type (a `Null` fits any typed column via the validity mask).
+    /// Remove the first `n` rows, keeping the storage.
+    fn drain_front(&mut self, n: usize) {
+        match &mut self.data {
+            ColumnData::Int(xs) => drop(xs.drain(..n)),
+            ColumnData::Float(xs) => drop(xs.drain(..n)),
+            ColumnData::Str(xs) => drop(xs.drain(..n)),
+            ColumnData::Bool(xs) => drop(xs.drain(..n)),
+            ColumnData::Mixed(xs) => drop(xs.drain(..n)),
+        }
+        if let Some(mask) = &mut self.validity {
+            mask.drain(..n);
+        }
+    }
+
+    /// Append a value: one match stores a value of the column's own type;
+    /// a `Null` goes under the validity mask of a typed column, and any
+    /// other value degrades the column to `Mixed`.
     fn push(&mut self, v: &Value) {
-        if let ColumnData::Mixed(xs) = &mut self.data {
-            xs.push(v.clone());
-            return;
-        }
-        let compatible = matches!(
-            (&self.data, v),
-            (ColumnData::Int(_), Value::Int(_))
-                | (ColumnData::Float(_), Value::Float(_))
-                | (ColumnData::Str(_), Value::Str(_))
-                | (ColumnData::Bool(_), Value::Bool(_))
-                | (_, Value::Null)
-        );
-        if !compatible {
-            self.degrade_to_mixed();
-            if let ColumnData::Mixed(xs) = &mut self.data {
-                xs.push(v.clone());
-            }
-            return;
-        }
-        let len = self.len();
         match (&mut self.data, v) {
             (ColumnData::Int(xs), Value::Int(x)) => xs.push(*x),
-            (ColumnData::Int(xs), _) => xs.push(0),
             (ColumnData::Float(xs), Value::Float(x)) => xs.push(*x),
-            (ColumnData::Float(xs), _) => xs.push(0.0),
             (ColumnData::Str(xs), Value::Str(s)) => xs.push(Arc::clone(s)),
-            (ColumnData::Str(xs), _) => xs.push(Arc::from("")),
             (ColumnData::Bool(xs), Value::Bool(b)) => xs.push(*b),
-            (ColumnData::Bool(xs), _) => xs.push(false),
-            (ColumnData::Mixed(_), _) => unreachable!("mixed handled above"),
+            (ColumnData::Mixed(xs), _) => {
+                xs.push(v.clone());
+                return;
+            }
+            (_, Value::Null) => {
+                self.push_null();
+                return;
+            }
+            _ => {
+                self.degrade_to_mixed();
+                self.push(v);
+                return;
+            }
         }
-        if matches!(v, Value::Null) {
-            self.validity
-                .get_or_insert_with(|| vec![true; len])
-                .push(false);
-        } else if let Some(mask) = &mut self.validity {
+        if let Some(mask) = &mut self.validity {
             mask.push(true);
         }
     }
 
-    /// Append rows `range` of `src` — exactly what pushing
-    /// `src.value_at(i)` for each `i` would leave behind, mask and `Mixed`
-    /// degradation included, but one `extend_from_slice` per column when
-    /// both sides store the same type.
-    fn extend_from(&mut self, src: &TypedColumn, range: Range<usize>) {
-        let old_len = self.len();
-        match (&mut self.data, &src.data) {
-            (ColumnData::Int(dst), ColumnData::Int(xs)) => {
-                dst.extend_from_slice(&xs[range.clone()])
-            }
-            (ColumnData::Float(dst), ColumnData::Float(xs)) => {
-                dst.extend_from_slice(&xs[range.clone()])
-            }
-            (ColumnData::Str(dst), ColumnData::Str(xs)) => {
-                dst.extend_from_slice(&xs[range.clone()])
-            }
-            (ColumnData::Bool(dst), ColumnData::Bool(xs)) => {
-                dst.extend_from_slice(&xs[range.clone()])
-            }
-            (ColumnData::Mixed(dst), ColumnData::Mixed(xs)) => {
-                dst.extend_from_slice(&xs[range]);
-                return; // `Mixed` stores its nulls inline
-            }
-            _ => {
-                // Different types: row by row, degrading where a row forces it.
-                for i in range {
-                    self.push(&src.value_at(i));
-                }
+    /// Append a `Null`: a typed column stores a placeholder under a cleared
+    /// mask bit, a `Mixed` one the `Null` itself.
+    fn push_null(&mut self) {
+        let len = self.len();
+        match &mut self.data {
+            ColumnData::Int(xs) => xs.push(0),
+            ColumnData::Float(xs) => xs.push(0.0),
+            ColumnData::Str(xs) => xs.push(Arc::from("")),
+            ColumnData::Bool(xs) => xs.push(false),
+            ColumnData::Mixed(xs) => {
+                xs.push(Value::Null);
                 return;
             }
         }
-        match (&src.validity, &mut self.validity) {
-            (Some(src_mask), _) if src_mask[range.clone()].contains(&false) => self
-                .validity
-                .get_or_insert_with(|| vec![true; old_len])
-                .extend_from_slice(&src_mask[range]),
-            (_, Some(mask)) => mask.resize(old_len + range.len(), true),
-            _ => {}
-        }
+        self.validity
+            .get_or_insert_with(|| vec![true; len])
+            .push(false);
     }
 
     fn degrade_to_mixed(&mut self) {
@@ -198,27 +195,54 @@ impl TypedColumn {
         }
     }
 
-    /// Gather the given rows into a new column.
-    fn gather(&self, rows: &[u32]) -> TypedColumn {
-        let data = match &self.data {
-            ColumnData::Int(xs) => ColumnData::Int(rows.iter().map(|&r| xs[r as usize]).collect()),
-            ColumnData::Float(xs) => {
-                ColumnData::Float(rows.iter().map(|&r| xs[r as usize]).collect())
+    /// Column `c` of the rows `order` indexes in `sources`, as
+    /// [`TypedColumn::with_first`] and repeated [`TypedColumn::push`] of
+    /// their values build it.  When every source with rows keeps the column
+    /// as the first row's type and that row is not `Null`, the values are
+    /// copied in one typed pass; otherwise they are pushed one by one.
+    fn gather(sources: &[&ColumnBatch], c: usize, order: &[(u32, u32)]) -> TypedColumn {
+        let column = |s: u32| &sources[s as usize].columns[c];
+        let (s0, r0) = (column(order[0].0), order[0].1 as usize);
+        let data = if s0.validity.as_ref().is_some_and(|mask| !mask[r0]) {
+            None
+        } else {
+            // Each typed variant: its data in every source, copied.
+            macro_rules! copy_typed {
+                ($variant:ident) => {
+                    typed_slices(sources, c, |d| match d {
+                        ColumnData::$variant(xs) => Some(xs.as_slice()),
+                        _ => None,
+                    })
+                    .map(|xs| ColumnData::$variant(pick(order, &xs)))
+                };
             }
-            ColumnData::Str(xs) => {
-                ColumnData::Str(rows.iter().map(|&r| Arc::clone(&xs[r as usize])).collect())
-            }
-            ColumnData::Bool(xs) => {
-                ColumnData::Bool(rows.iter().map(|&r| xs[r as usize]).collect())
-            }
-            ColumnData::Mixed(xs) => {
-                ColumnData::Mixed(rows.iter().map(|&r| xs[r as usize].clone()).collect())
+            match &s0.data {
+                ColumnData::Int(_) => copy_typed!(Int),
+                ColumnData::Float(_) => copy_typed!(Float),
+                ColumnData::Str(_) => copy_typed!(Str),
+                ColumnData::Bool(_) => copy_typed!(Bool),
+                ColumnData::Mixed(_) => None,
             }
         };
-        let validity = self
-            .validity
-            .as_ref()
-            .map(|mask| rows.iter().map(|&r| mask[r as usize]).collect());
+        let Some(data) = data else {
+            let mut out = TypedColumn::with_first(&s0.value_at(r0));
+            for &(s, r) in &order[1..] {
+                out.push(&column(s).value_at(r as usize));
+            }
+            return out;
+        };
+        // A typed copy keeps a mask only if some gathered row is `Null`.
+        let masked = sources.iter().any(|b| {
+            let column = b.columns.get(c).filter(|_| !b.is_empty());
+            column.is_some_and(|c| c.validity.is_some())
+        });
+        let valid = |&(s, r): &(u32, u32)| {
+            let mask = column(s).validity.as_ref();
+            mask.is_none_or(|mask| mask[r as usize])
+        };
+        let validity = masked
+            .then(|| order.iter().map(valid).collect::<Vec<bool>>())
+            .filter(|mask| mask.contains(&false));
         TypedColumn { data, validity }
     }
 
@@ -226,6 +250,26 @@ impl TypedColumn {
     pub fn data(&self) -> &ColumnData {
         &self.data
     }
+}
+
+/// Each source's column `c` as typed data `get` accepts (an empty source:
+/// no data), or `None` if a source with rows stores it otherwise.
+fn typed_slices<'a, T>(
+    sources: &[&'a ColumnBatch],
+    c: usize,
+    get: impl Fn(&'a ColumnData) -> Option<&'a [T]>,
+) -> Option<Vec<&'a [T]>> {
+    let slice = |b: &&'a ColumnBatch| match b.is_empty() {
+        true => Some(&[][..]),
+        false => get(&b.columns.get(c)?.data),
+    };
+    sources.iter().map(slice).collect()
+}
+
+/// The values `order` indexes in `slices`, in order.
+fn pick<T: Clone>(order: &[(u32, u32)], slices: &[&[T]]) -> Vec<T> {
+    let value = |&(s, r): &(u32, u32)| slices[s as usize][r as usize].clone();
+    order.iter().map(value).collect()
 }
 
 /// A timestamp-contiguous run of tuples in column-major layout.
@@ -319,11 +363,23 @@ impl ColumnBatch {
     /// Append the join of two tuples — the columnar form of [`Tuple::join`]
     /// (max timestamp, |Ta-Tb| origin span, `Regular` role, min lineage,
     /// concatenated payload) without the per-row `Arc<[Value]>` allocation
-    /// that makes the row path's result handling hot.
+    /// that makes the row path's result handling hot.  Each side's values
+    /// go straight into their own columns.
     pub fn push_join(&mut self, left: &Tuple, right: &Tuple, out_stream: StreamId) -> bool {
-        let arity = left.arity() + right.arity();
-        if !self.push_payload(left.values.iter().chain(right.values.iter()), arity) {
+        let split = left.arity();
+        if self.ts.is_empty() {
+            let values = left.values.iter().chain(right.values.iter());
+            self.push_payload(values, split + right.arity());
+        } else if self.columns.len() != split + right.arity() {
             return false;
+        } else {
+            let (left_columns, right_columns) = self.columns.split_at_mut(split);
+            for (col, v) in left_columns.iter_mut().zip(left.values.iter()) {
+                col.push(v);
+            }
+            for (col, v) in right_columns.iter_mut().zip(right.values.iter()) {
+                col.push(v);
+            }
         }
         self.ts.push(left.ts.max(right.ts));
         self.stream.push(out_stream);
@@ -333,75 +389,37 @@ impl ColumnBatch {
         true
     }
 
-    /// Append row `i` of another batch.  Returns `false` on arity mismatch.
-    /// The row-at-a-time reference [`ColumnBatch::push_rows_from`] is tested
-    /// against.
-    pub fn push_row_from(&mut self, src: &ColumnBatch, i: usize) -> bool {
-        if self.ts.is_empty() {
-            self.columns = src
-                .columns
-                .iter()
-                .map(|c| TypedColumn::with_first(&c.value_at(i)))
-                .collect();
-        } else if src.columns.len() != self.columns.len() {
-            return false;
-        } else {
-            for (dst, sc) in self.columns.iter_mut().zip(&src.columns) {
-                dst.push(&sc.value_at(i));
-            }
-        }
-        self.ts.push(src.ts[i]);
-        self.stream.push(src.stream[i]);
-        self.origin_span.push(src.origin_span[i]);
-        self.role.push(src.role[i]);
-        self.lineage.push(src.lineage[i]);
-        true
-    }
-
-    /// Append rows `range` of another batch column-wise: the same rows, masks
-    /// and column types repeated [`ColumnBatch::push_row_from`] would leave,
-    /// at one `extend_from_slice` per column where the types agree.  Returns
-    /// `false` (appending nothing) on arity mismatch; an empty range appends
-    /// nothing and succeeds.
-    pub fn push_rows_from(&mut self, src: &ColumnBatch, range: Range<usize>) -> bool {
-        if range.is_empty() {
-            return true;
-        }
-        let mut rest = range.clone();
-        if self.ts.is_empty() {
-            // The first row picks the column types, as a row append would.
-            self.columns = src
-                .columns
-                .iter()
-                .map(|c| TypedColumn::with_first(&c.value_at(range.start)))
-                .collect();
-            rest.start += 1;
-        } else if src.columns.len() != self.columns.len() {
-            return false;
-        }
-        for (dst, sc) in self.columns.iter_mut().zip(&src.columns) {
-            dst.extend_from(sc, rest.clone());
-        }
-        self.ts.extend_from_slice(&src.ts[range.clone()]);
-        self.stream.extend_from_slice(&src.stream[range.clone()]);
-        self.origin_span
-            .extend_from_slice(&src.origin_span[range.clone()]);
-        self.role.extend_from_slice(&src.role[range.clone()]);
-        self.lineage.extend_from_slice(&src.lineage[range]);
-        true
-    }
-
+    /// Append a row's payload; the first row of an empty batch picks the
+    /// column types, in the columns' own storage where it can.
     fn push_payload<'a>(&mut self, values: impl Iterator<Item = &'a Value>, arity: usize) -> bool {
-        if self.ts.is_empty() {
-            self.columns = values.map(TypedColumn::with_first).collect();
-            true
-        } else if arity != self.columns.len() {
+        if !self.ts.is_empty() && arity != self.columns.len() {
             false
-        } else {
+        } else if !self.ts.is_empty() {
             for (col, v) in self.columns.iter_mut().zip(values) {
                 col.push(v);
             }
             true
+        } else if arity == self.columns.len() {
+            for (col, v) in self.columns.iter_mut().zip(values) {
+                col.restart(v);
+            }
+            true
+        } else {
+            self.columns = values.map(TypedColumn::with_first).collect();
+            true
+        }
+    }
+
+    /// Remove the first `n` rows, keeping every column's storage for the
+    /// rows appended next.
+    pub(crate) fn drain_front(&mut self, n: usize) {
+        self.ts.drain(..n);
+        self.stream.drain(..n);
+        self.origin_span.drain(..n);
+        self.role.drain(..n);
+        self.lineage.drain(..n);
+        for col in &mut self.columns {
+            col.drain_front(n);
         }
     }
 
@@ -439,16 +457,57 @@ impl ColumnBatch {
         (0..self.len()).map(|i| self.row(i)).collect()
     }
 
-    /// Gather the given rows (ascending batch indices) into a new batch.
+    /// Gather the given rows (batch indices) into a new batch.
     pub fn gather(&self, rows: &[u32]) -> ColumnBatch {
-        ColumnBatch {
-            ts: rows.iter().map(|&r| self.ts[r as usize]).collect(),
-            stream: rows.iter().map(|&r| self.stream[r as usize]).collect(),
-            origin_span: rows.iter().map(|&r| self.origin_span[r as usize]).collect(),
-            role: rows.iter().map(|&r| self.role[r as usize]).collect(),
-            lineage: rows.iter().map(|&r| self.lineage[r as usize]).collect(),
-            columns: self.columns.iter().map(|c| c.gather(rows)).collect(),
+        let order: Vec<(u32, u32)> = rows.iter().map(|&r| (0, r)).collect();
+        let mut out = ColumnBatch::new();
+        gather_rows(&[self], &order, |batch| out = batch);
+        out
+    }
+
+    /// The rows `order` indexes in `sources`, all of one arity, as one batch
+    /// of exactly their number of rows, filled one column at a time.
+    fn gather_stretch(sources: &[&ColumnBatch], order: &[(u32, u32)]) -> ColumnBatch {
+        macro_rules! meta {
+            ($field:ident) => {{
+                let field: Vec<&[_]> = sources.iter().map(|b| &b.$field[..]).collect();
+                pick(order, &field)
+            }};
         }
+        ColumnBatch {
+            ts: meta!(ts),
+            stream: meta!(stream),
+            origin_span: meta!(origin_span),
+            role: meta!(role),
+            lineage: meta!(lineage),
+            columns: (0..sources[order[0].0 as usize].columns.len())
+                .map(|c| TypedColumn::gather(sources, c, order))
+                .collect(),
+        }
+    }
+}
+
+/// Gather the rows `order` indexes — `(source, row)` pairs into `sources` —
+/// into new batches, in order, handing each to `emit`: exactly the batches
+/// appending the rows one by one builds, column types, masks and `Mixed`
+/// degradation included, a batch ending where the next row's arity
+/// differs.  Each batch is allocated at its exact size and filled one
+/// column at a time, in a single pass per column.
+pub fn gather_rows(
+    sources: &[&ColumnBatch],
+    order: &[(u32, u32)],
+    mut emit: impl FnMut(ColumnBatch),
+) {
+    let arity = |&(s, _): &(u32, u32)| sources[s as usize].columns.len();
+    let mut rest = order;
+    while let Some(first) = rest.first() {
+        let len = rest
+            .iter()
+            .position(|row| arity(row) != arity(first))
+            .unwrap_or(rest.len());
+        let (stretch, tail) = rest.split_at(len);
+        emit(ColumnBatch::gather_stretch(sources, stretch));
+        rest = tail;
     }
 }
 
@@ -599,6 +658,32 @@ fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 mod tests {
     use super::*;
 
+    impl ColumnBatch {
+        /// Append row `i` of another batch.  Returns `false` on arity mismatch.
+        /// The row-at-a-time reference [`gather_rows`] is tested against.
+        fn push_row_from(&mut self, src: &ColumnBatch, i: usize) -> bool {
+            if self.ts.is_empty() {
+                self.columns = src
+                    .columns
+                    .iter()
+                    .map(|c| TypedColumn::with_first(&c.value_at(i)))
+                    .collect();
+            } else if src.columns.len() != self.columns.len() {
+                return false;
+            } else {
+                for (dst, sc) in self.columns.iter_mut().zip(&src.columns) {
+                    dst.push(&sc.value_at(i));
+                }
+            }
+            self.ts.push(src.ts[i]);
+            self.stream.push(src.stream[i]);
+            self.origin_span.push(src.origin_span[i]);
+            self.role.push(src.role[i]);
+            self.lineage.push(src.lineage[i]);
+            true
+        }
+    }
+
     fn t(secs: u64, vals: &[i64]) -> Tuple {
         Tuple::of_ints(Timestamp::from_secs(secs), StreamId::A, vals)
     }
@@ -687,94 +772,98 @@ mod tests {
     }
 
     #[test]
-    fn push_rows_from_equals_repeated_push_row_from() {
-        // Typed Int/Float/Str/Bool columns, a masked column, and a column
-        // that is `Mixed` in the source.
-        let typed: Vec<Tuple> = (0..6)
-            .map(|i| {
-                tv(
-                    i,
-                    vec![
-                        Value::Int(i as i64),
-                        Value::Float(i as f64 / 2.0),
-                        Value::str(if i % 2 == 0 { "even" } else { "odd" }),
-                        Value::Bool(i % 3 == 0),
-                        if i == 2 || i == 3 {
-                            Value::Null
-                        } else {
-                            Value::Int(10 * i as i64)
-                        },
-                    ],
-                )
-            })
-            .collect();
-        let typed = ColumnBatch::from_tuples(&typed).unwrap();
-        assert!(typed.columns()[4].validity.is_some(), "column 4 is masked");
-        // Same arity, but column 0 turns to `Str` at row 2: appending rows
-        // 1..4 of it to `typed`'s Int column degrades that column mid-range.
-        let degrading: Vec<Tuple> = (0..5)
-            .map(|i| {
-                let first = if i < 2 {
-                    Value::Int(100 + i as i64)
-                } else {
-                    Value::str("late")
-                };
-                tv(
-                    10 + i,
-                    vec![
-                        first,
-                        Value::Float(0.5),
-                        Value::str("s"),
-                        Value::Bool(true),
-                        Value::Null,
-                    ],
-                )
-            })
-            .collect();
-        let degrading = ColumnBatch::from_tuples(&degrading).unwrap();
-        assert!(matches!(
-            degrading.columns()[0].data(),
-            ColumnData::Mixed(_)
-        ));
-
-        // Every sequence of appends must leave the same batch either way —
-        // rows, column types and masks (`ColumnBatch: PartialEq` sees all).
-        let sequences: [&[(&ColumnBatch, Range<usize>)]; 6] = [
-            &[(&typed, 0..6)],
-            &[(&typed, 0..2), (&typed, 2..6)], // the mask starts mid-append
-            &[(&typed, 2..4), (&typed, 0..2)], // leading Null: starts `Mixed`
-            &[(&typed, 4..6), (&typed, 3..3), (&typed, 0..1)], // empty range
-            &[(&typed, 0..3), (&degrading, 1..4), (&typed, 3..5)],
-            &[(&degrading, 0..2), (&typed, 1..4)], // typed rows onto `Mixed`
+    fn gathering_rows_equals_appending_them_one_by_one() {
+        let mut seed = 0x51_7cc1_b727_220au64;
+        let mut next = move |m: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % m
+        };
+        let value = |kind, x: i64| match kind {
+            'i' => Value::Int(x),
+            'f' => Value::Float(x as f64 / 4.0),
+            's' => Value::str(["a", "b", "c"][x as usize % 3]),
+            'b' => Value::Bool(x % 2 == 0),
+            _ => Value::Null,
+        };
+        // Per source, each column's value kind by row: typed columns, a
+        // masked one, `Mixed` ones (alternating types, a leading `Null`),
+        // types that differ between sources, and one narrower source.
+        let shapes: [&[&str]; 7] = [
+            &["iiiiiiii", "ssssssss"],
+            &["ii-ii-ii", "ssssssss"],
+            &["isisisis", "ssssssss"],
+            &["ffffffff", "ssssssss"],
+            &["iiiiiiii"],
+            &["-iiiiiii", "sss-ssss"],
+            &["iiiiiiii", "bbbbbbbb"],
         ];
-        for appends in sequences {
-            let mut by_range = ColumnBatch::new();
-            let mut by_row = ColumnBatch::new();
-            for (src, range) in appends {
-                assert!(by_range.push_rows_from(src, range.clone()));
-                for i in range.clone() {
-                    assert!(by_row.push_row_from(src, i));
+        let sources: Vec<ColumnBatch> = shapes
+            .iter()
+            .enumerate()
+            .map(|(s, columns)| {
+                let rows: Vec<Tuple> = (0..8)
+                    .map(|r| {
+                        let kinds = columns.iter().map(|c| c.as_bytes()[r] as char);
+                        let values = kinds.map(|k| value(k, (10 * s + r) as i64)).collect();
+                        let mut t = tv(r as u64, values);
+                        t.lineage = s as u32;
+                        t
+                    })
+                    .collect();
+                ColumnBatch::from_tuples(&rows).unwrap()
+            })
+            .collect();
+        let refs: Vec<&ColumnBatch> = sources.iter().collect();
+        let (mut typed, mut masked, mut mixed, mut flushed) = (0, 0, 0, 0);
+        let mut reused = ColumnBatch::new();
+        for _ in 0..400 {
+            // Draw from one source, two agreeing ones, or any.
+            let pool: &[u32] = match next(4) {
+                0 => &[0],
+                1 => &[0, 1],
+                2 => &[0, 1, 4],
+                _ => &[0, 1, 2, 3, 4, 5, 6],
+            };
+            // Random rows, half of them the row after the previous one.
+            let mut order: Vec<(u32, u32)> = Vec::new();
+            for _ in 0..1 + next(30) {
+                let row = match order.last() {
+                    Some(&(s, r)) if r < 7 && next(2) == 0 => (s, r + 1),
+                    _ => (pool[next(pool.len() as u64) as usize], next(8) as u32),
+                };
+                order.push(row);
+            }
+            let mut want = vec![ColumnBatch::new()];
+            for &(s, r) in &order {
+                let last = want.last_mut().unwrap();
+                if !last.push_row_from(refs[s as usize], r as usize) {
+                    let mut fresh = ColumnBatch::new();
+                    assert!(fresh.push_row_from(refs[s as usize], r as usize));
+                    want.push(fresh);
                 }
             }
-            assert_eq!(by_range, by_row, "appends {appends:?}");
-            assert_eq!(by_range.materialize(), by_row.materialize());
+            let mut got = Vec::new();
+            gather_rows(&refs, &order, |batch| got.push(batch));
+            assert_eq!(got, want, "order {order:?}");
+            flushed += got.len() - 1;
+            for col in got.iter().flat_map(|batch| batch.columns()) {
+                match (&col.data, &col.validity) {
+                    (ColumnData::Mixed(_), _) => mixed += 1,
+                    (_, Some(_)) => masked += 1,
+                    (_, None) => typed += 1,
+                }
+            }
+            // A drained batch refilled with the same rows equals a fresh one.
+            let rows = want[0].materialize();
+            reused.drain_front(reused.len());
+            for row in &rows {
+                assert!(reused.push_tuple(row));
+            }
+            assert_eq!(reused, want[0]);
         }
-
-        // After the degrading append column 0 is `Mixed`, the rest typed.
-        let mut dst = ColumnBatch::new();
-        assert!(dst.push_rows_from(&typed, 0..3));
-        assert!(matches!(dst.columns()[0].data(), ColumnData::Int(_)));
-        assert!(dst.push_rows_from(&degrading, 1..4));
-        assert!(matches!(dst.columns()[0].data(), ColumnData::Mixed(_)));
-        assert!(matches!(dst.columns()[1].data(), ColumnData::Float(_)));
-
-        // Arity mismatch: rejected, nothing appended.
-        let before = dst.clone();
-        let narrow = ColumnBatch::from_tuples(&[t(9, &[1])]).unwrap();
-        assert!(!dst.push_rows_from(&narrow, 0..1));
-        assert_eq!(dst, before);
-        assert!(dst.push_rows_from(&typed, 5..6));
-        assert_eq!(dst.len(), before.len() + 1);
+        assert!(typed > 0 && masked > 0 && mixed > 0 && flushed > 0);
     }
 
     #[test]

@@ -635,7 +635,7 @@ impl Executor {
     /// Restore `states`, one per slice in chain order, into a drained plan
     /// through each slice's own [`Operator::restore_state`], which refuses a
     /// window that is not its own.  A slice already holding its state is
-    /// left alone, index and emission history included.
+    /// left alone, index included.
     pub(crate) fn restore_window_states(&mut self, states: Vec<WindowState>) -> Result<()> {
         if !self.is_drained() {
             return Err(StreamError::Execution(

@@ -7,35 +7,36 @@
 //!
 //! * the slices are [`SliceJoinOp`] cores, walked slice-major over each run
 //!   ([`SliceJoinOp::run_into`]); a slice's purged and propagated tuples are
-//!   the next slice's input, handed over as a vector;
+//!   the next slice's input, and its result rows go into a column buffer the
+//!   chain owns and drains after every call, keeping its capacity;
 //! * the lineage gate in front of slice `k` (Section 6's σ'_k) drops the
 //!   stream-A tuples whose lineage is below its level, at no comparison;
-//! * each slice's results go to the queries it serves — split by window
-//!   when a query's window ends inside the slice (a CPU-Opt merged slice,
-//!   Figure 13(b), one `route_comparisons` per result and split) and
-//!   filtered by the query's residual selection when the gate does not
-//!   imply it (one `filter_comparisons` per evaluated comparison);
-//! * at the end of the call every query's per-slice lists, each already in
-//!   timestamp order, are k-way merged by timestamp and leave on the query's
-//!   output port: the paper's "one-time merge sort on timestamps"
-//!   (Section 4.3), one `union_comparisons` per delivered row.  Ties go to
-//!   the lower slice.
+//! * each query records the row numbers of the slice results it takes, split
+//!   by window when its window ends inside the slice (a CPU-Opt merged
+//!   slice, Figure 13(b), one `route_comparisons` per result and split) and
+//!   filtered by its residual selection when the gate does not imply it
+//!   (one `filter_comparisons` per evaluated comparison);
+//! * at the end of the call a k-way merge over each query's rows, each
+//!   slice's in timestamp order, gives its delivery order — the paper's
+//!   "one-time merge sort on timestamps" (Section 4.3), one
+//!   `union_comparisons` per delivered row, ties to the lower slice — and
+//!   the rows leave on the query's port: from [`COLUMNAR_MIN_RUN_RESULTS`]
+//!   up as column batches of exact size ([`gather_rows`]), below it as row
+//!   tuples, each result built once per call and shared by its queries.
 //!
 //! A run's results are complete when the call returns, so the merge needs
 //! no watermarks and no punctuations, and the chain emits none.  One thing
 //! waits: a query fed by several slices keeps its rows at the newest input
-//! timestamp until a later call's input moves past it (or the end-of-run
-//! flush), because the next run may still bring tuples of that timestamp
-//! and their rows must merge with these for ties to go to the lower slice
-//! however the runs are cut.
-
-use std::sync::Arc;
+//! timestamp, moved to the front of their buffer, until a later call's
+//! input moves past it (or the end-of-run flush), because the next run may
+//! still bring tuples of that timestamp and their rows must merge with these
+//! for ties to go to the lower slice however the runs are cut.
 
 use crate::checkpoint::NodeState;
-use crate::columnar::{eval_predicate_into, ColumnBatch};
+use crate::columnar::{eval_predicate_into, gather_rows, ColumnBatch};
 use crate::error::{Result, StreamError};
 use crate::operator::{OpContext, Operator, PortId};
-use crate::ops::slice_join::{SliceJoinOp, COLUMNAR_MIN_RUN_RESULTS};
+use crate::ops::slice_join::{SliceJoinOp, SliceResults, COLUMNAR_MIN_RUN_RESULTS};
 use crate::predicate::Predicate;
 use crate::queue::StreamItem;
 use crate::stats::CostCounters;
@@ -67,26 +68,28 @@ pub struct ChainJoinOp {
     branches: Vec<Vec<Branch>>,
     /// Cumulative counters of each slice, reported as nodes of their own.
     slice_counters: Vec<CostCounters>,
-    /// `lists[q][k]`: query `q`'s results from slice `k` not yet delivered,
-    /// in timestamp order.
-    lists: Vec<Vec<Vec<StreamItem>>>,
+    /// `results[k]`: slice `k`'s result rows of this call, and the rows a
+    /// query still holds from earlier calls.
+    results: Vec<SliceResults>,
+    /// `picked[q][k]`: the rows of `results[k]` query `q` takes and has not
+    /// received yet, ascending, so in timestamp order.
+    picked: Vec<Vec<Vec<u32>>>,
     /// `feeds[q]`: how many slices feed query `q`.
     feeds: Vec<usize>,
     /// The newest input tuple timestamp seen: rows at it may still tie with
     /// the next call's.
     newest: Option<Timestamp>,
-    /// Buffers reused across calls: a slice's input, what it forwards, its
-    /// results, the queries a row goes to, and row selections.
+    /// Buffers reused across calls: a slice's input and what it forwards,
+    /// row selections, a delivery's order, how far each slice's picks go,
+    /// and each slice's results built as row tuples in this call.
     input: Vec<StreamItem>,
     next: Vec<StreamItem>,
-    results: Vec<StreamItem>,
-    accepted: Vec<usize>,
-    all_rows: Vec<u32>,
-    in_window: Vec<u32>,
+    scope_rows: Vec<u32>,
     kept: Vec<u32>,
-    /// `offsets[q][k]`: rows of `lists[q][k]`'s first item, a batch,
-    /// already delivered.
-    offsets: Vec<Vec<usize>>,
+    order: Vec<(u32, u32)>,
+    ends: Vec<usize>,
+    cursors: Vec<usize>,
+    tuples: Vec<Vec<Option<Tuple>>>,
 }
 
 impl ChainJoinOp {
@@ -101,18 +104,19 @@ impl ChainJoinOp {
             min_level: vec![0; n],
             branches: (0..n).map(|_| Vec::new()).collect(),
             slice_counters: vec![CostCounters::default(); n],
-            lists: vec![vec![Vec::new(); n]; queries],
+            results: (0..n).map(|_| SliceResults::default()).collect(),
+            picked: vec![vec![Vec::new(); n]; queries],
             feeds: vec![0; queries],
             newest: None,
             slices,
             input: Vec::new(),
             next: Vec::new(),
-            results: Vec::new(),
-            accepted: Vec::new(),
-            all_rows: Vec::new(),
-            in_window: Vec::new(),
+            scope_rows: Vec::new(),
             kept: Vec::new(),
-            offsets: vec![vec![0; n]; queries],
+            order: Vec::new(),
+            ends: Vec::new(),
+            cursors: Vec::new(),
+            tuples: vec![Vec::new(); n],
         }
     }
 
@@ -143,7 +147,7 @@ impl ChainJoinOp {
         filter: Option<Predicate>,
     ) -> Self {
         assert!(
-            slice < self.slices.len() && query < self.lists.len(),
+            slice < self.slices.len() && query < self.picked.len(),
             "chain '{}' has no slice {slice} or no query port {query}",
             self.name
         );
@@ -173,7 +177,6 @@ impl ChainJoinOp {
         });
         self.newest = self.newest.max(newest);
         let mut next = std::mem::take(&mut self.next);
-        let mut results = std::mem::take(&mut self.results);
         for k in 0..self.slices.len() {
             let min_level = self.min_level[k];
             if min_level > 0 {
@@ -189,188 +192,158 @@ impl ChainJoinOp {
                 ctx.counters.tuples_processed += seen;
             }
             let mut counters = CostCounters::default();
-            self.slices[k].run_into(input.drain(..), &mut results, &mut next, &mut counters);
-            counters.items_emitted += (results.len() + next.len()) as u64;
+            let start = self.results[k].len();
+            let results = &mut self.results[k];
+            self.slices[k].run_into(input.drain(..), results, &mut next, &mut counters);
+            counters.items_emitted += next.len() as u64;
             self.slice_counters[k].add(&counters);
             ctx.counters.add(&counters);
-            self.distribute(k, &mut results, &mut ctx.counters);
+            self.distribute(k, start, &mut ctx.counters);
             std::mem::swap(&mut input, &mut next);
         }
         input.clear();
-        (self.input, self.next, self.results) = (input, next, results);
-        for q in 0..self.lists.len() {
-            let held_from = (self.feeds[q] > 1).then_some(self.newest).flatten();
-            self.merge(q, held_from, ctx);
-        }
+        (self.input, self.next) = (input, next);
+        self.deliver(false, ctx);
     }
 
-    /// Append slice `k`'s results (drained) to the lists of the queries
-    /// they belong to.
-    fn distribute(&mut self, k: usize, results: &mut Vec<StreamItem>, counters: &mut CostCounters) {
+    /// Record, for every query slice `k` feeds, which of the slice's rows
+    /// from row `start` on it takes.
+    fn distribute(&mut self, k: usize, start: usize, counters: &mut CostCounters) {
         let ChainJoinOp {
             branches,
-            lists,
-            accepted,
-            all_rows,
-            in_window,
+            results,
+            picked,
+            scope_rows,
             kept,
             ..
         } = self;
-        let branches = &branches[k];
+        let (branches, results) = (&branches[k], &results[k]);
         let splits = branches.iter().filter(|b| b.split.is_some()).count() as u64;
-        for item in results.drain(..) {
-            match item {
-                StreamItem::Punctuation(_) => {}
-                StreamItem::Tuple(t) => {
-                    if splits > 0 {
-                        counters.tuples_processed += 1;
-                        counters.route_comparisons += splits;
+        let rows = (results.len() - start) as u64;
+        if rows == 0 {
+            return;
+        }
+        if splits > 0 {
+            counters.tuples_processed += rows;
+            counters.route_comparisons += rows * splits;
+        }
+        let (first, mut from) = results.locate(start);
+        let mut base = start - from;
+        for batch in &results.batches[first..] {
+            let scope = from as u32..batch.len() as u32;
+            for branch in branches {
+                let picked = &mut picked[branch.query][k];
+                let mut selection: &[u32] = match (branch.split, &branch.filter) {
+                    (None, None) => {
+                        picked.extend(scope.clone().map(|row| base as u32 + row));
+                        continue;
                     }
-                    accepted.clear();
-                    for branch in branches {
-                        if branch.split.is_some_and(|window| t.origin_span >= window) {
-                            continue;
-                        }
-                        if let Some(filter) = &branch.filter {
-                            counters.tuples_processed += 1;
-                            if !filter.eval_counted(&t, &mut counters.filter_comparisons) {
-                                continue;
-                            }
-                        }
-                        accepted.push(branch.query);
+                    (split, _) => {
+                        let spans = batch.origin_spans();
+                        let in_window = |&row: &u32| split.is_none_or(|w| spans[row as usize] < w);
+                        scope_rows.clear();
+                        scope_rows.extend(scope.clone().filter(in_window));
+                        scope_rows
                     }
-                    if let Some((&last, rest)) = accepted.split_last() {
-                        for &q in rest {
-                            lists[q][k].push(t.clone().into());
-                        }
-                        lists[last][k].push(t.into());
-                    }
+                };
+                if let Some(filter) = &branch.filter {
+                    counters.tuples_processed += selection.len() as u64;
+                    let comparisons = &mut counters.filter_comparisons;
+                    eval_predicate_into(filter, batch, selection, kept, comparisons);
+                    selection = kept;
                 }
-                StreamItem::Batch(batch) => {
-                    let rows = batch.len();
-                    if splits > 0 {
-                        counters.tuples_processed += rows as u64;
-                        counters.route_comparisons += rows as u64 * splits;
-                    }
-                    for branch in branches {
-                        let list = &mut lists[branch.query][k];
-                        let mut selection: &[u32] = match (branch.split, &branch.filter) {
-                            (None, None) => {
-                                list.push(Arc::clone(&batch).into());
-                                continue;
-                            }
-                            (Some(window), _) => {
-                                in_window.clear();
-                                in_window.extend(
-                                    (0u32..)
-                                        .zip(batch.origin_spans())
-                                        .filter(|(_, span)| **span < window)
-                                        .map(|(row, _)| row),
-                                );
-                                in_window
-                            }
-                            (None, Some(_)) => {
-                                all_rows.clear();
-                                all_rows.extend(0..rows as u32);
-                                all_rows
-                            }
-                        };
-                        if let Some(filter) = &branch.filter {
-                            counters.tuples_processed += selection.len() as u64;
-                            let comparisons = &mut counters.filter_comparisons;
-                            eval_predicate_into(filter, &batch, selection, kept, comparisons);
-                            selection = kept;
-                        }
-                        if selection.len() == rows {
-                            list.push(Arc::clone(&batch).into());
-                        } else if !selection.is_empty() {
-                            list.push(batch.gather(selection).into());
-                        }
-                    }
+                picked.extend(selection.iter().map(|&row| base as u32 + row));
+            }
+            base += batch.len();
+            from = 0;
+        }
+    }
+
+    /// Deliver every query's rows — with `all`, the held ones too — and drop
+    /// the rows no query holds, moving the held ones to the front.
+    fn deliver(&mut self, all: bool, ctx: &mut OpContext) {
+        for q in 0..self.picked.len() {
+            if self.picked[q].iter().all(Vec::is_empty) {
+                continue;
+            }
+            let held = !all && self.feeds[q] > 1;
+            let held_from = held.then_some(self.newest).flatten();
+            self.merge(q, held_from, ctx);
+        }
+        for (k, results) in self.results.iter_mut().enumerate() {
+            if results.len() == 0 {
+                results.puncts.clear();
+                continue;
+            }
+            self.tuples[k].clear();
+            let held = self
+                .picked
+                .iter()
+                .filter_map(|picked| picked[k].first())
+                .min();
+            let from = held.map_or(results.len(), |&row| row as usize);
+            results.drain_front(from);
+            if from > 0 {
+                for picked in &mut self.picked {
+                    picked[k].iter_mut().for_each(|row| *row -= from as u32);
                 }
             }
         }
     }
 
-    /// Merge query `q`'s per-slice lists by timestamp, ties to the lower
-    /// slice, and emit the rows older than `held_from` (all rows when
-    /// `None`) on port `q`: a single list's rows as they are, otherwise one
-    /// [`ColumnBatch`] when at least [`COLUMNAR_MIN_RUN_RESULTS`] rows are
-    /// delivered and row tuples when fewer.  The rest stay in the lists, a
-    /// batch the merge has taken rows from with its offset.
+    /// Deliver query `q`'s picked rows older than `held_from` (all when
+    /// `None`) on port `q`, in timestamp order, ties to the lower slice.
     fn merge(&mut self, q: usize, held_from: Option<Timestamp>, ctx: &mut OpContext) {
-        let lists = &mut self.lists[q];
-        let offsets = &mut self.offsets[q];
-        let released = |ts: Timestamp| held_from.is_none_or(|held| ts < held);
-        // Rows a list can deliver, and whether that is all it holds.
-        let releasable = |list: &Vec<StreamItem>, offset: usize| {
-            let mut rows = 0;
-            for (i, item) in list.iter().enumerate() {
-                let skip = if i == 0 { offset } else { 0 };
-                match item {
-                    StreamItem::Tuple(t) if released(t.ts) => rows += 1,
-                    StreamItem::Batch(batch) => {
-                        let ts = &batch.timestamps()[skip..];
-                        let older = ts.partition_point(|&ts| released(ts));
-                        rows += older;
-                        if older < ts.len() {
-                            return (rows, false);
-                        }
-                    }
-                    _ => return (rows, false),
-                }
-            }
-            (rows, true)
-        };
-        let mut total = 0;
-        // The one list with rows to deliver, if only one has, and whether
-        // it delivers every row it holds.
-        let mut source = None;
-        let mut sources = 0;
-        for (k, list) in lists.iter().enumerate() {
-            let (rows, all) = releasable(list, offsets[k]);
-            if rows > 0 {
-                total += rows;
-                sources += 1;
-                source = Some((k, all && offsets[k] == 0));
-            }
-        }
+        let ChainJoinOp {
+            slices,
+            results,
+            picked,
+            order,
+            ends,
+            cursors,
+            tuples,
+            ..
+        } = self;
+        let picked = &mut picked[q];
+        ends.clear();
+        ends.extend(
+            picked
+                .iter()
+                .zip(results.iter())
+                .map(|(rows, results)| match held_from {
+                    None => rows.len(),
+                    Some(held) => rows.partition_point(|&row| results.ts(row as usize) < held),
+                }),
+        );
+        let total: usize = ends.iter().sum();
         if total == 0 {
             return;
         }
         ctx.counters.tuples_processed += total as u64;
         ctx.counters.union_comparisons += total as u64;
-        if let (1, Some((k, true))) = (sources, source) {
-            for item in lists[k].drain(..) {
-                ctx.emit(q, item);
+        // Rows leave in a k-way merge's order: each step takes the slice with
+        // the oldest head as far as the other heads allow — a lower slice's
+        // head bounds strictly (the tick before it), a higher one's
+        // inclusively.  A delivery of batches collects its rows as (batch,
+        // row) pairs over every slice's batches; one of rows emits each row
+        // at once.
+        let columnar = total as u64 >= COLUMNAR_MIN_RUN_RESULTS;
+        let (mut sources, mut first_source): (Vec<&ColumnBatch>, _) = (Vec::new(), Vec::new());
+        if columnar {
+            for results in results.iter() {
+                first_source.push(sources.len());
+                sources.extend(&results.batches);
             }
-            return;
         }
-        // Heads at the back, so a list gives up its head by `pop`.
-        for list in lists.iter_mut() {
-            list.reverse();
-        }
-        let head_ts = |item: &StreamItem, offset: usize| match item {
-            StreamItem::Batch(batch) => batch.ts_at(offset),
-            other => other.timestamp(),
-        };
-        // The newest timestamp this merge delivers.
-        let cap = match held_from {
-            // `total > 0`, so some row is older than `held`.
-            Some(held) => Timestamp::from_micros(held.as_micros() - 1),
-            None => Timestamp::MAX,
-        };
-        let mut out = (total >= COLUMNAR_MIN_RUN_RESULTS as usize).then(ColumnBatch::new);
+        order.clear();
+        cursors.clear();
+        cursors.resize(picked.len(), 0);
+        let head = |k: usize, at: usize| results[k].ts(picked[k][at] as usize);
         loop {
-            // The oldest head, and the newest timestamp its list may give
-            // before another list's head comes first: a lower slice's head
-            // bounds strictly (the tick before it), a higher one's
-            // inclusively.
             let mut best: Option<(usize, Timestamp)> = None;
-            let mut bound = cap;
-            for (k, list) in lists.iter().enumerate() {
-                let Some(head) = list.last() else { continue };
-                let ts = head_ts(head, offsets[k]);
+            let mut bound = Timestamp::MAX;
+            for k in (0..picked.len()).filter(|&k| cursors[k] < ends[k]) {
+                let ts = head(k, cursors[k]);
                 match best {
                     Some((_, best_ts)) if best_ts <= ts => bound = bound.min(ts),
                     Some((_, best_ts)) => {
@@ -381,94 +354,37 @@ impl ChainJoinOp {
                     None => best = Some((k, ts)),
                 }
             }
-            let Some((k, ts)) = best else { break };
-            if ts > cap {
-                break;
-            }
-            let list = &mut lists[k];
-            while let Some(head) = list.pop() {
-                match head {
-                    StreamItem::Tuple(t) if t.ts <= bound => match &mut out {
-                        Some(batch) => push_row(batch, &t, ctx, q),
-                        None => ctx.emit(q, t),
-                    },
-                    StreamItem::Batch(batch) => {
-                        let start = offsets[k];
-                        let taken = batch.timestamps()[start..]
-                            .iter()
-                            .take_while(|&&ts| ts <= bound)
-                            .count();
-                        let end = start + taken;
-                        match &mut out {
-                            Some(merged) => push_rows(merged, &batch, start..end, ctx, q),
-                            None => (start..end).for_each(|i| ctx.emit(q, batch.row(i))),
-                        }
-                        if end < batch.len() {
-                            offsets[k] = end;
-                            list.push(StreamItem::Batch(batch));
-                            break;
-                        }
-                        offsets[k] = 0;
-                    }
-                    other => {
-                        list.push(other);
-                        break;
-                    }
+            let Some((k, _)) = best else { break };
+            let (results, tuples) = (&results[k], &mut tuples[k]);
+            while cursors[k] < ends[k] && head(k, cursors[k]) <= bound {
+                let row = picked[k][cursors[k]] as usize;
+                cursors[k] += 1;
+                if columnar {
+                    let (batch, i) = results.locate(row);
+                    order.push(((first_source[k] + batch) as u32, i as u32));
+                    continue;
                 }
+                if tuples.len() <= row {
+                    tuples.resize(results.len(), None);
+                }
+                let tuple = tuples[row].get_or_insert_with(|| results.row(row));
+                ctx.emit(q, tuple.clone());
             }
         }
-        if let Some(batch) = out.filter(|batch| !batch.is_empty()) {
-            ctx.emit(q, batch);
+        if columnar {
+            for (slice, &rows) in slices.iter_mut().zip(ends.iter()) {
+                slice.batch_results += rows as u64;
+            }
+            gather_rows(&sources, order, |batch| ctx.emit(q, batch));
         }
-        // What is left waits for the next call, heads first again.
-        for list in lists.iter_mut() {
-            list.reverse();
+        for (rows, &end) in picked.iter_mut().zip(ends.iter()) {
+            rows.drain(..end);
         }
     }
 
     /// Rows of results not yet delivered.
     fn held_rows(&self) -> usize {
-        let lists = self.lists.iter().flatten();
-        let offsets = self.offsets.iter().flatten();
-        lists
-            .zip(offsets)
-            .map(|(list, offset)| list.iter().map(item_rows).sum::<usize>() - offset)
-            .sum()
-    }
-}
-
-/// Rows of a result item.
-fn item_rows(item: &StreamItem) -> usize {
-    match item {
-        StreamItem::Tuple(_) => 1,
-        StreamItem::Batch(batch) => batch.len(),
-        StreamItem::Punctuation(_) => 0,
-    }
-}
-
-/// Append one row tuple to the merged batch, emitting the batch first when
-/// the row's arity differs from it.
-fn push_row(merged: &mut ColumnBatch, row: &Tuple, ctx: &mut OpContext, q: PortId) {
-    if !merged.push_tuple(row) {
-        ctx.emit(q, std::mem::take(merged));
-        let ok = merged.push_tuple(row);
-        debug_assert!(ok, "a fresh batch accepts any arity");
-    }
-}
-
-/// Append rows `range` of `src` to the merged batch, emitting the batch
-/// first when the arities differ.
-fn push_rows(
-    merged: &mut ColumnBatch,
-    src: &ColumnBatch,
-    range: std::ops::Range<usize>,
-    ctx: &mut OpContext,
-    q: PortId,
-) {
-    if !merged.push_rows_from(src, range.clone()) {
-        ctx.emit(q, std::mem::take(merged));
-        let ok = merged.push_rows_from(src, range);
-        debug_assert!(ok, "a fresh batch accepts any arity");
+        self.picked.iter().flatten().map(Vec::len).sum()
     }
 }
 
@@ -478,7 +394,7 @@ impl Operator for ChainJoinOp {
     }
 
     fn num_output_ports(&self) -> usize {
-        self.lists.len()
+        self.picked.len()
     }
 
     fn process(&mut self, _port: PortId, item: StreamItem, ctx: &mut OpContext) {
@@ -491,9 +407,7 @@ impl Operator for ChainJoinOp {
 
     /// Deliver the rows held at the newest timestamp: the run is over.
     fn flush(&mut self, ctx: &mut OpContext) {
-        for q in 0..self.lists.len() {
-            self.merge(q, None, ctx);
-        }
+        self.deliver(true, ctx);
     }
 
     fn state_size(&self) -> usize {
@@ -751,36 +665,14 @@ mod tests {
         (rows, ctx.counters)
     }
 
-    /// `items` cut into runs of about `len` items, never between two items
-    /// of one timestamp.
-    fn runs_of(items: &[StreamItem], len: usize) -> Vec<Vec<StreamItem>> {
-        let mut runs: Vec<Vec<StreamItem>> = Vec::new();
-        for item in items {
-            match runs.last_mut() {
-                Some(run)
-                    if run.len() < len
-                        || run
-                            .last()
-                            .is_some_and(|l| l.timestamp() == item.timestamp()) =>
-                {
-                    run.push(item.clone())
-                }
-                _ => runs.push(vec![item.clone()]),
-            }
-        }
-        runs
-    }
-
-    /// The unions' order at equal timestamps depends on where the runs cut
-    /// a timestamp (a run's last probe releases its rows at once); the
-    /// chain's does not, as it holds the newest timestamp's rows back.  So
-    /// the runs compared here cut between timestamps only, where both give
-    /// every timestamp's rows slice by slice.
+    /// Both sides hold a timestamp's rows until the input moves past it, so
+    /// runs cut anywhere — inside a timestamp too — give every timestamp's
+    /// rows slice by slice.
     #[test]
     fn the_chain_delivers_what_slices_gates_router_and_unions_deliver() {
         let items = input();
         for run_len in [1, 7, 64] {
-            let runs = runs_of(&items, run_len);
+            let runs: Vec<Vec<StreamItem>> = items.chunks(run_len).map(<[_]>::to_vec).collect();
             let (want, reference_counters) = reference(&runs);
             let mut chain = chain();
             let mut ctx = OpContext::new();
@@ -790,6 +682,8 @@ mod tests {
                 for (port, item) in ctx.take_outputs() {
                     delivered[port].push(item);
                 }
+                // A call keeps only held rows, and no slice's punctuations.
+                assert!(chain.results.iter().all(|r| r.puncts.is_empty()));
             }
             chain.flush(&mut ctx);
             for (port, item) in ctx.take_outputs() {
@@ -884,12 +778,10 @@ mod tests {
                 ctx.counters,
             )
         };
-        let (twin_rows, mut twin_counters) = go_on(&mut twin);
-        let (live_rows, mut live_counters) = go_on(&mut live);
-        // The restored slices have no emission history, so their first runs
-        // open on rows: only the transport, and with it the item count,
-        // differs.
-        (twin_counters.items_emitted, live_counters.items_emitted) = (0, 0);
+        let (twin_rows, twin_counters) = go_on(&mut twin);
+        let (live_rows, live_counters) = go_on(&mut live);
+        // The transport follows each delivery's own count, so even the
+        // items emitted agree.
         assert_eq!(twin_counters, live_counters);
         assert_eq!(twin_rows.len(), live_rows.len());
         let d = twin_rows.iter().zip(&live_rows).position(|(a, b)| a != b);

@@ -29,14 +29,18 @@
 //! order-preserving union) — and [`PORT_NEXT_SLICE`], the logical queue
 //! feeding the next slice.
 //!
-//! One implementation runs a slice: [`SliceJoinOp::run_into`] writes a run's
-//! results and forwarded tuples into caller-owned vectors.  The sliced chain
+//! One implementation runs a slice: [`SliceJoinOp::run_into`] appends a
+//! run's result rows to a caller-owned, reused column buffer and what it
+//! forwards to a caller-owned vector.  The sliced chain
 //! ([`ChainJoinOp`](crate::ops::ChainJoinOp)) calls it on each of its slice
-//! cores; the [`Operator`] impl is a thin wrapper that emits the two vectors
-//! on the two ports, for the baselines and standalone slices.
+//! cores; the [`Operator`] impl is a thin wrapper for the baselines and
+//! standalone slices, sending a run's rows — all in batches or all as rows,
+//! punctuations in their place — and then its forwarded items.
 
 use crate::checkpoint::{NodeState, WindowState};
-use crate::columnar::ColumnBatch;
+use std::ops::Range;
+
+use crate::columnar::{gather_rows, ColumnBatch};
 use crate::error::{Result, StreamError};
 use crate::join_state::{equi_key_fields, memoize_key, JoinState};
 use crate::operator::{OpContext, Operator, PortId};
@@ -56,34 +60,111 @@ pub const PORT_NEXT_SLICE: PortId = 1;
 /// Stream id of every joined result tuple.
 pub const RESULT_STREAM: StreamId = StreamId(101);
 
-/// Result density at which a run's results travel as one [`ColumnBatch`]
-/// instead of one row [`Tuple`] each.  A run opens columnar iff this
-/// operator's *previous* run produced at least this many results; a run
-/// that opened on rows switches to a batch at its own result number
-/// `COLUMNAR_MIN_RUN_RESULTS`, so its first `COLUMNAR_MIN_RUN_RESULTS - 1`
-/// results stay rows and the rest leave in batches.  Results are never
-/// held back to decide.
-///
-/// A batch is one queue item, one fan-out hop and one union slot whatever
-/// its row count, and [`ColumnBatch::push_join`] allocates nothing per
-/// match — but a batch costs 6 + arity `Vec`s before its first row and a
-/// column-wise copy in every union that interleaves it with another port,
-/// so a run of one or two results is cheaper as row tuples.
-///
-/// Measured with the repository benchmark (2 vCPUs, `--seed 7 --seconds 6`,
-/// four alternating runs per value, median capacity in k tuples/s) at
-/// 4 / 8 / 16 / 32 / 64: `selective-fanout`, whose 64-item runs yield ≈ 8
-/// results in the first slice and 1–2 in each of the other eleven,
-/// 271 / 272 / 283 / 274 / 279; `equi-chain`, 65–130 results per run and
-/// slice, 493 / 493 / 472 / 464 / 354.  The break-even lies between 8 and
-/// 16 results per run: below it the sparse workload's first slice flips to
-/// batches of a handful of rows and loses 4 %; from 32 up the dense
-/// workload's short tail runs fall back to rows, and at 64 a quarter of its
-/// capacity is gone.  16 keeps every `selective-fanout` run on rows and
-/// every `equi-chain` run on batches.  That sweep measured the pure
-/// previous-run rule, before the in-run switch; 16 was kept for the switch,
-/// not re-tuned.
+/// Results at which a delivery travels as [`ColumnBatch`]es instead of one
+/// row [`Tuple`] each: where results leave an operator — a chain query's
+/// rows of one call, a standalone slice's rows of one run — the exact count
+/// being delivered decides, so a delivery is all batches or all rows.  A
+/// batch is one queue item and one sink visit whatever its row count, but
+/// costs 6 + arity `Vec`s, so a delivery of a few results is cheaper as row
+/// tuples.  The value comes from a sweep over 4–64 (EXPERIMENTS, "Result
+/// transport at both ends"), taken when each slice chose from its previous
+/// run's count; it was kept, not re-tuned, when the choice moved here.
 pub(crate) const COLUMNAR_MIN_RUN_RESULTS: u64 = 16;
+
+/// A slice's result rows, appended run after run until the owner drains
+/// them: column batches, a new one started only when the result arity
+/// changes, and the punctuations of the runs, each with the number of rows
+/// it follows.  Row numbers count across the batches.
+#[derive(Debug)]
+pub(crate) struct SliceResults {
+    /// The batches the rows are kept in, in row order; never empty: rows
+    /// are appended to the last one.
+    pub(crate) batches: Vec<ColumnBatch>,
+    pub(crate) puncts: Vec<(usize, Punctuation)>,
+}
+
+impl Default for SliceResults {
+    fn default() -> Self {
+        SliceResults {
+            batches: vec![ColumnBatch::new()],
+            puncts: Vec::new(),
+        }
+    }
+}
+
+impl SliceResults {
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.batches.iter().map(ColumnBatch::len).sum()
+    }
+
+    /// The batch holding row `row` (past the last row: the last batch), and
+    /// the row's index in it.
+    pub(crate) fn locate(&self, mut row: usize) -> (usize, usize) {
+        let last = self.batches.len() - 1;
+        for (b, batch) in self.batches[..last].iter().enumerate() {
+            if row < batch.len() {
+                return (b, row);
+            }
+            row -= batch.len();
+        }
+        (last, row)
+    }
+
+    /// Timestamp of row `row`.
+    pub(crate) fn ts(&self, row: usize) -> Timestamp {
+        let (batch, i) = self.locate(row);
+        self.batches[batch].ts_at(i)
+    }
+
+    /// Row `row` as a row tuple.
+    pub(crate) fn row(&self, row: usize) -> Tuple {
+        let (batch, i) = self.locate(row);
+        self.batches[batch].row(i)
+    }
+
+    fn push_join(&mut self, left: &Tuple, right: &Tuple) {
+        let last = self.batches.len() - 1;
+        if !self.batches[last].push_join(left, right, RESULT_STREAM) {
+            let mut batch = ColumnBatch::new();
+            batch.push_join(left, right, RESULT_STREAM);
+            self.batches.push(batch);
+        }
+    }
+
+    /// Drop the rows before `row` and every punctuation, keeping the
+    /// storage: row `row` becomes row 0.
+    pub(crate) fn drain_front(&mut self, row: usize) {
+        let (batch, i) = self.locate(row);
+        self.batches.drain(..batch);
+        self.batches[0].drain_front(i);
+        self.puncts.clear();
+    }
+
+    /// Send rows `range` on `port` of `ctx`: as column batches, one per
+    /// stretch of one arity, when `columnar`, and as row tuples otherwise.
+    /// Rows that fill the one batch they are kept in leave as that batch.
+    fn emit(&mut self, range: Range<usize>, columnar: bool, ctx: &mut OpContext, port: PortId) {
+        if range.is_empty() {
+            return;
+        }
+        if !columnar {
+            range.for_each(|row| ctx.emit(port, self.row(row)));
+            return;
+        }
+        if self.batches.len() == 1 && range == (0..self.batches[0].len()) {
+            ctx.emit(port, std::mem::take(&mut self.batches[0]));
+            return;
+        }
+        let at = |row| {
+            let (batch, i) = self.locate(row);
+            (batch as u32, i as u32)
+        };
+        let order: Vec<(u32, u32)> = range.map(at).collect();
+        let sources: Vec<&ColumnBatch> = self.batches.iter().collect();
+        gather_rows(&sources, &order, |batch| ctx.emit(port, batch));
+    }
+}
 
 /// Which streams a slice stores and which probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,23 +194,18 @@ pub struct SliceJoinOp {
     chain_head: bool,
     /// Last join of a chain: discards instead of forwarding to a next slice.
     has_next: bool,
-    /// Results of the current run so far, which switch a row run to a batch
-    /// at [`COLUMNAR_MIN_RUN_RESULTS`]; between runs, the previous run's
-    /// count — the observed result density the next run opens its transport
-    /// from (a fresh or rebuilt operator has no history and opens on rows).
-    run_results: u64,
-    /// Results that left as rows of a [`ColumnBatch`].
-    batch_results: u64,
+    /// Results that left as rows of a [`ColumnBatch`], counted per delivery.
+    pub(crate) batch_results: u64,
     /// The [`Operator`] wrapper's result and next-slice buffers, reused
     /// across calls.
-    emit_buf: (Vec<StreamItem>, Vec<StreamItem>),
+    emit_buf: (SliceResults, Vec<StreamItem>),
 }
 
-/// Where one run of a slice writes: its results (rows, batches and
-/// punctuations, in emission order), the tuples and punctuations it
-/// forwards to the next slice, and the comparison counters.
+/// Where one run of a slice writes: its result rows and punctuations, the
+/// tuples and punctuations it forwards to the next slice, and the
+/// comparison counters.
 struct RunOut<'a> {
-    results: &'a mut Vec<StreamItem>,
+    results: &'a mut SliceResults,
     next: &'a mut Vec<StreamItem>,
     counters: &'a mut CostCounters,
 }
@@ -154,9 +230,8 @@ impl SliceJoinOp {
             results: 0,
             chain_head: false,
             has_next: true,
-            run_results: 0,
             batch_results: 0,
-            emit_buf: (Vec::new(), Vec::new()),
+            emit_buf: Default::default(),
         }
     }
 
@@ -244,7 +319,9 @@ impl SliceJoinOp {
     }
 
     /// How many of [`SliceJoinOp::results`] left as rows of a
-    /// [`ColumnBatch`]; the rest left as row tuples.
+    /// [`ColumnBatch`], counted once per delivery (a chain slice's result
+    /// two queries receive in batches counts twice); the rest left as row
+    /// tuples.
     pub fn batch_results(&self) -> u64 {
         self.batch_results
     }
@@ -310,47 +387,6 @@ impl SliceJoinOp {
         self.peak_state = self.peak_state.max(self.state_len());
     }
 
-    /// Emit the run's `run_result`-th joined result.  `pending` is the run's
-    /// open [`ColumnBatch`] when the run is columnar (the match is appended
-    /// with [`ColumnBatch::push_join`], no per-match payload allocation) and
-    /// `None` when it is not (the match leaves as a row [`Tuple::join`]); a
-    /// row run opens its batch at result [`COLUMNAR_MIN_RUN_RESULTS`].  The
-    /// result rows, their order and every counter are identical either way;
-    /// only the transport representation differs.
-    fn emit_result(
-        pending: &mut Option<ColumnBatch>,
-        run_result: u64,
-        left: &Tuple,
-        right: &Tuple,
-        results: &mut Vec<StreamItem>,
-    ) {
-        if pending.is_none() && run_result >= COLUMNAR_MIN_RUN_RESULTS {
-            *pending = Some(ColumnBatch::new());
-        }
-        let Some(batch) = pending else {
-            results.push(Tuple::join(left, right, RESULT_STREAM).into());
-            return;
-        };
-        if batch.push_join(left, right, RESULT_STREAM) {
-            return;
-        }
-        // Result arity changed mid-run, so the batch holds rows: flush it
-        // and start a fresh one.
-        results.push(std::mem::take(batch).into());
-        let ok = batch.push_join(left, right, RESULT_STREAM);
-        debug_assert!(ok, "a fresh batch accepts any arity");
-    }
-
-    /// Emit a columnar run's open batch, if it holds any rows, leaving a
-    /// fresh one open.
-    fn flush_results(pending: &mut Option<ColumnBatch>, results: &mut Vec<StreamItem>) {
-        if let Some(batch) = pending {
-            if !batch.is_empty() {
-                results.push(std::mem::take(batch).into());
-            }
-        }
-    }
-
     /// Probe with a male (or a one-way B tuple): cross-purge the opposite
     /// state into the next slice, probe it — an equi probe touches only its
     /// key bucket, O(1 + matches) — emit the results, then propagate the
@@ -362,7 +398,7 @@ impl SliceJoinOp {
     /// join fed on two ports can hold tuples *newer* than the probe — when
     /// one port lags the other — so while the opposite state's newest tuple
     /// is ahead of the probe, candidates a whole window ahead are skipped.
-    fn probe(&mut self, probe: Tuple, pending: &mut Option<ColumnBatch>, out: &mut RunOut) {
+    fn probe(&mut self, probe: Tuple, out: &mut RunOut) {
         let probe_is_a = probe.stream == StreamId::A;
         let opposite = if probe_is_a {
             &mut self.state_b
@@ -394,8 +430,7 @@ impl SliceJoinOp {
                 .eval_counted(left, right, &mut out.counters.probe_comparisons)
             {
                 self.results += 1;
-                self.run_results += 1;
-                Self::emit_result(pending, self.run_results, left, right, out.results);
+                out.results.push_join(left, right);
             }
         }
         if has_next {
@@ -434,7 +469,6 @@ impl SliceJoinOp {
         &mut self,
         mut t: Tuple,
         last_probe: &mut Option<(Timestamp, StreamId)>,
-        pending: &mut Option<ColumnBatch>,
         out: &mut RunOut,
     ) {
         out.counters.tuples_processed += 1;
@@ -453,7 +487,7 @@ impl SliceJoinOp {
         }
         *last_probe = Some((t.ts, t.stream));
         if role == TupleRole::Male {
-            return self.probe(t, pending, out);
+            return self.probe(t, out);
         }
         // Split a regular tuple into reference copies: the male purges and
         // probes first, then the female fills the state — this matches
@@ -463,34 +497,27 @@ impl SliceJoinOp {
         // same way keeps standalone use working.
         let male = t.with_role(TupleRole::Male);
         t.role = TupleRole::Female;
-        self.probe(male, pending, out);
+        self.probe(male, out);
         self.store(t);
     }
 
-    /// Process one run, writing its results to `results` and what it
-    /// forwards to the next slice to `next` (both appended to, in emission
+    /// Process one run, appending its result rows and punctuations to
+    /// `results`, what it forwards to the next slice to `next` (in emission
     /// order) and its comparisons to `counters`: a statically dispatched
     /// tight loop with the per-probe union punctuations coalesced into **one
-    /// punctuation per run** at the end of `results` (a punctuation is a
-    /// monotone progress promise, so the run's last probe promises
-    /// everything the per-probe punctuations would).
-    ///
-    /// The run's results leave as row tuples or as one [`ColumnBatch`]
-    /// (flushed before any interleaved punctuation and before the run's
-    /// coalesced one).  The run opens in the transport the previous run's
-    /// result count predicts, and a run that opened on rows switches to a
-    /// batch at its own [`COLUMNAR_MIN_RUN_RESULTS`]-th result: the rows
-    /// already emitted stay rows, every later result goes into the batch.
+    /// punctuation per run** after its rows (a punctuation is a monotone
+    /// progress promise, so the run's last probe promises everything the
+    /// per-probe punctuations would).
     ///
     /// The cross-purge stays interleaved per probe: a purged tuple must
     /// enter the next slice's logical queue *before* the probe whose arrival
     /// expired it (Fig. 9's emission order), or results would shift between
     /// slices.  Run length is invisible in results, counters and final
     /// states (`tests/batch_equivalence.rs`).
-    pub fn run_into(
+    pub(crate) fn run_into(
         &mut self,
         items: impl Iterator<Item = StreamItem>,
-        results: &mut Vec<StreamItem>,
+        results: &mut SliceResults,
         next: &mut Vec<StreamItem>,
         counters: &mut CostCounters,
     ) {
@@ -500,54 +527,51 @@ impl SliceJoinOp {
             counters,
         };
         let mut last_probe = None;
-        let columnar = self.run_results >= COLUMNAR_MIN_RUN_RESULTS;
-        let mut pending = columnar.then(ColumnBatch::new);
-        self.run_results = 0;
         for item in items {
             match item {
-                StreamItem::Tuple(t) => {
-                    self.process_tuple(t, &mut last_probe, &mut pending, &mut out)
-                }
+                StreamItem::Tuple(t) => self.process_tuple(t, &mut last_probe, &mut out),
                 StreamItem::Batch(b) => {
                     // Roles travel per row: process an input batch's rows
                     // one by one.
                     for t in b.materialize() {
-                        self.process_tuple(t, &mut last_probe, &mut pending, &mut out);
+                        self.process_tuple(t, &mut last_probe, &mut out);
                     }
                 }
                 StreamItem::Punctuation(p) => {
-                    // Keep result rows ordered relative to the progress marker.
-                    Self::flush_results(&mut pending, out.results);
-                    out.results.push(p.into());
+                    out.results.puncts.push((out.results.len(), p));
                     if self.has_next {
                         out.next.push(p.into());
                     }
                 }
             }
         }
-        Self::flush_results(&mut pending, out.results);
         if let Some((ts, stream)) = last_probe {
-            out.results
-                .push(Punctuation::from_stream(ts, stream).into());
+            let punctuation = Punctuation::from_stream(ts, stream);
+            out.results.puncts.push((out.results.len(), punctuation));
         }
-        // A run that opened on rows sent the results before its switch as
-        // rows.
-        let rows_first = if columnar {
-            0
-        } else {
-            COLUMNAR_MIN_RUN_RESULTS - 1
-        };
-        self.batch_results += self.run_results.saturating_sub(rows_first);
     }
 
-    /// The [`Operator`] path: run the items, then emit the results on
-    /// [`PORT_RESULTS`] and the forwarded items on [`PORT_NEXT_SLICE`].
+    /// The [`Operator`] path: run the items, then send the results on
+    /// [`PORT_RESULTS`] — all in batches or all as rows, by the run's result
+    /// count — and the forwarded items on [`PORT_NEXT_SLICE`].
     fn run(&mut self, items: impl Iterator<Item = StreamItem>, ctx: &mut OpContext) {
         let (mut results, mut next) = std::mem::take(&mut self.emit_buf);
         self.run_into(items, &mut results, &mut next, &mut ctx.counters);
-        for item in results.drain(..) {
-            ctx.emit(PORT_RESULTS, item);
+        let rows = results.len();
+        let columnar = rows as u64 >= COLUMNAR_MIN_RUN_RESULTS;
+        if columnar {
+            self.batch_results += rows as u64;
         }
+        let mut from = 0;
+        let puncts = std::mem::take(&mut results.puncts);
+        for &(at, punctuation) in &puncts {
+            results.emit(from..at, columnar, ctx, PORT_RESULTS);
+            ctx.emit(PORT_RESULTS, punctuation);
+            from = at;
+        }
+        results.emit(from..rows, columnar, ctx, PORT_RESULTS);
+        results.puncts = puncts;
+        results.drain_front(results.len());
         for item in next.drain(..) {
             ctx.emit(PORT_NEXT_SLICE, item);
         }
@@ -651,8 +675,7 @@ mod tests {
             [hashed, banded, plain, plain, plain]
         );
         for (mut op, mut fresh) in shapes().into_iter().zip(shapes()) {
-            // A dense first run: 20 stored tuples × 1 probe = 20 results, so
-            // the next run would go columnar.
+            // A dense first run: 20 stored tuples × 1 probe = 20 results.
             let tuple = |s, stream| Tuple::of_ints(Timestamp::from_secs(s), stream, &[0, 0, 0]);
             let mut run: Vec<StreamItem> = (0..20).map(|s| tuple(s, StreamId::A).into()).collect();
             run.push(tuple(30, StreamId::B).into());
@@ -660,16 +683,16 @@ mod tests {
             op.process_batch(0, &mut run, &mut ctx);
             assert_eq!(op.results(), 20, "{}", op.name());
             // A migration restores the captured window into a freshly
-            // planned twin, which keeps its own index mode and starts with
-            // no emission history: its first run is on rows.
+            // planned twin, which keeps its own index mode.
             fresh.restore_state(op.node_state().unwrap()).unwrap();
             assert_eq!(mode(&fresh), mode(&op), "{}", op.name());
             assert_eq!(fresh.state_tuples(), op.state_tuples());
             assert_eq!(fresh.results(), 0);
             fresh.process(0, tuple(31, StreamId::B).into(), &mut ctx);
             assert_eq!(fresh.results(), 20);
-            // Opened on rows, switched at its 16th result.
-            assert_eq!(fresh.batch_results(), 5);
+            // Its first run's 20 results leave in a batch, as any run's
+            // 16 or more do.
+            assert_eq!(fresh.batch_results(), 20);
             // Dropping the index keeps every stored tuple.
             let stored = fresh.state_tuples();
             fresh.drop_index();
@@ -709,16 +732,13 @@ mod tests {
             .collect();
         let probe = |s| at(s, StreamId::B, &[0]);
         let joined = |i: usize, s| Tuple::join(&stored[i], &probe(s), RESULT_STREAM);
-        // One probe's six results in a batch, cut at each arity change.
-        let batched =
-            |s| [0..2, 2..3, 3..6].map(|rows| Out::Batch(rows.map(|i| joined(i, s)).collect()));
         let slice = || {
             SliceJoinOp::for_ab("J", SliceWindow::from_secs(0, 100), JoinCondition::Cross)
                 .chain_head()
                 .last_in_chain()
         };
-        // One fresh run, so it opens on rows: 4 probes × 6 stored = 24
-        // results, with a punctuation after the third probe.
+        // 4 probes × 6 stored = 24 results in one run, with a punctuation
+        // after the third probe.
         let mut run: Vec<StreamItem> = stored.iter().cloned().map(StreamItem::from).collect();
         run.extend([
             probe(10).into(),
@@ -731,23 +751,27 @@ mod tests {
         let mut ctx = OpContext::new();
         op.process_batch(0, &mut run.clone(), &mut ctx);
         let got = results_out(&mut ctx);
-        // Results 1–15 leave as rows; the 16th opens a batch that takes
-        // every later result, flushed before the interleaved punctuation,
-        // cut at each arity change and flushed before the run's punctuation.
-        let mut want: Vec<Out> = [10, 11]
-            .into_iter()
-            .flat_map(|s| (0..6).map(move |i| (i, s)))
-            .chain((0..3).map(|i| (i, 12)))
-            .map(|(i, s)| Out::Row(joined(i, s)))
-            .collect();
-        want.extend([
-            Out::Batch((3..6).map(|i| joined(i, 12)).collect()),
+        // 24 ≥ 16: every result leaves in a batch, from the run's first
+        // one.  A batch ends at each arity change — rows of equal arity
+        // from consecutive probes share one — and before each punctuation.
+        let batch =
+            |rows: &[(usize, u64)]| Out::Batch(rows.iter().map(|&(i, s)| joined(i, s)).collect());
+        let want = vec![
+            batch(&[(0, 10), (1, 10)]),
+            batch(&[(2, 10)]),
+            batch(&[(3, 10), (4, 10), (5, 10), (0, 11), (1, 11)]),
+            batch(&[(2, 11)]),
+            batch(&[(3, 11), (4, 11), (5, 11), (0, 12), (1, 12)]),
+            batch(&[(2, 12)]),
+            batch(&[(3, 12), (4, 12), (5, 12)]),
             Out::Punctuation,
-        ]);
-        want.extend(batched(13));
-        want.push(Out::Punctuation);
+            batch(&[(0, 13), (1, 13)]),
+            batch(&[(2, 13)]),
+            batch(&[(3, 13), (4, 13), (5, 13)]),
+            Out::Punctuation,
+        ];
         assert_eq!(got, want);
-        assert_eq!((op.results(), op.batch_results()), (24, 9));
+        assert_eq!((op.results(), op.batch_results()), (24, 24));
         // The rows come in the order of an all-rows run: item at a time,
         // no run reaches 16 results.
         let mut reference = slice();
@@ -765,17 +789,13 @@ mod tests {
         };
         assert_eq!(rows(results_out(&mut ctx)), rows(got));
         assert_eq!(reference.batch_results(), 0);
-        // A batch-predicted run that turns out sparse still leaves as a
-        // batch; the run after it opens on rows again.
+        // The run after a dense one follows its own count: six results
+        // leave as rows.
         op.process(0, probe(14).into(), &mut ctx);
-        let mut want = Vec::from(batched(14));
+        let mut want: Vec<Out> = (0..6).map(|i| Out::Row(joined(i, 14))).collect();
         want.push(Out::Punctuation);
         assert_eq!(results_out(&mut ctx), want);
-        op.process(0, probe(15).into(), &mut ctx);
-        let mut want: Vec<Out> = (0..6).map(|i| Out::Row(joined(i, 15))).collect();
-        want.push(Out::Punctuation);
-        assert_eq!(results_out(&mut ctx), want);
-        assert_eq!((op.results(), op.batch_results()), (36, 15));
+        assert_eq!((op.results(), op.batch_results()), (30, 24));
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! Because every input port delivers tuples in timestamp order, the operator
 //! is a k-way streaming merge: one FIFO buffer per port, one watermark per
 //! port, and a release loop that repeatedly emits the globally oldest
-//! buffered tuple as long as it is covered by every port's watermark.  Each
+//! buffered tuple, ties to the lowest port.  A port that buffers nothing
+//! takes part through its watermark, as it may still send rows of that
+//! timestamp: a row at a lower port's watermark waits, one at a higher
+//! port's goes, so ties go to the lowest port however the executor cuts the
+//! runs.  Each
 //! released tuple costs one merge comparison, matching the paper's union cost
 //! model ("a one-time merge sort on timestamps").
 //!
@@ -23,10 +27,11 @@
 //! management", VLDB Journal 2003.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::checkpoint::NodeState;
-use crate::columnar::ColumnBatch;
+use crate::columnar::{gather_rows, ColumnBatch};
 use crate::error::{Result, StreamError};
 use crate::operator::{OpContext, Operator, PortId};
 use crate::queue::StreamItem;
@@ -66,8 +71,6 @@ pub struct UnionOp {
     buffers: Vec<VecDeque<Slot>>,
     /// Monotone per-port progress watermarks.
     watermarks: Vec<Timestamp>,
-    /// Last merged watermark released up to.
-    emitted_watermark: Timestamp,
     buffered: usize,
     /// Items received on a port this union does not have (and dropped).
     foreign_port_drops: u64,
@@ -89,67 +92,62 @@ impl UnionOp {
             inputs,
             buffers: (0..inputs).map(|_| VecDeque::new()).collect(),
             watermarks: vec![Timestamp::ZERO; inputs],
-            emitted_watermark: Timestamp::ZERO,
             buffered: 0,
             foreign_port_drops: 0,
         }
     }
 
-    fn merged_watermark(&self) -> Timestamp {
-        self.watermarks
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(Timestamp::ZERO)
-    }
-
-    /// Release every buffered tuple whose timestamp is covered by
-    /// `watermark`, in global timestamp order (ties: lowest port first).
+    /// Release every buffered tuple no row still to come can precede, in
+    /// global timestamp order (ties: lowest port first); with `flush`, every
+    /// buffered tuple.
     ///
     /// Each step takes the port with the oldest front and releases its front
-    /// slot as far as the other ports' fronts and the watermark allow — a
-    /// row tuple, or in one go the whole row range of a batch that would win
-    /// the next row-at-a-time comparisons anyway.  Ranges are appended
-    /// column-wise to one outgoing [`ColumnBatch`], flushed before any
-    /// interleaved row tuple, so the emitted *row* order is exactly the
-    /// row-at-a-time release order; a batch released whole with nothing to
-    /// coalesce it with is forwarded as the allocation it arrived in.
-    fn release_up_to(&mut self, watermark: Timestamp, ctx: &mut OpContext) {
-        let mut pending = ColumnBatch::new();
+    /// slot as far as the other ports' heads allow — a port's head is its
+    /// front, or its watermark when it buffers nothing (flushing: no head),
+    /// and bounds strictly when the port is lower, inclusively when higher.
+    /// A step releases a row tuple, or in one go the whole row range of a
+    /// batch that would win the next row-at-a-time comparisons anyway.
+    /// Consecutive ranges are gathered column-wise into outgoing batches
+    /// ([`gather_rows`]) before any interleaved row tuple, so the emitted
+    /// *row* order is exactly the row-at-a-time release order; a batch
+    /// released whole with nothing to coalesce it with is forwarded as the
+    /// allocation it arrived in.
+    fn release(&mut self, flush: bool, ctx: &mut OpContext) {
+        let mut pending: Vec<(Arc<ColumnBatch>, Range<usize>)> = Vec::new();
         loop {
-            // The oldest front, and the newest timestamp its port may
-            // release before another port's front comes first: a
-            // lower-indexed port wins timestamp ties, so its front bounds
-            // strictly (the tick before it), a higher-indexed one inclusively.
             let mut best: Option<(usize, Timestamp)> = None;
-            let mut bound = watermark;
             for (port, buf) in self.buffers.iter().enumerate() {
                 let Some(front) = buf.front() else { continue };
-                let front_ts = front.ts();
-                match best {
-                    Some((_, best_ts)) if best_ts <= front_ts => bound = bound.min(front_ts),
-                    Some((_, best_ts)) => {
-                        // `best_ts` > `front_ts` ≥ 0, so the tick before exists.
-                        bound = bound.min(Timestamp::from_micros(best_ts.as_micros() - 1));
-                        best = Some((port, front_ts));
-                    }
-                    None => best = Some((port, front_ts)),
+                if best.is_none_or(|(_, best_ts)| front.ts() < best_ts) {
+                    best = Some((port, front.ts()));
                 }
             }
             let Some((port, ts)) = best else { break };
-            if ts > bound {
-                // Only the watermark can bound below the oldest front.
-                break;
+            // The newest timestamp `port` may release (`None`: nothing).
+            let mut bound = Some(Timestamp::MAX);
+            for (other, buf) in self.buffers.iter().enumerate() {
+                let head = match buf.front() {
+                    _ if other == port => continue,
+                    Some(front) => front.ts(),
+                    None if flush => continue,
+                    None => self.watermarks[other],
+                };
+                let limit = match other < port {
+                    true => head.as_micros().checked_sub(1).map(Timestamp::from_micros),
+                    false => Some(head),
+                };
+                bound = bound.zip(limit).map(|(bound, limit)| bound.min(limit));
             }
+            let Some(bound) = bound.filter(|&bound| ts <= bound) else {
+                break;
+            };
             let buffer = &mut self.buffers[port];
             let Some(slot) = buffer.pop_front() else {
                 break;
             };
             let released = match slot {
                 Slot::Row(tuple) => {
-                    if !pending.is_empty() {
-                        ctx.emit(0, std::mem::take(&mut pending));
-                    }
+                    emit_ranges(&mut pending, ctx);
                     ctx.emit(0, tuple);
                     1
                 }
@@ -162,15 +160,14 @@ impl UnionOp {
                     if run == batch.len() && pending.is_empty() {
                         ctx.emit(0, batch);
                     } else {
-                        if !pending.push_rows_from(&batch, next..end) {
-                            // Arity changed between sources: flush and restart.
-                            ctx.emit(0, std::mem::take(&mut pending));
-                            let ok = pending.push_rows_from(&batch, next..end);
-                            debug_assert!(ok, "a fresh batch accepts any arity");
-                        }
                         if end < batch.len() {
-                            buffer.push_front(Slot::Batch { batch, next: end });
+                            let rest = Arc::clone(&batch);
+                            buffer.push_front(Slot::Batch {
+                                batch: rest,
+                                next: end,
+                            });
                         }
+                        pending.push((batch, next..end));
                     }
                     run
                 }
@@ -180,21 +177,15 @@ impl UnionOp {
             // timestamps, as in the paper's union cost model).
             ctx.counters.union_comparisons += released as u64;
         }
-        if !pending.is_empty() {
-            ctx.emit(0, pending);
-        }
+        emit_ranges(&mut pending, ctx);
     }
 
     /// Bulk reorder-buffer insert: append the whole run (one port, timestamp
     /// order) and advance the port watermark to the run maximum, then do a
     /// single release pass — one watermark merge and one release scan per
-    /// run instead of one per item.  The released multiset depends only on
-    /// the final buffer contents and merged watermark, and the release order
-    /// is globally timestamp-sorted whatever the run length, but when a run
-    /// tuple ties with a tuple already buffered from another port, the
-    /// single release pass may order the tie differently than shorter runs
-    /// would (both orders are valid timestamp orders; downstream ordering
-    /// guarantees are by timestamp only).
+    /// run instead of one per item.  What is released, and in which order,
+    /// depends only on the buffered rows and the watermarks, never on the
+    /// run length.
     fn absorb(
         &mut self,
         port: PortId,
@@ -250,15 +241,8 @@ impl UnionOp {
         }
         self.buffered += inserted;
         self.watermarks[port] = port_wm;
-        let wm = self.merged_watermark();
-        if wm > self.emitted_watermark {
-            self.emitted_watermark = wm;
-            self.release_up_to(wm, ctx);
-        } else if self.buffered > 0 {
-            // Even without watermark progress, tuples at or below the current
-            // merged watermark (e.g. arriving late on a lagging port) can be
-            // released immediately.
-            self.release_up_to(self.emitted_watermark, ctx);
+        if self.buffered > 0 {
+            self.release(false, ctx);
         }
     }
 
@@ -273,6 +257,18 @@ impl UnionOp {
     pub fn foreign_port_drops(&self) -> u64 {
         self.foreign_port_drops
     }
+}
+
+/// Emit the row ranges `pending` holds, in order, as gathered batches, and
+/// clear it.
+fn emit_ranges(pending: &mut Vec<(Arc<ColumnBatch>, Range<usize>)>, ctx: &mut OpContext) {
+    let sources: Vec<&ColumnBatch> = pending.iter().map(|(batch, _)| &**batch).collect();
+    let order: Vec<(u32, u32)> = (0u32..)
+        .zip(pending.iter())
+        .flat_map(|(s, (_, rows))| rows.clone().map(move |r| (s, r as u32)))
+        .collect();
+    gather_rows(&sources, &order, |batch| ctx.emit(0, batch));
+    pending.clear();
 }
 
 impl Operator for UnionOp {
@@ -293,7 +289,7 @@ impl Operator for UnionOp {
     }
 
     fn flush(&mut self, ctx: &mut OpContext) {
-        self.release_up_to(Timestamp::MAX, ctx);
+        self.release(true, ctx);
     }
 
     fn state_size(&self) -> usize {
@@ -318,21 +314,16 @@ impl Operator for UnionOp {
         }
         Ok(NodeState::Union {
             watermarks: self.watermarks.clone(),
-            emitted_watermark: self.emitted_watermark,
         })
     }
 
     fn restore_state(&mut self, state: NodeState) -> Result<()> {
         match state {
-            NodeState::Union {
-                watermarks,
-                emitted_watermark,
-            } if watermarks.len() == self.inputs => {
+            NodeState::Union { watermarks } if watermarks.len() == self.inputs => {
                 self.watermarks = watermarks;
-                self.emitted_watermark = emitted_watermark;
                 Ok(())
             }
-            NodeState::Union { watermarks, .. } => Err(StreamError::Checkpoint(format!(
+            NodeState::Union { watermarks } => Err(StreamError::Checkpoint(format!(
                 "union '{}' has {} ports but the checkpoint holds {} watermarks",
                 self.name,
                 self.inputs,
@@ -712,6 +703,64 @@ mod tests {
             whole.counters.union_comparisons,
             by_ts.counters.union_comparisons
         );
+    }
+
+    #[test]
+    fn where_runs_are_cut_never_changes_the_release_order() {
+        // Ties within and across ports; tags name the port (tens) and the
+        // position.
+        let row = |s: u64, v: i64| StreamItem::from(tup(s, v));
+        let punct = |s: u64| StreamItem::from(Punctuation::new(Timestamp::from_secs(s)));
+        let ports: Vec<Vec<StreamItem>> = vec![
+            vec![
+                row(1, 0),
+                row(3, 1),
+                batch_of(&[(3, 2), (5, 3)]),
+                row(5, 4),
+                punct(6),
+            ],
+            vec![
+                row(1, 10),
+                batch_of(&[(3, 11), (3, 12)]),
+                row(5, 13),
+                punct(7),
+            ],
+            vec![batch_of(&[(1, 20), (3, 21)]), row(3, 22), row(6, 23)],
+        ];
+        let released = |feed: &[(PortId, Vec<StreamItem>)]| {
+            let mut op = UnionOp::new("union", ports.len());
+            let mut ctx = OpContext::new();
+            for (port, run) in feed {
+                op.process_batch(*port, &mut run.clone(), &mut ctx);
+            }
+            op.flush(&mut ctx);
+            tags(&ctx.take_outputs())
+        };
+        // Uncut: each port's items as one run, port after port.
+        let uncut: Vec<(PortId, Vec<StreamItem>)> = ports.iter().cloned().enumerate().collect();
+        let want = released(&uncut);
+        assert_eq!(want, vec![0, 10, 20, 1, 2, 11, 12, 21, 22, 3, 4, 13, 23]);
+        // Cut at every item, in timestamp order with ties to the *highest*
+        // port, and in reverse port order per round: a run ending inside a
+        // timestamp must not let a higher port's tied rows overtake.
+        let mut by_ts: Vec<(Timestamp, std::cmp::Reverse<PortId>, usize)> = Vec::new();
+        for (port, items) in ports.iter().enumerate() {
+            for (i, item) in items.iter().enumerate() {
+                by_ts.push((item.timestamp(), std::cmp::Reverse(port), i));
+            }
+        }
+        by_ts.sort();
+        let cut: Vec<(PortId, Vec<StreamItem>)> = by_ts
+            .iter()
+            .map(|&(_, std::cmp::Reverse(port), i)| (port, vec![ports[port][i].clone()]))
+            .collect();
+        assert_eq!(released(&cut), want);
+        let rounds = ports.iter().map(Vec::len).max().unwrap_or(0);
+        let round_robin: Vec<(PortId, Vec<StreamItem>)> = (0..rounds)
+            .flat_map(|i| (0..ports.len()).rev().map(move |port| (port, i)))
+            .filter_map(|(port, i)| Some((port, vec![ports[port].get(i)?.clone()])))
+            .collect();
+        assert_eq!(released(&round_robin), want);
     }
 
     #[test]

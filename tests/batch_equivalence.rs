@@ -12,14 +12,18 @@
 //!   probe, interleaved with the probes, whatever the run length,
 //! * identical final join states in every slice (`state_tuples`).
 //!
+//! A fixed-input test goes further and asserts identical per-sink row
+//! *sequences* at run lengths 1, 2, 7 and 64 for Mem-Opt and CPU-Opt
+//! chains: each query's merge holds the rows at the newest timestamp, so
+//! ties go to the lower slice however runs are cut.
+//!
 //! `items_emitted` may differ — a run coalesces the per-male union
 //! punctuations into one, which is a coarser but equally valid progress
-//! promise.  So may the results' transport: a sliced join sends a run's
-//! results as one column batch once they are dense enough — from the run's
-//! start when its previous run produced 16 results, otherwise from the
-//! run's own 16th result on — which longer runs reach and a run of one
-//! usually does not; the fixed-stream test feeds a dense input to make sure
-//! the sweep crosses that threshold.
+//! promise.  So may the results' transport: results leave an operator in
+//! column batches when a delivery — a chain query's rows of one call, a
+//! standalone join's rows of one run — holds at least 16 of them, which
+//! longer runs reach and a run of one usually does not; the fixed-stream
+//! test feeds a dense input to make sure the sweep crosses that threshold.
 
 use proptest::prelude::*;
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
@@ -32,6 +36,7 @@ use state_slice_repro::streamkit::{
     CostCounters, Executor, ExecutorConfig, JoinCondition, Predicate, TimeDelta, Timestamp, Tuple,
     WindowSpec,
 };
+use state_slice_repro::workload::band_condition;
 
 fn tuple(stream: StreamId, tenths: u64, key: i64, value: i64) -> Tuple {
     Tuple::of_ints(Timestamp::from_millis(tenths * 100), stream, &[key, value])
@@ -153,6 +158,127 @@ fn vectorized_matches_item_at_a_time_on_a_fixed_stream() {
         assert!(item.0.iter().any(|(_, r)| !r.is_empty()));
         assert!(item.1.probe_comparisons > 0);
         assert!(!item.2.is_empty(), "chain plans expose their slices");
+    }
+}
+
+/// Each query's rows, in the order its sink received them, and how many
+/// results left the chain in batches, after running `spec` over `input` at
+/// `batch_per_visit`.
+fn row_sequences(
+    workload: &QueryWorkload,
+    spec: &ChainSpec,
+    input: &[Tuple],
+    batch_per_visit: usize,
+) -> (Vec<Vec<Tuple>>, u64) {
+    let options = PlannerOptions {
+        retain_results: true,
+        ..PlannerOptions::default()
+    };
+    let plan = SharedChainPlan::build(workload, spec, &options)
+        .expect("plan builds")
+        .plan;
+    let config = ExecutorConfig {
+        batch_per_visit,
+        ..ExecutorConfig::default()
+    };
+    let mut exec = Executor::with_config(plan, config);
+    exec.ingest_all(CHAIN_ENTRY, input.to_vec())
+        .expect("ingest");
+    exec.run().expect("run");
+    let sequences = workload
+        .queries()
+        .iter()
+        .map(|q| {
+            exec.plan()
+                .sink(&q.name)
+                .expect("sink exists")
+                .collected()
+                .to_vec()
+        })
+        .collect();
+    let batched = exec
+        .plan()
+        .slice_joins()
+        .map(SliceJoinOp::batch_results)
+        .sum();
+    (sequences, batched)
+}
+
+/// Assert `got` is `want` row for row, naming the first difference.
+fn assert_same_sequences(want: &[Vec<Tuple>], got: &[Vec<Tuple>], what: &str) {
+    for (sink, (want, got)) in want.iter().zip(got).enumerate() {
+        let first_difference = want.iter().zip(got).position(|(w, g)| w != g);
+        assert_eq!(
+            (got.len(), first_difference),
+            (want.len(), None),
+            "{what}, sink {sink}"
+        );
+    }
+}
+
+#[test]
+fn every_sink_receives_one_row_sequence_whatever_the_run_length() {
+    // Up to two A and two B arrivals per quarter second, sharing their
+    // timestamps, over six keys: ties between slices at almost every
+    // timestamp, and runs of 64 dense enough for batches.
+    let mut seed = 0x2545_f491_4f6c_dd1du64;
+    let mut draw = move |m: u64| {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        (seed % m) as i64
+    };
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    for tick in 0..320 {
+        for stream in [StreamId::A, StreamId::B] {
+            for _ in 0..draw(3) {
+                // `[key, value, key − 1, key + 1]`: the band condition's
+                // layout.
+                let (key, value) = (draw(6), draw(8));
+                let at = Timestamp::from_millis(tick * 250);
+                let t = Tuple::of_ints(at, stream, &[key, value, key - 1, key + 1]);
+                match stream {
+                    StreamId::A => a.push(t),
+                    _ => b.push(t),
+                }
+            }
+        }
+    }
+    let input = merge_streams(a, b);
+    for (join, condition) in [("equi", JoinCondition::equi(0)), ("band", band_condition())] {
+        for with_filter in [false, true] {
+            let queries: Vec<JoinQuery> = [2u64, 4, 7, 11]
+                .into_iter()
+                .enumerate()
+                .map(|(i, w)| {
+                    let (name, window) = (format!("Q{i}"), TimeDelta::from_secs(w));
+                    match with_filter && i > 0 {
+                        true => JoinQuery::with_filter(name, window, Predicate::gt(1, 3i64)),
+                        false => JoinQuery::new(name, window),
+                    }
+                })
+                .collect();
+            let workload = QueryWorkload::new(queries, condition.clone()).unwrap();
+            // Mem-Opt, and a CPU-Opt chain whose middle slice serves Q1 and
+            // Q2, so Q1's window ends inside it.
+            let specs = [
+                ("Mem-Opt", ChainSpec::memory_optimal(&workload)),
+                (
+                    "CPU-Opt",
+                    ChainSpec::from_path(&workload, &[0, 1, 3, 4]).unwrap(),
+                ),
+            ];
+            for (shape, spec) in specs {
+                let (want, _) = row_sequences(&workload, &spec, &input, 1);
+                assert!(want.iter().all(|rows| !rows.is_empty()));
+                for batch in [2, 7, 64] {
+                    let (got, batched) = row_sequences(&workload, &spec, &input, batch);
+                    let what = format!("{shape} {join}, filter {with_filter}, runs of {batch}");
+                    assert_same_sequences(&want, &got, &what);
+                    assert!(batch < 64 || batched > 0, "{what}: no batch");
+                }
+            }
+        }
     }
 }
 
