@@ -490,6 +490,24 @@ impl Index {
     }
 }
 
+/// A stored tuple with its heap payload bytes ([`Tuple::heap_bytes`]), taken
+/// once when the tuple first enters a state: a purge hands both to the next
+/// slice's state, so forwarding never reads the payload again.
+#[derive(Debug, Clone)]
+pub struct StoredTuple {
+    /// The tuple.
+    pub tuple: Tuple,
+    /// Its [`Tuple::heap_bytes`].
+    pub heap_bytes: usize,
+}
+
+impl From<Tuple> for StoredTuple {
+    fn from(tuple: Tuple) -> StoredTuple {
+        let heap_bytes = tuple.heap_bytes();
+        StoredTuple { tuple, heap_bytes }
+    }
+}
+
 /// One stream's window-join state: a time-ordered tuple queue with an
 /// optional index — hash buckets on the equi-join key, or the value-ordered
 /// band index.
@@ -501,13 +519,18 @@ impl Index {
 /// tuples: no probe skips a dead entry and nothing is rebuilt on the purge
 /// path.
 ///
+/// Each stored tuple keeps its heap bytes beside it ([`StoredTuple`]).  The
+/// byte estimates count a [`Tuple`] slot per stored tuple, as they did before
+/// the bytes were kept: like the index's links, that bookkeeping word is not
+/// counted.
+///
 /// Hash chains are keyed by the canonical 64-bit key hash; each stored
 /// tuple carries its key class as a memo ([`memoize_key`]), so a purge never
 /// rehashes a key that was hashed on insert.
 #[derive(Debug, Default)]
 pub struct JoinState {
     /// The window, oldest first.
-    tuples: VecDeque<Tuple>,
+    tuples: VecDeque<StoredTuple>,
     /// Sequence number of `tuples[0]`.
     head_seq: u64,
     /// Heap payload bytes of the stored tuples ([`Tuple::heap_bytes`]).
@@ -591,22 +614,23 @@ impl JoinState {
 
     /// The oldest stored tuple.
     pub fn front(&self) -> Option<&Tuple> {
-        self.tuples.front()
+        self.tuples.front().map(|s| &s.tuple)
     }
 
     /// The newest stored tuple.
     pub fn back(&self) -> Option<&Tuple> {
-        self.tuples.back()
+        self.tuples.back().map(|s| &s.tuple)
     }
 
     /// All stored tuples, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter()
+        self.tuples.iter().map(|s| &s.tuple)
     }
 
     /// The stored tuple with sequence number `seq`.
     fn get(&self, seq: u64) -> Option<&Tuple> {
-        self.tuples.get(seq.checked_sub(self.head_seq)? as usize)
+        let slot = self.tuples.get(seq.checked_sub(self.head_seq)? as usize)?;
+        Some(&slot.tuple)
     }
 
     /// Estimated bytes resident in the stored tuples (inline slots + heap
@@ -628,11 +652,14 @@ impl JoinState {
     /// is taken from the tuple's memo when present ([`memoize_key`]) and
     /// computed — and memoised on the stored copy — otherwise, so that a
     /// purge forwarding this tuple to the next slice ships the hash along.
-    pub fn push(&mut self, mut tuple: Tuple) {
+    /// A [`Tuple`] has its heap bytes counted here; a [`StoredTuple`] a purge
+    /// handed on brings them along.
+    pub fn push(&mut self, stored: impl Into<StoredTuple>) {
+        let mut stored = stored.into();
         let seq = self.head_seq + self.tuples.len() as u64;
-        self.index.insert(seq, self.head_seq, &mut tuple);
-        self.heap_bytes += tuple.heap_bytes();
-        self.tuples.push_back(tuple);
+        self.index.insert(seq, self.head_seq, &mut stored.tuple);
+        self.heap_bytes += stored.heap_bytes;
+        self.tuples.push_back(stored);
     }
 
     /// Remove and return the oldest tuple, dropping its index entry at once:
@@ -640,11 +667,16 @@ impl JoinState {
     /// or the front of the `NaN` list, or one entry of the band index's
     /// order set or the front of its side list.
     pub fn pop_front(&mut self) -> Option<Tuple> {
-        let tuple = self.tuples.pop_front()?;
-        self.index.remove(self.head_seq, &tuple);
+        self.pop_stored().map(|s| s.tuple)
+    }
+
+    /// [`JoinState::pop_front`], keeping the tuple's heap bytes with it.
+    fn pop_stored(&mut self) -> Option<StoredTuple> {
+        let stored = self.tuples.pop_front()?;
+        self.index.remove(self.head_seq, &stored.tuple);
         self.head_seq += 1;
-        self.heap_bytes -= tuple.heap_bytes();
-        Some(tuple)
+        self.heap_bytes -= stored.heap_bytes;
+        Some(stored)
     }
 
     /// `true` if the index equals a from-scratch build over the stored
@@ -654,7 +686,7 @@ impl JoinState {
     /// keeps.
     pub fn index_matches_rebuild(&self) -> bool {
         let mut fresh = self.index.emptied();
-        for (seq, tuple) in (self.head_seq..).zip(&self.tuples) {
+        for (seq, tuple) in (self.head_seq..).zip(self.iter()) {
             fresh.insert(seq, self.head_seq, &mut tuple.clone());
         }
         fresh == self.index
@@ -748,7 +780,8 @@ impl JoinState {
 
     /// Cross-purge: pop entries from the front while `is_expired` says so
     /// (states are in arrival order, so the scan stops at the first
-    /// still-valid tuple), handing each expired tuple to `on_expired`.
+    /// still-valid tuple), handing each expired tuple, with its heap bytes,
+    /// to `on_expired`.
     /// Returns the number of front checks performed — the purge
     /// timestamp-comparison count of the paper's cost model: one per popped
     /// tuple plus one for the first survivor.
@@ -762,7 +795,7 @@ impl JoinState {
     pub fn purge_expired(
         &mut self,
         mut is_expired: impl FnMut(&Tuple) -> bool,
-        mut on_expired: impl FnMut(Tuple),
+        mut on_expired: impl FnMut(StoredTuple),
     ) -> u64 {
         let mut comparisons = 0;
         while let Some(front) = self.front() {
@@ -770,8 +803,10 @@ impl JoinState {
             if !is_expired(front) {
                 break;
             }
-            let Some(tuple) = self.pop_front() else { break };
-            on_expired(tuple);
+            let Some(stored) = self.pop_stored() else {
+                break;
+            };
+            on_expired(stored);
         }
         let capacity = self.tuples.capacity();
         if comparisons > 1 && capacity > MIN_KEPT_SLOTS && self.tuples.len() < capacity / 4 {
@@ -788,7 +823,10 @@ impl JoinState {
     pub fn drain_ordered(&mut self) -> Vec<Tuple> {
         self.index = self.index.emptied();
         self.heap_bytes = 0;
-        std::mem::take(&mut self.tuples).into()
+        std::mem::take(&mut self.tuples)
+            .into_iter()
+            .map(|s| s.tuple)
+            .collect()
     }
 
     /// Replace the contents with `tuples` (which must be in timestamp
@@ -820,7 +858,7 @@ pub struct Candidates<'a> {
 #[derive(Debug)]
 enum CandidatesInner<'a> {
     Empty,
-    All(std::collections::vec_deque::Iter<'a, Tuple>),
+    All(std::collections::vec_deque::Iter<'a, StoredTuple>),
     Indexed {
         state: &'a JoinState,
         /// The hash index's `next` links.
@@ -856,7 +894,7 @@ impl<'a> Iterator for Candidates<'a> {
     fn next(&mut self) -> Option<&'a Tuple> {
         match &mut self.inner {
             CandidatesInner::Empty => None,
-            CandidatesInner::All(iter) => iter.next(),
+            CandidatesInner::All(iter) => iter.next().map(|s| &s.tuple),
             CandidatesInner::Indexed {
                 state,
                 links,

@@ -5,12 +5,20 @@
 //! chain inside one operator, the way block-at-a-time engines fuse the
 //! operators of a block into one value whose calls are static:
 //!
-//! * the slices are [`SliceJoinOp`] cores, walked slice-major over each run
-//!   ([`SliceJoinOp::run_into`]); a slice's purged and propagated tuples are
-//!   the next slice's input, and its result rows go into a column buffer the
-//!   chain owns and drains after every call, keeping its capacity;
-//! * the lineage gate in front of slice `k` (Section 6's σ'_k) drops the
-//!   stream-A tuples whose lineage is below its level, at no comparison;
+//! * the slices are [`SliceJoinOp`] cores, and each input tuple walks
+//!   through all of them before the next one starts: at each slice it
+//!   purges the opposite state ([`SliceJoinOp::probe`]), each purged tuple
+//!   goes straight into the next slice's state ([`SliceJoinOp::store`]), and
+//!   then it probes the slice by reference; a regular arrival's female copy
+//!   is stored in the head after its walk.  Every slice still sees the
+//!   tuples purged ahead of a probe before that probe (Figure 9's emission
+//!   order), so each slice's results, counters and states are those of a
+//!   slice-by-slice pass over the run.  A slice's result rows go into a
+//!   column buffer the chain owns and drains after every call, keeping its
+//!   capacity;
+//! * the lineage gate in front of slice `k` (Section 6's σ'_k), checked as a
+//!   tuple — walking or purged — reaches the slice, drops the stream-A
+//!   tuples whose lineage is below its level, at no comparison;
 //! * each query records the row numbers of the slice results it takes, split
 //!   by window when its window ends inside the slice (a CPU-Opt merged
 //!   slice, Figure 13(b), one `route_comparisons` per result and split) and
@@ -19,7 +27,8 @@
 //! * at the end of the call a k-way merge over each query's rows, each
 //!   slice's in timestamp order, gives its delivery order — the paper's
 //!   "one-time merge sort on timestamps" (Section 4.3), one
-//!   `union_comparisons` per delivered row, ties to the lower slice — and
+//!   `union_comparisons` per delivered row, ties to the lower slice, a heap
+//!   of the feeding slices' heads choosing each stretch's slice — and
 //!   the rows leave on the query's port: from [`COLUMNAR_MIN_RUN_RESULTS`]
 //!   up as column batches of exact size ([`gather_rows`]), below it as row
 //!   tuples, each result built once per call and shared by its queries.
@@ -32,16 +41,20 @@
 //! still bring tuples of that timestamp and their rows must merge with these
 //! for ties to go to the lower slice however the runs are cut.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::checkpoint::NodeState;
 use crate::columnar::{eval_predicate_into, gather_rows, ColumnBatch};
 use crate::error::{Result, StreamError};
+use crate::join_state::StoredTuple;
 use crate::operator::{OpContext, Operator, PortId};
 use crate::ops::slice_join::{SliceJoinOp, SliceResults, COLUMNAR_MIN_RUN_RESULTS};
 use crate::predicate::Predicate;
 use crate::queue::StreamItem;
 use crate::stats::CostCounters;
 use crate::time::{TimeDelta, Timestamp};
-use crate::tuple::{StreamId, Tuple};
+use crate::tuple::{StreamId, Tuple, TupleRole};
 
 /// One query's share of one slice's results.
 #[derive(Debug)]
@@ -79,16 +92,18 @@ pub struct ChainJoinOp {
     /// The newest input tuple timestamp seen: rows at it may still tie with
     /// the next call's.
     newest: Option<Timestamp>,
-    /// Buffers reused across calls: a slice's input and what it forwards,
-    /// row selections, a delivery's order, how far each slice's picks go,
-    /// and each slice's results built as row tuples in this call.
-    input: Vec<StreamItem>,
-    next: Vec<StreamItem>,
+    /// Buffers reused across calls: each slice's counters and result count
+    /// at the start of this call, row selections, a delivery's order, how
+    /// far each slice's picks go, the merge's heads, and each slice's
+    /// results built as row tuples in this call.
+    run_counters: Vec<CostCounters>,
+    starts: Vec<usize>,
     scope_rows: Vec<u32>,
     kept: Vec<u32>,
     order: Vec<(u32, u32)>,
     ends: Vec<usize>,
     cursors: Vec<usize>,
+    heads: BinaryHeap<Reverse<(Timestamp, usize)>>,
     tuples: Vec<Vec<Option<Tuple>>>,
 }
 
@@ -109,13 +124,14 @@ impl ChainJoinOp {
             feeds: vec![0; queries],
             newest: None,
             slices,
-            input: Vec::new(),
-            next: Vec::new(),
+            run_counters: vec![CostCounters::default(); n],
+            starts: Vec::new(),
             scope_rows: Vec::new(),
             kept: Vec::new(),
             order: Vec::new(),
             ends: Vec::new(),
             cursors: Vec::new(),
+            heads: BinaryHeap::new(),
             tuples: vec![Vec::new(); n],
         }
     }
@@ -165,45 +181,119 @@ impl ChainJoinOp {
         self.min_level[slice]
     }
 
-    /// Run `input` through the chain and deliver each query's merged
-    /// results.
+    /// Walk every input tuple through the chain and deliver each query's
+    /// merged results.
     fn run(&mut self, items: &mut Vec<StreamItem>, ctx: &mut OpContext) {
-        let mut input = std::mem::take(&mut self.input);
-        std::mem::swap(&mut input, items);
-        let newest = input.iter().rev().find_map(|item| match item {
+        let newest = items.iter().rev().find_map(|item| match item {
             StreamItem::Tuple(t) => Some(t.ts),
             StreamItem::Batch(batch) => batch.last_ts(),
             StreamItem::Punctuation(_) => None,
         });
         self.newest = self.newest.max(newest);
-        let mut next = std::mem::take(&mut self.next);
-        for k in 0..self.slices.len() {
-            let min_level = self.min_level[k];
-            if min_level > 0 {
-                // Slices forward row tuples and punctuations only.
-                let mut seen = 0;
-                input.retain(|item| match item {
-                    StreamItem::Tuple(t) => {
-                        seen += 1;
-                        t.stream != StreamId::A || t.lineage >= min_level
+        self.starts.clear();
+        self.starts
+            .extend(self.results.iter().map(SliceResults::len));
+        self.run_counters.fill(CostCounters::default());
+        let mut gated = 0;
+        for item in items.drain(..) {
+            match item {
+                StreamItem::Tuple(t) => self.walk(t, &mut gated),
+                StreamItem::Batch(batch) => {
+                    // Roles travel per row: walk an input batch's rows one
+                    // by one.
+                    for t in batch.materialize() {
+                        self.walk(t, &mut gated);
                     }
-                    _ => true,
-                });
-                ctx.counters.tuples_processed += seen;
+                }
+                StreamItem::Punctuation(_) => {
+                    // Each slice forwards it to the next; the chain's
+                    // results need no punctuations.
+                    for (slice, counters) in self.slices.iter().zip(&mut self.run_counters) {
+                        if !slice.has_next() {
+                            break;
+                        }
+                        counters.items_emitted += 1;
+                    }
+                }
             }
-            let mut counters = CostCounters::default();
-            let start = self.results[k].len();
-            let results = &mut self.results[k];
-            self.slices[k].run_into(input.drain(..), results, &mut next, &mut counters);
-            counters.items_emitted += next.len() as u64;
+        }
+        ctx.counters.tuples_processed += gated;
+        for k in 0..self.slices.len() {
+            let counters = self.run_counters[k];
             self.slice_counters[k].add(&counters);
             ctx.counters.add(&counters);
-            self.distribute(k, start, &mut ctx.counters);
-            std::mem::swap(&mut input, &mut next);
+            self.distribute(k, self.starts[k], &mut ctx.counters);
         }
-        input.clear();
-        (self.input, self.next) = (input, next);
         self.deliver(false, ctx);
+    }
+
+    /// Walk one input tuple through the slices, counting into
+    /// `run_counters` and counting in `gated` the tuples the gates check.
+    ///
+    /// At slice `k` the tuple purges the opposite state, and each purged
+    /// tuple goes straight into slice `k + 1`'s state unless its gate drops
+    /// it; the tuple then probes slice `k` and walks on unless slice
+    /// `k + 1`'s gate drops it.  A female is only stored in the head, and a
+    /// regular arrival's female copy is stored there after the walk, which
+    /// no later slice's state can see.
+    fn walk(&mut self, mut t: Tuple, gated: &mut u64) {
+        let ChainJoinOp {
+            slices,
+            min_level,
+            results,
+            run_counters: counters,
+            ..
+        } = self;
+        let passes = |t: &Tuple, level: u32| t.stream != StreamId::A || t.lineage >= level;
+        if min_level[0] > 0 {
+            *gated += 1;
+            if !passes(&t, min_level[0]) {
+                return;
+            }
+        }
+        counters[0].tuples_processed += 1;
+        let role = slices[0].arrive(&mut t);
+        if role == TupleRole::Female {
+            return slices[0].store(t);
+        }
+        for k in 0..slices.len() {
+            let (walked, rest) = slices.split_at_mut(k + 1);
+            let slice = &mut walked[k];
+            let has_next = slice.has_next();
+            let mut next = rest.first_mut().filter(|_| has_next);
+            let level = min_level.get(k + 1).copied().unwrap_or(0);
+            let (mut purged, mut entered) = (0, 0);
+            let forward = |stored: StoredTuple| {
+                purged += 1;
+                match &mut next {
+                    Some(next) if passes(&stored.tuple, level) => {
+                        entered += 1;
+                        next.store(stored);
+                    }
+                    _ => {}
+                }
+            };
+            slice.probe(&t, forward, &mut results[k], &mut counters[k]);
+            if !has_next {
+                break;
+            }
+            counters[k].items_emitted += purged + 1;
+            if next.is_none() {
+                break;
+            }
+            if level > 0 {
+                *gated += purged + 1;
+            }
+            counters[k + 1].tuples_processed += entered;
+            if !passes(&t, level) {
+                break;
+            }
+            counters[k + 1].tuples_processed += 1;
+        }
+        if role == TupleRole::Regular {
+            t.role = TupleRole::Female;
+            slices[0].store(t);
+        }
     }
 
     /// Record, for every query slice `k` feeds, which of the slice's rows
@@ -272,7 +362,6 @@ impl ChainJoinOp {
         }
         for (k, results) in self.results.iter_mut().enumerate() {
             if results.len() == 0 {
-                results.puncts.clear();
                 continue;
             }
             self.tuples[k].clear();
@@ -301,6 +390,7 @@ impl ChainJoinOp {
             order,
             ends,
             cursors,
+            heads,
             tuples,
             ..
         } = self;
@@ -321,12 +411,10 @@ impl ChainJoinOp {
         }
         ctx.counters.tuples_processed += total as u64;
         ctx.counters.union_comparisons += total as u64;
-        // Rows leave in a k-way merge's order: each step takes the slice with
-        // the oldest head as far as the other heads allow — a lower slice's
-        // head bounds strictly (the tick before it), a higher one's
-        // inclusively.  A delivery of batches collects its rows as (batch,
-        // row) pairs over every slice's batches; one of rows emits each row
-        // at once.
+        // Rows leave in a k-way merge's order, a heap of the slices' heads
+        // picking each stretch's slice.  A delivery of batches collects its
+        // rows as (batch, row) pairs over every slice's batches; one of rows
+        // emits each row at once.
         let columnar = total as u64 >= COLUMNAR_MIN_RUN_RESULTS;
         let (mut sources, mut first_source): (Vec<&ColumnBatch>, _) = (Vec::new(), Vec::new());
         if columnar {
@@ -339,36 +427,38 @@ impl ChainJoinOp {
         cursors.clear();
         cursors.resize(picked.len(), 0);
         let head = |k: usize, at: usize| results[k].ts(picked[k][at] as usize);
-        loop {
-            let mut best: Option<(usize, Timestamp)> = None;
-            let mut bound = Timestamp::MAX;
-            for k in (0..picked.len()).filter(|&k| cursors[k] < ends[k]) {
-                let ts = head(k, cursors[k]);
-                match best {
-                    Some((_, best_ts)) if best_ts <= ts => bound = bound.min(ts),
-                    Some((_, best_ts)) => {
-                        // `best_ts` > `ts` ≥ 0, so the tick before exists.
-                        bound = bound.min(Timestamp::from_micros(best_ts.as_micros() - 1));
-                        best = Some((k, ts));
-                    }
-                    None => best = Some((k, ts)),
-                }
-            }
-            let Some((k, _)) = best else { break };
+        heads.clear();
+        heads.extend(
+            (0..picked.len())
+                .filter(|&k| ends[k] > 0)
+                .map(|k| Reverse((head(k, 0), k))),
+        );
+        // The slice with the oldest head, ties to the lower one, leaves rows
+        // until its head passes the next oldest; then it waits in the heap.
+        while let Some(Reverse((_, k))) = heads.pop() {
+            let next = heads.peek().map(|&Reverse(head)| head);
             let (results, tuples) = (&results[k], &mut tuples[k]);
-            while cursors[k] < ends[k] && head(k, cursors[k]) <= bound {
+            loop {
                 let row = picked[k][cursors[k]] as usize;
                 cursors[k] += 1;
                 if columnar {
                     let (batch, i) = results.locate(row);
                     order.push(((first_source[k] + batch) as u32, i as u32));
-                    continue;
+                } else {
+                    if tuples.len() <= row {
+                        tuples.resize(results.len(), None);
+                    }
+                    let tuple = tuples[row].get_or_insert_with(|| results.row(row));
+                    ctx.emit(q, tuple.clone());
                 }
-                if tuples.len() <= row {
-                    tuples.resize(results.len(), None);
+                if cursors[k] == ends[k] {
+                    break;
                 }
-                let tuple = tuples[row].get_or_insert_with(|| results.row(row));
-                ctx.emit(q, tuple.clone());
+                let at = (head(k, cursors[k]), k);
+                if next.is_some_and(|next| at > next) {
+                    heads.push(Reverse(at));
+                    break;
+                }
             }
         }
         if columnar {
@@ -489,7 +579,7 @@ mod tests {
     use crate::ops::{RouteTarget, RouterOp, SelectOp, UnionOp};
     use crate::predicate::JoinCondition;
     use crate::punctuation::Punctuation;
-    use crate::tuple::Tuple;
+    use crate::tuple::{Tuple, Value};
     use crate::window::SliceWindow;
 
     /// Slices `[0, 2)`, `[2, 4)` and the CPU-Opt merge `[4, 8)` s; queries
@@ -584,13 +674,19 @@ mod tests {
         (rows, batches)
     }
 
+    /// What the reference plan delivered: each query's rows, the plan's
+    /// counters, and each standalone slice's own counters, `items_emitted`
+    /// counting only what it forwarded to the next slice.
+    type Reference = (Vec<Vec<Tuple>>, CostCounters, Vec<CostCounters>);
+
     /// The plan the chain replaces, driven by hand as the executor drove it:
     /// each run through every slice, lineage gates in between, a router on
     /// the merged slice, selections on the σ branches, and each query's
     /// union taking each port's run whole, port after port.
-    fn reference(runs: &[Vec<StreamItem>]) -> (Vec<Vec<Tuple>>, CostCounters) {
+    fn reference(runs: &[Vec<StreamItem>]) -> Reference {
         let mut slices = slices();
         let mut ctx = OpContext::new();
+        let mut parts = vec![CostCounters::default(); CUTS.len()];
         let feeding: Vec<Vec<usize>> = (0..WINDOWS.len())
             .map(|q| {
                 (0..CUTS.len())
@@ -622,15 +718,19 @@ mod tests {
                         _ => true,
                     });
                 }
-                slices[k].process_batch(0, &mut input, &mut ctx);
+                let mut slice_ctx = OpContext::new();
+                slices[k].process_batch(0, &mut input, &mut slice_ctx);
                 let (mut results, mut next) = (Vec::new(), Vec::new());
-                for (port, item) in ctx.take_outputs() {
+                for (port, item) in slice_ctx.take_outputs() {
                     match port {
                         PORT_RESULTS => results.push(item),
                         PORT_NEXT_SLICE => next.push(item),
                         _ => unreachable!(),
                     }
                 }
+                ctx.counters.add(&slice_ctx.counters);
+                slice_ctx.counters.items_emitted = next.len() as u64;
+                parts[k].add(&slice_ctx.counters);
                 input = next;
                 for (q, split, filter) in branches_of(k) {
                     let mut items = results.clone();
@@ -662,7 +762,7 @@ mod tests {
             .into_iter()
             .map(|items| rows_of(items).0)
             .collect();
-        (rows, ctx.counters)
+        (rows, ctx.counters, parts)
     }
 
     /// Both sides hold a timestamp's rows until the input moves past it, so
@@ -673,7 +773,7 @@ mod tests {
         let items = input();
         for run_len in [1, 7, 64] {
             let runs: Vec<Vec<StreamItem>> = items.chunks(run_len).map(<[_]>::to_vec).collect();
-            let (want, reference_counters) = reference(&runs);
+            let (want, reference_counters, reference_parts) = reference(&runs);
             let mut chain = chain();
             let mut ctx = OpContext::new();
             let mut delivered = vec![Vec::new(); WINDOWS.len()];
@@ -736,13 +836,79 @@ mod tests {
             assert_eq!(c.route_comparisons, r.route_comparisons);
             assert_eq!(c.union_comparisons, r.union_comparisons);
             assert!(c.route_comparisons > 0 && c.filter_comparisons > 0);
-            // Each slice's share adds up to the chain's join work.
+            // Each slice does its own standalone twin's work, and the
+            // slices' shares add up to the chain's join work.
+            let work = |p: &CostCounters| {
+                (
+                    p.tuples_processed,
+                    p.probe_comparisons,
+                    p.purge_comparisons,
+                    p.items_emitted,
+                )
+            };
             let mut parts = CostCounters::default();
-            chain.part_counters().iter().for_each(|p| parts.add(p));
+            for (k, (part, want)) in chain
+                .part_counters()
+                .iter()
+                .zip(&reference_parts)
+                .enumerate()
+            {
+                assert_eq!(work(part), work(want), "slice {k}, runs of {run_len}");
+                assert!(part.purge_comparisons > 0, "slice {k}");
+                parts.add(part);
+            }
             assert_eq!(parts.probe_comparisons, c.probe_comparisons);
+            assert_eq!(parts.purge_comparisons, c.purge_comparisons);
             assert_eq!(parts.union_comparisons, 0);
             assert_eq!(chain.held_rows(), 0);
         }
+    }
+
+    /// A purged tuple enters the next slice with the heap bytes its first
+    /// state counted, so every slice's bytes stay those of its stored
+    /// tuples, string payloads and lineage gates included.
+    #[test]
+    fn forwarded_tuples_keep_each_slice_s_bytes_exact() {
+        let mut chain = chain();
+        let mut ctx = OpContext::new();
+        let recount = |slice: &SliceJoinOp| {
+            let (a, b) = slice.state_tuples();
+            let slot = std::mem::size_of::<Tuple>();
+            a.iter()
+                .chain(&b)
+                .map(|t| slot + t.heap_bytes())
+                .sum::<usize>()
+        };
+        let stringy = |t: &Tuple| {
+            let mut values = t.values.to_vec();
+            values.push(Value::str(&"x".repeat(t.ts.as_micros() as usize % 7)));
+            Tuple {
+                values: values.into(),
+                ..t.clone()
+            }
+        };
+        let items: Vec<StreamItem> = input()
+            .into_iter()
+            .map(|item| match item {
+                StreamItem::Tuple(t) => stringy(&t).into(),
+                other => other,
+            })
+            .collect();
+        let mut strings = 0;
+        for run in items.chunks(5) {
+            chain.process_batch(0, &mut run.to_vec(), &mut ctx);
+            ctx.take_outputs();
+            for slice in chain.slice_joins() {
+                assert_eq!(slice.state_bytes(), recount(slice), "{}", slice.name());
+                let (a, b) = slice.state_tuples();
+                let long = |t: &&Tuple| t.values[2].as_str().is_some_and(|s| !s.is_empty());
+                strings += a.iter().chain(&b).filter(long).count();
+            }
+        }
+        assert!(strings > 0);
+        // The gates dropped some of what the head purged.
+        let heads = &chain.part_counters()[..2];
+        assert!(heads[1].tuples_processed < heads[0].items_emitted);
     }
 
     #[test]

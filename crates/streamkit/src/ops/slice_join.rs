@@ -29,20 +29,23 @@
 //! order-preserving union) — and [`PORT_NEXT_SLICE`], the logical queue
 //! feeding the next slice.
 //!
-//! One implementation runs a slice: [`SliceJoinOp::run_into`] appends a
-//! run's result rows to a caller-owned, reused column buffer and what it
-//! forwards to a caller-owned vector.  The sliced chain
-//! ([`ChainJoinOp`](crate::ops::ChainJoinOp)) calls it on each of its slice
-//! cores; the [`Operator`] impl is a thin wrapper for the baselines and
-//! standalone slices, sending a run's rows — all in batches or all as rows,
-//! punctuations in their place — and then its forwarded items.
+//! Two primitives do a slice's work: [`SliceJoinOp::probe`] purges the
+//! opposite state into the caller's hands and appends the probe's result
+//! rows to a caller-owned, reused column buffer, and [`SliceJoinOp::store`]
+//! inserts a tuple into its stream's state.  The sliced chain
+//! ([`ChainJoinOp`](crate::ops::ChainJoinOp)) calls them as it walks each
+//! input tuple through its slices, storing each purged tuple straight into
+//! the next slice's state.  The [`Operator`] impl, for the baselines and
+//! standalone slices, calls them over a run, forwarding what the chain
+//! would walk on, and then sends the run's rows — all in batches or all as
+//! rows, punctuations in their place — and its forwarded items.
 
 use crate::checkpoint::{NodeState, WindowState};
 use std::ops::Range;
 
 use crate::columnar::{gather_rows, ColumnBatch};
 use crate::error::{Result, StreamError};
-use crate::join_state::{equi_key_fields, memoize_key, JoinState};
+use crate::join_state::{equi_key_fields, memoize_key, JoinState, StoredTuple};
 use crate::operator::{OpContext, Operator, PortId};
 use crate::predicate::JoinCondition;
 use crate::punctuation::Punctuation;
@@ -199,15 +202,6 @@ pub struct SliceJoinOp {
     /// The [`Operator`] wrapper's result and next-slice buffers, reused
     /// across calls.
     emit_buf: (SliceResults, Vec<StreamItem>),
-}
-
-/// Where one run of a slice writes: its result rows and punctuations, the
-/// tuples and punctuations it forwards to the next slice, and the
-/// comparison counters.
-struct RunOut<'a> {
-    results: &'a mut SliceResults,
-    next: &'a mut Vec<StreamItem>,
-    counters: &'a mut CostCounters,
 }
 
 impl SliceJoinOp {
@@ -388,9 +382,10 @@ impl SliceJoinOp {
     }
 
     /// Probe with a male (or a one-way B tuple): cross-purge the opposite
-    /// state into the next slice, probe it — an equi probe touches only its
-    /// key bucket, O(1 + matches) — emit the results, then propagate the
-    /// probe to the next slice.
+    /// state, handing each purged tuple to `purged` — the next slice's, or
+    /// nowhere at the end of a chain — then probe it — an equi probe touches
+    /// only its key bucket, O(1 + matches) — appending the results to
+    /// `results`.  The probe is the caller's to forward.
     ///
     /// Purging first makes every older candidate younger than `end`, and in
     /// a chain no stored tuple is newer than the probe nor younger than
@@ -398,52 +393,50 @@ impl SliceJoinOp {
     /// join fed on two ports can hold tuples *newer* than the probe — when
     /// one port lags the other — so while the opposite state's newest tuple
     /// is ahead of the probe, candidates a whole window ahead are skipped.
-    fn probe(&mut self, probe: Tuple, out: &mut RunOut) {
+    pub(crate) fn probe(
+        &mut self,
+        probe: &Tuple,
+        purged: impl FnMut(StoredTuple),
+        results: &mut SliceResults,
+        counters: &mut CostCounters,
+    ) {
         let probe_is_a = probe.stream == StreamId::A;
         let opposite = if probe_is_a {
             &mut self.state_b
         } else {
             &mut self.state_a
         };
-        let (window, has_next) = (self.window, self.has_next);
-        let comparisons = opposite.purge_expired(
-            |front| window.expired(probe.ts, front.ts),
-            |expired| {
-                if has_next {
-                    out.next.push(expired.into());
-                }
-            },
-        );
-        out.counters.purge_comparisons += comparisons;
+        let window = self.window;
+        counters.purge_comparisons +=
+            opposite.purge_expired(|front| window.expired(probe.ts, front.ts), purged);
         let ahead = opposite.back().is_some_and(|newest| newest.ts > probe.ts);
-        for stored in opposite.probe_candidates(&probe) {
+        for stored in opposite.probe_candidates(probe) {
             if ahead && stored.ts.saturating_sub(probe.ts) >= window.end {
                 continue;
             }
             let (left, right) = if probe_is_a {
-                (&probe, stored)
+                (probe, stored)
             } else {
-                (stored, &probe)
+                (stored, probe)
             };
             if self
                 .condition
-                .eval_counted(left, right, &mut out.counters.probe_comparisons)
+                .eval_counted(left, right, &mut counters.probe_comparisons)
             {
                 self.results += 1;
-                out.results.push_join(left, right);
+                results.push_join(left, right);
             }
-        }
-        if has_next {
-            out.next.push(probe.into());
         }
     }
 
-    /// Insert a female (or a one-way A tuple) into its stream's state.
-    fn store(&mut self, tuple: Tuple) {
-        if tuple.stream == StreamId::A {
-            self.state_a.push(tuple);
+    /// Insert a female (or a one-way A tuple, or a tuple the previous slice
+    /// purged) into its stream's state.
+    pub(crate) fn store(&mut self, tuple: impl Into<StoredTuple>) {
+        let stored = tuple.into();
+        if stored.tuple.stream == StreamId::A {
+            self.state_a.push(stored);
         } else {
-            self.state_b.push(tuple);
+            self.state_b.push(stored);
         }
         self.track_peak();
     }
@@ -456,12 +449,28 @@ impl SliceJoinOp {
         Some(if stream == StreamId::A { left } else { right })
     }
 
-    /// Process one tuple of a run.
+    /// The role a tuple arriving at this slice plays: its own in a two-way
+    /// slice, by stream in a one-way one (A is stored, B probes).
     ///
     /// The chain head computes each arrival's canonical equi-key hash once;
-    /// the male/female reference copies share the memo, so every downstream
+    /// the probe and the stored copy share the memo, so every downstream
     /// slice's probe and insert — and the shard router before the chain —
     /// reuse it instead of rehashing.
+    pub(crate) fn arrive(&self, t: &mut Tuple) -> TupleRole {
+        if self.chain_head {
+            if let Some(field) = self.key_field_of(t.stream) {
+                memoize_key(t, field);
+            }
+        }
+        match self.direction {
+            Direction::TwoWay => t.role,
+            Direction::OneWay if t.stream == StreamId::A => TupleRole::Female,
+            Direction::OneWay => TupleRole::Male,
+        }
+    }
+
+    /// Process one tuple of a standalone run: store a female; otherwise
+    /// purge into `next`, probe, and forward the probe as a male copy.
     ///
     /// The last probe is recorded in `last_probe`; the caller emits one
     /// coalesced punctuation for the whole run.
@@ -469,25 +478,27 @@ impl SliceJoinOp {
         &mut self,
         mut t: Tuple,
         last_probe: &mut Option<(Timestamp, StreamId)>,
-        out: &mut RunOut,
+        (results, next): &mut (SliceResults, Vec<StreamItem>),
+        counters: &mut CostCounters,
     ) {
-        out.counters.tuples_processed += 1;
-        if self.chain_head {
-            if let Some(field) = self.key_field_of(t.stream) {
-                memoize_key(&mut t, field);
-            }
-        }
-        let role = match self.direction {
-            Direction::TwoWay => t.role,
-            Direction::OneWay if t.stream == StreamId::A => TupleRole::Female,
-            Direction::OneWay => TupleRole::Male,
-        };
+        counters.tuples_processed += 1;
+        let role = self.arrive(&mut t);
         if role == TupleRole::Female {
             return self.store(t);
         }
         *last_probe = Some((t.ts, t.stream));
+        let has_next = self.has_next;
+        let forward = |stored: StoredTuple| {
+            if has_next {
+                next.push(stored.tuple.into());
+            }
+        };
+        self.probe(&t, forward, results, counters);
         if role == TupleRole::Male {
-            return self.probe(t, out);
+            if has_next {
+                next.push(t.into());
+            }
+            return;
         }
         // Split a regular tuple into reference copies: the male purges and
         // probes first, then the female fills the state — this matches
@@ -495,68 +506,54 @@ impl SliceJoinOp {
         // chain head this is the paper's split; mid-chain slices should only
         // ever see tagged copies, but treating a stray untagged tuple the
         // same way keeps standalone use working.
-        let male = t.with_role(TupleRole::Male);
+        if has_next {
+            next.push(t.with_role(TupleRole::Male).into());
+        }
         t.role = TupleRole::Female;
-        self.probe(male, out);
         self.store(t);
     }
 
-    /// Process one run, appending its result rows and punctuations to
-    /// `results`, what it forwards to the next slice to `next` (in emission
-    /// order) and its comparisons to `counters`: a statically dispatched
-    /// tight loop with the per-probe union punctuations coalesced into **one
+    /// The [`Operator`] path: run the items — a statically dispatched tight
+    /// loop with the per-probe union punctuations coalesced into **one
     /// punctuation per run** after its rows (a punctuation is a monotone
     /// progress promise, so the run's last probe promises everything the
-    /// per-probe punctuations would).
+    /// per-probe punctuations would) — then send the results on
+    /// [`PORT_RESULTS`] — all in batches or all as rows, by the run's result
+    /// count — and the forwarded items on [`PORT_NEXT_SLICE`].
     ///
     /// The cross-purge stays interleaved per probe: a purged tuple must
     /// enter the next slice's logical queue *before* the probe whose arrival
     /// expired it (Fig. 9's emission order), or results would shift between
     /// slices.  Run length is invisible in results, counters and final
     /// states (`tests/batch_equivalence.rs`).
-    pub(crate) fn run_into(
-        &mut self,
-        items: impl Iterator<Item = StreamItem>,
-        results: &mut SliceResults,
-        next: &mut Vec<StreamItem>,
-        counters: &mut CostCounters,
-    ) {
-        let mut out = RunOut {
-            results,
-            next,
-            counters,
-        };
+    fn run(&mut self, items: impl Iterator<Item = StreamItem>, ctx: &mut OpContext) {
+        let mut out = std::mem::take(&mut self.emit_buf);
         let mut last_probe = None;
         for item in items {
             match item {
-                StreamItem::Tuple(t) => self.process_tuple(t, &mut last_probe, &mut out),
+                StreamItem::Tuple(t) => {
+                    self.process_tuple(t, &mut last_probe, &mut out, &mut ctx.counters)
+                }
                 StreamItem::Batch(b) => {
                     // Roles travel per row: process an input batch's rows
                     // one by one.
                     for t in b.materialize() {
-                        self.process_tuple(t, &mut last_probe, &mut out);
+                        self.process_tuple(t, &mut last_probe, &mut out, &mut ctx.counters);
                     }
                 }
                 StreamItem::Punctuation(p) => {
-                    out.results.puncts.push((out.results.len(), p));
+                    out.0.puncts.push((out.0.len(), p));
                     if self.has_next {
-                        out.next.push(p.into());
+                        out.1.push(p.into());
                     }
                 }
             }
         }
+        let (results, next) = &mut out;
         if let Some((ts, stream)) = last_probe {
             let punctuation = Punctuation::from_stream(ts, stream);
-            out.results.puncts.push((out.results.len(), punctuation));
+            results.puncts.push((results.len(), punctuation));
         }
-    }
-
-    /// The [`Operator`] path: run the items, then send the results on
-    /// [`PORT_RESULTS`] — all in batches or all as rows, by the run's result
-    /// count — and the forwarded items on [`PORT_NEXT_SLICE`].
-    fn run(&mut self, items: impl Iterator<Item = StreamItem>, ctx: &mut OpContext) {
-        let (mut results, mut next) = std::mem::take(&mut self.emit_buf);
-        self.run_into(items, &mut results, &mut next, &mut ctx.counters);
         let rows = results.len();
         let columnar = rows as u64 >= COLUMNAR_MIN_RUN_RESULTS;
         if columnar {
@@ -575,7 +572,7 @@ impl SliceJoinOp {
         for item in next.drain(..) {
             ctx.emit(PORT_NEXT_SLICE, item);
         }
-        self.emit_buf = (results, next);
+        self.emit_buf = out;
     }
 }
 

@@ -365,17 +365,16 @@ pub fn band_bounds(cond: &JoinCondition, stored_is_left: bool) -> Option<BandPro
     // Assemble per-stored-field probes, preserving first-encountered order.
     let mut probes: Vec<BandProbe> = Vec::new();
     for b in &bounds {
-        let probe = match probes.iter_mut().find(|p| p.stored_field == b.stored_field) {
-            Some(p) => p,
-            None => {
-                probes.push(BandProbe {
-                    stored_field: b.stored_field,
-                    lower: None,
-                    upper: None,
-                });
-                probes.last_mut().unwrap()
-            }
-        };
+        let at = probes.iter().position(|p| p.stored_field == b.stored_field);
+        let at = at.unwrap_or_else(|| {
+            probes.push(BandProbe {
+                stored_field: b.stored_field,
+                lower: None,
+                upper: None,
+            });
+            probes.len() - 1
+        });
+        let probe = &mut probes[at];
         match b.op {
             CmpOp::Ge | CmpOp::Gt => {
                 if probe.lower.is_none() {
