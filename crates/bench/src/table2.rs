@@ -79,7 +79,14 @@ mod tests {
                     port => panic!("{name} emitted {} tuples on port {port}", tuples.len()),
                 }
             }
-            let state = |op: &SliceJoinOp| op.state_timestamps().0.into_iter().map(secs).collect();
+            let state = |op: &SliceJoinOp| {
+                op.slice()
+                    .state_timestamps()
+                    .0
+                    .into_iter()
+                    .map(secs)
+                    .collect()
+            };
             let queued = queue.iter().map(|t| secs(t.ts)).collect();
             trace.push((step, arrival, name, state(&j1), queued, state(&j2), outputs));
         }

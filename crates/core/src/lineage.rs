@@ -257,7 +257,7 @@ mod tests {
         }
         let probe = Tuple::of_ints(Timestamp::from_secs(8), StreamId::B, &[0]);
         chain.process(0, probe.into(), &mut ctx);
-        let second = &chain.slice_joins()[1];
+        let second = chain.slice_chain().unwrap().slice(1);
         // The lineage-1 A tuple was dropped and the other two passed; the
         // B tuples' female copies stay in the first slice.
         assert_eq!(second.state_a_len(), 2);
@@ -283,7 +283,7 @@ mod tests {
         let mut chain = gated_chain(1);
         chain.process(0, p.into(), &mut ctx);
         assert!(ctx.take_outputs().is_empty());
-        assert_eq!(chain.slice_joins()[1].state_len(), 0);
+        assert_eq!(chain.slice_chain().unwrap().slice(1).state_len(), 0);
     }
 
     #[test]

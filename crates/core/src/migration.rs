@@ -414,15 +414,21 @@ mod tests {
         .unwrap();
         // The plan decides the index mode: an indexed chain stays indexed
         // through a merge…
-        assert!(restored(planned(&cond, 0, 10, false), merged.clone()).is_indexed());
+        assert!(restored(planned(&cond, 0, 10, false), merged.clone())
+            .slice()
+            .is_indexed());
         // …and a linear-scan A/B reference chain stays linear through both
         // merge and split.
         let linear = restored(planned(&cond, 0, 10, true), merged.clone());
-        assert!(!linear.is_indexed());
-        assert_eq!(linear.state_len(), 2);
+        assert!(!linear.slice().is_indexed());
+        assert_eq!(linear.slice().state_len(), 2);
         let (split_left, split_right) = split_slice_state(merged, TimeDelta::from_secs(5)).unwrap();
-        assert!(!restored(planned(&cond, 0, 5, true), split_left).is_indexed());
-        assert!(!restored(planned(&cond, 5, 10, true), split_right).is_indexed());
+        assert!(!restored(planned(&cond, 0, 5, true), split_left)
+            .slice()
+            .is_indexed());
+        assert!(!restored(planned(&cond, 5, 10, true), split_right)
+            .slice()
+            .is_indexed());
     }
 
     #[test]
@@ -441,16 +447,23 @@ mod tests {
         let band = |s: u64| Tuple::of_ints(Timestamp::from_secs(s), StreamId::A, &[s as i64, 0, 9]);
         let left = state(0, 5, vec![band(8)], vec![]);
         let right = state(5, 10, vec![band(2)], vec![]);
-        assert!(planned(&cond, 0, 5, false).is_band_indexed());
-        assert!(!planned(&cond, 0, 5, false).is_indexed());
+        assert!(planned(&cond, 0, 5, false).slice().is_band_indexed());
+        assert!(!planned(&cond, 0, 5, false).slice().is_indexed());
         let merged = merge_slice_states(left, right).unwrap();
         let merged_op = restored(planned(&cond, 0, 10, false), merged.clone());
-        assert!(merged_op.is_band_indexed(), "merge dropped the band index");
+        assert!(
+            merged_op.slice().is_band_indexed(),
+            "merge dropped the band index"
+        );
         let (split_left, split_right) =
             split_slice_state(merged.clone(), TimeDelta::from_secs(5)).unwrap();
-        assert!(restored(planned(&cond, 0, 5, false), split_left.clone()).is_band_indexed());
+        assert!(restored(planned(&cond, 0, 5, false), split_left.clone())
+            .slice()
+            .is_band_indexed());
         assert!(
-            restored(planned(&cond, 5, 10, false), split_right).is_band_indexed(),
+            restored(planned(&cond, 5, 10, false), split_right)
+                .slice()
+                .is_band_indexed(),
             "split dropped the band index"
         );
         // Rehash across one shard (band joins run single-shard, but the
@@ -458,12 +471,14 @@ mod tests {
         let spec = ShardSpec::symmetric(0);
         let rehashed = rehash_shard_states(vec![vec![split_left]], 1, &spec).unwrap();
         assert!(
-            restored(planned(&cond, 0, 5, false), rehashed[0][0].clone()).is_band_indexed(),
+            restored(planned(&cond, 0, 5, false), rehashed[0][0].clone())
+                .slice()
+                .is_band_indexed(),
             "rehash dropped the band index"
         );
         // Forced-linear band chains stay linear.
         let linear = restored(planned(&cond, 0, 10, true), merged);
-        assert!(!linear.is_band_indexed() && !linear.is_indexed());
+        assert!(!linear.slice().is_band_indexed() && !linear.slice().is_indexed());
     }
 
     #[test]
@@ -494,10 +509,11 @@ mod tests {
             }
         }
         let _ = ctx.take_outputs();
-        let produced_before = left.results() + right.results();
+        let produced_before = left.slice().results() + right.slice().results();
         assert!(produced_before > 0);
         // Queue between them is drained; merge their window states.
-        let merged = merge_slice_states(left.window_state(), right.window_state()).unwrap();
+        let merged =
+            merge_slice_states(left.slice().window_state(), right.slice().window_state()).unwrap();
         let merged_op = SliceJoinOp::for_ab("J12", merged.window, cond).last_in_chain();
         let mut merged_op = restored(merged_op, merged);
         // A later male B joins against both stored females through the merged state.
@@ -524,7 +540,7 @@ mod tests {
         let _ = ctx.take_outputs();
         // Split at offset 5: left keeps all state (lazy), right starts empty.
         let (left_state, right_state) =
-            split_slice_state(op.window_state(), TimeDelta::from_secs(5)).unwrap();
+            split_slice_state(op.slice().window_state(), TimeDelta::from_secs(5)).unwrap();
         assert_eq!(left_state.window, SliceWindow::from_secs(0, 5));
         assert_eq!(right_state.window, SliceWindow::from_secs(5, 10));
         assert_eq!(left_state.len(), 2);
@@ -538,8 +554,8 @@ mod tests {
             SliceJoinOp::for_ab("J_right", right_state.window, cond).last_in_chain(),
             right_state,
         );
-        assert!(left.has_next());
-        assert!(!right.has_next());
+        assert!(left.slice().has_next());
+        assert!(!right.slice().has_next());
         // A male B at ts 8 purges a@1 (age 7 >= 5) into the queue towards the
         // right slice, probes a@6 in the left slice, and then probes the right
         // slice after the purged tuple arrived — exactly one result per slice.

@@ -210,7 +210,7 @@ mod tests {
     use super::*;
     use crate::query::JoinQuery;
     use streamkit::plan::NodeId;
-    use streamkit::{Executor, JoinCondition, Operator, Predicate, TimeDelta, Timestamp};
+    use streamkit::{Executor, JoinCondition, Predicate, TimeDelta, Timestamp};
 
     fn a(secs: u64, key: i64, value: i64) -> Tuple {
         Tuple::of_ints(Timestamp::from_secs(secs), StreamId::A, &[key, value])

@@ -65,15 +65,15 @@ mod tests {
         let mut ctx = OpContext::new();
         op.process(0, a(1, 7).into(), &mut ctx);
         assert!(results_of(&mut ctx).is_empty());
-        assert_eq!(op.state_a_len(), 1);
+        assert_eq!(op.slice().state_a_len(), 1);
         // A B tuple with the same key joins against the stored A female.
         op.process(0, b(2, 7).into(), &mut ctx);
         assert_eq!(results_of(&mut ctx), vec![(2, 1)]);
         // A later A tuple joins against the stored B female (other direction).
         op.process(0, a(3, 7).into(), &mut ctx);
         assert_eq!(results_of(&mut ctx), vec![(3, 1)]);
-        assert_eq!(op.results(), 2);
-        assert_eq!(op.state_len(), 3);
+        assert_eq!(op.slice().results(), 2);
+        assert_eq!(op.slice().state_len(), 3);
         assert!(op.peak_state() >= 3);
     }
 
@@ -103,8 +103,8 @@ mod tests {
                 (TupleRole::Male, 10, StreamId::B),
             ]
         );
-        assert_eq!(op.state_a_len(), 0);
-        assert_eq!(op.state_b_len(), 1);
+        assert_eq!(op.slice().state_a_len(), 0);
+        assert_eq!(op.slice().state_b_len(), 1);
     }
 
     #[test]
@@ -130,7 +130,7 @@ mod tests {
             op.process(0, b(s, 0).into(), &mut ctx);
         }
         // 10 A females + 10 B females, no male is ever stored.
-        assert_eq!(op.state_len(), 20);
+        assert_eq!(op.slice().state_len(), 20);
     }
 
     #[test]
@@ -144,17 +144,17 @@ mod tests {
         };
         assert_eq!(state.side_a.len(), 1);
         assert_eq!(state.side_b.len(), 1);
-        assert_eq!(op.state_len(), 2, "capture reads without draining");
+        assert_eq!(op.slice().state_len(), 2, "capture reads without draining");
         // A planned slice over the same window takes the state back…
         let mut twin = only_slice(100, JoinCondition::Cross);
         twin.restore_state(NodeState::Window(state.clone()))
             .unwrap();
-        assert_eq!(twin.state_tuples(), op.state_tuples());
+        assert_eq!(twin.slice().state_tuples(), op.slice().state_tuples());
         // …and a slice over another window refuses it.
         let mut narrower = only_slice(50, JoinCondition::Cross);
         assert!(narrower.restore_state(NodeState::Window(state)).is_err());
-        assert_eq!(narrower.window(), SliceWindow::from_secs(0, 50));
-        assert_eq!(narrower.state_len(), 0);
+        assert_eq!(narrower.slice().window(), SliceWindow::from_secs(0, 50));
+        assert_eq!(narrower.slice().state_len(), 0);
     }
 
     #[test]
@@ -163,7 +163,7 @@ mod tests {
         let mut ctx = OpContext::new();
         // A purged female from the previous slice fills the state…
         op.process(0, a(1, 0).with_role(TupleRole::Female).into(), &mut ctx);
-        assert_eq!(op.state_a_len(), 1);
+        assert_eq!(op.slice().state_a_len(), 1);
         // …and a propagated male from the previous slice probes it.
         op.process(0, b(4, 0).with_role(TupleRole::Male).into(), &mut ctx);
         assert_eq!(results_of(&mut ctx), vec![(4, 3)]);
@@ -220,8 +220,8 @@ mod tests {
             let mut run = vec![b(20, 0).into(), b(21, 0).into()];
             op.process_batch(0, &mut run, &mut ctx);
         }
-        assert_eq!(op.results(), 30);
-        assert_eq!(op.batch_results(), 0);
+        assert_eq!(op.slice().results(), 30);
+        assert_eq!(op.slice().batch_results(), 0);
     }
 
     #[test]
@@ -240,7 +240,7 @@ mod tests {
         let (rows, rest) = rows_then_batches(&mut ctx);
         assert!(rows.is_empty());
         assert_eq!(rest, vec![Ok(joined_all(&[10, 11, 12, 13])), Err(())]);
-        assert_eq!(op.batch_results(), 16);
+        assert_eq!(op.slice().batch_results(), 16);
         // Run 2 is dense too: one batch per stretch between punctuations,
         // each flushed before the punctuation that follows it — the
         // interleaved one and the run's coalesced one.
@@ -263,12 +263,12 @@ mod tests {
                 Err(())
             ]
         );
-        assert_eq!(op.results(), 32);
-        assert_eq!(op.batch_results(), 32);
+        assert_eq!(op.slice().results(), 32);
+        assert_eq!(op.slice().batch_results(), 32);
         // 4 < 16: run 3 is on rows, whatever came before it.
         op.process(0, b(24, 0).into(), &mut ctx);
         assert_eq!(results_of(&mut ctx).len(), 4);
-        assert_eq!(op.batch_results(), 32);
+        assert_eq!(op.slice().batch_results(), 32);
     }
 
     #[test]
@@ -294,7 +294,7 @@ mod tests {
         want.push(Err(()));
         assert_eq!(want.len(), 12);
         assert_eq!(got, want);
-        assert_eq!(op.batch_results(), 20);
+        assert_eq!(op.slice().batch_results(), 20);
     }
 
     #[test]

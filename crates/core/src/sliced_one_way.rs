@@ -57,11 +57,11 @@ mod tests {
     fn inserts_a_and_probes_with_b() {
         let mut op = new_slice(0, 2);
         feed(&mut op, [a(1), a(2), a(3)]);
-        assert_eq!(op.state_len(), 3);
+        assert_eq!(op.slice().state_len(), 3);
         // a@1, a@2 expire (diff >= 2) and go to the next slice; a@3 joins.
         assert_eq!(feed(&mut op, [b(4)]).0, vec![(4, 1)]);
-        assert_eq!(op.state_len(), 1);
-        assert_eq!(op.results(), 1);
+        assert_eq!(op.slice().state_len(), 1);
+        assert_eq!(op.slice().results(), 1);
         assert_eq!(op.peak_state(), 3);
     }
 
@@ -109,7 +109,7 @@ mod tests {
         ] {
             op.process(0, t.into(), &mut ctx);
         }
-        assert_eq!(op.results(), 1);
+        assert_eq!(op.slice().results(), 1);
         // The hash index narrows the probe to the key-7 bucket: one
         // comparison instead of one per stored tuple.
         assert_eq!(ctx.counters.probe_comparisons, 1);
@@ -129,7 +129,7 @@ mod tests {
         let mut j2 = new_slice(2, 4).last_in_chain();
         let (j1_results, queue) = feed(&mut j1, [a(1), a(2), a(3), b(4), b(5)]);
         // J1 keeps only tuples younger than 2 s: b2@5 purged even a3@3.
-        assert_eq!(j1.state_len(), 0);
+        assert_eq!(j1.slice().state_len(), 0);
         // The logical queue holds, in emission order, the purged a tuples and
         // the propagated b tuples: a1, a2, b1, a3, b2.
         let queue_ts: Vec<u64> = queue.iter().map(|t| secs(t.ts)).collect();

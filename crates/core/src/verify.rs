@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use streamkit::ops::slice_join::SliceChain;
 use streamkit::tuple::{StreamId, Tuple};
 use streamkit::{Plan, TimeDelta, Timestamp};
 
@@ -83,14 +84,13 @@ pub fn expected_fingerprints(expected: &[ResultKey]) -> Vec<(Timestamp, TimeDelt
     keys
 }
 
-/// Switch every slice join of `plan` to linear-scan probes, keeping its
+/// Switch every run store of `plan` to linear-scan probes, keeping its
 /// stored tuples: the unindexed reference the index-equivalence suites
 /// compare the hash- and band-indexed chains against
-/// ([`drop_index`](streamkit::ops::SliceJoinOp::drop_index)).  A plan rebuilt
-/// later (a live migration's new plan) is indexed again, so apply this after
-/// every rebuild.
+/// ([`SliceChain::drop_index`]).  A plan rebuilt later (a live migration's
+/// new plan) is indexed again, so apply this after every rebuild.
 pub fn scan_only(plan: &mut Plan) {
-    plan.slice_joins_mut().for_each(|op| op.drop_index());
+    plan.slice_chains_mut().for_each(SliceChain::drop_index);
 }
 
 #[cfg(test)]

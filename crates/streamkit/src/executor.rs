@@ -30,10 +30,11 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use crate::checkpoint::{NodeState, WindowState};
+use crate::checkpoint::WindowState;
 use crate::error::{Result, StreamError};
 use crate::fault::{FaultKind, FaultPlan, FAULT_PANIC_PREFIX};
 use crate::operator::{OpContext, Operator, PortId};
+use crate::ops::slice_join::SliceChain;
 use crate::plan::Plan;
 use crate::queue::{Queue, StreamItem};
 use crate::scheduler::{RoundRobinScheduler, Scheduler};
@@ -633,26 +634,28 @@ impl Executor {
     }
 
     /// Restore `states`, one per slice in chain order, into a drained plan
-    /// through each slice's own [`Operator::restore_state`], which refuses a
-    /// window that is not its own.  A slice already holding its state is
-    /// left alone, index included.
+    /// through each node's [`SliceChain::restore`], which refuses a window
+    /// that is not its slice's.  A store already holding its slices' tuples
+    /// is left alone, index included.
     pub(crate) fn restore_window_states(&mut self, states: Vec<WindowState>) -> Result<()> {
         if !self.is_drained() {
             return Err(StreamError::Execution(
                 "cannot restore slice states with items still queued; drain first".to_string(),
             ));
         }
-        let slices: Vec<_> = self.plan.slice_joins_mut().collect();
-        if slices.len() != states.len() {
+        let slices = self.plan.slice_joins().count();
+        if slices != states.len() {
             return Err(StreamError::Execution(format!(
-                "restored a chain of {} slices into a plan of {}",
+                "restored a chain of {} slices into a plan of {slices}",
                 states.len(),
-                slices.len()
             )));
         }
-        for (slice, state) in slices.into_iter().zip(states) {
-            if slice.window_state() != state {
-                slice.restore_state(NodeState::Window(state))?;
+        let mut states = states.into_iter();
+        for node in self.plan.nodes_mut_internal() {
+            let name = node.operator.name().to_string();
+            if let Some(chain) = node.operator.slice_chain_mut() {
+                let n = chain.len();
+                chain.restore(&name, states.by_ref().take(n).collect())?;
             }
         }
         Ok(())
@@ -735,11 +738,13 @@ impl Executor {
         for (i, node) in self.plan.nodes().iter().enumerate() {
             self.peak_state[i] = self.peak_state[i].max(node.operator.state_size());
             self.peak_state_bytes[i] = self.peak_state_bytes[i].max(node.operator.state_bytes());
-            for (peak, part) in self.part_peaks[i]
-                .iter_mut()
-                .zip(node.operator.slice_joins())
-            {
-                peak.0 = peak.0.max(part.state_size());
+            let parts = node
+                .operator
+                .slice_chain()
+                .into_iter()
+                .flat_map(SliceChain::iter);
+            for (peak, part) in self.part_peaks[i].iter_mut().zip(parts) {
+                peak.0 = peak.0.max(part.state_len());
                 peak.1 = peak.1.max(part.state_bytes());
             }
         }
@@ -1035,14 +1040,18 @@ impl Executor {
                 counters: own,
                 ..NodeStats::default()
             });
-            for ((part, counters), &(peak, peak_bytes)) in
-                op.slice_joins().iter().zip(parts).zip(&self.part_peaks[i])
+            for ((part, counters), &(peak, peak_bytes)) in op
+                .slice_chain()
+                .into_iter()
+                .flat_map(SliceChain::iter)
+                .zip(parts)
+                .zip(&self.part_peaks[i])
             {
                 node_stats.push(NodeStats {
                     name: part.name().to_string(),
                     counters: *counters,
-                    state_tuples: part.state_size(),
-                    peak_state_tuples: peak.max(part.state_size()),
+                    state_tuples: part.state_len(),
+                    peak_state_tuples: peak.max(part.state_len()),
                     state_bytes: part.state_bytes(),
                     peak_state_bytes: peak_bytes.max(part.state_bytes()),
                 });

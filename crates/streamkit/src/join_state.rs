@@ -47,6 +47,21 @@
 //! to a linear scan over the time-ordered store, which is exactly the
 //! pre-index behaviour.
 //!
+//! ## One store for a run of slices
+//!
+//! A chain's slices are disjoint age ranges of one window (Definition 1,
+//! Theorem 1), so a [`RunStore`] keeps one stream's tuples for a whole run
+//! of consecutive slices — every slice of a chain for stream B, the slices
+//! between two lineage gates for stream A — in one `JoinState`, each slice a
+//! range of sequence numbers that starts at a cursor.  A tuple a slice
+//! purges into the next slice of the run moves by a cursor step; only the
+//! run's last slice pops.  A probe makes one index lookup for the run and
+//! sends each candidate to its slice by sequence number: a hash chain yields
+//! each slice's entries in time order and the band index in `(key bits,
+//! sequence)` order, as a state of the slice's own would.  The purge-time
+//! shrink ([`JoinState::purge_expired`]) acts where the run pops, on the
+//! whole run's queue.
+//!
 //! ## Correctness of the bucket mapping
 //!
 //! Candidate filtering must never produce *false negatives*: two key values
@@ -81,6 +96,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::predicate::{band_bounds, BandProbe, JoinCondition};
@@ -629,8 +645,17 @@ impl JoinState {
 
     /// The stored tuple with sequence number `seq`.
     fn get(&self, seq: u64) -> Option<&Tuple> {
-        let slot = self.tuples.get(seq.checked_sub(self.head_seq)? as usize)?;
-        Some(&slot.tuple)
+        Some(&self.stored(seq)?.tuple)
+    }
+
+    /// The stored tuple with sequence number `seq`, with its heap bytes.
+    fn stored(&self, seq: u64) -> Option<&StoredTuple> {
+        self.tuples.get(seq.checked_sub(self.head_seq)? as usize)
+    }
+
+    /// Sequence number the next pushed tuple gets.
+    fn next_seq(&self) -> u64 {
+        self.head_seq + self.tuples.len() as u64
     }
 
     /// Estimated bytes resident in the stored tuples (inline slots + heap
@@ -656,7 +681,7 @@ impl JoinState {
     /// handed on brings them along.
     pub fn push(&mut self, stored: impl Into<StoredTuple>) {
         let mut stored = stored.into();
-        let seq = self.head_seq + self.tuples.len() as u64;
+        let seq = self.next_seq();
         self.index.insert(seq, self.head_seq, &mut stored.tuple);
         self.heap_bytes += stored.heap_bytes;
         self.tuples.push_back(stored);
@@ -788,17 +813,33 @@ impl JoinState {
     ///
     /// A purge that leaves the window under a quarter of the queue's
     /// capacity shrinks the queue (and the hash links beside it) to twice
-    /// the window, never below `MIN_KEPT_SLOTS` (64), so a slice that bursts
-    /// once does not hold its high-water buffer for the rest of the run.
+    /// the window, never below `MIN_KEPT_SLOTS` (64), so a state that bursts
+    /// once does not hold its high-water buffer for the rest of the run.  In
+    /// a [`RunStore`] this acts when the run's last slice pops, on the
+    /// queue of the whole run.
     /// The quarter, the factor two and the floor are untuned: no benchmark
     /// metric yet reads what a state holds after a burst.
     pub fn purge_expired(
         &mut self,
+        is_expired: impl FnMut(&Tuple) -> bool,
+        on_expired: impl FnMut(StoredTuple),
+    ) -> u64 {
+        self.purge_before(u64::MAX, is_expired, on_expired)
+    }
+
+    /// [`JoinState::purge_expired`] over the entries numbered below `end`
+    /// only: the oldest slice of a [`RunStore`].
+    fn purge_before(
+        &mut self,
+        end: u64,
         mut is_expired: impl FnMut(&Tuple) -> bool,
         mut on_expired: impl FnMut(StoredTuple),
     ) -> u64 {
         let mut comparisons = 0;
-        while let Some(front) = self.front() {
+        while self.head_seq < end {
+            let Some(front) = self.front() else {
+                break;
+            };
             comparisons += 1;
             if !is_expired(front) {
                 break;
@@ -817,9 +858,7 @@ impl JoinState {
         comparisons
     }
 
-    /// Drain every stored tuple, oldest first, resetting the index (how a
-    /// slice re-indexes its state in another mode,
-    /// [`SliceJoinOp::drop_index`](crate::ops::SliceJoinOp::drop_index)).
+    /// Drain every stored tuple, oldest first, resetting the index.
     pub fn drain_ordered(&mut self) -> Vec<Tuple> {
         self.index = self.index.emptied();
         self.heap_bytes = 0;
@@ -849,6 +888,188 @@ impl JoinState {
     }
 }
 
+/// One stream's state for a run of consecutive chain slices: one
+/// time-ordered [`JoinState`] whose sequence numbers the slices share out as
+/// disjoint ranges (by Definition 1 and Theorem 1, a chain's slices are
+/// disjoint age ranges of one window).  Part 0 is the run's first slice and
+/// holds the newest tuples, at the back; the last part is the run's last
+/// slice and holds the oldest, at the front.
+///
+/// A part is its first sequence number — a cursor — with its heap bytes kept
+/// beside it, so a tuple one slice purges into the next slice of the run
+/// moves by a cursor step: no pop, no unlink, no push.  Only the last part
+/// pops, and there the purge-time shrink of [`JoinState::purge_expired`]
+/// acts, on the whole run's queue.  One probe serves every part: candidates
+/// come in the index's order, and each part's share of them comes in the
+/// order a state of its own would yield — time order along a hash chain,
+/// `(key bits, sequence)` order along the band index.
+#[derive(Debug)]
+pub struct RunStore {
+    state: JoinState,
+    /// `starts[j]`: the first sequence number of part `j`, for every part
+    /// but the last, which starts at the state's oldest entry.
+    starts: Vec<u64>,
+    /// `heap_bytes[j]`: the heap payload bytes of part `j`'s tuples.
+    heap_bytes: Vec<usize>,
+}
+
+impl RunStore {
+    /// An empty store of `parts` (at least one) slices over the empty
+    /// `state`, whose index mode it keeps.
+    pub fn new(state: JoinState, parts: usize) -> RunStore {
+        RunStore {
+            starts: vec![state.next_seq(); parts.saturating_sub(1)],
+            heap_bytes: vec![0; parts],
+            state,
+        }
+    }
+
+    /// Number of parts (slices).
+    pub fn parts(&self) -> usize {
+        self.heap_bytes.len()
+    }
+
+    /// The sequence numbers of part `j`.
+    fn range(&self, j: usize) -> Range<u64> {
+        let start = self.starts.get(j).copied().unwrap_or(self.state.head_seq);
+        let end = match j {
+            0 => self.state.next_seq(),
+            _ => self.starts[j - 1],
+        };
+        start..end
+    }
+
+    /// Number of tuples in part `j`.
+    pub fn part_len(&self, j: usize) -> usize {
+        let range = self.range(j);
+        (range.end - range.start) as usize
+    }
+
+    /// Estimated bytes resident in part `j`'s tuples, counted as
+    /// [`JoinState::live_bytes`] counts a state's.
+    pub fn part_bytes(&self, j: usize) -> usize {
+        self.part_len(j) * std::mem::size_of::<Tuple>() + self.heap_bytes[j]
+    }
+
+    /// Part `j`'s tuples, oldest first.
+    pub fn part(&self, j: usize) -> impl Iterator<Item = &Tuple> {
+        let range = self.range(j);
+        let head = self.state.head_seq;
+        self.state
+            .tuples
+            .range((range.start - head) as usize..(range.end - head) as usize)
+            .map(|s| &s.tuple)
+    }
+
+    /// The run's state: every part's tuples, oldest first, and the index.
+    pub fn state(&self) -> &JoinState {
+        &self.state
+    }
+
+    /// [`JoinState::index_matches_rebuild`], and the cursors in order inside
+    /// the store with each part's heap bytes those of its tuples.
+    pub fn index_matches_rebuild(&self) -> bool {
+        let (head, next) = (self.state.head_seq, self.state.next_seq());
+        let ordered = self.starts.windows(2).all(|w| w[0] >= w[1])
+            && self.starts.first().is_none_or(|&start| start <= next)
+            && self.starts.last().is_none_or(|&start| start >= head);
+        ordered
+            && (0..self.parts())
+                .all(|j| self.part(j).map(Tuple::heap_bytes).sum::<usize>() == self.heap_bytes[j])
+            && self.state.index_matches_rebuild()
+    }
+
+    /// Insert a tuple into part 0 ([`JoinState::push`]).
+    pub fn push(&mut self, stored: impl Into<StoredTuple>) {
+        let stored = stored.into();
+        self.heap_bytes[0] += stored.heap_bytes;
+        self.state.push(stored);
+    }
+
+    /// Cross-purge part `j`: while its oldest tuple `is_expired`, move it
+    /// into part `j + 1` by a cursor step or, from the last part, pop it
+    /// and hand it, with its heap bytes, to `on_popped`.  Returns the front
+    /// checks made — one per purged tuple plus one for the first survivor,
+    /// none on an empty part — and the number of tuples purged.
+    pub fn purge(
+        &mut self,
+        j: usize,
+        mut is_expired: impl FnMut(&Tuple) -> bool,
+        mut on_popped: impl FnMut(StoredTuple),
+    ) -> (u64, u64) {
+        let end = self.range(j).end;
+        if j + 1 == self.parts() {
+            let heap = &mut self.heap_bytes[j];
+            let mut popped = 0;
+            let comparisons = self.state.purge_before(end, is_expired, |stored| {
+                popped += 1;
+                *heap -= stored.heap_bytes;
+                on_popped(stored);
+            });
+            return (comparisons, popped);
+        }
+        let (start, mut at, mut moved_bytes, mut comparisons) =
+            (self.starts[j], self.starts[j], 0, 0);
+        while at < end {
+            let Some(stored) = self.state.stored(at) else {
+                break;
+            };
+            comparisons += 1;
+            if !is_expired(&stored.tuple) {
+                break;
+            }
+            moved_bytes += stored.heap_bytes;
+            at += 1;
+        }
+        self.starts[j] = at;
+        self.heap_bytes[j] -= moved_bytes;
+        self.heap_bytes[j + 1] += moved_bytes;
+        (comparisons, at - start)
+    }
+
+    /// The candidates an arriving `probe` has to be evaluated against
+    /// ([`JoinState::probe_candidates`]), each with its part.
+    pub fn probe_candidates<'a>(
+        &'a self,
+        probe: &Tuple,
+    ) -> impl Iterator<Item = (usize, &'a Tuple)> + 'a {
+        let mut candidates = self.state.probe_candidates(probe);
+        std::iter::from_fn(move || {
+            let (seq, tuple) = candidates.next_entry()?;
+            Some((self.starts.partition_point(|&start| start > seq), tuple))
+        })
+    }
+
+    /// Replace the contents with `parts` (part 0 first, each in timestamp
+    /// order), rebuilding the index ([`JoinState::load_ordered`]) and the
+    /// cursors.
+    pub fn load(&mut self, parts: Vec<Vec<Tuple>>) {
+        debug_assert_eq!(parts.len(), self.parts());
+        self.heap_bytes = parts
+            .iter()
+            .map(|part| part.iter().map(Tuple::heap_bytes).sum())
+            .collect();
+        let mut older = 0;
+        for j in (0..parts.len()).rev() {
+            if let Some(start) = self.starts.get_mut(j) {
+                *start = older;
+            }
+            older += parts[j].len() as u64;
+        }
+        self.state
+            .load_ordered(parts.into_iter().rev().flatten().collect());
+    }
+
+    /// Drop the index and probe by linear scan, keeping every part.
+    pub fn drop_index(&mut self) {
+        let parts = (0..self.parts())
+            .map(|j| self.part(j).cloned().collect())
+            .collect();
+        self.state = JoinState::linear();
+        self.load(parts);
+    }
+}
+
 /// Iterator over probe candidates (see [`JoinState::probe_candidates`]).
 #[derive(Debug)]
 pub struct Candidates<'a> {
@@ -858,7 +1079,12 @@ pub struct Candidates<'a> {
 #[derive(Debug)]
 enum CandidatesInner<'a> {
     Empty,
-    All(std::collections::vec_deque::Iter<'a, StoredTuple>),
+    All(
+        std::iter::Zip<
+            std::ops::RangeFrom<u64>,
+            std::collections::vec_deque::Iter<'a, StoredTuple>,
+        >,
+    ),
     Indexed {
         state: &'a JoinState,
         /// The hash index's `next` links.
@@ -883,18 +1109,16 @@ impl<'a> Candidates<'a> {
 
     fn all(state: &'a JoinState) -> Candidates<'a> {
         Candidates {
-            inner: CandidatesInner::All(state.tuples.iter()),
+            inner: CandidatesInner::All((state.head_seq..).zip(state.tuples.iter())),
         }
     }
-}
 
-impl<'a> Iterator for Candidates<'a> {
-    type Item = &'a Tuple;
-
-    fn next(&mut self) -> Option<&'a Tuple> {
+    /// The next candidate with its sequence number.
+    pub(crate) fn next_entry(&mut self) -> Option<(u64, &'a Tuple)> {
+        let entry = |state: &'a JoinState, seq| Some((seq, state.get(seq)?));
         match &mut self.inner {
             CandidatesInner::Empty => None,
-            CandidatesInner::All(iter) => iter.next().map(|s| &s.tuple),
+            CandidatesInner::All(iter) => iter.next().map(|(seq, s)| (seq, &s.tuple)),
             CandidatesInner::Indexed {
                 state,
                 links,
@@ -904,14 +1128,14 @@ impl<'a> Iterator for Candidates<'a> {
                 // The key's chain (time order), then the `NaN` list.  Both
                 // hold live entries only, so every sequence number resolves.
                 if *cursor == NO_NEXT {
-                    return state.get(*extra.next()?);
+                    return entry(state, *extra.next()?);
                 }
                 let seq = *cursor;
                 *cursor = links
                     .get((seq - state.head_seq) as usize)
                     .copied()
                     .unwrap_or(NO_NEXT);
-                state.get(seq)
+                entry(state, seq)
             }
             CandidatesInner::Band {
                 state,
@@ -925,9 +1149,17 @@ impl<'a> Iterator for Candidates<'a> {
                     Some(&(_, seq)) => seq,
                     None => *extra.next()?,
                 };
-                state.get(seq)
+                entry(state, seq)
             }
         }
+    }
+}
+
+impl<'a> Iterator for Candidates<'a> {
+    type Item = &'a Tuple;
+
+    fn next(&mut self) -> Option<&'a Tuple> {
+        self.next_entry().map(|(_, tuple)| tuple)
     }
 }
 

@@ -8,7 +8,8 @@
 
 use crate::checkpoint::NodeState;
 use crate::error::{Result, StreamError};
-use crate::ops::{SinkOp, SliceJoinOp};
+use crate::ops::slice_join::SliceChain;
+use crate::ops::SinkOp;
 use crate::queue::StreamItem;
 use crate::stats::CostCounters;
 
@@ -71,7 +72,7 @@ impl OpContext {
 /// [`Operator::restore_state`]) — the path checkpoints and hot-key
 /// replication reach a node's state by.  Code that needs a concrete operator
 /// asks through the typed accessors ([`Operator::as_sink`],
-/// [`Operator::slice_joins`]).
+/// [`Operator::slice_chain`]).
 pub trait Operator: Send {
     /// Human-readable operator name (used in reports).
     fn name(&self) -> &str;
@@ -181,20 +182,21 @@ pub trait Operator: Send {
         None
     }
 
-    /// The slice joins this operator runs, in chain order: itself for a
-    /// standalone slice, its slice cores for a sliced chain, none otherwise.
-    fn slice_joins(&self) -> &[SliceJoinOp] {
-        &[]
+    /// The slices this operator runs, with their stored tuples: its one
+    /// slice for a standalone slice join, every slice of a sliced chain,
+    /// `None` otherwise.
+    fn slice_chain(&self) -> Option<&SliceChain> {
+        None
     }
 
-    /// The slice joins this operator runs, mutably (see
-    /// [`Operator::slice_joins`]).
-    fn slice_joins_mut(&mut self) -> &mut [SliceJoinOp] {
-        &mut []
+    /// The slices this operator runs, mutably (see
+    /// [`Operator::slice_chain`]).
+    fn slice_chain_mut(&mut self) -> Option<&mut SliceChain> {
+        None
     }
 
     /// Cumulative counters of the parts of this operator that reports list
-    /// as nodes of their own — one per [`Operator::slice_joins`] entry for a
+    /// as nodes of their own — one per [`Operator::slice_chain`] slice for a
     /// sliced chain — or none when the operator reports as one node.  The
     /// executor attributes each call's whole counters to the node and
     /// reports the node's share net of its parts.

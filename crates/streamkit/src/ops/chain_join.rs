@@ -5,17 +5,21 @@
 //! chain inside one operator, the way block-at-a-time engines fuse the
 //! operators of a block into one value whose calls are static:
 //!
-//! * the slices are [`SliceJoinOp`] cores, and each input tuple walks
-//!   through all of them before the next one starts: at each slice it
-//!   purges the opposite state ([`SliceJoinOp::probe`]), each purged tuple
-//!   goes straight into the next slice's state ([`SliceJoinOp::store`]), and
-//!   then it probes the slice by reference; a regular arrival's female copy
-//!   is stored in the head after its walk.  Every slice still sees the
-//!   tuples purged ahead of a probe before that probe (Figure 9's emission
-//!   order), so each slice's results, counters and states are those of a
-//!   slice-by-slice pass over the run.  A slice's result rows go into a
-//!   column buffer the chain owns and drains after every call, keeping its
-//!   capacity;
+//! * the slices are a [`SliceChain`]: each input tuple walks through all of
+//!   them before the next one starts (`SliceChain::walk`).  Per stream,
+//!   the stored tuples of each run of slices that no lineage gate splits
+//!   live in one time-ordered [`RunStore`], each slice a cursor range of it:
+//!   stream B is one store for the whole chain, and stream A's store splits
+//!   at each gated slice.  At each slice the tuple purges the opposite
+//!   stream — a cursor step inside a run, a pop, the gate's check and a push
+//!   across a run boundary — and after its last slice it probes each store
+//!   it reached once, every candidate counted and joined as its own slice's.
+//!   A regular arrival's female copy is stored in the head after its walk.
+//!   Every slice still sees the tuples purged ahead of a probe before that
+//!   probe (Figure 9's emission order), so each slice's results, counters
+//!   and states are those of a slice-by-slice pass over the run.  A slice's
+//!   result rows go into a column buffer the chain owns and drains after
+//!   every call, keeping its capacity;
 //! * the lineage gate in front of slice `k` (Section 6's σ'_k), checked as a
 //!   tuple — walking or purged — reaches the slice, drops the stream-A
 //!   tuples whose lineage is below its level, at no comparison;
@@ -40,6 +44,15 @@
 //! input moves past it (or the end-of-run flush), because the next run may
 //! still bring tuples of that timestamp and their rows must merge with these
 //! for ties to go to the lower slice however the runs are cut.
+//!
+//! A checkpoint holds the chain as one [`WindowState`] per slice
+//! (`NodeState::Chain`): capture splits each store at its cursors, and
+//! restore refuses another slicing before it rebuilds any store from its
+//! slices' tuples, so migrations, hot-key moves and recovery re-cut slices
+//! as data, whatever the stores are.
+//!
+//! [`RunStore`]: crate::join_state::RunStore
+//! [`WindowState`]: crate::checkpoint::WindowState
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -47,9 +60,8 @@ use std::collections::BinaryHeap;
 use crate::checkpoint::NodeState;
 use crate::columnar::{eval_predicate_into, gather_rows, ColumnBatch};
 use crate::error::{Result, StreamError};
-use crate::join_state::StoredTuple;
 use crate::operator::{OpContext, Operator, PortId};
-use crate::ops::slice_join::{SliceJoinOp, SliceResults, COLUMNAR_MIN_RUN_RESULTS};
+use crate::ops::slice_join::{SliceChain, SliceJoinOp, SliceResults, COLUMNAR_MIN_RUN_RESULTS};
 use crate::predicate::Predicate;
 use crate::queue::StreamItem;
 use crate::stats::CostCounters;
@@ -73,10 +85,8 @@ struct Branch {
 #[derive(Debug)]
 pub struct ChainJoinOp {
     name: String,
-    slices: Vec<SliceJoinOp>,
-    /// `min_level[k]`: the lineage a stream-A tuple needs to enter slice `k`
-    /// (0: slice `k` has no gate).
-    min_level: Vec<u32>,
+    /// The slices, their lineage gates and their run stores.
+    slices: SliceChain,
     /// `branches[k]`: the queries slice `k`'s results feed.
     branches: Vec<Vec<Branch>>,
     /// Cumulative counters of each slice, reported as nodes of their own.
@@ -114,9 +124,9 @@ impl ChainJoinOp {
     /// gates and no branches.
     pub fn new(name: impl Into<String>, slices: Vec<SliceJoinOp>, queries: usize) -> Self {
         let n = slices.len();
+        let slices = SliceChain::new(slices.into_iter().map(SliceJoinOp::into_core).collect());
         ChainJoinOp {
             name: name.into(),
-            min_level: vec![0; n],
             branches: (0..n).map(|_| Vec::new()).collect(),
             slice_counters: vec![CostCounters::default(); n],
             results: (0..n).map(|_| SliceResults::default()).collect(),
@@ -143,7 +153,7 @@ impl ChainJoinOp {
     ///
     /// Panics if the chain has no slice `slice`: a plan construction bug.
     pub fn gate(mut self, slice: usize, min_level: u32) -> Self {
-        self.min_level[slice] = min_level;
+        self.slices.set_gate(slice, min_level);
         self
     }
 
@@ -178,7 +188,7 @@ impl ChainJoinOp {
 
     /// The lineage level slice `slice`'s gate requires (0: no gate).
     pub fn min_level(&self, slice: usize) -> u32 {
-        self.min_level[slice]
+        self.slices.min_level(slice)
     }
 
     /// Walk every input tuple through the chain and deliver each query's
@@ -227,73 +237,35 @@ impl ChainJoinOp {
         self.deliver(false, ctx);
     }
 
-    /// Walk one input tuple through the slices, counting into
-    /// `run_counters` and counting in `gated` the tuples the gates check.
-    ///
-    /// At slice `k` the tuple purges the opposite state, and each purged
-    /// tuple goes straight into slice `k + 1`'s state unless its gate drops
-    /// it; the tuple then probes slice `k` and walks on unless slice
-    /// `k + 1`'s gate drops it.  A female is only stored in the head, and a
-    /// regular arrival's female copy is stored there after the walk, which
-    /// no later slice's state can see.
+    /// Walk one input tuple through the chain (`SliceChain::walk`),
+    /// counting into `run_counters` and counting in `gated` the tuples the
+    /// gates check.  A female is only stored in the head, and a regular
+    /// arrival's female copy is stored there after the walk, which no later
+    /// slice's state can see.
     fn walk(&mut self, mut t: Tuple, gated: &mut u64) {
         let ChainJoinOp {
             slices,
-            min_level,
             results,
             run_counters: counters,
             ..
         } = self;
-        let passes = |t: &Tuple, level: u32| t.stream != StreamId::A || t.lineage >= level;
-        if min_level[0] > 0 {
+        let level = slices.min_level(0);
+        if level > 0 {
             *gated += 1;
-            if !passes(&t, min_level[0]) {
+            if t.stream == StreamId::A && t.lineage < level {
                 return;
             }
         }
         counters[0].tuples_processed += 1;
-        let role = slices[0].arrive(&mut t);
-        if role == TupleRole::Female {
-            return slices[0].store(t);
-        }
-        for k in 0..slices.len() {
-            let (walked, rest) = slices.split_at_mut(k + 1);
-            let slice = &mut walked[k];
-            let has_next = slice.has_next();
-            let mut next = rest.first_mut().filter(|_| has_next);
-            let level = min_level.get(k + 1).copied().unwrap_or(0);
-            let (mut purged, mut entered) = (0, 0);
-            let forward = |stored: StoredTuple| {
-                purged += 1;
-                match &mut next {
-                    Some(next) if passes(&stored.tuple, level) => {
-                        entered += 1;
-                        next.store(stored);
-                    }
-                    _ => {}
-                }
-            };
-            slice.probe(&t, forward, &mut results[k], &mut counters[k]);
-            if !has_next {
-                break;
+        let role = slices.arrive(&mut t);
+        if role != TupleRole::Female {
+            slices.walk(&t, results, counters, gated, |_| {});
+            if role == TupleRole::Male {
+                return;
             }
-            counters[k].items_emitted += purged + 1;
-            if next.is_none() {
-                break;
-            }
-            if level > 0 {
-                *gated += purged + 1;
-            }
-            counters[k + 1].tuples_processed += entered;
-            if !passes(&t, level) {
-                break;
-            }
-            counters[k + 1].tuples_processed += 1;
-        }
-        if role == TupleRole::Regular {
             t.role = TupleRole::Female;
-            slices[0].store(t);
         }
+        slices.store(t);
     }
 
     /// Record, for every query slice `k` feeds, which of the slice's rows
@@ -462,7 +434,7 @@ impl ChainJoinOp {
             }
         }
         if columnar {
-            for (slice, &rows) in slices.iter_mut().zip(ends.iter()) {
+            for (slice, &rows) in slices.cores.iter_mut().zip(ends.iter()) {
                 slice.batch_results += rows as u64;
             }
             gather_rows(&sources, order, |batch| ctx.emit(q, batch));
@@ -501,15 +473,15 @@ impl Operator for ChainJoinOp {
     }
 
     fn state_size(&self) -> usize {
-        self.slices.iter().map(SliceJoinOp::state_len).sum()
+        self.slices.state_len()
     }
 
     fn state_bytes(&self) -> usize {
-        self.slices.iter().map(|s| s.state_bytes()).sum()
+        self.slices.live_bytes()
     }
 
     fn state_capacity_bytes(&self) -> usize {
-        self.slices.iter().map(|s| s.state_capacity_bytes()).sum()
+        self.slices.capacity_bytes()
     }
 
     /// The slices' window states.  Rows still held for the merge mean the
@@ -523,48 +495,24 @@ impl Operator for ChainJoinOp {
                 self.name
             )));
         }
-        Ok(NodeState::Chain(
-            self.slices.iter().map(SliceJoinOp::window_state).collect(),
-        ))
+        Ok(NodeState::Chain(self.slices.window_states()))
     }
 
-    /// Restore every slice's window state, refusing a chain cut into other
-    /// slices before touching any slice.
+    /// Restore every slice's window state ([`SliceChain::restore`]),
+    /// refusing a chain cut into other slices before touching any store.
     fn restore_state(&mut self, state: NodeState) -> Result<()> {
         let NodeState::Chain(states) = state else {
             return Err(state.mismatch(&self.name));
         };
-        if states.len() != self.slices.len() {
-            return Err(StreamError::Checkpoint(format!(
-                "chain '{}' has {} slices but the checkpoint holds {}",
-                self.name,
-                self.slices.len(),
-                states.len()
-            )));
-        }
-        for (slice, state) in self.slices.iter().zip(&states) {
-            if slice.window() != state.window {
-                return Err(StreamError::Checkpoint(format!(
-                    "window state of slice {} cannot restore into '{}' of chain '{}' over {}",
-                    state.window,
-                    slice.name(),
-                    self.name,
-                    slice.window()
-                )));
-            }
-        }
-        for (slice, state) in self.slices.iter_mut().zip(states) {
-            slice.restore_state(NodeState::Window(state))?;
-        }
-        Ok(())
+        self.slices.restore(&self.name, states)
     }
 
-    fn slice_joins(&self) -> &[SliceJoinOp] {
-        &self.slices
+    fn slice_chain(&self) -> Option<&SliceChain> {
+        Some(&self.slices)
     }
 
-    fn slice_joins_mut(&mut self) -> &mut [SliceJoinOp] {
-        &mut self.slices
+    fn slice_chain_mut(&mut self) -> Option<&mut SliceChain> {
+        Some(&mut self.slices)
     }
 
     fn part_counters(&self) -> &[CostCounters] {
@@ -575,8 +523,11 @@ impl Operator for ChainJoinOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::slice_join::{PORT_NEXT_SLICE, PORT_RESULTS};
+    use crate::checkpoint::WindowState;
+    use crate::join_state::{JoinState, RunStore};
+    use crate::ops::slice_join::{SliceRef, PORT_NEXT_SLICE, PORT_RESULTS};
     use crate::ops::{RouteTarget, RouterOp, SelectOp, UnionOp};
+    use crate::predicate::CmpOp;
     use crate::predicate::JoinCondition;
     use crate::punctuation::Punctuation;
     use crate::tuple::{Tuple, Value};
@@ -595,7 +546,22 @@ mod tests {
         Predicate::gt(1, 40i64)
     }
 
-    fn slices() -> Vec<SliceJoinOp> {
+    /// A band join: A's value (field 1) inside B's `[value − 30, value + 30]`
+    /// (fields 2 and 3), stated from both sides as the band workload does.
+    fn band() -> JoinCondition {
+        let theta = |left_field, op, right_field| JoinCondition::Theta {
+            left_field,
+            op,
+            right_field,
+        };
+        let both = |a, b| JoinCondition::And(Box::new(a), Box::new(b));
+        both(
+            both(theta(1, CmpOp::Ge, 2), theta(1, CmpOp::Le, 3)),
+            both(theta(2, CmpOp::Le, 1), theta(3, CmpOp::Ge, 1)),
+        )
+    }
+
+    fn slices_over(condition: &JoinCondition) -> Vec<SliceJoinOp> {
         let last = CUTS.len() - 1;
         CUTS.iter()
             .enumerate()
@@ -603,7 +569,7 @@ mod tests {
                 let op = SliceJoinOp::for_ab(
                     format!("slice_{k}"),
                     SliceWindow::from_secs(start, end),
-                    JoinCondition::equi(0),
+                    condition.clone(),
                 );
                 match k {
                     0 => op.chain_head(),
@@ -628,8 +594,12 @@ mod tests {
     }
 
     fn chain() -> ChainJoinOp {
-        let mut chain = ChainJoinOp::new("chain", slices(), WINDOWS.len());
-        for (k, &level) in GATES.iter().enumerate().skip(1) {
+        chain_over(&JoinCondition::equi(0), &GATES)
+    }
+
+    fn chain_over(condition: &JoinCondition, gates: &[u32]) -> ChainJoinOp {
+        let mut chain = ChainJoinOp::new("chain", slices_over(condition), WINDOWS.len());
+        for (k, &level) in gates.iter().enumerate().skip(1) {
             chain = chain.gate(k, level);
         }
         for k in 0..CUTS.len() {
@@ -647,9 +617,12 @@ mod tests {
         let mut items = Vec::new();
         for i in 0..160u64 {
             let ts = Timestamp::from_millis(i * 500);
-            let a = Tuple::of_ints(ts, StreamId::A, &[(i % 2) as i64, (i * 37 % 100) as i64]);
+            let value = (i * 37 % 100) as i64;
+            let fields = [(i % 2) as i64, value, value - 30, value + 30];
+            let a = Tuple::of_ints(ts, StreamId::A, &fields);
             items.push(a.with_lineage((i % 4) as u32 + 1).into());
-            items.push(Tuple::of_ints(ts, StreamId::B, &[(i / 2 % 2) as i64, 0]).into());
+            let fields = [(i / 2 % 2) as i64, 0, i as i64 % 50, i as i64 % 50 + 60];
+            items.push(Tuple::of_ints(ts, StreamId::B, &fields).into());
             if i % 10 == 9 {
                 items.push(Punctuation::new(ts).into());
             }
@@ -679,12 +652,26 @@ mod tests {
     /// counting only what it forwarded to the next slice.
     type Reference = (Vec<Vec<Tuple>>, CostCounters, Vec<CostCounters>);
 
+    /// After each run of the reference plan: every standalone slice's
+    /// window state and cumulative counters.
+    type Trace = Vec<(Vec<WindowState>, Vec<CostCounters>)>;
+
     /// The plan the chain replaces, driven by hand as the executor drove it:
     /// each run through every slice, lineage gates in between, a router on
     /// the merged slice, selections on the σ branches, and each query's
     /// union taking each port's run whole, port after port.
     fn reference(runs: &[Vec<StreamItem>]) -> Reference {
-        let mut slices = slices();
+        let (delivered, counters, parts, _) = reference_over(runs, &JoinCondition::equi(0), &GATES);
+        (delivered, counters, parts)
+    }
+
+    fn reference_over(
+        runs: &[Vec<StreamItem>],
+        condition: &JoinCondition,
+        gates: &[u32],
+    ) -> (Vec<Vec<Tuple>>, CostCounters, Vec<CostCounters>, Trace) {
+        let mut slices = slices_over(condition);
+        let mut trace = Vec::new();
         let mut ctx = OpContext::new();
         let mut parts = vec![CostCounters::default(); CUTS.len()];
         let feeding: Vec<Vec<usize>> = (0..WINDOWS.len())
@@ -712,9 +699,9 @@ mod tests {
             let mut port_runs: Vec<Vec<Vec<StreamItem>>> =
                 feeding.iter().map(|f| vec![Vec::new(); f.len()]).collect();
             for k in 0..CUTS.len() {
-                if GATES[k] > 0 {
+                if gates[k] > 0 {
                     input.retain(|item| match item {
-                        StreamItem::Tuple(t) => t.stream != StreamId::A || t.lineage >= GATES[k],
+                        StreamItem::Tuple(t) => t.stream != StreamId::A || t.lineage >= gates[k],
                         _ => true,
                     });
                 }
@@ -753,6 +740,8 @@ mod tests {
                 }
                 delivered[q].extend(ctx.take_outputs().into_iter().map(|(_, i)| i));
             }
+            let states = slices.iter().map(|s| s.slice().window_state()).collect();
+            trace.push((states, parts.clone()));
         }
         for (q, union) in unions.iter_mut().enumerate() {
             union.flush(&mut ctx);
@@ -762,7 +751,7 @@ mod tests {
             .into_iter()
             .map(|items| rows_of(items).0)
             .collect();
-        (rows, ctx.counters, parts)
+        (rows, ctx.counters, parts, trace)
     }
 
     /// Both sides hold a timestamp's rows until the input moves past it, so
@@ -871,7 +860,7 @@ mod tests {
     fn forwarded_tuples_keep_each_slice_s_bytes_exact() {
         let mut chain = chain();
         let mut ctx = OpContext::new();
-        let recount = |slice: &SliceJoinOp| {
+        let recount = |slice: &SliceRef| {
             let (a, b) = slice.state_tuples();
             let slot = std::mem::size_of::<Tuple>();
             a.iter()
@@ -898,10 +887,10 @@ mod tests {
         for run in items.chunks(5) {
             chain.process_batch(0, &mut run.to_vec(), &mut ctx);
             ctx.take_outputs();
-            for slice in chain.slice_joins() {
-                assert_eq!(slice.state_bytes(), recount(slice), "{}", slice.name());
+            for slice in chain.slices.iter() {
+                assert_eq!(slice.state_bytes(), recount(&slice), "{}", slice.name());
                 let (a, b) = slice.state_tuples();
-                let long = |t: &&Tuple| t.values[2].as_str().is_some_and(|s| !s.is_empty());
+                let long = |t: &&Tuple| t.values[4].as_str().is_some_and(|s| !s.is_empty());
                 strings += a.iter().chain(&b).filter(long).count();
             }
         }
@@ -911,80 +900,141 @@ mod tests {
         assert!(heads[1].tuples_processed < heads[0].items_emitted);
     }
 
+    /// Each slice holds what its standalone twin holds, and has done its
+    /// work, after every call: with a hash and a band index, with lineage
+    /// gates (stream A's store split at each, stream B's one store spanning
+    /// them) and without (one store per stream), at any run length.
+    #[test]
+    fn every_slice_holds_its_standalone_twin_s_state_after_every_call() {
+        let items = input();
+        assert!(JoinState::for_condition(&band(), true).is_band_indexed());
+        assert!(JoinState::for_condition(&band(), false).is_band_indexed());
+        for (condition, gates) in [
+            (JoinCondition::equi(0), GATES),
+            (JoinCondition::equi(0), [0; 3]),
+            (band(), GATES),
+            (band(), [0; 3]),
+        ] {
+            for run_len in [1, 7, 64] {
+                let case = format!("{condition:?}, gates {gates:?}, runs of {run_len}");
+                let runs: Vec<Vec<StreamItem>> = items.chunks(run_len).map(<[_]>::to_vec).collect();
+                let (_, _, _, trace) = reference_over(&runs, &condition, &gates);
+                let mut chain = chain_over(&condition, &gates);
+                // Stream A splits at each gate; stream B never does.
+                let a_stores = 1 + gates.iter().filter(|&&level| level > 0).count();
+                assert_eq!(chain.slices.stores().count(), a_stores + 1, "{case}");
+                let mut ctx = OpContext::new();
+                for (call, (run, (states, parts))) in runs.iter().zip(&trace).enumerate() {
+                    chain.process_batch(0, &mut run.clone(), &mut ctx);
+                    ctx.take_outputs();
+                    assert_eq!(&chain.slices.window_states(), states, "{case}, call {call}");
+                    let work = |p: &CostCounters| {
+                        (
+                            p.tuples_processed,
+                            p.probe_comparisons,
+                            p.purge_comparisons,
+                            p.items_emitted,
+                        )
+                    };
+                    let got: Vec<_> = chain.part_counters().iter().map(work).collect();
+                    let want: Vec<_> = parts.iter().map(work).collect();
+                    assert_eq!(got, want, "{case}, call {call}");
+                    assert!(
+                        chain.slices.stores().all(RunStore::index_matches_rebuild),
+                        "{case}, call {call}"
+                    );
+                }
+                let results: Vec<u64> = chain.slices.iter().map(|s| s.results()).collect();
+                assert!(results.iter().all(|&r| r > 0), "{case}: {results:?}");
+                let stored = |k: usize| chain.slices.slice(k).state_len();
+                assert!((0..CUTS.len()).all(|k| stored(k) > 0), "{case}");
+            }
+        }
+    }
+
+    /// A chain checkpointed mid-stream and restored into a fresh chain of
+    /// the same slicing goes on exactly as the uninterrupted one — per port,
+    /// per slice, per counter — whether its stores split at gates or not; a
+    /// chain of another slicing refuses the checkpoint before any store
+    /// changes.
     #[test]
     fn a_chain_checkpoint_restores_into_the_same_slicing_only() {
         let items = input();
         let (first, rest) = items.split_at(150);
-        let mut live = chain();
-        let mut ctx = OpContext::new();
-        live.process_batch(0, &mut first.to_vec(), &mut ctx);
-        // Rows at the newest timestamp still wait for the merge.
-        assert!(live.node_state().is_err());
-        live.flush(&mut ctx);
-        ctx.take_outputs();
-        let state = live.node_state().unwrap();
-        let NodeState::Chain(windows) = &state else {
-            panic!("a chain captures a chain state");
-        };
-        assert_eq!(windows.len(), 3);
-        assert!(windows.iter().all(|w| !w.is_empty()));
-        let mut twin = chain();
-        twin.restore_state(state.clone()).unwrap();
-        for (a, b) in twin.slice_joins().iter().zip(live.slice_joins()) {
-            assert_eq!(a.state_tuples(), b.state_tuples());
-        }
-        // Both go on alike.
-        let go_on = |op: &mut ChainJoinOp| {
+        for gates in [GATES, [0; 3]] {
+            let mut live = chain_over(&JoinCondition::equi(0), &gates);
             let mut ctx = OpContext::new();
-            op.process_batch(0, &mut rest.to_vec(), &mut ctx);
-            op.flush(&mut ctx);
-            let outputs = ctx.take_outputs();
-            (
-                rows_of(outputs.into_iter().map(|(_, item)| item)).0,
-                ctx.counters,
-            )
-        };
-        let (twin_rows, twin_counters) = go_on(&mut twin);
-        let (live_rows, live_counters) = go_on(&mut live);
-        // The transport follows each delivery's own count, so even the
-        // items emitted agree.
-        assert_eq!(twin_counters, live_counters);
-        assert_eq!(twin_rows.len(), live_rows.len());
-        let d = twin_rows.iter().zip(&live_rows).position(|(a, b)| a != b);
-        assert_eq!(d.map(|i| (&twin_rows[i], &live_rows[i])), None);
-        // A chain cut into other slices refuses the state, naming the slice,
-        // and keeps its own.
-        let other = vec![
-            SliceJoinOp::for_ab(
-                "slice_0",
-                SliceWindow::from_secs(0, 2),
-                JoinCondition::equi(0),
-            )
-            .chain_head(),
-            SliceJoinOp::for_ab(
-                "slice_1",
-                SliceWindow::from_secs(2, 8),
-                JoinCondition::equi(0),
-            )
-            .last_in_chain(),
-        ];
-        let mut coarser = ChainJoinOp::new("chain", other, WINDOWS.len());
-        let err = coarser.restore_state(state.clone()).unwrap_err();
-        assert!(
-            matches!(err, StreamError::Checkpoint(ref m) if m.contains("3")),
-            "{err}"
-        );
-        let mut shifted = chain();
-        shifted.slices[1] = SliceJoinOp::for_ab(
-            "slice_1",
-            SliceWindow::from_secs(2, 5),
-            JoinCondition::equi(0),
-        );
-        let err = shifted.restore_state(state).unwrap_err();
-        assert!(
-            matches!(err, StreamError::Checkpoint(ref m) if m.contains("'slice_1'")),
-            "{err}"
-        );
-        assert!(shifted.slice_joins().iter().all(|s| s.state_len() == 0));
+            live.process_batch(0, &mut first.to_vec(), &mut ctx);
+            // Rows at the newest timestamp still wait for the merge.
+            assert!(live.node_state().is_err());
+            live.flush(&mut ctx);
+            ctx.take_outputs();
+            let state = live.node_state().unwrap();
+            let NodeState::Chain(windows) = &state else {
+                panic!("a chain captures a chain state");
+            };
+            assert_eq!(windows.len(), 3);
+            assert!(windows.iter().all(|w| !w.is_empty()));
+            let mut twin = chain_over(&JoinCondition::equi(0), &gates);
+            twin.restore_state(state.clone()).unwrap();
+            assert_eq!(twin.slices.window_states(), live.slices.window_states());
+            assert!(twin.slices.stores().all(RunStore::index_matches_rebuild));
+            // Both go on alike.
+            let go_on = |op: &mut ChainJoinOp| {
+                let mut ctx = OpContext::new();
+                op.process_batch(0, &mut rest.to_vec(), &mut ctx);
+                op.flush(&mut ctx);
+                let mut ports = vec![Vec::new(); WINDOWS.len()];
+                for (port, item) in ctx.take_outputs() {
+                    ports[port].push(item);
+                }
+                let ports: Vec<Vec<Tuple>> = ports.into_iter().map(|p| rows_of(p).0).collect();
+                (ports, ctx.counters, op.slices.window_states())
+            };
+            let (twin_ports, twin_counters, twin_states) = go_on(&mut twin);
+            let (live_ports, live_counters, live_states) = go_on(&mut live);
+            // The transport follows each delivery's own count, so even the
+            // items emitted agree.
+            assert_eq!(twin_counters, live_counters);
+            for (q, (twin_rows, live_rows)) in twin_ports.iter().zip(&live_ports).enumerate() {
+                assert!(!live_rows.is_empty(), "Q{q}");
+                assert_eq!(twin_rows.len(), live_rows.len(), "Q{q}");
+                let d = twin_rows.iter().zip(live_rows).position(|(a, b)| a != b);
+                assert_eq!(d.map(|i| (&twin_rows[i], &live_rows[i])), None, "Q{q}");
+            }
+            assert_eq!(twin_states, live_states);
+            // A chain cut into other slices refuses the state, naming the
+            // slice, and keeps its own stores as they were.
+            let slice = |k: usize, end: u64| {
+                let start = CUTS[k].0;
+                SliceJoinOp::for_ab(
+                    format!("slice_{k}"),
+                    SliceWindow::from_secs(start, end),
+                    JoinCondition::equi(0),
+                )
+            };
+            let other = vec![slice(0, 2).chain_head(), slice(1, 8).last_in_chain()];
+            let mut coarser = ChainJoinOp::new("chain", other, WINDOWS.len());
+            let err = coarser.restore_state(state.clone()).unwrap_err();
+            assert!(
+                matches!(err, StreamError::Checkpoint(ref m) if m.contains("3")),
+                "{err}"
+            );
+            let shifted = vec![
+                slice(0, 2).chain_head(),
+                slice(1, 5),
+                slice(2, 8).last_in_chain(),
+            ];
+            let mut shifted = ChainJoinOp::new("chain", shifted, WINDOWS.len());
+            shifted.process_batch(0, &mut first.to_vec(), &mut OpContext::new());
+            let before = shifted.slices.window_states();
+            assert!(before.iter().any(|w| !w.is_empty()));
+            let err = shifted.restore_state(state).unwrap_err();
+            assert!(
+                matches!(err, StreamError::Checkpoint(ref m) if m.contains("'slice_1'")),
+                "{err}"
+            );
+            assert_eq!(shifted.slices.window_states(), before);
+        }
     }
 }

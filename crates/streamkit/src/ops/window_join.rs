@@ -62,9 +62,9 @@ mod tests {
         // a@1 is expired (12-1 >= 10); only a@5 joins.
         let pairs = joined_pairs(&mut ctx);
         assert_eq!(pairs, vec![(12, 7)]);
-        assert_eq!(op.state_a_len(), 1);
-        assert_eq!(op.state_b_len(), 1);
-        assert_eq!(op.results(), 1);
+        assert_eq!(op.slice().state_a_len(), 1);
+        assert_eq!(op.slice().state_b_len(), 1);
+        assert_eq!(op.slice().results(), 1);
         assert!(op.peak_state() >= 2);
         assert!(ctx.counters.probe_comparisons >= 1);
         assert!(ctx.counters.purge_comparisons >= 1);
@@ -188,16 +188,16 @@ mod tests {
         for s in 1..=3 {
             op.process(0, a(s, 0).into(), &mut ctx);
         }
-        assert_eq!(op.state_len(), 3);
+        assert_eq!(op.slice().state_len(), 3);
         op.process(0, b(4, 0).into(), &mut ctx);
         // a@1: diff 3 < 4 still valid; all three join.
         assert_eq!(joined_pairs(&mut ctx).len(), 3);
         op.process(0, b(6, 0).into(), &mut ctx);
         // a@1 (diff 5) and a@2 (diff 4) expired, a@3 joins.
         assert_eq!(joined_pairs(&mut ctx).len(), 1);
-        assert_eq!(op.state_len(), 1);
-        assert_eq!(op.state_b_len(), 0, "B tuples are never stored");
-        assert_eq!(op.results(), 4);
+        assert_eq!(op.slice().state_len(), 1);
+        assert_eq!(op.slice().state_b_len(), 0, "B tuples are never stored");
+        assert_eq!(op.slice().results(), 4);
         assert!(op.peak_state() >= 3);
     }
 
@@ -225,9 +225,9 @@ mod tests {
             )
         };
         assert_eq!(counts(&item_ctx), counts(&batch_ctx));
-        assert_eq!(item_op.state_len(), batch_op.state_len());
-        assert_eq!(item_op.results(), batch_op.results());
-        assert!(item_op.results() > 0);
+        assert_eq!(item_op.slice().state_len(), batch_op.slice().state_len());
+        assert_eq!(item_op.slice().results(), batch_op.slice().results());
+        assert!(item_op.slice().results() > 0);
     }
 
     #[test]

@@ -9,7 +9,8 @@ use std::collections::HashMap;
 
 use crate::error::{Result, StreamError};
 use crate::operator::{Operator, PortId};
-use crate::ops::{SinkOp, SliceJoinOp};
+use crate::ops::slice_join::{SliceChain, SliceRef};
+use crate::ops::SinkOp;
 
 /// Identifier of a node inside a [`Plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -214,15 +215,20 @@ impl Plan {
     }
 
     /// Every slice join, in node order (a chain's slices in chain order).
-    pub fn slice_joins(&self) -> impl Iterator<Item = &SliceJoinOp> {
-        self.nodes.iter().flat_map(|n| n.operator.slice_joins())
+    pub fn slice_joins(&self) -> impl Iterator<Item = SliceRef<'_>> {
+        self.slice_chains().flat_map(SliceChain::iter)
     }
 
-    /// Every slice join, mutably, in node order.
-    pub fn slice_joins_mut(&mut self) -> impl Iterator<Item = &mut SliceJoinOp> {
+    /// Every node's slices with their stores, in node order.
+    pub fn slice_chains(&self) -> impl Iterator<Item = &SliceChain> {
+        self.nodes.iter().filter_map(|n| n.operator.slice_chain())
+    }
+
+    /// Every node's slices with their stores, mutably, in node order.
+    pub fn slice_chains_mut(&mut self) -> impl Iterator<Item = &mut SliceChain> {
         self.nodes
             .iter_mut()
-            .flat_map(|n| n.operator.slice_joins_mut())
+            .filter_map(|n| n.operator.slice_chain_mut())
     }
 
     /// Internal mutable access to the node list (used by the executor to

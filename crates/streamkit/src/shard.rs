@@ -81,7 +81,6 @@ use crate::error::{Result, StreamError};
 use crate::executor::{ExecutionReport, Executor, ExecutorConfig};
 use crate::fault::FaultPlan;
 use crate::join_state::{equi_key_fields, memoize_key, tuple_key};
-use crate::ops::SliceJoinOp;
 use crate::plan::Plan;
 use crate::pool::{run_caught, Job, WorkerPool, DEFAULT_RING_CAPACITY};
 use crate::predicate::JoinCondition;
@@ -408,7 +407,11 @@ impl ShardedExecutor {
     /// churn, re-plan, rescale and hot keys.  Panics while a run is in
     /// flight.
     pub fn window_states(&self) -> Vec<Vec<WindowState>> {
-        let chain = |plan: &Plan| plan.slice_joins().map(SliceJoinOp::window_state).collect();
+        let chain = |plan: &Plan| {
+            plan.slice_joins()
+                .map(|slice| slice.window_state())
+                .collect()
+        };
         self.shards()
             .iter()
             .map(|shard| chain(shard.plan()))
@@ -416,8 +419,8 @@ impl ShardedExecutor {
     }
 
     /// The write half: restore one chain per shard into the drained
-    /// executors through each slice's own restore hook, which refuses a
-    /// window that is not its own.  Slices already holding their state are
+    /// executors through each chain's restore, which refuses a window that
+    /// is not its slice's.  Stores already holding their slices' tuples are
     /// left alone.  Panics while a run is in flight.
     pub fn restore_window_states(&mut self, states: Vec<Vec<WindowState>>) -> Result<()> {
         if states.len() != self.count {

@@ -199,7 +199,7 @@ fn row_sequences(
     let batched = exec
         .plan()
         .slice_joins()
-        .map(SliceJoinOp::batch_results)
+        .map(|slice| slice.batch_results())
         .sum();
     (sequences, batched)
 }
@@ -400,8 +400,8 @@ proptest! {
             item_ctx.counters.purge_comparisons,
             batch_ctx.counters.purge_comparisons
         );
-        prop_assert_eq!(item_op.state_a_len(), batch_op.state_a_len());
-        prop_assert_eq!(item_op.state_b_len(), batch_op.state_b_len());
-        prop_assert_eq!(item_op.results(), batch_op.results());
+        prop_assert_eq!(item_op.slice().state_a_len(), batch_op.slice().state_a_len());
+        prop_assert_eq!(item_op.slice().state_b_len(), batch_op.slice().state_b_len());
+        prop_assert_eq!(item_op.slice().results(), batch_op.slice().results());
     }
 }

@@ -15,7 +15,7 @@
 //!   `batch_per_visit` 64 or 256, where a call's matches add up past the
 //!   threshold and results travel as batches.
 //!
-//! Both facts are asserted through [`SliceJoinOp::batch_results`] (counted
+//! Both facts are asserted through [`SliceRef::batch_results`] (counted
 //! per delivery) before anything is compared: the subject sends results in
 //! batches, more of them than the reference.  Then, for random workloads,
 //! streams, slicings and shard counts, the two must produce:
@@ -41,7 +41,7 @@ use state_slice_repro::core::verify::collected_fingerprints;
 use state_slice_repro::core::{
     ChainPlanFactory, ChainSpec, JoinQuery, QueryWorkload, SessionOutcome,
 };
-use state_slice_repro::streamkit::ops::SliceJoinOp;
+use state_slice_repro::streamkit::ops::slice_join::SliceRef;
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::window::SliceWindow;
 use state_slice_repro::streamkit::{
@@ -82,7 +82,7 @@ fn executor_config(batch_per_visit: usize) -> ExecutorConfig {
 }
 
 /// One shard's sliced joins, in chain order.
-fn slices(shard: &Executor) -> impl Iterator<Item = &SliceJoinOp> {
+fn slices(shard: &Executor) -> impl Iterator<Item = SliceRef<'_>> {
     shard.plan().slice_joins()
 }
 

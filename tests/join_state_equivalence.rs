@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use state_slice_repro::core::planner::{merge_streams, PlannerOptions, CHAIN_ENTRY};
 use state_slice_repro::core::verify::scan_only;
 use state_slice_repro::core::{ChainSpec, JoinQuery, QueryWorkload, SharedChainPlan};
+use state_slice_repro::streamkit::ops::slice_join::SliceChain;
 use state_slice_repro::streamkit::tuple::StreamId;
 use state_slice_repro::streamkit::{Executor, JoinCondition, TimeDelta, Timestamp, Tuple};
 
@@ -42,6 +43,13 @@ fn run_chain(
     .expect("plan builds");
     if !indexed {
         scan_only(&mut shared.plan);
+        // The reference probes by scan in every store, or it would compare
+        // the indexed chain with itself.
+        let stores = shared.plan.slice_chains().flat_map(SliceChain::stores);
+        let indexed_stores = stores
+            .filter(|store| store.state().is_indexed() || store.state().is_band_indexed())
+            .count();
+        assert_eq!(indexed_stores, 0, "scan_only left an index behind");
     }
     let mut exec = Executor::new(shared.plan);
     exec.ingest_all(CHAIN_ENTRY, input.to_vec())

@@ -337,9 +337,9 @@ proptest! {
         let _ = ctx.take_outputs();
         let eager_timestamps =
             |s: &WindowState| (timestamps(&s.side_a), timestamps(&s.side_b));
-        prop_assert_eq!(lazy_l.state_timestamps(), eager_timestamps(&eager_l),
+        prop_assert_eq!(lazy_l.slice().state_timestamps(), eager_timestamps(&eager_l),
             "left slices diverge after fill-up");
-        prop_assert_eq!(lazy_r.state_timestamps(), eager_timestamps(&eager_r),
+        prop_assert_eq!(lazy_r.slice().state_timestamps(), eager_timestamps(&eager_r),
             "right slices diverge after fill-up");
         // Nothing was lost or duplicated.
         prop_assert_eq!(eager_l.len() + eager_r.len(), state_a.len() + state_b.len());
