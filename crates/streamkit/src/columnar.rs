@@ -26,12 +26,35 @@
 //!   the row path's.
 //! * **multi-source gather** ([`gather_rows`]) fills batches of exact size
 //!   with rows picked from several batches in any order, a column at a
-//!   time — how a sliced chain builds each query's delivery from its
-//!   slices' result buffers and the order-preserving union re-coalesces
-//!   what it releases — leaving exactly the columns, masks and `Mixed`
-//!   degradations appending the rows one by one would.
+//!   time — how the order-preserving union re-coalesces what it releases —
+//!   leaving exactly the columns, masks and `Mixed` degradations appending
+//!   the rows one by one would.
+//!
+//! A sliced chain delivers each query's rows as *views* (`view_rows`):
+//! batches that name their rows as `(source, row)` pairs over its slices'
+//! result buffers, shared behind one `Arc`, and copy nothing until read.
+//! Which reads gather:
+//!
+//! * **through the pairs, nothing gathered:** [`ColumnBatch::len`],
+//!   [`ColumnBatch::is_empty`], [`ColumnBatch::arity`],
+//!   [`ColumnBatch::ts_at`], [`ColumnBatch::for_each_ts`],
+//!   [`ColumnBatch::first_ts`] and [`ColumnBatch::last_ts`] — all a
+//!   counting sink reads;
+//! * **gathered once, then read from the gathered batch:**
+//!   [`ColumnBatch::timestamps`], [`ColumnBatch::streams`],
+//!   [`ColumnBatch::origin_spans`], [`ColumnBatch::columns`],
+//!   [`ColumnBatch::row`], [`ColumnBatch::materialize`],
+//!   [`ColumnBatch::gather`], the [`eval_predicate`] kernels, a
+//!   [`gather_rows`] over the view, and equality and `Debug`;
+//! * **writes** ([`ColumnBatch::push_tuple`], [`ColumnBatch::push_join`],
+//!   `drain_front`) first make the view its gathered batch.
+//!
+//! The gathered batch is [`gather_rows`]'s, so a view and the batch a gather
+//! of the same rows builds are indistinguishable to every reader.
 
-use std::sync::Arc;
+use std::fmt;
+use std::iter::zip;
+use std::sync::{Arc, OnceLock};
 
 use crate::predicate::{CmpOp, Predicate};
 use crate::time::{TimeDelta, Timestamp};
@@ -279,7 +302,12 @@ fn pick<T: Clone>(order: &[(u32, u32)], slices: &[&[T]]) -> Vec<T> {
 /// position in the global order.  All rows share one payload arity — an
 /// append of a different arity is rejected (`false`) so the caller can flush
 /// the batch and start a new one.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// A batch may also be a *view* (`view_rows`): `(source, row)` pairs over
+/// batches shared behind one `Arc`, gathered into columns of its own only
+/// when something reads them (the module docs list which reads gather).
+/// Equality compares rows, whichever the representation.
+#[derive(Clone, Default)]
 pub struct ColumnBatch {
     ts: Vec<Timestamp>,
     stream: Vec<StreamId>,
@@ -287,6 +315,54 @@ pub struct ColumnBatch {
     role: Vec<TupleRole>,
     lineage: Vec<u32>,
     columns: Vec<TypedColumn>,
+    /// A view's rows; the fields above then stay empty.
+    view: Option<Box<View>>,
+}
+
+/// The rows of a view: `order` indexes `sources`, all rows of one arity,
+/// and `gathered` holds them as a batch of its own once a read needed it.
+#[derive(Clone)]
+struct View {
+    sources: Arc<Vec<ColumnBatch>>,
+    order: Vec<(u32, u32)>,
+    gathered: OnceLock<ColumnBatch>,
+}
+
+impl View {
+    fn gather(&self) -> ColumnBatch {
+        let sources: Vec<&ColumnBatch> = self.sources.iter().map(ColumnBatch::eager).collect();
+        ColumnBatch::gather_stretch(&sources, &self.order)
+    }
+
+    fn ts_of(&self, &(s, r): &(u32, u32)) -> Timestamp {
+        self.sources[s as usize].ts_at(r as usize)
+    }
+}
+
+impl PartialEq for ColumnBatch {
+    fn eq(&self, other: &ColumnBatch) -> bool {
+        let (a, b) = (self.eager(), other.eager());
+        a.ts == b.ts
+            && a.stream == b.stream
+            && a.origin_span == b.origin_span
+            && a.role == b.role
+            && a.lineage == b.lineage
+            && a.columns == b.columns
+    }
+}
+
+impl fmt::Debug for ColumnBatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let b = self.eager();
+        f.debug_struct("ColumnBatch")
+            .field("ts", &b.ts)
+            .field("stream", &b.stream)
+            .field("origin_span", &b.origin_span)
+            .field("role", &b.role)
+            .field("lineage", &b.lineage)
+            .field("columns", &b.columns)
+            .finish()
+    }
 }
 
 impl ColumnBatch {
@@ -295,60 +371,133 @@ impl ColumnBatch {
         ColumnBatch::default()
     }
 
+    /// The rows `order` indexes in `sources` — all of one arity, at least
+    /// one — as a view: nothing is gathered until a column is read.
+    fn view(sources: Arc<Vec<ColumnBatch>>, order: Vec<(u32, u32)>) -> ColumnBatch {
+        let view = View {
+            sources,
+            order,
+            gathered: OnceLock::new(),
+        };
+        ColumnBatch {
+            view: Some(Box::new(view)),
+            ..ColumnBatch::default()
+        }
+    }
+
+    /// The batch with columns of its own: itself, or a view's rows gathered
+    /// (at the first call).
+    fn eager(&self) -> &ColumnBatch {
+        match &self.view {
+            None => self,
+            Some(view) => view.gathered.get_or_init(|| view.gather()),
+        }
+    }
+
+    /// Replace a view with its gathered rows before an append or a drain.
+    fn own(&mut self) {
+        if self.view.is_some() {
+            self.own_view();
+        }
+    }
+
+    /// Out of line: the appends on the chain's walk never meet a view.
+    #[cold]
+    fn own_view(&mut self) {
+        if let Some(view) = self.view.take() {
+            let mut view = *view;
+            *self = view.gathered.take().unwrap_or_else(|| view.gather());
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.ts.len()
+        match &self.view {
+            None => self.ts.len(),
+            Some(view) => view.order.len(),
+        }
     }
 
     /// `true` if the batch holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.ts.is_empty()
+        self.len() == 0
     }
 
     /// Payload arity (0 for an empty batch).
     pub fn arity(&self) -> usize {
-        self.columns.len()
+        match &self.view {
+            None => self.columns.len(),
+            Some(view) => view.sources[view.order[0].0 as usize].arity(),
+        }
     }
 
     /// Timestamp of the first row — the batch's position in the stream's
     /// global timestamp order.
     pub fn first_ts(&self) -> Option<Timestamp> {
-        self.ts.first().copied()
+        (!self.is_empty()).then(|| self.ts_at(0))
     }
 
     /// Timestamp of the last row.
     pub fn last_ts(&self) -> Option<Timestamp> {
-        self.ts.last().copied()
+        self.len().checked_sub(1).map(|last| self.ts_at(last))
     }
 
     /// Timestamp of row `i`.
     pub fn ts_at(&self, i: usize) -> Timestamp {
-        self.ts[i]
+        match &self.view {
+            None => self.ts[i],
+            Some(view) => view.ts_of(&view.order[i]),
+        }
+    }
+
+    /// Call `f` with each row's timestamp, in row order: a view reads them
+    /// through its pairs, gathering nothing.
+    pub fn for_each_ts(&self, mut f: impl FnMut(Timestamp)) {
+        match &self.view {
+            None => self.ts.iter().for_each(|&ts| f(ts)),
+            Some(view) => {
+                // Up to 16 sources with columns of their own: each one's
+                // timestamps looked up by index, with no branch per row.
+                let mut sources = [&[][..]; 16];
+                let resolved = view.sources.len() <= sources.len()
+                    && zip(&mut sources, view.sources.iter()).all(|(slot, b)| {
+                        *slot = &b.ts;
+                        b.view.is_none()
+                    });
+                for row @ &(s, r) in &view.order {
+                    f(match resolved {
+                        true => sources[s as usize][r as usize],
+                        false => view.ts_of(row),
+                    });
+                }
+            }
+        }
     }
 
     /// The rows' timestamps, in row order.
     pub fn timestamps(&self) -> &[Timestamp] {
-        &self.ts
+        &self.eager().ts
     }
 
     /// The rows' streams, in row order.
     pub fn streams(&self) -> &[StreamId] {
-        &self.stream
+        &self.eager().stream
     }
 
     /// The rows' origin spans (`|Ta - Tb|` of joined rows), in row order.
     pub fn origin_spans(&self) -> &[TimeDelta] {
-        &self.origin_span
+        &self.eager().origin_span
     }
 
     /// The payload columns.
     pub fn columns(&self) -> &[TypedColumn] {
-        &self.columns
+        &self.eager().columns
     }
 
     /// Append a row copied out of a [`Tuple`].  Returns `false` (appending
     /// nothing) if the tuple's arity differs from the batch's.
     pub fn push_tuple(&mut self, t: &Tuple) -> bool {
+        self.own();
         if !self.push_payload(t.values.iter(), t.arity()) {
             return false;
         }
@@ -366,6 +515,7 @@ impl ColumnBatch {
     /// that makes the row path's result handling hot.  Each side's values
     /// go straight into their own columns.
     pub fn push_join(&mut self, left: &Tuple, right: &Tuple, out_stream: StreamId) -> bool {
+        self.own();
         let split = left.arity();
         if self.ts.is_empty() {
             let values = left.values.iter().chain(right.values.iter());
@@ -413,6 +563,7 @@ impl ColumnBatch {
     /// Remove the first `n` rows, keeping every column's storage for the
     /// rows appended next.
     pub(crate) fn drain_front(&mut self, n: usize) {
+        self.own();
         self.ts.drain(..n);
         self.stream.drain(..n);
         self.origin_span.drain(..n);
@@ -440,21 +591,23 @@ impl ColumnBatch {
 
     /// Materialize row `i` as a [`Tuple`].
     pub fn row(&self, i: usize) -> Tuple {
-        let values: Arc<[Value]> = self.columns.iter().map(|c| c.value_at(i)).collect();
+        let b = self.eager();
+        let values: Arc<[Value]> = b.columns.iter().map(|c| c.value_at(i)).collect();
         Tuple {
-            ts: self.ts[i],
-            stream: self.stream[i],
+            ts: b.ts[i],
+            stream: b.stream[i],
             values,
-            origin_span: self.origin_span[i],
-            role: self.role[i],
-            lineage: self.lineage[i],
+            origin_span: b.origin_span[i],
+            role: b.role[i],
+            lineage: b.lineage[i],
             key_hash: None,
         }
     }
 
     /// Materialize every row, in order.
     pub fn materialize(&self) -> Vec<Tuple> {
-        (0..self.len()).map(|i| self.row(i)).collect()
+        let b = self.eager();
+        (0..b.len()).map(|i| b.row(i)).collect()
     }
 
     /// Gather the given rows (batch indices) into a new batch.
@@ -465,8 +618,9 @@ impl ColumnBatch {
         out
     }
 
-    /// The rows `order` indexes in `sources`, all of one arity, as one batch
-    /// of exactly their number of rows, filled one column at a time.
+    /// The rows `order` indexes in `sources` — batches with columns of
+    /// their own — all of one arity, as one batch of exactly their number of
+    /// rows, filled one column at a time.
     fn gather_stretch(sources: &[&ColumnBatch], order: &[(u32, u32)]) -> ColumnBatch {
         macro_rules! meta {
             ($field:ident) => {{
@@ -483,7 +637,16 @@ impl ColumnBatch {
             columns: (0..sources[order[0].0 as usize].columns.len())
                 .map(|c| TypedColumn::gather(sources, c, order))
                 .collect(),
+            view: None,
         }
+    }
+
+    /// `true` while the batch is a view nothing has gathered yet.
+    #[cfg(test)]
+    pub(crate) fn is_ungathered_view(&self) -> bool {
+        self.view
+            .as_ref()
+            .is_some_and(|v| v.gathered.get().is_none())
     }
 }
 
@@ -498,17 +661,38 @@ pub fn gather_rows(
     order: &[(u32, u32)],
     mut emit: impl FnMut(ColumnBatch),
 ) {
-    let arity = |&(s, _): &(u32, u32)| sources[s as usize].columns.len();
+    let sources: Vec<&ColumnBatch> = sources.iter().map(|b| b.eager()).collect();
     let mut rest = order;
-    while let Some(first) = rest.first() {
-        let len = rest
-            .iter()
-            .position(|row| arity(row) != arity(first))
-            .unwrap_or(rest.len());
+    while !rest.is_empty() {
+        let len = stretch_len(rest, |s| sources[s].columns.len());
         let (stretch, tail) = rest.split_at(len);
-        emit(ColumnBatch::gather_stretch(sources, stretch));
+        emit(ColumnBatch::gather_stretch(&sources, stretch));
         rest = tail;
     }
+}
+
+/// The rows `order` indexes in `sources` as views, in order, handing each
+/// to `emit`: a view ends where the next row's arity differs, as a batch of
+/// [`gather_rows`] does, and gathers into that batch when read.
+pub(crate) fn view_rows(
+    sources: &Arc<Vec<ColumnBatch>>,
+    mut order: Vec<(u32, u32)>,
+    mut emit: impl FnMut(ColumnBatch),
+) {
+    while !order.is_empty() {
+        let rest = order.split_off(stretch_len(&order, |s| sources[s].arity()));
+        emit(ColumnBatch::view(Arc::clone(sources), order));
+        order = rest;
+    }
+}
+
+/// How many of the rows `order` starts with share the first one's arity.
+fn stretch_len(order: &[(u32, u32)], arity: impl Fn(usize) -> usize) -> usize {
+    let first = arity(order[0].0 as usize);
+    order
+        .iter()
+        .position(|&(s, _)| arity(s as usize) != first)
+        .unwrap_or(order.len())
 }
 
 /// Evaluate `pred` over every row of `batch`, returning the selection vector
@@ -538,6 +722,7 @@ pub fn eval_predicate_into(
     comparisons: &mut u64,
 ) {
     out.clear();
+    let batch = batch.eager();
     match pred {
         Predicate::True => out.extend_from_slice(scope),
         Predicate::False => {}
@@ -662,6 +847,8 @@ mod tests {
         /// Append row `i` of another batch.  Returns `false` on arity mismatch.
         /// The row-at-a-time reference [`gather_rows`] is tested against.
         fn push_row_from(&mut self, src: &ColumnBatch, i: usize) -> bool {
+            let src = src.eager();
+            self.own();
             if self.ts.is_empty() {
                 self.columns = src
                     .columns
@@ -816,6 +1003,8 @@ mod tests {
             })
             .collect();
         let refs: Vec<&ColumnBatch> = sources.iter().collect();
+        let shared = Arc::new(sources.clone());
+        let pred = Predicate::gt(0, 13i64).or(Predicate::eq(1, Value::str("b")));
         let (mut typed, mut masked, mut mixed, mut flushed) = (0, 0, 0, 0);
         let mut reused = ColumnBatch::new();
         for _ in 0..400 {
@@ -854,6 +1043,58 @@ mod tests {
                     (_, Some(_)) => masked += 1,
                     (_, None) => typed += 1,
                 }
+            }
+            // The same rows as views over the shared sources: each read
+            // below starts from views nothing has gathered.
+            let views = || {
+                let mut views = Vec::new();
+                view_rows(&shared, order.clone(), |view| views.push(view));
+                assert_eq!(views.len(), got.len(), "order {order:?}");
+                views.into_iter().zip(&got)
+            };
+            for (view, eager) in views() {
+                assert_eq!(view.len(), eager.len());
+                assert_eq!(view.arity(), eager.arity());
+                assert_eq!(view.first_ts(), eager.first_ts());
+                assert_eq!(view.last_ts(), eager.last_ts());
+                assert!((0..view.len()).all(|i| view.ts_at(i) == eager.ts_at(i)));
+                assert!(view.is_ungathered_view(), "reading timestamps gathered");
+                assert_eq!(&view, eager, "order {order:?}");
+                assert!(!view.is_ungathered_view());
+            }
+            for (view, eager) in views() {
+                assert_eq!(view.materialize(), eager.materialize());
+            }
+            for (view, eager) in views() {
+                let (mut got_count, mut want_count) = (0, 0);
+                let selection = eval_predicate(&pred, &view, &mut got_count);
+                assert_eq!(selection, eval_predicate(&pred, eager, &mut want_count));
+                assert_eq!(got_count, want_count);
+            }
+            for (view, eager) in views() {
+                let rows: Vec<u32> = (0..view.len() as u32).rev().step_by(2).collect();
+                assert_eq!(view.gather(&rows), eager.gather(&rows));
+            }
+            for (view, eager) in views() {
+                // A lazy source beside an eager one.
+                let mut pairs: Vec<(u32, u32)> = (0..view.len() as u32).map(|r| (0, r)).collect();
+                pairs.push((1, 3));
+                let (mut from_view, mut from_eager) = (Vec::new(), Vec::new());
+                gather_rows(&[&view, refs[0]], &pairs, |batch| from_view.push(batch));
+                gather_rows(&[eager, refs[0]], &pairs, |batch| from_eager.push(batch));
+                assert_eq!(from_view, from_eager);
+            }
+            for (mut view, eager) in views() {
+                let mut eager = eager.clone();
+                let row = eager.row(eager.len() - 1);
+                assert!(view.push_tuple(&row) && eager.push_tuple(&row));
+                assert_eq!(view, eager);
+            }
+            for (mut view, eager) in views() {
+                let mut eager = eager.clone();
+                view.drain_front(1);
+                eager.drain_front(1);
+                assert_eq!(view, eager);
             }
             // A drained batch refilled with the same rows equals a fresh one.
             let rows = want[0].materialize();

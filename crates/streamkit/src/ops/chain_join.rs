@@ -18,8 +18,8 @@
 //!   Every slice still sees the tuples purged ahead of a probe before that
 //!   probe (Figure 9's emission order), so each slice's results, counters
 //!   and states are those of a slice-by-slice pass over the run.  A slice's
-//!   result rows go into a column buffer the chain owns and drains after
-//!   every call, keeping its capacity;
+//!   result rows go into a column buffer the chain owns, keeping its
+//!   capacity;
 //! * the lineage gate in front of slice `k` (Section 6's σ'_k), checked as a
 //!   tuple — walking or purged — reaches the slice, drops the stream-A
 //!   tuples whose lineage is below its level, at no comparison;
@@ -28,14 +28,25 @@
 //!   slice, Figure 13(b), one `route_comparisons` per result and split) and
 //!   filtered by its residual selection when the gate does not imply it
 //!   (one `filter_comparisons` per evaluated comparison);
-//! * at the end of the call a k-way merge over each query's rows, each
-//!   slice's in timestamp order, gives its delivery order — the paper's
-//!   "one-time merge sort on timestamps" (Section 4.3), one
-//!   `union_comparisons` per delivered row, ties to the lower slice, a heap
-//!   of the feeding slices' heads choosing each stretch's slice — and
-//!   the rows leave on the query's port: from [`COLUMNAR_MIN_RUN_RESULTS`]
-//!   up as column batches of exact size ([`gather_rows`]), below it as row
-//!   tuples, each result built once per call and shared by its queries.
+//! * at the end of the call one k-way merge orders every buffered row of
+//!   every slice by timestamp, ties to the lower slice — the paper's
+//!   "one-time merge sort on timestamps" (Section 4.3), leaving the rows of
+//!   the oldest head timestamp slice by slice — and each query fed by
+//!   several slices takes its rows in one pass over that order, one
+//!   `union_comparisons` per delivered row (restricting an order sorted by
+//!   timestamp, slice and row keeps it sorted, so this is each query's own
+//!   merge order; a query that picked every buffered row takes the order's
+//!   front whole).  The rows leave on the query's port: from
+//!   [`COLUMNAR_MIN_RUN_RESULTS`] up as views (`view_rows`) — the
+//!   slices' buffers are shared behind one `Arc` and each view names its
+//!   rows in them, gathered into a batch of exact size only if a consumer
+//!   reads its columns — below it as row tuples, each result built once per
+//!   call and shared by its queries.
+//!
+//! The rows a call delivered are dropped at the start of the next call (or
+//! flush), when the consumers have taken its views: the chain takes its
+//! buffers back from the `Arc` and copies them only if a view is still
+//! alive, so a view a consumer keeps never changes.
 //!
 //! A run's results are complete when the call returns, so the merge needs
 //! no watermarks and no punctuations, and the chain emits none.  One thing
@@ -54,11 +65,11 @@
 //! [`RunStore`]: crate::join_state::RunStore
 //! [`WindowState`]: crate::checkpoint::WindowState
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::iter::zip;
+use std::sync::Arc;
 
 use crate::checkpoint::NodeState;
-use crate::columnar::{eval_predicate_into, gather_rows, ColumnBatch};
+use crate::columnar::{eval_predicate_into, view_rows, ColumnBatch};
 use crate::error::{Result, StreamError};
 use crate::operator::{OpContext, Operator, PortId};
 use crate::ops::slice_join::{SliceChain, SliceJoinOp, SliceResults, COLUMNAR_MIN_RUN_RESULTS};
@@ -91,9 +102,17 @@ pub struct ChainJoinOp {
     branches: Vec<Vec<Branch>>,
     /// Cumulative counters of each slice, reported as nodes of their own.
     slice_counters: Vec<CostCounters>,
-    /// `results[k]`: slice `k`'s result rows of this call, and the rows a
-    /// query still holds from earlier calls.
+    /// `results[k]`: slice `k`'s result rows of this call, the rows a query
+    /// still holds from earlier calls, and until the next call's start the
+    /// rows the last call delivered.
     results: Vec<SliceResults>,
+    /// Every slice's result batches, in chain order, while delivered views
+    /// may read them: from a delivery of views to the next call's start.
+    shared: Option<Arc<Vec<ColumnBatch>>>,
+    /// `batch_rows[b]`: the slice whose batch is batch `b` of the chain's
+    /// batches in chain order — the index a view names it by — and the
+    /// slice's row number of its first row.
+    batch_rows: Vec<(usize, usize)>,
     /// `picked[q][k]`: the rows of `results[k]` query `q` takes and has not
     /// received yet, ascending, so in timestamp order.
     picked: Vec<Vec<Vec<u32>>>,
@@ -103,9 +122,11 @@ pub struct ChainJoinOp {
     /// the next call's.
     newest: Option<Timestamp>,
     /// Buffers reused across calls: each slice's counters and result count
-    /// at the start of this call, row selections, a delivery's order, how
-    /// far each slice's picks go, the merge's heads, and each slice's
-    /// results built as row tuples in this call.
+    /// at the start of this call, row selections, every buffered row in
+    /// merge order, how far each slice's picks go, per-batch cursors,
+    /// per-slice counts of rows taken, the deliveries of views waiting for
+    /// the shared batches, and each slice's results built as row tuples in
+    /// this call.
     run_counters: Vec<CostCounters>,
     starts: Vec<usize>,
     scope_rows: Vec<u32>,
@@ -113,7 +134,8 @@ pub struct ChainJoinOp {
     order: Vec<(u32, u32)>,
     ends: Vec<usize>,
     cursors: Vec<usize>,
-    heads: BinaryHeap<Reverse<(Timestamp, usize)>>,
+    taken: Vec<usize>,
+    views: Vec<(usize, Vec<(u32, u32)>)>,
     tuples: Vec<Vec<Option<Tuple>>>,
 }
 
@@ -130,6 +152,8 @@ impl ChainJoinOp {
             branches: (0..n).map(|_| Vec::new()).collect(),
             slice_counters: vec![CostCounters::default(); n],
             results: (0..n).map(|_| SliceResults::default()).collect(),
+            shared: None,
+            batch_rows: Vec::new(),
             picked: vec![vec![Vec::new(); n]; queries],
             feeds: vec![0; queries],
             newest: None,
@@ -141,7 +165,8 @@ impl ChainJoinOp {
             order: Vec::new(),
             ends: Vec::new(),
             cursors: Vec::new(),
-            heads: BinaryHeap::new(),
+            taken: Vec::new(),
+            views: Vec::new(),
             tuples: vec![Vec::new(); n],
         }
     }
@@ -194,6 +219,7 @@ impl ChainJoinOp {
     /// Walk every input tuple through the chain and deliver each query's
     /// merged results.
     fn run(&mut self, items: &mut Vec<StreamItem>, ctx: &mut OpContext) {
+        self.compact();
         let newest = items.iter().rev().find_map(|item| match item {
             StreamItem::Tuple(t) => Some(t.ts),
             StreamItem::Batch(batch) => batch.last_ts(),
@@ -321,16 +347,16 @@ impl ChainJoinOp {
         }
     }
 
-    /// Deliver every query's rows — with `all`, the held ones too — and drop
-    /// the rows no query holds, moving the held ones to the front.
-    fn deliver(&mut self, all: bool, ctx: &mut OpContext) {
-        for q in 0..self.picked.len() {
-            if self.picked[q].iter().all(Vec::is_empty) {
-                continue;
+    /// Take back the batches the last delivery shared — copying them only
+    /// if a view of them is still alive — and drop the rows no query still
+    /// holds, moving the held ones to the front.  Runs at the start of a
+    /// call, when the consumers have taken the last call's views.
+    fn compact(&mut self) {
+        if let Some(shared) = self.shared.take() {
+            let all = Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone());
+            for (batch, &(k, _)) in zip(all, &self.batch_rows) {
+                self.results[k].batches.push(batch);
             }
-            let held = !all && self.feeds[q] > 1;
-            let held_from = held.then_some(self.newest).flatten();
-            self.merge(q, held_from, ctx);
         }
         for (k, results) in self.results.iter_mut().enumerate() {
             if results.len() == 0 {
@@ -352,92 +378,189 @@ impl ChainJoinOp {
         }
     }
 
-    /// Deliver query `q`'s picked rows older than `held_from` (all when
-    /// `None`) on port `q`, in timestamp order, ties to the lower slice.
-    fn merge(&mut self, q: usize, held_from: Option<Timestamp>, ctx: &mut OpContext) {
+    /// Deliver every query's picked rows — with `all`, the ones held at the
+    /// newest timestamp too — on its port, in timestamp order, ties to the
+    /// lower slice.
+    ///
+    /// One k-way merge orders every buffered row of every slice, and each
+    /// query fed by several slices takes its rows in one pass over that
+    /// order (a query fed by one slice takes them as picked).  Deliveries
+    /// of views wait until every query has taken its rows; then the slices'
+    /// batches are shared behind one `Arc` and the views leave.
+    fn deliver(&mut self, all: bool, ctx: &mut OpContext) {
+        self.batch_rows.clear();
+        for (k, results) in self.results.iter().enumerate() {
+            let mut base = 0;
+            for batch in &results.batches {
+                self.batch_rows.push((k, base));
+                base += batch.len();
+            }
+        }
+        let mut merged = false;
+        for q in 0..self.picked.len() {
+            let held_from = (!all && self.feeds[q] > 1).then_some(self.newest).flatten();
+            let ChainJoinOp {
+                results,
+                picked,
+                ends,
+                ..
+            } = self;
+            let picked = &picked[q];
+            ends.clear();
+            ends.extend(
+                picked
+                    .iter()
+                    .zip(results.iter())
+                    .map(|(rows, results)| match held_from {
+                        None => rows.len(),
+                        Some(held) => rows.partition_point(|&row| results.ts(row as usize) < held),
+                    }),
+            );
+            let total: usize = ends.iter().sum();
+            if total == 0 {
+                continue;
+            }
+            let single = ends.iter().filter(|&&end| end > 0).count() == 1;
+            if !single && !merged {
+                self.merge_buffered();
+                merged = true;
+            }
+            self.take(q, total, single, ctx);
+        }
+        if self.views.is_empty() {
+            return;
+        }
+        let mut all = Vec::with_capacity(self.batch_rows.len());
+        for results in &mut self.results {
+            all.append(&mut results.batches);
+        }
+        let shared = Arc::new(all);
+        for (q, order) in self.views.drain(..) {
+            view_rows(&shared, order, |batch| ctx.emit(q, batch));
+        }
+        self.shared = Some(shared);
+    }
+
+    /// Order every buffered row of every slice by timestamp, ties to the
+    /// lower slice, into `order` as `(batch, row)` pairs over every slice's
+    /// batches in chain order: a k-way merge over the batches, each in
+    /// timestamp order, that leaves the rows of the oldest head timestamp
+    /// batch by batch.
+    fn merge_buffered(&mut self) {
+        let ChainJoinOp {
+            results,
+            order,
+            cursors,
+            ..
+        } = self;
+        // The batches with rows, each with its index among all batches.
+        let batches: Vec<(u32, &[Timestamp])> = results
+            .iter()
+            .flat_map(|results| &results.batches)
+            .enumerate()
+            .filter(|(_, batch)| !batch.is_empty())
+            .map(|(b, batch)| (b as u32, batch.timestamps()))
+            .collect();
+        order.clear();
+        cursors.clear();
+        cursors.resize(batches.len(), 0);
+        let head = |(&(_, ts), &at): (&(u32, &[Timestamp]), &usize)| ts.get(at).copied();
+        while let Some(oldest) = zip(&batches, &*cursors).filter_map(head).min() {
+            for (&(b, ts), at) in zip(&batches, &mut *cursors) {
+                while ts.get(*at) == Some(&oldest) {
+                    order.push((b, *at as u32));
+                    *at += 1;
+                }
+            }
+        }
+    }
+
+    /// Deliver query `q`'s first `ends[k]` picked rows of each slice,
+    /// `total` in all: as row tuples below [`COLUMNAR_MIN_RUN_RESULTS`], at
+    /// once, and otherwise as `(batch, row)` pairs over every slice's
+    /// batches, queued in `views`.  Rows of one slice (`single`) leave as
+    /// picked; otherwise in `order`, restricted to the picked ones.
+    fn take(&mut self, q: usize, total: usize, single: bool, ctx: &mut OpContext) {
         let ChainJoinOp {
             slices,
             results,
             picked,
+            batch_rows,
             order,
             ends,
-            cursors,
-            heads,
+            taken,
+            views,
             tuples,
             ..
         } = self;
         let picked = &mut picked[q];
-        ends.clear();
-        ends.extend(
-            picked
-                .iter()
-                .zip(results.iter())
-                .map(|(rows, results)| match held_from {
-                    None => rows.len(),
-                    Some(held) => rows.partition_point(|&row| results.ts(row as usize) < held),
-                }),
-        );
-        let total: usize = ends.iter().sum();
-        if total == 0 {
-            return;
-        }
         ctx.counters.tuples_processed += total as u64;
         ctx.counters.union_comparisons += total as u64;
-        // Rows leave in a k-way merge's order, a heap of the slices' heads
-        // picking each stretch's slice.  A delivery of batches collects its
-        // rows as (batch, row) pairs over every slice's batches; one of rows
-        // emits each row at once.
         let columnar = total as u64 >= COLUMNAR_MIN_RUN_RESULTS;
-        let (mut sources, mut first_source): (Vec<&ColumnBatch>, _) = (Vec::new(), Vec::new());
+        let mut pairs = Vec::new();
         if columnar {
-            for results in results.iter() {
-                first_source.push(sources.len());
-                sources.extend(&results.batches);
-            }
-        }
-        order.clear();
-        cursors.clear();
-        cursors.resize(picked.len(), 0);
-        let head = |k: usize, at: usize| results[k].ts(picked[k][at] as usize);
-        heads.clear();
-        heads.extend(
-            (0..picked.len())
-                .filter(|&k| ends[k] > 0)
-                .map(|k| Reverse((head(k, 0), k))),
-        );
-        // The slice with the oldest head, ties to the lower one, leaves rows
-        // until its head passes the next oldest; then it waits in the heap.
-        while let Some(Reverse((_, k))) = heads.pop() {
-            let next = heads.peek().map(|&Reverse(head)| head);
-            let (results, tuples) = (&results[k], &mut tuples[k]);
-            loop {
-                let row = picked[k][cursors[k]] as usize;
-                cursors[k] += 1;
-                if columnar {
-                    let (batch, i) = results.locate(row);
-                    order.push(((first_source[k] + batch) as u32, i as u32));
-                } else {
-                    if tuples.len() <= row {
-                        tuples.resize(results.len(), None);
-                    }
-                    let tuple = tuples[row].get_or_insert_with(|| results.row(row));
-                    ctx.emit(q, tuple.clone());
-                }
-                if cursors[k] == ends[k] {
-                    break;
-                }
-                let at = (head(k, cursors[k]), k);
-                if next.is_some_and(|next| at > next) {
-                    heads.push(Reverse(at));
-                    break;
-                }
-            }
-        }
-        if columnar {
-            for (slice, &rows) in slices.cores.iter_mut().zip(ends.iter()) {
+            pairs.reserve_exact(total);
+            for (slice, &rows) in slices.cores.iter_mut().zip(&*ends) {
                 slice.batch_results += rows as u64;
             }
-            gather_rows(&sources, order, |batch| ctx.emit(q, batch));
+        }
+        let mut emit_row = |k: usize, row: usize| {
+            let (results, tuples) = (&results[k], &mut tuples[k]);
+            if tuples.len() <= row {
+                tuples.resize(results.len(), None);
+            }
+            let tuple = tuples[row].get_or_insert_with(|| results.row(row));
+            ctx.emit(q, tuple.clone());
+        };
+        if single {
+            let k = ends.iter().position(|&end| end > 0).unwrap_or(0);
+            let rows = picked[k][..ends[k]].iter().map(|&row| row as usize);
+            let first = batch_rows.partition_point(|&(slice, _)| slice < k);
+            if !columnar {
+                rows.for_each(|row| emit_row(k, row));
+            } else if results[k].batches.len() == 1 {
+                pairs.extend(rows.map(|row| (first as u32, row as u32)));
+            } else {
+                pairs.extend(rows.map(|row| {
+                    let (batch, i) = results[k].locate(row);
+                    ((first + batch) as u32, i as u32)
+                }));
+            }
+        } else if zip(&*picked, &*results).all(|(rows, results)| rows.len() == results.len()) {
+            // Every buffered row is picked, so the rows taken are the ones
+            // before the held timestamp: the order's first `total`.
+            let rows = &order[..total];
+            if columnar {
+                pairs.extend_from_slice(rows);
+            } else {
+                for &(b, i) in rows {
+                    let (k, base) = batch_rows[b as usize];
+                    emit_row(k, base + i as usize);
+                }
+            }
+        } else {
+            taken.clear();
+            taken.resize(picked.len(), 0);
+            let mut left = total;
+            for &(b, i) in order.iter() {
+                let (k, base) = batch_rows[b as usize];
+                let row = base + i as usize;
+                let at = taken[k];
+                if at < ends[k] && picked[k][at] as usize == row {
+                    taken[k] += 1;
+                    match columnar {
+                        true => pairs.push((b, i)),
+                        false => emit_row(k, row),
+                    }
+                    left -= 1;
+                    if left == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        if columnar {
+            views.push((q, pairs));
         }
         for (rows, &end) in picked.iter_mut().zip(ends.iter()) {
             rows.drain(..end);
@@ -469,6 +592,7 @@ impl Operator for ChainJoinOp {
 
     /// Deliver the rows held at the newest timestamp: the run is over.
     fn flush(&mut self, ctx: &mut OpContext) {
+        self.compact();
         self.deliver(true, ctx);
     }
 
@@ -851,6 +975,96 @@ mod tests {
             assert_eq!(parts.union_comparisons, 0);
             assert_eq!(chain.held_rows(), 0);
         }
+    }
+
+    /// A queued consumer may keep a delivered view past the chain's next
+    /// call: the chain then writes into copies of its buffers, so every
+    /// kept view still reads the rows it was delivered with, and the chain
+    /// goes on exactly as a twin whose consumer drops each delivery at once
+    /// — with rows held at a timestamp tie, a CPU-Opt split branch (Q2) and
+    /// a σ branch (Q1) among the kept deliveries.
+    #[test]
+    fn views_kept_across_later_calls_keep_their_rows() {
+        let items = input();
+        for run_len in [7, 20, 64] {
+            let (mut kept, mut twin) = (chain(), chain());
+            let mut ctx = OpContext::new();
+            // Per port: every item the kept chain delivered, and the rows
+            // the twin delivered, each batch read at once and dropped.
+            let mut kept_items = vec![Vec::new(); WINDOWS.len()];
+            let mut twin_rows = vec![Vec::new(); WINDOWS.len()];
+            let (mut held_while_kept, mut lazy_at_next_call) = (0, 0);
+            let views = |items: &[Vec<StreamItem>]| {
+                let batches = items.iter().flatten().filter_map(|item| match item {
+                    StreamItem::Batch(view) => Some(Arc::clone(view)),
+                    _ => None,
+                });
+                batches.collect::<Vec<_>>()
+            };
+            for run in items.chunks(run_len).map(Some).chain([None]) {
+                let lazy = views(&kept_items)
+                    .iter()
+                    .filter(|v| v.is_ungathered_view())
+                    .count();
+                lazy_at_next_call += lazy;
+                let mut call = |op: &mut ChainJoinOp| {
+                    match run {
+                        Some(run) => op.process_batch(0, &mut run.to_vec(), &mut ctx),
+                        None => op.flush(&mut ctx),
+                    }
+                    ctx.take_outputs()
+                };
+                for (port, item) in call(&mut kept) {
+                    kept_items[port].push(item);
+                }
+                for (port, item) in call(&mut twin) {
+                    twin_rows[port].extend(rows_of([item]).0);
+                }
+                if kept.held_rows() > 0 && lazy > 0 {
+                    held_while_kept += 1;
+                }
+            }
+            let ports = [1, 2].map(|q| views(&kept_items[q..=q]).len());
+            assert!(ports.iter().all(|&n| n > 0), "runs of {run_len}: {ports:?}");
+            assert!(held_while_kept > 0, "runs of {run_len}");
+            for (q, items) in kept_items.into_iter().enumerate() {
+                let (rows, _) = rows_of(items);
+                assert_eq!(rows.len(), twin_rows[q].len(), "Q{q}, runs of {run_len}");
+                let d = rows.iter().zip(&twin_rows[q]).position(|(a, b)| a != b);
+                assert_eq!(d, None, "Q{q}, runs of {run_len}: a kept view changed");
+            }
+            assert!(lazy_at_next_call > 0);
+            assert_eq!(kept.part_counters(), twin.part_counters());
+            assert_eq!(kept.slices.window_states(), twin.slices.window_states());
+        }
+    }
+
+    /// A counting sink reads a delivered view's length and timestamps,
+    /// never its columns: the view stays ungathered.
+    #[test]
+    fn a_counting_sink_leaves_a_delivered_view_ungathered() {
+        use crate::ops::SinkOp;
+        let mut chain = chain();
+        let mut sinks: Vec<SinkOp> = (0..WINDOWS.len())
+            .map(|q| SinkOp::new(format!("sink_{q}")))
+            .collect();
+        let mut ctx = OpContext::new();
+        let (mut views, mut rows) = (Vec::new(), 0);
+        for run in input().chunks(64) {
+            chain.process_batch(0, &mut run.to_vec(), &mut ctx);
+            for (port, item) in ctx.take_outputs() {
+                if let StreamItem::Batch(view) = &item {
+                    assert!(view.is_ungathered_view());
+                    rows += view.len() as u64;
+                    views.push(Arc::clone(view));
+                }
+                sinks[port].process(0, item, &mut OpContext::new());
+            }
+        }
+        assert!(!views.is_empty());
+        assert!(views.iter().all(|view| view.is_ungathered_view()));
+        assert!(sinks.iter().map(SinkOp::count).sum::<u64>() >= rows);
+        assert!(sinks.iter().all(|sink| sink.out_of_order() == 0));
     }
 
     /// A purged tuple enters the next slice with the heap bytes its first

@@ -90,8 +90,7 @@ impl Operator for SinkOp {
                 // a retaining sink pays for row tuples.
                 ctx.counters.tuples_processed += b.len() as u64;
                 self.count += b.len() as u64;
-                for i in 0..b.len() {
-                    let ts = b.ts_at(i);
+                b.for_each_ts(|ts| {
                     if let Some(prev) = self.last_ts {
                         if ts < prev {
                             self.out_of_order += 1;
@@ -100,7 +99,7 @@ impl Operator for SinkOp {
                     if self.last_ts.is_none_or(|prev| ts >= prev) {
                         self.last_ts = Some(ts);
                     }
-                }
+                });
                 if self.retain {
                     self.collected.extend(b.materialize());
                 }

@@ -84,10 +84,15 @@ pub(crate) const COLUMNAR_MIN_RUN_RESULTS: u64 = 16;
 /// them: column batches, a new one started only when the result arity
 /// changes, and the punctuations of the runs, each with the number of rows
 /// it follows.  Row numbers count across the batches.
+///
+/// A sliced chain lends its slices' batches to the views it delivers: from
+/// a delivery of views to its next call they sit, moved out of here, behind
+/// one `Arc` the views share, and the call takes them back — a copy only if
+/// a view is still alive — before any row is appended or drained.
 #[derive(Debug)]
 pub(crate) struct SliceResults {
-    /// The batches the rows are kept in, in row order; never empty: rows
-    /// are appended to the last one.
+    /// The batches the rows are kept in, in row order; never empty, rows
+    /// appended to the last one, but while a chain lends them out.
     pub(crate) batches: Vec<ColumnBatch>,
     pub(crate) puncts: Vec<(usize, Punctuation)>,
 }
